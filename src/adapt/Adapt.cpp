@@ -2,34 +2,23 @@
 
 #include "adapt/Adapt.h"
 #include "obs/Metrics.h"
+#include "support/Env.h"
 
 #include <algorithm>
 #include <cstdlib>
-#include <cstring>
+#include <limits>
 
 using namespace steno;
 using namespace steno::adapt;
 
 bool adapt::adaptEnvEnabled() {
-  static const bool Enabled = [] {
-    const char *E = std::getenv("STENO_ADAPT");
-    return !E || (std::strcmp(E, "0") != 0 && std::strcmp(E, "off") != 0);
-  }();
-  return Enabled;
+  return support::parseFlag(std::getenv("STENO_ADAPT"), true);
 }
 
 std::uint64_t adapt::adaptMinSamplesEnv() {
-  static const std::uint64_t N = [] {
-    const char *E = std::getenv("STENO_ADAPT_MIN_SAMPLES");
-    if (!E || !*E)
-      return std::uint64_t{3};
-    char *End = nullptr;
-    unsigned long long V = std::strtoull(E, &End, 10);
-    if (End == E || V == 0)
-      return std::uint64_t{3};
-    return static_cast<std::uint64_t>(V);
-  }();
-  return N;
+  return static_cast<std::uint64_t>(
+      support::parseCount(std::getenv("STENO_ADAPT_MIN_SAMPLES"), 3, 1,
+                          std::numeric_limits<std::int64_t>::max()));
 }
 
 namespace {

@@ -56,12 +56,12 @@
 namespace steno {
 namespace adapt {
 
-/// STENO_ADAPT environment gate: adaptivity is ON unless the variable is
-/// set to "0" or "off".
+/// STENO_ADAPT (support::parseFlag, default on) — the default for
+/// CompileOptions::Adaptive and ServeOptions::AdaptiveReplan.
 bool adaptEnvEnabled();
 
-/// STENO_ADAPT_MIN_SAMPLES: observed runs required before feedback is
-/// considered ripe (default 3; minimum 1).
+/// STENO_ADAPT_MIN_SAMPLES (support::parseCount, default 3, minimum 1):
+/// observed runs required before feedback is considered ripe.
 std::uint64_t adaptMinSamplesEnv();
 
 /// One predicate's decayed observation, keyed by the lambda identity

@@ -2,6 +2,7 @@
 
 #include "analysis/Analysis.h"
 #include "obs/Metrics.h"
+#include "support/Env.h"
 #include "support/Error.h"
 #include "support/StringUtil.h"
 
@@ -13,13 +14,9 @@ using namespace steno::analysis;
 
 Mode analysis::modeFromEnv() {
   const char *Env = std::getenv("STENO_ANALYZE");
-  if (!Env)
-    return Mode::Strict;
-  if (std::strcmp(Env, "off") == 0)
+  if (!support::parseFlag(Env, true))
     return Mode::Off;
-  if (std::strcmp(Env, "warn") == 0)
-    return Mode::Warn;
-  return Mode::Strict;
+  return Env && std::strcmp(Env, "warn") == 0 ? Mode::Warn : Mode::Strict;
 }
 
 const char *analysis::modeName(Mode M) {

@@ -48,8 +48,9 @@ enum class Mode {
   Strict ///< Run and reject queries with error-severity findings.
 };
 
-/// Reads STENO_ANALYZE (off | warn | strict); unset or unrecognized
-/// values yield Strict, the safe default: a query this phase rejects
+/// Reads STENO_ANALYZE: "0" or "off" (support::parseFlag) yield Off,
+/// "warn" yields Warn, and unset or any other value yields Strict, the
+/// safe default: a query this phase rejects
 /// would have failed later inside the JIT'd C++ anyway, with a worse
 /// message and after paying compiler latency.
 Mode modeFromEnv();

@@ -5,11 +5,11 @@
 #include "analysis/ChainWalk.h"
 #include "expr/Analysis.h"
 #include "obs/Profile.h"
+#include "support/Env.h"
 #include "support/StringUtil.h"
 
 #include <algorithm>
 #include <cstdlib>
-#include <cstring>
 #include <numeric>
 #include <variant>
 
@@ -60,13 +60,7 @@ std::string RewriteCertificate::str() const {
 }
 
 bool quil::rewriteEnvEnabled() {
-  static const bool Enabled = [] {
-    const char *E = std::getenv("STENO_REWRITE");
-    if (!E)
-      return true;
-    return std::strcmp(E, "0") != 0 && std::strcmp(E, "off") != 0;
-  }();
-  return Enabled;
+  return support::parseFlag(std::getenv("STENO_REWRITE"), true);
 }
 
 namespace {

@@ -139,8 +139,8 @@ bool verifyCertificates(const Chain &Original, const RewriteResult &R,
 /// false, keeping the phase near-free for plain select/aggregate plans.
 bool chainHasRewriteTargets(const Chain &C);
 
-/// STENO_REWRITE environment gate: rewriting is ON unless the variable is
-/// set to "0" or "off".
+/// STENO_REWRITE (support::parseFlag, default on) — the default for
+/// CompileOptions::Rewrite.
 bool rewriteEnvEnabled();
 
 } // namespace quil

@@ -95,7 +95,7 @@ DistributedQuery DistributedQuery::compile(const query::Query &Q,
   if (auto Err = quil::validate(Chain))
     support::fatalError("invalid distributed query '" + Options.Name +
                         "': " + *Err);
-  if (Options.Specialize)
+  if (Options.SpecializeGroupByAggregate)
     Chain = quil::specializeGroupByAggregate(Chain);
 
   DistributedQuery DQ;
@@ -116,14 +116,9 @@ DistributedQuery DistributedQuery::compile(const query::Query &Q,
     Plan = planParallel(Chain, &WhyNot);
   }
 
-  CompileOptions VertexOptions;
-  VertexOptions.Exec = Options.Exec;
+  CompileOptions VertexOptions = Options;
   VertexOptions.Name = Options.Name + "_vertex";
   VertexOptions.SpecializeGroupByAggregate = false; // already applied
-  VertexOptions.Analyze = Options.Analyze;
-  VertexOptions.Profile = Options.Profile;
-  VertexOptions.Rewrite = Options.Rewrite;
-  VertexOptions.Vectorize = Options.Vectorize;
 
   if (!Plan) {
     // Sequential fallback: compile the whole query as one vertex and
@@ -529,9 +524,8 @@ QueryResult DistributedQuery::runParallel(ThreadPool &Pool,
   // to the scheduler's latency budget; observed skew caps the largest
   // grab. Falls back to the static Morsels whenever feedback is absent
   // or not ripe.
-  MorselOptions M = Adaptive && adapt::adaptEnvEnabled()
-                        ? adapt::tunedMorselOptions(vertexPlanHash(), Morsels)
-                        : Morsels;
+  MorselOptions M =
+      Adaptive ? adapt::tunedMorselOptions(vertexPlanHash(), Morsels) : Morsels;
   MorselStats Stats = morselFor(
       Pool, Count, M,
       [&Src, &PerWorker, &Parts, &Runners, PartitionSlot](

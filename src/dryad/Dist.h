@@ -27,47 +27,26 @@
 namespace steno {
 namespace dryad {
 
-/// Options for distributed execution.
-struct DistOptions {
-  /// Vertex backend: Native is Steno-optimized vertices; Interp walks the
-  /// generated AST (slow; for testing without a compiler).
-  steno::Backend Exec = steno::Backend::Native;
-  /// Apply the §4.3 specialization before planning.
-  bool Specialize = true;
-  /// Analyze-phase enforcement for the vertex compile. The parallel-
-  /// safety certificate is always computed regardless (it gates fan-out);
-  /// this only controls diagnostics reporting/rejection in compileChain.
-  analysis::Mode Analyze = analysis::modeFromEnv();
-  /// Run the fact-driven plan rewriter on the vertex chain before
-  /// codegen (same STENO_REWRITE default as compileQuery).
-  bool Rewrite = quil::rewriteEnvEnabled();
+/// Options for distributed execution: the compile options of the vertex
+/// program plus the scheduler's. SpecializeGroupByAggregate applies the
+/// §4.3 pass to the whole query before planning, and the vertex compile
+/// gets every other field as given. Analyze controls only diagnostics
+/// reporting and rejection; the parallel-safety certificate that gates
+/// fan-out is always computed. With Profile on, every vertex run merges
+/// per-operator statistics into the ProfileStore under vertexPlanHash(),
+/// once per worker under runParallel; with Adaptive on as well,
+/// runParallel sizes morsels from the observed per-row cost and
+/// per-worker skew (adapt::tunedMorselOptions, DESIGN.md §5j) instead of
+/// the static Morsels. With Vectorize on and a vectorized vertex,
+/// runParallel aligns morsel boundaries to whole batches.
+struct DistOptions : CompileOptions {
   /// Tuning for the morsel scheduler runParallel dispatches through.
   MorselOptions Morsels;
-  /// Feedback-driven morsel tuning (DESIGN.md §5j): when profiling is on
-  /// and the global adapt::FeedbackStore holds ripe observations for the
-  /// vertex plan, runParallel sizes morsels from the observed per-row
-  /// cost and per-worker skew (adapt::tunedMorselOptions) instead of the
-  /// static Morsels defaults. No effect without Profile (nothing is ever
-  /// observed), under STENO_ADAPT=off, or below the minimum-sample
-  /// threshold.
-  bool Adaptive = true;
   /// Print the one-shot stderr warning when a query compiles into the
   /// sequential fallback. The differential fuzzer compiles thousands of
   /// deliberately-uncertifiable queries and turns this off; everything
   /// else should leave it on (the fallback is a surprise worth a line).
   bool WarnSequentialFallback = true;
-  /// Profile the vertex program: every vertex run (one per partition or
-  /// morsel) merges per-operator statistics into the ProfileStore under
-  /// vertexPlanHash(), tagged with the executing worker's id. Under
-  /// runParallel the merge happens once per worker (QueryRunner
-  /// accumulates morsel deltas locally), not once per morsel.
-  bool Profile = obs::profilingEnvEnabled();
-  /// Vectorized batch execution for the vertex program (DESIGN.md §5i,
-  /// same default and env knob as CompileOptions::Vectorize). When the
-  /// vertex vectorizes, runParallel also batch-aligns morsel boundaries
-  /// so every morsel runs whole batches.
-  bool Vectorize = vec::vectorizeEnvEnabled();
-  std::string Name = "dist_query";
 };
 
 /// PLINQ-style partitioner (paper §6): splits one set of bindings into
@@ -173,8 +152,8 @@ private:
   analysis::SafetyCertificate Cert;
   MorselOptions Morsels;
   /// Consult the FeedbackStore for morsel sizing on each runParallel
-  /// (set at compile from DistOptions::Adaptive && Profile, so
-  /// unprofiled queries never pay the lookup).
+  /// (set at compile from Adaptive && Profile, so unprofiled queries
+  /// never pay the lookup).
   bool Adaptive = false;
   bool Sequential = false;
   std::string WhyNot;

@@ -71,67 +71,3 @@ TypeRef Type::vecTy() {
   static TypeRef T(new Type(TypeKind::Vec));
   return T;
 }
-
-std::string Type::serialize() const {
-  switch (Kind) {
-  case TypeKind::Bool:
-    return "b";
-  case TypeKind::Int64:
-    return "i";
-  case TypeKind::Double:
-    return "d";
-  case TypeKind::Vec:
-    return "v";
-  case TypeKind::Pair:
-    return "p(" + A->serialize() + "," + B->serialize() + ")";
-  }
-  stenoUnreachable("bad TypeKind");
-}
-
-namespace {
-
-/// Recursive-descent parser over the serialize() grammar.
-TypeRef parseType(const std::string &Text, size_t &Pos) {
-  if (Pos >= Text.size())
-    return nullptr;
-  switch (Text[Pos]) {
-  case 'b':
-    ++Pos;
-    return Type::boolTy();
-  case 'i':
-    ++Pos;
-    return Type::int64Ty();
-  case 'd':
-    ++Pos;
-    return Type::doubleTy();
-  case 'v':
-    ++Pos;
-    return Type::vecTy();
-  case 'p': {
-    if (Pos + 1 >= Text.size() || Text[Pos + 1] != '(')
-      return nullptr;
-    Pos += 2;
-    TypeRef First = parseType(Text, Pos);
-    if (!First || Pos >= Text.size() || Text[Pos] != ',')
-      return nullptr;
-    ++Pos;
-    TypeRef Second = parseType(Text, Pos);
-    if (!Second || Pos >= Text.size() || Text[Pos] != ')')
-      return nullptr;
-    ++Pos;
-    return Type::pairTy(std::move(First), std::move(Second));
-  }
-  default:
-    return nullptr;
-  }
-}
-
-} // namespace
-
-TypeRef Type::deserialize(const std::string &Text) {
-  size_t Pos = 0;
-  TypeRef T = parseType(Text, Pos);
-  if (!T || Pos != Text.size())
-    return nullptr;
-  return T;
-}

@@ -74,13 +74,6 @@ public:
   /// "steno::rt::Pair<double, std::int64_t>".
   std::string cxxName() const;
 
-  /// Compact stable serialization: "b" | "i" | "d" | "v" | "p(X,Y)".
-  /// Used by the persistent query cache's on-disk metadata.
-  std::string serialize() const;
-
-  /// Inverse of serialize(); returns nullptr on malformed input.
-  static TypeRef deserialize(const std::string &Text);
-
   static TypeRef boolTy();
   static TypeRef int64Ty();
   static TypeRef doubleTy();

@@ -3,6 +3,7 @@
 #include "jit/Jit.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
+#include "support/Env.h"
 #include "support/Error.h"
 #include "support/StringUtil.h"
 #include "support/TempFile.h"
@@ -11,7 +12,6 @@
 #include <atomic>
 #include <cassert>
 #include <cstdlib>
-#include <cstring>
 #include <dlfcn.h>
 
 using namespace steno;
@@ -69,8 +69,7 @@ CompiledModule::compile(const std::string &Source,
   // generated translation unit must itself survive -Wall -Wextra -Werror,
   // catching codegen regressions (unused locals, sign-compare, shadowing)
   // that -O3 alone would silently accept.
-  const char *LintEnv = ::getenv("STENO_JIT_LINT");
-  bool Lint = LintEnv && LintEnv[0] && ::strcmp(LintEnv, "0") != 0;
+  bool Lint = support::parseFlag(std::getenv("STENO_JIT_LINT"), false);
   std::string Cmd = support::strFormat(
       "'%s' -std=c++20 -O3%s -fPIC -shared -I '%s' -o '%s' '%s' > '%s' 2>&1",
       Cxx, Lint ? " -Wall -Wextra -Werror" : "", STENO_SOURCE_INCLUDE,

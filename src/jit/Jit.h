@@ -48,9 +48,9 @@ public:
   compile(const std::string &Source, const std::string &EntrySymbol,
           std::string *ErrMsg = nullptr);
 
-  /// Loads an already-compiled shared object (the persistent-cache hit
-  /// path — no compiler invocation; compileMillis() reports only the
-  /// dlopen cost). Returns nullptr and fills \p ErrMsg on failure.
+  /// Loads an already-compiled shared object without invoking the
+  /// compiler (compileMillis() reports only the dlopen cost). Returns
+  /// nullptr and fills \p ErrMsg on failure.
   static std::unique_ptr<CompiledModule>
   load(const std::string &SharedObjectPath, const std::string &EntrySymbol,
        std::string *ErrMsg = nullptr);

@@ -2,12 +2,12 @@
 
 #include "obs/Profile.h"
 #include "obs/Metrics.h"
+#include "support/Env.h"
 
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <sstream>
 
 using namespace steno;
@@ -267,11 +267,7 @@ ProfileStore &ProfileStore::global() {
 //===----------------------------------------------------------------------===//
 
 bool obs::profilingEnvEnabled() {
-  static const bool Enabled = [] {
-    const char *E = std::getenv("STENO_PROFILE");
-    return E && *E && std::strcmp(E, "0") != 0;
-  }();
-  return Enabled;
+  return support::parseFlag(std::getenv("STENO_PROFILE"), false);
 }
 
 namespace {

@@ -210,8 +210,8 @@ private:
   std::map<std::uint64_t, std::unique_ptr<QueryProfile>> Plans;
 };
 
-/// True when the STENO_PROFILE environment variable is set to anything
-/// but "" or "0" — the default for CompileOptions::Profile and friends.
+/// STENO_PROFILE (support::parseFlag, default off) — the default for
+/// CompileOptions::Profile and ServeOptions::Profile.
 bool profilingEnvEnabled();
 
 /// Thread-local worker id used to attribute profile merges (0 when never

@@ -1,10 +1,12 @@
 //===- obs/Trace.cpp ------------------------------------------*- C++ -*-===//
 
 #include "obs/Trace.h"
+#include "support/Env.h"
 
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <mutex>
 #include <vector>
 
@@ -47,13 +49,9 @@ TraceState &state() {
 }
 
 std::size_t bufferCapacity() {
-  static const std::size_t Cap = [] {
-    const char *Env = std::getenv("STENO_TRACE_BUF");
-    long V = Env ? std::atol(Env) : 0;
-    return V > 0 ? static_cast<std::size_t>(V)
-                 : static_cast<std::size_t>(1) << 16;
-  }();
-  return Cap;
+  return static_cast<std::size_t>(
+      support::parseCount(std::getenv("STENO_TRACE_BUF"), 1 << 16, 1,
+                          std::numeric_limits<std::int64_t>::max()));
 }
 
 void ensureBuffer() {

@@ -5,6 +5,7 @@
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -134,6 +135,25 @@ bool steno::equalQueries(const query::Query &A, const query::Query &B) {
   return equalChainsFrom(A.node(), B.node());
 }
 
+namespace {
+
+/// The options half of the cache key: every field except Name.
+CompileOptions keyOptions(CompileOptions Options) {
+  Options.Name.clear();
+  return Options;
+}
+
+} // namespace
+
+std::vector<QueryCache::Entry>::const_iterator
+QueryCache::find(const std::vector<Entry> &Bucket, const query::Query &Q,
+                 const CompileOptions &Options) {
+  CompileOptions Key = keyOptions(Options);
+  return std::find_if(Bucket.begin(), Bucket.end(), [&](const Entry &E) {
+    return E.Options == Key && equalQueries(E.Query, Q);
+  });
+}
+
 CompiledQuery QueryCache::getOrCompile(const query::Query &Q,
                                        const CompileOptions &Options) {
   static obs::Counter &HitCount = obs::counter("steno.cache.hits");
@@ -147,18 +167,13 @@ CompiledQuery QueryCache::getOrCompile(const query::Query &Q,
     std::lock_guard<std::mutex> Lock(Mutex);
     auto It = Buckets.find(Key);
     if (It != Buckets.end()) {
-      for (const Entry &E : It->second) {
-        if (E.Exec == Options.Exec &&
-            E.Specialize == Options.SpecializeGroupByAggregate &&
-            E.Profile == Options.Profile && E.Rewrite == Options.Rewrite &&
-            E.Vectorize == Options.Vectorize &&
-            E.Adaptive == Options.Adaptive && equalQueries(E.Query, Q)) {
-          Hits.fetch_add(1, std::memory_order_relaxed);
-          HitCount.inc();
-          SavedMs.inc(static_cast<std::uint64_t>(
-              std::llround(E.Compiled.compileMillis())));
-          return E.Compiled;
-        }
+      auto E = find(It->second, Q, Options);
+      if (E != It->second.end()) {
+        Hits.fetch_add(1, std::memory_order_relaxed);
+        HitCount.inc();
+        SavedMs.inc(static_cast<std::uint64_t>(
+            std::llround(E->Compiled.compileMillis())));
+        return E->Compiled;
       }
     }
   }
@@ -179,14 +194,8 @@ CompiledQuery QueryCache::lookup(const query::Query &Q,
   auto It = Buckets.find(Key);
   if (It == Buckets.end())
     return CompiledQuery();
-  for (const Entry &E : It->second)
-    if (E.Exec == Options.Exec &&
-        E.Specialize == Options.SpecializeGroupByAggregate &&
-        E.Profile == Options.Profile && E.Rewrite == Options.Rewrite &&
-        E.Vectorize == Options.Vectorize &&
-        E.Adaptive == Options.Adaptive && equalQueries(E.Query, Q))
-      return E.Compiled;
-  return CompiledQuery();
+  auto E = find(It->second, Q, Options);
+  return E != It->second.end() ? E->Compiled : CompiledQuery();
 }
 
 CompiledQuery QueryCache::insert(const query::Query &Q,
@@ -196,22 +205,14 @@ CompiledQuery QueryCache::insert(const query::Query &Q,
       obs::counter("steno.cache.duplicate_compiles_dropped");
   std::uint64_t Key = hashQuery(Q);
   std::lock_guard<std::mutex> Lock(Mutex);
-  for (const Entry &E : Buckets[Key]) {
-    if (E.Exec == Options.Exec &&
-        E.Specialize == Options.SpecializeGroupByAggregate &&
-        E.Profile == Options.Profile && E.Rewrite == Options.Rewrite &&
-        E.Vectorize == Options.Vectorize &&
-        E.Adaptive == Options.Adaptive && equalQueries(E.Query, Q)) {
-      DupDropped.fetch_add(1, std::memory_order_relaxed);
-      DupDroppedCount.inc();
-      return E.Compiled; // first insert won; drop the duplicate
-    }
+  std::vector<Entry> &Bucket = Buckets[Key];
+  auto E = find(Bucket, Q, Options);
+  if (E != Bucket.end()) {
+    DupDropped.fetch_add(1, std::memory_order_relaxed);
+    DupDroppedCount.inc();
+    return E->Compiled; // first insert won; drop the duplicate
   }
-  Buckets[Key].push_back(Entry{Q, Options.Exec,
-                               Options.SpecializeGroupByAggregate,
-                               Options.Profile, Options.Rewrite,
-                               Options.Vectorize, Options.Adaptive,
-                               Compiled});
+  Bucket.push_back(Entry{Q, keyOptions(Options), Compiled});
   return Compiled;
 }
 
@@ -222,23 +223,14 @@ bool QueryCache::evict(const query::Query &Q, const CompileOptions &Options) {
   auto It = Buckets.find(Key);
   if (It == Buckets.end())
     return false;
-  std::vector<Entry> &Entries = It->second;
-  for (std::size_t I = 0; I != Entries.size(); ++I) {
-    if (Entries[I].Exec == Options.Exec &&
-        Entries[I].Specialize == Options.SpecializeGroupByAggregate &&
-        Entries[I].Profile == Options.Profile &&
-        Entries[I].Rewrite == Options.Rewrite &&
-        Entries[I].Vectorize == Options.Vectorize &&
-        Entries[I].Adaptive == Options.Adaptive &&
-        equalQueries(Entries[I].Query, Q)) {
-      Entries.erase(Entries.begin() + static_cast<std::ptrdiff_t>(I));
-      if (Entries.empty())
-        Buckets.erase(It);
-      Evictions.inc();
-      return true;
-    }
-  }
-  return false;
+  auto E = find(It->second, Q, Options);
+  if (E == It->second.end())
+    return false;
+  It->second.erase(E);
+  if (It->second.empty())
+    Buckets.erase(It);
+  Evictions.inc();
+  return true;
 }
 
 std::size_t QueryCache::size() const {

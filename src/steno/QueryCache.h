@@ -39,8 +39,8 @@ std::uint64_t hashQuery(const query::Query &Q);
 /// lambdas, argument expressions and nested queries.
 bool equalQueries(const query::Query &A, const query::Query &B);
 
-/// Thread-safe structural cache of compiled queries. Backend and
-/// optimization options are part of the key.
+/// Thread-safe structural cache of compiled queries. The key is the
+/// query's structure plus every CompileOptions field except Name.
 class QueryCache {
 public:
   /// Returns the cached compiled query for a structurally equal prior
@@ -98,14 +98,14 @@ public:
 private:
   struct Entry {
     query::Query Query;
-    Backend Exec;
-    bool Specialize;
-    bool Profile;
-    bool Rewrite;
-    bool Vectorize;
-    bool Adaptive;
+    CompileOptions Options; ///< With Name cleared (see keyOptions).
     CompiledQuery Compiled;
   };
+
+  /// The entry in \p Bucket keyed by (Q, Options), or Bucket.end().
+  static std::vector<Entry>::const_iterator
+  find(const std::vector<Entry> &Bucket, const query::Query &Q,
+       const CompileOptions &Options);
 
   mutable std::mutex Mutex;
   std::unordered_map<std::uint64_t, std::vector<Entry>> Buckets;

@@ -30,8 +30,7 @@ struct CompiledQuery::Impl {
   analysis::AnalysisResult Analysis;
   steno::Backend ExecBackend = Backend::Interp;
   std::unique_ptr<jit::CompiledModule> Module; // Native backend only
-  /// ProfileStore key (quil::hashChain over the optimized chain); 0 for
-  /// rehydrated artifacts, which carry no chain.
+  /// ProfileStore key (quil::hashChain over the optimized chain).
   std::uint64_t PlanHash = 0;
   /// Whether the generated code carries profiling hooks.
   bool Profile = false;
@@ -534,46 +533,6 @@ CompiledQuery steno::compileQuery(const query::Query &Q,
   if (CQ.I->Specialized)
     Specialized.inc();
   CompileMs.observe(Timer.millis());
-  return CQ;
-}
-
-PersistedQueryArtifact
-PersistedQueryArtifact::describe(const CompiledQuery &CQ) {
-  const CompiledQuery::Impl &I = *CQ.I;
-  if (!I.Module)
-    support::fatalError(
-        "only Native-backend queries can be persisted (query '" +
-        I.Program.Name + "')");
-  PersistedQueryArtifact A;
-  A.Name = I.Program.Name;
-  A.EntrySymbol = I.Program.Name;
-  A.SharedObjectPath = I.Module->objectPath();
-  A.Source = I.Source;
-  A.ResultType = I.Program.ResultType;
-  A.ScalarResult = I.Program.ScalarResult;
-  A.Slots = I.Slots;
-  return A;
-}
-
-CompiledQuery PersistedQueryArtifact::rehydrate(std::string *Err) const {
-  std::string LoadErr;
-  std::unique_ptr<jit::CompiledModule> Module =
-      jit::CompiledModule::load(SharedObjectPath, EntrySymbol, &LoadErr);
-  if (!Module) {
-    if (Err)
-      *Err = LoadErr;
-    return CompiledQuery();
-  }
-  auto Impl = std::make_shared<CompiledQuery::Impl>();
-  Impl->ExecBackend = Backend::Native;
-  Impl->Program.Name = EntrySymbol;
-  Impl->Program.ResultType = ResultType;
-  Impl->Program.ScalarResult = ScalarResult;
-  Impl->Slots = Slots;
-  Impl->Source = Source;
-  Impl->Module = std::move(Module);
-  CompiledQuery CQ;
-  CQ.I = std::move(Impl);
   return CQ;
 }
 

@@ -34,6 +34,7 @@
 #ifndef STENO_STENO_STENO_H
 #define STENO_STENO_STENO_H
 
+#include "adapt/Adapt.h"
 #include "analysis/Analysis.h"
 #include "analysis/Rewrite.h"
 #include "cpptree/Printer.h"
@@ -51,18 +52,15 @@
 
 namespace steno {
 
-namespace adapt {
-bool adaptEnvEnabled(); // adapt/Adapt.h — fwd-declared to keep this
-                        // header free of the adapt dependency.
-}
-
 /// Execution strategy for a compiled query.
 enum class Backend {
   Interp, ///< Walk the generated loop AST (portable; no compiler needed).
   Native  ///< Compile to a shared object and dlopen it (paper §3.3).
 };
 
-/// Knobs for compileQuery.
+/// Knobs for compileQuery. Fields that default from a STENO_* variable
+/// read it when the options are constructed (README "Environment
+/// variables").
 struct CompileOptions {
   Backend Exec = Backend::Native;
   /// Apply the §4.3 GroupBy-Aggregate specialization pass.
@@ -71,21 +69,18 @@ struct CompileOptions {
   bool EnableCse = true;
   /// Static-analysis enforcement (lower -> validate -> analyze ->
   /// specialize -> cse -> codegen). Defaults to the STENO_ANALYZE
-  /// environment variable (off | warn | strict; unset means strict).
+  /// environment variable.
   analysis::Mode Analyze = analysis::modeFromEnv();
   /// Fact-driven plan rewriting (lower -> validate -> analyze ->
   /// REWRITE -> specialize -> codegen): dead-operator elimination,
   /// constant-predicate dropping, Take/Skip folding, cost×selectivity
   /// predicate reordering and division-trap elision, each justified by a
   /// machine-checkable RewriteCertificate (see analysis/Rewrite.h).
-  /// Defaults to the STENO_REWRITE environment variable (on unless set
-  /// to "0" or "off"). The QueryCache keys on this flag.
+  /// Defaults to the STENO_REWRITE environment variable.
   bool Rewrite = quil::rewriteEnvEnabled();
   /// Collect per-operator runtime statistics (rows in/out, selectivity,
   /// nanoseconds) into the global obs::ProfileStore on every run().
-  /// Defaults to the STENO_PROFILE environment variable. Profiled and
-  /// unprofiled compilations of the same query are distinct plans (the
-  /// generated code differs); the QueryCache keys on this flag.
+  /// Defaults to the STENO_PROFILE environment variable.
   bool Profile = obs::profilingEnvEnabled();
   /// Vectorized batch execution (DESIGN.md §5i): vectorizable chains run
   /// batch-at-a-time over contiguous columns with selection vectors — the
@@ -93,8 +88,7 @@ struct CompileOptions {
   /// through SIMD-friendly generated batch loops. Chains whose shape does
   /// not fit the columnar model (nested queries, sinks, early-exit
   /// aggregates, vec-typed elements) keep the scalar path regardless.
-  /// Defaults to the STENO_VECTORIZE environment variable (on unless set
-  /// to "0" or "off"). The QueryCache keys on this flag.
+  /// Defaults to the STENO_VECTORIZE environment variable.
   bool Vectorize = vec::vectorizeEnvEnabled();
   /// Feedback-driven adaptive optimization (DESIGN.md §5j): when the
   /// global adapt::FeedbackStore holds ripe observed statistics for this
@@ -106,11 +100,15 @@ struct CompileOptions {
   /// failure falls back to the static plan. Plans quarantined by the
   /// ignorance list (repeated mispredictions) are pinned static. Only
   /// meaningful with Rewrite on. Defaults to the STENO_ADAPT
-  /// environment variable (on unless set to "0" or "off"). The
-  /// QueryCache keys on this flag.
+  /// environment variable.
   bool Adaptive = adapt::adaptEnvEnabled();
   /// Entry symbol / readable query name.
   std::string Name = "steno_query";
+
+  /// Field-wise equality. The QueryCache key is every field except Name:
+  /// it compares options with Name cleared, so a field added here is
+  /// keyed without touching the cache.
+  bool operator==(const CompileOptions &) const = default;
 };
 
 /// An optimized, executable query. Cheap to copy (shared state); reusable
@@ -119,7 +117,7 @@ class CompiledQuery {
 public:
   CompiledQuery() = default;
 
-  /// False for default-constructed handles and failed rehydrations.
+  /// False for default-constructed handles.
   bool valid() const { return I != nullptr; }
 
   /// Executes against \p B. Aborts with a diagnostic if a slot the query
@@ -161,8 +159,7 @@ public:
   std::uint64_t rewrittenFromHash() const;
   /// Structural hash of the optimized QUIL chain (quil::hashChain) — the
   /// ProfileStore key. The interp and native plans of one query share a
-  /// hash, so serve's backend swap keeps one merged profile. 0 for
-  /// rehydrated artifacts (no chain survives persistence).
+  /// hash, so serve's backend swap keeps one merged profile.
   std::uint64_t planHash() const;
   /// Whether this query was compiled with profiling hooks.
   bool profiled() const;
@@ -184,7 +181,6 @@ private:
                                     const CompileOptions &);
   friend CompiledQuery compileChain(const quil::Chain &,
                                     const CompileOptions &);
-  friend struct PersistedQueryArtifact;
   friend class QueryRunner;
   std::shared_ptr<const Impl> I;
 };
@@ -222,29 +218,6 @@ private:
   std::unique_ptr<obs::ProfileSink> Sink;
   bool Checked = false;
   bool Dirty = false;
-};
-
-/// Everything needed to rehydrate a Native compiled query without
-/// recompiling: the persistence format of the Nectar-style on-disk cache
-/// (§7.1's "stored and reused"). Interp-backend queries are not
-/// persistable (they carry the full generated AST).
-struct PersistedQueryArtifact {
-  std::string Name;             ///< Readable query name.
-  std::string EntrySymbol;      ///< extern "C" symbol in the object.
-  std::string SharedObjectPath; ///< The compiled artifact on disk.
-  std::string Source;           ///< Generated source (informational).
-  expr::TypeRef ResultType;
-  bool ScalarResult = false;
-  cpptree::SlotUsage Slots;
-
-  /// Describes a Native compiled query for persistence. Aborts if \p CQ
-  /// is not a Native-backend query.
-  static PersistedQueryArtifact describe(const CompiledQuery &CQ);
-
-  /// Loads the artifact's shared object and wraps it as a runnable
-  /// CompiledQuery. Returns an invalid handle and fills \p Err on
-  /// failure (missing/corrupt object, missing symbol).
-  CompiledQuery rehydrate(std::string *Err = nullptr) const;
 };
 
 /// Lowers, validates, optimizes and code-generates \p Q. Aborts with a

@@ -1,34 +1,20 @@
 //===- vec/Batch.cpp ------------------------------------------*- C++ -*-===//
 
 #include "vec/Batch.h"
+#include "support/Env.h"
 
 #include <cstdlib>
-#include <string>
 
 using namespace steno;
 using namespace steno::vec;
 
 bool vec::vectorizeEnvEnabled() {
-  const char *E = std::getenv("STENO_VECTORIZE");
-  if (!E)
-    return true;
-  std::string V(E);
-  return !(V == "0" || V == "off");
+  return support::parseFlag(std::getenv("STENO_VECTORIZE"), true);
 }
 
 std::size_t vec::batchSizeFromEnv() {
-  const char *E = std::getenv("STENO_BATCH_SIZE");
-  if (!E || !*E)
-    return 1024;
-  char *End = nullptr;
-  long V = std::strtol(E, &End, 10);
-  if (End == E || V <= 0)
-    return 1024;
-  if (V < 16)
-    return 16;
-  if (V > 65536)
-    return 65536;
-  return static_cast<std::size_t>(V);
+  return static_cast<std::size_t>(
+      support::parseCount(std::getenv("STENO_BATCH_SIZE"), 1024, 16, 65536));
 }
 
 Workspace &vec::workspace() {

@@ -33,13 +33,13 @@
 namespace steno {
 namespace vec {
 
-/// True unless STENO_VECTORIZE is set to "0" or "off" — the default for
+/// STENO_VECTORIZE (support::parseFlag, default on) — the default for
 /// CompileOptions::Vectorize.
 bool vectorizeEnvEnabled();
 
-/// Target batch width in elements: STENO_BATCH_SIZE clamped to
-/// [16, 65536]; 1024 when unset or unparsable. Read on every call so a
-/// bench sweep can re-point it between compiles.
+/// Target batch width in elements: STENO_BATCH_SIZE (support::parseCount,
+/// default 1024, clamped to [16, 65536]). Read on every call so a bench
+/// sweep can re-point it between compiles.
 std::size_t batchSizeFromEnv();
 
 /// Owned backing storage for one column. Only the vector matching the

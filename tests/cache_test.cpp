@@ -1,16 +1,11 @@
 //===- tests/cache_test.cpp - Query cache & structural hashing -*- C++ -*-===//
 
 #include "expr/Analysis.h"
-#include "steno/PersistentCache.h"
 #include "steno/QueryCache.h"
-#include "support/TempFile.h"
 #include "support/Timing.h"
 
 #include <atomic>
-#include <cstdlib>
-#include <filesystem>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -178,6 +173,71 @@ TEST(QueryCacheTest, SpecializationFlagIsPartOfTheKey) {
   EXPECT_EQ(Cache.misses(), 2u);
 }
 
+TEST(QueryCacheTest, EveryOptionButNameIsPartOfTheKey) {
+  // One row per CompileOptions field except Name: a request differing
+  // from the cached entry in that field alone must miss.
+  CompileOptions Base;
+  Base.Exec = Backend::Interp;
+  Base.SpecializeGroupByAggregate = true;
+  Base.EnableCse = true;
+  Base.Analyze = analysis::Mode::Strict;
+  Base.Rewrite = true;
+  Base.Profile = false;
+  Base.Vectorize = true;
+  Base.Adaptive = true;
+  struct Row {
+    const char *Field;
+    void (*Flip)(CompileOptions &);
+  };
+  const Row Rows[] = {
+      {"Exec", [](CompileOptions &O) { O.Exec = Backend::Native; }},
+      {"SpecializeGroupByAggregate",
+       [](CompileOptions &O) { O.SpecializeGroupByAggregate = false; }},
+      {"EnableCse", [](CompileOptions &O) { O.EnableCse = false; }},
+      {"Analyze", [](CompileOptions &O) { O.Analyze = analysis::Mode::Off; }},
+      {"Rewrite", [](CompileOptions &O) { O.Rewrite = false; }},
+      {"Profile", [](CompileOptions &O) { O.Profile = true; }},
+      {"Vectorize", [](CompileOptions &O) { O.Vectorize = false; }},
+      {"Adaptive", [](CompileOptions &O) { O.Adaptive = false; }},
+  };
+  for (const Row &R : Rows) {
+    SCOPED_TRACE(R.Field);
+    CompileOptions Flipped = Base;
+    R.Flip(Flipped);
+    ASSERT_FALSE(Flipped == Base);
+    QueryCache Cache;
+    Cache.getOrCompile(sumSq(), Base);
+    EXPECT_FALSE(Cache.lookup(sumSq(), Flipped).valid());
+    Cache.getOrCompile(sumSq(), Flipped);
+    EXPECT_EQ(Cache.misses(), 2u);
+    EXPECT_EQ(Cache.size(), 2u);
+  }
+
+  QueryCache Cache;
+  CompileOptions Renamed = Base;
+  Renamed.Name = "renamed";
+  Cache.getOrCompile(sumSq(), Base);
+  Cache.getOrCompile(sumSq(), Renamed);
+  EXPECT_EQ(Cache.hits(), 1u) << "Name is not part of the key";
+}
+
+TEST(QueryCacheDeathTest, StrictRequestMissesAnUnanalyzedEntry) {
+  // An Analyze=Off entry carries no diagnostics; a Strict request for the
+  // same query must compile afresh and reject it, not reuse the entry.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  E Xi = param("xi", Type::int64Ty());
+  Query Q = Query::int64Array(0).select(lambda({Xi}, Xi % E(0))).sum();
+  QueryCache Cache;
+  CompileOptions Off;
+  Off.Exec = Backend::Interp;
+  Off.Analyze = analysis::Mode::Off;
+  EXPECT_TRUE(Cache.getOrCompile(Q, Off).analysisResult().Diags.empty());
+  CompileOptions Strict = Off;
+  Strict.Analyze = analysis::Mode::Strict;
+  EXPECT_DEATH(Cache.getOrCompile(Q, Strict),
+               "rejected by static analysis.*ST2001");
+}
+
 TEST(QueryCacheTest, CachedNativeQuerySkipsRecompilation) {
   QueryCache Cache;
   CompiledQuery First = Cache.getOrCompile(sumSq(), {});
@@ -336,207 +396,4 @@ TEST(QueryCacheTest, ConcurrentInsertLookupEvictSameKey) {
   Bindings B;
   B.bindDoubleArray(0, Xs.data(), 2);
   EXPECT_DOUBLE_EQ(Final.run(B).scalarValue().asDouble(), 5.0);
-}
-
-//===--------------------------------------------------------------------===//
-// The persistent (Nectar-style) cache
-//===--------------------------------------------------------------------===//
-
-namespace {
-
-std::string freshCacheDir(const char *Tag) {
-  static int Counter = 0;
-  return support::processTempDir() + "/pcache_" + Tag + "_" +
-         std::to_string(Counter++);
-}
-
-} // namespace
-
-TEST(PersistentCacheTest, MissCompilesAndPersists) {
-  PersistentQueryCache Cache(freshCacheDir("miss"));
-  CompiledQuery CQ = Cache.getOrCompile(sumSq());
-  EXPECT_EQ(Cache.misses(), 1u);
-  EXPECT_EQ(Cache.hits(), 0u);
-  std::vector<double> Xs = {1.0, 2.0};
-  Bindings B;
-  B.bindDoubleArray(0, Xs.data(), 2);
-  EXPECT_DOUBLE_EQ(CQ.run(B).scalarValue().asDouble(), 5.0);
-}
-
-TEST(PersistentCacheTest, SecondInstanceHitsFromDisk) {
-  std::string Dir = freshCacheDir("hit");
-  {
-    PersistentQueryCache First(Dir);
-    First.getOrCompile(sumSq());
-  }
-  // A fresh cache object (standing in for a new process) must rehydrate
-  // the stored artifact without invoking the compiler.
-  PersistentQueryCache Second(Dir);
-  support::WallTimer T;
-  CompiledQuery CQ = Second.getOrCompile(sumSq());
-  double LoadMs = T.millis();
-  EXPECT_EQ(Second.hits(), 1u);
-  EXPECT_EQ(Second.misses(), 0u);
-  EXPECT_LT(LoadMs, 100.0) << "dlopen, not a compile";
-  std::vector<double> Xs = {3.0};
-  Bindings B;
-  B.bindDoubleArray(0, Xs.data(), 1);
-  EXPECT_DOUBLE_EQ(CQ.run(B).scalarValue().asDouble(), 9.0);
-}
-
-TEST(PersistentCacheTest, OptionsKeyEntriesSeparately) {
-  std::string Dir = freshCacheDir("opts");
-  PersistentQueryCache Cache(Dir);
-  CompileOptions WithCse;
-  CompileOptions NoCse;
-  NoCse.EnableCse = false;
-  Cache.getOrCompile(sumSq(), WithCse);
-  Cache.getOrCompile(sumSq(), NoCse);
-  EXPECT_EQ(Cache.misses(), 2u);
-  Cache.getOrCompile(sumSq(), WithCse);
-  EXPECT_EQ(Cache.hits(), 1u);
-}
-
-TEST(PersistentCacheTest, CorruptEntryRecompiles) {
-  std::string Dir = freshCacheDir("corrupt");
-  {
-    PersistentQueryCache Cache(Dir);
-    Cache.getOrCompile(sumSq());
-  }
-  // Truncate the stored object.
-  std::string Entry;
-  {
-    PersistentQueryCache Probe(Dir);
-    // Overwrite the .so of the only entry with garbage.
-  }
-  // Find and corrupt the entry's object file (redirection targets are
-  // not globbed, so loop).
-  std::string Cmd = "sh -c 'for f in " + Dir +
-                    "/*/query.so; do echo garbage > \"$f\"; done'";
-  ASSERT_EQ(std::system(Cmd.c_str()), 0);
-  PersistentQueryCache Cache(Dir);
-  CompiledQuery CQ = Cache.getOrCompile(sumSq());
-  EXPECT_EQ(Cache.misses(), 1u) << "corrupt entry must recompile";
-  std::vector<double> Xs = {2.0};
-  Bindings B;
-  B.bindDoubleArray(0, Xs.data(), 1);
-  EXPECT_DOUBLE_EQ(CQ.run(B).scalarValue().asDouble(), 4.0);
-}
-
-namespace {
-
-/// The meta.txt of the single entry under \p Dir.
-std::string onlyMetaPath(const std::string &Dir) {
-  for (const auto &Entry : std::filesystem::directory_iterator(Dir)) {
-    std::string Meta = Entry.path().string() + "/meta.txt";
-    if (std::filesystem::exists(Meta))
-      return Meta;
-  }
-  return "";
-}
-
-} // namespace
-
-TEST(PersistentCacheTest, CrashDamagedMetaMissesCleanly) {
-  // Crash-consistency: any torn or tampered metadata must read as a
-  // clean miss (recompile, correct results) — never an abort and never
-  // a rehydrated query with partial slot-usage records, which would
-  // silently skip binding validation.
-  std::string Dir = freshCacheDir("crash");
-  {
-    PersistentQueryCache Cache(Dir);
-    Cache.getOrCompile(sumSq());
-  }
-  std::string MetaPath = onlyMetaPath(Dir);
-  ASSERT_FALSE(MetaPath.empty());
-  std::string Good = support::readFileOrEmpty(MetaPath);
-  ASSERT_NE(Good.find("steno-pcache v1"), std::string::npos);
-  ASSERT_NE(Good.find("\nend\n"), std::string::npos);
-
-  const std::pair<const char *, std::string> Corruptions[] = {
-      // Torn write: truncated mid-file (drops the slot lines and the
-      // sentinel). The pre-fix decoder accepted this.
-      {"truncated", Good.substr(0, Good.find("srcslots"))},
-      // Torn write: truncated mid-line.
-      {"mid-line", Good.substr(0, Good.size() / 2)},
-      // Pre-versioning format (no header, no sentinel).
-      {"old-format", Good.substr(Good.find('\n') + 1)},
-      // Arbitrary garbage and empty file.
-      {"garbage", "entry \x01\xff not a meta file"},
-      {"empty", ""},
-  };
-  std::vector<double> Xs = {1.0, 2.0};
-  Bindings B;
-  B.bindDoubleArray(0, Xs.data(), 2);
-  for (const auto &[Tag, Bad] : Corruptions) {
-    support::writeFile(MetaPath, Bad);
-    PersistentQueryCache Cache(Dir);
-    CompiledQuery CQ = Cache.getOrCompile(sumSq());
-    EXPECT_EQ(Cache.misses(), 1u) << Tag << ": damaged meta must miss";
-    EXPECT_EQ(Cache.hits(), 0u) << Tag;
-    EXPECT_DOUBLE_EQ(CQ.run(B).scalarValue().asDouble(), 5.0) << Tag;
-    // The recompile healed the entry: a fresh instance hits again.
-    PersistentQueryCache Healed(Dir);
-    Healed.getOrCompile(sumSq());
-    EXPECT_EQ(Healed.hits(), 1u) << Tag << ": entry did not heal";
-  }
-}
-
-TEST(PersistentCacheTest, NoTemporaryFilesLeftBehind) {
-  // All entry files are written via write-to-temp + rename; nothing
-  // with a .tmp suffix may survive a successful fill.
-  std::string Dir = freshCacheDir("tmpfiles");
-  PersistentQueryCache Cache(Dir);
-  Cache.getOrCompile(sumSq());
-  for (const auto &Entry :
-       std::filesystem::recursive_directory_iterator(Dir))
-    EXPECT_EQ(Entry.path().string().find(".tmp"), std::string::npos)
-        << Entry.path();
-}
-
-TEST(PersistentCacheTest, ComplexResultTypesRoundTrip) {
-  // Rows of Pair(int64, double) through a rehydrated query.
-  std::string Dir = freshCacheDir("pairs");
-  auto A = param("a", Type::doubleTy());
-  Query Q = Query::doubleArray(0).groupByAggregate(
-      lambda({x()}, toInt64(x())), E(0.0), lambda({A, x()}, A + x()));
-  {
-    PersistentQueryCache First(Dir);
-    First.getOrCompile(Q);
-  }
-  PersistentQueryCache Second(Dir);
-  CompiledQuery CQ = Second.getOrCompile(Q);
-  EXPECT_EQ(Second.hits(), 1u);
-  std::vector<double> Xs = {1.25, 1.5, 2.25};
-  Bindings B;
-  B.bindDoubleArray(0, Xs.data(), 3);
-  QueryResult R = CQ.run(B);
-  ASSERT_EQ(R.rows().size(), 2u);
-  EXPECT_EQ(R.rows()[0].first().asInt64(), 1);
-  EXPECT_DOUBLE_EQ(R.rows()[0].second().asDouble(), 2.75);
-}
-
-//===--------------------------------------------------------------------===//
-// Type serialization (the persistence codec)
-//===--------------------------------------------------------------------===//
-
-TEST(TypeSerialize, RoundTrips) {
-  for (TypeRef T :
-       {Type::boolTy(), Type::int64Ty(), Type::doubleTy(), Type::vecTy(),
-        Type::pairTy(Type::int64Ty(), Type::vecTy()),
-        Type::pairTy(Type::pairTy(Type::boolTy(), Type::doubleTy()),
-                     Type::int64Ty())}) {
-    TypeRef Back = Type::deserialize(T->serialize());
-    ASSERT_TRUE(Back != nullptr) << T->serialize();
-    EXPECT_TRUE(sameType(T, Back)) << T->serialize();
-  }
-}
-
-TEST(TypeSerialize, RejectsMalformed) {
-  EXPECT_EQ(Type::deserialize(""), nullptr);
-  EXPECT_EQ(Type::deserialize("x"), nullptr);
-  EXPECT_EQ(Type::deserialize("p(d"), nullptr);
-  EXPECT_EQ(Type::deserialize("p(d,i"), nullptr);
-  EXPECT_EQ(Type::deserialize("dd"), nullptr);
-  EXPECT_EQ(Type::deserialize("p(d,i))"), nullptr);
 }

@@ -1,5 +1,6 @@
 //===- tests/support_test.cpp - support/ unit tests ------------*- C++ -*-===//
 
+#include "support/Env.h"
 #include "support/Random.h"
 #include "support/StringUtil.h"
 #include "support/TempFile.h"
@@ -8,6 +9,7 @@
 #include "gtest/gtest.h"
 
 #include <cmath>
+#include <cstdint>
 #include <set>
 
 using namespace steno::support;
@@ -158,4 +160,39 @@ TEST(TempFile, OverwriteReplaces) {
   writeFile(Path, "first");
   writeFile(Path, "2nd");
   EXPECT_EQ(readFileOrEmpty(Path), "2nd");
+}
+
+TEST(ParseFlag, CaseTable) {
+  struct Row {
+    const char *Raw; // null = unset
+    bool Default;
+    bool Want;
+  };
+  const Row Rows[] = {
+      {nullptr, true, true}, {nullptr, false, false}, {"", true, true},
+      {"", false, false},    {"0", true, false},      {"0", false, false},
+      {"off", true, false},  {"off", false, false},   {"1", true, true},
+      {"1", false, true},    {"on", true, true},      {"on", false, true},
+  };
+  for (const Row &R : Rows)
+    EXPECT_EQ(parseFlag(R.Raw, R.Default), R.Want)
+        << (R.Raw ? R.Raw : "<unset>") << " default " << R.Default;
+}
+
+TEST(ParseCount, ClampsAndFallsBack) {
+  // STENO_BATCH_SIZE's bounds: default 1024, clamped to [16, 65536].
+  struct Row {
+    const char *Raw; // null = unset
+    std::int64_t Want;
+  };
+  const Row Rows[] = {
+      {nullptr, 1024}, {"", 1024},      {"abc", 1024},
+      {"12abc", 1024}, {"0", 1024},     {"-5", 1024},
+      {"1", 16},       {"16", 16},      {"4096", 4096},
+      {"65536", 65536}, {"1000000", 65536},
+      {"99999999999999999999", 65536},
+  };
+  for (const Row &R : Rows)
+    EXPECT_EQ(parseCount(R.Raw, 1024, 16, 65536), R.Want)
+        << (R.Raw ? R.Raw : "<unset>");
 }
