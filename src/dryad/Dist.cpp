@@ -4,7 +4,6 @@
 #include "adapt/Adapt.h"
 #include "analysis/Analysis.h"
 #include "dryad/HomomorphicApply.h"
-#include "dryad/JobGraph.h"
 #include "expr/Eval.h"
 #include "obs/Metrics.h"
 #include "obs/Profile.h"
@@ -102,25 +101,14 @@ DistributedQuery DistributedQuery::compile(const query::Query &Q,
   DQ.Morsels = Options.Morsels;
   DQ.Adaptive = Options.Adaptive && Options.Profile;
 
-  // Semantic gate: the analyzer's parallel-safety certificate. The
-  // planner below only checks chain *shape*; the certificate checks that
-  // the split preserves sequential meaning.
-  analysis::AnalysisResult Analyzed = analysis::analyzeChain(Chain);
-  DQ.Cert = Analyzed.Cert;
-  std::string WhyNot;
-  std::optional<ParallelPlan> Plan;
-  if (!DQ.Cert.parallelSafe()) {
-    WhyNot = "analyzer refused certification (" + DQ.Cert.str() + ")";
-  } else {
-    // Structural gate: the §6 planner's Agg_i + Agg* split.
-    Plan = planParallel(Chain, &WhyNot);
-  }
+  SplitDecision Split = decideSplit(Chain);
+  DQ.Cert = Split.Analysis.Cert;
 
   CompileOptions VertexOptions = Options;
   VertexOptions.Name = Options.Name + "_vertex";
   VertexOptions.SpecializeGroupByAggregate = false; // already applied
 
-  if (!Plan) {
+  if (!Split.Plan) {
     // Sequential fallback: compile the whole query as one vertex and
     // refuse fan-out at run time. Documented in DESIGN.md ("Parallel
     // safety"): queries are never rejected for being unparallelizable,
@@ -130,16 +118,16 @@ DistributedQuery DistributedQuery::compile(const query::Query &Q,
       std::fprintf(stderr,
                    "steno: query '%s' falls back to sequential execution: "
                    "%s\n",
-                   Options.Name.c_str(), WhyNot.c_str());
+                   Options.Name.c_str(), Split.WhyNot.c_str());
     DQ.Sequential = true;
-    DQ.WhyNot = std::move(WhyNot);
+    DQ.WhyNot = std::move(Split.WhyNot);
     DQ.Vertex = compileChain(Chain, VertexOptions);
     return DQ;
   }
 
   Parallelized.inc();
-  DQ.Vertex = compileChain(Plan->VertexChain, VertexOptions);
-  DQ.Plan = std::move(*Plan);
+  DQ.Vertex = compileChain(Split.Plan->VertexChain, VertexOptions);
+  DQ.Plan = std::move(*Split.Plan);
   // Batched vertices want morsels made of whole batches: one ragged tail
   // per stolen range instead of one per morsel.
   if (DQ.Vertex.vectorized() && DQ.Morsels.BatchAlign <= 1)
@@ -294,26 +282,11 @@ DistributedQuery::run(ThreadPool &Pool,
   }
 
   // Stage 1: one vertex per partition (Src_i ... Agg_i of Figure 12),
-  // scheduled as a Dryad job graph.
-  std::vector<QueryResult> Partials(PartitionBindings.size());
-  JobGraph Graph;
-  std::vector<JobGraph::VertexId> Stage1;
-  Stage1.reserve(PartitionBindings.size());
-  for (std::size_t P = 0; P != PartitionBindings.size(); ++P) {
-    Stage1.push_back(Graph.addVertex(
-        "part" + std::to_string(P),
-        [this, &Partials, &PartitionBindings, P] {
-          Partials[P] = Vertex.run(PartitionBindings[P]);
-        }));
-  }
-  // Stage 2 placeholder: the combine below runs after graph completion;
-  // register it as a vertex so the graph shape matches Figure 12.
-  bool CombineRan = false;
-  Graph.addVertex(
-      "combine", [&CombineRan] { CombineRan = true; }, Stage1);
-  Graph.run(Pool);
-  assert(CombineRan && "combine vertex did not run");
-
+  // mapped across the partitions by HomomorphicApply; stage 2 (Agg*)
+  // merges the partials in partition order.
+  std::vector<QueryResult> Partials = homomorphicApply(
+      Pool, PartitionBindings,
+      [this](const Bindings &Part) { return Vertex.run(Part); });
   return combinePartials(Pool, std::move(Partials));
 }
 

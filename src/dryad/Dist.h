@@ -3,10 +3,10 @@
 /// \file
 /// The DryadLINQ-analogue engine: takes a declarative query and a set of
 /// per-partition bindings, plans the homomorphic split (Plan.h), compiles
-/// ONE Steno-optimized vertex program shared by all partitions, executes
-/// the partition vertices on a Dryad-style job graph, and merges partials
-/// in the Agg* stage. The engine measures phase timings so the Figure 14
-/// benchmark can report per-iteration costs.
+/// ONE Steno-optimized vertex program shared by all partitions, maps it
+/// across the partitions on a thread pool (HomomorphicApply), and merges
+/// partials in the Agg* stage. The engine measures phase timings so the
+/// Figure 14 benchmark can report per-iteration costs.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -168,3 +168,14 @@ std::optional<ParallelPlan> dryad::planParallel(const Chain &C,
   return fail(WhyNot, "sink requires repartitioning, which this planner "
                       "does not implement");
 }
+
+SplitDecision dryad::decideSplit(const Chain &Specialized, bool StrictFp) {
+  SplitDecision D;
+  D.Analysis = analysis::analyzeChain(Specialized);
+  const analysis::SafetyCertificate &Cert = D.Analysis.Cert;
+  if (!Cert.shardSafe(StrictFp))
+    D.WhyNot = "analyzer refused certification (" + Cert.str() + ")";
+  else
+    D.Plan = planParallel(Specialized, &D.WhyNot);
+  return D;
+}

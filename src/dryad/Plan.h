@@ -13,6 +13,7 @@
 #ifndef STENO_DRYAD_PLAN_H
 #define STENO_DRYAD_PLAN_H
 
+#include "analysis/Analysis.h"
 #include "quil/Quil.h"
 
 #include <optional>
@@ -56,6 +57,26 @@ struct ParallelPlan {
 /// combiner). Such queries still run sequentially.
 std::optional<ParallelPlan> planParallel(const quil::Chain &Chain,
                                          std::string *WhyNot = nullptr);
+
+/// The §6 split decision for one query: whether its chain fans out, and
+/// how. Analysis carries the analyzer's diagnostics and parallel-safety
+/// certificate; Plan is set when the split is allowed, WhyNot says why
+/// when it is not.
+struct SplitDecision {
+  analysis::AnalysisResult Analysis;
+  std::optional<ParallelPlan> Plan;
+  std::string WhyNot;
+};
+
+/// Decides the split of \p Specialized, a validated chain with the §4.3
+/// GroupByAggregate pass already applied. The certificate gates first:
+/// the split must preserve sequential meaning (SafetyCertificate::
+/// shardSafe, which with \p StrictFp also refuses to reassociate
+/// floating-point accumulation). planParallel then gates on shape. The
+/// in-process engine (DistributedQuery), the serve worker's shard vertex
+/// and the shard router all decide through this one function.
+SplitDecision decideSplit(const quil::Chain &Specialized,
+                          bool StrictFp = false);
 
 } // namespace dryad
 } // namespace steno

@@ -44,10 +44,14 @@ bool ThreadPool::submit(std::function<void()> Task) {
     }
     Queue.push_back(std::move(Task));
     ++Pending;
+    // Signalled under the lock: the worker that takes the task then
+    // happens-after the signal, so a pool destroyed once its work has
+    // drained cannot tear down the condition variable under a submitter
+    // that is still signalling it.
+    WorkReady.notify_one();
   }
   Submitted.inc();
   QueueDepth.add(1);
-  WorkReady.notify_one();
   return true;
 }
 

@@ -1,10 +1,10 @@
-//===- dryad/ThreadPool.h - Worker pool for the job scheduler --*- C++ -*-===//
+//===- dryad/ThreadPool.h - Worker pool for partition vertices -*- C++ -*-===//
 ///
 /// \file
 /// A fixed-size worker pool. Stands in for the machines of the paper's
 /// 100-node research cluster and for the PLINQ thread pool of §6; on this
-/// box it provides the execution substrate for dryad::JobGraph and
-/// dryad::homomorphicApply.
+/// box it provides the execution substrate for dryad::homomorphicApply
+/// and the morsel scheduler.
 ///
 //===----------------------------------------------------------------------===//
 

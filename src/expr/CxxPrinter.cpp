@@ -24,13 +24,17 @@ std::string printConst(const Expr &E) {
   return support::doubleLiteral(std::get<double>(C));
 }
 
-/// A divisor the generated code may divide by with a bare `/`: a nonzero
-/// integer constant. Anything else goes through rt::ckdiv/ckmod so a bad
-/// divisor traps with a structured error instead of undefined behavior.
-bool isProvablyNonzeroConst(const Expr &E) {
-  return E.kind() == ExprKind::Const &&
-         std::holds_alternative<std::int64_t>(E.constValue()) &&
-         std::get<std::int64_t>(E.constValue()) != 0;
+/// A divisor the generated code may divide by with a bare `/`: an integer
+/// constant other than 0 and -1 (INT64_MIN / -1 overflows, as in
+/// absint::divisionIsSafe). Anything else goes through rt::ckdiv/ckmod so
+/// a bad divisor traps with a structured error instead of undefined
+/// behavior.
+bool isSafeConstDivisor(const Expr &E) {
+  if (E.kind() != ExprKind::Const ||
+      !std::holds_alternative<std::int64_t>(E.constValue()))
+    return false;
+  std::int64_t D = std::get<std::int64_t>(E.constValue());
+  return D != 0 && D != -1;
 }
 
 std::string printBinary(const Expr &E, const CxxNames &Names) {
@@ -42,7 +46,7 @@ std::string printBinary(const Expr &E, const CxxNames &Names) {
     return "std::fmod(" + L + ", " + R + ")";
   if ((Op == BinaryOp::Div || Op == BinaryOp::Mod) &&
       E.type()->isInt64() && !E.divSafe() &&
-      !isProvablyNonzeroConst(*E.operand(1)))
+      !isSafeConstDivisor(*E.operand(1)))
     return std::string(Op == BinaryOp::Div ? "steno::rt::ckdiv("
                                            : "steno::rt::ckmod(") +
            L + ", " + R + ")";

@@ -92,31 +92,37 @@ Value evalArith(BinaryOp Op, const Value &L, const Value &R) {
   stenoUnreachable("non-arithmetic op in evalArith");
 }
 
+template <typename T> bool compare(BinaryOp Op, T A, T B) {
+  switch (Op) {
+  case BinaryOp::Eq:
+    return A == B;
+  case BinaryOp::Ne:
+    return A != B;
+  case BinaryOp::Lt:
+    return A < B;
+  case BinaryOp::Le:
+    return A <= B;
+  case BinaryOp::Gt:
+    return A > B;
+  case BinaryOp::Ge:
+    return A >= B;
+  default:
+    break;
+  }
+  stenoUnreachable("non-comparison op in evalCompare");
+}
+
 Value evalCompare(BinaryOp Op, const Value &L, const Value &R) {
   if (L.isBool()) {
     bool A = L.asBool();
     bool B = R.asBool();
     return Value(Op == BinaryOp::Eq ? A == B : A != B);
   }
-  double A = L.asNumericDouble();
-  double B = R.asNumericDouble();
-  switch (Op) {
-  case BinaryOp::Eq:
-    return Value(A == B);
-  case BinaryOp::Ne:
-    return Value(A != B);
-  case BinaryOp::Lt:
-    return Value(A < B);
-  case BinaryOp::Le:
-    return Value(A <= B);
-  case BinaryOp::Gt:
-    return Value(A > B);
-  case BinaryOp::Ge:
-    return Value(A >= B);
-  default:
-    break;
-  }
-  stenoUnreachable("non-comparison op in evalCompare");
+  // Two int64 operands compare exactly, as in the generated C++; an
+  // int64 against a double is promoted to double, as C++ promotes it.
+  if (L.isInt64() && R.isInt64())
+    return Value(compare(Op, L.asInt64(), R.asInt64()));
+  return Value(compare(Op, L.asNumericDouble(), R.asNumericDouble()));
 }
 
 Value evalCall(const Expr &E, const Env &Environment) {

@@ -5,6 +5,7 @@
 #include "support/Error.h"
 
 #include <cassert>
+#include <cstdint>
 
 using namespace steno;
 using namespace steno::expr;
@@ -13,10 +14,10 @@ namespace {
 
 bool isConst(const ExprRef &E) { return E->kind() == ExprKind::Const; }
 
-bool isZeroInt(const ExprRef &E) {
+bool isIntConst(const ExprRef &E, std::int64_t V) {
   return isConst(E) &&
          std::holds_alternative<std::int64_t>(E->constValue()) &&
-         std::get<std::int64_t>(E->constValue()) == 0;
+         std::get<std::int64_t>(E->constValue()) == V;
 }
 
 bool boolConst(const ExprRef &E) {
@@ -118,9 +119,12 @@ ExprRef expr::foldConstants(const ExprRef &E) {
     switch (E->kind()) {
     case ExprKind::Binary: {
       BinaryOp Op = E->binaryOp();
-      // Keep the trap behavior of integer division by a literal zero.
+      // Leave the divisions that trap (ST2001) to the run-time trap:
+      // folding them would evaluate the trap inside the compile.
       if ((Op == BinaryOp::Div || Op == BinaryOp::Mod) &&
-          E->type()->isInt64() && isZeroInt(Ops[1]))
+          E->type()->isInt64() &&
+          (isIntConst(Ops[1], 0) ||
+           (isIntConst(Ops[1], -1) && isIntConst(Ops[0], INT64_MIN))))
         Foldable = false;
       break;
     }

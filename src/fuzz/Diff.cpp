@@ -4,7 +4,6 @@
 
 #include "analysis/Analysis.h"
 #include "dryad/Dist.h"
-#include "plinq/QueryPar.h"
 #include "quil/Quil.h"
 #include "steno/RefExec.h"
 #include "steno/Steno.h"
@@ -35,8 +34,6 @@ const char *fuzz::backendName(BackendId Id) {
     return "plinq8";
   case BackendId::DryadStatic:
     return "dryad-static";
-  case BackendId::DryadMorsel:
-    return "dryad-morsel";
   }
   return "?";
 }
@@ -61,7 +58,6 @@ std::vector<BackendId> fuzz::allBackends(bool WithJit) {
   Out.push_back(BackendId::Plinq2);
   Out.push_back(BackendId::Plinq8);
   Out.push_back(BackendId::DryadStatic);
-  Out.push_back(BackendId::DryadMorsel);
   return Out;
 }
 
@@ -324,15 +320,15 @@ DiffResult DiffHarness::check(const QuerySpec &Spec,
     case BackendId::Plinq2:
     case BackendId::Plinq8: {
       bool Tiny = Id != BackendId::Plinq1;
-      plinq::ParallelQuery PQ = plinq::ParallelQuery::compile(
+      dryad::DistributedQuery DQ = dryad::DistributedQuery::compile(
           Built.Q, quietDistOptions(backendName(Id), Tiny));
-      Certified = PQ.certified();
-      if (Certified && !PQ.certificate().parallelSafe())
+      Certified = DQ.parallel();
+      if (Certified && !DQ.certificate().parallelSafe())
         O.CertViolation = true;
       dryad::ThreadPool &Pool = Id == BackendId::Plinq1   ? Pool1
                                 : Id == BackendId::Plinq2 ? Pool2
                                                           : Pool8;
-      Got = PQ.run(Pool, Built.B);
+      Got = DQ.runParallel(Pool, Built.B);
       break;
     }
     case BackendId::DryadStatic: {
@@ -345,15 +341,6 @@ DiffResult DiffHarness::check(const QuerySpec &Spec,
           Certified ? dryad::partitionBindings(Built.B, 3)
                     : std::vector<Bindings>{Built.B};
       Got = DQ.run(Pool2, Parts);
-      break;
-    }
-    case BackendId::DryadMorsel: {
-      dryad::DistributedQuery DQ = dryad::DistributedQuery::compile(
-          Built.Q, quietDistOptions("dryad_morsel", true));
-      Certified = DQ.parallel();
-      if (Certified && !DQ.certificate().parallelSafe())
-        O.CertViolation = true;
-      Got = DQ.runParallel(Pool8, Built.B);
       break;
     }
     }

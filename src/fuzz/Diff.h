@@ -12,16 +12,16 @@
 ///
 ///   Interp       compileQuery, Backend::Interp (generated loop AST)
 ///   Jit          compileQuery, Backend::Native (g++ + dlopen)
-///   Plinq1/2/8   plinq::ParallelQuery over 1-, 2- and 8-worker pools
+///   Plinq1/2/8   dryad::DistributedQuery::runParallel (work stealing)
+///                over 1-, 2- and 8-worker pools
 ///   DryadStatic  dryad::DistributedQuery::run over static partitions
-///   DryadMorsel  dryad::DistributedQuery::runParallel (work stealing)
 ///
 /// Oracle rules: results must match the reference row-for-row under
 /// valueNear-style comparison (1e-9 relative tolerance for doubles; NaN
 /// compares equal to NaN — a uniform NaN, e.g. Average of an empty
 /// source, is agreement, not a mismatch). The certificate is respected,
 /// not re-litigated: a query the analyzer refuses to certify must take
-/// the sequential-fallback path (certified() false) and STILL match the
+/// the sequential-fallback path (parallel() false) and STILL match the
 /// reference; a certified query must match even though it fanned out.
 /// The invariant "parallel implies certified" is checked as its own
 /// failure kind (CertViolation).
@@ -74,14 +74,13 @@ enum class BackendId {
   Plinq1,
   Plinq2,
   Plinq8,
-  DryadStatic,
-  DryadMorsel
+  DryadStatic
 };
 
 const char *backendName(BackendId Id);
 /// Parses a --backend flag value ("interp", "interp-norewrite",
 /// "interp-vec", "interp-adapt", "jit", "plinq1", "plinq2", "plinq8",
-/// "dryad-static", "dryad-morsel").
+/// "dryad-static").
 bool parseBackendName(const std::string &S, BackendId &Out);
 
 /// All backends, in fixed order; \p WithJit excludes the Native backend

@@ -26,7 +26,7 @@
 /// PLINQ's Aggregate contract (a stolen morsel folds into the thief's
 /// accumulator, so worker partials cover non-adjacent ranges). The
 /// certificate-checked path — where the analyzer proves this instead of
-/// trusting it — is plinq::ParallelQuery (QueryPar.h).
+/// trusting it — is dryad::DistributedQuery::runParallel (dryad/Dist.h).
 ///
 //===----------------------------------------------------------------------===//
 

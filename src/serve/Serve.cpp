@@ -34,25 +34,17 @@ namespace {
 
 /// Backends are compiled with analysis off: prepare() already screened
 /// the chain, and strict mode inside compileQuery would abort the
-/// process on what should be a per-request error.
-CompileOptions planOptions(Backend B, bool Profile) {
+/// process on what should be a per-request error. The baseline (v1) plan
+/// is deliberately non-adaptive: it is the stable static anchor the
+/// feedback accumulates against. Feedback enters only through the
+/// explicit re-plan path, which compiles with \p Adaptive on.
+CompileOptions planOptions(Backend B, bool Profile, bool Adaptive = false) {
   CompileOptions CO;
   CO.Exec = B;
   CO.Analyze = analysis::Mode::Off;
   CO.Profile = Profile;
-  // The baseline (v1) plan is deliberately non-adaptive: it is the
-  // stable static anchor the feedback accumulates against. Feedback
-  // enters only through the explicit re-plan path below.
-  CO.Adaptive = false;
-  CO.Name = "serve_query";
-  return CO;
-}
-
-/// Compile options for a feedback-replanned (v2+) plan version.
-CompileOptions adaptPlanOptions(Backend B, bool Profile) {
-  CompileOptions CO = planOptions(B, Profile);
-  CO.Adaptive = true;
-  CO.Name = "serve_adapt";
+  CO.Adaptive = Adaptive;
+  CO.Name = Adaptive ? "serve_adapt" : "serve_query";
   return CO;
 }
 
@@ -87,12 +79,63 @@ ServeMetrics &metrics() {
   return M;
 }
 
+/// Ticks a serve.* instrument and its instance-local twin together.
+void tick(obs::Counter &C, std::atomic<std::uint64_t> &N) {
+  C.inc();
+  N.fetch_add(1, std::memory_order_relaxed);
+}
+
 } // namespace
 
-double PreparedQuery::nativeCompileMillis() const {
-  if (!NativeReady.load(std::memory_order_acquire))
-    return 0.0;
-  return NativePlan.compileMillis();
+//===--------------------------------------------------------------------===//
+// PlanSlot
+//===--------------------------------------------------------------------===//
+
+CompiledQuery PlanSlot::live(bool *IsAdaptive) const {
+  std::lock_guard<std::mutex> Lock(M);
+  if (IsAdaptive)
+    *IsAdaptive = Adaptive.valid();
+  return Adaptive.valid() ? Adaptive : Static;
+}
+
+bool PlanSlot::claim(bool UpgradeOnly) {
+  std::lock_guard<std::mutex> Lock(M);
+  if (Compiling || (UpgradeOnly && Static.backend() == Backend::Native))
+    return false;
+  Compiling = true;
+  return true;
+}
+
+void PlanSlot::publishStatic(CompiledQuery Plan) {
+  std::lock_guard<std::mutex> Lock(M);
+  Static = std::move(Plan);
+  Compiling = false;
+}
+
+bool PlanSlot::publishAdaptive(CompiledQuery Plan) {
+  std::lock_guard<std::mutex> Lock(M);
+  Compiling = false;
+  if (Pinned)
+    return false;
+  Adaptive = std::move(Plan);
+  return true;
+}
+
+bool PlanSlot::revert() {
+  std::lock_guard<std::mutex> Lock(M);
+  if (!Adaptive.valid())
+    return false;
+  Adaptive = CompiledQuery();
+  return true;
+}
+
+bool PlanSlot::pin() {
+  std::lock_guard<std::mutex> Lock(M);
+  if (Pinned)
+    return false;
+  Pinned = true;
+  Adaptive = CompiledQuery();
+  return true;
 }
 
 //===--------------------------------------------------------------------===//
@@ -169,8 +212,7 @@ QueryService::~QueryService() {
 }
 
 std::shared_ptr<Session> QueryService::openSession() {
-  metrics().Sessions.inc();
-  NSessions.fetch_add(1, std::memory_order_relaxed);
+  tick(metrics().Sessions, NSessions);
   std::uint64_t Id = NextSessionId.fetch_add(1, std::memory_order_relaxed);
   // make_shared needs a public constructor; Session's is private to us.
   return std::shared_ptr<Session>(new Session(*this, Id));
@@ -193,7 +235,6 @@ PreparedHandle QueryService::prepare(const std::string &SpecText,
     return fail("spec parse error: " + E);
 
   auto P = std::make_shared<PreparedQuery>();
-  P->Spec = Spec;
   P->SpecText = SpecText;
   if (!fuzz::buildSpec(Spec, P->Built, &E))
     return fail("spec build error: " + E);
@@ -211,81 +252,68 @@ PreparedHandle QueryService::prepare(const std::string &SpecText,
   // The interpreter plan is ready in milliseconds; the native plan (if
   // wanted) arrives later via the background swap. QueryCache makes
   // re-preparing a structurally equal query a hit sharing one module.
-  P->InterpPlan = Cache->getOrCompile(
-      P->Built.Q, planOptions(Backend::Interp, Options.Profile));
+  P->Slot.publishStatic(Cache->getOrCompile(
+      P->Built.Q, planOptions(Backend::Interp, Options.Profile)));
 
-  metrics().Prepares.inc();
-  NPrepares.fetch_add(1, std::memory_order_relaxed);
-
+  tick(metrics().Prepares, NPrepares);
   if (Options.BackgroundRecompile)
     scheduleRecompile(P);
   return P;
 }
 
-bool QueryService::scheduleRecompile(const PreparedHandle &P) {
-  if (!P || P->NativeReady.load(std::memory_order_acquire))
+bool QueryService::compileInBackground(
+    const PreparedHandle &P, PlanSlot &Slot, const CompiledQuery &From,
+    std::function<void(CompiledQuery)> Publish) {
+  // The callback holds P, which keeps Slot alive across the compile.
+  bool Submitted = CompileQ.trySubmit(
+      From.generatedSource(), From.program().Name,
+      [this, P, &Slot, From, Publish = std::move(Publish)](
+          std::unique_ptr<jit::CompiledModule> Module, std::string Err) {
+        if (!Module) {
+          // Back to idle: a later request may retry once the toolchain
+          // recovers. Requests keep running the slot's current plan.
+          Slot.release();
+          tick(metrics().RecompFailed, NRecompFailed);
+          std::fprintf(stderr, "steno-serve: background recompile of '%s' "
+                               "failed: %s\n",
+                       From.program().Name.c_str(), Err.c_str());
+          return;
+        }
+        Publish(From.withNativeModule(std::move(Module)));
+        tick(metrics().RecompDone, NRecompDone);
+      });
+  if (!Submitted) {
+    // Saturated compile queue: degrade (stay on the current plan) and
+    // free the slot so a later request retries.
+    Slot.release();
+    tick(metrics().RecompSaturated, NRecompSaturated);
     return false;
-  int Expected = 0;
-  if (!P->RecompileState.compare_exchange_strong(
-          Expected, 1, std::memory_order_acq_rel))
-    return false; // already in flight or done
+  }
+  tick(metrics().RecompSched, NRecompSched);
+  return true;
+}
+
+bool QueryService::scheduleRecompile(const PreparedHandle &P) {
+  if (!P || !P->Slot.claim(/*UpgradeOnly=*/true))
+    return false; // already native, or a compile is in flight
+  CompileOptions NativeOptions = planOptions(Backend::Native, Options.Profile);
 
   // Another handle for the same structure may have finished first; the
   // cache peek turns that into an immediate swap with no compiler run.
-  CompiledQuery Cached = Cache->lookup(
-      P->Built.Q, planOptions(Backend::Native, Options.Profile));
+  CompiledQuery Cached = Cache->lookup(P->Built.Q, NativeOptions);
   if (Cached.valid()) {
-    P->NativePlan = std::move(Cached);
-    P->NativeReady.store(true, std::memory_order_release);
-    P->RecompileState.store(2, std::memory_order_release);
-    metrics().RecompDone.inc();
-    NRecompDone.fetch_add(1, std::memory_order_relaxed);
+    P->Slot.publishStatic(std::move(Cached));
+    tick(metrics().RecompDone, NRecompDone);
     return true;
   }
-
-  PreparedHandle Handle = P; // keep the query alive across the compile
-  bool Submitted = CompileQ.trySubmit(
-      P->InterpPlan.generatedSource(), P->InterpPlan.program().Name,
-      [this, Handle](std::unique_ptr<jit::CompiledModule> Module,
-                     std::string Err) {
-        if (!Module) {
-          // Back to idle: a later execute may retry once the toolchain
-          // recovers. The request path is unaffected (stays interpreted).
-          Handle->RecompileState.store(0, std::memory_order_release);
-          metrics().RecompFailed.inc();
-          NRecompFailed.fetch_add(1, std::memory_order_relaxed);
-          std::fprintf(stderr, "steno-serve: background recompile of '%s' "
-                               "failed: %s\n",
-                       Handle->InterpPlan.program().Name.c_str(),
-                       Err.c_str());
-          return;
-        }
-        CompiledQuery Native =
-            Handle->InterpPlan.withNativeModule(std::move(Module));
-        // Publish to the cache first (first insert wins, so concurrent
-        // recompiles of equal queries converge on one module), then swap.
-        Native = Cache->insert(
-            Handle->Built.Q,
-            planOptions(Backend::Native, Options.Profile),
-            std::move(Native));
-        Handle->NativePlan = std::move(Native);
-        Handle->NativeReady.store(true, std::memory_order_release);
-        Handle->RecompileState.store(2, std::memory_order_release);
-        metrics().RecompDone.inc();
-        NRecompDone.fetch_add(1, std::memory_order_relaxed);
+  // Publish to the cache first (first insert wins, so concurrent
+  // recompiles of equal queries converge on one module), then swap.
+  return compileInBackground(
+      P, P->Slot, P->Slot.staticPlan(),
+      [this, P, NativeOptions](CompiledQuery Native) {
+        P->Slot.publishStatic(
+            Cache->insert(P->Built.Q, NativeOptions, std::move(Native)));
       });
-
-  if (!Submitted) {
-    // Saturated compile queue: degrade (stay interpreted) and leave the
-    // state idle so a later execute retries.
-    P->RecompileState.store(0, std::memory_order_release);
-    metrics().RecompSaturated.inc();
-    NRecompSaturated.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  metrics().RecompSched.inc();
-  NRecompSched.fetch_add(1, std::memory_order_relaxed);
-  return true;
 }
 
 void QueryService::drainRecompiles() { CompileQ.drain(); }
@@ -296,34 +324,21 @@ void QueryService::drainRecompiles() { CompileQ.drain(); }
 
 void QueryService::buildPartial(const PreparedHandle &P) {
   auto PS = std::make_unique<PreparedQuery::PartialState>();
-
   // Re-derive the specialized chain: prepare() screened the raw lowering,
-  // but the §6 planner wants the same shape DistributedQuery plans —
+  // but the §6 split wants the same shape DistributedQuery plans —
   // GroupByAggregate specialized so dense sinks split into partials.
-  quil::Chain Chain = quil::lower(P->Built.Q);
-  Chain = quil::specializeGroupByAggregate(Chain);
-  analysis::AnalysisResult Analyzed = analysis::analyzeChain(Chain);
-  PS->Cert = Analyzed.Cert;
-
-  std::string WhyNot;
-  std::optional<dryad::ParallelPlan> Plan;
-  if (!PS->Cert.shardSafe()) {
-    WhyNot = "analyzer refused certification (" + PS->Cert.str() + ")";
-  } else {
-    Plan = dryad::planParallel(Chain, &WhyNot);
+  dryad::SplitDecision Split = dryad::decideSplit(
+      quil::specializeGroupByAggregate(quil::lower(P->Built.Q)));
+  PS->Cert = Split.Analysis.Cert;
+  PS->WhyNot = std::move(Split.WhyNot);
+  if (Split.Plan) {
+    PS->Splittable = true;
+    PS->Plan = std::move(*Split.Plan);
+    CompileOptions VO = planOptions(Backend::Interp, Options.Profile);
+    VO.SpecializeGroupByAggregate = false; // already applied
+    VO.Name = "serve_vertex";
+    PS->Vertex.publishStatic(compileChain(PS->Plan.VertexChain, VO));
   }
-  if (!Plan) {
-    PS->WhyNot = std::move(WhyNot);
-    P->Partial = std::move(PS);
-    return;
-  }
-
-  PS->Splittable = true;
-  PS->Plan = std::move(*Plan);
-  CompileOptions VO = planOptions(Backend::Interp, Options.Profile);
-  VO.SpecializeGroupByAggregate = false; // already applied
-  VO.Name = "serve_vertex";
-  PS->VertexInterp = compileChain(PS->Plan.VertexChain, VO);
   P->Partial = std::move(PS);
 }
 
@@ -332,129 +347,18 @@ QueryService::preparePartial(const PreparedHandle &P) {
   if (!P)
     return nullptr;
   std::call_once(P->PartialOnce, [&] { buildPartial(P); });
-  PreparedQuery::PartialState *PS = P->Partial.get();
-  // Same retry-the-upgrade policy as execute(): a saturated compile
-  // queue at first pexec time degrades, later pexecs retry.
-  if (PS && PS->Splittable && Options.BackgroundRecompile &&
-      !PS->VertexNativeReady.load(std::memory_order_acquire) &&
-      PS->VertexRecompile.load(std::memory_order_acquire) == 0 &&
-      !CompileQ.saturated())
-    scheduleVertexRecompile(P);
-  return PS;
-}
-
-bool QueryService::scheduleVertexRecompile(const PreparedHandle &P) {
-  PreparedQuery::PartialState *PS = P->Partial.get();
-  if (!PS || !PS->Splittable ||
-      PS->VertexNativeReady.load(std::memory_order_acquire))
-    return false;
-  int Expected = 0;
-  if (!PS->VertexRecompile.compare_exchange_strong(
-          Expected, 1, std::memory_order_acq_rel))
-    return false; // already in flight or done
-
-  // Deliberately not through the QueryCache: vertex plans are keyed by
-  // the *partial* chain, not the query the cache indexes, and one handle
-  // recompiles its vertex at most once.
-  PreparedHandle Handle = P;
-  bool Submitted = CompileQ.trySubmit(
-      PS->VertexInterp.generatedSource(), PS->VertexInterp.program().Name,
-      [this, Handle](std::unique_ptr<jit::CompiledModule> Module,
-                     std::string Err) {
-        PreparedQuery::PartialState *S = Handle->Partial.get();
-        if (!Module) {
-          S->VertexRecompile.store(0, std::memory_order_release);
-          metrics().RecompFailed.inc();
-          NRecompFailed.fetch_add(1, std::memory_order_relaxed);
-          std::fprintf(stderr, "steno-serve: vertex recompile of '%s' "
-                               "failed: %s\n",
-                       S->VertexInterp.program().Name.c_str(),
-                       Err.c_str());
-          return;
-        }
-        S->VertexNative =
-            S->VertexInterp.withNativeModule(std::move(Module));
-        S->VertexNativeReady.store(true, std::memory_order_release);
-        S->VertexRecompile.store(2, std::memory_order_release);
-        metrics().RecompDone.inc();
-        NRecompDone.fetch_add(1, std::memory_order_relaxed);
-      });
-
-  if (!Submitted) {
-    PS->VertexRecompile.store(0, std::memory_order_release);
-    metrics().RecompSaturated.inc();
-    NRecompSaturated.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  metrics().RecompSched.inc();
-  NRecompSched.fetch_add(1, std::memory_order_relaxed);
-  return true;
-}
-
-Response QueryService::executePartial(const PreparedHandle &P,
-                                      std::size_t Begin, std::size_t Len,
-                                      std::chrono::milliseconds Deadline) {
-  ServeMetrics &M = metrics();
-  Response Rsp;
-  Rsp.Id = NextRequestId.fetch_add(1, std::memory_order_relaxed);
-  auto fail = [&](const std::string &Msg) {
-    Rsp.St = Status::Error;
-    Rsp.Message = Msg;
-    M.Errors.inc();
-    NErrors.fetch_add(1, std::memory_order_relaxed);
-    return Rsp;
-  };
-
-  if (!P)
-    return fail("null prepared handle");
-  if (Closed.load(std::memory_order_relaxed))
-    return fail("service is shutting down");
-
-  const PreparedQuery::PartialState *PS = preparePartial(P);
-  if (!PS->Splittable)
-    return fail("query is not splittable: " + PS->WhyNot);
-  const auto &Sources = P->bindings().sources();
-  std::size_t Count =
-      (Sources.empty() || Sources[0].Count < 0)
-          ? 0
-          : static_cast<std::size_t>(Sources[0].Count);
-  if (Begin > Count || Len > Count - Begin)
-    return fail("partial range [" + std::to_string(Begin) + ", +" +
-                std::to_string(Len) + ") out of bounds for source of " +
-                std::to_string(Count));
-
-  // Admission gate, identical to execute(): partial requests share the
-  // same queued + executing bound.
-  std::int64_t Depth = InFlight.fetch_add(1, std::memory_order_acq_rel) + 1;
-  if (Depth > static_cast<std::int64_t>(Options.MaxQueue)) {
-    InFlight.fetch_sub(1, std::memory_order_acq_rel);
-    Rsp.St = Status::Shed;
-    M.Shed.inc();
-    NShed.fetch_add(1, std::memory_order_relaxed);
-    return Rsp;
-  }
-  M.QueueDepth.set(Depth);
-  M.Requests.inc();
-  NAccepted.fetch_add(1, std::memory_order_relaxed);
-
-  auto R = std::make_shared<RequestState>();
-  R->P = P;
-  R->Deadline = std::chrono::steady_clock::now() + Deadline;
-  R->Id = Rsp.Id;
-  R->Partial = true;
-  R->Begin = Begin;
-  R->Len = Len;
-  std::future<Response> Fut = R->Promise.get_future();
-
-  if (!Exec.submit([this, R] { runRequest(R); })) {
-    Rsp.St = Status::Error;
-    Rsp.Message = "service is shutting down";
-    M.Errors.inc();
-    NErrors.fetch_add(1, std::memory_order_relaxed);
-    InFlight.fetch_sub(1, std::memory_order_acq_rel);
-    return Rsp;
-  }
-  return Fut.get();
+  PreparedQuery::PartialState &PS = *P->Partial;
+  // The vertex upgrades to native like the whole-query plan, retried on
+  // later pexecs when the compile queue was saturated. Deliberately not
+  // through the QueryCache: vertex plans are keyed by the *partial*
+  // chain, not the query the cache indexes.
+  if (PS.Splittable && Options.BackgroundRecompile &&
+      !CompileQ.saturated() && PS.Vertex.claim(/*UpgradeOnly=*/true))
+    compileInBackground(P, PS.Vertex, PS.Vertex.staticPlan(),
+                        [&PS](CompiledQuery Native) {
+                          PS.Vertex.publishStatic(std::move(Native));
+                        });
+  return &PS;
 }
 
 //===--------------------------------------------------------------------===//
@@ -465,132 +369,77 @@ std::uint64_t QueryService::feedbackAnchor(const PreparedQuery &P) const {
   // Feedback is keyed by the pre-rewrite (anchor) hash: the one hash
   // every plan version of this query — static v1, feedback v2, v3 — has
   // provenance edges to, so snapshotResolved() folds them all.
-  std::uint64_t RF = P.InterpPlan.rewrittenFromHash();
-  return RF ? RF : P.InterpPlan.planHash();
+  CompiledQuery V1 = P.Slot.staticPlan();
+  std::uint64_t RF = V1.rewrittenFromHash();
+  return RF ? RF : V1.planHash();
 }
 
 void QueryService::publishAdaptive(const PreparedHandle &P,
                                    CompiledQuery Plan) {
-  {
-    std::lock_guard<std::mutex> Lock(P->AdaptMutex);
-    P->AdaptPlan = std::make_shared<const CompiledQuery>(std::move(Plan));
-    P->AdaptState = 2;
-  }
+  if (!P->Slot.publishAdaptive(std::move(Plan)))
+    return; // pinned while the version compiled
   // Fresh judgement window for the new version.
   P->AdaptRuns.store(0, std::memory_order_relaxed);
   P->AdaptNanos.store(0, std::memory_order_relaxed);
-  metrics().ReplanSwaps.inc();
-  NReplanSwaps.fetch_add(1, std::memory_order_relaxed);
+  tick(metrics().ReplanSwaps, NReplanSwaps);
 }
 
 bool QueryService::scheduleAdaptiveReplan(const PreparedHandle &P) {
-  if (!P || Closed.load(std::memory_order_relaxed) || !Options.Profile)
+  if (!P || Closed.load(std::memory_order_relaxed) ||
+      !Options.AdaptiveReplan || !Options.Profile || P->pinnedStatic())
     return false;
-  if (P->Pinned.load(std::memory_order_relaxed))
-    return false;
-  std::uint64_t Anchor = feedbackAnchor(*P);
-  adapt::FeedbackStore &FS = adapt::FeedbackStore::global();
-  if (FS.ignored(Anchor)) {
+  if (adapt::FeedbackStore::global().ignored(feedbackAnchor(*P))) {
     // Quarantined before this handle existed (or by a sibling handle):
     // pin without attempting a compile.
-    if (!P->Pinned.exchange(true, std::memory_order_relaxed))
+    if (P->Slot.pin())
       NAdaptPinned.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
-
-  // Claim the compile slot. A live v2 may be re-planned into a v3; a
-  // compile already in flight is left alone.
-  int PrevState;
-  {
-    std::lock_guard<std::mutex> Lock(P->AdaptMutex);
-    if (P->AdaptState == 1)
-      return false;
-    PrevState = P->AdaptState;
-    P->AdaptState = 1;
-  }
-  auto Restore = [&] {
-    std::lock_guard<std::mutex> Lock(P->AdaptMutex);
-    P->AdaptState = PrevState;
-  };
-  metrics().Replans.inc();
-  NReplans.fetch_add(1, std::memory_order_relaxed);
+  // With native plans wanted, a feedback version waits for the native
+  // v1: swapping a slower interpreted v2 over it would regress the
+  // handle for the wrong reason. Retry at the next cadence point.
+  if (Options.BackgroundRecompile && !P->nativeReady())
+    return false;
+  // One compile per handle at a time: a live v2 may be re-planned into a
+  // v3, but a compile already in flight is left alone.
+  if (!P->Slot.claim())
+    return false;
+  tick(metrics().Replans, NReplans);
 
   // Compile the feedback version synchronously on the interpreter
   // backend (milliseconds — same budget as prepare). Deliberately NOT
   // through the QueryCache: feedback evolves between replans, so a v3
   // must not be served a stale cached v2.
   CompiledQuery V2 = compileQuery(
-      P->Built.Q, adaptPlanOptions(Backend::Interp, Options.Profile));
-
-  std::uint64_t CurHash;
-  {
-    std::lock_guard<std::mutex> Lock(P->AdaptMutex);
-    CurHash = P->AdaptPlan ? P->AdaptPlan->planHash()
-                           : P->InterpPlan.planHash();
-  }
-  if (!V2.valid() || V2.planHash() == CurHash) {
+      P->Built.Q, planOptions(Backend::Interp, Options.Profile,
+                              /*Adaptive=*/true));
+  if (!V2.valid() || V2.planHash() == P->Slot.live().planHash()) {
     // Feedback reproduced the running plan: nothing to swap.
-    Restore();
+    P->Slot.release();
     NReplanNoChange.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
-
   if (!Options.BackgroundRecompile) {
     publishAdaptive(P, std::move(V2));
     return true;
   }
-  if (!P->nativeReady()) {
-    // The native v1 is still in flight; swapping a slower interpreted
-    // v2 over it would regress the handle for the wrong reason. Retry
-    // at the next cadence point.
-    Restore();
-    return false;
-  }
-
-  // Native mode: compile v2's generated source on the background queue
-  // and publish the native twin from the completion callback — the same
-  // machinery as the interp->native swap.
-  auto V2Shared = std::make_shared<CompiledQuery>(std::move(V2));
-  PreparedHandle Handle = P;
-  bool Submitted = CompileQ.trySubmit(
-      V2Shared->generatedSource(), V2Shared->program().Name,
-      [this, Handle, V2Shared](std::unique_ptr<jit::CompiledModule> Module,
-                               std::string Err) {
-        if (!Module) {
-          {
-            std::lock_guard<std::mutex> Lock(Handle->AdaptMutex);
-            Handle->AdaptState = Handle->AdaptPlan ? 2 : 0;
-          }
-          metrics().RecompFailed.inc();
-          NRecompFailed.fetch_add(1, std::memory_order_relaxed);
-          std::fprintf(stderr, "steno-serve: adaptive recompile of '%s' "
-                               "failed: %s\n",
-                       V2Shared->program().Name.c_str(), Err.c_str());
-          return;
-        }
-        publishAdaptive(Handle,
-                        V2Shared->withNativeModule(std::move(Module)));
-      });
-  if (!Submitted) {
-    Restore();
-    metrics().RecompSaturated.inc();
-    NRecompSaturated.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  return true;
+  // Native mode: the native twin of v2 replaces it through the same
+  // background compile as the interp->native upgrade.
+  return compileInBackground(P, P->Slot, V2,
+                             [this, P](CompiledQuery Native) {
+                               publishAdaptive(P, std::move(Native));
+                             });
 }
 
 void QueryService::judgeAdaptive(const PreparedHandle &P) {
-  double BRuns =
-      static_cast<double>(P->BaseRuns.load(std::memory_order_relaxed));
-  double BNanos =
-      static_cast<double>(P->BaseNanos.load(std::memory_order_relaxed));
-  double ARuns =
-      static_cast<double>(P->AdaptRuns.load(std::memory_order_relaxed));
-  double ANanos =
-      static_cast<double>(P->AdaptNanos.load(std::memory_order_relaxed));
-  double BaseMean = BRuns > 0 ? BNanos / BRuns / 1e3 : 0.0;
-  double AdaptMean = ARuns > 0 ? ANanos / ARuns / 1e3 : 0.0;
+  auto meanMicros = [](const std::atomic<std::uint64_t> &Nanos,
+                       const std::atomic<std::uint64_t> &Runs) {
+    double N = static_cast<double>(Runs.load(std::memory_order_relaxed));
+    double Sum = static_cast<double>(Nanos.load(std::memory_order_relaxed));
+    return N > 0 ? Sum / N / 1e3 : 0.0;
+  };
+  double BaseMean = meanMicros(P->BaseNanos, P->BaseRuns);
+  double AdaptMean = meanMicros(P->AdaptNanos, P->AdaptRuns);
 
   bool Regressed =
       Options.AdaptJudge
@@ -606,78 +455,93 @@ void QueryService::judgeAdaptive(const PreparedHandle &P) {
   }
 
   // Misprediction: revert to the static plan and strike the plan hash.
-  {
-    std::lock_guard<std::mutex> Lock(P->AdaptMutex);
-    if (P->AdaptState != 2)
-      return; // already reverted or being replaced
-    P->AdaptPlan = nullptr;
-    P->AdaptState = 0;
-  }
+  if (!P->Slot.revert())
+    return; // already reverted
   P->AdaptRuns.store(0, std::memory_order_relaxed);
   P->AdaptNanos.store(0, std::memory_order_relaxed);
-  metrics().AdaptReverted.inc();
-  NAdaptReverted.fetch_add(1, std::memory_order_relaxed);
-  if (FS.recordMisprediction(Anchor)) {
-    if (!P->Pinned.exchange(true, std::memory_order_relaxed))
-      NAdaptPinned.fetch_add(1, std::memory_order_relaxed);
-  }
+  tick(metrics().AdaptReverted, NAdaptReverted);
+  if (FS.recordMisprediction(Anchor) && P->Slot.pin())
+    NAdaptPinned.fetch_add(1, std::memory_order_relaxed);
 }
+
+//===--------------------------------------------------------------------===//
+// Admission and execution
+//===--------------------------------------------------------------------===//
 
 Response QueryService::execute(const PreparedHandle &P,
                                std::chrono::milliseconds Deadline) {
+  return admit(P, Deadline, /*Partial=*/false, 0, 0);
+}
+
+Response QueryService::executePartial(const PreparedHandle &P,
+                                      std::size_t Begin, std::size_t Len,
+                                      std::chrono::milliseconds Deadline) {
+  return admit(P, Deadline, /*Partial=*/true, Begin, Len);
+}
+
+Response QueryService::admit(const PreparedHandle &P,
+                             std::chrono::milliseconds Deadline,
+                             bool Partial, std::size_t Begin,
+                             std::size_t Len) {
   ServeMetrics &M = metrics();
   Response Rsp;
   Rsp.Id = NextRequestId.fetch_add(1, std::memory_order_relaxed);
-
-  if (!P) {
+  auto fail = [&](const std::string &Msg) {
     Rsp.St = Status::Error;
-    Rsp.Message = "null prepared handle";
-    M.Errors.inc();
-    NErrors.fetch_add(1, std::memory_order_relaxed);
+    Rsp.Message = Msg;
+    tick(M.Errors, NErrors);
     return Rsp;
-  }
-  if (Closed.load(std::memory_order_relaxed)) {
-    Rsp.St = Status::Error;
-    Rsp.Message = "service is shutting down";
-    M.Errors.inc();
-    NErrors.fetch_add(1, std::memory_order_relaxed);
-    return Rsp;
-  }
+  };
 
-  // A handle that degraded because the compile queue was saturated at
-  // prepare time retries its upgrade here, once the queue has room.
-  if (Options.BackgroundRecompile && !P->nativeReady() &&
-      P->RecompileState.load(std::memory_order_acquire) == 0 &&
-      !CompileQ.saturated())
+  if (!P)
+    return fail("null prepared handle");
+  if (Closed.load(std::memory_order_relaxed))
+    return fail("service is shutting down");
+
+  if (Partial) {
+    const PreparedQuery::PartialState *PS = preparePartial(P);
+    if (!PS->Splittable)
+      return fail("query is not splittable: " + PS->WhyNot);
+    const auto &Sources = P->bindings().sources();
+    std::size_t Count =
+        (Sources.empty() || Sources[0].Count < 0)
+            ? 0
+            : static_cast<std::size_t>(Sources[0].Count);
+    if (Begin > Count || Len > Count - Begin)
+      return fail("partial range [" + std::to_string(Begin) + ", +" +
+                  std::to_string(Len) + ") out of bounds for source of " +
+                  std::to_string(Count));
+  } else if (Options.BackgroundRecompile && !CompileQ.saturated()) {
+    // A handle that degraded because the compile queue was saturated at
+    // prepare time retries its upgrade here, once the queue has room.
     scheduleRecompile(P);
+  }
 
-  // Admission gate: bound queued + executing requests.
+  // Admission gate: bound queued + executing requests, whole and partial
+  // alike.
   std::int64_t Depth = InFlight.fetch_add(1, std::memory_order_acq_rel) + 1;
   if (Depth > static_cast<std::int64_t>(Options.MaxQueue)) {
     InFlight.fetch_sub(1, std::memory_order_acq_rel);
     Rsp.St = Status::Shed;
-    M.Shed.inc();
-    NShed.fetch_add(1, std::memory_order_relaxed);
+    tick(M.Shed, NShed);
     return Rsp;
   }
   M.QueueDepth.set(Depth);
-  M.Requests.inc();
-  NAccepted.fetch_add(1, std::memory_order_relaxed);
+  tick(M.Requests, NAccepted);
 
   auto R = std::make_shared<RequestState>();
   R->P = P;
   R->Deadline = std::chrono::steady_clock::now() + Deadline;
   R->Id = Rsp.Id;
+  R->Partial = Partial;
+  R->Begin = Begin;
+  R->Len = Len;
   std::future<Response> Fut = R->Promise.get_future();
 
   if (!Exec.submit([this, R] { runRequest(R); })) {
     // Pool shutting down: answer inline (still exactly one response).
-    Rsp.St = Status::Error;
-    Rsp.Message = "service is shutting down";
-    M.Errors.inc();
-    NErrors.fetch_add(1, std::memory_order_relaxed);
     InFlight.fetch_sub(1, std::memory_order_acq_rel);
-    return Rsp;
+    return fail("service is shutting down");
   }
   return Fut.get();
 }
@@ -695,8 +559,7 @@ void QueryService::runRequest(const std::shared_ptr<RequestState> &R) {
 
   if (std::chrono::steady_clock::now() > R->Deadline) {
     Rsp.St = Status::Timeout;
-    M.Timeouts.inc();
-    NTimeouts.fetch_add(1, std::memory_order_relaxed);
+    tick(M.Timeouts, NTimeouts);
     finish(*R, std::move(Rsp));
     return;
   }
@@ -704,80 +567,42 @@ void QueryService::runRequest(const std::shared_ptr<RequestState> &R) {
   if (Options.ExecHook)
     Options.ExecHook();
 
+  // Copy the plan out of its slot and run the copy: a swap landing
+  // mid-run never touches the plan this request holds. A shard partial
+  // runs the §6 vertex over the request's source range.
+  PreparedQuery &P = *R->P;
+  bool Adaptive = false;
+  CompiledQuery Plan =
+      R->Partial ? P.Partial->Vertex.live() : P.Slot.live(&Adaptive);
+  support::WallTimer RunTimer;
+  Rsp.Result =
+      R->Partial
+          ? Plan.run(dryad::bindingRange(P.bindings(), 0, R->Begin, R->Len))
+          : Plan.run(P.bindings());
+  Rsp.RunMicros = RunTimer.seconds() * 1e6;
+  Rsp.St = Status::Ok;
+  Rsp.NativePlan = Plan.backend() == Backend::Native;
+  Rsp.AdaptivePlan = Adaptive;
+  Rsp.Degraded = !Rsp.NativePlan && Options.BackgroundRecompile;
+  tick(M.Ok, NOk);
+  if (Rsp.NativePlan)
+    tick(M.NativeRuns, NNativeRuns);
+  if (Rsp.Degraded)
+    tick(M.Degraded, NDegraded);
+  M.RequestMicros.observe(Rsp.QueueMicros + Rsp.RunMicros);
+
   if (R->Partial) {
-    // Shard-partial path: run the §6 vertex over the request's source
-    // range and answer with the *partial* — no adaptive bookkeeping
-    // (partials are combined by the router; judging them against
-    // whole-query latency would be apples to oranges).
-    const PreparedQuery::PartialState &PS = *R->P->Partial;
-    bool Native = PS.VertexNativeReady.load(std::memory_order_acquire);
-    const CompiledQuery &Plan = Native ? PS.VertexNative : PS.VertexInterp;
-    support::WallTimer RunTimer;
-    Bindings Range = dryad::bindingRange(R->P->bindings(), 0, R->Begin,
-                                         R->Len);
-    Rsp.Result = Plan.run(Range);
-    Rsp.RunMicros = RunTimer.seconds() * 1e6;
-    Rsp.St = Status::Ok;
-    Rsp.NativePlan = Native;
-    Rsp.Degraded = !Native && Options.BackgroundRecompile;
-    M.Ok.inc();
-    NOk.fetch_add(1, std::memory_order_relaxed);
-    M.PartialRuns.inc();
-    NPartialRuns.fetch_add(1, std::memory_order_relaxed);
-    if (Native) {
-      M.NativeRuns.inc();
-      NNativeRuns.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (Rsp.Degraded) {
-      M.Degraded.inc();
-      NDegraded.fetch_add(1, std::memory_order_relaxed);
-    }
-    M.RequestMicros.observe(Rsp.QueueMicros + Rsp.RunMicros);
+    // No adaptive bookkeeping for partials: the router combines them,
+    // and judging them against whole-query latency would be apples to
+    // oranges.
+    tick(M.PartialRuns, NPartialRuns);
     finish(*R, std::move(Rsp));
     return;
   }
 
-  PreparedQuery &P = *R->P;
-  bool Native = P.NativeReady.load(std::memory_order_acquire);
-  // A live feedback-replanned version takes precedence. The shared_ptr
-  // is copied under the lock, so a concurrent revert or re-swap never
-  // frees a plan this request is about to run.
-  std::shared_ptr<const CompiledQuery> Adaptive;
-  if (Options.AdaptiveReplan && Options.Profile &&
-      !P.Pinned.load(std::memory_order_relaxed)) {
-    std::lock_guard<std::mutex> Lock(P.AdaptMutex);
-    if (P.AdaptState == 2)
-      Adaptive = P.AdaptPlan;
-  }
-  // InterpPlan is immutable after prepare; NativePlan is published by the
-  // release store NativeReady observes (see PreparedQuery).
-  const CompiledQuery &Plan =
-      Adaptive ? *Adaptive : (Native ? P.NativePlan : P.InterpPlan);
-
-  support::WallTimer RunTimer;
-  Rsp.Result = Plan.run(P.bindings());
-  Rsp.RunMicros = RunTimer.seconds() * 1e6;
-  Rsp.St = Status::Ok;
-  Rsp.NativePlan =
-      Adaptive ? Adaptive->backend() == Backend::Native : Native;
-  Rsp.AdaptivePlan = Adaptive != nullptr;
-  Rsp.Degraded = !Rsp.NativePlan && Options.BackgroundRecompile;
-
-  std::uint64_t Execs = P.Execs.fetch_add(1, std::memory_order_relaxed) + 1;
-  M.Ok.inc();
-  NOk.fetch_add(1, std::memory_order_relaxed);
-  if (Rsp.NativePlan) {
-    M.NativeRuns.inc();
-    NNativeRuns.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (Rsp.Degraded) {
-    M.Degraded.inc();
-    NDegraded.fetch_add(1, std::memory_order_relaxed);
-  }
-  M.RequestMicros.observe(Rsp.QueueMicros + Rsp.RunMicros);
-
   // Latency accounting for the post-swap judgement, then answer the
   // client before any adaptive bookkeeping compiles anything.
+  std::uint64_t Execs = P.Execs.fetch_add(1, std::memory_order_relaxed) + 1;
   std::uint64_t RunNanos =
       static_cast<std::uint64_t>(Rsp.RunMicros * 1e3);
   bool Judge = false;
@@ -794,9 +619,7 @@ void QueryService::runRequest(const std::shared_ptr<RequestState> &R) {
 
   if (Judge)
     judgeAdaptive(R->P);
-  if (Options.AdaptiveReplan && Options.Profile && Options.ReplanEvery &&
-      Execs % Options.ReplanEvery == 0 &&
-      !P.Pinned.load(std::memory_order_relaxed))
+  if (Options.ReplanEvery && Execs % Options.ReplanEvery == 0)
     scheduleAdaptiveReplan(R->P);
 }
 

@@ -35,13 +35,13 @@
 /// * **Graceful degradation.** prepare() never blocks on the external
 ///   compiler: it produces an interpreter-backend plan synchronously
 ///   (milliseconds) and queues a native compile on jit::CompileQueue in
-///   the background. Requests run on whatever plan is ready — interpreter
-///   first (a *degraded* run), then the native plan is swapped in
-///   atomically on compile completion and subsequent runs take it. When
-///   the compile queue is saturated, the handle simply stays on the
-///   interpreter and retries the upgrade on a later execute; a short
-///   request deadline is likewise never extended by compilation, because
-///   no request ever waits for the JIT.
+///   the background. Requests run on whatever plan the handle's PlanSlot
+///   holds — interpreter first (a *degraded* run), then the native plan
+///   the compile publishes into the slot. When the compile queue is
+///   saturated, the handle simply stays on the interpreter and retries
+///   the upgrade on a later execute; a short request deadline is likewise
+///   never extended by compilation, because no request ever waits for
+///   the JIT.
 ///
 /// Execution runs on the existing dryad::ThreadPool (one request = one
 /// worker; intra-query morsel parallelism is deliberately not nested
@@ -104,7 +104,7 @@ struct ServeOptions {
   /// Feedback-driven re-planning (DESIGN.md §5j): every ReplanEvery
   /// executions of a handle, recompile the plan with the accumulated
   /// adapt::FeedbackStore statistics and — when the feedback produced a
-  /// different plan — swap it in atomically, exactly like the
+  /// different plan — swap it in through the handle's PlanSlot, like the
   /// interp->native swap. Requires Profile (no observations otherwise).
   /// Defaults to the STENO_ADAPT environment gate.
   bool AdaptiveReplan = adapt::adaptEnvEnabled();
@@ -146,102 +146,115 @@ struct Response {
   bool AdaptivePlan = false; ///< Executed a feedback-replanned (v2+) plan.
   double QueueMicros = 0;  ///< Admission-to-execution wait.
   double RunMicros = 0;    ///< Plan execution time.
-
-  bool ok() const { return St == Status::Ok; }
 };
 
 class QueryService;
 
-/// A prepared query: the parsed spec, its synthesized input buffers, and
-/// the current plan (interpreter immediately; native after the background
-/// swap). Immutable to callers; thread-safe to execute from any number of
-/// threads concurrently, including across the plan swap.
+/// The plan a served query runs (DESIGN.md §5f): the static plan —
+/// interpreted at first, native once its background compile lands —
+/// and, while one is live, a feedback-replanned version that takes
+/// precedence over it (DESIGN.md §5j). One mutex guards both plans, the
+/// flag of the one background compile that may replace either, and the
+/// quarantine pin. Readers copy the live plan under the lock and run the
+/// copy without it: CompiledQuery is a shared handle, so a swap or revert
+/// never frees a plan an in-flight request holds.
+class PlanSlot {
+public:
+  /// The plan a request runs now; \p IsAdaptive, when given, reports
+  /// whether it is a feedback version.
+  CompiledQuery live(bool *IsAdaptive = nullptr) const;
+  /// The static plan, which a revert returns to.
+  CompiledQuery staticPlan() const {
+    std::lock_guard<std::mutex> Lock(M);
+    return Static;
+  }
+  bool adaptiveLive() const {
+    std::lock_guard<std::mutex> Lock(M);
+    return Adaptive.valid();
+  }
+  bool pinned() const {
+    std::lock_guard<std::mutex> Lock(M);
+    return Pinned;
+  }
+
+  /// Claims the slot's one background compile; false while one is in
+  /// flight or, with \p UpgradeOnly, once the static plan is native.
+  bool claim(bool UpgradeOnly = false);
+  /// Ends a claimed compile without publishing anything.
+  void release() {
+    std::lock_guard<std::mutex> Lock(M);
+    Compiling = false;
+  }
+  /// Publishes \p Plan as the static plan and ends any claimed compile.
+  /// A live feedback version stays live.
+  void publishStatic(CompiledQuery Plan);
+  /// Publishes \p Plan as the live feedback version and ends the claimed
+  /// compile. Publishes nothing (and returns false) once pinned.
+  bool publishAdaptive(CompiledQuery Plan);
+  /// Drops the live feedback version; false when none was live.
+  bool revert();
+  /// Quarantines the slot to its static plan for good: drops any live
+  /// feedback version and refuses later ones. False when already pinned.
+  bool pin();
+
+private:
+  mutable std::mutex M;
+  CompiledQuery Static;
+  CompiledQuery Adaptive; ///< Invalid unless a feedback version is live.
+  bool Compiling = false;
+  bool Pinned = false;
+};
+
+/// A prepared query: its spec text, built query, input buffers and plan
+/// slot. Immutable to callers; thread-safe to execute from any number of
+/// threads concurrently, including across a plan swap.
 class PreparedQuery {
 public:
   /// Shard-serving state (steno::shard, DESIGN.md §5k): the §6
   /// decomposition of this query, prepared lazily on the first partial-
-  /// execution request. Splittable means the certificate passed
-  /// shardSafe() AND the planner found the homomorphic-prefix + Agg
-  /// split; the vertex plan then computes this worker's *partial* over a
-  /// source range, and the router owns the Agg* combine. Immutable after
-  /// the once-flag fires (the vertex native swap uses the same publish
-  /// protocol as the whole-query plan).
+  /// execution request. Splittable means dryad::decideSplit allowed the
+  /// homomorphic-prefix + Agg split; the vertex plan then computes this
+  /// worker's *partial* over a source range, and the router owns the Agg*
+  /// combine. Immutable after the once-flag fires, except that the vertex
+  /// upgrades to native through its slot like the whole-query plan.
   struct PartialState {
     bool Splittable = false;
     std::string WhyNot;           ///< Why not, when !Splittable.
     dryad::ParallelPlan Plan;     ///< Valid when Splittable.
     analysis::SafetyCertificate Cert;
-    CompiledQuery VertexInterp;   ///< Set before publication; then const.
-    /// Same release/acquire publish protocol as PreparedQuery::NativePlan.
-    CompiledQuery VertexNative;
-    std::atomic<bool> VertexNativeReady{false};
-    std::atomic<int> VertexRecompile{0}; ///< 0 idle, 1 in flight, 2 done.
-
-    const CompiledQuery &currentVertex() const {
-      return VertexNativeReady.load(std::memory_order_acquire)
-                 ? VertexNative
-                 : VertexInterp;
-    }
+    PlanSlot Vertex;              ///< Holds a plan when Splittable.
   };
 
-  const fuzz::QuerySpec &spec() const { return Spec; }
   const query::Query &query() const { return Built.Q; }
   const Bindings &bindings() const { return Built.B; }
   const std::string &specText() const { return SpecText; }
 
   /// True once the native plan has been swapped in.
   bool nativeReady() const {
-    return NativeReady.load(std::memory_order_acquire);
-  }
-  std::uint64_t executions() const {
-    return Execs.load(std::memory_order_relaxed);
+    return Slot.staticPlan().backend() == Backend::Native;
   }
   /// One-off native compile cost once nativeReady(), else 0.
-  double nativeCompileMillis() const;
-  /// True while a feedback-replanned plan (v2+) is live for this handle.
-  bool adaptiveLive() const {
-    std::lock_guard<std::mutex> Lock(AdaptMutex);
-    return AdaptState == 2;
+  double nativeCompileMillis() const {
+    return Slot.staticPlan().compileMillis();
   }
+  /// True while a feedback-replanned plan (v2+) is live for this handle.
+  bool adaptiveLive() const { return Slot.adaptiveLive(); }
   /// True once the handle was quarantined to the static plan (ignorance
   /// list).
-  bool pinnedStatic() const {
-    return Pinned.load(std::memory_order_relaxed);
-  }
-  /// The plan execute() would run right now: the native plan once
-  /// swapped in, the interpreter plan before. Both share one plan hash
-  /// (structural), so profile introspection needs no swap awareness.
-  const CompiledQuery &currentPlan() const {
-    return NativeReady.load(std::memory_order_acquire) ? NativePlan
-                                                       : InterpPlan;
-  }
+  bool pinnedStatic() const { return Slot.pinned(); }
+  /// The plan execute() would run right now: a live feedback version,
+  /// else the native plan once swapped in, else the interpreter plan.
+  /// Every version is a rewrite relative of one anchor plan, so a
+  /// resolved profile snapshot of any of them merges all their runs.
+  CompiledQuery currentPlan() const { return Slot.live(); }
 
 private:
   friend class QueryService;
 
-  fuzz::QuerySpec Spec;
   fuzz::BuiltQuery Built;
   std::string SpecText;
-  CompiledQuery InterpPlan; ///< Set once before publication; then const.
-  /// Publish protocol: the recompile callback writes NativePlan, then
-  /// stores NativeReady with release; executors load NativeReady with
-  /// acquire before reading NativePlan. RecompileState guards against a
-  /// second writer ever racing the first.
-  CompiledQuery NativePlan;
-  std::atomic<bool> NativeReady{false};
-  std::atomic<int> RecompileState{0}; ///< 0 idle, 1 in flight, 2 done.
-  std::atomic<std::uint64_t> Execs{0};
-
-  /// Adaptive re-plan state (DESIGN.md §5j). Unlike the write-once
-  /// interp->native publish, an adaptive plan can be swapped repeatedly
-  /// (v2 -> revert -> v3, ...), so the live plan travels in a
-  /// shared_ptr under a mutex: executors copy the pointer under the
-  /// lock and run lock-free from then on; a revert or re-swap never
-  /// invalidates a plan an in-flight request already holds.
-  mutable std::mutex AdaptMutex;
-  std::shared_ptr<const CompiledQuery> AdaptPlan; ///< Under AdaptMutex.
-  int AdaptState = 0; ///< Under AdaptMutex: 0 idle, 1 compiling, 2 live.
-  std::atomic<bool> Pinned{false}; ///< Ignorance list: static plan only.
+  PlanSlot Slot;
+  std::atomic<std::uint64_t> Execs{0}; ///< Whole-query runs (replan cadence).
   // Latency accounting for the post-swap judgement (nanoseconds).
   std::atomic<std::uint64_t> BaseRuns{0}, BaseNanos{0};
   std::atomic<std::uint64_t> AdaptRuns{0}, AdaptNanos{0};
@@ -339,7 +352,8 @@ public:
 
   /// Recompiles \p P's plan with the accumulated feedback and swaps the
   /// new version in when it differs from the running plan (normally
-  /// triggered every ReplanEvery executions). The interpreter version is
+  /// triggered every ReplanEvery executions; a no-op unless
+  /// AdaptiveReplan and Profile are on). The interpreter version is
   /// produced synchronously; with BackgroundRecompile on, its native
   /// twin is compiled on the jit::CompileQueue and published by the
   /// completion callback — the same machinery as the interp->native
@@ -384,10 +398,21 @@ public:
 private:
   struct RequestState;
 
+  /// The one admission path of execute() and executePartial(): checks
+  /// the request, applies the MaxQueue bound, and runs it on the pool.
+  Response admit(const PreparedHandle &P, std::chrono::milliseconds Deadline,
+                 bool Partial, std::size_t Begin, std::size_t Len);
   void runRequest(const std::shared_ptr<RequestState> &R);
   void finish(RequestState &R, Response Rsp);
   void buildPartial(const PreparedHandle &P);
-  bool scheduleVertexRecompile(const PreparedHandle &P);
+  /// The one background-compile path: compiles \p From natively on the
+  /// compile queue and hands the native twin to \p Publish, which
+  /// publishes it into \p Slot (a slot of \p P that the caller claimed).
+  /// A saturated queue or a failed compile releases the claim, so a later
+  /// request retries. Returns true when the compile was queued.
+  bool compileInBackground(const PreparedHandle &P, PlanSlot &Slot,
+                           const CompiledQuery &From,
+                           std::function<void(CompiledQuery)> Publish);
   void publishAdaptive(const PreparedHandle &P, CompiledQuery Plan);
   void judgeAdaptive(const PreparedHandle &P);
   std::uint64_t feedbackAnchor(const PreparedQuery &P) const;

@@ -465,7 +465,7 @@ void serve::serveConnection(QueryService &Svc, int Fd) {
           return;
         continue;
       }
-      const CompiledQuery &Plan = Handles[Handle]->currentPlan();
+      CompiledQuery Plan = Handles[Handle]->currentPlan();
       if (!Plan.profiled()) {
         if (!S.writeAll(errorFrame(support::strFormat(
                 "handle %zu was prepared without profiling (start the "

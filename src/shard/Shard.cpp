@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
-#include <optional>
 #include <sstream>
 #include <thread>
 #include <unistd.h>
@@ -197,23 +196,14 @@ RoutedHandle ShardRouter::prepare(const std::string &SpecText,
   quil::Chain Chain = quil::lower(Built.Q);
   if (auto VErr = quil::validate(Chain))
     return fail("invalid query: " + *VErr);
-  Chain = quil::specializeGroupByAggregate(Chain);
-  analysis::AnalysisResult Analyzed = analysis::analyzeChain(Chain);
-  if (!Analyzed.ok())
+  // The split decision (§6 over processes). With one shard the fan-out
+  // buys nothing, so the query routes whole regardless.
+  dryad::SplitDecision Split = dryad::decideSplit(
+      quil::specializeGroupByAggregate(Chain), Options.StrictFp);
+  if (!Split.Analysis.ok())
     return fail("rejected by analysis: " +
-                Analyzed.Diags.render(analysis::Severity::Error));
-  Q->Cert = Analyzed.Cert;
-
-  // The split decision (§6 over processes): certificate gate first, then
-  // the structural planner. With one shard the fan-out buys nothing, so
-  // the query routes whole regardless.
-  std::string WhyNot;
-  std::optional<dryad::ParallelPlan> Plan;
-  if (!Q->Cert.shardSafe(Options.StrictFp)) {
-    WhyNot = "analyzer refused certification (" + Q->Cert.str() + ")";
-  } else {
-    Plan = dryad::planParallel(Chain, &WhyNot);
-  }
+                Split.Analysis.Diags.render(analysis::Severity::Error));
+  Q->Cert = Split.Analysis.Cert;
 
   // Home shard for the fallback path: consistent hash of the spec text
   // onto the virtual-point ring.
@@ -223,13 +213,13 @@ RoutedHandle ShardRouter::prepare(const std::string &SpecText,
       [](const auto &A, const auto &B) { return A.first < B.first; });
   Q->HomeShard = (It == Ring.end() ? Ring.front() : *It).second;
 
-  if (Plan && NumShards > 1) {
+  if (Split.Plan && NumShards > 1) {
     Q->Split = true;
-    Q->Plan = std::move(*Plan);
+    Q->Plan = std::move(*Split.Plan);
     metrics().PrepareSplit.inc();
     NSplitPrepared.fetch_add(1, std::memory_order_relaxed);
   } else {
-    Q->WhyNot = Plan ? "single-shard fleet" : WhyNot;
+    Q->WhyNot = Split.Plan ? "single-shard fleet" : Split.WhyNot;
     metrics().PrepareFallback.inc();
     NFallbackPrepared.fetch_add(1, std::memory_order_relaxed);
     if (!Q->Cert.combinersAssociative()) {

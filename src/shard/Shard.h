@@ -15,8 +15,9 @@
 ///
 /// Routing policy, decided once per spec at prepare():
 ///
-///  * **Split** — the SafetyCertificate passes shardSafe() and the §6
-///    planner finds the Agg_i + Agg* decomposition: every execute range-
+///  * **Split** — dryad::decideSplit allows it (the SafetyCertificate
+///    gates, then the §6 planner finds the Agg_i + Agg* decomposition,
+///    exactly as for a serve worker's vertex): every execute range-
 ///    partitions source slot 0 across all shards (same Base/Extra
 ///    arithmetic as dryad::partitionBindings), issues one `pexec` per
 ///    shard, and combines with dryad::combineParallelPartials.
@@ -84,8 +85,8 @@ struct RouterOptions {
   std::chrono::milliseconds RetryBudget{15000};
   /// Pause before reconnecting after a wire failure or shed.
   std::chrono::milliseconds RetryBackoff{50};
-  /// Refuse the split for FP-reassociating plans (SafetyCertificate::
-  /// shardSafe(true)): bit-equal results at the cost of fan-out.
+  /// Refuse the split for FP-reassociating plans (decideSplit's
+  /// StrictFp): bit-equal results at the cost of fan-out.
   bool StrictFp = false;
   /// Workers for the router-side Agg* combine pool (treeCombine rounds).
   unsigned CombineWorkers = 2;

@@ -281,6 +281,35 @@ Col evalLogicVec(const VecExpr &N, const EvalCtx &Ctx, const Lanes &L) {
   return Col::bl(O);
 }
 
+/// O[I] = At(A, I) Op At(B, I) over the live lanes, with the operator
+/// switch hoisted out of the lane loop.
+template <typename Getter>
+void compareLanes(BinaryOp Op, const Lanes &L, const Col &A, const Col &B,
+                  std::uint8_t *O, Getter At) {
+  switch (Op) {
+  case BinaryOp::Eq:
+    L.forEach([&](std::int64_t I) { O[I] = At(A, I) == At(B, I) ? 1 : 0; });
+    break;
+  case BinaryOp::Ne:
+    L.forEach([&](std::int64_t I) { O[I] = At(A, I) != At(B, I) ? 1 : 0; });
+    break;
+  case BinaryOp::Lt:
+    L.forEach([&](std::int64_t I) { O[I] = At(A, I) < At(B, I) ? 1 : 0; });
+    break;
+  case BinaryOp::Le:
+    L.forEach([&](std::int64_t I) { O[I] = At(A, I) <= At(B, I) ? 1 : 0; });
+    break;
+  case BinaryOp::Gt:
+    L.forEach([&](std::int64_t I) { O[I] = At(A, I) > At(B, I) ? 1 : 0; });
+    break;
+  case BinaryOp::Ge:
+    L.forEach([&](std::int64_t I) { O[I] = At(A, I) >= At(B, I) ? 1 : 0; });
+    break;
+  default:
+    assert(false && "non-comparison op");
+  }
+}
+
 Col evalArithCompareVec(const VecExpr &N, const EvalCtx &Ctx,
                         const Lanes &L) {
   BinaryOp Op = N.E->binaryOp();
@@ -346,7 +375,8 @@ Col evalArithCompareVec(const VecExpr &N, const EvalCtx &Ctx,
     return Col::dbl(O);
   }
   // Comparison. Bool operands admit Eq/Ne only; numeric operands compare
-  // through the same double coercion as the scalar evalCompare.
+  // like the scalar evalCompare: two int64 columns exactly, anything else
+  // through the double coercion.
   std::uint8_t *O = Ctx.Scr->col().bl(Bn);
   if (A.K == TypeKind::Bool) {
     bool IsEq = Op == BinaryOp::Eq;
@@ -356,34 +386,12 @@ Col evalArithCompareVec(const VecExpr &N, const EvalCtx &Ctx,
     });
     return Col::bl(O);
   }
-  switch (Op) {
-  case BinaryOp::Eq:
-    L.forEach(
-        [&](std::int64_t I) { O[I] = numAt(A, I) == numAt(B, I) ? 1 : 0; });
-    break;
-  case BinaryOp::Ne:
-    L.forEach(
-        [&](std::int64_t I) { O[I] = numAt(A, I) != numAt(B, I) ? 1 : 0; });
-    break;
-  case BinaryOp::Lt:
-    L.forEach(
-        [&](std::int64_t I) { O[I] = numAt(A, I) < numAt(B, I) ? 1 : 0; });
-    break;
-  case BinaryOp::Le:
-    L.forEach(
-        [&](std::int64_t I) { O[I] = numAt(A, I) <= numAt(B, I) ? 1 : 0; });
-    break;
-  case BinaryOp::Gt:
-    L.forEach(
-        [&](std::int64_t I) { O[I] = numAt(A, I) > numAt(B, I) ? 1 : 0; });
-    break;
-  case BinaryOp::Ge:
-    L.forEach(
-        [&](std::int64_t I) { O[I] = numAt(A, I) >= numAt(B, I) ? 1 : 0; });
-    break;
-  default:
-    assert(false && "non-comparison op");
-  }
+  if (A.K == TypeKind::Int64 && B.K == TypeKind::Int64)
+    compareLanes(Op, L, A, B, O,
+                 [](const Col &C, std::int64_t I) { return C.I[I]; });
+  else
+    compareLanes(Op, L, A, B, O,
+                 [](const Col &C, std::int64_t I) { return numAt(C, I); });
   return Col::bl(O);
 }
 

@@ -6,13 +6,13 @@
 /// certificate, STENO_ANALYZE enforcement modes, the uniform ST2001
 /// runtime trap on both backends, and the differential property that an
 /// analyzer-certified query computes identical results through the
-/// reference executor, the compiled pipeline, and the plinq parallel path.
+/// reference executor, the compiled pipeline, and the multi-core parallel
+/// path (DistributedQuery::runParallel).
 ///
 //===----------------------------------------------------------------------===//
 
 #include "analysis/Analysis.h"
 #include "dryad/Dist.h"
-#include "plinq/QueryPar.h"
 #include "steno/RefExec.h"
 #include "steno/Steno.h"
 
@@ -468,6 +468,27 @@ TEST(AnalysisRuntimeTrap, InterpDivByZeroTrapsWithST2001) {
   EXPECT_DEATH(CQ.run(F.B), "ST2001.*integer division by zero");
 }
 
+TEST(AnalysisRuntimeTrap, Int64MinOverMinusOneCompilesOverEmptyInput) {
+  // The constant INT64_MIN / -1 traps (ST2001) when it runs, so it must
+  // reach the run time unfolded: folding it used to abort the compile.
+  // Over an empty input it never runs, and the sum is 0.
+  Bindings Empty;
+  Empty.bindInt64Array(0, nullptr, 0);
+  Query Q = Query::int64Array(0)
+                .select(lambda({xi()}, xi() + E(INT64_MIN) / E(-1)))
+                .sum();
+  for (analysis::Mode M : {analysis::Mode::Warn, analysis::Mode::Off})
+    for (Backend Exec : {Backend::Interp, Backend::Native}) {
+      CompileOptions O;
+      O.Exec = Exec;
+      O.Analyze = M;
+      O.Name = "int64min_div_neg1";
+      EXPECT_EQ(compileQuery(Q, O).run(Empty).scalarValue().asInt64(), 0)
+          << analysis::modeName(M)
+          << (Exec == Backend::Native ? " native" : " interp");
+    }
+}
+
 TEST(AnalysisRuntimeTrap, NativeDivByZeroTrapsWithST2001) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   TrapFixture F;
@@ -479,7 +500,7 @@ TEST(AnalysisRuntimeTrap, NativeDivByZeroTrapsWithST2001) {
 }
 
 //===--------------------------------------------------------------------===//
-// Certificate gating in dryad:: / plinq::
+// Certificate gating in dryad::
 //===--------------------------------------------------------------------===//
 
 TEST(AnalysisGate, CertifiedQueryStaysParallel) {
@@ -541,16 +562,16 @@ TEST(AnalysisGate, SequentialQueryRejectsHandPartitioning) {
 
 TEST(AnalysisGate, PlinqSurfacesTheCertificate) {
   Catalog Cat;
-  plinq::ParallelQuery PQ = plinq::ParallelQuery::compile(
+  dryad::DistributedQuery DQ = dryad::DistributedQuery::compile(
       Query::doubleArray(0).take(E(7)).sum(), interpDist("plinq_take"));
-  EXPECT_FALSE(PQ.certified());
-  EXPECT_FALSE(PQ.whyNot().empty());
-  EXPECT_TRUE(PQ.certificate().OrderSensitive);
+  EXPECT_FALSE(DQ.parallel());
+  EXPECT_FALSE(DQ.whyNotParallel().empty());
+  EXPECT_TRUE(DQ.certificate().OrderSensitive);
 
-  plinq::ParallelQuery PQ2 = plinq::ParallelQuery::compile(
+  dryad::DistributedQuery DQ2 = dryad::DistributedQuery::compile(
       Query::doubleArray(0).min(), interpDist("plinq_min"));
-  EXPECT_TRUE(PQ2.certified());
-  EXPECT_TRUE(PQ2.whyNot().empty());
+  EXPECT_TRUE(DQ2.parallel());
+  EXPECT_TRUE(DQ2.whyNotParallel().empty());
 }
 
 //===--------------------------------------------------------------------===//
@@ -586,8 +607,8 @@ TEST(AnalysisProperty, CertifiedQueriesMatchReferenceWhenCompiled) {
 
 TEST(AnalysisProperty, CertifiedQueriesMatchReferenceUnderPlinq) {
   // The strongest property: for every certified query whose source is
-  // the partitionable slot-0 array, the plinq parallel path (fan-out or
-  // certified fallback, whichever the planner picks) agrees with the
+  // the partitionable slot-0 array, the multi-core parallel path (fan-out
+  // or certified fallback, whichever the planner picks) agrees with the
   // sequential reference executor.
   Catalog Cat;
   dryad::ThreadPool Pool(4);
@@ -600,10 +621,11 @@ TEST(AnalysisProperty, CertifiedQueriesMatchReferenceUnderPlinq) {
     const query::SourceDesc &Src = C.Ops[0].Src;
     if (Src.Kind == query::SourceKind::Range ||
         Src.Kind == query::SourceKind::VecExpr || Src.Slot != 0)
-      continue; // plinq partitions slot 0
-    plinq::ParallelQuery PQ =
-        plinq::ParallelQuery::compile(Q, interpDist(Name.c_str()));
-    expectSameResults(runReference(Q, Cat.B), PQ.run(Pool, Cat.B), Name);
+      continue; // runParallel partitions slot 0
+    dryad::DistributedQuery DQ =
+        dryad::DistributedQuery::compile(Q, interpDist(Name.c_str()));
+    expectSameResults(runReference(Q, Cat.B), DQ.runParallel(Pool, Cat.B),
+                      Name);
     ++Checked;
   }
   EXPECT_GE(Checked, 8u) << "expected several partitionable queries";

@@ -3,7 +3,6 @@
 #include "QueryTestUtil.h"
 #include "dryad/Dist.h"
 #include "dryad/HomomorphicApply.h"
-#include "dryad/JobGraph.h"
 #include "dryad/Partition.h"
 #include "dryad/Plan.h"
 #include "dryad/ThreadPool.h"
@@ -53,54 +52,6 @@ TEST(DryadPool, ZeroWorkersClampedToOne) {
   Pool.submit([&Ran] { Ran = true; });
   Pool.wait();
   EXPECT_TRUE(Ran.load());
-}
-
-//===--------------------------------------------------------------------===//
-// JobGraph
-//===--------------------------------------------------------------------===//
-
-TEST(DryadGraph, RespectsDependencies) {
-  ThreadPool Pool(4);
-  JobGraph G;
-  std::atomic<int> Order{0};
-  int APos = -1, BPos = -1, CPos = -1;
-  auto A = G.addVertex("a", [&] { APos = Order++; });
-  auto B = G.addVertex("b", [&] { BPos = Order++; }, {A});
-  G.addVertex("c", [&] { CPos = Order++; }, {A, B});
-  G.run(Pool);
-  EXPECT_LT(APos, BPos);
-  EXPECT_LT(BPos, CPos);
-}
-
-TEST(DryadGraph, FanOutFanIn) {
-  // The Figure 12 shape: P parallel vertices then one combiner.
-  ThreadPool Pool(4);
-  JobGraph G;
-  const int P = 16;
-  std::vector<int> Results(P, 0);
-  std::vector<JobGraph::VertexId> Stage1;
-  for (int I = 0; I < P; ++I)
-    Stage1.push_back(
-        G.addVertex("p" + std::to_string(I), [&Results, I] {
-          Results[I] = I * I;
-        }));
-  int Total = -1;
-  G.addVertex("combine",
-              [&] { Total = std::accumulate(Results.begin(),
-                                            Results.end(), 0); },
-              Stage1);
-  G.run(Pool);
-  int Expected = 0;
-  for (int I = 0; I < P; ++I)
-    Expected += I * I;
-  EXPECT_EQ(Total, Expected);
-}
-
-TEST(DryadGraph, EmptyGraphRuns) {
-  ThreadPool Pool(1);
-  JobGraph G;
-  G.run(Pool); // must not hang
-  SUCCEED();
 }
 
 //===--------------------------------------------------------------------===//

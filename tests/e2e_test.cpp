@@ -342,3 +342,38 @@ TEST(E2EAnalysisMatrix, StrictRejectsWhatOffRuns) {
   Strict.Name = "e2e_negative_take";
   EXPECT_DEATH(compileQuery(Q, Strict), "rejected by static analysis");
 }
+
+//===--------------------------------------------------------------------===//
+// int64 comparisons: exact on every backend
+//===--------------------------------------------------------------------===//
+
+TEST(E2EInt64Compare, ExactAtTwoToTheFiftyThreeOnEveryBackend) {
+  // 2^53 + 1 is the first int64 a double cannot hold: compared as
+  // doubles it equals 2^53, so == and < would pick the wrong elements.
+  const std::int64_t P53 = std::int64_t{1} << 53;
+  std::vector<std::int64_t> Xs{P53, P53 + 1, P53 + 2};
+  Bindings B;
+  B.bindInt64Array(0, Xs.data(), static_cast<std::int64_t>(Xs.size()));
+  auto X = param("x", Type::int64Ty());
+  struct Case {
+    const char *Name;
+    Query Q;
+  } Cases[] = {
+      {"eq", Query::int64Array(0).where(lambda({X}, X == E(P53 + 1))).count()},
+      {"lt", Query::int64Array(0).where(lambda({X}, X < E(P53 + 1))).count()},
+  };
+  for (const Case &C : Cases) {
+    EXPECT_EQ(runReference(C.Q, B).scalarValue().asInt64(), 1)
+        << C.Name << " reference";
+    for (Backend Exec : {Backend::Interp, Backend::Native})
+      for (bool Vectorize : {false, true}) {
+        CompileOptions O;
+        O.Exec = Exec;
+        O.Vectorize = Vectorize;
+        O.Name = std::string("e2e_i64cmp_") + C.Name;
+        EXPECT_EQ(compileQuery(C.Q, O).run(B).scalarValue().asInt64(), 1)
+            << C.Name << (Exec == Backend::Native ? " native" : " interp")
+            << (Vectorize ? " vectorized" : " scalar");
+      }
+  }
+}

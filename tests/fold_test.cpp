@@ -47,6 +47,11 @@ TEST(Fold, BuiltinsFold) {
 TEST(Fold, ComparisonsFold) {
   EXPECT_EQ(fold(E(2) < E(3))->str(), "true");
   EXPECT_EQ(fold(E(2) == E(3))->str(), "false");
+  // int64 operands compare exactly, even where a double cannot tell
+  // them apart.
+  const std::int64_t P53 = std::int64_t{1} << 53;
+  EXPECT_EQ(fold(E(P53) == E(P53 + 1))->str(), "false");
+  EXPECT_EQ(fold(E(P53) < E(P53 + 1))->str(), "true");
 }
 
 TEST(Fold, NonConstLeftAlone) {
@@ -88,6 +93,11 @@ TEST(Fold, IntegerDivisionByZeroNotFolded) {
       << "the trap must stay at its original program point";
   ExprRef M = fold(E(10) % E(0));
   EXPECT_NE(M->kind(), ExprKind::Const);
+  // INT64_MIN / -1 overflows and traps too; any other dividend folds.
+  EXPECT_NE(fold(E(INT64_MIN) / E(-1))->kind(), ExprKind::Const);
+  EXPECT_NE(fold(E(INT64_MIN) % E(-1))->kind(), ExprKind::Const);
+  EXPECT_EQ(fold(E(10) / E(-1))->str(), "-10");
+  EXPECT_EQ(fold(E(10) % E(-1))->str(), "0");
 }
 
 TEST(Fold, DoubleDivisionByZeroFolds) {

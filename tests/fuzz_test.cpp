@@ -320,7 +320,7 @@ TEST(FuzzDiffTest, InjectedFaultYieldsReplayableShrunkReproducer) {
   FO.Iters = 6;
   FO.JitEvery = 0;
   FO.CorpusDir = Dir;
-  FO.Inject = [](BackendId Id) { return Id == BackendId::DryadMorsel; };
+  FO.Inject = [](BackendId Id) { return Id == BackendId::Plinq8; };
   FuzzOutcome Out = runFuzz(harness(), FO);
 
   ASSERT_GT(Out.Mismatches, 0u);

@@ -7,9 +7,10 @@
 // path (saturated compile queue), the background native swap, a
 // multi-client stress run asserting exactly one response per request
 // against the reference oracle, a swap soak that executes through the
-// mid-stream plan swap, the fuzz corpus replayed through the service,
-// and the line protocol end-to-end over a socketpair. The stress and
-// soak tests are in the TSan CI job.
+// mid-stream plan swap, a handle's whole plan-slot life (interp v1 ->
+// native v1 -> feedback v2 -> revert) under load, the fuzz corpus
+// replayed through the service, and the line protocol end-to-end over a
+// socketpair. The stress and soak tests are in the TSan CI job.
 //
 //===----------------------------------------------------------------------===//
 
@@ -23,6 +24,7 @@
 #include <condition_variable>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <mutex>
 #include <sstream>
 #include <sys/socket.h>
@@ -675,6 +677,185 @@ TEST(ServeAdapt, ConsecutiveMispredictionsPinTheStaticPlan) {
   ASSERT_EQ(R.St, Status::Ok);
   EXPECT_FALSE(R.AdaptivePlan);
   EXPECT_TRUE(resultsMatch(R.Result, Want));
+}
+
+//===--------------------------------------------------------------------===//
+// One plan slot: every swap of a handle's life, under load
+//===--------------------------------------------------------------------===//
+
+TEST(ServeLifecycle, InterpNativeFeedbackRevertWithExecutorsRunning) {
+  constexpr unsigned Threads = 4;
+  ServeOptions O; // background recompile on, real compile queue
+  O.Profile = true;
+  O.AdaptiveReplan = true;
+  O.ReplanEvery = 0; // the test triggers the re-plan itself
+  O.AdaptWindow = 16;
+  O.AdaptJudge = [](double, double) { return true; }; // force the revert
+  O.Workers = 4;
+  O.MaxQueue = 64;
+  QueryService Svc(O);
+  auto Sess = Svc.openSession();
+  std::string Err;
+  PreparedHandle P = Sess->prepare(specText(skewedPredsSpec(-97.0, 93.0)),
+                                   &Err);
+  ASSERT_TRUE(P) << Err;
+  QueryResult Want = reference(P);
+
+  // v1 interpreted: the native compile prepare() queued is in flight.
+  Response First = Sess->execute(P);
+  ASSERT_EQ(First.St, Status::Ok);
+  EXPECT_FALSE(First.NativePlan);
+  EXPECT_TRUE(First.Degraded);
+  EXPECT_TRUE(resultsMatch(First.Result, Want));
+
+  // Executors run through every swap below. Once native v1 has landed,
+  // no response may run interpreted again: a revert returns to native
+  // v1, and every feedback version is a native twin.
+  std::atomic<bool> Stop{false};
+  std::atomic<std::uint64_t> Sent{0}, Mismatches{0}, NonOk{0}, InterpRuns{0},
+      NativeRuns{0}, AdaptiveRuns{0}, InterpAfterNative{0};
+  std::vector<std::thread> Runners;
+  auto stopRunners = [&] {
+    Stop.store(true, std::memory_order_relaxed);
+    for (std::thread &T : Runners)
+      if (T.joinable())
+        T.join();
+  };
+  // Joins the executors on every exit, a failed ASSERT included.
+  struct OnExit {
+    std::function<void()> Fn;
+    ~OnExit() { Fn(); }
+  } JoinOnExit{stopRunners};
+  for (unsigned T = 0; T < Threads; ++T) {
+    Runners.emplace_back([&] {
+      auto Mine = Svc.openSession();
+      while (!Stop.load(std::memory_order_relaxed)) {
+        bool WasNative = P->nativeReady();
+        Sent.fetch_add(1, std::memory_order_relaxed);
+        Response R = Mine->execute(P);
+        if (R.St != Status::Ok) {
+          NonOk.fetch_add(1, std::memory_order_relaxed);
+          continue;
+        }
+        if (!resultsMatch(R.Result, Want))
+          Mismatches.fetch_add(1, std::memory_order_relaxed);
+        if (WasNative && !R.NativePlan)
+          InterpAfterNative.fetch_add(1, std::memory_order_relaxed);
+        (R.AdaptivePlan ? AdaptiveRuns
+                        : R.NativePlan ? NativeRuns : InterpRuns)
+            .fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  auto waitFor = [](const std::function<bool()> &Done) {
+    for (int Spin = 0; Spin != 10000; ++Spin) {
+      if (Done())
+        return true;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return false;
+  };
+  auto runsPast = [&](std::uint64_t Mark) {
+    return [&, Mark] {
+      return NativeRuns.load(std::memory_order_relaxed) >=
+             Mark + Threads * 4;
+    };
+  };
+
+  // v1 native.
+  Svc.drainRecompiles();
+  ASSERT_TRUE(P->nativeReady());
+  ASSERT_TRUE(waitFor(runsPast(0)));
+
+  // v2: feedback re-plan, compiled natively in the background. The
+  // executors run out its judgement window, and the forced misprediction
+  // reverts the handle to native v1.
+  std::uint64_t Need = adapt::FeedbackStore::global().minSamples() + 4;
+  ASSERT_TRUE(waitFor([&] {
+    return NativeRuns.load(std::memory_order_relaxed) >= Need;
+  }));
+  ASSERT_TRUE(waitFor([&] {
+    if (Svc.scheduleAdaptiveReplan(P))
+      Svc.drainRecompiles();
+    return Svc.stats().ReplanSwaps >= 1;
+  })) << "feedback re-plan never swapped in";
+  ASSERT_TRUE(waitFor([&] { return Svc.stats().AdaptReverted >= 1; }));
+  EXPECT_FALSE(P->adaptiveLive());
+  EXPECT_FALSE(P->pinnedStatic()) << "one strike does not pin";
+  ASSERT_TRUE(waitFor(runsPast(NativeRuns.load())));
+  stopRunners();
+
+  EXPECT_EQ(NonOk.load(), 0u);
+  EXPECT_EQ(Mismatches.load(), 0u) << "every version matches the reference";
+  EXPECT_EQ(InterpAfterNative.load(), 0u)
+      << "ran interpreted after native v1 landed";
+  EXPECT_GE(AdaptiveRuns.load(), O.AdaptWindow) << "v2 ran its window";
+  EXPECT_EQ(InterpRuns.load() + NativeRuns.load() + AdaptiveRuns.load(),
+            Sent.load())
+      << "exactly one Ok response per request";
+
+  // After the revert: native v1, not the feedback version, not the
+  // interpreter.
+  Response R = Sess->execute(P);
+  ASSERT_EQ(R.St, Status::Ok);
+  EXPECT_TRUE(R.NativePlan);
+  EXPECT_FALSE(R.AdaptivePlan);
+  EXPECT_FALSE(R.Degraded);
+  EXPECT_TRUE(resultsMatch(R.Result, Want));
+  QueryService::Stats S = Svc.stats();
+  EXPECT_EQ(S.ReplanSwaps, 1u);
+  EXPECT_EQ(S.AdaptReverted, 1u);
+  EXPECT_EQ(S.RecompilesDone, 2u) << "native v1 and v2's native twin";
+}
+
+TEST(ServeLifecycle, NativeV1LandingUnderALiveFeedbackVersionKeepsIt) {
+  ServeOptions O;
+  O.BackgroundRecompile = false; // interp v2; native v1 compiled by hand
+  O.Profile = true;
+  O.AdaptiveReplan = true;
+  O.ReplanEvery = 0;
+  O.AdaptWindow = 4;
+  O.AdaptJudge = [](double, double) { return true; };
+  QueryService Svc(O);
+  auto Sess = Svc.openSession();
+  std::string Err;
+  PreparedHandle P = Sess->prepare(specText(skewedPredsSpec(-96.0, 91.0)),
+                                   &Err);
+  ASSERT_TRUE(P) << Err;
+  QueryResult Want = reference(P);
+  auto run = [&] {
+    Response R = Sess->execute(P);
+    EXPECT_EQ(R.St, Status::Ok);
+    EXPECT_TRUE(resultsMatch(R.Result, Want));
+    return R;
+  };
+
+  // Ripen the feedback on interp v1, then swap in interp v2.
+  for (std::uint64_t I = 0;
+       I != adapt::FeedbackStore::global().minSamples() + 2; ++I)
+    EXPECT_FALSE(run().AdaptivePlan);
+  ASSERT_TRUE(Svc.scheduleAdaptiveReplan(P));
+  ASSERT_TRUE(P->adaptiveLive());
+
+  // Native v1 lands under the live v2: the static plan upgrades, v2 stays.
+  ASSERT_TRUE(Svc.scheduleRecompile(P));
+  Svc.drainRecompiles();
+  ASSERT_TRUE(P->nativeReady());
+  EXPECT_TRUE(P->adaptiveLive());
+  Response V2 = run();
+  EXPECT_TRUE(V2.AdaptivePlan);
+  EXPECT_FALSE(V2.NativePlan);
+
+  // Run out the judgement window; the forced misprediction reverts to
+  // native v1.
+  for (unsigned I = 1; I != O.AdaptWindow; ++I)
+    EXPECT_TRUE(run().AdaptivePlan);
+  for (int Spin = 0; Spin != 2000 && P->adaptiveLive(); ++Spin)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  ASSERT_FALSE(P->adaptiveLive());
+  Response V1 = run();
+  EXPECT_TRUE(V1.NativePlan);
+  EXPECT_FALSE(V1.AdaptivePlan);
 }
 
 //===--------------------------------------------------------------------===//

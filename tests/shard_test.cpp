@@ -5,7 +5,7 @@
 // single-process reference for every combine kind (Fold/Count sums,
 // MergeByKey groups, MergeSorted orders, Concat arrays), the
 // non-associative fallback, empty- and single-element-shard edge cases,
-// the exact-value wire codec, pexec over a socketpair, the router end to
+// the vertex's background upgrade to native, the exact-value wire codec, pexec over a socketpair, the router end to
 // end over in-process shards (via the RouterOptions::Connect seam),
 // retry-after-connection-death, and the full fuzz corpus replayed
 // through a 3-shard router differentially against direct execution.
@@ -282,6 +282,35 @@ TEST(ShardDecomp, OutOfBoundsRangeErrors) {
   EXPECT_EQ(R.St, Status::Error);
   EXPECT_NE(R.Message.find("out of bounds"), std::string::npos)
       << R.Message;
+}
+
+TEST(ShardDecomp, VertexUpgradesToNativeInTheBackground) {
+  // With BackgroundRecompile on, the vertex plan upgrades to native
+  // through its slot like the whole-query plan; native partials still
+  // combine to the reference.
+  QueryService Svc; // background recompile on, real compile queue
+  std::string Err;
+  PreparedHandle P = Svc.prepare(specText(groupSpec()), &Err);
+  ASSERT_TRUE(P) << Err;
+  const PreparedQuery::PartialState *PS = Svc.preparePartial(P);
+  ASSERT_TRUE(PS && PS->Splittable) << (PS ? PS->WhyNot : "null state");
+  Svc.drainRecompiles();
+
+  std::size_t Count = static_cast<std::size_t>(
+      P->bindings().sources()[0].Count);
+  std::vector<QueryResult> Partials;
+  for (auto [Begin, Len] : partitionRanges(Count, 3)) {
+    Response R = Svc.executePartial(P, Begin, Len, kDeadline);
+    ASSERT_EQ(R.St, Status::Ok) << R.Message;
+    EXPECT_TRUE(R.NativePlan) << "vertex still interpreted after drain";
+    EXPECT_FALSE(R.Degraded);
+    Partials.push_back(std::move(R.Result));
+  }
+  dryad::ThreadPool Pool(2);
+  QueryResult Combined = dryad::combineParallelPartials(
+      Pool, PS->Plan, PS->Cert, std::move(Partials));
+  EXPECT_TRUE(resultsMatch(Combined, reference(P)));
+  EXPECT_EQ(Svc.stats().RecompilesDone, 2u) << "whole query and vertex";
 }
 
 //===--------------------------------------------------------------------===//

@@ -325,6 +325,24 @@ TEST(VecTrapDeath, NativeBatchedDivByZeroTrapsWithST2001) {
   EXPECT_DEATH(CQ.run(F.B), "ST2001.*integer division by zero");
 }
 
+// A constant -1 divisor overflows on INT64_MIN: both native TUs must
+// trap like the interpreters instead of dividing with a bare `/`.
+TEST(VecTrapDeath, NativeDivByMinusOneTrapsWithST2001) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  std::vector<std::int64_t> Data{INT64_MIN};
+  Bindings B;
+  B.bindInt64Array(0, Data.data(), 1);
+  Query Q = Query::int64Array(0)
+                .select(lambda({xi()}, xi() / E(std::int64_t{-1})))
+                .sum();
+  for (bool Vectorize : {false, true}) {
+    CompiledQuery CQ = compileQuery(
+        Q, vecOpts(Vectorize, "vec_trap_neg1", Backend::Native));
+    EXPECT_DEATH(CQ.run(B), "ST2001.*integer division by zero")
+        << (Vectorize ? "batch TU" : "scalar TU");
+  }
+}
+
 // Lanes the scalar loop never evaluates must not trap in the batch
 // path either — the batch kernels may not eagerly evaluate a division
 // the element-at-a-time semantics would have skipped.

@@ -9,7 +9,7 @@
 //
 //   steno_fuzz --seed 1 --iters 5000            # the CI configuration
 //   steno_fuzz --seed 7 --iters 200 --jit-every 1   # full JIT coverage
-//   steno_fuzz --backend dryad-morsel --iters 1000  # one backend only
+//   steno_fuzz --backend plinq8 --iters 1000        # one backend only
 //   steno_fuzz --replay tests/fuzz_corpus           # replay a corpus
 //
 // Exit status: 0 when every query matched the reference oracle on every
@@ -39,7 +39,7 @@ void usage() {
       "  --backend NAME   restrict to one backend: interp |\n"
       "                   interp-norewrite | interp-vec | interp-adapt |\n"
       "                   jit | plinq1 | plinq2 | plinq8 |\n"
-      "                   dryad-static | dryad-morsel\n"
+      "                   dryad-static\n"
       "  --jit-every N    run the JIT backend every Nth query (default 50;\n"
       "                   0 disables, 1 = every query)\n"
       "  --out DIR        directory for shrunken reproducers\n"
