@@ -512,46 +512,18 @@ private:
     profIn(P.AggProfSlot);
     timerOpen(TI, P.AggProfSlot);
     openLaneLoop();
-    if (P.Agg == VAggMode::Reduce) {
-      std::string G = elemExpr(P.AggArg.Root, aggElemName());
-      switch (P.ROp) {
-      case VReduceOp::Add:
-        line("vacc_ += %s;", G.c_str());
-        break;
-      case VReduceOp::Sub:
-        line("vacc_ -= %s;", G.c_str());
-        break;
-      case VReduceOp::Mul:
-        line("vacc_ *= %s;", G.c_str());
-        break;
-      case VReduceOp::Min:
-        line("{ const %s vx_ = %s;", kindCxx(P.AccK), G.c_str());
-        if (P.AccFirst)
-          line("  vacc_ = vacc_ < vx_ ? vacc_ : vx_; }");
-        else
-          line("  vacc_ = vx_ < vacc_ ? vx_ : vacc_; }");
-        break;
-      case VReduceOp::Max:
-        line("{ const %s vx_ = %s;", kindCxx(P.AccK), G.c_str());
-        if (P.AccFirst)
-          line("  vacc_ = vacc_ > vx_ ? vacc_ : vx_; }");
-        else
-          line("  vacc_ = vx_ > vacc_ ? vx_ : vacc_; }");
-        break;
-      }
-    } else {
-      // Generic fold: inline the full Fn2 body with acc -> vacc_ and the
-      // element parameter -> the lane accessor.
+    const expr::Expr &Step = *P.AggStep.body();
+    if (P.Agg == VAggMode::Reduce && P.AccFirst &&
+        Step.kind() == expr::ExprKind::Binary)
+      line("vacc_ %s= %s;", expr::binaryOpSpelling(Step.binaryOp()),
+           elemExpr(P.AggArg.Root, P.AggStep.param(1).Name).c_str());
+    else
+      // The full Fn2 body with acc -> vacc_ and the element parameter ->
+      // the lane accessor (a min/max step prints as its rt call).
       line("vacc_ = %s;", aggStepExpr().c_str());
-    }
     closeLaneLoop();
     timerClose(TI);
     profOut(P.AggProfSlot);
-  }
-
-  std::string aggElemName() const {
-    return P.AggStep.arity() >= 2 ? P.AggStep.param(1).Name
-                                  : std::string();
   }
 
   std::string aggStepExpr() {

@@ -1,6 +1,7 @@
 //===- expr/CxxPrinter.cpp ------------------------------------*- C++ -*-===//
 
 #include "expr/CxxPrinter.h"
+#include "steno/Rt.h"
 #include "support/Error.h"
 #include "support/StringUtil.h"
 
@@ -25,16 +26,14 @@ std::string printConst(const Expr &E) {
 }
 
 /// A divisor the generated code may divide by with a bare `/`: an integer
-/// constant other than 0 and -1 (INT64_MIN / -1 overflows, as in
-/// absint::divisionIsSafe). Anything else goes through rt::ckdiv/ckmod so
-/// a bad divisor traps with a structured error instead of undefined
-/// behavior.
+/// constant that traps on no dividend, as in absint::divisionIsSafe.
+/// INT64_MIN is the dividend every trapping divisor traps on. Anything
+/// else goes through rt::ckdiv/ckmod so a bad divisor traps with a
+/// structured error instead of undefined behavior.
 bool isSafeConstDivisor(const Expr &E) {
-  if (E.kind() != ExprKind::Const ||
-      !std::holds_alternative<std::int64_t>(E.constValue()))
-    return false;
-  std::int64_t D = std::get<std::int64_t>(E.constValue());
-  return D != 0 && D != -1;
+  return E.kind() == ExprKind::Const &&
+         std::holds_alternative<std::int64_t>(E.constValue()) &&
+         !rt::divTraps(INT64_MIN, std::get<std::int64_t>(E.constValue()));
 }
 
 std::string printBinary(const Expr &E, const CxxNames &Names) {

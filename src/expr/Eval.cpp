@@ -1,9 +1,9 @@
 //===- expr/Eval.cpp ------------------------------------------*- C++ -*-===//
 
 #include "expr/Eval.h"
+#include "expr/Ops.h"
 #include "support/Error.h"
 
-#include <cmath>
 #include <cstdint>
 
 using namespace steno;
@@ -44,125 +44,12 @@ Value evalConvert(const Expr &E, const Value &In) {
   return Value(static_cast<std::int64_t>(In.asDouble()));
 }
 
-Value evalArith(BinaryOp Op, const Value &L, const Value &R) {
-  if (L.isInt64() && R.isInt64()) {
-    std::int64_t A = L.asInt64();
-    std::int64_t B = R.asInt64();
-    switch (Op) {
-    case BinaryOp::Add:
-      return Value(A + B);
-    case BinaryOp::Sub:
-      return Value(A - B);
-    case BinaryOp::Mul:
-      return Value(A * B);
-    // Trap uniformly with the JIT backend (rt::ckdiv/ckmod): same stable
-    // code, same fate on every backend, instead of debug-only asserts
-    // that become undefined behavior in release builds.
-    case BinaryOp::Div:
-      if (B == 0 || (B == -1 && A == INT64_MIN))
-        support::fatalError(
-            "steno runtime error [ST2001]: integer division by zero");
-      return Value(A / B);
-    case BinaryOp::Mod:
-      if (B == 0 || (B == -1 && A == INT64_MIN))
-        support::fatalError(
-            "steno runtime error [ST2001]: integer division by zero");
-      return Value(A % B);
-    default:
-      break;
-    }
-    stenoUnreachable("non-arithmetic op in evalArith");
-  }
-  double A = L.asNumericDouble();
-  double B = R.asNumericDouble();
-  switch (Op) {
-  case BinaryOp::Add:
-    return Value(A + B);
-  case BinaryOp::Sub:
-    return Value(A - B);
-  case BinaryOp::Mul:
-    return Value(A * B);
-  case BinaryOp::Div:
-    return Value(A / B);
-  case BinaryOp::Mod:
-    return Value(std::fmod(A, B));
-  default:
-    break;
-  }
-  stenoUnreachable("non-arithmetic op in evalArith");
-}
-
-template <typename T> bool compare(BinaryOp Op, T A, T B) {
-  switch (Op) {
-  case BinaryOp::Eq:
-    return A == B;
-  case BinaryOp::Ne:
-    return A != B;
-  case BinaryOp::Lt:
-    return A < B;
-  case BinaryOp::Le:
-    return A <= B;
-  case BinaryOp::Gt:
-    return A > B;
-  case BinaryOp::Ge:
-    return A >= B;
-  default:
-    break;
-  }
-  stenoUnreachable("non-comparison op in evalCompare");
-}
-
-Value evalCompare(BinaryOp Op, const Value &L, const Value &R) {
-  if (L.isBool()) {
-    bool A = L.asBool();
-    bool B = R.asBool();
-    return Value(Op == BinaryOp::Eq ? A == B : A != B);
-  }
-  // Two int64 operands compare exactly, as in the generated C++; an
-  // int64 against a double is promoted to double, as C++ promotes it.
-  if (L.isInt64() && R.isInt64())
-    return Value(compare(Op, L.asInt64(), R.asInt64()));
-  return Value(compare(Op, L.asNumericDouble(), R.asNumericDouble()));
-}
-
-Value evalCall(const Expr &E, const Env &Environment) {
-  Builtin Fn = E.builtin();
-  Value A0 = evalExpr(*E.operand(0), Environment);
-  switch (Fn) {
-  case Builtin::Sqrt:
-    return Value(std::sqrt(A0.asNumericDouble()));
-  case Builtin::Floor:
-    return Value(std::floor(A0.asNumericDouble()));
-  case Builtin::Ceil:
-    return Value(std::ceil(A0.asNumericDouble()));
-  case Builtin::Exp:
-    return Value(std::exp(A0.asNumericDouble()));
-  case Builtin::Log:
-    return Value(std::log(A0.asNumericDouble()));
-  case Builtin::Abs:
-    if (A0.isInt64())
-      return Value(A0.asInt64() < 0 ? -A0.asInt64() : A0.asInt64());
-    return Value(std::fabs(A0.asDouble()));
-  case Builtin::Min:
-  case Builtin::Max: {
-    Value A1 = evalExpr(*E.operand(1), Environment);
-    if (A0.isInt64() && A1.isInt64()) {
-      std::int64_t A = A0.asInt64();
-      std::int64_t B = A1.asInt64();
-      bool TakeA = Fn == Builtin::Min ? A < B : A > B;
-      return Value(TakeA ? A : B);
-    }
-    double A = A0.asNumericDouble();
-    double B = A1.asNumericDouble();
-    bool TakeA = Fn == Builtin::Min ? A < B : A > B;
-    return Value(TakeA ? A : B);
-  }
-  case Builtin::Pow: {
-    Value A1 = evalExpr(*E.operand(1), Environment);
-    return Value(std::pow(A0.asNumericDouble(), A1.asNumericDouble()));
-  }
-  }
-  stenoUnreachable("bad Builtin");
+/// Applies \p Fn to numeric operands at their common kind: int64 when
+/// every operand is an int64, else double.
+template <typename F, typename... Vs> Value apply(F Fn, const Vs &...In) {
+  if ((In.isInt64() && ...))
+    return Value(Fn(In.asInt64()...));
+  return Value(Fn(In.asNumericDouble()...));
 }
 
 } // namespace
@@ -208,11 +95,19 @@ Value expr::evalExpr(const Expr &E, const Env &Environment) {
     Value L = evalExpr(*E.operand(0), Environment);
     Value R = evalExpr(*E.operand(1), Environment);
     if (isArithmetic(Op))
-      return evalArith(Op, L, R);
-    return evalCompare(Op, L, R);
+      return withArithmetic(Op, [&](auto F) { return apply(F, L, R); });
+    return withComparison(Op, [&](auto F) {
+      return L.isBool() ? Value(F(L.asBool(), R.asBool())) : apply(F, L, R);
+    });
   }
   case ExprKind::Call:
-    return evalCall(E, Environment);
+    return withBuiltin(E.builtin(), [&](auto F) {
+      Value A = evalExpr(*E.operand(0), Environment);
+      if constexpr (decltype(F)::Arity == 1)
+        return apply(F, A);
+      else
+        return apply(F, A, evalExpr(*E.operand(1), Environment));
+    });
   case ExprKind::Cond: {
     Value C = evalExpr(*E.operand(0), Environment);
     return evalExpr(*E.operand(C.asBool() ? 1 : 2), Environment);

@@ -4,7 +4,9 @@
 /// Reference semantics for the expression language. The evaluator is used
 /// by the interpreter backend, by the un-optimized dynamic execution path,
 /// and — most importantly — by the test suite as the oracle against which
-/// generated (fused) code is checked.
+/// generated (fused) code is checked. It evaluates every operator through
+/// the expr/Ops.h dispatch, so it runs the steno::rt definitions that
+/// generated code calls.
 ///
 //===----------------------------------------------------------------------===//
 

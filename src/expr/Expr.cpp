@@ -1,6 +1,7 @@
 //===- expr/Expr.cpp ------------------------------------------*- C++ -*-===//
 
 #include "expr/Expr.h"
+#include "expr/Ops.h"
 #include "support/Error.h"
 #include "support/StringUtil.h"
 
@@ -121,27 +122,7 @@ const char *expr::binaryOpSpelling(BinaryOp Op) {
 }
 
 const char *expr::builtinSpelling(Builtin Fn) {
-  switch (Fn) {
-  case Builtin::Sqrt:
-    return "std::sqrt";
-  case Builtin::Abs:
-    return "std::abs";
-  case Builtin::Min:
-    return "std::min";
-  case Builtin::Max:
-    return "std::max";
-  case Builtin::Floor:
-    return "std::floor";
-  case Builtin::Ceil:
-    return "std::ceil";
-  case Builtin::Exp:
-    return "std::exp";
-  case Builtin::Log:
-    return "std::log";
-  case Builtin::Pow:
-    return "std::pow";
-  }
-  stenoUnreachable("bad Builtin");
+  return withBuiltin(Fn, [](auto F) { return decltype(F)::Cxx; });
 }
 
 //===----------------------------------------------------------------===//

@@ -73,8 +73,9 @@ enum class BinaryOp {
   Or
 };
 
-/// Builtin math functions the language can call. These map 1:1 onto
-/// <cmath> in generated code.
+/// Builtin math functions the language can call. In generated code each
+/// calls its <cmath> function, or the steno::rt definition for min, max
+/// and abs (see expr/Ops.h).
 enum class Builtin { Sqrt, Abs, Min, Max, Floor, Ceil, Exp, Log, Pow };
 
 /// Literal payload for Const nodes.
@@ -163,7 +164,7 @@ bool isComparison(BinaryOp Op);
 bool isArithmetic(BinaryOp Op);
 /// Spelling of a binary operator as it appears in C++ source ("+", "==", ...).
 const char *binaryOpSpelling(BinaryOp Op);
-/// Spelling of a builtin's C++ callee ("std::sqrt", ...).
+/// Spelling of a builtin's C++ callee ("std::sqrt", "steno::rt::min", ...).
 const char *builtinSpelling(Builtin Fn);
 
 } // namespace expr

@@ -2,6 +2,7 @@
 
 #include "expr/Fold.h"
 #include "expr/Eval.h"
+#include "steno/Rt.h"
 #include "support/Error.h"
 
 #include <cassert>
@@ -13,12 +14,6 @@ using namespace steno::expr;
 namespace {
 
 bool isConst(const ExprRef &E) { return E->kind() == ExprKind::Const; }
-
-bool isIntConst(const ExprRef &E, std::int64_t V) {
-  return isConst(E) &&
-         std::holds_alternative<std::int64_t>(E->constValue()) &&
-         std::get<std::int64_t>(E->constValue()) == V;
-}
 
 bool boolConst(const ExprRef &E) {
   return std::get<bool>(E->constValue());
@@ -123,8 +118,8 @@ ExprRef expr::foldConstants(const ExprRef &E) {
       // folding them would evaluate the trap inside the compile.
       if ((Op == BinaryOp::Div || Op == BinaryOp::Mod) &&
           E->type()->isInt64() &&
-          (isIntConst(Ops[1], 0) ||
-           (isIntConst(Ops[1], -1) && isIntConst(Ops[0], INT64_MIN))))
+          rt::divTraps(std::get<std::int64_t>(Ops[0]->constValue()),
+                       std::get<std::int64_t>(Ops[1]->constValue())))
         Foldable = false;
       break;
     }

@@ -7,9 +7,10 @@
 /// simplified. Runs before CSE in the code generator so that, e.g., range
 /// bounds synthesized from literals collapse into single constants in the
 /// generated code. Folding is semantics-preserving for this pure
-/// expression language with one carve-out: integer division/modulo by a
-/// literal zero is left unfolded (the generated code keeps the trap
-/// behavior of the original program point).
+/// expression language with one carve-out: an integer division/modulo
+/// that traps (rt::divTraps: a zero divisor, or INT64_MIN / -1) is left
+/// unfolded, so the generated code keeps the trap behavior of the
+/// original program point.
 ///
 //===----------------------------------------------------------------------===//
 

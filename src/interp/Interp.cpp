@@ -4,12 +4,14 @@
 #include "expr/Eval.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
+#include "steno/Rt.h"
 #include "support/Error.h"
 
 #include <algorithm>
 #include <cassert>
 #include <chrono>
 #include <unordered_map>
+#include <variant>
 
 using namespace steno;
 using namespace steno::interp;
@@ -24,57 +26,10 @@ using expr::VecView;
 
 namespace {
 
-/// Interpreter-side sink objects, mirroring steno::rt's sinks.
-struct GroupSinkI {
-  std::vector<std::pair<std::int64_t, std::vector<double>>> Buckets;
-  std::unordered_map<std::int64_t, std::size_t> Index;
-
-  void put(std::int64_t Key, double V) {
-    auto It = Index.find(Key);
-    std::size_t Slot;
-    if (It == Index.end()) {
-      Slot = Buckets.size();
-      Index.emplace(Key, Slot);
-      Buckets.emplace_back(Key, std::vector<double>());
-    } else {
-      Slot = It->second;
-    }
-    Buckets[Slot].second.push_back(V);
-  }
-};
-
-struct GroupAggSinkI {
-  std::vector<std::pair<std::int64_t, Value>> Entries;
-  std::unordered_map<std::int64_t, std::size_t> Index;
-  /// Dense variant (§4.3's O(1)-keys sink): pre-seeded slot array; key I
-  /// lives at Entries-free DenseSlots[I].
-  bool Dense = false;
-  std::vector<Value> DenseSlots;
-
-  std::size_t slot(std::int64_t Key, const Value &Seed) {
-    assert(!Dense && "hash path used on a dense sink");
-    auto It = Index.find(Key);
-    if (It != Index.end())
-      return It->second;
-    std::size_t Slot = Entries.size();
-    Index.emplace(Key, Slot);
-    Entries.emplace_back(Key, Seed);
-    return Slot;
-  }
-};
-
-struct VecSinkI {
-  std::vector<Value> Elems;
-  /// Backing store for DeclareSinkView (built on demand).
-  std::vector<double> FlatCopy;
-};
-
-struct SinkObj {
-  SinkKind Kind = SinkKind::Vec;
-  GroupSinkI Group;
-  GroupAggSinkI GroupAgg;
-  VecSinkI Vec;
-};
+/// One declared sink: the collection generated code declares for it,
+/// holding interpreter Values as accumulators and elements.
+using SinkObj = std::variant<rt::GroupSink, rt::GroupAggSink<Value>,
+                             rt::DenseAggSink<Value>, std::vector<Value>>;
 
 enum class Flow { Normal, Continue, Break };
 
@@ -154,16 +109,16 @@ private:
       Locals[S.Name] = eval(S.E);
       return Flow::Normal;
     case StmtKind::DeclareSinkView: {
-      SinkObj &Sink = sink(S.SlotVar);
-      assert(Sink.Kind == SinkKind::Vec &&
-             "sink view over a non-vector sink");
-      Sink.Vec.FlatCopy.clear();
-      Sink.Vec.FlatCopy.reserve(Sink.Vec.Elems.size());
-      for (const Value &V : Sink.Vec.Elems)
-        Sink.Vec.FlatCopy.push_back(V.asDouble());
-      Locals[S.Name] = Value(VecView{
-          Sink.Vec.FlatCopy.data(),
-          static_cast<std::int64_t>(Sink.Vec.FlatCopy.size())});
+      // Generated code views the vector's own storage; these elements are
+      // Values, so the view reads a flat copy of them.
+      const std::vector<Value> &Elems = sink<std::vector<Value>>(S.SlotVar);
+      std::vector<double> &Flat = SinkViews[S.SlotVar];
+      Flat.clear();
+      Flat.reserve(Elems.size());
+      for (const Value &V : Elems)
+        Flat.push_back(V.asDouble());
+      Locals[S.Name] = Value(
+          VecView{Flat.data(), static_cast<std::int64_t>(Flat.size())});
       return Flow::Normal;
     }
     case StmtKind::If:
@@ -176,46 +131,30 @@ private:
       return Flow::Break;
     case StmtKind::Loop:
       return execLoop(S);
-    case StmtKind::DeclareSink: {
-      SinkObj Obj;
-      Obj.Kind = S.Sink.Kind;
-      if (S.Sink.isDense()) {
-        Obj.GroupAgg.Dense = true;
-        std::int64_t N = eval(S.Sink.DenseKeys).asInt64();
-        Obj.GroupAgg.DenseSlots.assign(
-            static_cast<std::size_t>(N < 0 ? 0 : N),
-            eval(S.Sink.DenseSeed));
-      }
-      Sinks[S.Name] = std::move(Obj);
+    case StmtKind::DeclareSink:
+      Sinks.insert_or_assign(S.Name, declareSink(S.Sink));
       return Flow::Normal;
-    }
     case StmtKind::SinkGroupPut:
-      sink(S.Name).Group.put(eval(S.E).asInt64(), eval(S.E2).asDouble());
+      sink<rt::GroupSink>(S.Name).put(eval(S.E).asInt64(),
+                                      eval(S.E2).asDouble());
       return Flow::Normal;
     case StmtKind::SinkGroupAggUpdate: {
-      SinkObj &Sink = sink(S.Name);
       std::int64_t Key = eval(S.E).asInt64();
-      if (Sink.GroupAgg.Dense) {
-        std::vector<Value> &Slots = Sink.GroupAgg.DenseSlots;
-        assert(Key >= 0 &&
-               static_cast<std::size_t>(Key) < Slots.size() &&
-               "dense sink key out of range");
-        Locals[S.SlotVar] = Slots[static_cast<std::size_t>(Key)];
-        Slots[static_cast<std::size_t>(Key)] = eval(S.E3);
-        return Flow::Normal;
-      }
-      std::size_t Slot = Sink.GroupAgg.slot(Key, eval(S.E2));
-      Locals[S.SlotVar] = Sink.GroupAgg.Entries[Slot].second;
-      Sink.GroupAgg.Entries[Slot].second = eval(S.E3);
+      // A hash sink inserts the seed on first sight; a dense sink was
+      // seeded at declaration, so its update carries no seed.
+      Value &Acc = S.E2 ? sink<rt::GroupAggSink<Value>>(S.Name).slot(
+                              Key, eval(S.E2))
+                        : sink<rt::DenseAggSink<Value>>(S.Name).slot(Key);
+      Locals[S.SlotVar] = Acc;
+      Acc = eval(S.E3);
       return Flow::Normal;
     }
     case StmtKind::SinkVecPush:
-      sink(S.Name).Vec.Elems.push_back(eval(S.E));
+      sink<std::vector<Value>>(S.Name).push_back(eval(S.E));
       return Flow::Normal;
     case StmtKind::SortSinkVec: {
-      SinkObj &Sink = sink(S.Name);
       const std::string &Param = S.KeyFn.param(0).Name;
-      std::vector<Value> &Elems = Sink.Vec.Elems;
+      std::vector<Value> &Elems = sink<std::vector<Value>>(S.Name);
       // Decorate-sort-undecorate keeps key evaluation linear and the sort
       // stable.
       std::vector<std::pair<double, std::size_t>> Keys;
@@ -268,50 +207,26 @@ private:
     case LoopKind::Source:
       return execSourceLoop(S);
     case LoopKind::GroupSink: {
-      GroupSinkI &G = sink(L.SinkName).Group;
-      std::size_t N = G.Buckets.size();
-      for (std::size_t I = 0; I != N; ++I) {
-        const auto &Bucket = G.Buckets[I];
-        Value Elem = Value::makePair(
-            Value(Bucket.first),
-            Value(VecView{Bucket.second.data(),
-                          static_cast<std::int64_t>(
-                              Bucket.second.size())}));
-        Locals[L.ElemVar] = std::move(Elem);
-        Flow F = execList(S.Body);
-        if (F == Flow::Break)
+      const rt::GroupSink &G = sink<rt::GroupSink>(L.SinkName);
+      for (std::int64_t I = 0, N = G.size(); I != N; ++I) {
+        rt::Pair<std::int64_t, rt::VecView> Group = G.group(I);
+        Locals[L.ElemVar] = Value::makePair(
+            Value(Group.First),
+            Value(VecView{Group.Second.Data, Group.Second.Len}));
+        if (execList(S.Body) == Flow::Break)
           break;
       }
       return Flow::Normal;
     }
-    case LoopKind::GroupAggSink: {
-      GroupAggSinkI &G = sink(L.SinkName).GroupAgg;
-      if (G.Dense) {
-        std::size_t N = G.DenseSlots.size();
-        for (std::size_t I = 0; I != N; ++I) {
-          Locals[L.KeyVar] = Value(static_cast<std::int64_t>(I));
-          Locals[L.AccVar] = G.DenseSlots[I];
-          Flow F = execList(S.Body);
-          if (F == Flow::Break)
-            break;
-        }
-        return Flow::Normal;
-      }
-      std::size_t N = G.Entries.size();
-      for (std::size_t I = 0; I != N; ++I) {
-        Locals[L.KeyVar] = Value(G.Entries[I].first);
-        Locals[L.AccVar] = G.Entries[I].second;
-        Flow F = execList(S.Body);
-        if (F == Flow::Break)
-          break;
-      }
-      return Flow::Normal;
-    }
+    case LoopKind::GroupAggSink:
+      if (L.Sink.isDense())
+        return execAggLoop(S, sink<rt::DenseAggSink<Value>>(L.SinkName));
+      return execAggLoop(S, sink<rt::GroupAggSink<Value>>(L.SinkName));
     case LoopKind::VecSink: {
-      VecSinkI &V = sink(L.SinkName).Vec;
-      std::size_t N = V.Elems.size();
+      const std::vector<Value> &V = sink<std::vector<Value>>(L.SinkName);
+      std::size_t N = V.size();
       for (std::size_t I = 0; I != N; ++I) {
-        Locals[L.ElemVar] = V.Elems[I];
+        Locals[L.ElemVar] = V[I];
         Flow F = execList(S.Body);
         if (F == Flow::Break)
           break;
@@ -320,6 +235,19 @@ private:
     }
     }
     stenoUnreachable("bad LoopKind");
+  }
+
+  /// Visits a group-aggregate sink's (key, accumulator) entries in order.
+  template <typename AggSink>
+  Flow execAggLoop(const Stmt &S, const AggSink &G) {
+    const LoopInfo &L = S.Loop;
+    for (std::int64_t I = 0, N = G.size(); I != N; ++I) {
+      Locals[L.KeyVar] = Value(G.keyAt(I));
+      Locals[L.AccVar] = G.accAt(I);
+      if (execList(S.Body) == Flow::Break)
+        break;
+    }
+    return Flow::Normal;
   }
 
   Flow execSourceLoop(const Stmt &S) {
@@ -383,11 +311,28 @@ private:
     stenoUnreachable("bad SourceKind");
   }
 
-  SinkObj &sink(const std::string &Name) {
+  SinkObj declareSink(const cpptree::SinkDecl &D) {
+    switch (D.Kind) {
+    case SinkKind::Group:
+      return rt::GroupSink();
+    case SinkKind::GroupAgg:
+      if (!D.isDense())
+        return rt::GroupAggSink<Value>();
+      return rt::DenseAggSink<Value>(eval(D.DenseKeys).asInt64(),
+                                     eval(D.DenseSeed));
+    case SinkKind::Vec:
+      return std::vector<Value>();
+    }
+    stenoUnreachable("bad SinkKind");
+  }
+
+  /// The declared sink \p Name, which must be a T.
+  template <typename T> T &sink(const std::string &Name) {
     auto It = Sinks.find(Name);
-    if (It == Sinks.end())
+    T *Sink = It == Sinks.end() ? nullptr : std::get_if<T>(&It->second);
+    if (!Sink)
       support::fatalError("undeclared sink '" + Name + "'");
-    return It->second;
+    return *Sink;
   }
 
   const cpptree::Program &P;
@@ -396,6 +341,8 @@ private:
   const std::vector<expr::SourceBuffer> *Sources = nullptr;
   std::unordered_map<std::string, Value> Locals;
   std::unordered_map<std::string, SinkObj> Sinks;
+  /// Backing stores of DeclareSinkView, by sink name.
+  std::unordered_map<std::string, std::vector<double>> SinkViews;
   std::vector<Value> Rows;
   std::shared_ptr<std::deque<std::vector<double>>> Arena;
 };

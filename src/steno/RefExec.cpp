@@ -2,6 +2,7 @@
 
 #include "steno/RefExec.h"
 #include "expr/Eval.h"
+#include "steno/Rt.h"
 #include "support/Error.h"
 
 #include <algorithm>
@@ -256,7 +257,8 @@ private:
         auto It = Index.find(Key);
         size_t Slot;
         if (It == Index.end()) {
-          assert(!N->denseKeys() && "dense sink key out of range");
+          if (N->denseKeys())
+            rt::trap(rt::Trap::DenseKey);
           Slot = Entries.size();
           Index.emplace(Key, Slot);
           Entries.emplace_back(Key, eval(N->arg()));

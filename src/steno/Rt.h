@@ -14,12 +14,21 @@
 /// §4.3). This header must not include any other steno header — generated
 /// code compiles against it alone.
 ///
+/// It is also the one runtime of every backend. The scalar operators whose
+/// C++ meaning is not already the definition (checked int64 `/` and `%`,
+/// `min`, `max`, `abs`), the trap that reports every run-time error, and
+/// the group sinks are defined here once; the interpreters, the batch
+/// kernels and the reference executor call these same definitions (through
+/// expr/Ops.h for the operators), so every backend computes the same value
+/// and fails the same way.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef STENO_STENO_RT_H
 #define STENO_STENO_RT_H
 
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -31,35 +40,67 @@ namespace steno {
 namespace rt {
 
 //===------------------------------------------------------------------===//
-// Checked integer division
+// Run-time traps
 //===------------------------------------------------------------------===//
 
-/// Structured runtime trap for integer division by zero (and the INT64_MIN
-/// / -1 overflow, the other undefined case of C++ integer division). The
-/// code ST2001 matches the static analyzer's division diagnostic, so a log
-/// line from a production trap correlates directly with the compile-time
-/// warning that predicted it.
-[[noreturn]] inline void trapDivByZero() {
-  std::fputs("steno runtime error [ST2001]: integer division by zero\n",
+/// The run-time errors a query can raise. Each has a stable code in the
+/// static analyzer's ST2xxx series, so a log line from a production trap
+/// correlates directly with the compile-time diagnostic that predicted it.
+enum class Trap {
+  DivByZero, ///< ST2001: int64 `/` or `%` by zero, or INT64_MIN / -1.
+  DenseKey,  ///< ST2007: a dense group key outside [0, NumKeys).
+};
+
+/// Reports \p T as "steno runtime error [<code>]: <what>" on stderr and
+/// aborts: the one exit of every run-time error on every backend, in place
+/// of undefined behavior.
+[[noreturn]] inline void trap(Trap T) {
+  std::fputs(T == Trap::DivByZero
+                 ? "steno runtime error [ST2001]: integer division by zero\n"
+                 : "steno runtime error [ST2007]: dense group key out of "
+                   "range\n",
              stderr);
   std::abort();
 }
 
-/// Division/modulo with defined behavior on every input: traps with a
-/// structured error instead of executing undefined behavior. The code
-/// generator emits these wherever the analyzer could not prove the divisor
-/// is a nonzero constant.
+//===------------------------------------------------------------------===//
+// Scalar operators
+//===------------------------------------------------------------------===//
+
+/// True when the int64 quotient and remainder of \p A by \p B are
+/// undefined in C++: a zero divisor, or INT64_MIN / -1, whose quotient
+/// overflows.
+constexpr bool divTraps(std::int64_t A, std::int64_t B) {
+  return B == 0 || (B == -1 && A == INT64_MIN);
+}
+
+/// int64 `/` and `%` with defined behavior on every input: where C++ is
+/// undefined they trap with ST2001. The code generator emits these wherever
+/// the analyzer could not prove the division safe.
 inline std::int64_t ckdiv(std::int64_t A, std::int64_t B) {
-  if (B == 0 || (B == -1 && A == INT64_MIN))
-    trapDivByZero();
+  if (divTraps(A, B))
+    trap(Trap::DivByZero);
   return A / B;
 }
 
 inline std::int64_t ckmod(std::int64_t A, std::int64_t B) {
-  if (B == 0 || (B == -1 && A == INT64_MIN))
-    trapDivByZero();
+  if (divTraps(A, B))
+    trap(Trap::DivByZero);
   return A % B;
 }
+
+/// `min(a, b)` is a when a < b, else b; `max(a, b)` is a when a > b, else
+/// b. So a NaN operand wins only in second position (min(NaN, 1.0) is 1.0,
+/// min(1.0, NaN) is NaN), and of two equal operands the second wins
+/// (min(-0.0, 0.0) is 0.0). std::min and std::max return the first operand
+/// in both cases, so generated code does not call them.
+template <typename T> constexpr T min(T A, T B) { return A < B ? A : B; }
+template <typename T> constexpr T max(T A, T B) { return A > B ? A : B; }
+
+/// `abs`: an int64 by negation (abs(INT64_MIN) is undefined, like its
+/// negation), a double by clearing the sign bit, so abs(-0.0) is +0.0.
+constexpr std::int64_t abs(std::int64_t X) { return X < 0 ? -X : X; }
+inline double abs(double X) { return std::fabs(X); }
 
 /// Borrowed view of Len contiguous doubles (a point, or a group's bag).
 struct VecView {
@@ -281,13 +322,18 @@ private:
 /// Dense-key partial-aggregate sink (the closing optimization of §4.3):
 /// when the keys are known to lie in [0, NumKeys), one flat array of
 /// accumulators replaces the hash table — O(1) access with no hashing.
-/// Every key in range is reported, untouched slots carrying the seed.
+/// Every key in range is reported, untouched slots carrying the seed. A
+/// key outside the range breaks the query's promise and traps with ST2007.
 template <typename A> class DenseAggSink {
 public:
   DenseAggSink(std::int64_t NumKeys, const A &Seed)
       : Slots(static_cast<std::size_t>(NumKeys < 0 ? 0 : NumKeys), Seed) {}
 
-  A &slot(std::int64_t Key) { return Slots[static_cast<std::size_t>(Key)]; }
+  A &slot(std::int64_t Key) {
+    if (Key < 0 || Key >= size())
+      trap(Trap::DenseKey);
+    return Slots[static_cast<std::size_t>(Key)];
+  }
 
   std::int64_t size() const {
     return static_cast<std::int64_t>(Slots.size());

@@ -6,7 +6,6 @@
 #include "codegen/VecGen.h"
 #include "cpptree/Printer.h"
 #include "interp/Interp.h"
-#include "interp/VecInterp.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
 #include "support/Error.h"
@@ -214,6 +213,36 @@ void checkBindingsImpl(const cpptree::SlotUsage &Slots,
 }
 } // namespace
 
+/// Runs \p I over \p B with its one executor — the native entry, the
+/// batch executor or the scalar interpreter — accounting into \p Prof
+/// when it is non-null.
+static QueryResult execute(const CompiledQuery::Impl &I, const Bindings &B,
+                           obs::ProfileSink *Prof) {
+  std::vector<expr::Value> Rows;
+  std::shared_ptr<std::deque<std::vector<double>>> Arena;
+  if (I.ExecBackend == Backend::Native) {
+    jit::ExecOutput Out = jit::run(
+        I.Module->entry(), B.sources(), B.values(), I.Program.ResultType,
+        Prof ? Prof->Counts.data() : nullptr,
+        Prof ? Prof->Nanos.data() : nullptr);
+    Rows = std::move(Out.Rows);
+    Arena = std::move(Out.Arena);
+  } else if (I.VecPlan) {
+    Rows = vec::executeBatched(*I.VecPlan,
+                               vec::BatchInput{&B.sources(), &B.values(), Prof});
+  } else {
+    interp::RunOutput Out = interp::execute(
+        I.Program, interp::RunInput{&B.sources(), &B.values(), Prof});
+    Rows = std::move(Out.Rows);
+    Arena = std::move(Out.Arena);
+  }
+  if (I.Program.ScalarResult && Rows.size() != 1)
+    support::fatalError("scalar query emitted " +
+                        std::to_string(Rows.size()) + " rows");
+  return QueryResult(I.Program.ScalarResult, std::move(Rows),
+                     std::move(Arena));
+}
+
 QueryResult CompiledQuery::run(const Bindings &B) const {
   if (!I)
     support::fatalError("running a default-constructed CompiledQuery");
@@ -238,31 +267,7 @@ QueryResult CompiledQuery::run(const Bindings &B) const {
   if (I->Profile && !I->Program.ProfOps.empty())
     Prof = std::make_unique<obs::ProfileSink>(I->Program.ProfOps.size());
 
-  std::vector<expr::Value> Rows;
-  std::shared_ptr<std::deque<std::vector<double>>> Arena;
-  if (I->ExecBackend == Backend::Native) {
-    jit::ExecOutput Out =
-        jit::run(I->Module->entry(), B.sources(), B.values(),
-                 I->Program.ResultType,
-                 Prof ? Prof->Counts.data() : nullptr,
-                 Prof ? Prof->Nanos.data() : nullptr);
-    Rows = std::move(Out.Rows);
-    Arena = std::move(Out.Arena);
-  } else if (I->VecPlan) {
-    interp::RunInput In;
-    In.Sources = &B.sources();
-    In.Values = &B.values();
-    In.Profile = Prof.get();
-    Rows = interp::executeVectorized(*I->VecPlan, In).Rows;
-  } else {
-    interp::RunInput In;
-    In.Sources = &B.sources();
-    In.Values = &B.values();
-    In.Profile = Prof.get();
-    interp::RunOutput Out = interp::execute(I->Program, In);
-    Rows = std::move(Out.Rows);
-    Arena = std::move(Out.Arena);
-  }
+  QueryResult R = execute(*I, B, Prof.get());
 
   // The universal merge point: every execution path — interp, native,
   // serve's swapped backends, a dryad vertex inside a morsel — funnels
@@ -272,16 +277,11 @@ QueryResult CompiledQuery::run(const Bindings &B) const {
 
   Runs.inc();
   RowsIn.inc(static_cast<std::uint64_t>(Consumed));
-  RowsOut.inc(Rows.size());
+  RowsOut.inc(R.rows().size());
   RunMicros.observe(Timer.seconds() * 1e6);
   Span.arg("rows_in", Consumed);
-  Span.arg("rows_out", static_cast<std::int64_t>(Rows.size()));
-
-  if (I->Program.ScalarResult && Rows.size() != 1)
-    support::fatalError("scalar query emitted " +
-                        std::to_string(Rows.size()) + " rows");
-  return QueryResult(I->Program.ScalarResult, std::move(Rows),
-                     std::move(Arena));
+  Span.arg("rows_out", static_cast<std::int64_t>(R.rows().size()));
+  return R;
 }
 
 const std::string &CompiledQuery::generatedSource() const {
@@ -307,38 +307,9 @@ QueryResult QueryRunner::run(const Bindings &B) {
     checkBindingsImpl(I->Slots, I->Program.Name, B);
     Checked = true;
   }
-  std::vector<expr::Value> Rows;
-  std::shared_ptr<std::deque<std::vector<double>>> Arena;
-  if (I->ExecBackend == Backend::Native) {
-    jit::ExecOutput Out =
-        jit::run(I->Module->entry(), B.sources(), B.values(),
-                 I->Program.ResultType,
-                 Sink ? Sink->Counts.data() : nullptr,
-                 Sink ? Sink->Nanos.data() : nullptr);
-    Rows = std::move(Out.Rows);
-    Arena = std::move(Out.Arena);
-  } else if (I->VecPlan) {
-    interp::RunInput In;
-    In.Sources = &B.sources();
-    In.Values = &B.values();
-    In.Profile = Sink.get();
-    Rows = interp::executeVectorized(*I->VecPlan, In).Rows;
-  } else {
-    interp::RunInput In;
-    In.Sources = &B.sources();
-    In.Values = &B.values();
-    In.Profile = Sink.get();
-    interp::RunOutput Out = interp::execute(I->Program, In);
-    Rows = std::move(Out.Rows);
-    Arena = std::move(Out.Arena);
-  }
   if (Sink)
     Dirty = true;
-  if (I->Program.ScalarResult && Rows.size() != 1)
-    support::fatalError("scalar query emitted " +
-                        std::to_string(Rows.size()) + " rows");
-  return QueryResult(I->Program.ScalarResult, std::move(Rows),
-                     std::move(Arena));
+  return execute(*I, B, Sink.get());
 }
 
 void QueryRunner::flush(unsigned Worker) {

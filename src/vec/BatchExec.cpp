@@ -8,11 +8,13 @@
 #include "vec/BatchExec.h"
 
 #include "expr/Analysis.h"
+#include "expr/Ops.h"
 
 #include <algorithm>
 #include <cassert>
 #include <chrono>
 #include <cstdint>
+#include <type_traits>
 
 using namespace steno;
 using namespace steno::vec;
@@ -45,58 +47,36 @@ bool hasNoFreeParams(const ExprRef &E) {
   return !E || expr::freeParams(*E).empty();
 }
 
-/// Recognizes `(acc, x) => acc op g(x)` (and the Min/Max call form) so the
-/// fold runs as a typed tight loop. Conservative: the accumulator operand
-/// must be exactly the bare acc parameter, acc must not occur in g, and
-/// acc/g/result must share one numeric type. Everything else (Average's
-/// pair accumulator, user folds) takes the Generic per-lane path.
+/// Recognizes `(acc, x) => acc op g(x)` for op in + - * (and the min/max
+/// call form), with acc on either side, so the fold runs as a typed tight
+/// loop. Conservative: the accumulator operand must be exactly the bare
+/// acc parameter, acc must not occur in g, and acc/g/result must share one
+/// numeric type. Everything else (Average's pair accumulator, user folds)
+/// takes the Generic per-lane path.
 bool recognizeReduce(const expr::Lambda &Fn2, VecPlan &P) {
   if (Fn2.arity() != 2)
     return false;
   const std::string &Acc = Fn2.param(0).Name;
   const std::string &Elem = Fn2.param(1).Name;
   const Expr &B = *Fn2.body();
+  bool IsStep =
+      B.kind() == ExprKind::Binary
+          ? B.binaryOp() == BinaryOp::Add || B.binaryOp() == BinaryOp::Sub ||
+                B.binaryOp() == BinaryOp::Mul
+          : B.kind() == ExprKind::Call && (B.builtin() == Builtin::Min ||
+                                           B.builtin() == Builtin::Max);
+  if (!IsStep)
+    return false;
   auto IsAccParam = [&](const ExprRef &E) {
     return E->kind() == ExprKind::Param && E->paramName() == Acc;
   };
   ExprRef G;
-  if (B.kind() == ExprKind::Binary) {
-    switch (B.binaryOp()) {
-    case BinaryOp::Add:
-      P.ROp = VReduceOp::Add;
-      break;
-    case BinaryOp::Sub:
-      P.ROp = VReduceOp::Sub;
-      break;
-    case BinaryOp::Mul:
-      P.ROp = VReduceOp::Mul;
-      break;
-    default:
-      return false;
-    }
-    if (IsAccParam(B.operand(0))) {
-      P.AccFirst = true;
-      G = B.operand(1);
-    } else if (IsAccParam(B.operand(1)) && P.ROp != VReduceOp::Sub) {
-      P.AccFirst = false;
-      G = B.operand(0);
-    } else {
-      return false;
-    }
-  } else if (B.kind() == ExprKind::Call &&
-             (B.builtin() == Builtin::Min || B.builtin() == Builtin::Max)) {
-    if (B.operands().size() != 2)
-      return false;
-    P.ROp = B.builtin() == Builtin::Min ? VReduceOp::Min : VReduceOp::Max;
-    if (IsAccParam(B.operand(0))) {
-      P.AccFirst = true;
-      G = B.operand(1);
-    } else if (IsAccParam(B.operand(1))) {
-      P.AccFirst = false;
-      G = B.operand(0);
-    } else {
-      return false;
-    }
+  if (IsAccParam(B.operand(0))) {
+    P.AccFirst = true;
+    G = B.operand(1);
+  } else if (IsAccParam(B.operand(1))) {
+    P.AccFirst = false;
+    G = B.operand(0);
   } else {
     return false;
   }
@@ -277,6 +257,29 @@ std::int64_t whileBoundary(const VStep &St, EvalCtx &Ctx, const Lanes &L) {
     if (!Pd.B[L.at(J)])
       return J;
   return Sz;
+}
+
+/// Folds the live lanes of \p G into \p Acc with the Reduce plan's step,
+/// the operator at the root of its Fn2 body, keeping the accumulator in
+/// the operand position the body gives it.
+template <typename T>
+T foldLanes(const VecPlan &P, T Acc, const T *G, const Lanes &L) {
+  auto Fold = [&](auto Step) {
+    if constexpr (std::is_invocable_v<decltype(Step), T, T>) {
+      T A = Acc;
+      if (P.AccFirst)
+        L.forEach([&](std::int64_t I) { A = Step(A, G[I]); });
+      else
+        L.forEach([&](std::int64_t I) { A = Step(G[I], A); });
+      Acc = A;
+    }
+  };
+  const Expr &Body = *P.AggStep.body();
+  if (Body.kind() == ExprKind::Binary)
+    expr::withArithmetic(Body.binaryOp(), Fold);
+  else
+    expr::withBuiltin(Body.builtin(), Fold);
+  return Acc;
 }
 
 } // namespace
@@ -464,56 +467,10 @@ std::vector<Value> vec::executeBatched(const VecPlan &P,
       if (IsReduce) {
         Ctx.Elem = Elem;
         Col G = evalVec(P.AggArg.Tree, Ctx, L);
-        if (P.AccK == TypeKind::Int64) {
-          std::int64_t A = AccI;
-          switch (P.ROp) {
-          case VReduceOp::Add:
-            L.forEach([&](std::int64_t I) { A += G.I[I]; });
-            break;
-          case VReduceOp::Sub: // acc-left only (planner guarantees)
-            L.forEach([&](std::int64_t I) { A -= G.I[I]; });
-            break;
-          case VReduceOp::Mul:
-            L.forEach([&](std::int64_t I) { A *= G.I[I]; });
-            break;
-          case VReduceOp::Min:
-            L.forEach([&](std::int64_t I) { A = std::min(A, G.I[I]); });
-            break;
-          case VReduceOp::Max:
-            L.forEach([&](std::int64_t I) { A = std::max(A, G.I[I]); });
-            break;
-          }
-          AccI = A;
-        } else {
-          double A = AccD;
-          bool AF = P.AccFirst;
-          switch (P.ROp) {
-          case VReduceOp::Add:
-            L.forEach([&](std::int64_t I) { A += G.D[I]; });
-            break;
-          case VReduceOp::Sub:
-            L.forEach([&](std::int64_t I) { A -= G.D[I]; });
-            break;
-          case VReduceOp::Mul:
-            L.forEach([&](std::int64_t I) { A *= G.D[I]; });
-            break;
-          // Min/Max replicate evalCall's TakeA comparison with the
-          // original operand order, so NaN handling matches scalar.
-          case VReduceOp::Min:
-            L.forEach([&](std::int64_t I) {
-              double X = G.D[I];
-              A = AF ? (A < X ? A : X) : (X < A ? X : A);
-            });
-            break;
-          case VReduceOp::Max:
-            L.forEach([&](std::int64_t I) {
-              double X = G.D[I];
-              A = AF ? (A > X ? A : X) : (X > A ? X : A);
-            });
-            break;
-          }
-          AccD = A;
-        }
+        if (P.AccK == TypeKind::Int64)
+          AccI = foldLanes(P, AccI, G.I, L);
+        else
+          AccD = foldLanes(P, AccD, G.D, L);
       } else {
         L.forEach([&](std::int64_t I) {
           AccV = expr::applyLambda(P.AggStep, {AccV, laneValue(Elem, I)},

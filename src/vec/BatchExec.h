@@ -53,9 +53,6 @@ enum class VAggMode {
   Generic ///< Per-lane applyLambda fold (pair accumulators, odd steps).
 };
 
-/// Reduction operator for VAggMode::Reduce.
-enum class VReduceOp { Add, Sub, Mul, Min, Max };
-
 /// One planned Trans/Pred step.
 struct VStep {
   VStepKind K = VStepKind::Trans;
@@ -83,9 +80,9 @@ struct VecPlan {
   std::vector<VStep> Steps;
 
   VAggMode Agg = VAggMode::None;
-  VReduceOp ROp = VReduceOp::Add;
-  /// Whether the accumulator is the reduction's first operand (fixes the
-  /// operand order of Sub and the NaN behavior of Min/Max).
+  /// Whether the accumulator is the first operand of the Reduce step, the
+  /// operator at the root of AggStep's body (fixes the operand order of
+  /// Sub and the NaN behavior of Min/Max).
   bool AccFirst = true;
   /// Compiled element-side expression g of `acc = acc op g(elem)`.
   CompiledExpr AggArg;

@@ -8,17 +8,15 @@
 #include "vec/VecEval.h"
 
 #include "expr/Analysis.h"
-#include "support/Error.h"
+#include "expr/Ops.h"
 
 #include <cassert>
-#include <climits>
-#include <cmath>
 #include <cstdint>
+#include <type_traits>
 
 using namespace steno;
 using namespace steno::vec;
 using expr::BinaryOp;
-using expr::Builtin;
 using expr::Expr;
 using expr::ExprKind;
 using expr::ExprRef;
@@ -142,14 +140,49 @@ Lanes fromSel(const std::vector<std::int32_t> &S) {
                static_cast<std::int64_t>(S.size())};
 }
 
-/// Lane read with the numeric coercion of Value::asNumericDouble.
-double numAt(const Col &C, std::int64_t I) {
-  return C.K == TypeKind::Double ? C.D[I] : static_cast<double>(C.I[I]);
+/// Lane \p I of \p C read as a T; an int64 lane read as a double is
+/// promoted, as Value::asNumericDouble promotes it.
+template <typename T> T laneAt(const Col &C, std::int64_t I) {
+  if constexpr (std::is_same_v<T, bool>)
+    return C.B[I] != 0;
+  else if constexpr (std::is_same_v<T, std::int64_t>)
+    return C.I[I];
+  else
+    return C.K == TypeKind::Double ? C.D[I] : static_cast<double>(C.I[I]);
 }
 
-[[noreturn]] void divTrap() {
-  support::fatalError(
-      "steno runtime error [ST2001]: integer division by zero");
+/// A fresh column buffer for \p N lanes of R (bools are stored as bytes).
+template <typename R> auto *freshLanes(const EvalCtx &Ctx, std::size_t N) {
+  ColBuf &Buf = Ctx.Scr->col();
+  if constexpr (std::is_same_v<R, bool>)
+    return Buf.bl(N);
+  else if constexpr (std::is_same_v<R, std::int64_t>)
+    return Buf.i64(N);
+  else
+    return Buf.dbl(N);
+}
+
+Col colOf(const std::uint8_t *P) { return Col::bl(P); }
+Col colOf(const std::int64_t *P) { return Col::i64(P); }
+Col colOf(const double *P) { return Col::dbl(P); }
+
+/// O[I] = Fn(In[I]...) over the live lanes, each operand read as a T. The
+/// column has Fn's result type.
+template <typename T, typename F, typename... Cs>
+Col mapLanes(F Fn, const EvalCtx &Ctx, const Lanes &L, const Cs &...In) {
+  using R = decltype(Fn(laneAt<T>(In, 0)...));
+  auto *O = freshLanes<R>(Ctx, laneBound(L));
+  L.forEach([&](std::int64_t I) { O[I] = Fn(laneAt<T>(In, I)...); });
+  return colOf(O);
+}
+
+/// mapLanes at the operands' common numeric kind: int64 when every
+/// operand is an int64 column, else double — expr::evalExpr's rule.
+template <typename F, typename... Cs>
+Col applyLanes(F Fn, const EvalCtx &Ctx, const Lanes &L, const Cs &...In) {
+  if (((In.K == TypeKind::Int64) && ...))
+    return mapLanes<std::int64_t>(Fn, Ctx, L, In...);
+  return mapLanes<double>(Fn, Ctx, L, In...);
 }
 
 /// Broadcasts a scalar Value over the live lanes of a fresh column.
@@ -281,195 +314,27 @@ Col evalLogicVec(const VecExpr &N, const EvalCtx &Ctx, const Lanes &L) {
   return Col::bl(O);
 }
 
-/// O[I] = At(A, I) Op At(B, I) over the live lanes, with the operator
-/// switch hoisted out of the lane loop.
-template <typename Getter>
-void compareLanes(BinaryOp Op, const Lanes &L, const Col &A, const Col &B,
-                  std::uint8_t *O, Getter At) {
-  switch (Op) {
-  case BinaryOp::Eq:
-    L.forEach([&](std::int64_t I) { O[I] = At(A, I) == At(B, I) ? 1 : 0; });
-    break;
-  case BinaryOp::Ne:
-    L.forEach([&](std::int64_t I) { O[I] = At(A, I) != At(B, I) ? 1 : 0; });
-    break;
-  case BinaryOp::Lt:
-    L.forEach([&](std::int64_t I) { O[I] = At(A, I) < At(B, I) ? 1 : 0; });
-    break;
-  case BinaryOp::Le:
-    L.forEach([&](std::int64_t I) { O[I] = At(A, I) <= At(B, I) ? 1 : 0; });
-    break;
-  case BinaryOp::Gt:
-    L.forEach([&](std::int64_t I) { O[I] = At(A, I) > At(B, I) ? 1 : 0; });
-    break;
-  case BinaryOp::Ge:
-    L.forEach([&](std::int64_t I) { O[I] = At(A, I) >= At(B, I) ? 1 : 0; });
-    break;
-  default:
-    assert(false && "non-comparison op");
-  }
-}
-
-Col evalArithCompareVec(const VecExpr &N, const EvalCtx &Ctx,
-                        const Lanes &L) {
+Col evalBinaryVec(const VecExpr &N, const EvalCtx &Ctx, const Lanes &L) {
   BinaryOp Op = N.E->binaryOp();
   Col A = evalVec(N.Kids[0], Ctx, L);
   Col B = evalVec(N.Kids[1], Ctx, L);
-  std::size_t Bn = laneBound(L);
-  if (expr::isArithmetic(Op)) {
-    if (A.K == TypeKind::Int64 && B.K == TypeKind::Int64) {
-      std::int64_t *O = Ctx.Scr->col().i64(Bn);
-      switch (Op) {
-      case BinaryOp::Add:
-        L.forEach([&](std::int64_t I) { O[I] = A.I[I] + B.I[I]; });
-        break;
-      case BinaryOp::Sub:
-        L.forEach([&](std::int64_t I) { O[I] = A.I[I] - B.I[I]; });
-        break;
-      case BinaryOp::Mul:
-        L.forEach([&](std::int64_t I) { O[I] = A.I[I] * B.I[I]; });
-        break;
-      case BinaryOp::Div:
-        L.forEach([&](std::int64_t I) {
-          std::int64_t X = A.I[I], Y = B.I[I];
-          if (Y == 0 || (Y == -1 && X == INT64_MIN))
-            divTrap();
-          O[I] = X / Y;
-        });
-        break;
-      case BinaryOp::Mod:
-        L.forEach([&](std::int64_t I) {
-          std::int64_t X = A.I[I], Y = B.I[I];
-          if (Y == 0 || (Y == -1 && X == INT64_MIN))
-            divTrap();
-          O[I] = X % Y;
-        });
-        break;
-      default:
-        assert(false && "non-arithmetic op");
-      }
-      return Col::i64(O);
-    }
-    double *O = Ctx.Scr->col().dbl(Bn);
-    switch (Op) {
-    case BinaryOp::Add:
-      L.forEach([&](std::int64_t I) { O[I] = numAt(A, I) + numAt(B, I); });
-      break;
-    case BinaryOp::Sub:
-      L.forEach([&](std::int64_t I) { O[I] = numAt(A, I) - numAt(B, I); });
-      break;
-    case BinaryOp::Mul:
-      L.forEach([&](std::int64_t I) { O[I] = numAt(A, I) * numAt(B, I); });
-      break;
-    case BinaryOp::Div:
-      L.forEach([&](std::int64_t I) { O[I] = numAt(A, I) / numAt(B, I); });
-      break;
-    case BinaryOp::Mod:
-      L.forEach([&](std::int64_t I) {
-        O[I] = std::fmod(numAt(A, I), numAt(B, I));
-      });
-      break;
-    default:
-      assert(false && "non-arithmetic op");
-    }
-    return Col::dbl(O);
-  }
-  // Comparison. Bool operands admit Eq/Ne only; numeric operands compare
-  // like the scalar evalCompare: two int64 columns exactly, anything else
-  // through the double coercion.
-  std::uint8_t *O = Ctx.Scr->col().bl(Bn);
-  if (A.K == TypeKind::Bool) {
-    bool IsEq = Op == BinaryOp::Eq;
-    L.forEach([&](std::int64_t I) {
-      bool X = A.B[I] != 0, Y = B.B[I] != 0;
-      O[I] = (IsEq ? X == Y : X != Y) ? 1 : 0;
-    });
-    return Col::bl(O);
-  }
-  if (A.K == TypeKind::Int64 && B.K == TypeKind::Int64)
-    compareLanes(Op, L, A, B, O,
-                 [](const Col &C, std::int64_t I) { return C.I[I]; });
-  else
-    compareLanes(Op, L, A, B, O,
-                 [](const Col &C, std::int64_t I) { return numAt(C, I); });
-  return Col::bl(O);
+  if (expr::isArithmetic(Op))
+    return expr::withArithmetic(
+        Op, [&](auto F) { return applyLanes(F, Ctx, L, A, B); });
+  return expr::withComparison(Op, [&](auto F) {
+    return A.K == TypeKind::Bool ? mapLanes<bool>(F, Ctx, L, A, B)
+                                 : applyLanes(F, Ctx, L, A, B);
+  });
 }
 
 Col evalCallVec(const VecExpr &N, const EvalCtx &Ctx, const Lanes &L) {
-  Builtin Fn = N.E->builtin();
-  Col A0 = evalVec(N.Kids[0], Ctx, L);
-  std::size_t Bn = laneBound(L);
-  switch (Fn) {
-  case Builtin::Sqrt:
-  case Builtin::Floor:
-  case Builtin::Ceil:
-  case Builtin::Exp:
-  case Builtin::Log: {
-    double *O = Ctx.Scr->col().dbl(Bn);
-    switch (Fn) {
-    case Builtin::Sqrt:
-      L.forEach([&](std::int64_t I) { O[I] = std::sqrt(numAt(A0, I)); });
-      break;
-    case Builtin::Floor:
-      L.forEach([&](std::int64_t I) { O[I] = std::floor(numAt(A0, I)); });
-      break;
-    case Builtin::Ceil:
-      L.forEach([&](std::int64_t I) { O[I] = std::ceil(numAt(A0, I)); });
-      break;
-    case Builtin::Exp:
-      L.forEach([&](std::int64_t I) { O[I] = std::exp(numAt(A0, I)); });
-      break;
-    default:
-      L.forEach([&](std::int64_t I) { O[I] = std::log(numAt(A0, I)); });
-      break;
-    }
-    return Col::dbl(O);
-  }
-  case Builtin::Abs: {
-    if (A0.K == TypeKind::Int64) {
-      std::int64_t *O = Ctx.Scr->col().i64(Bn);
-      L.forEach([&](std::int64_t I) {
-        std::int64_t X = A0.I[I];
-        O[I] = X < 0 ? -X : X;
-      });
-      return Col::i64(O);
-    }
-    double *O = Ctx.Scr->col().dbl(Bn);
-    L.forEach([&](std::int64_t I) { O[I] = std::fabs(A0.D[I]); });
-    return Col::dbl(O);
-  }
-  case Builtin::Min:
-  case Builtin::Max: {
-    Col A1 = evalVec(N.Kids[1], Ctx, L);
-    bool IsMin = Fn == Builtin::Min;
-    if (A0.K == TypeKind::Int64 && A1.K == TypeKind::Int64) {
-      std::int64_t *O = Ctx.Scr->col().i64(Bn);
-      L.forEach([&](std::int64_t I) {
-        std::int64_t X = A0.I[I], Y = A1.I[I];
-        bool TakeA = IsMin ? X < Y : X > Y;
-        O[I] = TakeA ? X : Y;
-      });
-      return Col::i64(O);
-    }
-    double *O = Ctx.Scr->col().dbl(Bn);
-    L.forEach([&](std::int64_t I) {
-      double X = numAt(A0, I), Y = numAt(A1, I);
-      bool TakeA = IsMin ? X < Y : X > Y;
-      O[I] = TakeA ? X : Y;
-    });
-    return Col::dbl(O);
-  }
-  case Builtin::Pow: {
-    Col A1 = evalVec(N.Kids[1], Ctx, L);
-    double *O = Ctx.Scr->col().dbl(Bn);
-    L.forEach([&](std::int64_t I) {
-      O[I] = std::pow(numAt(A0, I), numAt(A1, I));
-    });
-    return Col::dbl(O);
-  }
-  }
-  assert(false && "bad Builtin");
-  std::abort();
+  Col A = evalVec(N.Kids[0], Ctx, L);
+  return expr::withBuiltin(N.E->builtin(), [&](auto F) {
+    if constexpr (decltype(F)::Arity == 1)
+      return applyLanes(F, Ctx, L, A);
+    else
+      return applyLanes(F, Ctx, L, A, evalVec(N.Kids[1], Ctx, L));
+  });
 }
 
 /// Cond evaluates each branch only on the lanes that take it — both for
@@ -521,7 +386,7 @@ Col vec::evalVec(const VecExpr &N, const EvalCtx &Ctx, const Lanes &L) {
     BinaryOp Op = N.E->binaryOp();
     if (Op == BinaryOp::And || Op == BinaryOp::Or)
       return evalLogicVec(N, Ctx, L);
-    return evalArithCompareVec(N, Ctx, L);
+    return evalBinaryVec(N, Ctx, L);
   }
   case ExprKind::Call:
     return evalCallVec(N, Ctx, L);

@@ -19,8 +19,9 @@
 ///     need it (a refined selection), exactly as the scalar evaluator
 ///     short-circuits per element — so `x != 0 && 10 / x > 1` never
 ///     divides on the zero lanes.
-///   * Integer Div / Mod raise the same structured ST2001 trap as
-///     expr::evalExpr and rt::ckdiv, checked per live lane.
+///   * Integer Div / Mod call rt::ckdiv / rt::ckmod per live lane, like
+///     expr::evalExpr and generated code, so they raise the same ST2001
+///     trap. Every operator runs through the expr/Ops.h dispatch.
 ///
 /// compileVecExpr() decides once per plan whether an expression is
 /// columnar-executable (scalar element type at every lane-dependent node,

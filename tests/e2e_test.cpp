@@ -15,7 +15,10 @@
 
 #include "gtest/gtest.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdio>
+#include <limits>
 
 using namespace steno;
 using namespace steno::expr;
@@ -375,5 +378,172 @@ TEST(E2EInt64Compare, ExactAtTwoToTheFiftyThreeOnEveryBackend) {
             << C.Name << (Exec == Backend::Native ? " native" : " interp")
             << (Vectorize ? " vectorized" : " scalar");
       }
+  }
+}
+
+//===--------------------------------------------------------------------===//
+// Operator edge values: the rules of steno/Rt.h, on every backend
+//===--------------------------------------------------------------------===//
+
+namespace {
+
+const double NaN = std::numeric_limits<double>::quiet_NaN();
+const double Inf = std::numeric_limits<double>::infinity();
+
+/// Bit-exact for int64s and doubles, so -0.0 is not 0.0; a NaN matches
+/// any NaN, since no operator's rule fixes a NaN's sign or payload.
+bool sameEdgeValue(const Value &A, const Value &B) {
+  if (!A.isDouble() || !B.isDouble())
+    return A == B;
+  double X = A.asDouble(), Y = B.asDouble();
+  if (std::isnan(X) || std::isnan(Y))
+    return std::isnan(X) && std::isnan(Y);
+  return std::bit_cast<std::uint64_t>(X) == std::bit_cast<std::uint64_t>(Y);
+}
+
+std::string edgeStr(const Value &V) {
+  if (!V.isDouble())
+    return valueStr(V);
+  char Buf[32];
+  std::snprintf(Buf, sizeof(Buf), "%g", V.asDouble());
+  return Buf;
+}
+
+/// One single-row query over source 0, and the literal value its row
+/// must hold.
+struct EdgeRow {
+  const char *Name;
+  Query Q;
+  std::vector<double> Doubles; ///< Source 0 of a doubleArray query.
+  std::vector<std::int64_t> Int64s; ///< Source 0 of an int64Array query.
+  Value Want;
+};
+
+/// Runs every row on the reference and on both backends with Vectorize on
+/// and off.
+void expectEdgeRows(const std::vector<EdgeRow> &Rows) {
+  for (const EdgeRow &R : Rows) {
+    Bindings B;
+    if (R.Int64s.empty())
+      B.bindDoubleArray(0, R.Doubles.data(),
+                        static_cast<std::int64_t>(R.Doubles.size()));
+    else
+      B.bindInt64Array(0, R.Int64s.data(),
+                       static_cast<std::int64_t>(R.Int64s.size()));
+    auto Check = [&](const QueryResult &Got, const std::string &Where) {
+      ASSERT_EQ(Got.rows().size(), 1u) << R.Name << " " << Where;
+      EXPECT_TRUE(sameEdgeValue(Got.rows()[0], R.Want))
+          << R.Name << " " << Where << ": got " << edgeStr(Got.rows()[0])
+          << ", want " << edgeStr(R.Want);
+    };
+    Check(runReference(R.Q, B), "reference");
+    for (Backend Exec : {Backend::Interp, Backend::Native})
+      for (bool Vectorize : {false, true}) {
+        CompileOptions O;
+        O.Exec = Exec;
+        O.Vectorize = Vectorize;
+        O.Name = std::string("e2e_edge_") + R.Name;
+        Check(compileQuery(R.Q, O).run(B),
+              std::string(Exec == Backend::Native ? "native" : "interp") +
+                  (Vectorize ? " vectorized" : " scalar"));
+      }
+  }
+}
+
+} // namespace
+
+TEST(E2EEdgeValues, MinMaxKeepTheFirstOperandOnlyWhenItCompares) {
+  // min(a, b) is a when a < b, else b; max the same with >.
+  auto X = param("x", Type::doubleTy());
+  auto A = param("a", Type::doubleTy());
+  auto D = [&](const E &Body) {
+    return Query::doubleArray(0).select(lambda({X}, Body));
+  };
+  expectEdgeRows({
+      {"min_nan_first", D(min(X, E(0.5))), {NaN}, {}, Value(0.5)},
+      {"min_nan_second", D(min(E(0.5), X)), {NaN}, {}, Value(NaN)},
+      {"max_nan_first", D(max(X, E(0.5))), {NaN}, {}, Value(0.5)},
+      {"max_nan_second", D(max(E(0.5), X)), {NaN}, {}, Value(NaN)},
+      {"min_negzero_zero", D(min(X, E(0.0))), {-0.0}, {}, Value(0.0)},
+      {"min_zero_negzero", D(min(X, E(-0.0))), {0.0}, {}, Value(-0.0)},
+      {"max_negzero_zero", D(max(X, E(0.0))), {-0.0}, {}, Value(0.0)},
+      {"max_zero_negzero", D(max(X, E(-0.0))), {0.0}, {}, Value(-0.0)},
+      // The fold keeps the operand order too: min(1, NaN) is NaN.
+      {"min_fold",
+       Query::doubleArray(0).aggregate(E(Inf), lambda({A, X}, min(A, X))),
+       {1.0, NaN},
+       {},
+       Value(NaN)},
+  });
+}
+
+TEST(E2EEdgeValues, DoubleOperatorsFollowIeee) {
+  auto X = param("x", Type::doubleTy());
+  auto D = [&](const E &Body) {
+    return Query::doubleArray(0).select(lambda({X}, Body));
+  };
+  expectEdgeRows({
+      {"abs_negzero", D(abs(X)), {-0.0}, {}, Value(0.0)},
+      {"fmod_by_zero", D(E(1.0) % X), {0.0}, {}, Value(NaN)},
+      {"fmod_by_inf", D(E(-1.5) % X), {Inf}, {}, Value(-1.5)},
+      {"sqrt_negative", D(sqrt(X)), {-1.0}, {}, Value(NaN)},
+      {"div_by_zero", D(E(1.0) / X), {0.0}, {}, Value(Inf)},
+      {"div_by_negzero", D(E(1.0) / X), {-0.0}, {}, Value(-Inf)},
+  });
+}
+
+TEST(E2EEdgeValues, Int64DivisionTruncatesAtTheEdges) {
+  // `/` truncates toward zero and `%` takes the dividend's sign. No input
+  // is INT64_MIN / -1 or a zero divisor, so none traps.
+  auto I = param("i", Type::int64Ty());
+  auto L = [&](const E &Body) {
+    return Query::int64Array(0).select(lambda({I}, Body));
+  };
+  auto C = [](std::int64_t V) { return E(V); };
+  const std::int64_t Min64 = std::numeric_limits<std::int64_t>::min();
+  const std::int64_t Max64 = std::numeric_limits<std::int64_t>::max();
+  expectEdgeRows({
+      {"i64_div_truncates", L(I / C(2)), {}, {-7}, Value(std::int64_t{-3})},
+      {"i64_mod_dividend_sign", L(I % C(-2)), {}, {-7},
+       Value(std::int64_t{-1})},
+      {"i64_min_div_two", L(I / C(2)), {}, {Min64},
+       Value(std::int64_t{-4611686018427387904})},
+      {"i64_min_mod_max", L(I % C(Max64)), {}, {Min64},
+       Value(std::int64_t{-1})},
+      {"i64_max_div_minus_one", L(I / C(-1)), {}, {Max64},
+       Value(std::int64_t{-9223372036854775807})},
+      {"i64_min_by_element", L(C(Min64) / I), {}, {-2},
+       Value(std::int64_t{4611686018427387904})},
+  });
+}
+
+//===--------------------------------------------------------------------===//
+// Dense group keys: a key outside [0, NumKeys) traps on every backend
+//===--------------------------------------------------------------------===//
+
+TEST(E2EDenseKeyDeath, KeyOutsideTheRangeTrapsWithST2007) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  auto I = param("i", Type::int64Ty());
+  auto C = param("c", Type::int64Ty());
+  Query Q = Query::int64Array(0).groupByAggregateDense(
+      lambda({I}, I), E(std::int64_t{4}), E(std::int64_t{0}),
+      lambda({C, I}, C + E(std::int64_t{1})));
+  std::vector<std::pair<const char *, CompiledQuery>> Compiled;
+  for (Backend Exec : {Backend::Interp, Backend::Native}) {
+    CompileOptions O;
+    O.Exec = Exec;
+    O.Name = "e2e_dense_key";
+    Compiled.emplace_back(Exec == Backend::Native ? "native" : "interp",
+                          compileQuery(Q, O));
+  }
+  for (std::int64_t Key : {std::int64_t{-1}, std::int64_t{4}}) {
+    std::vector<std::int64_t> Data{Key};
+    Bindings B;
+    B.bindInt64Array(0, Data.data(), 1);
+    EXPECT_DEATH(runReference(Q, B), "ST2007.*dense group key out of range")
+        << "reference, key " << Key;
+    for (const auto &[Name, CQ] : Compiled)
+      EXPECT_DEATH(CQ.run(B), "ST2007.*dense group key out of range")
+          << Name << ", key " << Key;
   }
 }

@@ -392,7 +392,7 @@ TEST(ExprPrint, ConvertIsStaticCast) {
 TEST(ExprPrint, BuiltinSpelling) {
   E X = param("x", Type::doubleTy());
   EXPECT_EQ(printed(sqrt(X)), "std::sqrt(x)");
-  EXPECT_EQ(printed(min(X, E(1.0))), "std::min(x, 1.0)");
+  EXPECT_EQ(printed(min(X, E(1.0))), "steno::rt::min(x, 1.0)");
 }
 
 TEST(ExprPrint, PairAndVec) {

@@ -82,6 +82,30 @@ TEST(RtDenseAggSink, ZeroAndNegativeBounds) {
   EXPECT_EQ(Neg.size(), 0);
 }
 
+TEST(RtDenseAggSinkDeath, KeyOutsideTheRangeTrapsWithST2007) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  DenseAggSink<double> S(4, 0.0);
+  EXPECT_DEATH(S.slot(-1), "ST2007.*dense group key out of range");
+  EXPECT_DEATH(S.slot(4), "ST2007.*dense group key out of range");
+  DenseAggSink<double> Empty(-3, 0.0);
+  EXPECT_DEATH(Empty.slot(0), "ST2007.*dense group key out of range");
+}
+
+//===--------------------------------------------------------------------===//
+// Scalar operators
+//===--------------------------------------------------------------------===//
+
+TEST(RtOps, DivTrapsOnZeroAndOnInt64MinOverMinusOne) {
+  EXPECT_TRUE(divTraps(7, 0));
+  EXPECT_TRUE(divTraps(INT64_MIN, 0));
+  EXPECT_TRUE(divTraps(INT64_MIN, -1));
+  EXPECT_FALSE(divTraps(INT64_MIN + 1, -1));
+  EXPECT_FALSE(divTraps(INT64_MIN, 1));
+  EXPECT_FALSE(divTraps(INT64_MIN, -2));
+  EXPECT_EQ(ckdiv(-7, 2), -3);
+  EXPECT_EQ(ckmod(-7, 2), -1);
+}
+
 //===--------------------------------------------------------------------===//
 // Emitter / cell flattening
 //===--------------------------------------------------------------------===//
