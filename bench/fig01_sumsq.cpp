@@ -8,6 +8,9 @@
 // This binary reports the same three bars (plus the static fused variant)
 // normalized the same way.
 //
+// Gate (CI bench-smoke): the figure's claim, Steno about as fast as the
+// hand-written loop. Exits 1 when Steno jit / for loop exceeds 1.15.
+//
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
@@ -88,5 +91,15 @@ int main() {
   Json.add("for_loop", LoopS, N);
   Json.add("steno_jit", StenoS, N);
   Json.add("static_fused", FusedS, N);
+
+  double Ratio = StenoS / LoopS;
+  std::printf("Steno jit / for loop: %.2f (gate: <= 1.15)\n", Ratio);
+  if (Ratio > 1.15) {
+    std::fprintf(stderr,
+                 "fig01_sumsq: FAIL: Steno jit takes %.2fx the for loop's "
+                 "time, above the 1.15 ceiling\n",
+                 Ratio);
+    return 1;
+  }
   return 0;
 }

@@ -8,9 +8,6 @@
 // element interpreter dispatch is replaced by one dispatch per batch,
 // so the win should saturate once the batch covers the dispatch cost.
 //
-// The JIT comparison is informational: the native scalar loop is
-// already fused, so batching buys at most the compiler's SIMD latitude.
-//
 // Gate (CI bench-smoke): the batched interpreter at the default batch
 // size must hold at least a 1.5x throughput advantage over the scalar
 // interpreter on the Figure 1 chain; exits 1 otherwise.
@@ -32,10 +29,10 @@ using query::Query;
 
 namespace {
 
-CompiledQuery compileVariant(const Query &Q, Backend Exec, bool Vectorize,
+CompiledQuery compileVariant(const Query &Q, bool Vectorize,
                              const std::string &Name) {
   CompileOptions O;
-  O.Exec = Exec;
+  O.Exec = Backend::Interp;
   O.Vectorize = Vectorize;
   O.Name = Name;
   return compileQuery(Q, O);
@@ -80,8 +77,8 @@ int main() {
   double Fig01Scalar = 0, Fig01Vec1024 = 0;
 
   for (const Shape &S : Shapes) {
-    CompiledQuery Scalar = compileVariant(
-        *S.Q, Backend::Interp, false, std::string(S.Name) + "_scalar");
+    CompiledQuery Scalar =
+        compileVariant(*S.Q, false, std::string(S.Name) + "_scalar");
     double ScalarS = runSeconds(Scalar, B);
     Json.add(std::string(S.Name) + "_interp_scalar", ScalarS, N);
     std::printf("%-28s %12.1f %12.1f %9s\n",
@@ -94,8 +91,7 @@ int main() {
     for (const char *BS : BatchSizes) {
       ::setenv("STENO_BATCH_SIZE", BS, 1); // read at plan time
       CompiledQuery Vec =
-          compileVariant(*S.Q, Backend::Interp, true,
-                         std::string(S.Name) + "_vec_b" + BS);
+          compileVariant(*S.Q, true, std::string(S.Name) + "_vec_b" + BS);
       ::unsetenv("STENO_BATCH_SIZE");
       if (!Vec.vectorized()) {
         std::fprintf(stderr, "vec_batch: %s did not vectorize\n", S.Name);
@@ -110,25 +106,6 @@ int main() {
       if (S.Q == &Fig01 && std::string(BS) == "1024")
         Fig01Vec1024 = VecS;
     }
-  }
-
-  // JIT, informational: scalar fused loop vs generated batch loops.
-  header("Vectorized batch execution: native (informational)");
-  {
-    CompiledQuery JitScalar =
-        compileVariant(Fig01, Backend::Native, false, "fig01_jit_scalar");
-    CompiledQuery JitVec =
-        compileVariant(Fig01, Backend::Native, true, "fig01_jit_vec");
-    double ScalarS = runSeconds(JitScalar, B);
-    double VecS = runSeconds(JitVec, B);
-    Json.add("fig01_jit_scalar", ScalarS, N);
-    Json.add("fig01_jit_vec", VecS, N);
-    std::printf("%-28s %12.1f %12.1f %9s\n", "fig01 jit scalar",
-                ScalarS * 1e3, static_cast<double>(N) / ScalarS / 1e6,
-                "1.00x");
-    std::printf("%-28s %12.1f %12.1f %9.2fx\n", "fig01 jit batched",
-                VecS * 1e3, static_cast<double>(N) / VecS / 1e6,
-                ScalarS / VecS);
   }
 
   double Speedup = Fig01Vec1024 > 0 ? Fig01Scalar / Fig01Vec1024 : 0;

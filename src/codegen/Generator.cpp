@@ -11,6 +11,7 @@
 
 #include <cassert>
 #include <map>
+#include <span>
 
 using namespace steno;
 using namespace steno::codegen;
@@ -19,9 +20,11 @@ using cpptree::LoopKind;
 using cpptree::SinkDecl;
 using cpptree::SinkKind;
 using cpptree::Stmt;
+using cpptree::StmtKind;
 using cpptree::StmtList;
 using cpptree::StmtRef;
 using expr::Expr;
+using expr::ExprKind;
 using expr::ExprRef;
 using expr::Lambda;
 using expr::Type;
@@ -348,7 +351,8 @@ private:
   //===--------------------------------------------------------------===//
 
   void processChain(const Chain &C, bool Nested, NestedRole Role) {
-    for (const Op &O : C.Ops) {
+    for (std::size_t I = 0; I != C.Ops.size(); ++I) {
+      const Op &O = C.Ops[I];
       switch (O.S) {
       case Sym::Src:
         assert(St == State::Start && "Src must open the query");
@@ -362,7 +366,7 @@ private:
         genTrans(O);
         break;
       case Sym::Pred:
-        genPred(O);
+        genPred(O, std::span(C.Ops).subspan(I + 1));
         break;
       case Sym::Sink:
         genSink(O);
@@ -407,7 +411,81 @@ private:
     stenoUnreachable("bad PredOp");
   }
 
-  void genPred(const Op &O) {
+  //===--------------------------------------------------------------===//
+  // Guards and early exits
+  //===--------------------------------------------------------------===//
+
+  /// The addend g of an additive aggregate step `acc + g` (Sum, or an
+  /// Aggregate written that way) over an int64 or double accumulator;
+  /// null for any other aggregate. Count's constant addend does not
+  /// count: g++ already turns its branch into a masked increment.
+  static ExprRef additiveAddend(const Op &O) {
+    if (O.S != Sym::Agg || O.StopWhen.valid() ||
+        !O.Seed->type()->isNumeric())
+      return nullptr;
+    const Expr &Body = *O.Fn2.body();
+    const std::string &Acc = O.Fn2.param(0).Name;
+    if (Body.kind() != ExprKind::Binary ||
+        Body.binaryOp() != expr::BinaryOp::Add ||
+        Body.operand(0)->kind() != ExprKind::Param ||
+        Body.operand(0)->paramName() != Acc)
+      return nullptr;
+    const ExprRef &G = Body.operand(1);
+    if (G->kind() == ExprKind::Const || expr::freeParams(*G).count(Acc))
+      return nullptr;
+    return G;
+  }
+
+  /// Whether a Where followed by \p Rest may become a guard on the
+  /// aggregate instead of a branch: Rest is Trans ops up to an additive
+  /// aggregate in the same loop body, and everything they compute is
+  /// speculatable, so computing it for a rejected element is harmless.
+  static bool guardsAdditiveAgg(std::span<const Op> Rest) {
+    for (const Op &O : Rest) {
+      if (O.S == Sym::Trans) {
+        if (!expr::speculatable(*O.Fn.body()))
+          return false;
+        continue;
+      }
+      ExprRef G = additiveAddend(O);
+      return G && expr::speculatable(*G);
+    }
+    return false;
+  }
+
+  /// True when no statement of \p Body can trap: only locals, assignments
+  /// and branches over speculatable expressions.
+  static bool cannotTrap(const StmtList &Body) {
+    for (const StmtRef &S : Body) {
+      switch (S->K) {
+      case StmtKind::Region:
+      case StmtKind::DeclareLocal:
+      case StmtKind::Assign:
+      case StmtKind::If:
+      case StmtKind::Continue:
+        break;
+      default:
+        return false;
+      }
+      if ((S->E && !expr::speculatable(*S->E)) || !cannotTrap(S->Body))
+        return false;
+    }
+    return true;
+  }
+
+  /// Whether an exhausted Take/TakeWhile may leave the loop with `break`
+  /// rather than `continue` through the rest of the input. It must sit in
+  /// the outermost loop (in a flattened nested loop a break ends only the
+  /// inner one), and nothing before it in the loop body may trap, or the
+  /// elements past the boundary would have raised it. Profiled plans keep
+  /// `continue`, so every element is counted in, as the batch interpreter
+  /// counts it.
+  bool mayBreakWhenExhausted() {
+    return !Options.Profile && Stack.back().LoopDepth == 1 &&
+           cannotTrap(mu());
+  }
+
+  void genPred(const Op &O, std::span<const Op> Rest) {
     ensureIterating();
     unsigned PK = profBegin(predLabel(O.P), /*Timed=*/true,
                             O.P == PredOp::Where && O.Fn.valid()
@@ -417,6 +495,15 @@ private:
     switch (O.P) {
     case PredOp::Where: {
       ExprRef Cond = cse(inline1(O.Fn, curElemRef()));
+      if (!Options.Profile && guardsAdditiveAgg(Rest)) {
+        // Branchless: every element flows on, and the aggregate adds a
+        // rejected one's addend masked to zero (genAgg). A branch taken
+        // at random mispredicts half the time; the mask costs an AND.
+        std::string Name = fresh("guard");
+        mu().push_back(Stmt::declareLocal(Name, Type::boolTy(), Cond));
+        Guard = Expr::param(Name, Type::boolTy());
+        break;
+      }
       mu().push_back(Stmt::ifThen(Expr::unary(expr::UnaryOp::Not, Cond),
                                   {Stmt::continueStmt()}));
       break;
@@ -428,7 +515,8 @@ private:
       ExprRef CntRef = Expr::param(Cnt, I64);
       mu().push_back(Stmt::ifThen(
           Expr::binary(expr::BinaryOp::Ge, CntRef, substOuter(O.Seed)),
-          {Stmt::continueStmt()}));
+          {mayBreakWhenExhausted() ? Stmt::breakStmt()
+                                   : Stmt::continueStmt()}));
       mu().push_back(Stmt::assign(
           Cnt, Expr::binary(expr::BinaryOp::Add, CntRef,
                             Expr::constInt64(1))));
@@ -447,6 +535,13 @@ private:
       break;
     }
     case PredOp::TakeWhile: {
+      if (mayBreakWhenExhausted()) {
+        mu().push_back(
+            Stmt::ifThen(Expr::unary(expr::UnaryOp::Not,
+                                     inline1(O.Fn, curElemRef())),
+                         {Stmt::breakStmt()}));
+        break;
+      }
       std::string Flag = fresh("done");
       alpha().push_back(
           Stmt::declareLocal(Flag, Type::boolTy(), Expr::constBool(false)));
@@ -558,9 +653,15 @@ private:
     std::string Var = fresh("agg");
     TypeRef AccTy = O.Seed->type();
     alpha().push_back(Stmt::declareLocal(Var, AccTy, substOuter(O.Seed)));
-    ExprRef Update =
-        cse(inline2(O.Fn2, Expr::param(Var, AccTy), curElemRef()));
-    mu().push_back(Stmt::assign(Var, Update));
+    ExprRef Update = inline2(O.Fn2, Expr::param(Var, AccTy), curElemRef());
+    if (Guard) {
+      // A guarding Where precedes (genPred): the step is acc + g, and g
+      // is added only where the guard holds.
+      mu().push_back(Stmt::addIf(Var, Guard, cse(Update->operand(1))));
+      Guard = nullptr;
+    } else {
+      mu().push_back(Stmt::assign(Var, cse(Update)));
+    }
     // Close the profiled region before the early exit so the stop-flag
     // check genEarlyExit may prepend to μ lands outside it (elements
     // skipped after the stop never reach the op, so they count nowhere).
@@ -712,6 +813,9 @@ private:
   AggInfo CurAgg;
   TypeRef AggResultTy;
   SinkInfo PendingSink;
+  /// The predicate of a Where that guards the next aggregate's addend
+  /// instead of branching (genPred); null when none is pending.
+  ExprRef Guard;
   std::map<std::string, ExprRef> OuterSubst;
   unsigned Counter = 0;
   /// μ length at the last profBegin(); profEnd() wraps [ProfMark, end).

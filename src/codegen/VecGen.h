@@ -7,8 +7,12 @@
 ///
 /// \file
 /// Renders a vec::VecPlan as a self-contained C++ translation unit with
-/// the same extern "C" ABI as cpptree::printProgram — the native half of
-/// DESIGN.md §5i. Where the scalar printer fuses all operators into one
+/// the same extern "C" ABI as cpptree::printProgram. No query runs it:
+/// the fused automaton loop beat it (DESIGN.md §5i), so the native
+/// backend always compiles cpptree::printProgram's TU. Its only caller is
+/// the benchmark's compile-phase replay.
+///
+/// Where the scalar printer fuses all operators into one
 /// element-at-a-time loop, this printer emits one tight loop per operator
 /// per batch: Trans writes a cache-resident column through a `__restrict`
 /// pointer, Where compacts lane indices into a selection vector with a
@@ -22,9 +26,8 @@
 /// Trap and profile fidelity match the scalar TU: lambda bodies are
 /// printed per lane with native short-circuit (&&, ||, ?:), lanes are
 /// visited in source order within each stage, and the batch loop always
-/// consumes the whole source, mirroring the scalar loops' `continue`
-/// discipline. Per-operator profile slots move by lane counts once per
-/// batch.
+/// consumes the whole source. Per-operator profile slots move by lane
+/// counts once per batch.
 ///
 //===----------------------------------------------------------------------===//
 

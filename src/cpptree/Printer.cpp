@@ -209,6 +209,10 @@ private:
     case StmtKind::Assign:
       line("%s = %s;", S.Name.c_str(), expr(S.E).c_str());
       return;
+    case StmtKind::AddIf:
+      line("%s = steno::rt::addIf(%s, %s, %s);", S.Name.c_str(),
+           S.Name.c_str(), expr(S.E).c_str(), expr(S.E2).c_str());
+      return;
     case StmtKind::If:
       line("if (%s) {", expr(S.E).c_str());
       ++Indent;

@@ -41,6 +41,18 @@ StmtRef Stmt::assign(std::string Name, expr::ExprRef Value) {
   return S;
 }
 
+StmtRef Stmt::addIf(std::string Name, expr::ExprRef Guard,
+                    expr::ExprRef Addend) {
+  assert(Guard && Guard->type()->isBool() && "addIf guard must be bool");
+  assert(Addend && Addend->type()->isNumeric() && "addIf adds a number");
+  auto S = std::make_shared<Stmt>();
+  S->K = StmtKind::AddIf;
+  S->Name = std::move(Name);
+  S->E = std::move(Guard);
+  S->E2 = std::move(Addend);
+  return S;
+}
+
 StmtRef Stmt::ifThen(expr::ExprRef Cond, StmtList Then) {
   assert(Cond && Cond->type()->isBool() && "if condition must be bool");
   auto S = std::make_shared<Stmt>();

@@ -70,6 +70,8 @@ enum class StmtKind {
   DeclareSinkView,    ///< VecView name{sink.data(), sink.size()}; — the
                       ///< Figure 10(b) "element = sink" case.
   Assign,             ///< name = expr;
+  AddIf,              ///< name = steno::rt::addIf(name, guard, addend);
+                      ///< — a filtered sum's branchless update.
   If,                 ///< if (expr) { ... }
   Continue,           ///< continue;
   Break,              ///< break;
@@ -127,9 +129,10 @@ struct Stmt {
   /// DeclareLocal: declared type.
   expr::TypeRef Ty;
   /// Primary expression: init / value / condition / group key / emitted
-  /// element.
+  /// element / AddIf guard.
   expr::ExprRef E;
-  /// Secondary expression: SinkGroupPut value, SinkGroupAggUpdate seed.
+  /// Secondary expression: SinkGroupPut value, SinkGroupAggUpdate seed,
+  /// AddIf addend.
   expr::ExprRef E2;
   /// Tertiary expression: SinkGroupAggUpdate update (references SlotVar).
   expr::ExprRef E3;
@@ -157,6 +160,8 @@ struct Stmt {
                               expr::ExprRef Init);
   static StmtRef declareSinkView(std::string Name, std::string SinkName);
   static StmtRef assign(std::string Name, expr::ExprRef Value);
+  static StmtRef addIf(std::string Name, expr::ExprRef Guard,
+                       expr::ExprRef Addend);
   static StmtRef ifThen(expr::ExprRef Cond, StmtList Then);
   static StmtRef continueStmt();
   static StmtRef breakStmt();

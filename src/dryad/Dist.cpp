@@ -8,6 +8,7 @@
 #include "obs/Metrics.h"
 #include "obs/Profile.h"
 #include "obs/Trace.h"
+#include "steno/Rt.h"
 #include "support/Error.h"
 
 #include <algorithm>
@@ -128,8 +129,8 @@ DistributedQuery DistributedQuery::compile(const query::Query &Q,
   Parallelized.inc();
   DQ.Vertex = compileChain(Split.Plan->VertexChain, VertexOptions);
   DQ.Plan = std::move(*Split.Plan);
-  // Batched vertices want morsels made of whole batches: one ragged tail
-  // per stolen range instead of one per morsel.
+  // Batch-executed vertices want morsels made of whole batches: one
+  // ragged tail per stolen range instead of one per morsel.
   if (DQ.Vertex.vectorized() && DQ.Morsels.BatchAlign <= 1)
     DQ.Morsels.BatchAlign = vec::batchSizeFromEnv();
   return DQ;
@@ -171,7 +172,7 @@ Combiner2 compileCombiner(const expr::Lambda &L) {
       };
     if (Body.type()->isInt64())
       return [](const Value &X, const Value &Y) {
-        return Value(X.asInt64() + Y.asInt64());
+        return Value(rt::add(X.asInt64(), Y.asInt64()));
       };
   }
 

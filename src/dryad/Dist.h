@@ -37,8 +37,9 @@ namespace dryad {
 /// once per worker under runParallel; with Adaptive on as well,
 /// runParallel sizes morsels from the observed per-row cost and
 /// per-worker skew (adapt::tunedMorselOptions, DESIGN.md §5j) instead of
-/// the static Morsels. With Vectorize on and a vectorized vertex,
-/// runParallel aligns morsel boundaries to whole batches.
+/// the static Morsels. When the batch executor runs the vertex (an Interp
+/// vertex with Vectorize on), runParallel aligns morsel boundaries to
+/// whole batches.
 struct DistOptions : CompileOptions {
   /// Tuning for the morsel scheduler runParallel dispatches through.
   MorselOptions Morsels;

@@ -1,6 +1,7 @@
 //===- expr/Analysis.cpp --------------------------------------*- C++ -*-===//
 
 #include "expr/Analysis.h"
+#include "steno/Rt.h"
 #include "support/Error.h"
 
 #include <cassert>
@@ -80,6 +81,40 @@ ExprRef rebuild(const ExprRef &E, std::vector<ExprRef> Ops) {
 }
 
 } // namespace
+
+bool expr::isSafeConstDivisor(const Expr &E) {
+  return E.kind() == ExprKind::Const &&
+         std::holds_alternative<std::int64_t>(E.constValue()) &&
+         !rt::divTraps(INT64_MIN, std::get<std::int64_t>(E.constValue()));
+}
+
+bool expr::speculatable(const Expr &E) {
+  switch (E.kind()) {
+  case ExprKind::Convert:
+    if (E.type()->isInt64() && E.operand(0)->type()->isDouble())
+      return false;
+    break;
+  case ExprKind::Binary:
+    if ((E.binaryOp() == BinaryOp::Div || E.binaryOp() == BinaryOp::Mod) &&
+        E.type()->isInt64() && !isSafeConstDivisor(*E.operand(1)))
+      return false;
+    break;
+  case ExprKind::Call:
+    if (E.builtin() == Builtin::Exp || E.builtin() == Builtin::Log ||
+        E.builtin() == Builtin::Pow)
+      return false;
+    break;
+  case ExprKind::VecIndex:
+  case ExprKind::BufferSlice:
+    return false;
+  default:
+    break;
+  }
+  for (const ExprRef &Op : E.operands())
+    if (!speculatable(*Op))
+      return false;
+  return true;
+}
 
 std::set<std::string> expr::freeParams(const Expr &E) {
   std::set<std::string> Out;

@@ -5,7 +5,9 @@
 /// implements the rewrite of paper §5.2: before generating code for a
 /// nested query, occurrences of the outer lambda's parameter inside the
 /// nested query are rewritten to the outer query's current element
-/// variable.
+/// variable. Also the trap analyses the code generator decides with:
+/// which divisors need no check, and which expressions may run on
+/// elements the query's semantics would not have evaluated them on.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,6 +40,23 @@ std::set<unsigned> usedSourceSlots(const Expr &E);
 /// expressions must have exactly the type of the parameter they replace.
 ExprRef substituteParams(const ExprRef &E,
                          const std::map<std::string, ExprRef> &Replacements);
+
+/// True for an int64 constant divisor that traps on no dividend, as in
+/// absint::divisionIsSafe: generated code divides by it with a bare `/`
+/// or `%`. INT64_MIN is the dividend every trapping divisor traps on.
+bool isSafeConstDivisor(const Expr &E);
+
+/// True when \p E is defined and cannot trap on any value of its free
+/// parameters, so generated code may evaluate it for an element the
+/// query rejects: comparisons, logic, double arithmetic, the wrapping
+/// int64 `+ - *` and negation, min/max/abs/sqrt/floor/ceil, conditionals
+/// and pairs over such operands, and int64 `/` `%` by a safe constant
+/// divisor. Not speculatable: any other int64 division (a divSafe() mark
+/// does not count: the proof may rest on the very filter the caller
+/// wants to evaluate past), a double -> int64 conversion (undefined out
+/// of range), VecIndex and BufferSlice (unchecked reads), and exp/log/pow,
+/// whose cost per element outweighs a branch.
+bool speculatable(const Expr &E);
 
 /// Renames parameters: substituteParams with fresh Param nodes.
 ExprRef renameParams(const ExprRef &E,

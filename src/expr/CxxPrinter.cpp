@@ -1,7 +1,7 @@
 //===- expr/CxxPrinter.cpp ------------------------------------*- C++ -*-===//
 
 #include "expr/CxxPrinter.h"
-#include "steno/Rt.h"
+#include "expr/Analysis.h"
 #include "support/Error.h"
 #include "support/StringUtil.h"
 
@@ -25,15 +25,27 @@ std::string printConst(const Expr &E) {
   return support::doubleLiteral(std::get<double>(C));
 }
 
-/// A divisor the generated code may divide by with a bare `/`: an integer
-/// constant that traps on no dividend, as in absint::divisionIsSafe.
-/// INT64_MIN is the dividend every trapping divisor traps on. Anything
-/// else goes through rt::ckdiv/ckmod so a bad divisor traps with a
-/// structured error instead of undefined behavior.
-bool isSafeConstDivisor(const Expr &E) {
-  return E.kind() == ExprKind::Const &&
-         std::holds_alternative<std::int64_t>(E.constValue()) &&
-         !rt::divTraps(INT64_MIN, std::get<std::int64_t>(E.constValue()));
+/// The steno::rt function an int64 operator calls in generated code, or
+/// null when the C++ operator is already its definition: `+ - *` wrap,
+/// and `/` `%` trap unless the analyzer proved the division safe or the
+/// divisor is a constant that traps on no dividend.
+const char *int64Callee(const Expr &E) {
+  switch (E.binaryOp()) {
+  case BinaryOp::Add:
+    return "steno::rt::add";
+  case BinaryOp::Sub:
+    return "steno::rt::sub";
+  case BinaryOp::Mul:
+    return "steno::rt::mul";
+  case BinaryOp::Div:
+  case BinaryOp::Mod:
+    if (E.divSafe() || isSafeConstDivisor(*E.operand(1)))
+      return nullptr;
+    return E.binaryOp() == BinaryOp::Div ? "steno::rt::ckdiv"
+                                         : "steno::rt::ckmod";
+  default:
+    return nullptr;
+  }
 }
 
 std::string printBinary(const Expr &E, const CxxNames &Names) {
@@ -43,12 +55,9 @@ std::string printBinary(const Expr &E, const CxxNames &Names) {
   // Double modulo maps to std::fmod; everything else is the operator.
   if (Op == BinaryOp::Mod && E.type()->isDouble())
     return "std::fmod(" + L + ", " + R + ")";
-  if ((Op == BinaryOp::Div || Op == BinaryOp::Mod) &&
-      E.type()->isInt64() && !E.divSafe() &&
-      !isSafeConstDivisor(*E.operand(1)))
-    return std::string(Op == BinaryOp::Div ? "steno::rt::ckdiv("
-                                           : "steno::rt::ckmod(") +
-           L + ", " + R + ")";
+  if (E.type()->isInt64())
+    if (const char *Callee = int64Callee(E))
+      return std::string(Callee) + "(" + L + ", " + R + ")";
   return "(" + L + " " + binaryOpSpelling(Op) + " " + R + ")";
 }
 
@@ -74,6 +83,8 @@ std::string print(const Expr &E, const CxxNames &Names) {
     return "static_cast<" + E.type()->cxxName() + ">(" +
            print(*E.operand(0), Names) + ")";
   case ExprKind::Unary:
+    if (E.unaryOp() == UnaryOp::Neg && E.type()->isInt64())
+      return "steno::rt::neg(" + print(*E.operand(0), Names) + ")";
     return std::string(E.unaryOp() == UnaryOp::Neg ? "-" : "!") + "(" +
            print(*E.operand(0), Names) + ")";
   case ExprKind::Binary:

@@ -75,7 +75,7 @@ Value expr::evalExpr(const Expr &E, const Env &Environment) {
     if (E.unaryOp() == UnaryOp::Not)
       return Value(!V.asBool());
     if (V.isInt64())
-      return Value(-V.asInt64());
+      return Value(rt::neg(V.asInt64()));
     return Value(-V.asDouble());
   }
   case ExprKind::Binary: {

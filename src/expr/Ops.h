@@ -42,13 +42,22 @@ namespace expr {
 namespace op {
 
 struct Add {
-  template <typename T> T operator()(T A, T B) const { return A + B; }
+  std::int64_t operator()(std::int64_t A, std::int64_t B) const {
+    return rt::add(A, B);
+  }
+  double operator()(double A, double B) const { return A + B; }
 };
 struct Sub {
-  template <typename T> T operator()(T A, T B) const { return A - B; }
+  std::int64_t operator()(std::int64_t A, std::int64_t B) const {
+    return rt::sub(A, B);
+  }
+  double operator()(double A, double B) const { return A - B; }
 };
 struct Mul {
-  template <typename T> T operator()(T A, T B) const { return A * B; }
+  std::int64_t operator()(std::int64_t A, std::int64_t B) const {
+    return rt::mul(A, B);
+  }
+  double operator()(double A, double B) const { return A * B; }
 };
 struct Div {
   std::int64_t operator()(std::int64_t A, std::int64_t B) const {

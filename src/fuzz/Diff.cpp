@@ -280,10 +280,8 @@ DiffResult DiffHarness::check(const QuerySpec &Spec,
       CO.Rewrite = Id != BackendId::InterpNoRewrite;
       // Pinned likewise for the vectorize-on/off pair: the scalar interp
       // backends never take the batch path regardless of STENO_VECTORIZE,
-      // InterpVectorized always requests it. Jit keeps the env default
-      // (sampling whichever native TU the environment selects).
-      if (Id != BackendId::Jit)
-        CO.Vectorize = Id == BackendId::InterpVectorized;
+      // InterpVectorized always requests it. Jit ignores it.
+      CO.Vectorize = Id == BackendId::InterpVectorized;
       // Pinned off so these backends stay deterministic even after
       // InterpAdaptive seeded feedback for this very spec; adaptivity
       // is exercised only through its dedicated backend below.

@@ -108,6 +108,15 @@ private:
     case StmtKind::Assign:
       Locals[S.Name] = eval(S.E);
       return Flow::Normal;
+    case StmtKind::AddIf: {
+      bool Keep = eval(S.E).asBool();
+      Value G = eval(S.E2);
+      Value &Acc = Locals[S.Name];
+      Acc = Acc.isInt64()
+                ? Value(rt::addIf(Acc.asInt64(), Keep, G.asInt64()))
+                : Value(rt::addIf(Acc.asDouble(), Keep, G.asDouble()));
+      return Flow::Normal;
+    }
     case StmtKind::DeclareSinkView: {
       // Generated code views the vector's own storage; these elements are
       // Values, so the view reads a flat copy of them.
@@ -292,7 +301,7 @@ private:
       std::int64_t Start = eval(Src.Start).asInt64();
       std::int64_t Count = eval(Src.CountE).asInt64();
       for (std::int64_t I = 0; I < Count; ++I) {
-        Locals[L.ElemVar] = Value(Start + I);
+        Locals[L.ElemVar] = Value(rt::add(Start, I));
         if (execList(S.Body) == Flow::Break)
           break;
       }

@@ -110,7 +110,7 @@ private:
       std::int64_t Start = eval(Src.Start).asInt64();
       std::int64_t Count = eval(Src.CountE).asInt64();
       for (std::int64_t I = 0; I < Count; ++I)
-        Out.push_back(Value(Start + I));
+        Out.push_back(Value(rt::add(Start, I)));
       return Out;
     }
     case query::SourceKind::VecExpr: {

@@ -15,8 +15,9 @@
 /// code compiles against it alone.
 ///
 /// It is also the one runtime of every backend. The scalar operators whose
-/// C++ meaning is not already the definition (checked int64 `/` and `%`,
-/// `min`, `max`, `abs`), the trap that reports every run-time error, and
+/// C++ meaning is not already the definition (wrapping int64 `+`, `-`, `*`
+/// and negation, checked int64 `/` and `%`, `min`, `max`, `abs`, the
+/// guarded sum's `addIf`), the trap that reports every run-time error, and
 /// the group sinks are defined here once; the interpreters, the batch
 /// kernels and the reference executor call these same definitions (through
 /// expr/Ops.h for the operators), so every backend computes the same value
@@ -27,6 +28,7 @@
 #ifndef STENO_STENO_RT_H
 #define STENO_STENO_RT_H
 
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -67,6 +69,25 @@ enum class Trap {
 // Scalar operators
 //===------------------------------------------------------------------===//
 
+/// int64 `+`, `-`, `*` and negation wrap modulo 2^64: the result is the
+/// two's-complement value of the exact result's low 64 bits, so
+/// INT64_MAX + 1 is INT64_MIN and -INT64_MIN is INT64_MIN. C++ leaves
+/// signed overflow undefined, so they compute in uint64, where it is
+/// defined. Under -O3 they compile to the plain instructions.
+constexpr std::int64_t add(std::int64_t A, std::int64_t B) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(A) +
+                                   static_cast<std::uint64_t>(B));
+}
+constexpr std::int64_t sub(std::int64_t A, std::int64_t B) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(A) -
+                                   static_cast<std::uint64_t>(B));
+}
+constexpr std::int64_t mul(std::int64_t A, std::int64_t B) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(A) *
+                                   static_cast<std::uint64_t>(B));
+}
+constexpr std::int64_t neg(std::int64_t X) { return sub(0, X); }
+
 /// True when the int64 quotient and remainder of \p A by \p B are
 /// undefined in C++: a zero divisor, or INT64_MIN / -1, whose quotient
 /// overflows.
@@ -97,10 +118,26 @@ inline std::int64_t ckmod(std::int64_t A, std::int64_t B) {
 template <typename T> constexpr T min(T A, T B) { return A < B ? A : B; }
 template <typename T> constexpr T max(T A, T B) { return A > B ? A : B; }
 
-/// `abs`: an int64 by negation (abs(INT64_MIN) is undefined, like its
-/// negation), a double by clearing the sign bit, so abs(-0.0) is +0.0.
-constexpr std::int64_t abs(std::int64_t X) { return X < 0 ? -X : X; }
+/// `abs`: an int64 by wrapping negation, so abs(INT64_MIN) is INT64_MIN; a
+/// double by clearing the sign bit, so abs(-0.0) is +0.0.
+constexpr std::int64_t abs(std::int64_t X) { return X < 0 ? neg(X) : X; }
 inline double abs(double X) { return std::fabs(X); }
+
+/// `Acc + G` when \p Keep holds, else `Acc`, without a branch: the update
+/// a filtered sum generates in place of `if (!keep) continue;` when G is
+/// safe to compute for rejected elements too. A rejected G is masked to
+/// the additive identity, 0 for an int64 and -0.0 for a double (the one
+/// double x with a + x == a for every a, -0.0 and NaN included), so the
+/// result is exactly the branching loop's.
+constexpr std::int64_t addIf(std::int64_t Acc, bool Keep, std::int64_t G) {
+  return add(Acc, G & -static_cast<std::int64_t>(Keep));
+}
+inline double addIf(double Acc, bool Keep, double G) {
+  std::uint64_t M = -static_cast<std::uint64_t>(Keep);
+  return Acc + std::bit_cast<double>(
+                   (std::bit_cast<std::uint64_t>(G) & M) |
+                   (std::bit_cast<std::uint64_t>(-0.0) & ~M));
+}
 
 /// Borrowed view of Len contiguous doubles (a point, or a group's bag).
 struct VecView {

@@ -3,7 +3,6 @@
 #include "steno/Steno.h"
 #include "adapt/Adapt.h"
 #include "codegen/Generator.h"
-#include "codegen/VecGen.h"
 #include "cpptree/Printer.h"
 #include "interp/Interp.h"
 #include "obs/Metrics.h"
@@ -40,11 +39,10 @@ struct CompiledQuery::Impl {
   /// what PlanHash would be with rewriting off, i.e. the hash the same
   /// query registered under in profile stores before rewriting existed.
   std::uint64_t RewrittenFrom = 0;
-  /// The vectorized batch plan (DESIGN.md §5i). Non-null only when
-  /// CompileOptions::Vectorize was on AND the chain fits the columnar
-  /// model; the Interp backend then executes batch-at-a-time and the
-  /// Native backend compiled batch loops. Shared: withNativeModule twins
-  /// reuse it.
+  /// The vectorized batch plan (DESIGN.md §5i): the Interp backend's
+  /// batch executor runs it. Non-null only for the Interp backend with
+  /// CompileOptions::Vectorize on and a chain that fits the columnar
+  /// model.
   std::shared_ptr<const vec::VecPlan> VecPlan;
 };
 
@@ -345,7 +343,6 @@ CompiledQuery CompiledQuery::withNativeModule(
   Impl->Profile = I->Profile;
   Impl->Rewrite = I->Rewrite;
   Impl->RewrittenFrom = I->RewrittenFrom;
-  Impl->VecPlan = I->VecPlan;
   CompiledQuery CQ;
   CQ.I = std::move(Impl);
   return CQ;
@@ -407,21 +404,15 @@ codegenAndLoad(std::shared_ptr<CompiledQuery::Impl> Impl,
     Impl->Source = cpptree::printProgram(Impl->Program);
   }
 
-  // Vectorized batch planning (§5i): decide once whether the optimized
-  // chain fits the columnar model. The plan drives the interp backend's
-  // batch executor directly; for the native backend (including serve's
-  // background recompiles, which compile generatedSource()) the printed
-  // TU is replaced by the batch-loop version, so vectorized() always
-  // describes what actually runs. The scalar Program is kept for result
-  // typing, slot metadata and EXPLAIN. Chains the planner rejects keep
-  // the scalar loop on both backends.
-  if (Options.Vectorize) {
+  // Vectorized batch planning (§5i): the interpreter runs a chain that
+  // fits the columnar model batch-at-a-time. Native code is always the
+  // automaton's fused loop above, which is as fast as a hand-written
+  // loop (DESIGN.md §5i); serve's background recompiles compile the same
+  // generatedSource().
+  if (Options.Exec == Backend::Interp && Options.Vectorize) {
     auto VP = std::make_shared<vec::VecPlan>(vec::planChain(Impl->Chain));
-    if (VP->Ok) {
+    if (VP->Ok)
       Impl->VecPlan = std::move(VP);
-      Impl->Source = codegen::printVectorizedProgram(
-          *Impl->VecPlan, Impl->Slots, Entry, Options.Profile);
-    }
   }
 
   Impl->PlanHash = quil::hashChain(Impl->Chain);

@@ -82,13 +82,14 @@ struct CompileOptions {
   /// nanoseconds) into the global obs::ProfileStore on every run().
   /// Defaults to the STENO_PROFILE environment variable.
   bool Profile = obs::profilingEnvEnabled();
-  /// Vectorized batch execution (DESIGN.md §5i): vectorizable chains run
-  /// batch-at-a-time over contiguous columns with selection vectors — the
-  /// interpreter through the steno::vec batch kernels, the native backend
-  /// through SIMD-friendly generated batch loops. Chains whose shape does
-  /// not fit the columnar model (nested queries, sinks, early-exit
-  /// aggregates, vec-typed elements) keep the scalar path regardless.
-  /// Defaults to the STENO_VECTORIZE environment variable.
+  /// Vectorized batch execution for the Interp backend (DESIGN.md §5i):
+  /// vectorizable chains run batch-at-a-time over contiguous columns with
+  /// selection vectors through the steno::vec batch kernels. Chains whose
+  /// shape does not fit the columnar model (nested queries, sinks,
+  /// early-exit aggregates, vec-typed elements) keep the scalar
+  /// interpreter. The Native backend always runs the automaton's fused
+  /// loop and ignores it. Defaults to the STENO_VECTORIZE environment
+  /// variable.
   bool Vectorize = vec::vectorizeEnvEnabled();
   /// Feedback-driven adaptive optimization (DESIGN.md §5j): when the
   /// global adapt::FeedbackStore holds ripe observed statistics for this
@@ -163,10 +164,9 @@ public:
   std::uint64_t planHash() const;
   /// Whether this query was compiled with profiling hooks.
   bool profiled() const;
-  /// Whether this query carries a vectorized batch plan (the interp
-  /// backend executes it batch-at-a-time; the native backend compiled
-  /// batch loops). False when vectorization was disabled or the chain's
-  /// shape forced the scalar fallback.
+  /// Whether the batch executor runs this query: an Interp query compiled
+  /// with Vectorize on whose chain fits the columnar model. False for
+  /// every Native query, withNativeModule twins included.
   bool vectorized() const;
   /// EXPLAIN ANALYZE-style report of the accumulated profile for this
   /// plan (obs::renderExplainAnalyze over the store snapshot); a

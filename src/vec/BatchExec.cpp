@@ -385,7 +385,7 @@ std::vector<Value> vec::executeBatched(const VecPlan &P,
     default: { // Range
       std::int64_t *O = WS.Scr.col().i64(static_cast<std::size_t>(M));
       for (std::int64_t J = 0; J != M; ++J)
-        O[J] = RangeStart + Base + J;
+        O[J] = rt::add(RangeStart, Base + J);
       Elem = Col::i64(O);
       break;
     }

@@ -19,9 +19,10 @@
 /// through the operator chain — Trans maps a column, Pred narrows the
 /// lane selection, Agg folds the surviving lanes into the accumulator.
 /// The whole source is always consumed (a Take that is exhausted shrinks
-/// the selection to empty but never breaks the batch loop), matching the
-/// scalar backends, whose generated loops `continue` past filtered
-/// elements rather than `break` — so trap behavior and per-operator
+/// the selection to empty but never breaks the batch loop). The scalar
+/// loops consume it too wherever that is observable: they break past an
+/// exhausted Take/TakeWhile only when nothing before it can trap and
+/// profiling is off (DESIGN.md §5) — so trap behavior and per-operator
 /// profile counts are identical to scalar execution. Profile accounting
 /// is per batch: rows-in/rows-out move by lane counts and each timed
 /// operator charges one clock read per batch instead of two per element.

@@ -281,7 +281,7 @@ Col evalUnaryVec(const VecExpr &N, const EvalCtx &Ctx, const Lanes &L) {
   }
   if (In.K == TypeKind::Int64) {
     std::int64_t *O = Ctx.Scr->col().i64(Bn);
-    L.forEach([&](std::int64_t I) { O[I] = -In.I[I]; });
+    L.forEach([&](std::int64_t I) { O[I] = rt::neg(In.I[I]); });
     return Col::i64(O);
   }
   double *O = Ctx.Scr->col().dbl(Bn);

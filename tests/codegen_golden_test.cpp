@@ -79,7 +79,8 @@ void checkGolden(const Query &Q, const std::string &Name) {
 } // namespace
 
 // The paper's running example (§2): sum of squares over a filtered
-// stream; Select/Where fuse into one loop.
+// stream; Select/Where fuse into one loop, the Where as a guard on the
+// sum rather than a branch.
 TEST(CodegenGoldenTest, FusedFilterMapSum) {
   E X = param("x", Type::doubleTy());
   Query Q = Query::doubleArray(0)
@@ -87,6 +88,38 @@ TEST(CodegenGoldenTest, FusedFilterMapSum) {
                 .select(lambda({X}, X * X))
                 .sum();
   checkGolden(Q, "golden_filter_map_sum");
+}
+
+// The int64 filtered sum of squares ("Clash of the Lambdas"
+// sumOfSquaresEven): the guard masks the wrapping x * x.
+TEST(CodegenGoldenTest, Int64GuardedFilterMapSum) {
+  E X = param("x", Type::int64Ty());
+  Query Q = Query::int64Array(0)
+                .where(lambda({X}, X % E(std::int64_t{2}) ==
+                                       E(std::int64_t{0})))
+                .select(lambda({X}, X * X))
+                .sum();
+  checkGolden(Q, "golden_int64_guarded_sum");
+}
+
+// A Where whose downstream division can trap keeps its branch: 100 / x
+// must not run on the elements the filter rejects.
+TEST(CodegenGoldenTest, WhereKeepsBranchBeforeATrappingSelect) {
+  E X = param("x", Type::int64Ty());
+  Query Q = Query::int64Array(0)
+                .where(lambda({X}, X != E(std::int64_t{0})))
+                .select(lambda({X}, E(std::int64_t{100}) / X))
+                .sum();
+  checkGolden(Q, "golden_where_kept_branch");
+}
+
+// A TakeWhile in the outermost loop with nothing trapping before it
+// leaves the loop at its boundary.
+TEST(CodegenGoldenTest, TakeWhileBreaks) {
+  E X = param("x", Type::doubleTy());
+  Query Q =
+      Query::doubleArray(0).takeWhile(lambda({X}, X < E(100.0))).sum();
+  checkGolden(Q, "golden_take_while_break");
 }
 
 // Figure 11 "Ret-pop": a nested query consumed in place by a downstream

@@ -517,6 +517,107 @@ TEST(E2EEdgeValues, Int64DivisionTruncatesAtTheEdges) {
   });
 }
 
+TEST(E2EEdgeValues, Int64ArithmeticWraps) {
+  // int64 `+ - *`, negation and abs wrap modulo 2^64 (steno/Rt.h).
+  auto I = param("i", Type::int64Ty());
+  auto L = [&](const E &Body) {
+    return Query::int64Array(0).select(lambda({I}, Body));
+  };
+  auto C = [](std::int64_t V) { return E(V); };
+  const std::int64_t Min64 = std::numeric_limits<std::int64_t>::min();
+  const std::int64_t Max64 = std::numeric_limits<std::int64_t>::max();
+  expectEdgeRows({
+      {"i64_max_plus_one", L(I + C(1)), {}, {Max64}, Value(Min64)},
+      {"i64_min_minus_one", L(I - C(1)), {}, {Min64}, Value(Max64)},
+      {"i64_max_times_two", L(I * C(2)), {}, {Max64},
+       Value(std::int64_t{-2})},
+      {"i64_neg_min", L(-I), {}, {Min64}, Value(Min64)},
+      {"i64_abs_min", L(abs(I)), {}, {Min64}, Value(Min64)},
+  });
+}
+
+//===--------------------------------------------------------------------===//
+// Guarded sums and early exits: the generated shapes keep the semantics
+//===--------------------------------------------------------------------===//
+
+TEST(E2EGuardedSum, KeptBranchDoesNotTrapOnRejectedElements) {
+  // 100 / x is not speculatable, so the Where keeps its branch and the
+  // zero elements never reach the division.
+  auto X = param("x", Type::int64Ty());
+  const E Zero = E(std::int64_t{0});
+  expectEdgeRows({
+      {"guard_kept_branch",
+       Query::int64Array(0)
+           .where(lambda({X}, X != Zero))
+           .select(lambda({X}, E(std::int64_t{100}) / X))
+           .sum(),
+       {},
+       {4, 0, 5, 0, -20},
+       Value(std::int64_t{40})},
+  });
+}
+
+TEST(E2EGuardedSum, SpeculatedOverflowIsMaskedOut) {
+  // x * x overflows on the rejected INT64_MAX; the guarded sum computes
+  // it and adds zero in its place.
+  auto X = param("x", Type::int64Ty());
+  expectEdgeRows({
+      {"guard_masks_overflow",
+       Query::int64Array(0)
+           .where(lambda({X}, X < E(std::int64_t{10})))
+           .select(lambda({X}, X * X))
+           .sum(),
+       {},
+       {3, std::numeric_limits<std::int64_t>::max(), -2},
+       Value(std::int64_t{13})},
+  });
+}
+
+TEST(E2EGuardedSum, DoubleSumKeepsNegativeZeroNaNAndInfinity) {
+  // The rejected addend is masked to -0.0, which leaves every
+  // accumulator unchanged: -0.0 stays -0.0, and an infinite or NaN
+  // element past the filter does not leak in.
+  auto X = param("x", Type::doubleTy());
+  auto A = param("a", Type::doubleTy());
+  Query Q = Query::doubleArray(0)
+                .where(lambda({X}, X < E(0.0)))
+                .aggregate(E(-0.0), lambda({A, X}, A + X));
+  expectEdgeRows({
+      {"guard_negzero_kept", Q, {1.0, Inf, NaN}, {}, Value(-0.0)},
+      {"guard_rejected_inf_nan", Q, {-2.0, Inf, NaN, -3.0}, {},
+       Value(-5.0)},
+      {"guard_inf_kept", Q, {-Inf, 3.0}, {}, Value(-Inf)},
+  });
+}
+
+TEST(E2EEarlyExitDeath, TakeWhileDoesNotExitPastATrappingOp) {
+  // 10 / x runs before the TakeWhile on every element, so the 0 past
+  // the boundary still traps: the loop may not break early.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  auto X = param("x", Type::int64Ty());
+  auto Y = param("y", Type::int64Ty());
+  Query Q = Query::int64Array(0)
+                .select(lambda({X}, E(std::int64_t{10}) / X))
+                .takeWhile(lambda({Y}, Y > E(std::int64_t{1})))
+                .sum();
+  std::vector<std::int64_t> Data{1, 2, 20, 0};
+  Bindings B;
+  B.bindInt64Array(0, Data.data(), static_cast<std::int64_t>(Data.size()));
+  EXPECT_DEATH(runReference(Q, B), "ST2001.*integer division by zero")
+      << "reference";
+  for (Backend Exec : {Backend::Interp, Backend::Native})
+    for (bool Vectorize : {false, true}) {
+      CompileOptions O;
+      O.Exec = Exec;
+      O.Vectorize = Vectorize;
+      O.Name = "e2e_takewhile_trap";
+      CompiledQuery CQ = compileQuery(Q, O);
+      EXPECT_DEATH(CQ.run(B), "ST2001.*integer division by zero")
+          << (Exec == Backend::Native ? "native" : "interp")
+          << (Vectorize ? " vectorized" : " scalar");
+    }
+}
+
 //===--------------------------------------------------------------------===//
 // Dense group keys: a key outside [0, NumKeys) traps on every backend
 //===--------------------------------------------------------------------===//

@@ -374,9 +374,13 @@ TEST(ExprPrint, Literals) {
 
 TEST(ExprPrint, Arithmetic) {
   E X = param("x", Type::int64Ty());
-  EXPECT_EQ(printed(X + 1), "(x + INT64_C(1))");
+  // int64 + - * and negation wrap, through their steno::rt functions.
+  EXPECT_EQ(printed(X + 1), "steno::rt::add(x, INT64_C(1))");
+  EXPECT_EQ(printed(-X), "steno::rt::neg(x)");
   EXPECT_EQ(printed(X % 2 == 0),
             "((x % INT64_C(2)) == INT64_C(0))");
+  E D = param("d", Type::doubleTy());
+  EXPECT_EQ(printed(D * D - 1.0), "((d * d) - 1.0)");
 }
 
 TEST(ExprPrint, DoubleModuloIsFmod) {

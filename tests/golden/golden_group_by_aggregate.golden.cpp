@@ -22,7 +22,7 @@ extern "C" void golden_group_by_aggregate(const steno::rt::Captures *Caps_,
     (void)elem3;
     {
       auto &slot5 = sink4.slot((elem3 % INT64_C(10)), INT64_C(0));
-      slot5 = (slot5 + elem3);
+      slot5 = steno::rt::add(slot5, elem3);
     }
   }
   const std::int64_t n7 = sink4.size();

@@ -21,7 +21,7 @@ extern "C" void golden_nested_ret_pop(const steno::rt::Captures *Caps_,
   const std::int64_t src1_count = Caps_->Sources[1].Count;
   const std::int64_t src1_dim = Caps_->Sources[1].Dim;
   (void)src1_d; (void)src1_i; (void)src1_count; (void)src1_dim;
-  double agg9 = 0.0;
+  double agg10 = 0.0;
   for (std::int64_t i0 = 0; i0 < src0_count; ++i0) {
     double elem3 = src0_d[i0];
     (void)elem3;
@@ -30,11 +30,9 @@ extern "C" void golden_nested_ret_pop(const steno::rt::Captures *Caps_,
       (void)elem7;
       double elem8 = (elem3 + elem7);
       (void)elem8;
-      if (!((elem8 > 1.0))) {
-        continue;
-      }
-      agg9 = (agg9 + elem8);
+      bool guard9 = (elem8 > 1.0);
+      agg10 = steno::rt::addIf(agg10, guard9, elem8);
     }
   }
-  steno::rt::emitRow(Out_, agg9);
+  steno::rt::emitRow(Out_, agg10);
 }

@@ -23,13 +23,13 @@ extern "C" void golden_skip_take_orderby(const steno::rt::Captures *Caps_,
     double elem3 = src0_d[i0];
     (void)elem3;
     if ((skip4 < INT64_C(2))) {
-      skip4 = (skip4 + INT64_C(1));
+      skip4 = steno::rt::add(skip4, INT64_C(1));
       continue;
     }
     if ((take5 >= INT64_C(8))) {
-      continue;
+      break;
     }
-    take5 = (take5 + INT64_C(1));
+    take5 = steno::rt::add(take5, INT64_C(1));
     sink6.push_back(elem3);
   }
   std::stable_sort(sink6.begin(), sink6.end(),

@@ -17,6 +17,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "QueryTestUtil.h"
+#include "cpptree/Printer.h"
+#include "jit/Jit.h"
 #include "obs/Profile.h"
 #include "vec/Batch.h"
 
@@ -255,6 +257,39 @@ TEST(VecPlanGate, VectorizableShapesCarryAPlan) {
                   .vectorized());
 }
 
+// Only the interpreter runs the batch plan. A Native query, with
+// Vectorize on or off, and serve's background upgrade of a batched
+// Interp query (its generated source compiled and swapped in through
+// withNativeModule) run the automaton's fused loop.
+TEST(VecPlanGate, OnlyTheInterpreterRunsTheBatchPlan) {
+  Query Fig01 =
+      Query::doubleArray(0).select(lambda({xd()}, xd() * xd())).sum();
+  CompiledQuery Interp = compileQuery(Fig01, vecOpts(true, "gate_interp"));
+  EXPECT_TRUE(Interp.vectorized());
+  for (bool Vectorize : {false, true})
+    EXPECT_FALSE(compileQuery(Fig01, vecOpts(Vectorize, "gate_native",
+                                             Backend::Native))
+                     .vectorized())
+        << "Vectorize " << (Vectorize ? "on" : "off");
+
+  std::string Err;
+  std::unique_ptr<jit::CompiledModule> M = jit::CompiledModule::compile(
+      Interp.generatedSource(), Interp.program().Name, &Err);
+  ASSERT_TRUE(M) << Err;
+  CompiledQuery Twin = Interp.withNativeModule(std::move(M));
+  EXPECT_EQ(Twin.backend(), Backend::Native);
+  EXPECT_FALSE(Twin.vectorized());
+
+  std::vector<double> Xs = randomDoubles(100, 17, -3, 3);
+  Bindings B;
+  B.bindDoubleArray(0, Xs.data(), static_cast<std::int64_t>(Xs.size()));
+  EXPECT_EQ(Twin.run(B).scalarValue().asDouble(),
+            compileQuery(Fig01, vecOpts(false, "gate_oracle"))
+                .run(B)
+                .scalarValue()
+                .asDouble());
+}
+
 TEST(VecPlanGate, FallbackShapesStayScalarAndCorrect) {
   Catalog C(/*Seed=*/13, /*N=*/64);
   auto P = param("p", Type::vecTy());
@@ -316,17 +351,20 @@ TEST(VecTrapDeath, InterpBatchedDivByZeroTrapsWithST2001) {
   EXPECT_DEATH(CQ.run(F.B), "ST2001.*integer division by zero");
 }
 
-TEST(VecTrapDeath, NativeBatchedDivByZeroTrapsWithST2001) {
+// The same chain natively, Vectorize on: the automaton's loop runs and
+// traps like the batch kernel.
+TEST(VecTrapDeath, NativeDivByZeroTrapsWithST2001) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   VecTrapFixture F;
   CompiledQuery CQ = compileQuery(
       F.Q, vecOpts(true, "vec_trap_native", Backend::Native));
-  ASSERT_TRUE(CQ.vectorized());
+  ASSERT_FALSE(CQ.vectorized());
   EXPECT_DEATH(CQ.run(F.B), "ST2001.*integer division by zero");
 }
 
-// A constant -1 divisor overflows on INT64_MIN: both native TUs must
-// trap like the interpreters instead of dividing with a bare `/`.
+// A constant -1 divisor overflows on INT64_MIN: the native TU must trap
+// like the interpreters instead of dividing with a bare `/`, with
+// Vectorize on or off.
 TEST(VecTrapDeath, NativeDivByMinusOneTrapsWithST2001) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   std::vector<std::int64_t> Data{INT64_MIN};
@@ -338,8 +376,9 @@ TEST(VecTrapDeath, NativeDivByMinusOneTrapsWithST2001) {
   for (bool Vectorize : {false, true}) {
     CompiledQuery CQ = compileQuery(
         Q, vecOpts(Vectorize, "vec_trap_neg1", Backend::Native));
+    EXPECT_FALSE(CQ.vectorized());
     EXPECT_DEATH(CQ.run(B), "ST2001.*integer division by zero")
-        << (Vectorize ? "batch TU" : "scalar TU");
+        << "Vectorize " << (Vectorize ? "on" : "off");
   }
 }
 
@@ -435,10 +474,10 @@ TEST(VecProfile, BatchedCountsMatchScalar) {
 }
 
 //===--------------------------------------------------------------------===//
-// Native backend: the generated TU really is the batch-loop program
+// Native backend: the generated TU is the automaton's fused loop
 //===--------------------------------------------------------------------===//
 
-TEST(VecNative, BatchedNativeMatchesScalarInterp) {
+TEST(VecNative, NativeRunsTheAutomatonLoop) {
   std::vector<double> Xs = randomDoubles(512, 31, -10, 10);
   Bindings B;
   B.bindDoubleArray(0, Xs.data(), static_cast<std::int64_t>(Xs.size()));
@@ -450,9 +489,12 @@ TEST(VecNative, BatchedNativeMatchesScalarInterp) {
                 .sum();
   CompiledQuery Native =
       compileQuery(Q, vecOpts(true, "vec_native", Backend::Native));
-  ASSERT_TRUE(Native.vectorized());
-  // The printed TU is the batch program (vbase_ is its loop cursor).
-  EXPECT_NE(Native.generatedSource().find("vbase_"), std::string::npos);
+  EXPECT_FALSE(Native.vectorized());
+  // The compiled TU is the automaton's program printed, not the batch
+  // loops (vbase_ is their cursor).
+  EXPECT_EQ(Native.generatedSource(),
+            cpptree::printProgram(Native.program()));
+  EXPECT_EQ(Native.generatedSource().find("vbase_"), std::string::npos);
   double Scalar = compileQuery(Q, vecOpts(false, "vec_native_oracle"))
                       .run(B)
                       .scalarValue()
