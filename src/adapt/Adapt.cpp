@@ -1,12 +1,9 @@
 //===- adapt/Adapt.cpp - Feedback-driven adaptive optimization -*- C++ -*-===//
 
 #include "adapt/Adapt.h"
-#include "obs/Metrics.h"
 #include "support/Env.h"
 
-#include <algorithm>
 #include <cstdlib>
-#include <limits>
 
 using namespace steno;
 using namespace steno::adapt;
@@ -15,49 +12,15 @@ bool adapt::adaptEnvEnabled() {
   return support::parseFlag(std::getenv("STENO_ADAPT"), true);
 }
 
-std::uint64_t adapt::adaptMinSamplesEnv() {
-  return static_cast<std::uint64_t>(
-      support::parseCount(std::getenv("STENO_ADAPT_MIN_SAMPLES"), 3, 1,
-                          std::numeric_limits<std::int64_t>::max()));
-}
-
-namespace {
-
-/// Source cardinality of one run set: the widest flow through the first
-/// operator (Src ops count emissions as RowsOut; operators fed directly
-/// by a source count them as RowsIn).
-std::uint64_t sourceRows(const obs::ProfileSnapshot &S) {
-  if (S.Ops.empty())
-    return 0;
-  return std::max(S.Ops.front().RowsIn, S.Ops.front().RowsOut);
-}
-
-} // namespace
-
 void FeedbackStore::foldLocked(Entry &E, const obs::ProfileSnapshot &S) {
-  // A cumulative counter moving backwards means the profile store was
-  // cleared (tests) — restart the baseline rather than folding garbage.
-  std::uint64_t Rows = sourceRows(S);
-  std::uint64_t Nanos = S.totalNanos();
-  if (S.Runs < E.SeenRuns || Rows < E.SeenRows || Nanos < E.SeenNanos)
+  // A run count moving backwards means the profile store was cleared
+  // (tests) — restart the baseline rather than folding garbage.
+  if (S.Runs < E.SeenRuns)
     E = Entry{};
 
   std::uint64_t DRuns = S.Runs - E.SeenRuns;
   if (!DRuns)
     return; // nothing new since the last refresh
-
-  bool First = E.FB.Runs == 0;
-  std::uint64_t DRows = Rows - E.SeenRows;
-  std::uint64_t DNanos = Nanos - E.SeenNanos;
-  E.FB.RowsPerRun = ewma(E.FB.RowsPerRun,
-                         static_cast<double>(DRows) /
-                             static_cast<double>(DRuns),
-                         First);
-  if (DRows)
-    E.FB.NanosPerRow = ewma(E.FB.NanosPerRow,
-                            static_cast<double>(DNanos) /
-                                static_cast<double>(DRows),
-                            First || E.FB.NanosPerRow == 0.0);
 
   for (const obs::OpProfile &O : S.Ops) {
     if (O.Label != "Where" || !O.OpId)
@@ -86,26 +49,8 @@ void FeedbackStore::foldLocked(Entry &E, const obs::ProfileSnapshot &S) {
     B.Nanos = O.Nanos;
   }
 
-  // Skew: the dominant worker's merge share over the mean share. Uses the
-  // cumulative distribution (skew is a property of the whole history, and
-  // per-refresh deltas would be too sparse to be meaningful).
-  if (!S.WorkerMerges.empty()) {
-    std::uint64_t Max = 0, Total = 0;
-    for (const auto &[W, N] : S.WorkerMerges) {
-      (void)W;
-      Max = std::max(Max, N);
-      Total += N;
-    }
-    double Mean = static_cast<double>(Total) /
-                  static_cast<double>(S.WorkerMerges.size());
-    E.FB.WorkerImbalance = Mean > 0 ? static_cast<double>(Max) / Mean : 1.0;
-    E.FB.WorkersSeen = static_cast<unsigned>(S.WorkerMerges.size());
-  }
-
   E.FB.Runs += DRuns;
   E.SeenRuns = S.Runs;
-  E.SeenRows = Rows;
-  E.SeenNanos = Nanos;
 }
 
 std::optional<PlanFeedback>
@@ -141,7 +86,7 @@ FeedbackStore::observedStats(std::uint64_t PlanHash) const {
   std::map<std::uint64_t, quil::ObservedPredStats> Out;
   std::lock_guard<std::mutex> Lock(Mutex);
   auto It = Plans.find(PlanHash);
-  if (It == Plans.end() || It->second.Ignored)
+  if (It == Plans.end())
     return Out;
   for (const auto &[OpId, P] : It->second.FB.Preds) {
     if (P.Samples < MinSamples)
@@ -154,34 +99,6 @@ FeedbackStore::observedStats(std::uint64_t PlanHash) const {
     Out[OpId] = S;
   }
   return Out;
-}
-
-bool FeedbackStore::ignored(std::uint64_t PlanHash) const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  auto It = Plans.find(PlanHash);
-  return It != Plans.end() && It->second.Ignored;
-}
-
-bool FeedbackStore::recordMisprediction(std::uint64_t PlanHash) {
-  static obs::Counter &Mispredicts = obs::counter("adapt.mispredictions");
-  static obs::Counter &Ignored = obs::counter("adapt.ignored");
-  Mispredicts.inc();
-  std::lock_guard<std::mutex> Lock(Mutex);
-  Entry &E = Plans[PlanHash];
-  if (E.Ignored)
-    return false;
-  if (++E.Strikes < MispredictLimit)
-    return false;
-  E.Ignored = true;
-  Ignored.inc();
-  return true;
-}
-
-void FeedbackStore::recordGoodPrediction(std::uint64_t PlanHash) {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  auto It = Plans.find(PlanHash);
-  if (It != Plans.end() && !It->second.Ignored)
-    It->second.Strikes = 0;
 }
 
 std::size_t FeedbackStore::size() const {
@@ -199,44 +116,4 @@ FeedbackStore &FeedbackStore::global() {
   // compiles may race process teardown.
   static FeedbackStore *Store = new FeedbackStore();
   return *Store;
-}
-
-//===--------------------------------------------------------------------===//
-// Morsel tuning
-//===--------------------------------------------------------------------===//
-
-dryad::MorselOptions adapt::tunedMorselOptions(std::uint64_t PlanHash,
-                                               dryad::MorselOptions M) {
-  FeedbackStore &FS = FeedbackStore::global();
-  auto FB = FS.refresh(PlanHash, obs::ProfileStore::global());
-  if (!FB || FB->Runs < FS.minSamples())
-    return M;
-
-  dryad::MorselOptions Out = M;
-  // Size a morsel to the scheduler's latency budget: budget-nanos over
-  // observed per-row cost, clamped to the configured bounds.
-  if (FB->NanosPerRow > 0) {
-    double Target = M.TargetMorselMicros * 1000.0 / FB->NanosPerRow;
-    std::size_t Sized =
-        Target < 1.0 ? std::size_t{1}
-                     : static_cast<std::size_t>(std::min(
-                           Target, static_cast<double>(M.MaxMorsel)));
-    Out.InitialMorsel = std::clamp(Sized, M.MinMorsel, M.MaxMorsel);
-  }
-  // Heavy skew: cap the largest grab so stragglers stay stealable.
-  if (FB->WorkerImbalance > 2.0 && FB->WorkersSeen > 1)
-    Out.MaxMorsel = std::max(M.MinMorsel, Out.InitialMorsel);
-  // Observed-tiny inputs: the fan-out never pays for itself — route the
-  // whole input through the inline single-worker path.
-  if (FB->RowsPerRun > 0 &&
-      FB->RowsPerRun <= static_cast<double>(2 * M.MinMorsel))
-    Out.InlineBelow = std::max(
-        Out.InlineBelow, static_cast<std::size_t>(FB->RowsPerRun) + 1);
-
-  if (Out.InitialMorsel != M.InitialMorsel || Out.MaxMorsel != M.MaxMorsel ||
-      Out.InlineBelow != M.InlineBelow) {
-    static obs::Counter &Tuned = obs::counter("adapt.morsel_tuned");
-    Tuned.inc();
-  }
-  return Out;
 }

@@ -7,37 +7,28 @@
 ///
 /// \file
 /// steno::adapt — the feedback loop that turns the obs::ProfileStore from
-/// a reporting tool into a planning input (DESIGN.md §5j). Modeled on
-/// PostgresPro AQO's learn-cache / auto-tuning / ignorance design:
+/// a reporting tool into a planning input (DESIGN.md §5j). It is the only
+/// way an observed statistic reaches a plan:
 ///
 ///  * **FeedbackStore** aggregates observed Pred selectivities and
-///    per-operator costs per plan hash across runs. Each refresh() folds
+///    per-predicate costs per plan hash across runs. Each refresh() folds
 ///    the *delta* since the last refresh as one observation into
 ///    exponentially-decayed means (EWMA, factor Alpha), so a query whose
 ///    data distribution drifts re-learns instead of averaging forever.
-///    A minimum-sample threshold (STENO_ADAPT_MIN_SAMPLES, default 3)
-///    gates every consumer: one noisy run never reorders a plan.
+///    A minimum-sample threshold (constructor argument, default 3) gates
+///    every consumer: one noisy run never reorders a plan.
 ///
 ///  * **observedStats()** exports the ripe predicate feedback in the
 ///    quil::RewriteOptions::Observed form, so the certificate-gated
-///    rewriter ranks adjacent Where runs by observed cost×selectivity
-///    instead of the static System-R heuristic. The stats travel inside
-///    RewriteOptions — not read back from mutable store state — which
-///    keeps verifyCertificates()'s replay deterministic.
-///
-///  * **tunedMorselOptions()** picks morsel sizing per query from the
-///    observed per-row cost (sizing a morsel to the scheduler's latency
-///    budget) and per-worker skew, and routes provably tiny inputs to the
-///    inline single-worker path.
-///
-///  * **Ignorance list.** A plan hash whose post-swap observed latency
-///    regresses strikes once; MispredictLimit (2) *consecutive* strikes
-///    quarantine the hash — adaptive planning pins it to the static plan
-///    and bumps the `adapt.ignored` counter. A good prediction resets the
-///    strike count.
+///    rewriter ranks a run of adjacent Wheres by observed cost×selectivity
+///    instead of the static System-R heuristic when every predicate in
+///    the run is ripe. The stats travel inside RewriteOptions — not read
+///    back from mutable store state — which keeps verifyCertificates()'s
+///    replay deterministic.
 ///
 /// Gate: STENO_ADAPT (on unless set to "0" or "off") defaults
-/// CompileOptions::Adaptive and serve's re-planning.
+/// CompileOptions::Adaptive and serve's re-plan cadence
+/// (ServeOptions::ReplanEvery).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -45,7 +36,6 @@
 #define STENO_ADAPT_ADAPT_H
 
 #include "analysis/Rewrite.h"
-#include "dryad/Morsel.h"
 #include "obs/Profile.h"
 
 #include <cstdint>
@@ -57,12 +47,9 @@ namespace steno {
 namespace adapt {
 
 /// STENO_ADAPT (support::parseFlag, default on) — the default for
-/// CompileOptions::Adaptive and ServeOptions::AdaptiveReplan.
+/// CompileOptions::Adaptive and whether ServeOptions::ReplanEvery
+/// defaults to a cadence.
 bool adaptEnvEnabled();
-
-/// STENO_ADAPT_MIN_SAMPLES (support::parseCount, default 3, minimum 1):
-/// observed runs required before feedback is considered ripe.
-std::uint64_t adaptMinSamplesEnv();
 
 /// One predicate's decayed observation, keyed by the lambda identity
 /// (expr::hashLambda) the profiler records as OpId.
@@ -75,11 +62,7 @@ struct PredFeedback {
 
 /// The decayed aggregate for one plan hash.
 struct PlanFeedback {
-  std::uint64_t Runs = 0;       ///< Total runs folded in.
-  double RowsPerRun = 0.0;      ///< Decayed mean source rows per run.
-  double NanosPerRow = 0.0;     ///< Decayed mean whole-plan cost per row.
-  double WorkerImbalance = 1.0; ///< max/mean merge share across workers.
-  unsigned WorkersSeen = 0;     ///< Workers that merged at least one run.
+  std::uint64_t Runs = 0; ///< Total runs folded in.
   std::map<std::uint64_t, PredFeedback> Preds; ///< Keyed by OpId.
 };
 
@@ -89,11 +72,8 @@ struct PlanFeedback {
 /// test entry that folds a hand-built snapshot directly.
 class FeedbackStore {
 public:
-  explicit FeedbackStore(double Alpha = 0.3,
-                         std::uint64_t MinSamples = adaptMinSamplesEnv(),
-                         unsigned MispredictLimit = 2)
-      : Alpha(Alpha), MinSamples(MinSamples),
-        MispredictLimit(MispredictLimit) {}
+  explicit FeedbackStore(double Alpha = 0.3, std::uint64_t MinSamples = 3)
+      : Alpha(Alpha), MinSamples(MinSamples) {}
 
   /// Folds the delta between \p Store's resolved snapshot for
   /// \p PlanHash and the last refresh into the decayed aggregates.
@@ -111,25 +91,9 @@ public:
   std::optional<PlanFeedback> lookup(std::uint64_t PlanHash) const;
 
   /// Ripe predicate feedback (Samples >= minSamples()) in the form the
-  /// rewriter consumes; empty when the plan is unknown, not ripe, or
-  /// quarantined.
+  /// rewriter consumes; empty when the plan is unknown or not ripe.
   std::map<std::uint64_t, quil::ObservedPredStats>
   observedStats(std::uint64_t PlanHash) const;
-
-  //===--- Ignorance list (AQO-style) -----------------------------------===//
-
-  /// True when \p PlanHash is quarantined: feedback-driven planning must
-  /// pin the static plan.
-  bool ignored(std::uint64_t PlanHash) const;
-
-  /// Records one post-swap latency regression. Returns true when this
-  /// strike reached MispredictLimit consecutive mispredictions and
-  /// tripped the quarantine (bumping `adapt.ignored`).
-  bool recordMisprediction(std::uint64_t PlanHash);
-
-  /// Records a post-swap plan that held its predicted advantage; resets
-  /// the consecutive-strike count (no effect once quarantined).
-  void recordGoodPrediction(std::uint64_t PlanHash);
 
   std::uint64_t minSamples() const { return MinSamples; }
   double alpha() const { return Alpha; }
@@ -147,12 +111,7 @@ private:
     PlanFeedback FB;
     // Last-seen cumulative counters, so each refresh folds a delta.
     std::uint64_t SeenRuns = 0;
-    std::uint64_t SeenRows = 0;
-    std::uint64_t SeenNanos = 0;
     std::map<std::uint64_t, OpBaseline> PerOp;
-    // Ignorance state.
-    unsigned Strikes = 0;
-    bool Ignored = false;
   };
 
   void foldLocked(Entry &E, const obs::ProfileSnapshot &S);
@@ -162,20 +121,9 @@ private:
 
   double Alpha;
   std::uint64_t MinSamples;
-  unsigned MispredictLimit;
   mutable std::mutex Mutex;
   std::map<std::uint64_t, Entry> Plans;
 };
-
-/// Morsel sizing from feedback: when the global FeedbackStore holds ripe
-/// feedback for \p PlanHash, returns \p M with InitialMorsel sized to the
-/// scheduler's per-morsel latency budget from the observed per-row cost,
-/// MaxMorsel clamped under heavy per-worker skew, and InlineBelow raised
-/// so observed-tiny inputs run inline on one worker. Returns \p M
-/// unchanged otherwise. Bumps `adapt.morsel_tuned` when it changes
-/// anything.
-dryad::MorselOptions tunedMorselOptions(std::uint64_t PlanHash,
-                                        dryad::MorselOptions M);
 
 } // namespace adapt
 } // namespace steno

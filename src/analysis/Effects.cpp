@@ -28,6 +28,7 @@
 
 #include "analysis/Analysis.h"
 #include "analysis/ChainWalk.h"
+#include "expr/Analysis.h"
 #include "expr/Fold.h"
 
 #include <string>
@@ -191,21 +192,24 @@ private:
           return;
         if (!E.type()->isInt64())
           return; // double division is IEEE-defined, not a trap
+        // The one safe-divisor rule (rt::divTraps): a constant that traps
+        // on no dividend. A zero divisor always traps; any other divisor
+        // — not constant, or -1 over INT64_MIN — may.
         ExprRef Divisor = expr::foldConstants(E.operand(1));
-        if (Divisor->kind() == ExprKind::Const) {
-          if (std::get<std::int64_t>(Divisor->constValue()) == 0) {
-            Diags.report(DiagCode::DivByZero, Severity::Error,
-                         opLoc(Path, I, RE.Role, At),
-                         "integer division by constant zero");
-            Cert.Pure = false;
-          }
-          return; // nonzero constant divisor: provably safe
+        if (expr::isSafeConstDivisor(*Divisor))
+          return;
+        Cert.Pure = false;
+        if (Divisor->kind() == ExprKind::Const &&
+            std::get<std::int64_t>(Divisor->constValue()) == 0) {
+          Diags.report(DiagCode::DivByZero, Severity::Error,
+                       opLoc(Path, I, RE.Role, At),
+                       "integer division by constant zero");
+          return;
         }
         Diags.report(DiagCode::DivByZero, Severity::Warning,
                      opLoc(Path, I, RE.Role, At),
-                     "integer division with a divisor not provably "
-                     "nonzero may trap at run time");
-        Cert.Pure = false;
+                     "integer division with a divisor not provably safe "
+                     "(zero, or -1 over INT64_MIN) may trap at run time");
       });
     }
   }

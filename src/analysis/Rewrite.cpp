@@ -4,7 +4,6 @@
 #include "analysis/AbsInt.h"
 #include "analysis/ChainWalk.h"
 #include "expr/Analysis.h"
-#include "obs/Profile.h"
 #include "support/Env.h"
 #include "support/StringUtil.h"
 
@@ -422,13 +421,6 @@ private:
 
   void reorderPreds(Chain &C, const ChainFacts &Facts,
                     const std::vector<unsigned> &Prefix) {
-    // Observed selectivities keyed by predicate identity (hashLambda),
-    // resolved through rewrite provenance. Only consulted when the
-    // profile actually has runs.
-    std::map<std::uint64_t, double> Observed;
-    if (Opts.Profile && Prefix.empty())
-      Observed = observedSelectivities(C);
-
     for (unsigned I = 0; I != C.Ops.size();) {
       // A maximal run of adjacent stateless trap-free Where ops.
       unsigned J = I;
@@ -437,7 +429,7 @@ private:
              Facts.Ops[J].TrapFree)
         ++J;
       if (J - I >= 2)
-        reorderRun(C, I, J, Observed, Prefix);
+        reorderRun(C, I, J, Prefix);
       I = J > I ? J : I + 1;
     }
 
@@ -459,54 +451,36 @@ private:
     }
   }
 
-  std::map<std::uint64_t, double> observedSelectivities(const Chain &C) {
-    std::map<std::uint64_t, double> Out;
-    auto Snap = Opts.Profile->snapshotResolved(hashChain(C));
-    if (!Snap || !Snap->Runs)
-      return Out;
-    for (const obs::OpProfile &O : Snap->Ops)
-      if (O.Label == "Where" && O.OpId && O.selectivity() >= 0)
-        Out[O.OpId] = O.selectivity();
-    return Out;
-  }
-
   void reorderRun(Chain &C, unsigned Begin, unsigned End,
-                  const std::map<std::uint64_t, double> &Observed,
                   const std::vector<unsigned> &Prefix) {
     struct Ranked {
       unsigned Idx;
       double Sel;
       double Cost;
-      bool FromProfile;
-      bool FromFeedback;
       double rank() const { return (Sel - 1.0) / Cost; }
     };
     // Feedback mode: when the adapt layer supplied decayed observed
     // stats for EVERY predicate in the run, rank by observed
-    // cost×selectivity (cost in nanos-per-row). Mixed runs fall back to
-    // the profile/static path — observed-nanos and static node counts
-    // are not commensurable units.
-    bool AllFeedback = !Opts.Observed.empty();
-    for (unsigned I = Begin; I != End && AllFeedback; ++I)
-      AllFeedback = Opts.Observed.count(expr::hashLambda(C.Ops[I].Fn)) != 0;
+    // cost×selectivity (cost in nanos-per-row). Any other run ranks
+    // statically — observed nanos and static node counts are not
+    // commensurable units.
+    bool Observed = !Opts.Observed.empty();
+    for (unsigned I = Begin; I != End && Observed; ++I)
+      Observed = Opts.Observed.count(expr::hashLambda(C.Ops[I].Fn)) != 0;
 
     std::vector<Ranked> Run;
     for (unsigned I = Begin; I != End; ++I) {
       const Op &O = C.Ops[I];
       Ranked R;
       R.Idx = I;
-      R.FromFeedback = AllFeedback;
-      if (AllFeedback) {
+      if (Observed) {
         const ObservedPredStats &S =
             Opts.Observed.at(expr::hashLambda(O.Fn));
         R.Sel = S.Sel;
         R.Cost = std::max(S.CostNanos, 1e-3);
-        R.FromProfile = true;
       } else {
         R.Cost = static_cast<double>(staticCost(O.Fn.body()));
-        auto It = Observed.find(expr::hashLambda(O.Fn));
-        R.FromProfile = It != Observed.end();
-        R.Sel = R.FromProfile ? It->second : staticSelectivity(O.Fn.body());
+        R.Sel = staticSelectivity(O.Fn.body());
       }
       Run.push_back(R);
     }
@@ -523,21 +497,19 @@ private:
 
     std::vector<Op> NewOps;
     NewOps.reserve(Run.size());
-    std::string Fact = AllFeedback
+    std::string Fact = Observed
                            ? "rank = (selectivity - 1) / cost, feedback:"
                            : "rank = (selectivity - 1) / cost:";
     for (const Ranked &R : Run) {
       NewOps.push_back(C.Ops[R.Idx]);
-      if (R.FromFeedback)
+      if (Observed)
         Fact += support::strFormat(" #%u(sel=%.4f*,cost=%.4gns)", R.Idx,
                                    R.Sel, R.Cost);
       else
-        Fact += support::strFormat(" #%u(sel=%.4f%s,cost=%lld)", R.Idx,
-                                   R.Sel, R.FromProfile ? "*" : "",
+        Fact += support::strFormat(" #%u(sel=%.4f,cost=%lld)", R.Idx, R.Sel,
                                    static_cast<long long>(R.Cost));
     }
-    if (std::any_of(Run.begin(), Run.end(),
-                    [](const Ranked &R) { return R.FromProfile; }))
+    if (Observed)
       Fact += " (* = observed)";
     for (unsigned K = 0; K != NewOps.size(); ++K)
       C.Ops[Begin + K] = std::move(NewOps[K]);

@@ -30,10 +30,11 @@
 ///   MergeTakeTake / MergeSkipSkip — adjacent constant counts combined.
 ///   DropSkipZero / DropRedundantTake — provable no-ops removed.
 ///   ReorderPreds      — maximal runs of adjacent trap-free Where ops
-///                       stably sorted by (selectivity - 1) / cost;
-///                       observed ProfileStore selectivities override the
-///                       static estimate when a profile exists for the
-///                       plan hash.
+///                       stably sorted by (selectivity - 1) / cost. The
+///                       only observed source is RewriteOptions::Observed
+///                       (the adapt::FeedbackStore's ripe statistics): a
+///                       run is ranked by observation when every Where in
+///                       it has an entry, else statically.
 ///   ElideDivTrap      — int64 Div/Mod whose divisor interval excludes 0
 ///                       (and cannot hit INT64_MIN / -1) marked divSafe()
 ///                       so codegen emits plain `/` `%` instead of
@@ -53,10 +54,6 @@
 #include <vector>
 
 namespace steno {
-namespace obs {
-class ProfileStore;
-}
-
 namespace quil {
 
 /// Which rewrite rule produced a certificate.
@@ -91,7 +88,7 @@ struct RewriteCertificate {
 /// One predicate's observed statistics, keyed by expr::hashLambda, as
 /// produced by adapt::FeedbackStore::observedStats(). When every Where in
 /// an adjacent run has an entry, ReorderPreds ranks the run by observed
-/// cost×selectivity instead of the static heuristic.
+/// cost×selectivity; otherwise the whole run ranks statically.
 struct ObservedPredStats {
   double Sel = 0.5;       ///< Decayed mean observed selectivity.
   double CostNanos = 1.0; ///< Decayed mean per-input-row cost (ns).
@@ -100,9 +97,6 @@ struct ObservedPredStats {
 struct RewriteOptions {
   bool ReorderPreds = true;
   bool ElideTraps = true;
-  /// Observed-selectivity source for ReorderPreds; null = static
-  /// estimates only.
-  const obs::ProfileStore *Profile = nullptr;
   /// Feedback-driven predicate statistics (adapt layer). Carried inside
   /// the options — rather than read back from mutable store state — so
   /// verifyCertificates()'s replay of a feedback-driven reorder is
@@ -118,9 +112,9 @@ struct RewriteResult {
   bool Changed = false;
 };
 
-/// Rewrites \p C under \p Options. Deterministic for a fixed chain,
-/// options, and ProfileStore state. The input chain must be valid
-/// (validate(C) == nullopt); the output chain is valid too.
+/// Rewrites \p C under \p Options. Deterministic for a fixed chain and
+/// options. The input chain must be valid (validate(C) == nullopt); the
+/// output chain is valid too.
 RewriteResult rewriteChain(const Chain &C,
                            const RewriteOptions &Options = RewriteOptions());
 

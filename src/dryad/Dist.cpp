@@ -1,7 +1,6 @@
 //===- dryad/Dist.cpp -----------------------------------------*- C++ -*-===//
 
 #include "dryad/Dist.h"
-#include "adapt/Adapt.h"
 #include "analysis/Analysis.h"
 #include "dryad/HomomorphicApply.h"
 #include "expr/Eval.h"
@@ -100,7 +99,6 @@ DistributedQuery DistributedQuery::compile(const query::Query &Q,
 
   DistributedQuery DQ;
   DQ.Morsels = Options.Morsels;
-  DQ.Adaptive = Options.Adaptive && Options.Profile;
 
   SplitDecision Split = decideSplit(Chain);
   DQ.Cert = Split.Analysis.Cert;
@@ -494,14 +492,8 @@ QueryResult DistributedQuery::runParallel(ThreadPool &Pool,
   Runners.reserve(Workers);
   for (unsigned W = 0; W != Workers; ++W)
     Runners.emplace_back(Vertex);
-  // Feedback-tuned morsel sizing: observed per-row cost sizes the morsel
-  // to the scheduler's latency budget; observed skew caps the largest
-  // grab. Falls back to the static Morsels whenever feedback is absent
-  // or not ripe.
-  MorselOptions M =
-      Adaptive ? adapt::tunedMorselOptions(vertexPlanHash(), Morsels) : Morsels;
   MorselStats Stats = morselFor(
-      Pool, Count, M,
+      Pool, Count, Morsels,
       [&Src, &PerWorker, &Parts, &Runners, PartitionSlot](
           std::size_t Begin, std::size_t End, unsigned W) {
         rebindRange(Parts[W], Src, PartitionSlot, Begin, End - Begin);

@@ -34,12 +34,9 @@ namespace dryad {
 /// reporting and rejection; the parallel-safety certificate that gates
 /// fan-out is always computed. With Profile on, every vertex run merges
 /// per-operator statistics into the ProfileStore under vertexPlanHash(),
-/// once per worker under runParallel; with Adaptive on as well,
-/// runParallel sizes morsels from the observed per-row cost and
-/// per-worker skew (adapt::tunedMorselOptions, DESIGN.md §5j) instead of
-/// the static Morsels. When the batch executor runs the vertex (an Interp
-/// vertex with Vectorize on), runParallel aligns morsel boundaries to
-/// whole batches.
+/// once per worker under runParallel. When the batch executor runs the
+/// vertex (an Interp vertex with Vectorize on), runParallel aligns morsel
+/// boundaries to whole batches.
 struct DistOptions : CompileOptions {
   /// Tuning for the morsel scheduler runParallel dispatches through.
   MorselOptions Morsels;
@@ -152,10 +149,6 @@ private:
   CompiledQuery Vertex;
   analysis::SafetyCertificate Cert;
   MorselOptions Morsels;
-  /// Consult the FeedbackStore for morsel sizing on each runParallel
-  /// (set at compile from Adaptive && Profile, so unprofiled queries
-  /// never pay the lookup).
-  bool Adaptive = false;
   bool Sequential = false;
   std::string WhyNot;
 };

@@ -773,6 +773,7 @@ bool fuzz::parseSpec(const std::string &Text, QuerySpec &Spec,
   std::istringstream In(Text);
   std::string Line;
   unsigned LineNo = 0;
+  std::uint64_t Rows = 0;
   bool SawHeader = false;
   bool SawEnd = false;
   while (std::getline(In, Line)) {
@@ -812,6 +813,12 @@ bool fuzz::parseSpec(const std::string &Text, QuerySpec &Spec,
       if (!tokenParse(DataClassTokens, Cls, S.Data))
         return fail(LineNo, "unknown data class '" + Cls + "'");
       S.Seed = Seed;
+      Rows += S.Count;
+      if (Rows > MaxSpecRows)
+        return fail(LineNo,
+                    "sources declare " + std::to_string(Rows) +
+                        " rows, more than the cap of " +
+                        std::to_string(MaxSpecRows));
       Spec.Sources.push_back(S);
       continue;
     }

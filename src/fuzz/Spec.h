@@ -202,8 +202,14 @@ bool buildSpec(const QuerySpec &Spec, BuiltQuery &Out, std::string *Err);
 /// Renders \p Spec in the line-based `steno-fuzz v1` format.
 std::string serializeSpec(const QuerySpec &Spec);
 
+/// The most rows a spec's sources may declare in total: 2^24, 128 MB of
+/// doubles. A client's spec is data the service allocates, so parseSpec
+/// refuses a larger one before buildSpec allocates anything.
+constexpr std::uint64_t MaxSpecRows = std::uint64_t{1} << 24;
+
 /// Parses the `steno-fuzz v1` format ('#' starts a comment line).
-/// Returns false and fills \p Err on malformed input.
+/// Returns false and fills \p Err on malformed input, or on sources
+/// declaring more than MaxSpecRows rows in total.
 bool parseSpec(const std::string &Text, QuerySpec &Spec, std::string *Err);
 
 /// One-line structural summary for logs, e.g.

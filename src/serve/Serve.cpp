@@ -2,7 +2,6 @@
 
 #include "serve/Serve.h"
 
-#include "adapt/Adapt.h"
 #include "analysis/Analysis.h"
 #include "dryad/Dist.h"
 #include "obs/Metrics.h"
@@ -34,10 +33,11 @@ namespace {
 
 /// Backends are compiled with analysis off: prepare() already screened
 /// the chain, and strict mode inside compileQuery would abort the
-/// process on what should be a per-request error. The baseline (v1) plan
+/// process on what should be a per-request error. prepare()'s (v1) plan
 /// is deliberately non-adaptive: it is the stable static anchor the
-/// feedback accumulates against. Feedback enters only through the
-/// explicit re-plan path, which compiles with \p Adaptive on.
+/// feedback accumulates against, and the only plan the QueryCache holds.
+/// Feedback enters only through the re-plan path, which compiles with
+/// \p Adaptive on.
 CompileOptions planOptions(Backend B, bool Profile, bool Adaptive = false) {
   CompileOptions CO;
   CO.Exec = B;
@@ -66,7 +66,6 @@ struct ServeMetrics {
       obs::counter("serve.recompile.saturated");
   obs::Counter &Replans = obs::counter("adapt.replans");
   obs::Counter &ReplanSwaps = obs::counter("adapt.swaps");
-  obs::Counter &AdaptReverted = obs::counter("adapt.reverted");
   obs::Gauge &QueueDepth = obs::gauge("serve.queue.depth");
   obs::Histogram &RequestMicros = obs::histogram(
       "serve.request.micros", {10, 100, 1e3, 1e4, 1e5, 1e6, 1e7});
@@ -91,51 +90,18 @@ void tick(obs::Counter &C, std::atomic<std::uint64_t> &N) {
 // PlanSlot
 //===--------------------------------------------------------------------===//
 
-CompiledQuery PlanSlot::live(bool *IsAdaptive) const {
-  std::lock_guard<std::mutex> Lock(M);
-  if (IsAdaptive)
-    *IsAdaptive = Adaptive.valid();
-  return Adaptive.valid() ? Adaptive : Static;
-}
-
 bool PlanSlot::claim(bool UpgradeOnly) {
   std::lock_guard<std::mutex> Lock(M);
-  if (Compiling || (UpgradeOnly && Static.backend() == Backend::Native))
+  if (Compiling || (UpgradeOnly && Plan.backend() == Backend::Native))
     return false;
   Compiling = true;
   return true;
 }
 
-void PlanSlot::publishStatic(CompiledQuery Plan) {
+void PlanSlot::publish(CompiledQuery Next) {
   std::lock_guard<std::mutex> Lock(M);
-  Static = std::move(Plan);
+  Plan = std::move(Next);
   Compiling = false;
-}
-
-bool PlanSlot::publishAdaptive(CompiledQuery Plan) {
-  std::lock_guard<std::mutex> Lock(M);
-  Compiling = false;
-  if (Pinned)
-    return false;
-  Adaptive = std::move(Plan);
-  return true;
-}
-
-bool PlanSlot::revert() {
-  std::lock_guard<std::mutex> Lock(M);
-  if (!Adaptive.valid())
-    return false;
-  Adaptive = CompiledQuery();
-  return true;
-}
-
-bool PlanSlot::pin() {
-  std::lock_guard<std::mutex> Lock(M);
-  if (Pinned)
-    return false;
-  Pinned = true;
-  Adaptive = CompiledQuery();
-  return true;
 }
 
 //===--------------------------------------------------------------------===//
@@ -252,7 +218,7 @@ PreparedHandle QueryService::prepare(const std::string &SpecText,
   // The interpreter plan is ready in milliseconds; the native plan (if
   // wanted) arrives later via the background swap. QueryCache makes
   // re-preparing a structurally equal query a hit sharing one module.
-  P->Slot.publishStatic(Cache->getOrCompile(
+  P->Slot.publish(Cache->getOrCompile(
       P->Built.Q, planOptions(Backend::Interp, Options.Profile)));
 
   tick(metrics().Prepares, NPrepares);
@@ -296,22 +262,33 @@ bool QueryService::compileInBackground(
 bool QueryService::scheduleRecompile(const PreparedHandle &P) {
   if (!P || !P->Slot.claim(/*UpgradeOnly=*/true))
     return false; // already native, or a compile is in flight
-  CompileOptions NativeOptions = planOptions(Backend::Native, Options.Profile);
+  CompiledQuery From = P->Slot.plan();
+
+  // The QueryCache holds prepare()'s plans and their native twins only.
+  // A re-planned plan (a hash the cached interpreter plan does not have)
+  // compiles for this handle alone, never under the static key.
+  CompiledQuery Static = Cache->lookup(
+      P->Built.Q, planOptions(Backend::Interp, Options.Profile));
+  if (!Static.valid() || Static.planHash() != From.planHash())
+    return compileInBackground(P, P->Slot, From,
+                               [P](CompiledQuery Native) {
+                                 P->Slot.publish(std::move(Native));
+                               });
 
   // Another handle for the same structure may have finished first; the
   // cache peek turns that into an immediate swap with no compiler run.
+  CompileOptions NativeOptions = planOptions(Backend::Native, Options.Profile);
   CompiledQuery Cached = Cache->lookup(P->Built.Q, NativeOptions);
   if (Cached.valid()) {
-    P->Slot.publishStatic(std::move(Cached));
+    P->Slot.publish(std::move(Cached));
     tick(metrics().RecompDone, NRecompDone);
     return true;
   }
   // Publish to the cache first (first insert wins, so concurrent
   // recompiles of equal queries converge on one module), then swap.
   return compileInBackground(
-      P, P->Slot, P->Slot.staticPlan(),
-      [this, P, NativeOptions](CompiledQuery Native) {
-        P->Slot.publishStatic(
+      P, P->Slot, From, [this, P, NativeOptions](CompiledQuery Native) {
+        P->Slot.publish(
             Cache->insert(P->Built.Q, NativeOptions, std::move(Native)));
       });
 }
@@ -337,7 +314,7 @@ void QueryService::buildPartial(const PreparedHandle &P) {
     CompileOptions VO = planOptions(Backend::Interp, Options.Profile);
     VO.SpecializeGroupByAggregate = false; // already applied
     VO.Name = "serve_vertex";
-    PS->Vertex.publishStatic(compileChain(PS->Plan.VertexChain, VO));
+    PS->Vertex.publish(compileChain(PS->Plan.VertexChain, VO));
   }
   P->Partial = std::move(PS);
 }
@@ -354,9 +331,9 @@ QueryService::preparePartial(const PreparedHandle &P) {
   // chain, not the query the cache indexes.
   if (PS.Splittable && Options.BackgroundRecompile &&
       !CompileQ.saturated() && PS.Vertex.claim(/*UpgradeOnly=*/true))
-    compileInBackground(P, PS.Vertex, PS.Vertex.staticPlan(),
+    compileInBackground(P, PS.Vertex, PS.Vertex.plan(),
                         [&PS](CompiledQuery Native) {
-                          PS.Vertex.publishStatic(std::move(Native));
+                          PS.Vertex.publish(std::move(Native));
                         });
   return &PS;
 }
@@ -365,103 +342,45 @@ QueryService::preparePartial(const PreparedHandle &P) {
 // Adaptive re-planning (DESIGN.md §5j)
 //===--------------------------------------------------------------------===//
 
-std::uint64_t QueryService::feedbackAnchor(const PreparedQuery &P) const {
-  // Feedback is keyed by the pre-rewrite (anchor) hash: the one hash
-  // every plan version of this query — static v1, feedback v2, v3 — has
-  // provenance edges to, so snapshotResolved() folds them all.
-  CompiledQuery V1 = P.Slot.staticPlan();
-  std::uint64_t RF = V1.rewrittenFromHash();
-  return RF ? RF : V1.planHash();
-}
-
-void QueryService::publishAdaptive(const PreparedHandle &P,
-                                   CompiledQuery Plan) {
-  if (!P->Slot.publishAdaptive(std::move(Plan)))
-    return; // pinned while the version compiled
-  // Fresh judgement window for the new version.
-  P->AdaptRuns.store(0, std::memory_order_relaxed);
-  P->AdaptNanos.store(0, std::memory_order_relaxed);
-  tick(metrics().ReplanSwaps, NReplanSwaps);
-}
-
 bool QueryService::scheduleAdaptiveReplan(const PreparedHandle &P) {
-  if (!P || Closed.load(std::memory_order_relaxed) ||
-      !Options.AdaptiveReplan || !Options.Profile || P->pinnedStatic())
+  if (!P || Closed.load(std::memory_order_relaxed) || !Options.Profile)
     return false;
-  if (adapt::FeedbackStore::global().ignored(feedbackAnchor(*P))) {
-    // Quarantined before this handle existed (or by a sibling handle):
-    // pin without attempting a compile.
-    if (P->Slot.pin())
-      NAdaptPinned.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  // With native plans wanted, a feedback version waits for the native
-  // v1: swapping a slower interpreted v2 over it would regress the
-  // handle for the wrong reason. Retry at the next cadence point.
+  // With native plans wanted, a re-plan waits for the native v1:
+  // replacing it with a slower interpreted v2 would regress the handle
+  // for the wrong reason. Retry at the next cadence point.
   if (Options.BackgroundRecompile && !P->nativeReady())
     return false;
-  // One compile per handle at a time: a live v2 may be re-planned into a
-  // v3, but a compile already in flight is left alone.
+  // One compile per handle at a time: a v2 may be re-planned into a v3,
+  // but a compile already in flight is left alone.
   if (!P->Slot.claim())
     return false;
   tick(metrics().Replans, NReplans);
 
-  // Compile the feedback version synchronously on the interpreter
-  // backend (milliseconds — same budget as prepare). Deliberately NOT
-  // through the QueryCache: feedback evolves between replans, so a v3
-  // must not be served a stale cached v2.
-  CompiledQuery V2 = compileQuery(
+  // Compile the feedback plan synchronously on the interpreter backend
+  // (milliseconds — same budget as prepare). Deliberately NOT through
+  // the QueryCache: feedback evolves between re-plans, so a v3 must not
+  // be served a stale cached v2, and the cache's static key must never
+  // name a feedback plan.
+  CompiledQuery Next = compileQuery(
       P->Built.Q, planOptions(Backend::Interp, Options.Profile,
                               /*Adaptive=*/true));
-  if (!V2.valid() || V2.planHash() == P->Slot.live().planHash()) {
+  if (!Next.valid() || Next.planHash() == P->Slot.plan().planHash()) {
     // Feedback reproduced the running plan: nothing to swap.
     P->Slot.release();
     NReplanNoChange.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
+  auto Publish = [this, P](CompiledQuery Plan) {
+    P->Slot.publish(std::move(Plan));
+    tick(metrics().ReplanSwaps, NReplanSwaps);
+  };
   if (!Options.BackgroundRecompile) {
-    publishAdaptive(P, std::move(V2));
+    Publish(std::move(Next));
     return true;
   }
-  // Native mode: the native twin of v2 replaces it through the same
-  // background compile as the interp->native upgrade.
-  return compileInBackground(P, P->Slot, V2,
-                             [this, P](CompiledQuery Native) {
-                               publishAdaptive(P, std::move(Native));
-                             });
-}
-
-void QueryService::judgeAdaptive(const PreparedHandle &P) {
-  auto meanMicros = [](const std::atomic<std::uint64_t> &Nanos,
-                       const std::atomic<std::uint64_t> &Runs) {
-    double N = static_cast<double>(Runs.load(std::memory_order_relaxed));
-    double Sum = static_cast<double>(Nanos.load(std::memory_order_relaxed));
-    return N > 0 ? Sum / N / 1e3 : 0.0;
-  };
-  double BaseMean = meanMicros(P->BaseNanos, P->BaseRuns);
-  double AdaptMean = meanMicros(P->AdaptNanos, P->AdaptRuns);
-
-  bool Regressed =
-      Options.AdaptJudge
-          ? Options.AdaptJudge(BaseMean, AdaptMean)
-          : (BaseMean > 0.0 &&
-             AdaptMean > BaseMean * (1.0 + Options.AdaptSlack));
-
-  std::uint64_t Anchor = feedbackAnchor(*P);
-  adapt::FeedbackStore &FS = adapt::FeedbackStore::global();
-  if (!Regressed) {
-    FS.recordGoodPrediction(Anchor);
-    return;
-  }
-
-  // Misprediction: revert to the static plan and strike the plan hash.
-  if (!P->Slot.revert())
-    return; // already reverted
-  P->AdaptRuns.store(0, std::memory_order_relaxed);
-  P->AdaptNanos.store(0, std::memory_order_relaxed);
-  tick(metrics().AdaptReverted, NAdaptReverted);
-  if (FS.recordMisprediction(Anchor) && P->Slot.pin())
-    NAdaptPinned.fetch_add(1, std::memory_order_relaxed);
+  // Native mode: the new plan's native twin replaces the running plan
+  // through the same background compile as the interp->native upgrade.
+  return compileInBackground(P, P->Slot, Next, std::move(Publish));
 }
 
 //===--------------------------------------------------------------------===//
@@ -571,9 +490,7 @@ void QueryService::runRequest(const std::shared_ptr<RequestState> &R) {
   // mid-run never touches the plan this request holds. A shard partial
   // runs the §6 vertex over the request's source range.
   PreparedQuery &P = *R->P;
-  bool Adaptive = false;
-  CompiledQuery Plan =
-      R->Partial ? P.Partial->Vertex.live() : P.Slot.live(&Adaptive);
+  CompiledQuery Plan = R->Partial ? P.Partial->Vertex.plan() : P.Slot.plan();
   support::WallTimer RunTimer;
   Rsp.Result =
       R->Partial
@@ -582,7 +499,6 @@ void QueryService::runRequest(const std::shared_ptr<RequestState> &R) {
   Rsp.RunMicros = RunTimer.seconds() * 1e6;
   Rsp.St = Status::Ok;
   Rsp.NativePlan = Plan.backend() == Backend::Native;
-  Rsp.AdaptivePlan = Adaptive;
   Rsp.Degraded = !Rsp.NativePlan && Options.BackgroundRecompile;
   tick(M.Ok, NOk);
   if (Rsp.NativePlan)
@@ -592,33 +508,16 @@ void QueryService::runRequest(const std::shared_ptr<RequestState> &R) {
   M.RequestMicros.observe(Rsp.QueueMicros + Rsp.RunMicros);
 
   if (R->Partial) {
-    // No adaptive bookkeeping for partials: the router combines them,
-    // and judging them against whole-query latency would be apples to
-    // oranges.
+    // No re-plan cadence for partials: the vertex plan is fixed by the
+    // §6 split.
     tick(M.PartialRuns, NPartialRuns);
     finish(*R, std::move(Rsp));
     return;
   }
 
-  // Latency accounting for the post-swap judgement, then answer the
-  // client before any adaptive bookkeeping compiles anything.
+  // Answer the client before the re-plan cadence compiles anything.
   std::uint64_t Execs = P.Execs.fetch_add(1, std::memory_order_relaxed) + 1;
-  std::uint64_t RunNanos =
-      static_cast<std::uint64_t>(Rsp.RunMicros * 1e3);
-  bool Judge = false;
-  if (Adaptive) {
-    NAdaptiveRuns.fetch_add(1, std::memory_order_relaxed);
-    P.AdaptNanos.fetch_add(RunNanos, std::memory_order_relaxed);
-    Judge = P.AdaptRuns.fetch_add(1, std::memory_order_relaxed) + 1 ==
-            Options.AdaptWindow;
-  } else {
-    P.BaseNanos.fetch_add(RunNanos, std::memory_order_relaxed);
-    P.BaseRuns.fetch_add(1, std::memory_order_relaxed);
-  }
   finish(*R, std::move(Rsp));
-
-  if (Judge)
-    judgeAdaptive(R->P);
   if (Options.ReplanEvery && Execs % Options.ReplanEvery == 0)
     scheduleAdaptiveReplan(R->P);
 }
@@ -648,9 +547,6 @@ QueryService::Stats QueryService::stats() const {
   S.Replans = NReplans.load(std::memory_order_relaxed);
   S.ReplanSwaps = NReplanSwaps.load(std::memory_order_relaxed);
   S.ReplanNoChange = NReplanNoChange.load(std::memory_order_relaxed);
-  S.AdaptiveRuns = NAdaptiveRuns.load(std::memory_order_relaxed);
-  S.AdaptReverted = NAdaptReverted.load(std::memory_order_relaxed);
-  S.AdaptPinned = NAdaptPinned.load(std::memory_order_relaxed);
   S.PartialRuns = NPartialRuns.load(std::memory_order_relaxed);
   S.QueueDepth = InFlight.load(std::memory_order_relaxed);
   return S;

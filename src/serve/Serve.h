@@ -104,26 +104,11 @@ struct ServeOptions {
   /// Feedback-driven re-planning (DESIGN.md §5j): every ReplanEvery
   /// executions of a handle, recompile the plan with the accumulated
   /// adapt::FeedbackStore statistics and — when the feedback produced a
-  /// different plan — swap it in through the handle's PlanSlot, like the
+  /// different plan — replace the handle's plan with it, like the
   /// interp->native swap. Requires Profile (no observations otherwise).
-  /// Defaults to the STENO_ADAPT environment gate.
-  bool AdaptiveReplan = adapt::adaptEnvEnabled();
-  /// Re-plan cadence in executions per handle (0 = only explicit
-  /// scheduleAdaptiveReplan calls).
-  unsigned ReplanEvery = 64;
-  /// Post-swap judgement window: after this many runs of a swapped-in
-  /// plan, its mean latency is compared against the static plan's.
-  unsigned AdaptWindow = 32;
-  /// Regression slack for the judgement: the swapped plan is a
-  /// misprediction when its mean latency exceeds the static plan's by
-  /// more than this fraction. Two consecutive mispredictions pin the
-  /// handle to the static plan (ignorance list).
-  double AdaptSlack = 0.10;
-  /// Test instrumentation: overrides the built-in judgement.
-  /// Called as AdaptJudge(staticMeanMicros, adaptiveMeanMicros); return
-  /// true to declare the swapped plan regressed. Never set in
-  /// production.
-  std::function<bool(double, double)> AdaptJudge;
+  /// 0 = only explicit scheduleAdaptiveReplan calls. Defaults to 64 with
+  /// the STENO_ADAPT environment gate on and 0 with it off.
+  unsigned ReplanEvery = adapt::adaptEnvEnabled() ? 64 : 0;
   /// Plan cache; defaults to a service-private cache when null. Not
   /// owned.
   QueryCache *Cache = nullptr;
@@ -143,66 +128,42 @@ struct Response {
   QueryResult Result;     ///< Valid when St == Ok.
   bool Degraded = false;  ///< Ran interpreted while a native plan was wanted.
   bool NativePlan = false; ///< Executed the JIT-compiled plan.
-  bool AdaptivePlan = false; ///< Executed a feedback-replanned (v2+) plan.
   double QueueMicros = 0;  ///< Admission-to-execution wait.
   double RunMicros = 0;    ///< Plan execution time.
 };
 
 class QueryService;
 
-/// The plan a served query runs (DESIGN.md §5f): the static plan —
-/// interpreted at first, native once its background compile lands —
-/// and, while one is live, a feedback-replanned version that takes
-/// precedence over it (DESIGN.md §5j). One mutex guards both plans, the
-/// flag of the one background compile that may replace either, and the
-/// quarantine pin. Readers copy the live plan under the lock and run the
-/// copy without it: CompiledQuery is a shared handle, so a swap or revert
-/// never frees a plan an in-flight request holds.
+/// The plan a served query runs (DESIGN.md §5f): interpreted at first,
+/// replaced by its native twin once the background compile lands, and by
+/// a feedback re-plan when one produces a new plan (DESIGN.md §5j). One
+/// mutex guards the plan and the flag of the one background compile that
+/// may replace it. Readers copy the plan under the lock and run the copy
+/// without it: CompiledQuery is a shared handle, so a swap never frees a
+/// plan an in-flight request holds.
 class PlanSlot {
 public:
-  /// The plan a request runs now; \p IsAdaptive, when given, reports
-  /// whether it is a feedback version.
-  CompiledQuery live(bool *IsAdaptive = nullptr) const;
-  /// The static plan, which a revert returns to.
-  CompiledQuery staticPlan() const {
+  /// The plan a request runs now.
+  CompiledQuery plan() const {
     std::lock_guard<std::mutex> Lock(M);
-    return Static;
-  }
-  bool adaptiveLive() const {
-    std::lock_guard<std::mutex> Lock(M);
-    return Adaptive.valid();
-  }
-  bool pinned() const {
-    std::lock_guard<std::mutex> Lock(M);
-    return Pinned;
+    return Plan;
   }
 
   /// Claims the slot's one background compile; false while one is in
-  /// flight or, with \p UpgradeOnly, once the static plan is native.
+  /// flight or, with \p UpgradeOnly, once the plan is native.
   bool claim(bool UpgradeOnly = false);
   /// Ends a claimed compile without publishing anything.
   void release() {
     std::lock_guard<std::mutex> Lock(M);
     Compiling = false;
   }
-  /// Publishes \p Plan as the static plan and ends any claimed compile.
-  /// A live feedback version stays live.
-  void publishStatic(CompiledQuery Plan);
-  /// Publishes \p Plan as the live feedback version and ends the claimed
-  /// compile. Publishes nothing (and returns false) once pinned.
-  bool publishAdaptive(CompiledQuery Plan);
-  /// Drops the live feedback version; false when none was live.
-  bool revert();
-  /// Quarantines the slot to its static plan for good: drops any live
-  /// feedback version and refuses later ones. False when already pinned.
-  bool pin();
+  /// Replaces the plan with \p Next and ends any claimed compile.
+  void publish(CompiledQuery Next);
 
 private:
   mutable std::mutex M;
-  CompiledQuery Static;
-  CompiledQuery Adaptive; ///< Invalid unless a feedback version is live.
+  CompiledQuery Plan;
   bool Compiling = false;
-  bool Pinned = false;
 };
 
 /// A prepared query: its spec text, built query, input buffers and plan
@@ -229,24 +190,17 @@ public:
   const Bindings &bindings() const { return Built.B; }
   const std::string &specText() const { return SpecText; }
 
-  /// True once the native plan has been swapped in.
+  /// True once a native plan has been swapped in.
   bool nativeReady() const {
-    return Slot.staticPlan().backend() == Backend::Native;
+    return Slot.plan().backend() == Backend::Native;
   }
   /// One-off native compile cost once nativeReady(), else 0.
-  double nativeCompileMillis() const {
-    return Slot.staticPlan().compileMillis();
-  }
-  /// True while a feedback-replanned plan (v2+) is live for this handle.
-  bool adaptiveLive() const { return Slot.adaptiveLive(); }
-  /// True once the handle was quarantined to the static plan (ignorance
-  /// list).
-  bool pinnedStatic() const { return Slot.pinned(); }
-  /// The plan execute() would run right now: a live feedback version,
-  /// else the native plan once swapped in, else the interpreter plan.
-  /// Every version is a rewrite relative of one anchor plan, so a
-  /// resolved profile snapshot of any of them merges all their runs.
-  CompiledQuery currentPlan() const { return Slot.live(); }
+  double nativeCompileMillis() const { return Slot.plan().compileMillis(); }
+  /// The plan execute() would run right now. Every version — interp v1,
+  /// its native twin, a feedback re-plan — is a rewrite relative of one
+  /// anchor plan, so a resolved profile snapshot of any of them merges
+  /// all their runs.
+  CompiledQuery currentPlan() const { return Slot.plan(); }
 
 private:
   friend class QueryService;
@@ -255,9 +209,6 @@ private:
   std::string SpecText;
   PlanSlot Slot;
   std::atomic<std::uint64_t> Execs{0}; ///< Whole-query runs (replan cadence).
-  // Latency accounting for the post-swap judgement (nanoseconds).
-  std::atomic<std::uint64_t> BaseRuns{0}, BaseNanos{0};
-  std::atomic<std::uint64_t> AdaptRuns{0}, AdaptNanos{0};
 
   /// §6 decomposition, built lazily by QueryService::preparePartial on
   /// the first pexec for this handle (most handles never shard).
@@ -344,21 +295,23 @@ public:
                           std::size_t Len,
                           std::chrono::milliseconds Deadline);
 
-  /// Queues a native recompile for \p P now (normally scheduled by
-  /// prepare). Returns false when the compile queue is saturated, the
-  /// native plan already exists, or a compile is already in flight. Used
-  /// by the soak tests to force the swap mid-stream.
+  /// Queues a native compile of \p P's interpreted plan now (normally
+  /// scheduled by prepare). prepare()'s plan goes through the QueryCache;
+  /// a re-planned plan's native twin is this handle's alone. Returns
+  /// false when the compile queue is saturated, the plan is already
+  /// native, or a compile is already in flight. Used by the soak tests to
+  /// force the swap mid-stream.
   bool scheduleRecompile(const PreparedHandle &P);
 
-  /// Recompiles \p P's plan with the accumulated feedback and swaps the
-  /// new version in when it differs from the running plan (normally
-  /// triggered every ReplanEvery executions; a no-op unless
-  /// AdaptiveReplan and Profile are on). The interpreter version is
-  /// produced synchronously; with BackgroundRecompile on, its native
-  /// twin is compiled on the jit::CompileQueue and published by the
-  /// completion callback — the same machinery as the interp->native
-  /// swap. Returns true when a swap happened or was queued. Used by the
-  /// soak tests to force a v1 -> v2 re-swap mid-stream.
+  /// Recompiles \p P's plan with the accumulated feedback and, when the
+  /// feedback produced a new plan hash, makes it the handle's plan
+  /// (normally triggered every ReplanEvery executions; a no-op unless
+  /// Profile is on). The interpreter version is compiled synchronously,
+  /// outside the QueryCache. With BackgroundRecompile on, the re-plan
+  /// waits until the handle runs natively and publishes the new plan's
+  /// native twin through the same background compile as the
+  /// interp->native swap. Returns true when a swap happened or was
+  /// queued. Used by the soak tests to force a v1 -> v2 swap mid-stream.
   bool scheduleAdaptiveReplan(const PreparedHandle &P);
 
   /// Blocks until the background compile queue is empty (tests,
@@ -387,9 +340,6 @@ public:
     std::uint64_t Replans = 0;        ///< Adaptive recompiles attempted.
     std::uint64_t ReplanSwaps = 0;    ///< New plan versions swapped in.
     std::uint64_t ReplanNoChange = 0; ///< Feedback reproduced the plan.
-    std::uint64_t AdaptiveRuns = 0;   ///< Requests run on a v2+ plan.
-    std::uint64_t AdaptReverted = 0;  ///< Post-swap regressions reverted.
-    std::uint64_t AdaptPinned = 0;    ///< Handles quarantined static.
     std::uint64_t PartialRuns = 0;    ///< Per-shard vertex executions.
     std::int64_t QueueDepth = 0;
   };
@@ -413,9 +363,6 @@ private:
   bool compileInBackground(const PreparedHandle &P, PlanSlot &Slot,
                            const CompiledQuery &From,
                            std::function<void(CompiledQuery)> Publish);
-  void publishAdaptive(const PreparedHandle &P, CompiledQuery Plan);
-  void judgeAdaptive(const PreparedHandle &P);
-  std::uint64_t feedbackAnchor(const PreparedQuery &P) const;
 
   ServeOptions Options;
   std::unique_ptr<QueryCache> OwnedCache; ///< When Options.Cache == null.
@@ -431,8 +378,7 @@ private:
       NOk{0}, NShed{0}, NTimeouts{0}, NErrors{0}, NDegraded{0},
       NNativeRuns{0}, NRecompSched{0}, NRecompDone{0}, NRecompFailed{0},
       NRecompSaturated{0}, NReplans{0}, NReplanSwaps{0},
-      NReplanNoChange{0}, NAdaptiveRuns{0}, NAdaptReverted{0},
-      NAdaptPinned{0}, NPartialRuns{0};
+      NReplanNoChange{0}, NPartialRuns{0};
 
   // Declared last: destroyed first, so worker threads and compile
   // callbacks never outlive the state above.

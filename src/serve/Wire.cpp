@@ -100,9 +100,7 @@ std::string statsJson(const QueryService::Stats &S) {
       "\"recompiles_scheduled\":%llu,\"recompiles_done\":%llu,"
       "\"recompiles_failed\":%llu,\"recompiles_saturated\":%llu,"
       "\"replans\":%llu,\"replan_swaps\":%llu,"
-      "\"replan_no_change\":%llu,\"adaptive_runs\":%llu,"
-      "\"adapt_reverted\":%llu,\"adapt_pinned\":%llu,"
-      "\"partial_runs\":%llu,"
+      "\"replan_no_change\":%llu,\"partial_runs\":%llu,"
       "\"queue_depth\":%lld,"
       "\"latency_us\":{\"p50\":%.1f,\"p95\":%.1f,\"p99\":%.1f}}",
       static_cast<unsigned long long>(S.Sessions),
@@ -121,9 +119,6 @@ std::string statsJson(const QueryService::Stats &S) {
       static_cast<unsigned long long>(S.Replans),
       static_cast<unsigned long long>(S.ReplanSwaps),
       static_cast<unsigned long long>(S.ReplanNoChange),
-      static_cast<unsigned long long>(S.AdaptiveRuns),
-      static_cast<unsigned long long>(S.AdaptReverted),
-      static_cast<unsigned long long>(S.AdaptPinned),
       static_cast<unsigned long long>(S.PartialRuns),
       static_cast<long long>(S.QueueDepth), Lat.percentile(0.50),
       Lat.percentile(0.95), Lat.percentile(0.99));

@@ -118,13 +118,11 @@ void rewritePhase(CompiledQuery::Impl &Impl, const CompileOptions &Options,
     return;
   obs::Span S("steno.rewrite");
   quil::RewriteOptions RO;
-  if (Options.Profile)
-    RO.Profile = &obs::ProfileStore::global();
 
-  // Adaptive feedback: hand the rewriter ripe decayed per-predicate
-  // statistics for this plan, keyed by the hash the un-rewritten chain
-  // will register under (the anchor every plan version resolves to).
-  // Quarantined plans (ignorance list) stay on the static heuristic.
+  // Adaptive feedback, the only observed input to a plan: hand the
+  // rewriter ripe decayed per-predicate statistics for this plan, keyed
+  // by the hash the un-rewritten chain will register under (the anchor
+  // every plan version resolves to).
   if (Options.Adaptive && obs::ProfileStore::global().size() != 0) {
     quil::Chain Anchor = Impl.Chain;
     if (WillSpecialize) {
@@ -133,15 +131,8 @@ void rewritePhase(CompiledQuery::Impl &Impl, const CompileOptions &Options,
     }
     std::uint64_t AnchorHash = quil::hashChain(Anchor);
     adapt::FeedbackStore &FS = adapt::FeedbackStore::global();
-    if (!FS.ignored(AnchorHash)) {
-      FS.refresh(AnchorHash, obs::ProfileStore::global());
-      RO.Observed = FS.observedStats(AnchorHash);
-    } else {
-      // Quarantined: pin the fully static plan. The profile-guided
-      // selectivity reorder is observation-driven too, so it stays off
-      // for this hash as well.
-      RO.Profile = nullptr;
-    }
+    FS.refresh(AnchorHash, obs::ProfileStore::global());
+    RO.Observed = FS.observedStats(AnchorHash);
   }
 
   quil::RewriteResult R = quil::rewriteChain(Impl.Chain, RO);

@@ -91,17 +91,17 @@ struct CompileOptions {
   /// loop and ignores it. Defaults to the STENO_VECTORIZE environment
   /// variable.
   bool Vectorize = vec::vectorizeEnvEnabled();
-  /// Feedback-driven adaptive optimization (DESIGN.md §5j): when the
-  /// global adapt::FeedbackStore holds ripe observed statistics for this
-  /// plan (decayed selectivity + per-row cost per predicate, above the
-  /// minimum-sample threshold), the rewrite phase ranks adjacent Where
-  /// runs by observed cost×selectivity instead of the static heuristic.
+  /// Feedback-driven adaptive optimization (DESIGN.md §5j), the one
+  /// switch for whether observed statistics shape a plan: when the
+  /// global adapt::FeedbackStore holds ripe statistics for this plan
+  /// (decayed selectivity + per-row cost per predicate, above its
+  /// minimum-sample threshold), the rewrite phase ranks a run of adjacent
+  /// Wheres by observed cost×selectivity when every Where in the run is
+  /// ripe, and statically otherwise. Profile alone never changes a plan.
   /// Every feedback-driven reorder still emits a RewriteCertificate and
   /// is replay-verified before the chain is adopted; verification
-  /// failure falls back to the static plan. Plans quarantined by the
-  /// ignorance list (repeated mispredictions) are pinned static. Only
-  /// meaningful with Rewrite on. Defaults to the STENO_ADAPT
-  /// environment variable.
+  /// failure falls back to the static plan. Only meaningful with Rewrite
+  /// on. Defaults to the STENO_ADAPT environment variable.
   bool Adaptive = adapt::adaptEnvEnabled();
   /// Entry symbol / readable query name.
   std::string Name = "steno_query";

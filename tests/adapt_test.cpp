@@ -2,12 +2,13 @@
 ///
 /// \file
 /// Exercises steno::adapt with deterministic hand-fed profiles: EWMA
-/// decay math, the minimum-sample gate, the AQO-style ignorance list,
-/// feedback-driven predicate ranking in the rewriter (including the
-/// all-or-nothing commensurability gate and certificate replay), morsel
-/// tuning, and the end-to-end contract that a warm adaptive recompile of
-/// a skewed predicate chain reorders the plan while staying bit-identical
-/// to the static plan on both the interpreter and native backends.
+/// decay math, the minimum-sample gate, feedback-driven predicate ranking
+/// in the rewriter (including the all-or-nothing commensurability gate
+/// and certificate replay), and the end-to-end contract that a warm
+/// adaptive recompile of a skewed predicate chain reorders the plan while
+/// staying bit-identical to the static plan on both the interpreter and
+/// native backends, while a profiled compile with Adaptive off keeps the
+/// static order.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -83,8 +84,6 @@ TEST(AdaptDecay, FirstObservationSeedsTheMeansUndecayed) {
   auto FB = FS.observe(whereSnap(0xA1, /*Runs=*/1, 100, 50, 1000));
   ASSERT_TRUE(FB.has_value());
   EXPECT_EQ(FB->Runs, 1u);
-  EXPECT_DOUBLE_EQ(FB->RowsPerRun, 100.0);
-  EXPECT_DOUBLE_EQ(FB->NanosPerRow, 10.0); // 1000ns over 100 rows
   ASSERT_EQ(FB->Preds.count(0x11), 1u);
   EXPECT_DOUBLE_EQ(FB->Preds.at(0x11).Sel, 0.5);
   EXPECT_DOUBLE_EQ(FB->Preds.at(0x11).NanosPerRow, 10.0);
@@ -99,9 +98,6 @@ TEST(AdaptDecay, SecondObservationFoldsTheDeltaWithAlpha) {
   auto FB = FS.observe(whereSnap(0xA2, 2, 200, 130, 3000));
   ASSERT_TRUE(FB.has_value());
   EXPECT_EQ(FB->Runs, 2u);
-  EXPECT_DOUBLE_EQ(FB->RowsPerRun, 100.0);
-  // Plan cost: 0.5 * 10 + 0.5 * (2000/100) = 15.
-  EXPECT_DOUBLE_EQ(FB->NanosPerRow, 15.0);
   // Pred: sel 0.5*0.5 + 0.5*0.8 = 0.65; cost 0.5*10 + 0.5*20 = 15.
   EXPECT_DOUBLE_EQ(FB->Preds.at(0x11).Sel, 0.65);
   EXPECT_DOUBLE_EQ(FB->Preds.at(0x11).NanosPerRow, 15.0);
@@ -161,43 +157,6 @@ TEST(AdaptGate, UnknownPlanHasNoStats) {
   adapt::FeedbackStore FS(0.3, 1);
   EXPECT_TRUE(FS.observedStats(0xDEAD).empty());
   EXPECT_FALSE(FS.lookup(0xDEAD).has_value());
-  EXPECT_FALSE(FS.ignored(0xDEAD));
-}
-
-//===--------------------------------------------------------------------===//
-// Ignorance list
-//===--------------------------------------------------------------------===//
-
-TEST(AdaptIgnorance, ConsecutiveStrikesTripTheQuarantine) {
-  adapt::FeedbackStore FS(0.3, 1, /*MispredictLimit=*/2);
-  std::uint64_t Before = obs::counter("adapt.ignored").value();
-  EXPECT_FALSE(FS.recordMisprediction(0xC1)); // strike 1
-  EXPECT_FALSE(FS.ignored(0xC1));
-  EXPECT_TRUE(FS.recordMisprediction(0xC1)); // strike 2: tripped
-  EXPECT_TRUE(FS.ignored(0xC1));
-  EXPECT_EQ(obs::counter("adapt.ignored").value(), Before + 1);
-  // Further strikes on a quarantined hash neither re-trip nor re-count.
-  EXPECT_FALSE(FS.recordMisprediction(0xC1));
-  EXPECT_EQ(obs::counter("adapt.ignored").value(), Before + 1);
-}
-
-TEST(AdaptIgnorance, GoodPredictionResetsTheStrikeCount) {
-  adapt::FeedbackStore FS(0.3, 1, 2);
-  EXPECT_FALSE(FS.recordMisprediction(0xC2));
-  FS.recordGoodPrediction(0xC2); // strikes back to 0
-  EXPECT_FALSE(FS.recordMisprediction(0xC2));
-  EXPECT_FALSE(FS.ignored(0xC2));
-  EXPECT_TRUE(FS.recordMisprediction(0xC2));
-  EXPECT_TRUE(FS.ignored(0xC2));
-}
-
-TEST(AdaptIgnorance, QuarantineSuppressesRipeStats) {
-  adapt::FeedbackStore FS(0.3, 1, 2);
-  FS.observe(whereSnap(0xC3, 3, 300, 30, 300));
-  EXPECT_FALSE(FS.observedStats(0xC3).empty());
-  FS.recordMisprediction(0xC3);
-  FS.recordMisprediction(0xC3);
-  EXPECT_TRUE(FS.observedStats(0xC3).empty());
 }
 
 //===--------------------------------------------------------------------===//
@@ -298,59 +257,6 @@ TEST(AdaptRank, FeedbackReorderCertificatesReplayDeterministically) {
 }
 
 //===--------------------------------------------------------------------===//
-// Morsel tuning
-//===--------------------------------------------------------------------===//
-
-TEST(AdaptMorsel, RipeFeedbackSizesTheInitialMorsel) {
-  adapt::FeedbackStore &FS = adapt::FeedbackStore::global();
-  FS.clear();
-  // 100ns/row observed over enough runs to be ripe under any min-sample
-  // setting the environment could have pinned (>= 3 by default).
-  std::uint64_t H = 0xD1D1;
-  std::uint64_t Need = FS.minSamples();
-  for (std::uint64_t R = 1; R <= Need; ++R)
-    FS.observe(whereSnap(H, R, R * 1000, R * 500, R * 100000));
-
-  dryad::MorselOptions M;
-  std::uint64_t Before = obs::counter("adapt.morsel_tuned").value();
-  dryad::MorselOptions Tuned = adapt::tunedMorselOptions(H, M);
-  // Budget-driven: TargetMorselMicros * 1000 / 100ns/row, clamped.
-  std::size_t Want = static_cast<std::size_t>(
-      M.TargetMorselMicros * 1000.0 / 100.0);
-  Want = std::clamp(Want, M.MinMorsel, M.MaxMorsel);
-  EXPECT_EQ(Tuned.InitialMorsel, Want);
-  if (Tuned.InitialMorsel != M.InitialMorsel) {
-    EXPECT_EQ(obs::counter("adapt.morsel_tuned").value(), Before + 1);
-  }
-  FS.clear();
-}
-
-TEST(AdaptMorsel, UnknownPlanLeavesOptionsUntouched) {
-  adapt::FeedbackStore::global().clear();
-  dryad::MorselOptions M;
-  dryad::MorselOptions Tuned = adapt::tunedMorselOptions(0xD00D, M);
-  EXPECT_EQ(Tuned.InitialMorsel, M.InitialMorsel);
-  EXPECT_EQ(Tuned.MaxMorsel, M.MaxMorsel);
-  EXPECT_EQ(Tuned.InlineBelow, M.InlineBelow);
-}
-
-TEST(AdaptMorsel, TinyObservedInputsRaiseInlineBelow) {
-  adapt::FeedbackStore &FS = adapt::FeedbackStore::global();
-  FS.clear();
-  std::uint64_t H = 0xD2D2;
-  std::uint64_t Need = FS.minSamples();
-  dryad::MorselOptions M;
-  // Observed inputs smaller than two minimum morsels: fanning out never
-  // pays for itself.
-  std::uint64_t Rows = static_cast<std::uint64_t>(M.MinMorsel);
-  for (std::uint64_t R = 1; R <= Need; ++R)
-    FS.observe(whereSnap(H, R, R * Rows, R * Rows / 2, R * Rows * 10));
-  dryad::MorselOptions Tuned = adapt::tunedMorselOptions(H, M);
-  EXPECT_GE(Tuned.InlineBelow, static_cast<std::size_t>(Rows) + 1);
-  FS.clear();
-}
-
-//===--------------------------------------------------------------------===//
 // End-to-end: skewed preds reorder, results stay bit-identical
 //===--------------------------------------------------------------------===//
 
@@ -439,7 +345,10 @@ TEST(AdaptEndToEnd, WarmRecompileReordersAndMatchesStaticBitForBit) {
   FS.clear();
 }
 
-TEST(AdaptEndToEnd, QuarantinedPlanCompilesStaticEvenWithRipeFeedback) {
+TEST(AdaptEndToEnd, ProfileWithoutAdaptiveKeepsTheStaticOrder) {
+  // Observations reach a plan only through the FeedbackStore, and only
+  // with Adaptive on: a profiled compile with Adaptive off keeps the
+  // static order however much profile the plan has accumulated.
   obs::ProfileStore::global().clear();
   adapt::FeedbackStore &FS = adapt::FeedbackStore::global();
   FS.clear();
@@ -452,28 +361,20 @@ TEST(AdaptEndToEnd, QuarantinedPlanCompilesStaticEvenWithRipeFeedback) {
 
   Query Q = skewedQuery();
   CompiledQuery Cold =
-      compileQuery(Q, adaptOpts(Backend::Interp, "adapt_quar_cold"));
+      compileQuery(Q, adaptOpts(Backend::Interp, "adapt_off_cold"));
   unsigned Warmups = static_cast<unsigned>(FS.minSamples()) + 1;
   for (unsigned R = 0; R != Warmups; ++R)
     Cold.run(B);
 
-  // Quarantine the feedback anchor (the pre-rewrite plan hash).
-  std::uint64_t Anchor = Cold.rewrittenFromHash() ? Cold.rewrittenFromHash()
-                                                  : Cold.planHash();
-  FS.refresh(Anchor, obs::ProfileStore::global());
-  ASSERT_FALSE(FS.observedStats(Anchor).empty());
-  FS.recordMisprediction(Anchor);
-  FS.recordMisprediction(Anchor);
-  ASSERT_TRUE(FS.ignored(Anchor));
+  CompileOptions ProfiledOnly = adaptOpts(Backend::Interp, "adapt_off_warm");
+  ProfiledOnly.Adaptive = false;
+  EXPECT_EQ(compileQuery(Q, ProfiledOnly).planHash(), Cold.planHash());
 
-  // A warm adaptive recompile must now pin the static plan: no
-  // feedback reorder despite ripe stats.
+  // Control: the same profile does reorder an adaptive compile.
   CompiledQuery Warm =
-      compileQuery(Q, adaptOpts(Backend::Interp, "adapt_quar_warm"));
-  if (Warm.rewriteResult()) {
-    EXPECT_EQ(countRule(*Warm.rewriteResult(), RewriteRule::ReorderPreds),
-              0u);
-  }
+      compileQuery(Q, adaptOpts(Backend::Interp, "adapt_on_warm"));
+  ASSERT_NE(Warm.rewriteResult(), nullptr);
+  EXPECT_EQ(countRule(*Warm.rewriteResult(), RewriteRule::ReorderPreds), 1u);
 
   obs::ProfileStore::global().clear();
   FS.clear();

@@ -229,6 +229,21 @@ TEST(AnalysisEffects, ConstNonzeroDivisorIsSafe) {
   EXPECT_TRUE(R.Cert.Pure);
 }
 
+TEST(AnalysisEffects, ConstMinusOneDivisorIsST2001Warning) {
+  // INT64_MIN / -1 and INT64_MIN % -1 trap (rt::divTraps): -1 is nonzero
+  // but not a safe divisor.
+  for (bool Mod : {false, true}) {
+    E Body = Mod ? xi() % E(std::int64_t{-1}) : xi() / E(std::int64_t{-1});
+    AnalysisResult R =
+        analyzed(Query::int64Array(0).select(lambda({xi()}, Body)).sum());
+    expectDiagAt(R, DiagCode::DivByZero, Severity::Warning, {1},
+                 ExprRole::Fn);
+    EXPECT_TRUE(R.ok()) << "a possible trap is a warning, not a rejection";
+    EXPECT_FALSE(R.Cert.Pure) << (Mod ? "% -1" : "/ -1");
+    EXPECT_FALSE(R.Cert.parallelSafe()) << (Mod ? "% -1" : "/ -1");
+  }
+}
+
 TEST(AnalysisEffects, NestedDivByZeroLocatesInnerOp) {
   E Y = param("y", Type::int64Ty());
   Query Inner = Query::range(E(0), E(3)).select(lambda({Y}, Y % E(0)));

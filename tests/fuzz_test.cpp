@@ -126,6 +126,29 @@ TEST(FuzzSpecTest, ParseRejectsMalformedInput) {
       "steno-fuzz v1\nsource 0 double nonsense uniform 1\nend\n", S, &Err));
 }
 
+TEST(FuzzSpecTest, ParseCapsTheDeclaredRows) {
+  QuerySpec S;
+  std::string Err;
+  std::string Cap = std::to_string(MaxSpecRows);
+  // 2^32 - 1 doubles would be a 32 GB allocation in buildSpec.
+  EXPECT_FALSE(parseSpec(
+      "steno-fuzz v1\nsource 0 double 4294967295 uniform 1\nend\n", S, &Err));
+  EXPECT_NE(Err.find(Cap), std::string::npos) << Err;
+  // The cap is on the sum over every source.
+  std::string Half = std::to_string(MaxSpecRows / 2);
+  std::string Over = "steno-fuzz v1\nsource 0 double " + Half +
+                     " uniform 1\nsource 1 double " + Half +
+                     " uniform 2\nsource 2 int64 1 uniform 3\nend\n";
+  EXPECT_FALSE(parseSpec(Over, S, &Err));
+  EXPECT_NE(Err.find(Cap), std::string::npos) << Err;
+  // Exactly at the cap parses (not built: that would allocate 128 MB).
+  ASSERT_TRUE(parseSpec("steno-fuzz v1\nsource 0 double " + Cap +
+                            " uniform 1\nop agg sum 0\nend\n",
+                        S, &Err))
+      << Err;
+  EXPECT_EQ(S.Sources[0].Count, MaxSpecRows);
+}
+
 TEST(FuzzSpecTest, CommentsAndBlankLinesIgnored) {
   std::string Text = "# leading comment\n\nsteno-fuzz v1\n"
                      "source 0 double 4 uniform 1  # trailing comment\n"

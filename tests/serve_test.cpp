@@ -8,8 +8,8 @@
 // multi-client stress run asserting exactly one response per request
 // against the reference oracle, a swap soak that executes through the
 // mid-stream plan swap, a handle's whole plan-slot life (interp v1 ->
-// native v1 -> feedback v2 -> revert) under load, the fuzz corpus
-// replayed through the service, and the line protocol end-to-end over a
+// native v1 -> native feedback v2) under load, the fuzz corpus replayed
+// through the service, and the line protocol end-to-end over a
 // socketpair. The stress and soak tests are in the TSan CI job.
 //
 //===----------------------------------------------------------------------===//
@@ -181,6 +181,19 @@ TEST(ServeSession, ExecuteNullHandleErrors) {
   Response R = Sess->execute(nullptr);
   EXPECT_EQ(R.St, Status::Error);
   EXPECT_EQ(Svc.stats().Errors, 1u);
+}
+
+TEST(ServePrepare, SpecOverTheRowCapFailsBeforeBuilding) {
+  QueryService Svc(interpOnly());
+  std::string Err;
+  // 2^32 - 1 doubles would be a 32 GB allocation.
+  EXPECT_EQ(Svc.prepare("steno-fuzz v1\nsource 0 double 4294967295 uniform 1\n"
+                        "op agg sum 0\nend\n",
+                        &Err),
+            nullptr);
+  EXPECT_NE(Err.find(std::to_string(fuzz::MaxSpecRows)), std::string::npos)
+      << Err;
+  EXPECT_EQ(Svc.stats().Prepares, 0u);
 }
 
 TEST(ServePrepare, StructurallyEqualSpecsShareOneCachedPlan) {
@@ -541,9 +554,7 @@ TEST(ServeSoak, AdaptiveReplanSwapsMidStreamKeepsResultsIdentical) {
   ServeOptions O;
   O.BackgroundRecompile = false; // interp v1 -> interp v2, swapped by hand
   O.Profile = true;              // feedback needs observed runs
-  O.AdaptiveReplan = true;
   O.ReplanEvery = 0; // no cadence: the test triggers the re-plan itself
-  O.AdaptWindow = 0; // no judgement: the soak only exercises the swap
   O.Workers = 4;
   O.MaxQueue = 64;
   QueryService Svc(O);
@@ -553,12 +564,13 @@ TEST(ServeSoak, AdaptiveReplanSwapsMidStreamKeepsResultsIdentical) {
                                    &Err);
   ASSERT_TRUE(P) << Err;
   QueryResult Want = reference(P);
+  const std::uint64_t V1Hash = P->currentPlan().planHash();
+  auto swapped = [&] { return P->currentPlan().planHash() != V1Hash; };
 
-  // Runners hammer the handle across the static -> adaptive swap; the
-  // stop lands only after the swap, so the stream provably spans both.
+  // Runners hammer the handle across the v1 -> v2 swap; the stop lands
+  // only after the swap, so the stream provably spans both.
   std::atomic<bool> Stop{false};
-  std::atomic<std::uint64_t> Sent{0}, Mismatches{0}, NonOk{0},
-      AdaptiveRuns{0}, StaticRuns{0};
+  std::atomic<std::uint64_t> Sent{0}, Ok{0}, Mismatches{0}, NonOk{0};
   std::vector<std::thread> Runners;
   for (unsigned T = 0; T < Threads; ++T) {
     Runners.emplace_back([&] {
@@ -570,29 +582,26 @@ TEST(ServeSoak, AdaptiveReplanSwapsMidStreamKeepsResultsIdentical) {
           NonOk.fetch_add(1, std::memory_order_relaxed);
           continue;
         }
-        (R.AdaptivePlan ? AdaptiveRuns : StaticRuns)
-            .fetch_add(1, std::memory_order_relaxed);
+        Ok.fetch_add(1, std::memory_order_relaxed);
         if (!resultsMatch(R.Result, Want))
           Mismatches.fetch_add(1, std::memory_order_relaxed);
       }
     });
   }
 
-  // Enough profiled static runs to ripen the feedback under any
-  // min-sample setting, then re-plan mid-stream.
-  std::uint64_t Need =
-      adapt::FeedbackStore::global().minSamples() + 4;
-  while (StaticRuns.load(std::memory_order_relaxed) < Need)
+  // Enough profiled v1 runs to ripen the feedback, then re-plan
+  // mid-stream.
+  std::uint64_t Need = adapt::FeedbackStore::global().minSamples() + 4;
+  while (Ok.load(std::memory_order_relaxed) < Need)
     std::this_thread::yield();
-  for (int Attempt = 0; Attempt != 1000 && !P->adaptiveLive(); ++Attempt) {
+  for (int Attempt = 0; Attempt != 1000 && !swapped(); ++Attempt) {
     Svc.scheduleAdaptiveReplan(P);
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  ASSERT_TRUE(P->adaptiveLive()) << "feedback re-plan never swapped in";
+  ASSERT_TRUE(swapped()) << "feedback re-plan never swapped in";
   // A post-swap grace period so every runner sees the v2 plan.
-  std::uint64_t SwapMark = AdaptiveRuns.load(std::memory_order_relaxed);
-  while (AdaptiveRuns.load(std::memory_order_relaxed) <
-         SwapMark + Threads * 4)
+  std::uint64_t SwapMark = Ok.load(std::memory_order_relaxed);
+  while (Ok.load(std::memory_order_relaxed) < SwapMark + Threads * 4)
     std::this_thread::yield();
   Stop.store(true, std::memory_order_relaxed);
   for (std::thread &T : Runners)
@@ -600,82 +609,13 @@ TEST(ServeSoak, AdaptiveReplanSwapsMidStreamKeepsResultsIdentical) {
 
   EXPECT_EQ(NonOk.load(), 0u);
   EXPECT_EQ(Mismatches.load(), 0u)
-      << "results identical before, across and after the re-swap";
-  EXPECT_GT(StaticRuns.load(), 0u) << "pre-swap executions exist";
-  EXPECT_GT(AdaptiveRuns.load(), 0u) << "post-swap executions exist";
-  EXPECT_EQ(StaticRuns.load() + AdaptiveRuns.load(), Sent.load())
-      << "exactly one Ok response per request";
-  QueryService::Stats S = Svc.stats();
-  EXPECT_GE(S.ReplanSwaps, 1u);
-  EXPECT_GE(S.AdaptiveRuns, AdaptiveRuns.load());
-  // After the swap every further run is the feedback plan.
+      << "results identical before, across and after the swap";
+  EXPECT_GE(SwapMark, Need) << "pre-swap executions exist";
+  EXPECT_EQ(Ok.load(), Sent.load()) << "exactly one Ok response per request";
+  EXPECT_GE(Svc.stats().ReplanSwaps, 1u);
+  // The feedback plan replaced v1 for good.
+  EXPECT_TRUE(swapped());
   Response R = Sess->execute(P);
-  EXPECT_TRUE(R.AdaptivePlan);
-  EXPECT_TRUE(resultsMatch(R.Result, Want));
-}
-
-TEST(ServeAdapt, ConsecutiveMispredictionsPinTheStaticPlan) {
-  ServeOptions O;
-  O.BackgroundRecompile = false;
-  O.Profile = true;
-  O.AdaptiveReplan = true;
-  O.ReplanEvery = 0;
-  O.AdaptWindow = 4;
-  // Force every judgement to a misprediction: two consecutive strikes
-  // must trip the ignorance list and pin the static plan.
-  O.AdaptJudge = [](double, double) { return true; };
-  QueryService Svc(O);
-  auto Sess = Svc.openSession();
-  std::string Err;
-  PreparedHandle P = Sess->prepare(specText(skewedPredsSpec(-98.0, 90.0)),
-                                   &Err);
-  ASSERT_TRUE(P) << Err;
-  QueryResult Want = reference(P);
-
-  // Ripen the feedback on the static plan.
-  std::uint64_t Seed = adapt::FeedbackStore::global().minSamples() + 2;
-  for (std::uint64_t I = 0; I != Seed; ++I) {
-    Response R = Sess->execute(P);
-    ASSERT_EQ(R.St, Status::Ok);
-    EXPECT_FALSE(R.AdaptivePlan);
-    EXPECT_TRUE(resultsMatch(R.Result, Want));
-  }
-
-  auto waitReverted = [&](std::uint64_t WantReverts) {
-    for (int Spin = 0; Spin != 2000; ++Spin) {
-      if (!P->adaptiveLive() && Svc.stats().AdaptReverted >= WantReverts)
-        return true;
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    return false;
-  };
-
-  for (std::uint64_t Cycle = 1; Cycle <= 2; ++Cycle) {
-    ASSERT_TRUE(Svc.scheduleAdaptiveReplan(P)) << "cycle " << Cycle;
-    ASSERT_TRUE(P->adaptiveLive());
-    // Run out the judgement window on the v2 plan; results never drift.
-    for (unsigned R = 0; R != O.AdaptWindow; ++R) {
-      Response Rsp = Sess->execute(P);
-      ASSERT_EQ(Rsp.St, Status::Ok);
-      EXPECT_TRUE(Rsp.AdaptivePlan) << "cycle " << Cycle << " run " << R;
-      EXPECT_TRUE(resultsMatch(Rsp.Result, Want));
-    }
-    // The judge fired on the last windowed run (after the response was
-    // answered): the forced misprediction reverts to the static plan.
-    ASSERT_TRUE(waitReverted(Cycle)) << "cycle " << Cycle;
-  }
-
-  // Strike two tripped the quarantine: the handle is pinned, further
-  // re-plans refuse, and every subsequent run is the static plan.
-  EXPECT_TRUE(P->pinnedStatic());
-  QueryService::Stats S = Svc.stats();
-  EXPECT_EQ(S.AdaptReverted, 2u);
-  EXPECT_EQ(S.AdaptPinned, 1u);
-  EXPECT_EQ(S.ReplanSwaps, 2u);
-  EXPECT_FALSE(Svc.scheduleAdaptiveReplan(P));
-  Response R = Sess->execute(P);
-  ASSERT_EQ(R.St, Status::Ok);
-  EXPECT_FALSE(R.AdaptivePlan);
   EXPECT_TRUE(resultsMatch(R.Result, Want));
 }
 
@@ -683,14 +623,11 @@ TEST(ServeAdapt, ConsecutiveMispredictionsPinTheStaticPlan) {
 // One plan slot: every swap of a handle's life, under load
 //===--------------------------------------------------------------------===//
 
-TEST(ServeLifecycle, InterpNativeFeedbackRevertWithExecutorsRunning) {
+TEST(ServeLifecycle, InterpNativeFeedbackWithExecutorsRunning) {
   constexpr unsigned Threads = 4;
   ServeOptions O; // background recompile on, real compile queue
   O.Profile = true;
-  O.AdaptiveReplan = true;
   O.ReplanEvery = 0; // the test triggers the re-plan itself
-  O.AdaptWindow = 16;
-  O.AdaptJudge = [](double, double) { return true; }; // force the revert
   O.Workers = 4;
   O.MaxQueue = 64;
   QueryService Svc(O);
@@ -709,11 +646,11 @@ TEST(ServeLifecycle, InterpNativeFeedbackRevertWithExecutorsRunning) {
   EXPECT_TRUE(resultsMatch(First.Result, Want));
 
   // Executors run through every swap below. Once native v1 has landed,
-  // no response may run interpreted again: a revert returns to native
-  // v1, and every feedback version is a native twin.
+  // no response may run interpreted again: the feedback v2 replaces it
+  // with its own native twin.
   std::atomic<bool> Stop{false};
   std::atomic<std::uint64_t> Sent{0}, Mismatches{0}, NonOk{0}, InterpRuns{0},
-      NativeRuns{0}, AdaptiveRuns{0}, InterpAfterNative{0};
+      NativeRuns{0}, InterpAfterNative{0};
   std::vector<std::thread> Runners;
   auto stopRunners = [&] {
     Stop.store(true, std::memory_order_relaxed);
@@ -741,8 +678,7 @@ TEST(ServeLifecycle, InterpNativeFeedbackRevertWithExecutorsRunning) {
           Mismatches.fetch_add(1, std::memory_order_relaxed);
         if (WasNative && !R.NativePlan)
           InterpAfterNative.fetch_add(1, std::memory_order_relaxed);
-        (R.AdaptivePlan ? AdaptiveRuns
-                        : R.NativePlan ? NativeRuns : InterpRuns)
+        (R.NativePlan ? NativeRuns : InterpRuns)
             .fetch_add(1, std::memory_order_relaxed);
       }
     });
@@ -765,11 +701,11 @@ TEST(ServeLifecycle, InterpNativeFeedbackRevertWithExecutorsRunning) {
   // v1 native.
   Svc.drainRecompiles();
   ASSERT_TRUE(P->nativeReady());
+  const std::uint64_t V1Hash = P->currentPlan().planHash();
   ASSERT_TRUE(waitFor(runsPast(0)));
 
-  // v2: feedback re-plan, compiled natively in the background. The
-  // executors run out its judgement window, and the forced misprediction
-  // reverts the handle to native v1.
+  // v2: feedback re-plan, compiled natively in the background and
+  // published as the handle's plan.
   std::uint64_t Need = adapt::FeedbackStore::global().minSamples() + 4;
   ASSERT_TRUE(waitFor([&] {
     return NativeRuns.load(std::memory_order_relaxed) >= Need;
@@ -779,9 +715,6 @@ TEST(ServeLifecycle, InterpNativeFeedbackRevertWithExecutorsRunning) {
       Svc.drainRecompiles();
     return Svc.stats().ReplanSwaps >= 1;
   })) << "feedback re-plan never swapped in";
-  ASSERT_TRUE(waitFor([&] { return Svc.stats().AdaptReverted >= 1; }));
-  EXPECT_FALSE(P->adaptiveLive());
-  EXPECT_FALSE(P->pinnedStatic()) << "one strike does not pin";
   ASSERT_TRUE(waitFor(runsPast(NativeRuns.load())));
   stopRunners();
 
@@ -789,38 +722,40 @@ TEST(ServeLifecycle, InterpNativeFeedbackRevertWithExecutorsRunning) {
   EXPECT_EQ(Mismatches.load(), 0u) << "every version matches the reference";
   EXPECT_EQ(InterpAfterNative.load(), 0u)
       << "ran interpreted after native v1 landed";
-  EXPECT_GE(AdaptiveRuns.load(), O.AdaptWindow) << "v2 ran its window";
-  EXPECT_EQ(InterpRuns.load() + NativeRuns.load() + AdaptiveRuns.load(),
-            Sent.load())
+  EXPECT_EQ(InterpRuns.load() + NativeRuns.load(), Sent.load())
       << "exactly one Ok response per request";
 
-  // After the revert: native v1, not the feedback version, not the
-  // interpreter.
+  // The final plan is v2's native twin: the plan the same feedback
+  // compiles to, not v1.
+  CompiledQuery Final = P->currentPlan();
+  EXPECT_EQ(Final.backend(), Backend::Native);
+  EXPECT_NE(Final.planHash(), V1Hash);
+  CompileOptions V2Options;
+  V2Options.Exec = Backend::Interp;
+  V2Options.Analyze = analysis::Mode::Off;
+  V2Options.Profile = true;
+  V2Options.Adaptive = true;
+  EXPECT_EQ(Final.planHash(), compileQuery(P->query(), V2Options).planHash());
   Response R = Sess->execute(P);
   ASSERT_EQ(R.St, Status::Ok);
   EXPECT_TRUE(R.NativePlan);
-  EXPECT_FALSE(R.AdaptivePlan);
   EXPECT_FALSE(R.Degraded);
   EXPECT_TRUE(resultsMatch(R.Result, Want));
   QueryService::Stats S = Svc.stats();
   EXPECT_EQ(S.ReplanSwaps, 1u);
-  EXPECT_EQ(S.AdaptReverted, 1u);
   EXPECT_EQ(S.RecompilesDone, 2u) << "native v1 and v2's native twin";
 }
 
-TEST(ServeLifecycle, NativeV1LandingUnderALiveFeedbackVersionKeepsIt) {
+TEST(ServeLifecycle, NativeUpgradeOfAReplannedPlanStaysOutOfTheCache) {
   ServeOptions O;
-  O.BackgroundRecompile = false; // interp v2; native v1 compiled by hand
+  O.BackgroundRecompile = false; // interp v2; its native twin by hand
   O.Profile = true;
-  O.AdaptiveReplan = true;
   O.ReplanEvery = 0;
-  O.AdaptWindow = 4;
-  O.AdaptJudge = [](double, double) { return true; };
   QueryService Svc(O);
   auto Sess = Svc.openSession();
   std::string Err;
-  PreparedHandle P = Sess->prepare(specText(skewedPredsSpec(-96.0, 91.0)),
-                                   &Err);
+  std::string Text = specText(skewedPredsSpec(-96.0, 91.0));
+  PreparedHandle P = Sess->prepare(Text, &Err);
   ASSERT_TRUE(P) << Err;
   QueryResult Want = reference(P);
   auto run = [&] {
@@ -830,32 +765,41 @@ TEST(ServeLifecycle, NativeV1LandingUnderALiveFeedbackVersionKeepsIt) {
     return R;
   };
 
-  // Ripen the feedback on interp v1, then swap in interp v2.
+  // Ripen the feedback on interp v1, then replace it with interp v2.
   for (std::uint64_t I = 0;
        I != adapt::FeedbackStore::global().minSamples() + 2; ++I)
-    EXPECT_FALSE(run().AdaptivePlan);
+    run();
+  const std::uint64_t V1Hash = P->currentPlan().planHash();
   ASSERT_TRUE(Svc.scheduleAdaptiveReplan(P));
-  ASSERT_TRUE(P->adaptiveLive());
+  const std::uint64_t V2Hash = P->currentPlan().planHash();
+  ASSERT_NE(V2Hash, V1Hash);
+  EXPECT_FALSE(run().NativePlan);
 
-  // Native v1 lands under the live v2: the static plan upgrades, v2 stays.
+  // The native upgrade compiles the handle's plan, v2, not the static
+  // plan the cache holds.
   ASSERT_TRUE(Svc.scheduleRecompile(P));
   Svc.drainRecompiles();
   ASSERT_TRUE(P->nativeReady());
-  EXPECT_TRUE(P->adaptiveLive());
-  Response V2 = run();
-  EXPECT_TRUE(V2.AdaptivePlan);
-  EXPECT_FALSE(V2.NativePlan);
+  EXPECT_EQ(P->currentPlan().planHash(), V2Hash);
+  EXPECT_TRUE(run().NativePlan);
 
-  // Run out the judgement window; the forced misprediction reverts to
-  // native v1.
-  for (unsigned I = 1; I != O.AdaptWindow; ++I)
-    EXPECT_TRUE(run().AdaptivePlan);
-  for (int Spin = 0; Spin != 2000 && P->adaptiveLive(); ++Spin)
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  ASSERT_FALSE(P->adaptiveLive());
-  Response V1 = run();
-  EXPECT_TRUE(V1.NativePlan);
-  EXPECT_FALSE(V1.AdaptivePlan);
+  // It was published to this handle alone: the cache keys prepare()'s
+  // options, and its native entry (if any) is not v2.
+  CompileOptions Static;
+  Static.Exec = Backend::Interp;
+  Static.Analyze = analysis::Mode::Off;
+  Static.Profile = true;
+  Static.Adaptive = false;
+  CompiledQuery CachedInterp = Svc.cache().lookup(P->query(), Static);
+  ASSERT_TRUE(CachedInterp.valid()) << "the lookup uses prepare()'s key";
+  EXPECT_EQ(CachedInterp.planHash(), V1Hash);
+  Static.Exec = Backend::Native;
+  CompiledQuery CachedNative = Svc.cache().lookup(P->query(), Static);
+  EXPECT_TRUE(!CachedNative.valid() || CachedNative.planHash() != V2Hash);
+  // A new handle for the same spec starts from the static plan.
+  PreparedHandle Fresh = Svc.prepare(Text, &Err);
+  ASSERT_TRUE(Fresh) << Err;
+  EXPECT_EQ(Fresh->currentPlan().planHash(), V1Hash);
 }
 
 //===--------------------------------------------------------------------===//

@@ -15,6 +15,10 @@
 //
 //   steno_loadgen --clients 8 --seconds 30 --seed 1     # CI configuration
 //
+// With STENO_PROFILE=1 every plan is profiled, so the service's feedback
+// re-plans run under load too; the replans / replan_swaps /
+// replan_no_change counters in the report show whether any swapped.
+//
 // With --shards N the harness instead spawns N steno_serve worker
 // processes (--serve-bin), fronts them with an in-process
 // shard::ShardRouter, and drives the same closed-loop mix through the
@@ -92,7 +96,9 @@ bool parseUnsigned(const char *S, unsigned long long &Out) {
 
 /// The paper-shaped core of the query mix (EXPERIMENTS.md benchmarks,
 /// restated as fuzz specs): Sum, Scale, filtered Count, Ret-pop's nested
-/// flatten, Group, Sort, and the forced-sequential non-associative fold.
+/// flatten, Group, Sort, the forced-sequential non-associative fold, and
+/// two skewed filters in pessimal order, the shape a profiled service's
+/// feedback re-plan swaps.
 std::vector<fuzz::QuerySpec> paperMix() {
   using namespace fuzz;
   std::vector<QuerySpec> Mix;
@@ -178,6 +184,21 @@ std::vector<fuzz::QuerySpec> paperMix() {
     Agg.K = OpK::Agg;
     Agg.A = AggKind::FoldNonAssoc;
     S.Ops = {Agg};
+    Mix.push_back(S);
+  }
+  { // Skewed filters: xs.Where(x => x > -99).Where(x => x > 95).Sum()
+    QuerySpec S;
+    S.Sources.push_back({0, ElemTy::Double, DataClass::Uniform, 4096, 19});
+    OpSpec Loose;
+    Loose.K = OpK::Where;
+    Loose.P = PredTmpl::GtC;
+    Loose.DArg = -99.0;
+    OpSpec Tight = Loose;
+    Tight.DArg = 95.0;
+    OpSpec Agg;
+    Agg.K = OpK::Agg;
+    Agg.A = AggKind::Sum;
+    S.Ops = {Loose, Tight, Agg};
     Mix.push_back(S);
   }
   return Mix;
@@ -704,6 +725,10 @@ int main(int Argc, char **Argv) {
               static_cast<unsigned long long>(Lost),
               static_cast<unsigned long long>(DuplicateIds),
               static_cast<unsigned long long>(Total.Mismatches));
+  std::printf("  replans %llu, replan swaps %llu, replan no change %llu\n",
+              static_cast<unsigned long long>(S.Replans),
+              static_cast<unsigned long long>(S.ReplanSwaps),
+              static_cast<unsigned long long>(S.ReplanNoChange));
   if (ColdCompileMillis > 0)
     std::printf("  cold native compile %.1fms vs prepared p50 %.1fus "
                 "(%.0fx amortization)\n",
@@ -730,7 +755,9 @@ int main(int Argc, char **Argv) {
         "  \"prepared_p50_micros\": %.1f,\n"
         "  \"cold_compile_millis\": %.2f,\n"
         "  \"amortization_x\": %.1f,\n"
-        "  \"recompiles_done\": %llu,\n  \"recompiles_failed\": %llu\n}\n",
+        "  \"recompiles_done\": %llu,\n  \"recompiles_failed\": %llu,\n"
+        "  \"replans\": %llu,\n  \"replan_swaps\": %llu,\n"
+        "  \"replan_no_change\": %llu\n}\n",
         Clients, Seconds, Mix.size(),
         static_cast<unsigned long long>(Total.Sent), Rps,
         static_cast<unsigned long long>(Total.Ok),
@@ -744,7 +771,10 @@ int main(int Argc, char **Argv) {
         static_cast<unsigned long long>(Total.Mismatches), P50, P90, P99,
         P50, ColdCompileMillis, Speedup,
         static_cast<unsigned long long>(S.RecompilesDone),
-        static_cast<unsigned long long>(S.RecompilesFailed));
+        static_cast<unsigned long long>(S.RecompilesFailed),
+        static_cast<unsigned long long>(S.Replans),
+        static_cast<unsigned long long>(S.ReplanSwaps),
+        static_cast<unsigned long long>(S.ReplanNoChange));
     std::fclose(F);
     std::fprintf(stderr, "steno_loadgen: wrote %s\n", Path.c_str());
   } else {

@@ -58,12 +58,12 @@ void usage() {
       "  --no-recompile     stay on the interpreter backend forever\n"
       "  --profile          per-operator query profiling (wire command\n"
       "                     `profile <handle>`; also STENO_PROFILE=1)\n"
-      "  --no-adapt         disable feedback-driven re-planning (also\n"
-      "                     STENO_ADAPT=off)\n"
-      "  --replan-every N   adaptive re-plan cadence in executions per\n"
-      "                     handle (default 64; 0 = never)\n"
-      "  --adapt-window N   post-swap judgement window in runs\n"
-      "                     (default 32)\n");
+      "  --no-adapt         disable feedback-driven re-planning, same as\n"
+      "                     --replan-every 0 (also STENO_ADAPT=off)\n"
+      "  --replan-every N   feedback re-plan cadence in executions per\n"
+      "                     handle; a re-plan that finds a new plan\n"
+      "                     replaces the handle's plan (needs --profile;\n"
+      "                     default 64, 0 with STENO_ADAPT=off; 0 = never)\n");
 }
 
 bool parseUnsigned(const char *S, unsigned long long &Out) {
@@ -103,11 +103,9 @@ int main(int Argc, char **Argv) {
     } else if (Arg == "--profile") {
       Opts.Profile = true;
     } else if (Arg == "--no-adapt") {
-      Opts.AdaptiveReplan = false;
+      Opts.ReplanEvery = 0;
     } else if (Arg == "--replan-every" && parseUnsigned(next(), N)) {
       Opts.ReplanEvery = static_cast<unsigned>(N);
-    } else if (Arg == "--adapt-window" && parseUnsigned(next(), N)) {
-      Opts.AdaptWindow = static_cast<unsigned>(N);
     } else {
       usage();
       return 2;
