@@ -8,7 +8,13 @@
 // This binary measures the same three quantities on this machine —
 // LINQ per-element cost, Steno per-element cost, Steno one-off
 // compile+load cost — solves for the break-even input size, and verifies
-// it empirically with a sweep.
+// it empirically with a sweep. Writes BENCH_sec71_breakeven.json (see
+// BenchUtil.h JsonReport).
+//
+// Gate (CI bench-smoke): exits 1 when the modelled break-even exceeds
+// 10^8 elements, about 8x the paper's. It is the compile cost that moves
+// it: a generated TU that parses <chrono>, <vector>, <cmath>, ... again
+// takes about 1.1 s to compile and puts it near 4*10^8.
 //
 //===----------------------------------------------------------------------===//
 
@@ -18,6 +24,7 @@
 #include "steno/Steno.h"
 
 #include <cstdio>
+#include <limits>
 
 using namespace steno;
 using namespace steno::bench;
@@ -60,12 +67,24 @@ int main() {
               static_cast<long long>(N), StenoS * 1e3, StenoPerElemNs);
   std::printf("Steno one-off compile+load: %.0f ms\n", CompileMs);
 
-  // Model: LINQ(n) = a_linq * n; Steno(n) = compile + a_steno * n.
-  double BreakEven =
-      CompileMs * 1e6 / (LinqPerElemNs - StenoPerElemNs);
+  // Model: LINQ(n) = a_linq * n; Steno(n) = compile + a_steno * n. When
+  // Steno is not faster per element, it never breaks even.
+  double SavedNs = LinqPerElemNs - StenoPerElemNs;
+  double BreakEven = SavedNs > 0 ? CompileMs * 1e6 / SavedNs
+                                 : std::numeric_limits<double>::infinity();
   std::printf("\nmodelled break-even: %.2g elements "
               "(paper: ~1.2e7 with csc's 69 ms compile)\n",
               BreakEven);
+
+  JsonReport Json("sec71_breakeven");
+  Json.add("linq_sum", LinqS, N);
+  Json.add("steno_sum", StenoS, N);
+  Json.add("compile_load", CompileMs / 1e3, 1);
+  // The compile cost spread over the break-even input: its items are the
+  // break-even, its ns_per_op the per-element saving that repays it.
+  Json.add("breakeven", CompileMs / 1e3,
+           BreakEven < 9e18 ? static_cast<std::int64_t>(BreakEven)
+                            : std::numeric_limits<std::int64_t>::max());
 
   // Empirical sweep: total time (compile amortized over ONE run) for
   // LINQ vs Steno across input sizes.
@@ -97,5 +116,17 @@ int main() {
               "times after the first use — the amortized column is the "
               "Steno run time alone, %.1f ms at n=%lld)\n",
               StenoS * 1e3, static_cast<long long>(N));
+
+  constexpr double MaxBreakEven = 1e8;
+  std::printf("modelled break-even: %.2g elements (gate: <= %.0e)\n",
+              BreakEven, MaxBreakEven);
+  if (!(BreakEven <= MaxBreakEven)) {
+    std::fprintf(stderr,
+                 "sec71_breakeven: FAIL: Steno breaks even with LINQ only "
+                 "at %.2g elements (compile+load %.0f ms), above the %.0e "
+                 "ceiling\n",
+                 BreakEven, CompileMs, MaxBreakEven);
+    return 1;
+  }
   return 0;
 }

@@ -162,10 +162,8 @@ private:
     line("// Query entry point: %s", Entry.c_str());
     line("#include \"steno/Rt.h\"");
     blank();
-    line("#include <algorithm>");
     line("#include <cmath>");
     line("#include <cstdint>");
-    line("#include <cstdlib>");
     blank();
     line("extern \"C\" void %s(const steno::rt::Captures *Caps_,",
          Entry.c_str());

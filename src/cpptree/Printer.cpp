@@ -16,57 +16,87 @@ using expr::TypeRef;
 using support::strFormat;
 
 //===----------------------------------------------------------------===//
-// Slot scanning
+// Program scans
 //===----------------------------------------------------------------===//
 
 namespace {
 
-void scanExpr(const expr::ExprRef &E, SlotUsage &Out) {
-  if (!E)
-    return;
-  for (unsigned Slot : expr::usedSourceSlots(*E))
-    Out.SourceSlots.insert(Slot);
-  for (unsigned Slot : expr::usedCaptureSlots(*E))
-    Out.ValueSlots.insert(Slot);
-}
-
-void scanSource(const query::SourceDesc &Src, SlotUsage &Out) {
-  switch (Src.Kind) {
-  case query::SourceKind::DoubleArray:
-  case query::SourceKind::Int64Array:
-  case query::SourceKind::PointArray:
-    Out.SourceSlots.insert(Src.Slot);
-    break;
-  case query::SourceKind::Range:
-    scanExpr(Src.Start, Out);
-    scanExpr(Src.CountE, Out);
-    break;
-  case query::SourceKind::VecExpr:
-    scanExpr(Src.Vec, Out);
-    break;
-  }
-}
-
-void scanStmts(const StmtList &Stmts, SlotUsage &Out) {
+/// Calls \p OnStmt on every statement of \p Stmts, bodies included, and
+/// \p OnExpr on every expression root they hold: operands, a sort's key,
+/// a source loop's bounds and a dense sink's key count and seed.
+template <typename StmtFn, typename ExprFn>
+void walk(const StmtList &Stmts, StmtFn &OnStmt, ExprFn &OnExpr) {
+  auto visit = [&](const expr::ExprRef &E) {
+    if (E)
+      OnExpr(*E);
+  };
   for (const StmtRef &S : Stmts) {
-    scanExpr(S->E, Out);
-    scanExpr(S->E2, Out);
-    scanExpr(S->E3, Out);
+    OnStmt(*S);
+    visit(S->E);
+    visit(S->E2);
+    visit(S->E3);
     if (S->KeyFn.valid())
-      scanExpr(S->KeyFn.body(), Out);
-    if (S->K == StmtKind::Loop && S->Loop.Kind == LoopKind::Source)
-      scanSource(S->Loop.Src, Out);
-    scanExpr(S->Sink.DenseKeys, Out);
-    scanExpr(S->Sink.DenseSeed, Out);
-    scanStmts(S->Body, Out);
+      visit(S->KeyFn.body());
+    if (S->K == StmtKind::Loop && S->Loop.Kind == LoopKind::Source) {
+      visit(S->Loop.Src.Start);
+      visit(S->Loop.Src.CountE);
+      visit(S->Loop.Src.Vec);
+    }
+    visit(S->Sink.DenseKeys);
+    visit(S->Sink.DenseSeed);
+    walk(S->Body, OnStmt, OnExpr);
   }
+}
+
+bool isArraySource(query::SourceKind K) {
+  return K == query::SourceKind::DoubleArray ||
+         K == query::SourceKind::Int64Array ||
+         K == query::SourceKind::PointArray;
+}
+
+/// The headers a program's source needs beyond steno/Rt.h and <cstdint>.
+struct HeaderUsage {
+  bool Sinks = false;     ///< steno/RtSinks.h: a Group or GroupAgg sink.
+  bool Vector = false;    ///< <vector>: a Vec sink.
+  bool Algorithm = false; ///< <algorithm>: a sort (std::stable_sort).
+  bool Cmath = false;     ///< <cmath>: an expression calls a math function.
+};
+
+HeaderUsage scanHeaders(const Program &P) {
+  HeaderUsage Out;
+  auto OnStmt = [&](const Stmt &S) {
+    if (S.K == StmtKind::DeclareSink) {
+      if (S.Sink.Kind == SinkKind::Vec)
+        Out.Vector = true;
+      else
+        Out.Sinks = true;
+    }
+    if (S.K == StmtKind::SortSinkVec)
+      Out.Algorithm = true;
+  };
+  auto OnExpr = [&](const expr::Expr &E) {
+    Out.Cmath = Out.Cmath || expr::callsCmath(E);
+  };
+  walk(P.Body, OnStmt, OnExpr);
+  return Out;
 }
 
 } // namespace
 
 SlotUsage cpptree::scanSlots(const Program &P) {
   SlotUsage Out;
-  scanStmts(P.Body, Out);
+  auto OnStmt = [&](const Stmt &S) {
+    if (S.K == StmtKind::Loop && S.Loop.Kind == LoopKind::Source &&
+        isArraySource(S.Loop.Src.Kind))
+      Out.SourceSlots.insert(S.Loop.Src.Slot);
+  };
+  auto OnExpr = [&](const expr::Expr &E) {
+    for (unsigned Slot : expr::usedSourceSlots(E))
+      Out.SourceSlots.insert(Slot);
+    for (unsigned Slot : expr::usedCaptureSlots(E))
+      Out.ValueSlots.insert(Slot);
+  };
+  walk(P.Body, OnStmt, OnExpr);
   return Out;
 }
 
@@ -112,12 +142,20 @@ public:
     line("// Generated by Steno (iterator fusion + nested loop"
          " generation).");
     line("// Query entry point: %s", P.Name.c_str());
+    // Each optional header costs g++ 0.15-0.3 s to parse, more than
+    // compiling the loop, so a TU includes only those its body uses.
+    HeaderUsage Headers = scanHeaders(P);
     line("#include \"steno/Rt.h\"");
+    if (Headers.Sinks)
+      line("#include \"steno/RtSinks.h\"");
     blank();
-    line("#include <algorithm>");
-    line("#include <cmath>");
+    if (Headers.Algorithm)
+      line("#include <algorithm>");
+    if (Headers.Cmath)
+      line("#include <cmath>");
     line("#include <cstdint>");
-    line("#include <cstdlib>");
+    if (Headers.Vector)
+      line("#include <vector>");
     blank();
     line("extern \"C\" void %s(const steno::rt::Captures *Caps_,",
          P.Name.c_str());

@@ -8,8 +8,12 @@
 ///                          steno::rt::Emitter *Out_);
 ///
 /// which the JIT backend compiles into a shared object (paper §3.3). All
-/// runtime support (VecView, Pair, the sink classes, emitRow) lives in
-/// steno/Rt.h, which the generated source includes.
+/// runtime support lives in steno/Rt.h (VecView, Pair, the operators,
+/// emitRow), which every generated source includes, and steno/RtSinks.h
+/// (the group sinks), which a source includes only when it declares a
+/// group sink. Likewise a source includes <algorithm>, <cmath> and
+/// <vector> only when its body uses them: parsing them costs g++ more
+/// than compiling the query's loop.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -6,6 +6,7 @@
 #include "support/StringUtil.h"
 
 #include <cassert>
+#include <string_view>
 
 using namespace steno;
 using namespace steno::expr;
@@ -18,11 +19,20 @@ std::string printConst(const Expr &E) {
   const ConstValue &C = E.constValue();
   if (std::holds_alternative<bool>(C))
     return std::get<bool>(C) ? "true" : "false";
-  if (std::holds_alternative<std::int64_t>(C))
-    return support::strFormat("INT64_C(%lld)",
-                              static_cast<long long>(
-                                  std::get<std::int64_t>(C)));
+  if (std::holds_alternative<std::int64_t>(C)) {
+    std::int64_t V = std::get<std::int64_t>(C);
+    // C++ has no negative literals: -9223372036854775808 negates
+    // 9223372036854775808, which fits no signed type.
+    if (V == INT64_MIN)
+      return "(-INT64_C(9223372036854775807) - 1)";
+    return support::strFormat("INT64_C(%lld)", static_cast<long long>(V));
+  }
   return support::doubleLiteral(std::get<double>(C));
+}
+
+/// True when \p E is a `%` printed as std::fmod.
+bool isFmod(const Expr &E) {
+  return E.binaryOp() == BinaryOp::Mod && E.type()->isDouble();
 }
 
 /// The steno::rt function an int64 operator calls in generated code, or
@@ -53,7 +63,7 @@ std::string printBinary(const Expr &E, const CxxNames &Names) {
   std::string L = print(*E.operand(0), Names);
   std::string R = print(*E.operand(1), Names);
   // Double modulo maps to std::fmod; everything else is the operator.
-  if (Op == BinaryOp::Mod && E.type()->isDouble())
+  if (isFmod(E))
     return "std::fmod(" + L + ", " + R + ")";
   if (E.type()->isInt64())
     if (const char *Callee = int64Callee(E))
@@ -123,4 +133,17 @@ std::string print(const Expr &E, const CxxNames &Names) {
 
 std::string expr::printExprCxx(const Expr &E, const CxxNames &Names) {
   return print(E, Names);
+}
+
+bool expr::callsCmath(const Expr &E) {
+  // Every builtin spelled std:: is a <cmath> function (expr/Ops.h).
+  if (E.kind() == ExprKind::Call &&
+      std::string_view(builtinSpelling(E.builtin())).starts_with("std::"))
+    return true;
+  if (E.kind() == ExprKind::Binary && isFmod(E))
+    return true;
+  for (const ExprRef &Op : E.operands())
+    if (callsCmath(*Op))
+      return true;
+  return false;
 }

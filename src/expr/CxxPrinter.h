@@ -38,6 +38,10 @@ struct CxxNames {
 /// Renders \p E as a parenthesized C++ expression using \p Names.
 std::string printExprCxx(const Expr &E, const CxxNames &Names);
 
+/// True when printExprCxx(\p E) calls a <cmath> function: sqrt, floor,
+/// ceil, exp, log, pow, or std::fmod for a double `%`.
+bool callsCmath(const Expr &E);
+
 } // namespace expr
 } // namespace steno
 

@@ -4,7 +4,7 @@
 #include "expr/Eval.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
-#include "steno/Rt.h"
+#include "steno/RtSinks.h"
 #include "support/Error.h"
 
 #include <algorithm>

@@ -13,6 +13,7 @@
 #include <cassert>
 #include <cstdlib>
 #include <dlfcn.h>
+#include <unistd.h>
 
 using namespace steno;
 using namespace steno::jit;
@@ -31,6 +32,11 @@ using expr::VecView;
 CompiledModule::~CompiledModule() {
   if (Handle)
     ::dlclose(Handle);
+  if (SourcePath.empty()) // from load(): the files are not ours
+    return;
+  ::unlink(SourcePath.c_str());
+  ::unlink(SoPath.c_str());
+  ::unlink(LogPath.c_str());
 }
 
 std::unique_ptr<CompiledModule>
@@ -89,29 +95,31 @@ CompiledModule::compile(const std::string &Source,
     return nullptr;
   }
 
+  // From here the module owns its files, so a failed load deletes them;
+  // a failed compile above keeps the source its message names.
+  auto Module = std::unique_ptr<CompiledModule>(new CompiledModule());
+  Module->SourcePath = std::move(SrcPath);
+  Module->SoPath = std::move(SoPath);
+  Module->LogPath = std::move(LogPath);
+
   obs::Span LoadSpan("jit.dlopen");
-  void *Handle = ::dlopen(SoPath.c_str(), RTLD_NOW | RTLD_LOCAL);
-  if (!Handle) {
+  Module->Handle = ::dlopen(Module->SoPath.c_str(), RTLD_NOW | RTLD_LOCAL);
+  if (!Module->Handle) {
     Failures.inc();
     if (ErrMsg)
       *ErrMsg = std::string("dlopen failed: ") + ::dlerror();
     return nullptr;
   }
-  void *Sym = ::dlsym(Handle, EntrySymbol.c_str());
+  void *Sym = ::dlsym(Module->Handle, EntrySymbol.c_str());
   if (!Sym) {
     Failures.inc();
     if (ErrMsg)
       *ErrMsg = std::string("dlsym failed: ") + ::dlerror();
-    ::dlclose(Handle);
     return nullptr;
   }
 
-  auto Module = std::unique_ptr<CompiledModule>(new CompiledModule());
-  Module->Handle = Handle;
   Module->Entry = reinterpret_cast<EntryFn>(Sym);
   Module->CompileMs = Timer.millis();
-  Module->SourcePath = std::move(SrcPath);
-  Module->SoPath = std::move(SoPath);
   Compiles.inc();
   CompileMs.observe(Module->CompileMs);
   return Module;

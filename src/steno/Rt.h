@@ -8,20 +8,27 @@
 /// \file
 /// Self-contained runtime included by every generated translation unit
 /// (paper §3.3): the capture-block ABI through which the host binds source
-/// buffers and captured variables, the emitter ABI through which the
-/// generated query returns rows, and the sink collections the generated
-/// loops build (the Lookup of Figure 7(b) and the partial-aggregate sink of
-/// §4.3). This header must not include any other steno header — generated
-/// code compiles against it alone.
+/// buffers and captured variables, and the emitter ABI through which the
+/// generated query returns rows. This header must not include any other
+/// steno header — generated code compiles against it alone.
 ///
 /// It is also the one runtime of every backend. The scalar operators whose
 /// C++ meaning is not already the definition (wrapping int64 `+`, `-`, `*`
 /// and negation, checked int64 `/` and `%`, `min`, `max`, `abs`, the
-/// guarded sum's `addIf`), the trap that reports every run-time error, and
-/// the group sinks are defined here once; the interpreters, the batch
-/// kernels and the reference executor call these same definitions (through
-/// expr/Ops.h for the operators), so every backend computes the same value
-/// and fails the same way.
+/// guarded sum's `addIf`) and the trap that reports every run-time error
+/// are defined here once; the interpreters, the batch kernels and the
+/// reference executor call these same definitions (through expr/Ops.h for
+/// the operators), so every backend computes the same value and fails the
+/// same way. The group sinks, defined once for every backend too, are in
+/// steno/RtSinks.h.
+///
+/// This is the lean core every generated TU parses, so it includes only
+/// C headers, <bit> and <limits>: about 0.07 s of g++'s time together.
+/// Parsing <chrono>, <unordered_map>, <algorithm>, <cmath> or <vector>
+/// costs 0.15-0.5 s each, more than compiling a query's loop (DESIGN.md
+/// §5c); a TU includes those itself only when its body uses them
+/// (cpptree::printProgram), and tests/rt_test.cpp fails if this header
+/// pulls one in again.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,14 +36,13 @@
 #define STENO_STENO_RT_H
 
 #include <bit>
-#include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <unordered_map>
-#include <utility>
-#include <vector>
+#include <ctime>
+// Generated code spells the double literals inf and NaN with
+// std::numeric_limits (support::doubleLiteral).
+#include <limits>
 
 namespace steno {
 namespace rt {
@@ -121,7 +127,10 @@ template <typename T> constexpr T max(T A, T B) { return A > B ? A : B; }
 /// `abs`: an int64 by wrapping negation, so abs(INT64_MIN) is INT64_MIN; a
 /// double by clearing the sign bit, so abs(-0.0) is +0.0.
 constexpr std::int64_t abs(std::int64_t X) { return X < 0 ? neg(X) : X; }
-inline double abs(double X) { return std::fabs(X); }
+constexpr double abs(double X) {
+  return std::bit_cast<double>(std::bit_cast<std::uint64_t>(X) &
+                               ~std::bit_cast<std::uint64_t>(-0.0));
+}
 
 /// `Acc + G` when \p Keep holds, else `Acc`, without a branch: the update
 /// a filtered sum generates in place of `if (!keep) continue;` when G is
@@ -198,8 +207,7 @@ struct Captures {
 /// continue/break leaves the iteration before the stop() is reached.
 class ProfTimer {
 public:
-  explicit ProfTimer(std::uint64_t *Slot)
-      : Slot(Slot), Start(std::chrono::steady_clock::now()) {}
+  explicit ProfTimer(std::uint64_t *Slot) : Slot(Slot), Start(nowNs()) {}
   ~ProfTimer() { stop(); }
   ProfTimer(const ProfTimer &) = delete;
   ProfTimer &operator=(const ProfTimer &) = delete;
@@ -207,16 +215,22 @@ public:
   void stop() {
     if (!Slot)
       return;
-    *Slot += static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - Start)
-            .count());
+    *Slot += nowNs() - Start;
     Slot = nullptr;
   }
 
 private:
+  /// CLOCK_MONOTONIC in nanoseconds: the clock std::chrono::steady_clock
+  /// reads on Linux, without the cost of parsing <chrono>.
+  static std::uint64_t nowNs() {
+    ::timespec T{};
+    ::clock_gettime(CLOCK_MONOTONIC, &T);
+    return static_cast<std::uint64_t>(T.tv_sec) * 1000000000u +
+           static_cast<std::uint64_t>(T.tv_nsec);
+  }
+
   std::uint64_t *Slot;
-  std::chrono::steady_clock::time_point Start;
+  std::uint64_t Start;
 };
 
 //===------------------------------------------------------------------===//
@@ -286,105 +300,6 @@ template <typename T> inline void emitRow(Emitter *Out, const T &V) {
   fillCells(P, V);
   Out->EmitRow(Out->Ctx, Cells, CellCount<T>::value);
 }
-
-//===------------------------------------------------------------------===//
-// Sink collections
-//===------------------------------------------------------------------===//
-
-/// Insertion-ordered int64 -> bag-of-doubles multi-map: the Lookup of
-/// Figure 7(b), built by GroupBy sinks.
-class GroupSink {
-public:
-  void put(std::int64_t Key, double Value) {
-    auto It = Index.find(Key);
-    std::size_t Slot;
-    if (It == Index.end()) {
-      Slot = Buckets.size();
-      Index.emplace(Key, Slot);
-      Buckets.emplace_back(Key, std::vector<double>());
-    } else {
-      Slot = It->second;
-    }
-    Buckets[Slot].second.push_back(Value);
-  }
-
-  std::int64_t size() const {
-    return static_cast<std::int64_t>(Buckets.size());
-  }
-
-  Pair<std::int64_t, VecView> group(std::int64_t I) const {
-    const auto &Bucket = Buckets[static_cast<std::size_t>(I)];
-    return {Bucket.first,
-            VecView{Bucket.second.data(),
-                    static_cast<std::int64_t>(Bucket.second.size())}};
-  }
-
-private:
-  std::vector<std::pair<std::int64_t, std::vector<double>>> Buckets;
-  std::unordered_map<std::int64_t, std::size_t> Index;
-};
-
-/// Insertion-ordered int64 -> partial-accumulator map: the specialized
-/// GroupByAggregate sink of §4.3. slot() returns a mutable reference,
-/// inserting the seed on the key's first appearance.
-template <typename A> class GroupAggSink {
-public:
-  A &slot(std::int64_t Key, const A &Seed) {
-    auto It = Index.find(Key);
-    if (It != Index.end())
-      return Entries[It->second].second;
-    std::size_t Slot = Entries.size();
-    Index.emplace(Key, Slot);
-    Entries.emplace_back(Key, Seed);
-    return Entries[Slot].second;
-  }
-
-  std::int64_t size() const {
-    return static_cast<std::int64_t>(Entries.size());
-  }
-
-  std::int64_t keyAt(std::int64_t I) const {
-    return Entries[static_cast<std::size_t>(I)].first;
-  }
-
-  const A &accAt(std::int64_t I) const {
-    return Entries[static_cast<std::size_t>(I)].second;
-  }
-
-private:
-  std::vector<std::pair<std::int64_t, A>> Entries;
-  std::unordered_map<std::int64_t, std::size_t> Index;
-};
-
-/// Dense-key partial-aggregate sink (the closing optimization of §4.3):
-/// when the keys are known to lie in [0, NumKeys), one flat array of
-/// accumulators replaces the hash table — O(1) access with no hashing.
-/// Every key in range is reported, untouched slots carrying the seed. A
-/// key outside the range breaks the query's promise and traps with ST2007.
-template <typename A> class DenseAggSink {
-public:
-  DenseAggSink(std::int64_t NumKeys, const A &Seed)
-      : Slots(static_cast<std::size_t>(NumKeys < 0 ? 0 : NumKeys), Seed) {}
-
-  A &slot(std::int64_t Key) {
-    if (Key < 0 || Key >= size())
-      trap(Trap::DenseKey);
-    return Slots[static_cast<std::size_t>(Key)];
-  }
-
-  std::int64_t size() const {
-    return static_cast<std::int64_t>(Slots.size());
-  }
-
-  std::int64_t keyAt(std::int64_t I) const { return I; }
-
-  const A &accAt(std::int64_t I) const {
-    return Slots[static_cast<std::size_t>(I)];
-  }
-
-private:
-  std::vector<A> Slots;
-};
 
 } // namespace rt
 } // namespace steno

@@ -1,11 +1,9 @@
 // Generated by Steno (iterator fusion + nested loop generation).
 // Query entry point: golden_group_by_aggregate
 #include "steno/Rt.h"
+#include "steno/RtSinks.h"
 
-#include <algorithm>
-#include <cmath>
 #include <cstdint>
-#include <cstdlib>
 
 extern "C" void golden_group_by_aggregate(const steno::rt::Captures *Caps_,
                      steno::rt::Emitter *Out_) {

@@ -2,10 +2,7 @@
 // Query entry point: golden_int64_guarded_sum
 #include "steno/Rt.h"
 
-#include <algorithm>
-#include <cmath>
 #include <cstdint>
-#include <cstdlib>
 
 extern "C" void golden_int64_guarded_sum(const steno::rt::Captures *Caps_,
                      steno::rt::Emitter *Out_) {

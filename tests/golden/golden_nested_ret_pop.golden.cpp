@@ -2,10 +2,7 @@
 // Query entry point: golden_nested_ret_pop
 #include "steno/Rt.h"
 
-#include <algorithm>
-#include <cmath>
 #include <cstdint>
-#include <cstdlib>
 
 extern "C" void golden_nested_ret_pop(const steno::rt::Captures *Caps_,
                      steno::rt::Emitter *Out_) {

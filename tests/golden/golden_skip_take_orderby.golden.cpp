@@ -3,9 +3,8 @@
 #include "steno/Rt.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
-#include <cstdlib>
+#include <vector>
 
 extern "C" void golden_skip_take_orderby(const steno::rt::Captures *Caps_,
                      steno::rt::Emitter *Out_) {

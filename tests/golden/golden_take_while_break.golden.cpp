@@ -2,10 +2,7 @@
 // Query entry point: golden_take_while_break
 #include "steno/Rt.h"
 
-#include <algorithm>
-#include <cmath>
 #include <cstdint>
-#include <cstdlib>
 
 extern "C" void golden_take_while_break(const steno::rt::Captures *Caps_,
                      steno::rt::Emitter *Out_) {

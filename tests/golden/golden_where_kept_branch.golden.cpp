@@ -2,10 +2,7 @@
 // Query entry point: golden_where_kept_branch
 #include "steno/Rt.h"
 
-#include <algorithm>
-#include <cmath>
 #include <cstdint>
-#include <cstdlib>
 
 extern "C" void golden_where_kept_branch(const steno::rt::Captures *Caps_,
                      steno::rt::Emitter *Out_) {

@@ -2,15 +2,20 @@
 //
 // Validates the compile-load-invoke pipeline (paper §3.3): the native
 // backend must agree with the reference executor on the full catalog, the
-// one-off compilation cost must be observable (§7.1), and compiled query
-// objects must be reusable across bindings.
+// one-off compilation cost must be observable (§7.1), compiled query
+// objects must be reusable across bindings, and a compiled module must
+// delete the files it wrote.
 //
 //===----------------------------------------------------------------------===//
 
 #include "QueryTestUtil.h"
 #include "jit/Jit.h"
+#include "support/TempFile.h"
 
 #include "gtest/gtest.h"
+
+#include <filesystem>
+#include <unistd.h>
 
 using namespace steno;
 using namespace steno::expr;
@@ -114,4 +119,88 @@ TEST(JitProperty, RandomPipelinesMatchInterp) {
         compileQuery(Q, Interp).run(B).scalarValue().asDouble();
     EXPECT_DOUBLE_EQ(VN, VI) << "seed " << Seed;
   }
+}
+
+//===--------------------------------------------------------------------===//
+// Files: a compiled module deletes what it wrote
+//===--------------------------------------------------------------------===//
+
+namespace {
+
+bool exists(const std::string &Path) {
+  return ::access(Path.c_str(), F_OK) == 0;
+}
+
+/// \p Path with its extension (after the last '.') replaced by \p Ext.
+std::string withExt(const std::string &Path, const char *Ext) {
+  return Path.substr(0, Path.rfind('.')) + Ext;
+}
+
+/// Files in the JIT's directory whose names start with \p Prefix.
+std::vector<std::string> jitFilesStartingWith(const std::string &Prefix) {
+  std::vector<std::string> Out;
+  for (const auto &Entry :
+       std::filesystem::directory_iterator(support::processTempDir()))
+    if (Entry.path().filename().string().rfind(Prefix, 0) == 0)
+      Out.push_back(Entry.path().string());
+  return Out;
+}
+
+constexpr const char *kEmptyEntry =
+    "extern \"C\" void jit_files_entry(void *, void *) {}\n";
+
+} // namespace
+
+TEST(JitFiles, CompiledModuleDeletesItsFilesWhenClosed) {
+  auto M = jit::CompiledModule::compile(kEmptyEntry, "jit_files_entry");
+  ASSERT_NE(M, nullptr);
+  std::string Src = M->sourcePath(), So = M->objectPath();
+  std::string Log = withExt(So, ".log");
+  EXPECT_TRUE(exists(Src)) << Src;
+  EXPECT_TRUE(exists(So)) << "the shared object lives as long as the module";
+  EXPECT_TRUE(exists(Log)) << Log;
+  M.reset();
+  EXPECT_FALSE(exists(Src)) << Src;
+  EXPECT_FALSE(exists(So)) << So;
+  EXPECT_FALSE(exists(Log)) << Log;
+}
+
+TEST(JitFiles, FailedCompileKeepsTheSourceItsMessageNames) {
+  std::string Err;
+  auto M = jit::CompiledModule::compile("this is not C++;", "jit_files_bad",
+                                        &Err);
+  ASSERT_EQ(M, nullptr);
+  std::size_t At = Err.rfind("source: ");
+  ASSERT_NE(At, std::string::npos) << Err;
+  std::string Src = Err.substr(At + 8);
+  EXPECT_TRUE(exists(Src)) << Src;
+  EXPECT_TRUE(exists(withExt(Src, ".log")));
+  ::unlink(Src.c_str());
+  ::unlink(withExt(Src, ".log").c_str());
+}
+
+TEST(JitFiles, FailedLoadDeletesItsFiles) {
+  std::string Err;
+  auto M = jit::CompiledModule::compile(kEmptyEntry, "jit_files_nosym",
+                                        &Err);
+  ASSERT_EQ(M, nullptr);
+  EXPECT_NE(Err.find("dlsym"), std::string::npos) << Err;
+  EXPECT_EQ(jitFilesStartingWith("jit_files_nosym_"),
+            std::vector<std::string>());
+}
+
+TEST(JitFiles, LoadedModuleOwnsNoFile) {
+  auto M = jit::CompiledModule::compile(kEmptyEntry, "jit_files_entry");
+  ASSERT_NE(M, nullptr);
+  std::string Copy = M->objectPath() + ".copy.so";
+  std::filesystem::copy_file(M->objectPath(), Copy);
+  {
+    auto L = jit::CompiledModule::load(Copy, "jit_files_entry");
+    ASSERT_NE(L, nullptr);
+    EXPECT_EQ(L->objectPath(), Copy);
+    EXPECT_TRUE(L->sourcePath().empty());
+  }
+  EXPECT_TRUE(exists(Copy)) << "load() does not own the object it opened";
+  EXPECT_TRUE(exists(M->objectPath()));
+  ::unlink(Copy.c_str());
 }

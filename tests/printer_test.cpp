@@ -1,16 +1,20 @@
 //===- tests/printer_test.cpp - cpptree source printer tests ---*- C++ -*-===//
 //
 // Statement-level tests of the C++ source renderer: each statement kind
-// must print the exact construct the JIT compiles. (End-to-end
-// compilability is covered by the jit differential suite; these pin the
-// source shapes.)
+// must print the exact construct the JIT compiles, and a generated TU
+// includes only the headers its body uses. (End-to-end compilability is
+// covered by the jit differential suite; these pin the source shapes.)
 //
 //===----------------------------------------------------------------------===//
 
+#include "codegen/Generator.h"
 #include "cpptree/Printer.h"
 #include "expr/Dsl.h"
+#include "quil/Quil.h"
 
 #include "gtest/gtest.h"
+
+#include <sstream>
 
 using namespace steno;
 using namespace steno::cpptree;
@@ -55,6 +59,16 @@ TEST(Printer, PairTypesSpelled) {
                "steno::rt::Pair<std::int64_t, double>{INT64_C(1), 2.0};"),
       std::string::npos)
       << Src;
+}
+
+TEST(Printer, Int64MinIsSpelledWithoutAnOutOfRangeLiteral) {
+  std::string Src = printOf({Stmt::declareLocal(
+      "m", Type::int64Ty(), E(std::int64_t{INT64_MIN}).node())});
+  EXPECT_NE(Src.find("std::int64_t m = (-INT64_C(9223372036854775807) - 1);"),
+            std::string::npos)
+      << Src;
+  EXPECT_EQ(Src.find("9223372036854775808"), std::string::npos)
+      << "no signed type holds 9223372036854775808: " << Src;
 }
 
 TEST(Printer, IfContinueBreak) {
@@ -165,4 +179,83 @@ TEST(Printer, SlotScanIncludesSinkExprs) {
   P.Body.push_back(Stmt::declareSink("d", Dense));
   SlotUsage Slots = scanSlots(P);
   EXPECT_EQ(Slots.ValueSlots, (std::set<unsigned>{5}));
+}
+
+//===--------------------------------------------------------------------===//
+// Includes: a TU names only the runtime and headers its body uses
+//===--------------------------------------------------------------------===//
+
+namespace {
+
+using Includes = std::vector<std::string>;
+
+/// The #include targets of the TU generated for \p Q, in order.
+Includes includesOf(const query::Query &Q, bool Profile = false) {
+  codegen::GenOptions G;
+  G.Profile = Profile;
+  std::istringstream Src(
+      printProgram(codegen::generate(quil::lower(Q), "t", G)));
+  Includes Out;
+  for (std::string Line; std::getline(Src, Line);)
+    if (Line.rfind("#include ", 0) == 0)
+      Out.push_back(Line.substr(9));
+  return Out;
+}
+
+} // namespace
+
+TEST(PrinterIncludes, ScalarQueryIncludesOnlyTheLeanCore) {
+  E X = param("x", Type::doubleTy());
+  query::Query Q = query::Query::doubleArray(0)
+                       .where(lambda({X}, X > E(0.0)))
+                       .select(lambda({X}, X * X))
+                       .sum();
+  const Includes Lean = {"\"steno/Rt.h\"", "<cstdint>"};
+  EXPECT_EQ(includesOf(Q), Lean);
+  EXPECT_EQ(includesOf(Q, /*Profile=*/true), Lean) << "ProfTimer is in Rt.h";
+  // rt::abs/min/max and int64 `%` are Rt.h's, not <cmath>'s.
+  E I = param("i", Type::int64Ty());
+  EXPECT_EQ(includesOf(query::Query::int64Array(0)
+                           .select(lambda({I}, abs(I % E(std::int64_t{7}))))
+                           .select(lambda({I}, max(I, E(std::int64_t{1}))))
+                           .sum()),
+            Lean);
+}
+
+TEST(PrinterIncludes, GroupByAggregateAddsTheSinks) {
+  E K = param("k", Type::int64Ty());
+  E A = param("a", Type::int64Ty());
+  E B = param("b", Type::int64Ty());
+  query::Query Q = query::Query::int64Array(0).groupByAggregate(
+      lambda({K}, K % E(std::int64_t{10})), E(std::int64_t{0}),
+      lambda({A, K}, A + K), Lambda(), lambda({A, B}, A + B));
+  EXPECT_EQ(includesOf(Q),
+            (Includes{"\"steno/Rt.h\"", "\"steno/RtSinks.h\"", "<cstdint>"}));
+}
+
+TEST(PrinterIncludes, OrderByAddsAlgorithmAndVector) {
+  E X = param("x", Type::doubleTy());
+  query::Query Q =
+      query::Query::doubleArray(0).orderBy(lambda({X}, -X)).toArray();
+  EXPECT_EQ(includesOf(Q), (Includes{"\"steno/Rt.h\"", "<algorithm>",
+                                     "<cstdint>", "<vector>"}));
+}
+
+TEST(PrinterIncludes, MathCallsAndDoubleModuloAddCmath) {
+  E X = param("x", Type::doubleTy());
+  const Includes WithCmath = {"\"steno/Rt.h\"", "<cmath>", "<cstdint>"};
+  EXPECT_EQ(includesOf(query::Query::doubleArray(0)
+                           .select(lambda({X}, sqrt(X)))
+                           .sum()),
+            WithCmath);
+  EXPECT_EQ(includesOf(query::Query::doubleArray(0)
+                           .select(lambda({X}, X % E(3.0)))
+                           .sum()),
+            WithCmath);
+  // Found in a sort key too.
+  EXPECT_EQ(includesOf(query::Query::doubleArray(0)
+                           .orderBy(lambda({X}, floor(X)))
+                           .toArray()),
+            (Includes{"\"steno/Rt.h\"", "<algorithm>", "<cmath>",
+                      "<cstdint>", "<vector>"}));
 }
