@@ -3,6 +3,7 @@
 #include "dryad/Dist.h"
 #include "analysis/Analysis.h"
 #include "dryad/HomomorphicApply.h"
+#include "dryad/Partition.h"
 #include "expr/Eval.h"
 #include "obs/Metrics.h"
 #include "obs/Profile.h"
@@ -70,15 +71,11 @@ std::vector<Bindings> dryad::partitionBindings(const Bindings &B,
          "partition slot is not bound");
   const expr::SourceBuffer &Src = B.sources()[PartitionSlot];
   std::size_t Count = static_cast<std::size_t>(Src.Count);
-  std::size_t Base = Count / Parts;
-  std::size_t Extra = Count % Parts;
-  std::size_t Pos = 0;
   std::vector<Bindings> Out;
   Out.reserve(Parts);
   for (unsigned P = 0; P != Parts; ++P) {
-    std::size_t Len = Base + (P < Extra ? 1 : 0);
-    Out.push_back(bindingRange(B, PartitionSlot, Pos, Len));
-    Pos += Len;
+    PartRange R = partitionRange(Count, Parts, P);
+    Out.push_back(bindingRange(B, PartitionSlot, R.Begin, R.Len));
   }
   return Out;
 }
@@ -127,10 +124,6 @@ DistributedQuery DistributedQuery::compile(const query::Query &Q,
   Parallelized.inc();
   DQ.Vertex = compileChain(Split.Plan->VertexChain, VertexOptions);
   DQ.Plan = std::move(*Split.Plan);
-  // Batch-executed vertices want morsels made of whole batches: one
-  // ragged tail per stolen range instead of one per morsel.
-  if (DQ.Vertex.vectorized() && DQ.Morsels.BatchAlign <= 1)
-    DQ.Morsels.BatchAlign = vec::batchSizeFromEnv();
   return DQ;
 }
 

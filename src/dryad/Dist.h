@@ -34,9 +34,7 @@ namespace dryad {
 /// reporting and rejection; the parallel-safety certificate that gates
 /// fan-out is always computed. With Profile on, every vertex run merges
 /// per-operator statistics into the ProfileStore under vertexPlanHash(),
-/// once per worker under runParallel. When the batch executor runs the
-/// vertex (an Interp vertex with Vectorize on), runParallel aligns morsel
-/// boundaries to whole batches.
+/// once per worker under runParallel.
 struct DistOptions : CompileOptions {
   /// Tuning for the morsel scheduler runParallel dispatches through.
   MorselOptions Morsels;

@@ -1,6 +1,7 @@
 //===- dryad/Morsel.cpp - Work-stealing morsel scheduler -------*- C++ -*-===//
 
 #include "dryad/Morsel.h"
+#include "dryad/Partition.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
 #include "support/Random.h"
@@ -90,32 +91,18 @@ void drive(SchedulerState &S, unsigned W) {
   // push the remainder back (the LIFO pop returns it, so the owner stays
   // on its contiguous range — static partitioning's locality — while the
   // pushed-back tail is stealable the whole time).
-  const std::size_t Align = S.Opts.BatchAlign > 1 ? S.Opts.BatchAlign : 1;
   auto processRange = [&](std::uint64_t Packed) {
     std::size_t Begin, End;
     unpack(Packed, Begin, End);
     while (Begin != End) {
       while (End - Begin > 2 * MorselSize) {
         std::size_t Mid = Begin + (End - Begin) / 2;
-        // Split on a batch boundary (global index space) so both halves
-        // stay batch-aligned; an unsplittable sub-batch range runs whole.
-        Mid -= Mid % Align;
-        if (Mid <= Begin)
-          break;
         if (!S.Deques[W].push(pack(Mid, End)))
           break; // deque full: keep the whole range local
         ++MySplits;
         End = Mid;
       }
       std::size_t Take = std::min(MorselSize, End - Begin);
-      if (Align != 1 && Take != End - Begin) {
-        // Land the morsel end on a batch boundary; when the morsel is
-        // smaller than the distance to one, extend to the next boundary
-        // instead of stalling (ragged heads re-align after one morsel).
-        std::size_t Rem = (Begin + Take) % Align;
-        Take = Rem < Take ? Take - Rem
-                          : std::min(Align - Begin % Align, End - Begin);
-      }
       support::WallTimer T;
       S.Body(Begin, Begin + Take, W);
       double Us = T.seconds() * 1e6;
@@ -232,21 +219,10 @@ MorselStats morselForWindow(ThreadPool &Pool, std::size_t Count,
   // only kicks in under skew. Seeding happens before the driver tasks
   // are submitted, so the pool's queue mutex orders these pushes before
   // any pop/steal.
-  std::size_t Base = Count / Workers;
-  std::size_t Extra = Count % Workers;
-  std::size_t Align = Opts.BatchAlign > 1 ? Opts.BatchAlign : 1;
-  std::size_t Pos = 0;
   for (unsigned W = 0; W != Workers; ++W) {
-    std::size_t ShardEnd = Pos + Base + (W < Extra ? 1 : 0);
-    // Shard boundaries land on batch multiples (batched bodies then see
-    // whole batches); the last shard absorbs the rounding and the tail.
-    if (W + 1 != Workers)
-      ShardEnd -= ShardEnd % Align;
-    else
-      ShardEnd = Count;
-    if (ShardEnd > Pos)
-      S.Deques[W].push(pack(Pos, ShardEnd));
-    Pos = ShardEnd;
+    PartRange R = partitionRange(Count, Workers, W);
+    if (R.Len)
+      S.Deques[W].push(pack(R.Begin, R.Begin + R.Len));
   }
 
   for (unsigned W = 0; W != Workers; ++W) {

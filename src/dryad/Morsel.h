@@ -171,12 +171,6 @@ struct MorselOptions {
   /// performed at all (see plinq.partitionSpan's old empty-partition
   /// overhead).
   std::size_t InlineBelow = 2048;
-  /// Align seed shards, lazy-split midpoints and morsel boundaries to
-  /// whole multiples of this (typically the vectorized batch size, so a
-  /// batched body runs full batches with at most one ragged tail per
-  /// range instead of one per morsel). 1 disables alignment. Best-effort:
-  /// the final tail of a range is always dispatched whatever its length.
-  std::size_t BatchAlign = 1;
 };
 
 /// What one morselFor invocation did (also mirrored into obs metrics).

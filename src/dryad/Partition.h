@@ -12,12 +12,33 @@
 #ifndef STENO_DRYAD_PARTITION_H
 #define STENO_DRYAD_PARTITION_H
 
+#include <algorithm>
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 namespace steno {
 namespace dryad {
+
+/// Elements [Begin, Begin + Len) of one static partition.
+struct PartRange {
+  std::size_t Begin = 0;
+  std::size_t Len = 0;
+};
+
+/// Range \p P of the \p Parts near-equal contiguous ranges that split
+/// [0, Count); the first Count % Parts ranges hold one element more. The
+/// one static partition: partitionBindings, the morsel scheduler's seed
+/// shards, plinq's partitionSpan and the shard router's fan-out all cut
+/// here, so the router's per-shard partials equal the in-process split's.
+inline PartRange partitionRange(std::size_t Count, unsigned Parts,
+                                unsigned P) {
+  assert(P < Parts && "partition index out of range");
+  std::size_t Base = Count / Parts, Extra = Count % Parts;
+  return {P * Base + std::min<std::size_t>(P, Extra),
+          Base + (P < Extra ? 1 : 0)};
+}
 
 /// One partition of a flat double dataset (optionally strided points).
 struct DoublePartition {
@@ -29,24 +50,6 @@ struct DoublePartition {
   }
 };
 
-/// Splits \p Flat (Count doubles) into \p NumParts near-equal contiguous
-/// partitions.
-inline std::vector<DoublePartition>
-partitionDoubles(const std::vector<double> &Flat, unsigned NumParts) {
-  assert(NumParts > 0 && "need at least one partition");
-  std::vector<DoublePartition> Out(NumParts);
-  std::size_t N = Flat.size();
-  std::size_t Base = N / NumParts;
-  std::size_t Extra = N % NumParts;
-  std::size_t Pos = 0;
-  for (unsigned P = 0; P != NumParts; ++P) {
-    std::size_t Len = Base + (P < Extra ? 1 : 0);
-    Out[P].Data.assign(Flat.begin() + Pos, Flat.begin() + Pos + Len);
-    Pos += Len;
-  }
-  return Out;
-}
-
 /// Splits \p Flat (Count x Dim doubles) into \p NumParts partitions along
 /// the point axis (points are never split across partitions).
 inline std::vector<DoublePartition>
@@ -55,19 +58,22 @@ partitionPoints(const std::vector<double> &Flat, std::int64_t Dim,
   assert(NumParts > 0 && "need at least one partition");
   assert(Dim > 0 && Flat.size() % static_cast<std::size_t>(Dim) == 0 &&
          "flat buffer is not a whole number of points");
-  std::int64_t Count = static_cast<std::int64_t>(Flat.size()) / Dim;
+  std::size_t D = static_cast<std::size_t>(Dim);
   std::vector<DoublePartition> Out(NumParts);
-  std::int64_t Base = Count / NumParts;
-  std::int64_t Extra = Count % NumParts;
-  std::int64_t Pos = 0;
   for (unsigned P = 0; P != NumParts; ++P) {
-    std::int64_t Len = Base + (static_cast<std::int64_t>(P) < Extra ? 1 : 0);
+    PartRange R = partitionRange(Flat.size() / D, NumParts, P);
     Out[P].Dim = Dim;
-    Out[P].Data.assign(Flat.begin() + Pos * Dim,
-                       Flat.begin() + (Pos + Len) * Dim);
-    Pos += Len;
+    Out[P].Data.assign(Flat.begin() + R.Begin * D,
+                       Flat.begin() + (R.Begin + R.Len) * D);
   }
   return Out;
+}
+
+/// Splits \p Flat (Count doubles) into \p NumParts near-equal contiguous
+/// partitions.
+inline std::vector<DoublePartition>
+partitionDoubles(const std::vector<double> &Flat, unsigned NumParts) {
+  return partitionPoints(Flat, 1, NumParts);
 }
 
 } // namespace dryad

@@ -34,6 +34,7 @@
 #define STENO_PLINQ_PLINQ_H
 
 #include "dryad/Morsel.h"
+#include "dryad/Partition.h"
 #include "dryad/ThreadPool.h"
 #include "linq/Seq.h"
 #include "obs/Metrics.h"
@@ -70,13 +71,9 @@ std::vector<linq::Seq<T>> partitionSpan(const T *Data, std::size_t Count,
   Partitions.inc(Parts);
   std::vector<linq::Seq<T>> Out;
   Out.reserve(Parts);
-  std::size_t Base = Count / Parts;
-  std::size_t Extra = Count % Parts;
-  std::size_t Pos = 0;
   for (unsigned P = 0; P != Parts; ++P) {
-    std::size_t Len = Base + (P < Extra ? 1 : 0);
-    Out.push_back(linq::fromSpan(Data + Pos, Len));
-    Pos += Len;
+    dryad::PartRange R = dryad::partitionRange(Count, Parts, P);
+    Out.push_back(linq::fromSpan(Data + R.Begin, R.Len));
   }
   return Out;
 }

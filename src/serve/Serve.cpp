@@ -4,6 +4,7 @@
 
 #include "analysis/Analysis.h"
 #include "dryad/Dist.h"
+#include "jit/Jit.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
 #include "quil/Quil.h"
@@ -166,14 +167,13 @@ struct QueryService::RequestState {
 QueryService::QueryService(const ServeOptions &O)
     : Options(O), OwnedCache(O.Cache ? nullptr : new QueryCache()),
       Cache(O.Cache ? O.Cache : OwnedCache.get()),
-      CompileQ(O.CompileWorkers, O.MaxCompileQueue),
-      Exec(O.Workers ? O.Workers : 1) {}
+      CompilePool(O.CompileWorkers), Exec(O.Workers) {}
 
 QueryService::~QueryService() {
   Closed.store(true, std::memory_order_relaxed);
   // Members destroy in reverse declaration order: the execution pool
   // drains its accepted requests first (fulfilling every outstanding
-  // promise), then the compile queue finishes its jobs (whose callbacks
+  // promise), then the compile pool finishes its compiles (whose publishes
   // still see live stats and cache), then the rest of the service.
 }
 
@@ -230,12 +230,21 @@ PreparedHandle QueryService::prepare(const std::string &SpecText,
 bool QueryService::compileInBackground(
     const PreparedHandle &P, PlanSlot &Slot, const CompiledQuery &From,
     std::function<void(CompiledQuery)> Publish) {
-  // The callback holds P, which keeps Slot alive across the compile.
-  bool Submitted = CompileQ.trySubmit(
-      From.generatedSource(), From.program().Name,
-      [this, P, &Slot, From, Publish = std::move(Publish)](
-          std::unique_ptr<jit::CompiledModule> Module, std::string Err) {
-        if (!Module) {
+  // MaxCompileQueue bounds queued plus running compiles: a compile storm
+  // leaves handles on their current plan instead of growing a backlog.
+  // The task holds P, which keeps Slot alive across the compile.
+  bool Submitted =
+      Compiles.fetch_add(1, std::memory_order_relaxed) <
+          Options.MaxCompileQueue &&
+      CompilePool.submit([this, P, &Slot, From,
+                          Publish = std::move(Publish)] {
+        std::string Err;
+        auto Module = jit::CompiledModule::compile(
+            From.generatedSource(), From.program().Name, &Err);
+        if (Module) {
+          Publish(From.withNativeModule(std::move(Module)));
+          tick(metrics().RecompDone, NRecompDone);
+        } else {
           // Back to idle: a later request may retry once the toolchain
           // recovers. Requests keep running the slot's current plan.
           Slot.release();
@@ -243,14 +252,13 @@ bool QueryService::compileInBackground(
           std::fprintf(stderr, "steno-serve: background recompile of '%s' "
                                "failed: %s\n",
                        From.program().Name.c_str(), Err.c_str());
-          return;
         }
-        Publish(From.withNativeModule(std::move(Module)));
-        tick(metrics().RecompDone, NRecompDone);
+        Compiles.fetch_sub(1, std::memory_order_relaxed);
       });
   if (!Submitted) {
-    // Saturated compile queue: degrade (stay on the current plan) and
-    // free the slot so a later request retries.
+    // Saturated (or shutting-down) pool: degrade (stay on the current
+    // plan) and free the slot so a later request retries.
+    Compiles.fetch_sub(1, std::memory_order_relaxed);
     Slot.release();
     tick(metrics().RecompSaturated, NRecompSaturated);
     return false;
@@ -293,7 +301,7 @@ bool QueryService::scheduleRecompile(const PreparedHandle &P) {
       });
 }
 
-void QueryService::drainRecompiles() { CompileQ.drain(); }
+void QueryService::drainRecompiles() { CompilePool.wait(); }
 
 //===--------------------------------------------------------------------===//
 // Shard-partial execution (steno::shard, DESIGN.md §5k)
@@ -326,11 +334,11 @@ QueryService::preparePartial(const PreparedHandle &P) {
   std::call_once(P->PartialOnce, [&] { buildPartial(P); });
   PreparedQuery::PartialState &PS = *P->Partial;
   // The vertex upgrades to native like the whole-query plan, retried on
-  // later pexecs when the compile queue was saturated. Deliberately not
+  // later pexecs when the compile pool was saturated. Deliberately not
   // through the QueryCache: vertex plans are keyed by the *partial*
   // chain, not the query the cache indexes.
-  if (PS.Splittable && Options.BackgroundRecompile &&
-      !CompileQ.saturated() && PS.Vertex.claim(/*UpgradeOnly=*/true))
+  if (PS.Splittable && Options.BackgroundRecompile && !compilePoolFull() &&
+      PS.Vertex.claim(/*UpgradeOnly=*/true))
     compileInBackground(P, PS.Vertex, PS.Vertex.plan(),
                         [&PS](CompiledQuery Native) {
                           PS.Vertex.publish(std::move(Native));
@@ -430,9 +438,9 @@ Response QueryService::admit(const PreparedHandle &P,
       return fail("partial range [" + std::to_string(Begin) + ", +" +
                   std::to_string(Len) + ") out of bounds for source of " +
                   std::to_string(Count));
-  } else if (Options.BackgroundRecompile && !CompileQ.saturated()) {
-    // A handle that degraded because the compile queue was saturated at
-    // prepare time retries its upgrade here, once the queue has room.
+  } else if (Options.BackgroundRecompile && !compilePoolFull()) {
+    // A handle that degraded because the compile pool was saturated at
+    // prepare time retries its upgrade here, once the pool has room.
     scheduleRecompile(P);
   }
 

@@ -34,14 +34,14 @@
 ///
 /// * **Graceful degradation.** prepare() never blocks on the external
 ///   compiler: it produces an interpreter-backend plan synchronously
-///   (milliseconds) and queues a native compile on jit::CompileQueue in
-///   the background. Requests run on whatever plan the handle's PlanSlot
-///   holds — interpreter first (a *degraded* run), then the native plan
-///   the compile publishes into the slot. When the compile queue is
-///   saturated, the handle simply stays on the interpreter and retries
-///   the upgrade on a later execute; a short request deadline is likewise
-///   never extended by compilation, because no request ever waits for
-///   the JIT.
+///   (milliseconds) and queues a native compile on a second
+///   dryad::ThreadPool, the compile pool, in the background. Requests run
+///   on whatever plan the handle's PlanSlot holds — interpreter first (a
+///   *degraded* run), then the native plan the compile publishes into the
+///   slot. When MaxCompileQueue compiles are already queued or running,
+///   the handle simply stays on the interpreter and retries the upgrade
+///   on a later execute; a short request deadline is likewise never
+///   extended by compilation, because no request ever waits for the JIT.
 ///
 /// Execution runs on the existing dryad::ThreadPool (one request = one
 /// worker; intra-query morsel parallelism is deliberately not nested
@@ -57,7 +57,6 @@
 #include "dryad/Plan.h"
 #include "dryad/ThreadPool.h"
 #include "fuzz/Spec.h"
-#include "jit/Async.h"
 #include "steno/QueryCache.h"
 #include "steno/Result.h"
 #include "steno/Steno.h"
@@ -88,9 +87,9 @@ const char *statusName(Status S);
 struct ServeOptions {
   unsigned Workers = 4;   ///< Execution pool (dryad::ThreadPool) size.
   unsigned MaxQueue = 64; ///< Admission bound: queued + executing requests.
-  unsigned CompileWorkers = 1;  ///< Background JIT threads.
-  unsigned MaxCompileQueue = 8; ///< JIT queue bound; 0 = never recompile
-                                ///< natively (permanently "saturated").
+  unsigned CompileWorkers = 1;  ///< Compile pool (background JIT) size.
+  unsigned MaxCompileQueue = 8; ///< Queued plus running compiles; 0 = never
+                                ///< recompile natively (always "saturated").
   /// Deadline applied when execute() is called without one.
   std::chrono::milliseconds DefaultDeadline{5000};
   /// Upgrade interpreter plans to native in the background. Off = every
@@ -255,7 +254,7 @@ private:
 };
 
 /// The service. One instance per process (or per test); owns the
-/// execution pool, the background compile queue, and (by default) the
+/// execution pool, the background compile pool, and (by default) the
 /// plan cache. Destruction drains in-flight work.
 class QueryService {
 public:
@@ -298,7 +297,7 @@ public:
   /// Queues a native compile of \p P's interpreted plan now (normally
   /// scheduled by prepare). prepare()'s plan goes through the QueryCache;
   /// a re-planned plan's native twin is this handle's alone. Returns
-  /// false when the compile queue is saturated, the plan is already
+  /// false when the compile pool is saturated, the plan is already
   /// native, or a compile is already in flight. Used by the soak tests to
   /// force the swap mid-stream.
   bool scheduleRecompile(const PreparedHandle &P);
@@ -314,8 +313,8 @@ public:
   /// queued. Used by the soak tests to force a v1 -> v2 swap mid-stream.
   bool scheduleAdaptiveReplan(const PreparedHandle &P);
 
-  /// Blocks until the background compile queue is empty (tests,
-  /// shutdown).
+  /// Blocks until every accepted background compile has finished and
+  /// published (tests, shutdown).
   void drainRecompiles();
 
   const ServeOptions &options() const { return Options; }
@@ -356,13 +355,18 @@ private:
   void finish(RequestState &R, Response Rsp);
   void buildPartial(const PreparedHandle &P);
   /// The one background-compile path: compiles \p From natively on the
-  /// compile queue and hands the native twin to \p Publish, which
+  /// compile pool and hands the native twin to \p Publish, which
   /// publishes it into \p Slot (a slot of \p P that the caller claimed).
-  /// A saturated queue or a failed compile releases the claim, so a later
+  /// A saturated pool or a failed compile releases the claim, so a later
   /// request retries. Returns true when the compile was queued.
   bool compileInBackground(const PreparedHandle &P, PlanSlot &Slot,
                            const CompiledQuery &From,
                            std::function<void(CompiledQuery)> Publish);
+  /// True when MaxCompileQueue compiles are queued or running.
+  bool compilePoolFull() const {
+    return Compiles.load(std::memory_order_relaxed) >=
+           Options.MaxCompileQueue;
+  }
 
   ServeOptions Options;
   std::unique_ptr<QueryCache> OwnedCache; ///< When Options.Cache == null.
@@ -371,6 +375,7 @@ private:
   std::atomic<std::uint64_t> NextSessionId{1};
   std::atomic<std::uint64_t> NextRequestId{1};
   std::atomic<std::int64_t> InFlight{0};
+  std::atomic<unsigned> Compiles{0}; ///< Queued plus running compiles.
   std::atomic<bool> Closed{false};
 
   // Instance stats (relaxed atomics; read via stats()).
@@ -382,7 +387,7 @@ private:
 
   // Declared last: destroyed first, so worker threads and compile
   // callbacks never outlive the state above.
-  jit::CompileQueue CompileQ;
+  dryad::ThreadPool CompilePool;
   dryad::ThreadPool Exec;
 };
 

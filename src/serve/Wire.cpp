@@ -2,16 +2,21 @@
 
 #include "serve/Wire.h"
 
-#include "fuzz/Diff.h" // fuzzValueStr: the stable row renderer
 #include "obs/Metrics.h"
 #include "obs/Profile.h"
 #include "support/StringUtil.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
+#include <csignal>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <sstream>
 #include <sys/socket.h>
+#include <sys/un.h>
+#include <thread>
 #include <unistd.h>
 
 using namespace steno;
@@ -128,7 +133,7 @@ std::string statsJson(const QueryService::Stats &S) {
 } // namespace
 
 //===--------------------------------------------------------------------===//
-// Exact value codec (shard framing)
+// Exact value codec and the answer frame
 //===--------------------------------------------------------------------===//
 
 namespace {
@@ -269,62 +274,30 @@ bool serve::parseWireValue(const std::string &Enc, expr::Value &Out,
   return true;
 }
 
-std::string serve::renderShardResponse(const Response &R, const char *Verb,
-                                       std::uint64_t Rid) {
+std::string serve::renderResponse(const Response &R) {
+  unsigned long long Id = R.Id;
   switch (R.St) {
   case Status::Timeout:
-    return support::strFormat("%s %llu timeout\n", Verb,
-                              static_cast<unsigned long long>(Rid));
+    return support::strFormat("timeout %llu\n", Id);
   case Status::Shed:
-    return support::strFormat("%s %llu shed\n", Verb,
-                              static_cast<unsigned long long>(Rid));
+    return support::strFormat("shed %llu\n", Id);
   case Status::Error:
     return support::strFormat(
-        "%s %llu error %s\n", Verb, static_cast<unsigned long long>(Rid),
+        "error %llu %s\n", Id,
         oneLine(R.Message.empty() ? "internal error" : R.Message).c_str());
-  case Status::Ok:
-    break;
-  }
-  const char *RowTag = Verb[0] == 'p' ? "prow" : "xrow";
-  const char *DoneTag = Verb[0] == 'p' ? "pdone" : "xdone";
-  std::string Out = support::strFormat(
-      "%s %llu %s %zu native=%d run_us=%.1f\n", Verb,
-      static_cast<unsigned long long>(Rid),
-      R.Result.isScalar() ? "scalar" : "rows", R.Result.rows().size(),
-      R.NativePlan ? 1 : 0, R.RunMicros);
-  for (const expr::Value &V : R.Result.rows()) {
-    Out += RowTag;
-    Out += ' ';
-    Out += wireValue(V);
-    Out += '\n';
-  }
-  Out += DoneTag;
-  Out += '\n';
-  return Out;
-}
-
-std::string serve::renderResponse(const Response &R) {
-  switch (R.St) {
-  case Status::Timeout:
-    return support::strFormat("timeout %llu\n",
-                              static_cast<unsigned long long>(R.Id));
-  case Status::Shed:
-    return support::strFormat("shed %llu\n",
-                              static_cast<unsigned long long>(R.Id));
-  case Status::Error:
-    return errorFrame(R.Message.empty() ? "internal error" : R.Message);
   case Status::Ok:
     break;
   }
   std::string Out = support::strFormat(
       "result %llu %s %zu degraded=%d native=%d queue_us=%.1f "
       "run_us=%.1f\n",
-      static_cast<unsigned long long>(R.Id),
-      R.Result.isScalar() ? "scalar" : "rows", R.Result.rows().size(),
-      R.Degraded ? 1 : 0, R.NativePlan ? 1 : 0, R.QueueMicros,
-      R.RunMicros);
-  for (const expr::Value &V : R.Result.rows())
-    Out += "row " + fuzz::fuzzValueStr(V) + "\n";
+      Id, R.Result.isScalar() ? "scalar" : "rows", R.Result.rows().size(),
+      R.Degraded ? 1 : 0, R.NativePlan ? 1 : 0, R.QueueMicros, R.RunMicros);
+  for (const expr::Value &V : R.Result.rows()) {
+    Out += "row ";
+    Out += wireValue(V);
+    Out += '\n';
+  }
   Out += "done\n";
   return Out;
 }
@@ -333,11 +306,87 @@ std::string serve::renderResponse(const Response &R) {
 // Server side
 //===--------------------------------------------------------------------===//
 
-void serve::serveConnection(QueryService &Svc, int Fd) {
-  FdStream S(Fd);
+Frontend serve::sessionFrontend(QueryService &Svc) {
   std::shared_ptr<Session> Sess = Svc.openSession();
-  std::vector<PreparedHandle> Handles; // connection-local handle table
+  auto Handles = std::make_shared<std::vector<PreparedHandle>>();
+  Frontend F;
+  F.Prepare = [Sess, Handles](const std::string &Spec, std::string &Err) {
+    PreparedHandle P = Sess->prepare(Spec, &Err);
+    if (P)
+      Handles->push_back(P);
+    return P != nullptr;
+  };
+  F.Execute = [Sess, Handles](std::size_t H,
+                              std::chrono::milliseconds Deadline) {
+    return Sess->execute((*Handles)[H], Deadline);
+  };
+  F.Stats = [&Svc] { return statsJson(Svc.stats()); };
+  F.DefaultDeadline = Svc.options().DefaultDeadline;
+  F.ExecutePartial = [&Svc, Handles](std::size_t H, std::size_t Begin,
+                                     std::size_t Len,
+                                     std::chrono::milliseconds Deadline) {
+    return Svc.executePartial((*Handles)[H], Begin, Len, Deadline);
+  };
+  F.Profile = [Handles](std::size_t H, std::string &Json, std::string &Err) {
+    CompiledQuery Plan = (*Handles)[H]->currentPlan();
+    if (!Plan.profiled()) {
+      Err = support::strFormat(
+          "handle %zu was prepared without profiling (start the service "
+          "with --profile or STENO_PROFILE=1)",
+          H);
+      return false;
+    }
+    // Resolved through rewrite provenance: a plan the rewriter changed
+    // inherits runs accumulated under its pre-rewrite hash, so a fresh
+    // prepare of a long-profiled query answers with the merged stats
+    // instead of "never executed".
+    auto Snap = obs::ProfileStore::global().snapshotResolved(Plan.planHash());
+    if (!Snap) {
+      Err = support::strFormat(
+          "no profile recorded for handle %zu yet (never executed)", H);
+      return false;
+    }
+    Json = obs::profileJson(*Snap);
+    return true;
+  };
+  return F;
+}
 
+namespace {
+
+/// Parses and runs one exec or pexec request. The answer carries the
+/// client's rid, or the frontend's request id when the client sent none.
+Response execRequest(const Frontend &F, bool Partial,
+                     std::istringstream &Fields, std::size_t Handles) {
+  std::size_t H = 0, Begin = 0, Len = 0;
+  long long DeadlineMs = -1;
+  unsigned long long Rid = 0;
+  Response R;
+  if (!(Fields >> H) || (Partial && !(Fields >> Begin >> Len))) {
+    R.Message = Partial ? "pexec needs a handle and a range"
+                        : "exec needs a handle";
+    return R;
+  }
+  Fields >> DeadlineMs >> Rid; // both optional
+  if (H >= Handles) {
+    R.Message = support::strFormat("unknown handle %zu", H);
+  } else {
+    std::chrono::milliseconds Deadline =
+        DeadlineMs >= 0 ? std::chrono::milliseconds(DeadlineMs)
+                        : F.DefaultDeadline;
+    R = Partial ? F.ExecutePartial(H, Begin, Len, Deadline)
+                : F.Execute(H, Deadline);
+  }
+  if (Rid)
+    R.Id = Rid;
+  return R;
+}
+
+} // namespace
+
+void serve::serveConnection(const Frontend &F, int Fd) {
+  FdStream S(Fd);
+  std::size_t Handles = 0; // prepared so far: numbers 0..Handles-1
   std::string Line;
   while (S.readLine(Line)) {
     std::istringstream Fields(Line);
@@ -350,155 +399,114 @@ void serve::serveConnection(QueryService &Svc, int Fd) {
       return;
     }
 
+    std::string Answer;
     if (Cmd == "prepare") {
       // The spec's own `end` line frames the payload.
       std::string SpecText, SpecLine;
       bool SawEnd = false;
-      while (S.readLine(SpecLine)) {
+      while (!SawEnd && S.readLine(SpecLine)) {
         SpecText += SpecLine;
         SpecText += '\n';
-        if (SpecLine == "end") {
-          SawEnd = true;
-          break;
-        }
+        SawEnd = SpecLine == "end";
       }
       if (!SawEnd)
         return; // EOF mid-spec: drop the connection
       std::string Err;
-      PreparedHandle P = Sess->prepare(SpecText, &Err);
-      if (!P) {
-        if (!S.writeAll(errorFrame(Err)))
-          return;
-        continue;
-      }
-      Handles.push_back(P);
-      if (!S.writeAll(support::strFormat("prepared %zu\n",
-                                         Handles.size() - 1)))
-        return;
-      continue;
-    }
-
-    if (Cmd == "exec") {
-      std::size_t Handle = 0;
-      long long DeadlineMs = -1;
-      if (!(Fields >> Handle)) {
-        if (!S.writeAll(errorFrame("exec needs a handle")))
-          return;
-        continue;
-      }
-      Fields >> DeadlineMs; // optional; default deadline when absent
-      if (Handle >= Handles.size()) {
-        if (!S.writeAll(errorFrame(support::strFormat(
-                "unknown handle %zu", Handle))))
-          return;
-        continue;
-      }
-      Response R =
-          DeadlineMs >= 0
-              ? Sess->execute(Handles[Handle],
-                              std::chrono::milliseconds(DeadlineMs))
-              : Sess->execute(Handles[Handle]);
-      if (!S.writeAll(renderResponse(R)))
-        return;
-      continue;
-    }
-
-    if (Cmd == "pexec" || Cmd == "xexec") {
-      // Shard sub-requests (router-to-worker): exact value encoding,
-      // router request id echoed back for the exactly-once retry
-      // protocol.
-      bool IsPartial = Cmd == "pexec";
-      const char *Verb = IsPartial ? "partial" : "xresult";
-      std::size_t Handle = 0, Begin = 0, Len = 0;
-      long long DeadlineMs = -1;
-      unsigned long long Rid = 0;
-      bool Parsed = static_cast<bool>(Fields >> Handle);
-      if (Parsed && IsPartial)
-        Parsed = static_cast<bool>(Fields >> Begin >> Len);
-      if (!Parsed) {
-        if (!S.writeAll(errorFrame(Cmd + " needs a handle" +
-                                   (IsPartial ? " and a range" : ""))))
-          return;
-        continue;
-      }
-      Fields >> DeadlineMs >> Rid; // both optional
-      std::chrono::milliseconds DL =
-          DeadlineMs >= 0 ? std::chrono::milliseconds(DeadlineMs)
-                          : Svc.options().DefaultDeadline;
-      if (Handle >= Handles.size()) {
-        Response R;
-        R.St = Status::Error;
-        R.Message = support::strFormat("unknown handle %zu", Handle);
-        if (!S.writeAll(renderShardResponse(R, Verb, Rid)))
-          return;
-        continue;
-      }
-      Response R = IsPartial
-                       ? Svc.executePartial(Handles[Handle], Begin, Len, DL)
-                       : Svc.execute(Handles[Handle], DL);
-      if (!S.writeAll(renderShardResponse(R, Verb, Rid)))
-        return;
-      continue;
-    }
-
-    if (Cmd == "stats") {
-      if (!S.writeAll("stats " + statsJson(Svc.stats()) + "\n"))
-        return;
-      continue;
-    }
-
-    if (Cmd == "profile") {
-      std::size_t Handle = 0;
-      if (!(Fields >> Handle)) {
-        if (!S.writeAll(errorFrame("profile needs a handle")))
-          return;
-        continue;
-      }
-      if (Handle >= Handles.size()) {
-        if (!S.writeAll(errorFrame(support::strFormat(
-                "unknown handle %zu", Handle))))
-          return;
-        continue;
-      }
-      CompiledQuery Plan = Handles[Handle]->currentPlan();
-      if (!Plan.profiled()) {
-        if (!S.writeAll(errorFrame(support::strFormat(
-                "handle %zu was prepared without profiling (start the "
-                "service with --profile or STENO_PROFILE=1)",
-                Handle))))
-          return;
-        continue;
-      }
-      // Resolved through rewrite provenance: a plan the rewriter changed
-      // inherits runs accumulated under its pre-rewrite hash, so a fresh
-      // prepare of a long-profiled query answers with the merged stats
-      // instead of "never executed".
-      auto Snap =
-          obs::ProfileStore::global().snapshotResolved(Plan.planHash());
-      if (!Snap) {
-        if (!S.writeAll(errorFrame(support::strFormat(
-                "no profile recorded for handle %zu yet (never executed)",
-                Handle))))
-          return;
-        continue;
-      }
-      if (!S.writeAll("profile " + obs::profileJson(*Snap) + "\n"))
-        return;
-      continue;
-    }
-
-    if (Cmd == "metrics") {
+      if (F.Prepare(SpecText, Err))
+        Answer = support::strFormat("prepared %zu\n", Handles++);
+      else
+        Answer = errorFrame(Err);
+    } else if (Cmd == "exec" || (Cmd == "pexec" && F.ExecutePartial)) {
+      Answer = renderResponse(execRequest(F, Cmd == "pexec", Fields, Handles));
+    } else if (Cmd == "stats") {
+      Answer = "stats " + F.Stats() + "\n";
+    } else if (Cmd == "profile" && F.Profile) {
+      std::size_t H = 0;
+      std::string Json, Err;
+      if (!(Fields >> H))
+        Answer = errorFrame("profile needs a handle");
+      else if (H >= Handles)
+        Answer = errorFrame(support::strFormat("unknown handle %zu", H));
+      else
+        Answer = F.Profile(H, Json, Err) ? "profile " + Json + "\n"
+                                         : errorFrame(Err);
+    } else if (Cmd == "metrics") {
       std::string Text = obs::exportPrometheus();
       std::size_t NLines = static_cast<std::size_t>(
           std::count(Text.begin(), Text.end(), '\n'));
-      if (!S.writeAll(support::strFormat("metrics %zu\n", NLines) + Text))
-        return;
-      continue;
+      Answer = support::strFormat("metrics %zu\n", NLines) + Text;
+    } else {
+      Answer = errorFrame("unknown command '" + Cmd + "'");
     }
-
-    if (!S.writeAll(errorFrame("unknown command '" + Cmd + "'")))
+    if (!S.writeAll(Answer))
       return;
   }
+}
+
+namespace {
+
+/// The listening socket, closed by the SIGINT/SIGTERM handler.
+std::atomic<int> ListenFd{-1};
+
+void closeListener(int) {
+  // Unblock accept(): shutdown() on a listening socket is
+  // implementation-defined, but close() reliably fails the accept.
+  int Fd = ListenFd.exchange(-1);
+  if (Fd >= 0)
+    ::close(Fd);
+}
+
+} // namespace
+
+bool serve::listenAndServe(const std::string &SocketPath, const char *Tool,
+                           const std::function<Frontend()> &NewConnection) {
+  sockaddr_un Addr{};
+  Addr.sun_family = AF_UNIX;
+  if (SocketPath.size() >= sizeof Addr.sun_path) {
+    std::fprintf(stderr, "%s: socket path too long\n", Tool);
+    return false;
+  }
+  std::strncpy(Addr.sun_path, SocketPath.c_str(), sizeof Addr.sun_path - 1);
+  ::unlink(SocketPath.c_str()); // stale socket from a previous run
+  int Fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (Fd < 0 ||
+      ::bind(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof Addr) < 0 ||
+      ::listen(Fd, 64) < 0) {
+    std::fprintf(stderr, "%s: cannot listen on %s: %s\n", Tool,
+                 SocketPath.c_str(), std::strerror(errno));
+    if (Fd >= 0)
+      ::close(Fd);
+    return false;
+  }
+  ListenFd.store(Fd);
+  std::signal(SIGINT, closeListener);
+  std::signal(SIGTERM, closeListener);
+  std::signal(SIGPIPE, SIG_IGN); // client hangups surface as write errors
+  std::fprintf(stderr, "%s: listening on %s\n", Tool, SocketPath.c_str());
+
+  std::vector<std::thread> Connections;
+  for (;;) {
+    int Conn = ::accept(Fd, nullptr, nullptr);
+    if (Conn >= 0) {
+      Connections.emplace_back([Conn, F = NewConnection()] {
+        serveConnection(F, Conn);
+        ::close(Conn);
+      });
+      continue;
+    }
+    if (ListenFd.load() < 0) // closed by the signal handler
+      break;
+    if (errno == EINTR)
+      continue;
+    std::fprintf(stderr, "%s: accept: %s\n", Tool, std::strerror(errno));
+    closeListener(0);
+    break;
+  }
+
+  for (std::thread &T : Connections)
+    T.join();
+  ::unlink(SocketPath.c_str());
+  return true;
 }
 
 //===--------------------------------------------------------------------===//
@@ -507,201 +515,94 @@ void serve::serveConnection(QueryService &Svc, int Fd) {
 
 bool WireClient::prepare(const std::string &SpecText, std::uint64_t &Handle,
                          std::string &Err) {
+  Err.clear();
   std::string Frame = "prepare\n" + SpecText;
   if (Frame.back() != '\n')
     Frame += '\n';
-  if (!S.writeAll(Frame)) {
-    Err = "write failed";
-    return false;
-  }
   std::string Line;
-  if (!S.readLine(Line)) {
-    Err = "connection closed";
+  if (!S.writeAll(Frame) || !S.readLine(Line))
     return false;
-  }
   std::istringstream Fields(Line);
   std::string Tok;
+  unsigned long long H = 0;
   Fields >> Tok;
-  if (Tok == "prepared") {
-    unsigned long long H = 0;
-    if (!(Fields >> H)) {
-      Err = "malformed prepared frame: " + Line;
-      return false;
-    }
+  if (Tok == "prepared" && Fields >> H) {
     Handle = H;
     return true;
   }
-  if (Tok == "error") {
-    Err = Line.size() > 6 ? Line.substr(6) : "unspecified error";
+  if (Tok != "error")
     return false;
-  }
-  Err = "unexpected frame: " + Line;
-  return false;
+  Err = Line.size() > 6 ? Line.substr(6) : "unspecified error";
+  return true;
 }
 
 bool WireClient::exec(std::uint64_t Handle, std::int64_t DeadlineMs,
-                      ExecResult &Out) {
-  Out = ExecResult();
-  std::string Frame =
-      DeadlineMs >= 0
-          ? support::strFormat("exec %llu %lld\n",
-                               static_cast<unsigned long long>(Handle),
-                               static_cast<long long>(DeadlineMs))
-          : support::strFormat("exec %llu\n",
-                               static_cast<unsigned long long>(Handle));
-  if (!S.writeAll(Frame))
-    return false;
-  std::string Line;
-  if (!S.readLine(Line))
-    return false;
-  std::istringstream Fields(Line);
-  std::string Tok;
-  Fields >> Tok;
-
-  if (Tok == "timeout" || Tok == "shed") {
-    Out.St = Tok == "timeout" ? Status::Timeout : Status::Shed;
-    unsigned long long Id = 0;
-    Fields >> Id;
-    Out.Id = Id;
-    return true;
-  }
-  if (Tok == "error") {
-    Out.St = Status::Error;
-    Out.Error = Line.size() > 6 ? Line.substr(6) : "unspecified error";
-    return true;
-  }
-  if (Tok != "result")
-    return false;
-
-  unsigned long long Id = 0;
-  std::string Shape;
-  std::size_t NRows = 0;
-  std::string DegTok, NatTok, QueueTok, RunTok;
-  if (!(Fields >> Id >> Shape >> NRows >> DegTok >> NatTok >> QueueTok >>
-        RunTok))
-    return false;
-  Out.St = Status::Ok;
-  Out.Id = Id;
-  Out.Scalar = Shape == "scalar";
-  Out.Degraded = DegTok == "degraded=1";
-  Out.Native = NatTok == "native=1";
-  if (QueueTok.rfind("queue_us=", 0) == 0)
-    Out.QueueMicros = std::atof(QueueTok.c_str() + 9);
-  if (RunTok.rfind("run_us=", 0) == 0)
-    Out.RunMicros = std::atof(RunTok.c_str() + 7);
-
-  Out.Rows.reserve(NRows);
-  for (std::size_t I = 0; I != NRows; ++I) {
-    if (!S.readLine(Line) || Line.rfind("row ", 0) != 0)
-      return false;
-    Out.Rows.push_back(Line.substr(4));
-  }
-  if (!S.readLine(Line) || Line != "done")
-    return false;
-  return true;
+                      std::uint64_t Rid, Response &Out) {
+  return S.writeAll(support::strFormat(
+             "exec %llu %lld %llu\n",
+             static_cast<unsigned long long>(Handle),
+             static_cast<long long>(DeadlineMs),
+             static_cast<unsigned long long>(Rid))) &&
+         answer(Rid, Out);
 }
-
-namespace {
-
-/// Reads and decodes one shard answer (`<verb> <rid> ...` + rows +
-/// terminator). False on protocol breakdown or a rid mismatch — either
-/// way the connection is desynchronized and must be discarded.
-bool readShardAnswer(FdStream &S, const char *Verb, std::uint64_t Rid,
-                     WireClient::PartialResult &Out) {
-  const char *RowTag = Verb[0] == 'p' ? "prow " : "xrow ";
-  const char *DoneTag = Verb[0] == 'p' ? "pdone" : "xdone";
-  std::string Line;
-  if (!S.readLine(Line))
-    return false;
-  std::istringstream Fields(Line);
-  std::string Tok;
-  if (!(Fields >> Tok))
-    return false;
-  if (Tok == "error") {
-    // Pre-dispatch errors (malformed frame) arrive as a bare error line
-    // without a rid; the exchange is still framed, report it.
-    Out.St = Status::Error;
-    Out.Error = Line.size() > 6 ? Line.substr(6) : "unspecified error";
-    return true;
-  }
-  if (Tok != Verb)
-    return false;
-  unsigned long long GotRid = 0;
-  std::string Shape;
-  if (!(Fields >> GotRid >> Shape))
-    return false;
-  if (GotRid != Rid)
-    return false; // stale answer from a lost exchange: conn is dead
-  if (Shape == "timeout") {
-    Out.St = Status::Timeout;
-    return true;
-  }
-  if (Shape == "shed") {
-    Out.St = Status::Shed;
-    return true;
-  }
-  if (Shape == "error") {
-    Out.St = Status::Error;
-    std::getline(Fields, Out.Error);
-    if (!Out.Error.empty() && Out.Error.front() == ' ')
-      Out.Error.erase(0, 1);
-    return true;
-  }
-  if (Shape != "scalar" && Shape != "rows")
-    return false;
-
-  std::size_t NRows = 0;
-  std::string NatTok, RunTok;
-  if (!(Fields >> NRows >> NatTok >> RunTok))
-    return false;
-  Out.Scalar = Shape == "scalar";
-  Out.Native = NatTok == "native=1";
-  if (RunTok.rfind("run_us=", 0) == 0)
-    Out.RunMicros = std::atof(RunTok.c_str() + 7);
-
-  auto Arena = std::make_shared<std::deque<std::vector<double>>>();
-  std::vector<expr::Value> Rows;
-  Rows.reserve(NRows);
-  for (std::size_t I = 0; I != NRows; ++I) {
-    if (!S.readLine(Line) || Line.rfind(RowTag, 0) != 0)
-      return false;
-    expr::Value V;
-    if (!parseWireValue(Line.substr(5), V, *Arena))
-      return false;
-    Rows.push_back(V);
-  }
-  if (!S.readLine(Line) || Line != DoneTag)
-    return false;
-  Out.St = Status::Ok;
-  Out.Result = QueryResult(Out.Scalar, std::move(Rows), std::move(Arena));
-  return true;
-}
-
-} // namespace
 
 bool WireClient::pexec(std::uint64_t Handle, std::size_t Begin,
                        std::size_t Len, std::int64_t DeadlineMs,
-                       std::uint64_t Rid, PartialResult &Out) {
-  Out = PartialResult();
-  if (!S.writeAll(support::strFormat(
-          "pexec %llu %zu %zu %lld %llu\n",
-          static_cast<unsigned long long>(Handle), Begin, Len,
-          static_cast<long long>(DeadlineMs),
-          static_cast<unsigned long long>(Rid))))
-    return false;
-  return readShardAnswer(S, "partial", Rid, Out);
+                       std::uint64_t Rid, Response &Out) {
+  return S.writeAll(support::strFormat(
+             "pexec %llu %zu %zu %lld %llu\n",
+             static_cast<unsigned long long>(Handle), Begin, Len,
+             static_cast<long long>(DeadlineMs),
+             static_cast<unsigned long long>(Rid))) &&
+         answer(Rid, Out);
 }
 
-bool WireClient::xexec(std::uint64_t Handle, std::int64_t DeadlineMs,
-                       std::uint64_t Rid, PartialResult &Out) {
-  Out = PartialResult();
-  if (!S.writeAll(support::strFormat(
-          "xexec %llu %lld %llu\n",
-          static_cast<unsigned long long>(Handle),
-          static_cast<long long>(DeadlineMs),
-          static_cast<unsigned long long>(Rid))))
+bool WireClient::answer(std::uint64_t Rid, Response &Out) {
+  Out = Response();
+  std::string Line;
+  if (!S.readLine(Line))
     return false;
-  return readShardAnswer(S, "xresult", Rid, Out);
+  std::istringstream Fields(Line);
+  std::string Tok;
+  unsigned long long Id = 0;
+  if (!(Fields >> Tok >> Id) || (Rid && Id != Rid))
+    return false; // torn frame, or a stale answer from a lost exchange
+  Out.Id = Id;
+  if (Tok == "timeout" || Tok == "shed") {
+    Out.St = Tok == "timeout" ? Status::Timeout : Status::Shed;
+    return true;
+  }
+  if (Tok == "error") {
+    std::getline(Fields >> std::ws, Out.Message);
+    return true;
+  }
+  std::string Shape, Degraded, Native, Queue, Run;
+  std::size_t NRows = 0;
+  if (Tok != "result" ||
+      !(Fields >> Shape >> NRows >> Degraded >> Native >> Queue >> Run) ||
+      (Shape != "scalar" && Shape != "rows") ||
+      Queue.rfind("queue_us=", 0) != 0 || Run.rfind("run_us=", 0) != 0)
+    return false;
+  Out.Degraded = Degraded == "degraded=1";
+  Out.NativePlan = Native == "native=1";
+  Out.QueueMicros = std::atof(Queue.c_str() + 9);
+  Out.RunMicros = std::atof(Run.c_str() + 7);
+
+  auto Arena = std::make_shared<std::deque<std::vector<double>>>();
+  std::vector<expr::Value> Rows;
+  for (std::size_t I = 0; I != NRows; ++I) {
+    expr::Value V;
+    if (!S.readLine(Line) || Line.rfind("row ", 0) != 0 ||
+        !parseWireValue(Line.substr(4), V, *Arena))
+      return false;
+    Rows.push_back(V);
+  }
+  if (!S.readLine(Line) || Line != "done")
+    return false;
+  Out.St = Status::Ok;
+  Out.Result = QueryResult(Shape == "scalar", std::move(Rows),
+                           std::move(Arena));
+  return true;
 }
 
 bool WireClient::stats(std::string &Json) {

@@ -6,8 +6,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The textual protocol steno_serve speaks over a local (Unix-domain)
-/// socket. Line-oriented, human-debuggable with `nc -U`:
+/// The textual protocol steno_serve and steno_router speak over a local
+/// (Unix-domain) socket. Line-oriented, human-debuggable with `nc -U`:
 ///
 ///   client                              server
 ///   ------                              ------
@@ -21,7 +21,7 @@
 ///   exec 0 250
 ///                                       result <id> scalar 1 degraded=1
 ///                                           native=0 queue_us=.. run_us=..
-///                                       row 12345.678
+///                                       row d 0x1.98e26aa1f0beep+17
 ///                                       done
 ///   stats
 ///                                       stats {"accepted":1,...,
@@ -35,32 +35,40 @@
 ///                                       bye
 ///
 /// The spec payload is framed by the grammar's own `end` terminator, so
-/// no byte counting is needed. Error responses are a single
-/// `error <message>` line (embedded newlines become "; "). exec answers
-/// are exactly one of result/timeout/shed/error — the admission-control
-/// statuses map onto the wire one-to-one. `profile` answers with the
-/// accumulated obs::ProfileStore entry for the handle's plan (an error
-/// when the service runs unprofiled or the plan never executed);
-/// `metrics` dumps the whole obs registry plus per-plan profiles in
-/// Prometheus text exposition format, line-count framed.
+/// no byte counting is needed. A rejected prepare, an unknown command or
+/// a malformed `profile` answers a single `error <message>` line
+/// (embedded newlines become "; ").
 ///
-/// The protocol logic lives here (not in the tool) so the framing and a
+/// **One answer frame.** Both execution verbs,
+///
+///   exec <handle> [deadline_ms [rid]]                 (the whole query)
+///   pexec <handle> <begin> <len> [deadline_ms [rid]]  (a shard's §6
+///       vertex over elements [begin, begin+len) of source slot 0)
+///
+/// answer with exactly one of
+///
+///   result <id> scalar|rows <n> degraded=<0|1> native=<0|1>
+///       queue_us=<f> run_us=<f>, then <n> x "row <wireValue>", then "done"
+///   timeout <id>  |  shed <id>  |  error <id> <message>
+///
+/// where <id> echoes the client's rid, or is the service's request id
+/// when the client sent none (0: the request never reached the service).
+/// The admission-control statuses map onto the wire one-to-one. Rows use
+/// the exact wireValue codec (hexfloat doubles), so a client decodes the
+/// bit-exact QueryResult the service computed: the shard router combines
+/// partials arithmetically and re-renders whole results for its own
+/// client. The router keys its exactly-once retry protocol on the echoed
+/// rid (DESIGN.md §5k).
+///
+/// `profile` answers with the accumulated obs::ProfileStore entry for the
+/// handle's plan (an error when the service runs unprofiled or the plan
+/// never executed); `metrics` dumps the whole obs registry plus per-plan
+/// profiles in Prometheus text exposition format, line-count framed. The
+/// router serves prepare, exec, stats, metrics and quit; `pexec` and
+/// `profile` are unknown commands there.
+///
+/// The protocol logic lives here (not in the tools) so the framing and a
 /// full socketpair round trip are unit-testable without a real listener.
-///
-/// **Shard framing** (steno::shard, DESIGN.md §5k). The router speaks
-/// three extra verbs whose answers carry an *exact* value encoding
-/// (wireValue: hexfloat doubles, recursive pairs/vecs) instead of the
-/// human-oriented fuzzValueStr rows, because partials are re-combined
-/// arithmetically and must round-trip bit-exactly. Every shard request
-/// carries the router's request id (rid), echoed in the first response
-/// token after the verb — the exactly-once retry protocol keys on it:
-///
-///   pexec <handle> <begin> <len> [deadline_ms [rid]]
-///       -> partial <rid> scalar|rows <n> native=<0|1> run_us=<f>
-///          <n> x "prow <enc>" lines, then "pdone"
-///       -> partial <rid> timeout | shed | error <msg>
-///   xexec <handle> [deadline_ms [rid]]        (whole-query, exact rows)
-///       -> xresult <rid> ... / xrow <enc> / xdone   (same shape)
 ///
 //===----------------------------------------------------------------------===//
 
@@ -69,8 +77,10 @@
 
 #include "serve/Serve.h"
 
+#include <chrono>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -98,8 +108,8 @@ private:
   std::size_t Pos = 0;
 };
 
-/// Renders an execute() Response in wire form (result/timeout/shed/error
-/// frames as documented above). Exposed for tests.
+/// Renders an exec/pexec answer (the one frame documented above), with
+/// R.Id as the echoed id. Exposed for tests.
 std::string renderResponse(const Response &R);
 
 /// Exact wire encoding of one value: space-separated prefix form —
@@ -116,71 +126,75 @@ bool parseWireValue(const std::string &Enc, expr::Value &Out,
                     std::deque<std::vector<double>> &Arena,
                     std::string *Err = nullptr);
 
-/// Renders a Response as a shard frame with the exact value encoding.
-/// \p Verb is "partial" or "xresult"; rows go out as "prow"/"xrow" and
-/// the terminator is "pdone"/"xdone". \p Rid is the router's request id
-/// echoed back. Exposed for tests.
-std::string renderShardResponse(const Response &R, const char *Verb,
-                                std::uint64_t Rid);
+/// The verbs one client connection runs: a QueryService session's in
+/// steno_serve, the ShardRouter's in steno_router. serveConnection parses
+/// each request and renders its answer; these run it. Handles are
+/// connection-local numbers 0, 1, ... in prepare order, kept by whoever
+/// built the Frontend. An empty optional verb answers `unknown command`.
+struct Frontend {
+  /// Prepares \p Spec as the next handle; false with \p Err filled when
+  /// the spec is rejected.
+  std::function<bool(const std::string &Spec, std::string &Err)> Prepare;
+  /// exec: runs handle \p H whole.
+  std::function<Response(std::size_t H, std::chrono::milliseconds Deadline)>
+      Execute;
+  /// The `stats` answer: one JSON object.
+  std::function<std::string()> Stats;
+  /// The deadline of an exec or pexec that names none.
+  std::chrono::milliseconds DefaultDeadline{5000};
+  /// pexec (optional): runs handle \p H's §6 vertex over [Begin,
+  /// Begin+Len) of source slot 0.
+  std::function<Response(std::size_t H, std::size_t Begin, std::size_t Len,
+                         std::chrono::milliseconds Deadline)>
+      ExecutePartial;
+  /// profile (optional): handle \p H's profile JSON, or false with \p Err.
+  std::function<bool(std::size_t H, std::string &Json, std::string &Err)>
+      Profile;
+};
 
-/// Serves one connection: opens a Session on \p Svc and processes
-/// requests from \p Fd until EOF, `quit`, or a write failure. Blocking;
-/// run one thread per connection.
-void serveConnection(QueryService &Svc, int Fd);
+/// The verbs of a fresh Session on \p Svc: prepare, exec, pexec, stats
+/// and profile.
+Frontend sessionFrontend(QueryService &Svc);
 
-/// Client half of the protocol, for the loadgen's socket mode and the
-/// end-to-end tests.
+/// Serves one connection on \p Fd with \p F until EOF, `quit`, or a
+/// write failure. Blocking; run one thread per connection.
+void serveConnection(const Frontend &F, int Fd);
+
+/// Listens on the Unix-domain socket \p SocketPath (replacing a stale
+/// one) and serves each accepted connection on its own thread with a
+/// Frontend from \p NewConnection, until SIGINT or SIGTERM closes the
+/// listening socket. Then joins the connection threads, unlinks the
+/// socket and returns true. Installs the process's SIGINT/SIGTERM
+/// handlers and ignores SIGPIPE, so one listener runs per process. False,
+/// after a message prefixed with \p Tool, when the socket cannot be set
+/// up.
+bool listenAndServe(const std::string &SocketPath, const char *Tool,
+                    const std::function<Frontend()> &NewConnection);
+
+/// Client half of the protocol, for the shard router's sub-requests and
+/// the end-to-end tests. prepare, exec, pexec, stats and metrics return
+/// false only when the exchange broke (write failure, EOF, a torn or
+/// stale frame); the connection is then unusable.
 class WireClient {
 public:
   explicit WireClient(int Fd) : S(Fd) {}
 
-  /// Sends a prepare frame; true on `prepared`, false with \p Err set on
-  /// `error` or protocol failure.
+  /// Sends a prepare frame. On `prepared` sets \p Handle and clears
+  /// \p Err; on `error` (a rejected spec) fills \p Err.
   bool prepare(const std::string &SpecText, std::uint64_t &Handle,
                std::string &Err);
 
-  struct ExecResult {
-    Status St = Status::Error;
-    std::uint64_t Id = 0;
-    bool Scalar = false;
-    bool Degraded = false;
-    bool Native = false;
-    double QueueMicros = 0;
-    double RunMicros = 0;
-    std::vector<std::string> Rows; ///< fuzzValueStr-rendered rows.
-    std::string Error;
-  };
+  /// Sends `exec <handle> <deadline_ms> <rid>` (a negative deadline means
+  /// the server's default; rid 0 means none) and decodes the answer into
+  /// \p Out: timeout/shed/error statuses are completed exchanges. A
+  /// nonzero \p Rid must come back echoed, or the answer is stale.
+  bool exec(std::uint64_t Handle, std::int64_t DeadlineMs, std::uint64_t Rid,
+            Response &Out);
 
-  /// Sends `exec`; false only on protocol breakdown (timeout/shed/error
-  /// statuses are successful protocol exchanges reported in \p Out).
-  bool exec(std::uint64_t Handle, std::int64_t DeadlineMs, ExecResult &Out);
-
-  /// A shard sub-request's decoded answer (pexec/xexec): exact values,
-  /// re-homed into Result's own arena.
-  struct PartialResult {
-    Status St = Status::Error;
-    bool Scalar = false;
-    bool Native = false;
-    double RunMicros = 0;
-    QueryResult Result;
-    std::string Error;
-  };
-
-  /// Sends `pexec <handle> <begin> <len> <deadline_ms> <rid>`: runs the
-  /// §6 vertex over the range on the shard and decodes the exact-value
-  /// partial. False only on protocol breakdown or a rid mismatch (a
-  /// stale answer from before a retry) — the caller must treat false as
-  /// a dead connection.
+  /// Sends `pexec <handle> <begin> <len> <deadline_ms> <rid>`: the
+  /// handle's §6 vertex over the range, answered as exec is.
   bool pexec(std::uint64_t Handle, std::size_t Begin, std::size_t Len,
-             std::int64_t DeadlineMs, std::uint64_t Rid,
-             PartialResult &Out);
-
-  /// Sends `xexec <handle> <deadline_ms> <rid>`: whole-query execution
-  /// with the exact value encoding (the router's single-shard fallback
-  /// path, which re-renders rows for its own client). Same contract as
-  /// pexec.
-  bool xexec(std::uint64_t Handle, std::int64_t DeadlineMs,
-             std::uint64_t Rid, PartialResult &Out);
+             std::int64_t DeadlineMs, std::uint64_t Rid, Response &Out);
 
   /// Fetches the service stats line (one JSON object).
   bool stats(std::string &Json);
@@ -200,6 +214,9 @@ public:
   void quit();
 
 private:
+  /// Reads one exec/pexec answer into \p Out.
+  bool answer(std::uint64_t Rid, Response &Out);
+
   FdStream S;
 };
 

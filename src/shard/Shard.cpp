@@ -3,10 +3,10 @@
 #include "shard/Shard.h"
 
 #include "analysis/Analysis.h"
+#include "dryad/Partition.h"
 #include "obs/Metrics.h"
 #include "quil/Quil.h"
 #include "shard/Spawn.h"
-#include "support/StringUtil.h"
 #include "support/Timing.h"
 
 #include <algorithm>
@@ -47,16 +47,6 @@ std::uint64_t fnv1a(const std::string &S) {
     H *= 1099511628211ull;
   }
   return H;
-}
-
-/// WireClient::prepare reports both semantic rejections and transport
-/// failures through the same Err string; transport failures have a
-/// closed set of spellings (ours), everything else is the shard's error
-/// message.
-bool isWireFailure(const std::string &Err) {
-  return Err == "write failed" || Err == "connection closed" ||
-         Err.rfind("unexpected frame", 0) == 0 ||
-         Err.rfind("malformed prepared frame", 0) == 0;
 }
 
 } // namespace
@@ -233,16 +223,14 @@ RoutedHandle ShardRouter::prepare(const std::string &SpecText,
   return Prepared.emplace(SpecText, std::move(Q)).first->second;
 }
 
-serve::WireClient::PartialResult
-ShardRouter::subRequest(unsigned Shard, const RoutedQuery &Q, bool Partial,
-                        std::size_t Begin, std::size_t Len,
-                        std::uint64_t Rid,
-                        std::chrono::milliseconds Deadline) {
-  using PR = serve::WireClient::PartialResult;
+Response ShardRouter::subRequest(unsigned Shard, const RoutedQuery &Q,
+                                 bool Partial, std::size_t Begin,
+                                 std::size_t Len, std::uint64_t Rid,
+                                 std::chrono::milliseconds Deadline) {
   support::WallTimer Timer;
   auto Start = std::chrono::steady_clock::now();
   auto GiveUp = Start + std::min(Deadline, Options.RetryBudget);
-  PR Out;
+  Response Out;
   bool First = true;
 
   for (;;) {
@@ -252,7 +240,7 @@ ShardRouter::subRequest(unsigned Shard, const RoutedQuery &Q, bool Partial,
       std::this_thread::sleep_for(Options.RetryBackoff);
     }
     if (std::chrono::steady_clock::now() >= GiveUp) {
-      Out = PR();
+      Out = Response();
       Out.St = Status::Timeout;
       break;
     }
@@ -275,16 +263,16 @@ ShardRouter::subRequest(unsigned Shard, const RoutedQuery &Q, bool Partial,
     } else {
       std::string PrepErr;
       if (!C->W.prepare(Q.SpecText, Handle, PrepErr)) {
-        if (isWireFailure(PrepErr)) {
-          discard(Shard, std::move(C));
-          First = false;
-          continue;
-        }
+        discard(Shard, std::move(C));
+        First = false;
+        continue;
+      }
+      if (!PrepErr.empty()) {
         // Semantic rejection: terminal, the connection is still good.
         release(Shard, std::move(C));
-        Out = PR();
+        Out = Response();
         Out.St = Status::Error;
-        Out.Error = PrepErr;
+        Out.Message = PrepErr;
         break;
       }
       C->Prepared.emplace(Q.SpecText, Handle);
@@ -300,7 +288,7 @@ ShardRouter::subRequest(unsigned Shard, const RoutedQuery &Q, bool Partial,
     NSubSent.fetch_add(1, std::memory_order_relaxed);
     bool WireOk = Partial
                       ? C->W.pexec(Handle, Begin, Len, AttemptMs, Rid, Out)
-                      : C->W.xexec(Handle, AttemptMs, Rid, Out);
+                      : C->W.exec(Handle, AttemptMs, Rid, Out);
     if (!WireOk) {
       // Torn frame / dead shard / stale rid: the response for this rid
       // was never observed, so re-issuing it elsewhere cannot duplicate
@@ -329,7 +317,6 @@ serve::Response ShardRouter::execute(const RoutedHandle &H) {
 
 serve::Response ShardRouter::execute(const RoutedHandle &H,
                                      std::chrono::milliseconds Deadline) {
-  using PR = serve::WireClient::PartialResult;
   Response Rsp;
   Rsp.Id = NextRid.fetch_add(1, std::memory_order_relaxed);
   if (!H) {
@@ -344,13 +331,13 @@ serve::Response ShardRouter::execute(const RoutedHandle &H,
   if (!H->Split) {
     metrics().ExecFallback.inc();
     NFallbackExecs.fetch_add(1, std::memory_order_relaxed);
+    // The worker's answer, flags and timings included, under the
+    // router's own id and run time.
     std::uint64_t Rid = NextRid.fetch_add(1, std::memory_order_relaxed);
-    PR R = subRequest(H->HomeShard, *H, /*Partial=*/false, 0, 0, Rid,
-                      Deadline);
-    Rsp.St = R.St;
-    Rsp.Message = R.Error;
-    Rsp.Result = std::move(R.Result);
-    Rsp.NativePlan = R.Native;
+    std::uint64_t Id = Rsp.Id;
+    Rsp = subRequest(H->HomeShard, *H, /*Partial=*/false, 0, 0, Rid,
+                     Deadline);
+    Rsp.Id = Id;
     Rsp.RunMicros = RunTimer.seconds() * 1e6;
     switch (Rsp.St) {
     case Status::Ok:
@@ -369,54 +356,42 @@ serve::Response ShardRouter::execute(const RoutedHandle &H,
   metrics().ExecSplit.inc();
   NSplitExecs.fetch_add(1, std::memory_order_relaxed);
 
-  // Range partition (same Base/Extra arithmetic as partitionBindings,
-  // so per-shard partials match the in-process decomposition exactly).
+  // Fan out over dryad's static partition of source slot 0, so per-shard
+  // partials match the in-process decomposition exactly: this thread
+  // takes shard 0, one short-lived thread per remaining shard. Each
+  // sub-request gets its own rid.
   unsigned N = NumShards;
-  std::size_t Base = H->SourceCount / N;
-  std::size_t Extra = H->SourceCount % N;
-  std::vector<std::pair<std::size_t, std::size_t>> Ranges(N);
-  std::size_t Pos = 0;
-  for (unsigned I = 0; I != N; ++I) {
-    std::size_t Len = Base + (I < Extra ? 1 : 0);
-    Ranges[I] = {Pos, Len};
-    Pos += Len;
-  }
-
-  // Fan out: this thread takes shard 0, one short-lived thread per
-  // remaining shard. Each sub-request gets its own rid.
   std::uint64_t RidBase = NextRid.fetch_add(N, std::memory_order_relaxed);
-  std::vector<PR> Parts(N);
+  std::vector<Response> Parts(N);
+  auto runPart = [this, &Parts, &H, RidBase, Deadline, N](unsigned I) {
+    dryad::PartRange R = dryad::partitionRange(H->SourceCount, N, I);
+    Parts[I] = subRequest(I, *H, /*Partial=*/true, R.Begin, R.Len,
+                          RidBase + I, Deadline);
+  };
   std::vector<std::thread> Threads;
   Threads.reserve(N - 1);
   for (unsigned I = 1; I != N; ++I)
-    Threads.emplace_back([this, &Parts, &Ranges, &H, RidBase, Deadline,
-                          I] {
-      Parts[I] = subRequest(I, *H, /*Partial=*/true, Ranges[I].first,
-                            Ranges[I].second, RidBase + I, Deadline);
-    });
-  Parts[0] = subRequest(0, *H, /*Partial=*/true, Ranges[0].first,
-                        Ranges[0].second, RidBase, Deadline);
+    Threads.emplace_back(runPart, I);
+  runPart(0);
   for (std::thread &T : Threads)
     T.join();
 
   // All partials must arrive; the worst failure wins (Error dominates
   // Timeout so a real fault is never masked as slowness).
-  bool AllNative = true;
   for (unsigned I = 0; I != N; ++I) {
-    AllNative = AllNative && Parts[I].Native;
     if (Parts[I].St == Status::Ok)
       continue;
     Rsp.St = Parts[I].St;
-    Rsp.Message = Parts[I].Error.empty()
+    Rsp.Message = Parts[I].Message.empty()
                       ? "shard " + std::to_string(I) + " failed"
                       : "shard " + std::to_string(I) + ": " +
-                            Parts[I].Error;
+                            Parts[I].Message;
     for (unsigned J = 0; J != N; ++J)
       if (Parts[J].St == Status::Error) {
         Rsp.St = Status::Error;
-        if (!Parts[J].Error.empty())
+        if (!Parts[J].Message.empty())
           Rsp.Message =
-              "shard " + std::to_string(J) + ": " + Parts[J].Error;
+              "shard " + std::to_string(J) + ": " + Parts[J].Message;
         break;
       }
     if (Rsp.St == Status::Timeout)
@@ -427,16 +402,20 @@ serve::Response ShardRouter::execute(const RoutedHandle &H,
   }
 
   // Agg*: the same combine stage the in-process engine runs, over
-  // partials that crossed a process boundary.
+  // partials that crossed a process boundary. The answer is native only
+  // when every part ran natively, and degraded when any part did.
   std::vector<QueryResult> Partials;
   Partials.reserve(N);
-  for (PR &P : Parts)
+  Rsp.NativePlan = true;
+  for (Response &P : Parts) {
     Partials.push_back(std::move(P.Result));
+    Rsp.NativePlan = Rsp.NativePlan && P.NativePlan;
+    Rsp.Degraded = Rsp.Degraded || P.Degraded;
+  }
   Rsp.Result = dryad::combineParallelPartials(CombinePool, H->Plan,
                                               H->Cert,
                                               std::move(Partials));
   Rsp.St = Status::Ok;
-  Rsp.NativePlan = AllNative;
   Rsp.RunMicros = RunTimer.seconds() * 1e6;
   NOk.fetch_add(1, std::memory_order_relaxed);
   return Rsp;
@@ -491,100 +470,20 @@ std::string ShardRouter::statsJson() const {
   return Out.str();
 }
 
-//===--------------------------------------------------------------------===//
-// Router wire front end
-//===--------------------------------------------------------------------===//
-
-void shard::serveRouterConnection(ShardRouter &Router, int Fd) {
-  serve::FdStream S(Fd);
-  std::vector<RoutedHandle> Handles; // connection-local handle table
-
-  auto errorFrame = [](std::string Msg) {
-    for (std::size_t I = 0; (I = Msg.find('\n', I)) != std::string::npos;)
-      Msg.replace(I, 1, "; ");
-    return "error " + Msg + "\n";
+serve::Frontend ShardRouter::frontend() {
+  auto Handles = std::make_shared<std::vector<RoutedHandle>>();
+  serve::Frontend F;
+  F.Prepare = [this, Handles](const std::string &Spec, std::string &Err) {
+    RoutedHandle H = prepare(Spec, &Err);
+    if (H)
+      Handles->push_back(H);
+    return H != nullptr;
   };
-
-  std::string Line;
-  while (S.readLine(Line)) {
-    std::istringstream Fields(Line);
-    std::string Cmd;
-    if (!(Fields >> Cmd))
-      continue;
-
-    if (Cmd == "quit") {
-      S.writeAll("bye\n");
-      return;
-    }
-
-    if (Cmd == "prepare") {
-      std::string SpecText, SpecLine;
-      bool SawEnd = false;
-      while (S.readLine(SpecLine)) {
-        SpecText += SpecLine;
-        SpecText += '\n';
-        if (SpecLine == "end") {
-          SawEnd = true;
-          break;
-        }
-      }
-      if (!SawEnd)
-        return;
-      std::string Err;
-      RoutedHandle H = Router.prepare(SpecText, &Err);
-      if (!H) {
-        if (!S.writeAll(errorFrame(Err)))
-          return;
-        continue;
-      }
-      Handles.push_back(H);
-      if (!S.writeAll(support::strFormat("prepared %zu\n",
-                                         Handles.size() - 1)))
-        return;
-      continue;
-    }
-
-    if (Cmd == "exec") {
-      std::size_t Handle = 0;
-      long long DeadlineMs = -1;
-      if (!(Fields >> Handle)) {
-        if (!S.writeAll(errorFrame("exec needs a handle")))
-          return;
-        continue;
-      }
-      Fields >> DeadlineMs;
-      if (Handle >= Handles.size()) {
-        if (!S.writeAll(errorFrame(support::strFormat(
-                "unknown handle %zu", Handle))))
-          return;
-        continue;
-      }
-      Response R =
-          DeadlineMs >= 0
-              ? Router.execute(Handles[Handle],
-                               std::chrono::milliseconds(DeadlineMs))
-              : Router.execute(Handles[Handle]);
-      if (!S.writeAll(serve::renderResponse(R)))
-        return;
-      continue;
-    }
-
-    if (Cmd == "stats") {
-      if (!S.writeAll("stats " + Router.statsJson() + "\n"))
-        return;
-      continue;
-    }
-
-    if (Cmd == "metrics") {
-      std::string Text = obs::exportPrometheus();
-      std::size_t NLines = static_cast<std::size_t>(
-          std::count(Text.begin(), Text.end(), '\n'));
-      if (!S.writeAll(support::strFormat("metrics %zu\n", NLines) + Text))
-        return;
-      continue;
-    }
-
-    if (!S.writeAll(errorFrame("unknown command '" + Cmd + "'")))
-      return;
-  }
+  F.Execute = [this, Handles](std::size_t H,
+                              std::chrono::milliseconds Deadline) {
+    return execute((*Handles)[H], Deadline);
+  };
+  F.Stats = [this] { return statsJson(); };
+  F.DefaultDeadline = Options.DefaultDeadline;
+  return F;
 }

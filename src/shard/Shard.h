@@ -18,14 +18,14 @@
 ///  * **Split** — dryad::decideSplit allows it (the SafetyCertificate
 ///    gates, then the §6 planner finds the Agg_i + Agg* decomposition,
 ///    exactly as for a serve worker's vertex): every execute range-
-///    partitions source slot 0 across all shards (same Base/Extra
-///    arithmetic as dryad::partitionBindings), issues one `pexec` per
-///    shard, and combines with dryad::combineParallelPartials.
+///    partitions source slot 0 across all shards (dryad::partitionRange,
+///    the split dryad::partitionBindings makes in process), issues one
+///    `pexec` per shard, and combines with dryad::combineParallelPartials.
 ///  * **Fallback** — uncertified or structurally unsplittable plans route
-///    whole to one *home* shard chosen by consistent-hashing the spec
-///    text onto a ring of virtual shard points (so re-preparing a spec
-///    lands on the same shard, and adding a shard only remaps ~1/N of
-///    specs). Non-associative combiners are counted separately
+///    whole (`exec`) to one *home* shard chosen by consistent-hashing the
+///    spec text onto a ring of virtual shard points (so re-preparing a
+///    spec lands on the same shard, and adding a shard only remaps ~1/N
+///    of specs). Non-associative combiners are counted separately
 ///    (shard.fallback.nonassoc).
 ///
 /// **Exactly-once retry.** Every sub-request carries a router-unique
@@ -158,16 +158,21 @@ public:
   /// percentiles (shard<i>.latency_us histograms).
   std::string statsJson() const;
 
+  /// The verbs one router client connection runs (prepare, exec and
+  /// stats) over its own handle table, for serve::serveConnection and
+  /// serve::listenAndServe.
+  serve::Frontend frontend();
+
 private:
   struct Conn;
   struct ShardState;
 
-  /// Issues one sub-request (pexec when \p Partial, else xexec) to
+  /// Issues one sub-request (pexec when \p Partial, else exec) to
   /// \p Shard with exactly-once retry inside RetryBudget.
-  serve::WireClient::PartialResult
-  subRequest(unsigned Shard, const RoutedQuery &Q, bool Partial,
-             std::size_t Begin, std::size_t Len, std::uint64_t Rid,
-             std::chrono::milliseconds Deadline);
+  serve::Response subRequest(unsigned Shard, const RoutedQuery &Q,
+                             bool Partial, std::size_t Begin,
+                             std::size_t Len, std::uint64_t Rid,
+                             std::chrono::milliseconds Deadline);
 
   std::unique_ptr<Conn> acquire(unsigned Shard,
                                 std::chrono::steady_clock::time_point
@@ -193,12 +198,6 @@ private:
       NReprepares{0}, NConnects{0}, NDeaths{0}, NOk{0}, NTimeouts{0},
       NErrors{0};
 };
-
-/// Serves one router client connection on \p Fd: the same line protocol
-/// as steno_serve (prepare/exec/stats/quit; responses rendered with
-/// serve::renderResponse), so loadgen's socket mode points at a router
-/// unchanged. Blocking; one thread per connection.
-void serveRouterConnection(ShardRouter &Router, int Fd);
 
 } // namespace shard
 } // namespace steno

@@ -130,7 +130,8 @@ public:
 
   /// The background-recompile hook (steno::serve): wraps \p Module — which
   /// must have been compiled from generatedSource() resolving
-  /// program().Name, e.g. via jit::CompileQueue — as the Native-backend
+  /// program().Name, e.g. by jit::CompiledModule::compile on serve's
+  /// background compile pool — as the Native-backend
   /// twin of this query. Chain, program, slot usage and analysis state are
   /// shared; only the execution engine changes. Aborts on an invalid
   /// handle or a null module.

@@ -6,11 +6,30 @@
 
 #include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <sys/stat.h>
 #include <unistd.h>
 
 using namespace steno;
+
+namespace {
+
+/// The directory processTempDir made and the process that made it. Never
+/// destroyed, so the exit handler can still read it after static
+/// destructors ran.
+const std::string *TempDir = nullptr;
+pid_t TempDirOwner = 0;
+
+void removeTempDirIfEmpty() {
+  // rmdir removes only an empty directory: an open module's files, or a
+  // failed compile's kept source and log, keep it. A forked child (a
+  // death test) inherits this handler but not the directory.
+  if (::getpid() == TempDirOwner)
+    ::rmdir(TempDir->c_str());
+}
+
+} // namespace
 
 const std::string &support::processTempDir() {
   static const std::string Dir = [] {
@@ -20,6 +39,9 @@ const std::string &support::processTempDir() {
     if (::mkdir(Path.c_str(), 0700) != 0 && errno != EEXIST)
       fatalError("cannot create temp directory " + Path + ": " +
                  std::strerror(errno));
+    TempDir = new std::string(Path);
+    TempDirOwner = ::getpid();
+    std::atexit(removeTempDirIfEmpty);
     return Path;
   }();
   return Dir;

@@ -16,6 +16,7 @@ namespace support {
 
 /// Creates (once per process) and returns a private temporary directory,
 /// e.g. /tmp/steno-jit-<pid>. Aborts via fatalError if creation fails.
+/// The process removes the directory at exit when it is empty.
 const std::string &processTempDir();
 
 /// Writes \p Contents to \p Path, replacing any existing file. Aborts via

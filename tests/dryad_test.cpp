@@ -6,6 +6,7 @@
 #include "dryad/Partition.h"
 #include "dryad/Plan.h"
 #include "dryad/ThreadPool.h"
+#include "obs/Metrics.h"
 #include "steno/RefExec.h"
 #include "support/Random.h"
 
@@ -92,6 +93,20 @@ TEST(DryadPartition, PointsNeverSplit) {
   EXPECT_EQ(Parts[1].count(), 3);
   EXPECT_EQ(Parts[0].Data.size() % 3, 0u);
   EXPECT_DOUBLE_EQ(Parts[1].Data.front(), 12.0);
+}
+
+TEST(DryadPartition, RangesAreContiguousAndBalanced) {
+  for (std::size_t Count : {0u, 1u, 7u, 96u, 103u})
+    for (unsigned Parts : {1u, 3u, 4u, 8u}) {
+      std::size_t Next = 0;
+      for (unsigned P = 0; P != Parts; ++P) {
+        PartRange R = partitionRange(Count, Parts, P);
+        EXPECT_EQ(R.Begin, Next) << Count << "/" << Parts << "#" << P;
+        EXPECT_EQ(R.Len, Count / Parts + (P < Count % Parts ? 1 : 0));
+        Next = R.Begin + R.Len;
+      }
+      EXPECT_EQ(Next, Count) << Count << "/" << Parts;
+    }
 }
 
 TEST(DryadPartition, MorePartsThanElements) {
@@ -458,6 +473,31 @@ TEST(DryadPlinq, RunParallelMatchesSequential) {
       DistributedQuery::compile(Q, interpDist("plinq"));
   double Got = DQ.runParallel(Pool, B).scalarValue().asDouble();
   EXPECT_NEAR(Got, Expected, 1e-6 * std::abs(Expected));
+}
+
+TEST(DryadPlinq, BatchExecutedVertexSplitsIntoMorsels) {
+  // An Interp vertex with Vectorize on runs on the batch executor. Its
+  // morsels split like any other vertex's: the fuzzer's tiny morsels
+  // over 64 elements on 8 workers must dispatch more than one.
+  std::vector<double> Flat = testutil::randomDoubles(64, 11);
+  Query Q = Query::doubleArray(0).select(lambda({x()}, x() * x())).sum();
+  Bindings B;
+  B.bindDoubleArray(0, Flat.data(), static_cast<std::int64_t>(Flat.size()));
+  DistOptions O = interpDist("batch_morsels");
+  O.Vectorize = true;
+  O.Morsels.MinMorsel = 1;
+  O.Morsels.MaxMorsel = 8;
+  O.Morsels.InitialMorsel = 2;
+  O.Morsels.InlineBelow = 0;
+  DistributedQuery DQ = DistributedQuery::compile(Q, O);
+  ASSERT_TRUE(DQ.parallel()) << DQ.whyNotParallel();
+  ThreadPool Pool(8);
+  obs::Counter &Dispatched = obs::counter("dryad.morsel.dispatched");
+  std::uint64_t Before = Dispatched.value();
+  double Got = DQ.runParallel(Pool, B).scalarValue().asDouble();
+  EXPECT_GT(Dispatched.value() - Before, 1u);
+  double Expected = runReference(Q, B).scalarValue().asDouble();
+  EXPECT_NEAR(Got, Expected, 1e-9 * std::abs(Expected));
 }
 
 TEST(DryadPlinq, RunParallelInt64Source) {

@@ -18,9 +18,11 @@
 #include "obs/Profile.h"
 #include "serve/Serve.h"
 #include "serve/Wire.h"
+#include "steno/RefExec.h"
 #include "steno/Steno.h"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 #include <sys/socket.h>
 #include <thread>
@@ -621,7 +623,8 @@ TEST(ProfileServe, WireProfileMetricsAndStatsRoundTrip) {
   Opts.BackgroundRecompile = false; // deterministic: interp plan only
   Opts.Profile = true;
   serve::QueryService Svc(Opts);
-  std::thread Server([&] { serve::serveConnection(Svc, Fds[0]); });
+  std::thread Server(
+      [&] { serve::serveConnection(serve::sessionFrontend(Svc), Fds[0]); });
   serve::WireClient Client(Fds[1]);
 
   const std::string Spec = "steno-fuzz v1\n"
@@ -631,7 +634,8 @@ TEST(ProfileServe, WireProfileMetricsAndStatsRoundTrip) {
                            "end\n";
   std::uint64_t Handle = 99;
   std::string Err;
-  ASSERT_TRUE(Client.prepare(Spec, Handle, Err)) << Err;
+  ASSERT_TRUE(Client.prepare(Spec, Handle, Err));
+  ASSERT_EQ(Err, "");
 
   // The plan registers at prepare (compile) time: profile is answerable
   // before the first exec, with zero runs.
@@ -639,9 +643,19 @@ TEST(ProfileServe, WireProfileMetricsAndStatsRoundTrip) {
   ASSERT_TRUE(Client.profile(Handle, Json, &Err)) << Err;
   EXPECT_NE(Json.find("\"runs\":0"), std::string::npos);
 
-  serve::WireClient::ExecResult R;
-  ASSERT_TRUE(Client.exec(Handle, 5000, R));
-  ASSERT_EQ(R.St, serve::Status::Ok);
+  serve::Response R;
+  ASSERT_TRUE(Client.exec(Handle, 5000, 0, R));
+  ASSERT_EQ(R.St, serve::Status::Ok) << R.Message;
+  // The decoded sum is the reference's sum of squares over the spec's
+  // source.
+  fuzz::QuerySpec Parsed;
+  fuzz::BuiltQuery Built;
+  ASSERT_TRUE(fuzz::parseSpec(Spec, Parsed, &Err)) << Err;
+  ASSERT_TRUE(fuzz::buildSpec(Parsed, Built, &Err)) << Err;
+  ASSERT_TRUE(R.Result.isScalar());
+  double Want = runReference(Built.Q, Built.B).scalarValue().asDouble();
+  EXPECT_NEAR(R.Result.scalarValue().asDouble(), Want,
+              1e-12 * std::abs(Want));
 
   ASSERT_TRUE(Client.profile(Handle, Json, &Err)) << Err;
   EXPECT_NE(Json.find("\"runs\":1"), std::string::npos);
@@ -677,7 +691,8 @@ TEST(ProfileServe, UnprofiledServiceAnswersProfileWithAnError) {
   Opts.BackgroundRecompile = false;
   Opts.Profile = false;
   serve::QueryService Svc(Opts);
-  std::thread Server([&] { serve::serveConnection(Svc, Fds[0]); });
+  std::thread Server(
+      [&] { serve::serveConnection(serve::sessionFrontend(Svc), Fds[0]); });
   serve::WireClient Client(Fds[1]);
 
   const std::string Spec = "steno-fuzz v1\n"
@@ -686,7 +701,8 @@ TEST(ProfileServe, UnprofiledServiceAnswersProfileWithAnError) {
                            "end\n";
   std::uint64_t Handle = 99;
   std::string Err;
-  ASSERT_TRUE(Client.prepare(Spec, Handle, Err)) << Err;
+  ASSERT_TRUE(Client.prepare(Spec, Handle, Err));
+  ASSERT_EQ(Err, "");
   std::string Json;
   EXPECT_FALSE(Client.profile(Handle, Json, &Err));
   EXPECT_NE(Err.find("without profiling"), std::string::npos);

@@ -4,13 +4,14 @@
 // session lifecycle and prepared-handle memoization, QueryCache sharing
 // across sessions, deadline timeouts and load shedding made
 // deterministic via ServeOptions::ExecHook, the interpreter-degradation
-// path (saturated compile queue), the background native swap, a
+// path (saturated compile pool), the background native swap, a
 // multi-client stress run asserting exactly one response per request
 // against the reference oracle, a swap soak that executes through the
 // mid-stream plan swap, a handle's whole plan-slot life (interp v1 ->
 // native v1 -> native feedback v2) under load, the fuzz corpus replayed
-// through the service, and the line protocol end-to-end over a
-// socketpair. The stress and soak tests are in the TSan CI job.
+// through the service, and the line protocol (its one answer frame
+// rendered and decoded, and a session end-to-end) over a socketpair. The
+// stress and soak tests are in the TSan CI job.
 //
 //===----------------------------------------------------------------------===//
 
@@ -21,6 +22,7 @@
 #include "steno/RefExec.h"
 
 #include <atomic>
+#include <cmath>
 #include <condition_variable>
 #include <filesystem>
 #include <fstream>
@@ -123,6 +125,17 @@ bool resultsMatch(const QueryResult &Got, const QueryResult &Want) {
 
 QueryResult reference(const PreparedHandle &P) {
   return runReference(P->query(), P->bindings());
+}
+
+/// Bit-exact equality: every row's exact wire encoding agrees.
+bool sameBits(const QueryResult &Got, const QueryResult &Want) {
+  if (Got.isScalar() != Want.isScalar() ||
+      Got.rows().size() != Want.rows().size())
+    return false;
+  for (std::size_t I = 0; I != Got.rows().size(); ++I)
+    if (wireValue(Got.rows()[I]) != wireValue(Want.rows()[I]))
+      return false;
+  return true;
 }
 
 /// Service options for tests that must never invoke the external
@@ -834,22 +847,75 @@ TEST(ServeCorpus, EveryReproducerMatchesTheOracleThroughServe) {
 // Wire protocol
 //===--------------------------------------------------------------------===//
 
+/// Renders \p R as the server would, then decodes it with the client's
+/// one reader (the answer is pre-written to the client's socket, so its
+/// request goes unanswered by anyone else). False when the reader
+/// rejects the frame.
+bool roundTrip(const Response &R, std::uint64_t Rid, Response &Out) {
+  int Fds[2];
+  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, Fds) != 0)
+    return false;
+  bool Ok = FdStream(Fds[0]).writeAll(renderResponse(R)) &&
+            WireClient(Fds[1]).exec(0, -1, Rid, Out);
+  ::close(Fds[0]);
+  ::close(Fds[1]);
+  return Ok;
+}
+
 TEST(ServeWire, RenderStatusFrames) {
+  Response Out;
   Response T;
   T.St = Status::Timeout;
   T.Id = 7;
-  EXPECT_EQ(renderResponse(T), "timeout 7\n");
+  ASSERT_TRUE(roundTrip(T, 0, Out));
+  EXPECT_EQ(Out.St, Status::Timeout);
+  EXPECT_EQ(Out.Id, 7u);
+
   Response Sh;
   Sh.St = Status::Shed;
   Sh.Id = 9;
-  EXPECT_EQ(renderResponse(Sh), "shed 9\n");
+  ASSERT_TRUE(roundTrip(Sh, 9, Out));
+  EXPECT_EQ(Out.St, Status::Shed);
+  EXPECT_EQ(Out.Id, 9u);
+
   Response E;
   E.St = Status::Error;
+  E.Id = 11;
   E.Message = "bad spec:\nline 2";
-  EXPECT_EQ(renderResponse(E), "error bad spec:; line 2\n");
+  ASSERT_TRUE(roundTrip(E, 0, Out));
+  EXPECT_EQ(Out.St, Status::Error);
+  EXPECT_EQ(Out.Id, 11u);
+  EXPECT_EQ(Out.Message, "bad spec:; line 2");
   Response Anon;
   Anon.St = Status::Error;
-  EXPECT_EQ(renderResponse(Anon), "error internal error\n");
+  ASSERT_TRUE(roundTrip(Anon, 0, Out));
+  EXPECT_EQ(Out.Message, "internal error");
+
+  // A result decodes to the exact values, flags and timings: -0.0, NaN
+  // and a pair survive the round trip.
+  Response Ok;
+  Ok.St = Status::Ok;
+  Ok.Id = 13;
+  Ok.Degraded = true;
+  Ok.QueueMicros = 2.5;
+  Ok.RunMicros = 40.5;
+  Ok.Result = QueryResult(
+      /*Scalar=*/false,
+      {expr::Value(-0.0), expr::Value(std::nan("")),
+       expr::Value::makePair(expr::Value(std::int64_t(-3)),
+                             expr::Value(0.1))},
+      nullptr);
+  ASSERT_TRUE(roundTrip(Ok, 13, Out));
+  EXPECT_EQ(Out.St, Status::Ok);
+  EXPECT_EQ(Out.Id, 13u);
+  EXPECT_TRUE(Out.Degraded);
+  EXPECT_FALSE(Out.NativePlan);
+  EXPECT_DOUBLE_EQ(Out.QueueMicros, 2.5);
+  EXPECT_DOUBLE_EQ(Out.RunMicros, 40.5);
+  EXPECT_TRUE(sameBits(Out.Result, Ok.Result));
+
+  // An answer echoing another request's id is stale: the exchange broke.
+  EXPECT_FALSE(roundTrip(Ok, 14, Out));
 }
 
 TEST(ServeWire, StatusNames) {
@@ -863,50 +929,61 @@ TEST(ServeWire, SocketpairEndToEnd) {
   int Fds[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, Fds), 0);
   QueryService Svc(interpOnly());
-  std::thread Server([&] { serveConnection(Svc, Fds[0]); });
+  std::thread Server([&] { serveConnection(sessionFrontend(Svc), Fds[0]); });
   WireClient Client(Fds[1]);
 
   // Prepare a scalar query and a row-producing one.
   std::uint64_t HSum = 99, HRows = 99;
   std::string Err;
-  ASSERT_TRUE(Client.prepare(specText(sumSqSpec()), HSum, Err)) << Err;
+  ASSERT_TRUE(Client.prepare(specText(sumSqSpec()), HSum, Err));
+  ASSERT_EQ(Err, "");
   EXPECT_EQ(HSum, 0u);
-  ASSERT_TRUE(Client.prepare(specText(orderBySpec()), HRows, Err)) << Err;
+  ASSERT_TRUE(Client.prepare(specText(orderBySpec()), HRows, Err));
+  ASSERT_EQ(Err, "");
   EXPECT_EQ(HRows, 1u);
 
-  // A malformed spec is an error frame, not a dropped connection.
+  // A malformed spec is a completed exchange with an error, not a
+  // dropped connection.
   std::uint64_t HBad = 99;
-  EXPECT_FALSE(Client.prepare("steno-fuzz v1\nsource 0 double 4 uniform 1\n"
-                              "op frobnicate\nend\n",
-                              HBad, Err));
+  EXPECT_TRUE(Client.prepare("steno-fuzz v1\nsource 0 double 4 uniform 1\n"
+                             "op frobnicate\nend\n",
+                             HBad, Err));
   EXPECT_FALSE(Err.empty());
+  EXPECT_EQ(HBad, 99u);
 
-  // Expected rows, rendered exactly as the server renders them.
+  // Expected values: an identically configured service runs the same
+  // plans in process, so the wire must deliver their exact bits.
   QueryService Ref(interpOnly());
-  auto RefSess = Ref.openSession();
-  PreparedHandle RefSum = RefSess->prepare(specText(sumSqSpec()), &Err);
-  PreparedHandle RefRows = RefSess->prepare(specText(orderBySpec()), &Err);
-  ASSERT_TRUE(RefSum && RefRows) << Err;
-  QueryResult WantSum = reference(RefSum);
-  QueryResult WantRows = reference(RefRows);
+  auto Sess = Ref.openSession();
+  PreparedHandle PSum = Sess->prepare(specText(sumSqSpec()), &Err);
+  PreparedHandle PRows = Sess->prepare(specText(orderBySpec()), &Err);
+  ASSERT_TRUE(PSum && PRows) << Err;
+  QueryResult WantSum = Sess->execute(PSum).Result;
+  QueryResult WantRows = Sess->execute(PRows).Result;
+  EXPECT_TRUE(resultsMatch(WantSum, reference(PSum)));
+  EXPECT_TRUE(resultsMatch(WantRows, reference(PRows)));
 
-  WireClient::ExecResult R;
-  ASSERT_TRUE(Client.exec(HSum, 1000, R));
-  EXPECT_EQ(R.St, Status::Ok);
-  EXPECT_TRUE(R.Scalar);
-  ASSERT_EQ(R.Rows.size(), 1u);
-  EXPECT_EQ(R.Rows[0], fuzz::fuzzValueStr(WantSum.scalarValue()));
+  // No rid: the answer carries the service's request id.
+  Response R;
+  ASSERT_TRUE(Client.exec(HSum, 1000, 0, R));
+  EXPECT_EQ(R.St, Status::Ok) << R.Message;
+  EXPECT_NE(R.Id, 0u);
+  EXPECT_TRUE(R.Result.isScalar());
+  EXPECT_TRUE(sameBits(R.Result, WantSum));
 
-  ASSERT_TRUE(Client.exec(HRows, 1000, R));
-  EXPECT_EQ(R.St, Status::Ok);
-  EXPECT_FALSE(R.Scalar);
-  ASSERT_EQ(R.Rows.size(), WantRows.rows().size());
-  for (std::size_t I = 0; I != R.Rows.size(); ++I)
-    EXPECT_EQ(R.Rows[I], fuzz::fuzzValueStr(WantRows.rows()[I])) << I;
+  // A rid comes back echoed.
+  ASSERT_TRUE(Client.exec(HRows, 1000, 4242, R));
+  EXPECT_EQ(R.St, Status::Ok) << R.Message;
+  EXPECT_EQ(R.Id, 4242u);
+  EXPECT_FALSE(R.Result.isScalar());
+  EXPECT_TRUE(sameBits(R.Result, WantRows));
 
-  // Unknown handle: an error frame on a healthy connection.
-  ASSERT_TRUE(Client.exec(42, 1000, R));
+  // Unknown handle: an error answer on a healthy connection.
+  ASSERT_TRUE(Client.exec(42, 1000, 43, R));
   EXPECT_EQ(R.St, Status::Error);
+  EXPECT_EQ(R.Id, 43u);
+  EXPECT_NE(R.Message.find("unknown handle 42"), std::string::npos)
+      << R.Message;
 
   std::string Json;
   ASSERT_TRUE(Client.stats(Json));
@@ -923,7 +1000,7 @@ TEST(ServeWire, EofMidSpecDropsConnectionCleanly) {
   int Fds[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, Fds), 0);
   QueryService Svc(interpOnly());
-  std::thread Server([&] { serveConnection(Svc, Fds[0]); });
+  std::thread Server([&] { serveConnection(sessionFrontend(Svc), Fds[0]); });
   {
     FdStream S(Fds[1]);
     S.writeAll("prepare\nsteno-fuzz v1\nsource 0 double 4 uniform 1\n");

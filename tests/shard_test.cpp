@@ -1,18 +1,21 @@
 //===- tests/shard_test.cpp - Sharded serving & distributed Agg* -*- C++ -*-===//
 //
 // Coverage for the shard layer (shard/Shard.h, serve partial execution,
-// the shard wire framing): the §6 decomposition unit-tested against the
+// the one answer frame): the §6 decomposition unit-tested against the
 // single-process reference for every combine kind (Fold/Count sums,
 // MergeByKey groups, MergeSorted orders, Concat arrays), the
 // non-associative fallback, empty- and single-element-shard edge cases,
-// the vertex's background upgrade to native, the exact-value wire codec, pexec over a socketpair, the router end to
-// end over in-process shards (via the RouterOptions::Connect seam),
+// the vertex's background upgrade to native, the exact-value wire codec,
+// pexec and exec-with-rid over a socketpair, the router end to end over
+// in-process shards (via the RouterOptions::Connect seam), a router
+// client connection served by the shared connection loop,
 // retry-after-connection-death, and the full fuzz corpus replayed
 // through a 3-shard router differentially against direct execution.
 //
 //===----------------------------------------------------------------------===//
 
 #include "dryad/Dist.h"
+#include "dryad/Partition.h"
 #include "dryad/ThreadPool.h"
 #include "fuzz/Diff.h"
 #include "serve/Serve.h"
@@ -148,17 +151,14 @@ ServeOptions interpOnly() {
 
 constexpr std::chrono::milliseconds kDeadline{5000};
 
-/// Range-partitions [0, Count) into Parts contiguous ranges with the
-/// same Base/Extra arithmetic as the router (first Count%Parts shards
-/// get one extra element).
+/// Range-partitions [0, Count) into Parts contiguous ranges: the split
+/// the router fans out over (dryad::partitionRange).
 std::vector<std::pair<std::size_t, std::size_t>>
 partitionRanges(std::size_t Count, unsigned Parts) {
   std::vector<std::pair<std::size_t, std::size_t>> R;
-  std::size_t Base = Count / Parts, Extra = Count % Parts, Begin = 0;
   for (unsigned I = 0; I != Parts; ++I) {
-    std::size_t Len = Base + (I < Extra ? 1 : 0);
-    R.emplace_back(Begin, Len);
-    Begin += Len;
+    dryad::PartRange P = dryad::partitionRange(Count, Parts, I);
+    R.emplace_back(P.Begin, P.Len);
   }
   return R;
 }
@@ -377,19 +377,20 @@ TEST(ShardWire, ValueCodecRejectsGarbage) {
 }
 
 //===--------------------------------------------------------------------===//
-// pexec over a socketpair
+// pexec and exec over a socketpair
 //===--------------------------------------------------------------------===//
 
 TEST(ShardWire, PexecPartialsCombineToTheReference) {
   int Fds[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, Fds), 0);
   QueryService Svc(interpOnly());
-  std::thread Server([&] { serveConnection(Svc, Fds[0]); });
+  std::thread Server([&] { serveConnection(sessionFrontend(Svc), Fds[0]); });
   WireClient Client(Fds[1]);
 
   std::uint64_t H = 99;
   std::string Err;
-  ASSERT_TRUE(Client.prepare(specText(groupSpec()), H, Err)) << Err;
+  ASSERT_TRUE(Client.prepare(specText(groupSpec()), H, Err));
+  ASSERT_EQ(Err, "");
 
   // The same spec prepared in-process shares the cached handle, so its
   // PartialState carries the Plan/Cert the router would use.
@@ -401,9 +402,10 @@ TEST(ShardWire, PexecPartialsCombineToTheReference) {
   std::vector<QueryResult> Partials;
   std::uint64_t Rid = 100;
   for (auto [Begin, Len] : partitionRanges(96, 3)) {
-    WireClient::PartialResult R;
-    ASSERT_TRUE(Client.pexec(H, Begin, Len, 5000, Rid++, R));
-    ASSERT_EQ(R.St, Status::Ok) << R.Error;
+    Response R;
+    ASSERT_TRUE(Client.pexec(H, Begin, Len, 5000, Rid, R));
+    ASSERT_EQ(R.St, Status::Ok) << R.Message;
+    EXPECT_EQ(R.Id, Rid++);
     Partials.push_back(std::move(R.Result));
   }
   dryad::ThreadPool Pool(2);
@@ -411,26 +413,37 @@ TEST(ShardWire, PexecPartialsCombineToTheReference) {
       Pool, PS->Plan, PS->Cert, std::move(Partials));
   EXPECT_TRUE(resultsMatch(Combined, reference(P)));
 
-  // Out-of-range and unsplittable sub-requests answer error frames on a
-  // healthy connection.
-  WireClient::PartialResult Bad;
+  // Out-of-range and unsplittable sub-requests answer errors, echoing
+  // the rid, on a healthy connection.
+  Response Bad;
   ASSERT_TRUE(Client.pexec(H, 90, 100, 5000, 777, Bad));
   EXPECT_EQ(Bad.St, Status::Error);
+  EXPECT_EQ(Bad.Id, 777u);
 
   std::uint64_t HNa = 99;
-  ASSERT_TRUE(Client.prepare(specText(nonAssocSpec()), HNa, Err)) << Err;
+  ASSERT_TRUE(Client.prepare(specText(nonAssocSpec()), HNa, Err));
+  ASSERT_EQ(Err, "");
   ASSERT_TRUE(Client.pexec(HNa, 0, 8, 5000, 778, Bad));
   EXPECT_EQ(Bad.St, Status::Error);
-  EXPECT_NE(Bad.Error.find("not splittable"), std::string::npos)
-      << Bad.Error;
+  EXPECT_NE(Bad.Message.find("not splittable"), std::string::npos)
+      << Bad.Message;
 
-  // xexec: the whole query with exact values, for fallback routing.
-  WireClient::PartialResult Whole;
-  ASSERT_TRUE(Client.xexec(HNa, 5000, 779, Whole));
-  ASSERT_EQ(Whole.St, Status::Ok) << Whole.Error;
+  // exec with a rid: the whole query in the same exact frame, the
+  // router's fallback path. Its values are the bits the service computes
+  // in process.
+  Response Whole;
+  ASSERT_TRUE(Client.exec(HNa, 5000, 779, Whole));
+  ASSERT_EQ(Whole.St, Status::Ok) << Whole.Message;
+  EXPECT_EQ(Whole.Id, 779u);
   PreparedHandle PNa = Svc.prepare(specText(nonAssocSpec()), &Err);
   ASSERT_TRUE(PNa) << Err;
   EXPECT_TRUE(resultsMatch(Whole.Result, reference(PNa)));
+  QueryResult InProcess = Svc.execute(PNa, kDeadline).Result;
+  ASSERT_EQ(Whole.Result.rows().size(), InProcess.rows().size());
+  for (std::size_t I = 0; I != InProcess.rows().size(); ++I)
+    EXPECT_EQ(wireValue(Whole.Result.rows()[I]),
+              wireValue(InProcess.rows()[I]))
+        << I;
 
   Client.quit();
   Server.join();
@@ -471,7 +484,7 @@ struct InProcessFleet {
     std::lock_guard<std::mutex> Lock(M);
     ServerFds.push_back(Fds[0]);
     Threads.emplace_back([&Svc, Fd = Fds[0]] {
-      serveConnection(Svc, Fd);
+      serveConnection(sessionFrontend(Svc), Fd);
       ::close(Fd);
     });
     return Fds[1];
@@ -541,11 +554,67 @@ TEST(ShardRouter, SplitAndFallbackEndToEnd) {
   EXPECT_EQ(S.FallbackExecs, 1u);
   EXPECT_GE(S.NonAssocFallbacks, 1u);
   EXPECT_EQ(S.Ok, 2u);
-  EXPECT_EQ(S.SubSent, 4u); // 3 pexec + 1 xexec
+  EXPECT_EQ(S.SubSent, 4u); // 3 pexec + 1 exec
 
   std::string Json = Router->statsJson();
   EXPECT_NE(Json.find("\"split_execs\":1"), std::string::npos) << Json;
 
+  Router.reset();
+  Fleet.shutdown();
+}
+
+TEST(ShardRouter, ClientConnectionRunsTheSharedLoop) {
+  // A router client speaks to the same connection loop as a steno_serve
+  // client; the router supplies only prepare, exec and stats.
+  InProcessFleet Fleet(3);
+  auto Router = std::make_unique<shard::ShardRouter>(Fleet.options());
+  int Fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, Fds), 0);
+  std::thread Server([&] { serveConnection(Router->frontend(), Fds[0]); });
+  WireClient Client(Fds[1]);
+
+  std::uint64_t HSplit = 99, HWhole = 99;
+  std::string Err;
+  ASSERT_TRUE(Client.prepare(specText(sumSqSpec()), HSplit, Err));
+  ASSERT_EQ(Err, "");
+  ASSERT_TRUE(Client.prepare(specText(nonAssocSpec()), HWhole, Err));
+  ASSERT_EQ(Err, "");
+  EXPECT_EQ(HSplit, 0u);
+  EXPECT_EQ(HWhole, 1u);
+  ASSERT_TRUE(Router->prepare(specText(sumSqSpec()), &Err)->Split);
+  ASSERT_FALSE(Router->prepare(specText(nonAssocSpec()), &Err)->Split);
+
+  Response R;
+  ASSERT_TRUE(Client.exec(HSplit, 5000, 0, R));
+  ASSERT_EQ(R.St, Status::Ok) << R.Message;
+  EXPECT_NE(R.Id, 0u);
+  EXPECT_TRUE(resultsMatch(R.Result, directResult(specText(sumSqSpec()))));
+  ASSERT_TRUE(Client.exec(HWhole, 5000, 31, R));
+  ASSERT_EQ(R.St, Status::Ok) << R.Message;
+  EXPECT_EQ(R.Id, 31u);
+  EXPECT_TRUE(
+      resultsMatch(R.Result, directResult(specText(nonAssocSpec()))));
+
+  std::string Json;
+  ASSERT_TRUE(Client.stats(Json));
+  EXPECT_NE(Json.find("\"shards\":3"), std::string::npos) << Json;
+  EXPECT_NE(Json.find("\"split_execs\":1"), std::string::npos) << Json;
+  EXPECT_NE(Json.find("\"fallback_execs\":1"), std::string::npos) << Json;
+  EXPECT_NE(Json.find("\"ok\":2"), std::string::npos) << Json;
+
+  // The shard-only and service-only verbs are unknown on a router.
+  std::string Line;
+  FdStream Raw(Fds[1]);
+  ASSERT_TRUE(Raw.writeAll("pexec 0 0 8 5000 7\n"));
+  ASSERT_TRUE(Raw.readLine(Line));
+  EXPECT_EQ(Line, "error unknown command 'pexec'");
+  EXPECT_FALSE(Client.profile(HSplit, Json, &Err));
+  EXPECT_EQ(Err, "unknown command 'profile'");
+
+  Client.quit();
+  Server.join();
+  ::close(Fds[0]);
+  ::close(Fds[1]);
   Router.reset();
   Fleet.shutdown();
 }

@@ -10,6 +10,9 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <set>
 
 using namespace steno::support;
@@ -149,6 +152,7 @@ TEST(TempFile, WriteAndRead) {
   std::string Path = processTempDir() + "/support_test.txt";
   writeFile(Path, "hello\nworld");
   EXPECT_EQ(readFileOrEmpty(Path), "hello\nworld");
+  std::remove(Path.c_str());
 }
 
 TEST(TempFile, ReadMissingIsEmpty) {
@@ -160,6 +164,29 @@ TEST(TempFile, OverwriteReplaces) {
   writeFile(Path, "first");
   writeFile(Path, "2nd");
   EXPECT_EQ(readFileOrEmpty(Path), "2nd");
+  std::remove(Path.c_str());
+}
+
+TEST(TempFileDeath, EmptyDirectoryIsRemovedAtExit) {
+  // The threadsafe style re-executes the binary, so the child is a fresh
+  // process: with a private TMPDIR it creates its steno-jit-<pid>
+  // directory, leaves it empty and exits cleanly. The directory must not
+  // outlive it.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  namespace fs = std::filesystem;
+  const char *Base = std::getenv("TMPDIR");
+  fs::path Private =
+      fs::path(Base ? Base : "/tmp") / "steno-support-tempdir-at-exit";
+  fs::remove_all(Private);
+  fs::create_directories(Private);
+  EXPECT_EXIT(
+      {
+        ::setenv("TMPDIR", Private.c_str(), 1);
+        std::exit(fs::is_directory(processTempDir()) ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
+  EXPECT_TRUE(fs::is_empty(Private));
+  fs::remove_all(Private);
 }
 
 TEST(ParseFlag, CaseTable) {

@@ -6,8 +6,9 @@
 //===----------------------------------------------------------------------===//
 //
 // The front-end process of the sharded serving layer (DESIGN.md §5k):
-// listens on a Unix socket speaking the same client protocol as
-// steno_serve (prepare/exec/stats/quit), and fans each execution out
+// serves its clients with steno_serve's listener and connection loop
+// (serve::listenAndServe over ShardRouter::frontend: prepare, exec,
+// stats, metrics, quit), and fans each execution out
 // across N steno_serve workers using the §6 decomposition — per-shard
 // homomorphic prefix + Agg partials combined by the router's Agg* stage,
 // gated on the SafetyCertificate. Point it at running workers with
@@ -27,30 +28,15 @@
 #include "shard/Shard.h"
 #include "shard/Spawn.h"
 
-#include <atomic>
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <thread>
 #include <unistd.h>
 #include <vector>
 
 using namespace steno;
 
 namespace {
-
-std::atomic<bool> Stop{false};
-int ListenFdForSignal = -1;
-
-void onSignal(int) {
-  Stop.store(true);
-  if (ListenFdForSignal >= 0)
-    ::close(ListenFdForSignal);
-}
 
 void usage() {
   std::fprintf(
@@ -165,58 +151,15 @@ int main(int Argc, char **Argv) {
     return 2;
   }
 
-  int ListenFd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (ListenFd < 0) {
-    std::perror("steno_router: socket");
-    return 2;
-  }
-  sockaddr_un Addr{};
-  Addr.sun_family = AF_UNIX;
-  if (SocketPath.size() >= sizeof Addr.sun_path) {
-    std::fprintf(stderr, "steno_router: socket path too long\n");
-    return 2;
-  }
-  std::strncpy(Addr.sun_path, SocketPath.c_str(), sizeof Addr.sun_path - 1);
-  ::unlink(SocketPath.c_str());
-  if (::bind(ListenFd, reinterpret_cast<sockaddr *>(&Addr), sizeof Addr) <
-          0 ||
-      ::listen(ListenFd, 64) < 0) {
-    std::perror("steno_router: bind/listen");
-    return 2;
-  }
-
-  ListenFdForSignal = ListenFd;
-  std::signal(SIGINT, onSignal);
-  std::signal(SIGTERM, onSignal);
-  std::signal(SIGPIPE, SIG_IGN);
-
   shard::ShardRouter Router(Opts);
-  std::fprintf(stderr,
-               "steno_router: listening on %s fronting %u shard(s)\n",
-               SocketPath.c_str(), Router.shards());
-
-  std::vector<std::thread> Connections;
-  while (!Stop.load()) {
-    int Fd = ::accept(ListenFd, nullptr, nullptr);
-    if (Fd < 0) {
-      if (Stop.load() || errno == EBADF)
-        break;
-      if (errno == EINTR)
-        continue;
-      std::perror("steno_router: accept");
-      break;
-    }
-    Connections.emplace_back([&Router, Fd] {
-      shard::serveRouterConnection(Router, Fd);
-      ::close(Fd);
-    });
-  }
-
-  for (std::thread &T : Connections)
-    T.join();
-  ::unlink(SocketPath.c_str());
+  std::fprintf(stderr, "steno_router: fronting %u shard(s)\n",
+               Router.shards());
+  bool Served = serve::listenAndServe(SocketPath, "steno_router",
+                                      [&Router] { return Router.frontend(); });
   for (shard::WorkerProcess &W : Workers)
     W.kill9();
+  if (!Served)
+    return 2;
   std::fprintf(stderr, "steno_router: shut down; %s\n",
                Router.statsJson().c_str());
   return 0;

@@ -5,9 +5,10 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// A long-lived serving process: listens on a Unix-domain socket and runs
-// one serve::serveConnection thread per client. The protocol is the
-// line-oriented one in serve/Wire.h; try it interactively with
+// A long-lived serving process: serve::listenAndServe runs one
+// serve::serveConnection thread per client over a Session of one
+// QueryService. The protocol is the line-oriented one in serve/Wire.h;
+// try it interactively with
 //
 //   steno_serve --socket /tmp/steno.sock &
 //   nc -U /tmp/steno.sock
@@ -19,32 +20,13 @@
 #include "serve/Serve.h"
 #include "serve/Wire.h"
 
-#include <atomic>
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <thread>
-#include <unistd.h>
-#include <vector>
 
 using namespace steno;
 
 namespace {
-
-std::atomic<bool> Stop{false};
-int ListenFdForSignal = -1;
-
-void onSignal(int) {
-  Stop.store(true);
-  // Unblock accept(): shutdown() on a listening socket is
-  // implementation-defined, but close() reliably fails the accept.
-  if (ListenFdForSignal >= 0)
-    ::close(ListenFdForSignal);
-}
 
 void usage() {
   std::fprintf(
@@ -112,56 +94,12 @@ int main(int Argc, char **Argv) {
     }
   }
 
-  int ListenFd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (ListenFd < 0) {
-    std::perror("steno_serve: socket");
-    return 2;
-  }
-  sockaddr_un Addr{};
-  Addr.sun_family = AF_UNIX;
-  if (SocketPath.size() >= sizeof Addr.sun_path) {
-    std::fprintf(stderr, "steno_serve: socket path too long\n");
-    return 2;
-  }
-  std::strncpy(Addr.sun_path, SocketPath.c_str(), sizeof Addr.sun_path - 1);
-  ::unlink(SocketPath.c_str()); // stale socket from a previous run
-  if (::bind(ListenFd, reinterpret_cast<sockaddr *>(&Addr), sizeof Addr) <
-          0 ||
-      ::listen(ListenFd, 64) < 0) {
-    std::perror("steno_serve: bind/listen");
-    return 2;
-  }
-
-  ListenFdForSignal = ListenFd;
-  std::signal(SIGINT, onSignal);
-  std::signal(SIGTERM, onSignal);
-  std::signal(SIGPIPE, SIG_IGN); // client hangups surface as write errors
-
   serve::QueryService Svc(Opts);
-  std::fprintf(stderr,
-               "steno_serve: listening on %s (workers=%u max-queue=%u)\n",
-               SocketPath.c_str(), Opts.Workers, Opts.MaxQueue);
-
-  std::vector<std::thread> Connections;
-  while (!Stop.load()) {
-    int Fd = ::accept(ListenFd, nullptr, nullptr);
-    if (Fd < 0) {
-      if (Stop.load() || errno == EBADF)
-        break;
-      if (errno == EINTR)
-        continue;
-      std::perror("steno_serve: accept");
-      break;
-    }
-    Connections.emplace_back([&Svc, Fd] {
-      serve::serveConnection(Svc, Fd);
-      ::close(Fd);
-    });
-  }
-
-  for (std::thread &T : Connections)
-    T.join();
-  ::unlink(SocketPath.c_str());
+  std::fprintf(stderr, "steno_serve: workers=%u max-queue=%u\n",
+               Opts.Workers, Opts.MaxQueue);
+  if (!serve::listenAndServe(SocketPath, "steno_serve",
+                             [&Svc] { return serve::sessionFrontend(Svc); }))
+    return 2;
   serve::QueryService::Stats S = Svc.stats();
   std::fprintf(stderr,
                "steno_serve: shut down; served %llu requests "
