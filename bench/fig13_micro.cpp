@@ -16,9 +16,14 @@
 // LINQ variant finishes in seconds on one core; scale with
 // STENO_BENCH_SCALE.
 //
+// Gate (CI bench-smoke): the figure's claim, generated code close to the
+// hand-optimized loop. Exits 1 when any row's Steno (excl. compilation) /
+// hand-optimized time exceeds 1.25.
+//
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
+#include "support/StringUtil.h"
 #include "support/Timing.h"
 #include "expr/Dsl.h"
 #include "linq/Linq.h"
@@ -42,6 +47,9 @@ struct Result {
   double StenoExclS = 0;
   double HandS = 0;
 };
+
+/// The gate's ceiling on Steno (excl. compilation) / hand-optimized.
+constexpr double MaxStenoOverHand = 1.25;
 
 void report(const char *Name, const Result &R, JsonReport &Json,
             std::int64_t Items) {
@@ -263,20 +271,38 @@ int main() {
               static_cast<long long>(CartInner));
 
   JsonReport Json("fig13_micro");
+  std::string Gate;
+  bool Failed = false;
+  auto row = [&](const char *Name, const Result &R, std::int64_t Items) {
+    report(Name, R, Json, Items);
+    double Ratio = R.StenoExclS / R.HandS;
+    Gate += support::strFormat(" %s %.2f", Name, Ratio);
+    Failed = Failed || Ratio > MaxStenoOverHand;
+  };
 
   std::vector<double> Uniform = uniformDoubles(N, 2);
-  report("Sum", runSum(Uniform), Json, N);
-  report("SumSq", runSumSq(Uniform), Json, N);
+  row("Sum", runSum(Uniform), N);
+  row("SumSq", runSumSq(Uniform), N);
 
   std::vector<double> CartXs = uniformDoubles(CartOuter, 3, 0, 1);
   std::vector<double> CartYs = uniformDoubles(CartInner, 4, 0, 1);
-  report("Cart", runCart(CartXs, CartYs), Json, CartOuter * CartInner);
+  row("Cart", runCart(CartXs, CartYs), CartOuter * CartInner);
 
   std::vector<double> Mog = mixtureOfGaussians(N, 5);
-  report("Group", runGroup(Mog), Json, N);
+  row("Group", runGroup(Mog), N);
 
   std::printf("\npaper's Figure 13: speedups 3.32x (Sum) .. 14.1x "
               "(Group); Steno-vs-hand overhead 53%% (Sum), <3%% "
               "(others)\n");
+  std::printf("Steno (excl. compilation) / hand-optimized:%s (gate: <= "
+              "%.2f)\n",
+              Gate.c_str(), MaxStenoOverHand);
+  if (Failed) {
+    std::fprintf(stderr,
+                 "fig13_micro: FAIL: a row's Steno time is above %.2fx the "
+                 "hand-optimized time:%s\n",
+                 MaxStenoOverHand, Gate.c_str());
+    return 1;
+  }
   return 0;
 }

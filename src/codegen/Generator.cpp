@@ -586,6 +586,14 @@ private:
   }
 
   void genSink(const Op &O) {
+    if (O.K == SinkOp::ToArray && !Options.Profile &&
+        St == State::Sinking && PendingSink.Decl.Kind == SinkKind::Vec) {
+      // The elements are already materialized, in order, in the pending
+      // Vec sink (an OrderBy's buffer, or another ToArray): iterating it
+      // again is the ToArray. Profiled plans keep the copy so the op
+      // still counts its rows, as the guarded sum does.
+      return;
+    }
     ensureIterating();
     unsigned PK = profBegin(sinkLabel(O.K), /*Timed=*/true);
     std::string Name = fresh("sink");
@@ -633,9 +641,8 @@ private:
       alpha().push_back(Stmt::declareSink(Name, Decl));
       mu().push_back(Stmt::sinkVecPush(Name, curElemRef()));
       if (O.K == SinkOp::OrderBy)
-        omega().push_back(Stmt::sortSinkVec(Name, O.InElem,
-                                            closeOver(O.Fn),
-                                            /*Descending=*/false));
+        omega().push_back(
+            Stmt::sortSinkVec(Name, O.InElem, closeOver(O.Fn)));
       PendingSink = {Name, Decl, Lambda(), O.OutElem};
       break;
     }

@@ -56,23 +56,14 @@ bool isArraySource(query::SourceKind K) {
 
 /// The headers a program's source needs beyond steno/Rt.h and <cstdint>.
 struct HeaderUsage {
-  bool Sinks = false;     ///< steno/RtSinks.h: a Group or GroupAgg sink.
-  bool Vector = false;    ///< <vector>: a Vec sink.
-  bool Algorithm = false; ///< <algorithm>: a sort (std::stable_sort).
-  bool Cmath = false;     ///< <cmath>: an expression calls a math function.
+  bool Sinks = false; ///< steno/RtSinks.h: a sink (and so any sort).
+  bool Cmath = false; ///< <cmath>: an expression calls a math function.
 };
 
 HeaderUsage scanHeaders(const Program &P) {
   HeaderUsage Out;
   auto OnStmt = [&](const Stmt &S) {
-    if (S.K == StmtKind::DeclareSink) {
-      if (S.Sink.Kind == SinkKind::Vec)
-        Out.Vector = true;
-      else
-        Out.Sinks = true;
-    }
-    if (S.K == StmtKind::SortSinkVec)
-      Out.Algorithm = true;
+    Out.Sinks = Out.Sinks || S.K == StmtKind::DeclareSink;
   };
   auto OnExpr = [&](const expr::Expr &E) {
     Out.Cmath = Out.Cmath || expr::callsCmath(E);
@@ -142,20 +133,16 @@ public:
     line("// Generated by Steno (iterator fusion + nested loop"
          " generation).");
     line("// Query entry point: %s", P.Name.c_str());
-    // Each optional header costs g++ 0.15-0.3 s to parse, more than
-    // compiling the loop, so a TU includes only those its body uses.
+    // Parsing <cmath> costs g++ more than compiling the loop, so a TU
+    // includes it, and the sinks' header, only when its body uses them.
     HeaderUsage Headers = scanHeaders(P);
     line("#include \"steno/Rt.h\"");
     if (Headers.Sinks)
       line("#include \"steno/RtSinks.h\"");
     blank();
-    if (Headers.Algorithm)
-      line("#include <algorithm>");
     if (Headers.Cmath)
       line("#include <cmath>");
     line("#include <cstdint>");
-    if (Headers.Vector)
-      line("#include <vector>");
     blank();
     line("extern \"C\" void %s(const steno::rt::Captures *Caps_,",
          P.Name.c_str());
@@ -240,9 +227,8 @@ private:
         line("(void)%s;", S.Name.c_str());
       return;
     case StmtKind::DeclareSinkView:
-      line("steno::rt::VecView %s{%s.data(), "
-           "static_cast<std::int64_t>(%s.size())};",
-           S.Name.c_str(), S.SlotVar.c_str(), S.SlotVar.c_str());
+      line("steno::rt::VecView %s{%s.data(), %s.size()};", S.Name.c_str(),
+           S.SlotVar.c_str(), S.SlotVar.c_str());
       return;
     case StmtKind::Assign:
       line("%s = %s;", S.Name.c_str(), expr(S.E).c_str());
@@ -346,15 +332,13 @@ private:
       line("(void)%s; (void)%s;", L.KeyVar.c_str(), L.AccVar.c_str());
       break;
     case LoopKind::VecSink:
-      line("const std::int64_t %s = "
-           "static_cast<std::int64_t>(%s.size());",
-           L.BoundVar.c_str(), L.SinkName.c_str());
+      line("const std::int64_t %s = %s.size();", L.BoundVar.c_str(),
+           L.SinkName.c_str());
       line("for (std::int64_t %s = 0; %s < %s; ++%s) {", I, I,
            L.BoundVar.c_str(), I);
       ++Indent;
-      line("%s %s = %s[static_cast<size_t>(%s)];",
-           L.ElemType->cxxName().c_str(), L.ElemVar.c_str(),
-           L.SinkName.c_str(), I);
+      line("%s %s = %s[%s];", L.ElemType->cxxName().c_str(),
+           L.ElemVar.c_str(), L.SinkName.c_str(), I);
       line("(void)%s;", L.ElemVar.c_str());
       break;
     }
@@ -425,7 +409,7 @@ private:
              S.Sink.AccType->cxxName().c_str(), S.Name.c_str());
       return;
     case SinkKind::Vec:
-      line("std::vector<%s> %s;", S.Sink.ElemType->cxxName().c_str(),
+      line("steno::rt::Buf<%s> %s;", S.Sink.ElemType->cxxName().c_str(),
            S.Name.c_str());
       return;
     }
@@ -433,27 +417,19 @@ private:
   }
 
   void printSort(const Stmt &S) {
-    // Inline the key selector twice, over the two comparands.
+    // The key selector is inlined once, over the element A_; sortByKey
+    // evaluates it once per element.
     const std::string &Param = S.KeyFn.param(0).Name;
-    expr::CxxNames ANames = Names;
-    ANames.Param = [&Param](const std::string &Name) {
+    expr::CxxNames KeyNames = Names;
+    KeyNames.Param = [&Param](const std::string &Name) {
       return Name == Param ? std::string("A_") : Name;
     };
-    expr::CxxNames BNames = Names;
-    BNames.Param = [&Param](const std::string &Name) {
-      return Name == Param ? std::string("B_") : Name;
-    };
-    std::string KeyA = expr::printExprCxx(*S.KeyFn.body(), ANames);
-    std::string KeyB = expr::printExprCxx(*S.KeyFn.body(), BNames);
-    line("std::stable_sort(%s.begin(), %s.end(),", S.Name.c_str(),
-         S.Name.c_str());
-    line("    [&](const %s &A_, const %s &B_) {",
-         S.Ty->cxxName().c_str(), S.Ty->cxxName().c_str());
-    if (S.Descending)
-      line("      return (%s) < (%s);", KeyB.c_str(), KeyA.c_str());
-    else
-      line("      return (%s) < (%s);", KeyA.c_str(), KeyB.c_str());
-    line("    });");
+    line("steno::rt::sortByKey(%s, [&](const %s &A_) {", S.Name.c_str(),
+         S.Ty->cxxName().c_str());
+    line("  (void)A_;");
+    line("  return steno::rt::orderKey(%s);",
+         expr::printExprCxx(*S.KeyFn.body(), KeyNames).c_str());
+    line("});");
   }
 
   const Program &P;

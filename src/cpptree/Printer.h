@@ -9,11 +9,11 @@
 ///
 /// which the JIT backend compiles into a shared object (paper §3.3). All
 /// runtime support lives in steno/Rt.h (VecView, Pair, the operators,
-/// emitRow), which every generated source includes, and steno/RtSinks.h
-/// (the group sinks), which a source includes only when it declares a
-/// group sink. Likewise a source includes <algorithm>, <cmath> and
-/// <vector> only when its body uses them: parsing them costs g++ more
-/// than compiling the query's loop.
+/// emitRow, orderKey), which every generated source includes, and
+/// steno/RtSinks.h (the buffer, the group sinks and the sort), which a
+/// source includes only when it declares a sink. The only standard
+/// header a source adds is <cmath>, when its body calls a math function:
+/// parsing it costs g++ more than compiling the query's loop.
 ///
 //===----------------------------------------------------------------------===//
 

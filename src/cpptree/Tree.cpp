@@ -121,13 +121,12 @@ StmtRef Stmt::sinkVecPush(std::string SinkName, expr::ExprRef Elem) {
 }
 
 StmtRef Stmt::sortSinkVec(std::string SinkName, expr::TypeRef ElemType,
-                          expr::Lambda KeyFn, bool Descending) {
+                          expr::Lambda KeyFn) {
   auto S = std::make_shared<Stmt>();
   S->K = StmtKind::SortSinkVec;
   S->Name = std::move(SinkName);
   S->Ty = std::move(ElemType);
   S->KeyFn = std::move(KeyFn);
-  S->Descending = Descending;
   return S;
 }
 

@@ -80,7 +80,7 @@ enum class StmtKind {
   SinkGroupPut,       ///< sink.put(key, value);
   SinkGroupAggUpdate, ///< auto &s = sink.slot(key, seed); s = update;
   SinkVecPush,        ///< sink.push_back(elem);
-  SortSinkVec,        ///< stable_sort of a Vec sink by an inlined key.
+  SortSinkVec,        ///< Stable sort of a Vec sink by an inlined key.
   Emit,               ///< Emit an element/scalar row to the caller.
   ProfileCount,       ///< ++prof_c_[slot]; — a profile row counter bump.
   ProfileTimed        ///< RAII-timed statement run: a ProfTimer charging
@@ -142,10 +142,9 @@ struct Stmt {
   LoopInfo Loop;
   SinkDecl Sink;
 
-  /// SortSinkVec: key selector (unary lambda over the element type) and
-  /// direction.
+  /// SortSinkVec: key selector (unary lambda over the element type). The
+  /// sort is ascending in rt::orderKey's order and stable.
   expr::Lambda KeyFn;
-  bool Descending = false;
 
   /// ProfileCount: counter slot index (2k = op k rows in, 2k+1 = rows
   /// out). ProfileTimed: op index k charged to prof_ns_[k].
@@ -174,7 +173,7 @@ struct Stmt {
                                     expr::ExprRef Update);
   static StmtRef sinkVecPush(std::string SinkName, expr::ExprRef Elem);
   static StmtRef sortSinkVec(std::string SinkName, expr::TypeRef ElemType,
-                             expr::Lambda KeyFn, bool Descending);
+                             expr::Lambda KeyFn);
   static StmtRef emit(expr::ExprRef Elem);
   static StmtRef profileCount(unsigned Slot);
   static StmtRef profileTimed(unsigned OpIndex, StmtList Body);

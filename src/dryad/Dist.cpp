@@ -332,7 +332,8 @@ dryad::combineParallelPartials(ThreadPool &Pool, const ParallelPlan &Plan,
   }
 
   case CombineKind::MergeSorted: {
-    // K-way merge of per-partition sorted runs by the OrderBy key.
+    // K-way merge of per-partition sorted runs by the OrderBy key, in
+    // rt::orderKey's order (the order every backend sorts a run in).
     // Stable across partitions: ties resolve to the earlier partition,
     // matching the sequential stable sort over concatenated input.
     struct Run {
@@ -350,8 +351,8 @@ dryad::combineParallelPartials(ThreadPool &Pool, const ParallelPlan &Plan,
     const std::string &KeyParam = Plan.SortKey.param(0).Name;
     auto keyOf = [&](const Value &V) {
       KeyEnv.bind(KeyParam, V);
-      double Key =
-          expr::evalExpr(*Plan.SortKey.body(), KeyEnv).asNumericDouble();
+      std::uint64_t Key =
+          expr::orderKeyOf(expr::evalExpr(*Plan.SortKey.body(), KeyEnv));
       KeyEnv.pop();
       return Key;
     };
@@ -359,11 +360,11 @@ dryad::combineParallelPartials(ThreadPool &Pool, const ParallelPlan &Plan,
     Rows.reserve(Total);
     while (Rows.size() != Total) {
       Run *Best = nullptr;
-      double BestKey = 0;
+      std::uint64_t BestKey = 0;
       for (Run &R : Runs) {
         if (R.Pos >= R.Rows->size())
           continue;
-        double Key = keyOf((*R.Rows)[R.Pos]);
+        std::uint64_t Key = keyOf((*R.Rows)[R.Pos]);
         if (!Best || Key < BestKey) {
           Best = &R;
           BestKey = Key;

@@ -153,3 +153,8 @@ Value expr::applyLambda(const Lambda &L, const std::vector<Value> &Args,
     Environment.pop();
   return Result;
 }
+
+std::uint64_t expr::orderKeyOf(const Value &Key) {
+  return Key.isInt64() ? rt::orderKey(Key.asInt64())
+                       : rt::orderKey(Key.asDouble());
+}

@@ -80,6 +80,10 @@ Value evalExpr(const Expr &E, const Env &Environment);
 Value applyLambda(const Lambda &L, const std::vector<Value> &Args,
                   Env &Environment);
 
+/// The order key (rt::orderKey) of an int64 or double OrderBy key: every
+/// executor that sorts or merges sorted runs compares these.
+std::uint64_t orderKeyOf(const Value &Key);
+
 } // namespace expr
 } // namespace steno
 

@@ -7,7 +7,6 @@
 #include "steno/RtSinks.h"
 #include "support/Error.h"
 
-#include <algorithm>
 #include <cassert>
 #include <chrono>
 #include <unordered_map>
@@ -29,7 +28,7 @@ namespace {
 /// One declared sink: the collection generated code declares for it,
 /// holding interpreter Values as accumulators and elements.
 using SinkObj = std::variant<rt::GroupSink, rt::GroupAggSink<Value>,
-                             rt::DenseAggSink<Value>, std::vector<Value>>;
+                             rt::DenseAggSink<Value>, rt::Buf<Value>>;
 
 enum class Flow { Normal, Continue, Break };
 
@@ -118,14 +117,14 @@ private:
       return Flow::Normal;
     }
     case StmtKind::DeclareSinkView: {
-      // Generated code views the vector's own storage; these elements are
+      // Generated code views the buffer's own storage; these elements are
       // Values, so the view reads a flat copy of them.
-      const std::vector<Value> &Elems = sink<std::vector<Value>>(S.SlotVar);
+      const rt::Buf<Value> &Elems = sink<rt::Buf<Value>>(S.SlotVar);
       std::vector<double> &Flat = SinkViews[S.SlotVar];
       Flat.clear();
-      Flat.reserve(Elems.size());
-      for (const Value &V : Elems)
-        Flat.push_back(V.asDouble());
+      Flat.reserve(static_cast<std::size_t>(Elems.size()));
+      for (std::int64_t I = 0; I != Elems.size(); ++I)
+        Flat.push_back(Elems[I].asDouble());
       Locals[S.Name] = Value(
           VecView{Flat.data(), static_cast<std::int64_t>(Flat.size())});
       return Flow::Normal;
@@ -159,31 +158,17 @@ private:
       return Flow::Normal;
     }
     case StmtKind::SinkVecPush:
-      sink<std::vector<Value>>(S.Name).push_back(eval(S.E));
+      sink<rt::Buf<Value>>(S.Name).push_back(eval(S.E));
       return Flow::Normal;
     case StmtKind::SortSinkVec: {
+      // Generated code's sort, with the key evaluated instead of inlined.
       const std::string &Param = S.KeyFn.param(0).Name;
-      std::vector<Value> &Elems = sink<std::vector<Value>>(S.Name);
-      // Decorate-sort-undecorate keeps key evaluation linear and the sort
-      // stable.
-      std::vector<std::pair<double, std::size_t>> Keys;
-      Keys.reserve(Elems.size());
-      for (std::size_t I = 0; I != Elems.size(); ++I) {
-        Environment.bind(Param, Elems[I]);
-        Keys.emplace_back(eval(S.KeyFn.body()).asNumericDouble(), I);
+      rt::sortByKey(sink<rt::Buf<Value>>(S.Name), [&](const Value &Elem) {
+        Environment.bind(Param, Elem);
+        std::uint64_t Key = expr::orderKeyOf(eval(S.KeyFn.body()));
         Environment.pop();
-      }
-      bool Desc = S.Descending;
-      std::stable_sort(Keys.begin(), Keys.end(),
-                       [Desc](const auto &A, const auto &B) {
-                         return Desc ? B.first < A.first
-                                     : A.first < B.first;
-                       });
-      std::vector<Value> Sorted;
-      Sorted.reserve(Elems.size());
-      for (const auto &[Key, Idx] : Keys)
-        Sorted.push_back(std::move(Elems[Idx]));
-      Elems = std::move(Sorted);
+        return Key;
+      });
       return Flow::Normal;
     }
     case StmtKind::Emit:
@@ -216,7 +201,7 @@ private:
     case LoopKind::Source:
       return execSourceLoop(S);
     case LoopKind::GroupSink: {
-      const rt::GroupSink &G = sink<rt::GroupSink>(L.SinkName);
+      rt::GroupSink &G = sink<rt::GroupSink>(L.SinkName);
       for (std::int64_t I = 0, N = G.size(); I != N; ++I) {
         rt::Pair<std::int64_t, rt::VecView> Group = G.group(I);
         Locals[L.ElemVar] = Value::makePair(
@@ -232,9 +217,8 @@ private:
         return execAggLoop(S, sink<rt::DenseAggSink<Value>>(L.SinkName));
       return execAggLoop(S, sink<rt::GroupAggSink<Value>>(L.SinkName));
     case LoopKind::VecSink: {
-      const std::vector<Value> &V = sink<std::vector<Value>>(L.SinkName);
-      std::size_t N = V.size();
-      for (std::size_t I = 0; I != N; ++I) {
+      const rt::Buf<Value> &V = sink<rt::Buf<Value>>(L.SinkName);
+      for (std::int64_t I = 0, N = V.size(); I != N; ++I) {
         Locals[L.ElemVar] = V[I];
         Flow F = execList(S.Body);
         if (F == Flow::Break)
@@ -330,7 +314,7 @@ private:
       return rt::DenseAggSink<Value>(eval(D.DenseKeys).asInt64(),
                                      eval(D.DenseSeed));
     case SinkKind::Vec:
-      return std::vector<Value>();
+      return rt::Buf<Value>();
     }
     stenoUnreachable("bad SinkKind");
   }

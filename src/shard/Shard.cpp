@@ -178,10 +178,7 @@ RoutedHandle ShardRouter::prepare(const std::string &SpecText,
   fuzz::BuiltQuery Built; // for planning only; buffers dropped after
   if (!fuzz::buildSpec(Q->Spec, Built, &E))
     return fail("spec build error: " + E);
-  Q->SourceCount =
-      Q->Spec.Sources.empty() || Q->Spec.Sources[0].Count < 0
-          ? 0
-          : static_cast<std::size_t>(Q->Spec.Sources[0].Count);
+  Q->SourceCount = Q->Spec.Sources.empty() ? 0 : Q->Spec.Sources[0].Count;
 
   quil::Chain Chain = quil::lower(Built.Q);
   if (auto VErr = quil::validate(Chain))

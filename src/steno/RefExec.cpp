@@ -20,6 +20,19 @@ using query::QueryNodeRef;
 
 namespace {
 
+/// OrderBy's key order, stated directly rather than through rt::orderKey
+/// so that the reference stays an independent oracle: int64 keys compare
+/// exactly; double keys numerically, -0.0 tying +0.0 (neither is less)
+/// and every NaN after every number, NaNs tying.
+bool keyLess(const Value &A, const Value &B) {
+  if (A.isInt64())
+    return A.asInt64() < B.asInt64();
+  double X = A.asDouble(), Y = B.asDouble();
+  if (X != X)
+    return false;
+  return Y != Y || X < Y;
+}
+
 class RefExecutor {
 public:
   explicit RefExecutor(const Bindings &B) : B(B) {
@@ -278,13 +291,13 @@ private:
     }
     case OpKind::OrderBy: {
       std::vector<Value> Up = evalCollection(N->upstream());
-      std::vector<std::pair<double, size_t>> Keys;
+      std::vector<std::pair<Value, size_t>> Keys;
       Keys.reserve(Up.size());
       for (size_t I = 0; I != Up.size(); ++I)
-        Keys.emplace_back(apply1(N->fn(), Up[I]).asNumericDouble(), I);
+        Keys.emplace_back(apply1(N->fn(), Up[I]), I);
       std::stable_sort(Keys.begin(), Keys.end(),
                        [](const auto &A, const auto &B2) {
-                         return A.first < B2.first;
+                         return keyLess(A.first, B2.first);
                        });
       std::vector<Value> Out;
       Out.reserve(Up.size());

@@ -15,20 +15,20 @@
 /// It is also the one runtime of every backend. The scalar operators whose
 /// C++ meaning is not already the definition (wrapping int64 `+`, `-`, `*`
 /// and negation, checked int64 `/` and `%`, `min`, `max`, `abs`, the
-/// guarded sum's `addIf`) and the trap that reports every run-time error
-/// are defined here once; the interpreters, the batch kernels and the
-/// reference executor call these same definitions (through expr/Ops.h for
-/// the operators), so every backend computes the same value and fails the
-/// same way. The group sinks, defined once for every backend too, are in
-/// steno/RtSinks.h.
+/// guarded sum's `addIf`), OrderBy's key order (`orderKey`) and the trap
+/// that reports every run-time error are defined here once; the
+/// interpreters, the batch kernels and the reference executor call these
+/// same definitions (through expr/Ops.h for the operators), so every
+/// backend computes the same value and fails the same way. The sinks and
+/// the sort, defined once for every backend too, are in steno/RtSinks.h.
 ///
 /// This is the lean core every generated TU parses, so it includes only
 /// C headers, <bit> and <limits>: about 0.07 s of g++'s time together.
 /// Parsing <chrono>, <unordered_map>, <algorithm>, <cmath> or <vector>
 /// costs 0.15-0.5 s each, more than compiling a query's loop (DESIGN.md
-/// §5c); a TU includes those itself only when its body uses them
-/// (cpptree::printProgram), and tests/rt_test.cpp fails if this header
-/// pulls one in again.
+/// §5c); a TU includes <cmath> itself only when its body calls a math
+/// function (cpptree::printProgram), no TU includes the others, and
+/// tests/rt_test.cpp fails if this header or steno/RtSinks.h pulls one in.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -146,6 +146,24 @@ inline double addIf(double Acc, bool Keep, double G) {
   return Acc + std::bit_cast<double>(
                    (std::bit_cast<std::uint64_t>(G) & M) |
                    (std::bit_cast<std::uint64_t>(-0.0) & ~M));
+}
+
+/// OrderBy's key order, written down once for every backend: orderKey maps
+/// a sort key to a uint64 whose unsigned order is the sort order. int64
+/// keys compare exactly. double keys compare numerically, except that -0.0
+/// ties +0.0 and every NaN sorts after +inf, all NaNs tying. Keys with one
+/// image tie, and a stable sort (rt::sortByKey) keeps their input order.
+constexpr std::uint64_t orderKey(std::int64_t K) {
+  return static_cast<std::uint64_t>(K) ^ (std::uint64_t{1} << 63);
+}
+constexpr std::uint64_t orderKey(double K) {
+  if (K != K)
+    return ~std::uint64_t{0};
+  // K + 0.0 turns -0.0 into +0.0. A negative double's bits are flipped
+  // whole (a larger magnitude sorts first), a positive one's sign bit set.
+  std::uint64_t B = std::bit_cast<std::uint64_t>(K + 0.0);
+  return B ^ (static_cast<std::uint64_t>(static_cast<std::int64_t>(B) >> 63) |
+              (std::uint64_t{1} << 63));
 }
 
 /// Borrowed view of Len contiguous doubles (a point, or a group's bag).

@@ -175,9 +175,23 @@ TEST(Codegen, OrderBySortsAtOmega) {
   Query Q = Query::doubleArray(0).orderBy(lambda({x()}, x())).toArray();
   std::string Src = sourceFor(Q);
   size_t FillLoop = Src.find("for (");
-  size_t Sort = Src.find("std::stable_sort");
+  size_t Sort = Src.find("steno::rt::sortByKey");
   ASSERT_NE(Sort, std::string::npos) << Src;
   EXPECT_GT(Sort, FillLoop) << "sort in the postlude, after the fill loop";
+}
+
+TEST(Codegen, ToArrayAfterOrderByReusesTheSortBuffer) {
+  Query Q = Query::doubleArray(0).orderBy(lambda({x()}, x())).toArray();
+  std::string Src = sourceFor(Q);
+  EXPECT_EQ(countOccurrences(Src, "steno::rt::Buf<double>"), 1u) << Src;
+  EXPECT_EQ(countOccurrences(Src, "push_back"), 1u) << Src;
+  // A profiled program keeps the copy, so ToArray counts its rows.
+  codegen::GenOptions Profiled;
+  Profiled.Profile = true;
+  std::string ProfSrc = cpptree::printProgram(
+      codegen::generate(quil::lower(Q), "test_query", Profiled));
+  EXPECT_EQ(countOccurrences(ProfSrc, "steno::rt::Buf<double>"), 2u)
+      << ProfSrc;
 }
 
 TEST(Codegen, ScalarEmitsOneRowAtOmega) {

@@ -10,6 +10,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "QueryTestUtil.h"
+#include "dryad/Dist.h"
+#include "dryad/ThreadPool.h"
 #include "fused/Fused.h"
 #include "linq/Linq.h"
 
@@ -534,6 +536,113 @@ TEST(E2EEdgeValues, Int64ArithmeticWraps) {
       {"i64_neg_min", L(-I), {}, {Min64}, Value(Min64)},
       {"i64_abs_min", L(abs(I)), {}, {Min64}, Value(Min64)},
   });
+}
+
+//===--------------------------------------------------------------------===//
+// OrderBy's key order (rt::orderKey), on every backend
+//===--------------------------------------------------------------------===//
+
+namespace {
+
+/// Sorts an edge table with the OrderBy query \p Q, and with Q followed by
+/// a ToArray, and checks the rows, bit for bit, on the reference and on
+/// both backends with Vectorize on and off. Then sorts the table repeated
+/// Copies times through DistributedQuery::runParallel over small morsels,
+/// so several sorted runs meet in the k-way merge, against the reference
+/// over the same input.
+template <typename T>
+void expectSortedRows(const char *Name, const Query &Q,
+                      const std::vector<T> &In, const std::vector<T> &Want) {
+  auto bind = [](const std::vector<T> &Data) {
+    Bindings B;
+    if constexpr (std::is_same_v<T, double>)
+      B.bindDoubleArray(0, Data.data(), static_cast<std::int64_t>(Data.size()));
+    else
+      B.bindInt64Array(0, Data.data(), static_cast<std::int64_t>(Data.size()));
+    return B;
+  };
+  auto Check = [&](const QueryResult &Got, const std::vector<Value> &Rows,
+                   const std::string &Where) {
+    ASSERT_EQ(Got.rows().size(), Rows.size()) << Name << " " << Where;
+    for (std::size_t I = 0; I != Rows.size(); ++I)
+      EXPECT_TRUE(sameEdgeValue(Got.rows()[I], Rows[I]))
+          << Name << " " << Where << " row " << I << ": got "
+          << edgeStr(Got.rows()[I]) << ", want " << edgeStr(Rows[I]);
+  };
+  std::vector<Value> WantRows(Want.begin(), Want.end());
+  Bindings B = bind(In);
+  for (const Query &Sorted : {Q, Q.toArray()}) {
+    Check(runReference(Sorted, B), WantRows, "reference");
+    for (Backend Exec : {Backend::Interp, Backend::Native})
+      for (bool Vectorize : {false, true}) {
+        CompileOptions O;
+        O.Exec = Exec;
+        O.Vectorize = Vectorize;
+        O.Name = std::string("e2e_sort_") + Name;
+        Check(compileQuery(Sorted, O).run(B), WantRows,
+              std::string(Exec == Backend::Native ? "native" : "interp") +
+                  (Vectorize ? " vectorized" : " scalar"));
+      }
+  }
+
+  constexpr int Copies = 24;
+  std::vector<T> Many;
+  for (int C = 0; C != Copies; ++C)
+    Many.insert(Many.end(), In.begin(), In.end());
+  Bindings ManyB = bind(Many);
+  std::vector<Value> RefRows = runReference(Q, ManyB).rows();
+  dryad::ThreadPool Pool(4);
+  for (Backend Exec : {Backend::Interp, Backend::Native}) {
+    dryad::DistOptions O;
+    O.Exec = Exec;
+    O.Name = std::string("e2e_psort_") + Name;
+    O.Morsels.MinMorsel = 8;
+    O.Morsels.InitialMorsel = 8;
+    O.Morsels.MaxMorsel = 16;
+    O.Morsels.InlineBelow = 0;
+    dryad::DistributedQuery DQ = dryad::DistributedQuery::compile(Q, O);
+    ASSERT_TRUE(DQ.parallel()) << DQ.whyNotParallel();
+    Check(DQ.runParallel(Pool, ManyB), RefRows,
+          std::string("runParallel ") +
+              (Exec == Backend::Native ? "native" : "interp"));
+  }
+}
+
+} // namespace
+
+TEST(E2ESortKeyOrder, Int64KeysCompareExactly) {
+  // Past 2^53 two int64 keys can share a double; they still compare as
+  // int64s. Duplicates and the extremes included.
+  auto I = param("i", Type::int64Ty());
+  const std::int64_t P53 = std::int64_t{1} << 53;
+  const std::int64_t Min64 = std::numeric_limits<std::int64_t>::min();
+  const std::int64_t Max64 = std::numeric_limits<std::int64_t>::max();
+  expectSortedRows<std::int64_t>(
+      "i64_exact", Query::int64Array(0).orderBy(lambda({I}, I)),
+      {P53 + 1, Max64, P53, 3, Min64, 0, P53 + 1, -1, -P53, Max64 - 1},
+      {Min64, -P53, -1, 0, 3, P53, P53 + 1, P53 + 1, Max64 - 1, Max64});
+  // Ties keep input order: the key 1 - x % 2 puts odd before even.
+  expectSortedRows<std::int64_t>(
+      "i64_stable",
+      Query::int64Array(0).orderBy(
+          lambda({I}, E(std::int64_t{1}) - I % E(std::int64_t{2}))),
+      {4, 7, 2, 9, P53 + 1, P53, 1},
+      {7, 9, P53 + 1, 1, 4, 2, P53});
+}
+
+TEST(E2ESortKeyOrder, DoubleKeysTieZerosAndSortNaNLast) {
+  // -0.0 ties +0.0 (input order kept, checked bit for bit), every NaN
+  // sorts after +inf, NaNs tie.
+  auto X = param("x", Type::doubleTy());
+  expectSortedRows<double>(
+      "f64_edges", Query::doubleArray(0).orderBy(lambda({X}, X)),
+      {NaN, 1.0, -0.0, Inf, 0.0, -Inf, 2.0, NaN, -0.0, 1.0, -2.5},
+      {-Inf, -2.5, -0.0, 0.0, -0.0, 1.0, 1.0, 2.0, Inf, NaN, NaN});
+  // A computed key: negation reverses the order but not the ties.
+  expectSortedRows<double>(
+      "f64_negated", Query::doubleArray(0).orderBy(lambda({X}, -X)),
+      {2.0, NaN, -0.0, 1.0, 0.0},
+      {2.0, 1.0, -0.0, 0.0, NaN});
 }
 
 //===--------------------------------------------------------------------===//

@@ -1,10 +1,9 @@
 // Generated by Steno (iterator fusion + nested loop generation).
 // Query entry point: golden_skip_take_orderby
 #include "steno/Rt.h"
+#include "steno/RtSinks.h"
 
-#include <algorithm>
 #include <cstdint>
-#include <vector>
 
 extern "C" void golden_skip_take_orderby(const steno::rt::Captures *Caps_,
                      steno::rt::Emitter *Out_) {
@@ -17,7 +16,7 @@ extern "C" void golden_skip_take_orderby(const steno::rt::Captures *Caps_,
   (void)src0_d; (void)src0_i; (void)src0_count; (void)src0_dim;
   std::int64_t skip4 = INT64_C(0);
   std::int64_t take5 = INT64_C(0);
-  std::vector<double> sink6;
+  steno::rt::Buf<double> sink6;
   for (std::int64_t i0 = 0; i0 < src0_count; ++i0) {
     double elem3 = src0_d[i0];
     (void)elem3;
@@ -31,21 +30,14 @@ extern "C" void golden_skip_take_orderby(const steno::rt::Captures *Caps_,
     take5 = steno::rt::add(take5, INT64_C(1));
     sink6.push_back(elem3);
   }
-  std::stable_sort(sink6.begin(), sink6.end(),
-      [&](const double &A_, const double &B_) {
-        return (-(A_)) < (-(B_));
-      });
-  std::vector<double> sink10;
-  const std::int64_t n8 = static_cast<std::int64_t>(sink6.size());
+  steno::rt::sortByKey(sink6, [&](const double &A_) {
+    (void)A_;
+    return steno::rt::orderKey(-(A_));
+  });
+  const std::int64_t n8 = sink6.size();
   for (std::int64_t i7 = 0; i7 < n8; ++i7) {
-    double elem9 = sink6[static_cast<size_t>(i7)];
+    double elem9 = sink6[i7];
     (void)elem9;
-    sink10.push_back(elem9);
-  }
-  const std::int64_t n12 = static_cast<std::int64_t>(sink10.size());
-  for (std::int64_t i11 = 0; i11 < n12; ++i11) {
-    double elem13 = sink10[static_cast<size_t>(i11)];
-    (void)elem13;
-    steno::rt::emitRow(Out_, elem13);
+    steno::rt::emitRow(Out_, elem9);
   }
 }

@@ -178,8 +178,8 @@ TEST(InterpStmt, VecSinkPushSortView) {
   P.Body.push_back(
       doubleLoop("e", {Stmt::sinkVecPush("s", elemRef("e").node())}));
   auto K = param("k", Type::doubleTy());
-  P.Body.push_back(Stmt::sortSinkVec("s", Type::doubleTy(),
-                                     lambda({K}, K), false));
+  P.Body.push_back(
+      Stmt::sortSinkVec("s", Type::doubleTy(), lambda({K}, K)));
   P.Body.push_back(Stmt::declareSinkView("view", "s"));
   E View = param("view", Type::vecTy());
   P.Body.push_back(Stmt::emit(View[E(0)].node()));
@@ -188,34 +188,6 @@ TEST(InterpStmt, VecSinkPushSortView) {
   ASSERT_EQ(Out.Rows.size(), 2u);
   EXPECT_DOUBLE_EQ(Out.Rows[0].asDouble(), 1.0);
   EXPECT_DOUBLE_EQ(Out.Rows[1].asDouble(), 3.0);
-}
-
-TEST(InterpStmt, SortDescending) {
-  std::vector<double> Xs = {3.0, 1.0, 2.0};
-  Program P;
-  SinkDecl Decl;
-  Decl.Kind = SinkKind::Vec;
-  Decl.ElemType = Type::doubleTy();
-  P.Body.push_back(Stmt::declareSink("s", Decl));
-  P.Body.push_back(
-      doubleLoop("e", {Stmt::sinkVecPush("s", elemRef("e").node())}));
-  auto K = param("k", Type::doubleTy());
-  P.Body.push_back(Stmt::sortSinkVec("s", Type::doubleTy(),
-                                     lambda({K}, K), true));
-  LoopInfo L;
-  L.Kind = LoopKind::VecSink;
-  L.SinkName = "s";
-  L.Sink = Decl;
-  L.IndexVar = "i";
-  L.ElemVar = "v";
-  L.ElemType = Type::doubleTy();
-  StmtRef Loop = Stmt::loop(std::move(L));
-  Loop->Body.push_back(Stmt::emit(elemRef("v").node()));
-  P.Body.push_back(Loop);
-  interp::RunOutput Out = run(P, &Xs);
-  ASSERT_EQ(Out.Rows.size(), 3u);
-  EXPECT_DOUBLE_EQ(Out.Rows[0].asDouble(), 3.0);
-  EXPECT_DOUBLE_EQ(Out.Rows[2].asDouble(), 1.0);
 }
 
 TEST(InterpStmt, GroupAggSinkHashAndDense) {

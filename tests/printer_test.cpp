@@ -133,18 +133,20 @@ TEST(Printer, SinkDeclarations) {
   EXPECT_NE(
       Src.find("steno::rt::DenseAggSink<double> d(INT64_C(16), 0.0);"),
       std::string::npos);
-  EXPECT_NE(Src.find("std::vector<std::int64_t> v;"), std::string::npos);
+  EXPECT_NE(Src.find("steno::rt::Buf<std::int64_t> v;"), std::string::npos);
 }
 
-TEST(Printer, SortUsesStableSortWithInlinedKey) {
+TEST(Printer, SortCallsRadixSortWithKeyInlinedOnce) {
   auto K = param("k", Type::doubleTy());
-  std::string Src = printOf({Stmt::sortSinkVec(
-      "s", Type::doubleTy(), lambda({K}, -K), false)});
-  EXPECT_NE(Src.find("std::stable_sort(s.begin(), s.end(),"),
+  std::string Src = printOf(
+      {Stmt::sortSinkVec("s", Type::doubleTy(), lambda({K}, -K))});
+  EXPECT_NE(Src.find("steno::rt::sortByKey(s, [&](const double &A_) {"),
             std::string::npos)
       << Src;
-  EXPECT_NE(Src.find("return (-(A_)) < (-(B_));"), std::string::npos)
+  EXPECT_NE(Src.find("return steno::rt::orderKey(-(A_));"),
+            std::string::npos)
       << Src;
+  EXPECT_EQ(Src.find("std::stable_sort"), std::string::npos) << Src;
 }
 
 TEST(Printer, EmitUsesRuntimeHelper) {
@@ -233,12 +235,12 @@ TEST(PrinterIncludes, GroupByAggregateAddsTheSinks) {
             (Includes{"\"steno/Rt.h\"", "\"steno/RtSinks.h\"", "<cstdint>"}));
 }
 
-TEST(PrinterIncludes, OrderByAddsAlgorithmAndVector) {
+TEST(PrinterIncludes, OrderByAddsOnlyRtSinks) {
   E X = param("x", Type::doubleTy());
   query::Query Q =
       query::Query::doubleArray(0).orderBy(lambda({X}, -X)).toArray();
-  EXPECT_EQ(includesOf(Q), (Includes{"\"steno/Rt.h\"", "<algorithm>",
-                                     "<cstdint>", "<vector>"}));
+  EXPECT_EQ(includesOf(Q), (Includes{"\"steno/Rt.h\"",
+                                     "\"steno/RtSinks.h\"", "<cstdint>"}));
 }
 
 TEST(PrinterIncludes, MathCallsAndDoubleModuloAddCmath) {
@@ -256,6 +258,6 @@ TEST(PrinterIncludes, MathCallsAndDoubleModuloAddCmath) {
   EXPECT_EQ(includesOf(query::Query::doubleArray(0)
                            .orderBy(lambda({X}, floor(X)))
                            .toArray()),
-            (Includes{"\"steno/Rt.h\"", "<algorithm>", "<cmath>",
-                      "<cstdint>", "<vector>"}));
+            (Includes{"\"steno/Rt.h\"", "\"steno/RtSinks.h\"", "<cmath>",
+                      "<cstdint>"}));
 }

@@ -30,10 +30,39 @@ constexpr const char *RtHeavyIncludes = ""
 
 #include "steno/RtSinks.h"
 
+namespace {
+
+/// The same headers, now that steno/RtSinks.h is in too: it replaced the
+/// STL containers and std::stable_sort under every generated group and
+/// sort, so a TU with a sink parses none of them either.
+constexpr const char *RtSinksHeavyIncludes = ""
+#ifdef _GLIBCXX_CHRONO
+                                             " <chrono>"
+#endif
+#ifdef _GLIBCXX_CMATH
+                                             " <cmath>"
+#endif
+#ifdef _GLIBCXX_VECTOR
+                                             " <vector>"
+#endif
+#ifdef _GLIBCXX_UNORDERED_MAP
+                                             " <unordered_map>"
+#endif
+#ifdef _GLIBCXX_ALGORITHM
+                                             " <algorithm>"
+#endif
+    ;
+
+} // namespace
+
+#include "expr/Value.h"
+
 #include "gtest/gtest.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <random>
 #include <thread>
 #include <vector>
 
@@ -43,6 +72,9 @@ TEST(RtLeanCore, IncludesNoHeavyStandardHeader) {
   EXPECT_STREQ(RtHeavyIncludes, "")
       << "steno/Rt.h must stay the lean core; move what needs these "
          "headers to steno/RtSinks.h or into the generated TU";
+  EXPECT_STREQ(RtSinksHeavyIncludes, "")
+      << "steno/RtSinks.h is parsed by every TU that groups or sorts; "
+         "it must not pull in an STL container or algorithm";
 }
 
 TEST(RtGroupSink, InsertionOrderPreserved) {
@@ -65,9 +97,28 @@ TEST(RtGroupSink, ManyKeys) {
     S.put(I % 37, static_cast<double>(I));
   EXPECT_EQ(S.size(), 37);
   std::int64_t Total = 0;
-  for (std::int64_t I = 0; I != S.size(); ++I)
-    Total += S.group(I).Second.Len;
+  for (std::int64_t I = 0; I != S.size(); ++I) {
+    Pair<std::int64_t, VecView> G = S.group(I);
+    EXPECT_EQ(G.First, I);
+    // Each bag holds its key's values contiguously, in arrival order.
+    for (std::int64_t J = 0; J != G.Second.Len; ++J)
+      EXPECT_EQ(G.Second.Data[J], static_cast<double>(I + 37 * J));
+    Total += G.Second.Len;
+  }
   EXPECT_EQ(Total, 1000);
+}
+
+TEST(RtGroupSink, PutAfterGroupLaysTheBagsOutAgain) {
+  GroupSink S;
+  S.put(1, 1.0);
+  EXPECT_EQ(S.group(0).Second.Len, 1);
+  S.put(2, 2.0);
+  S.put(1, 3.0);
+  ASSERT_EQ(S.size(), 2);
+  Pair<std::int64_t, VecView> G0 = S.group(0);
+  ASSERT_EQ(G0.Second.Len, 2);
+  EXPECT_EQ(G0.Second.Data[1], 3.0);
+  EXPECT_EQ(S.group(1).Second.Data[0], 2.0);
 }
 
 TEST(RtGroupAggSink, SlotInsertsSeedOnce) {
@@ -100,6 +151,90 @@ TEST(RtGroupAggSink, PairAccumulators) {
   EXPECT_EQ(S.accAt(0).Second, 1);
 }
 
+namespace {
+
+/// Keys 0..N-1 in a scrambled order, each repeated: the first pass makes
+/// them appear in Firsts' order, and the table doubles from 16 slots to
+/// 2N at least log2(N / 8) times on the way.
+template <typename A, typename Update>
+void checkFirstAppearanceOrder(const A &Seed, Update Step) {
+  constexpr std::int64_t N = 5000;
+  std::vector<std::int64_t> Firsts(N);
+  for (std::int64_t I = 0; I != N; ++I)
+    Firsts[I] = (I * 7919) % N - N / 2; // negative keys too
+  GroupAggSink<A> S;
+  for (int Pass = 0; Pass != 3; ++Pass)
+    for (std::int64_t K : Firsts) {
+      A &Acc = S.slot(K, Seed);
+      Acc = Step(Acc);
+    }
+  ASSERT_EQ(S.size(), N);
+  for (std::int64_t I = 0; I != N; ++I) {
+    ASSERT_EQ(S.keyAt(I), Firsts[I]) << I;
+    A Want = Seed;
+    for (int Pass = 0; Pass != 3; ++Pass)
+      Want = Step(Want);
+    EXPECT_TRUE(S.accAt(I) == Want) << I;
+  }
+}
+
+struct CountPair {
+  Pair<double, std::int64_t> P;
+  bool operator==(const CountPair &O) const {
+    return P.First == O.P.First && P.Second == O.P.Second;
+  }
+};
+
+} // namespace
+
+TEST(RtGroupAggSink, RehashesKeepFirstAppearanceOrder) {
+  checkFirstAppearanceOrder<std::int64_t>(
+      0, [](std::int64_t A) { return A + 1; });
+  checkFirstAppearanceOrder<CountPair>(
+      CountPair{{0.5, 0}}, [](CountPair A) {
+        return CountPair{{A.P.First + 1.0, A.P.Second + 1}};
+      });
+  // The interpreter's accumulators are not trivially copyable: a rehash
+  // moves them, and the sink destroys them.
+  using steno::expr::Value;
+  checkFirstAppearanceOrder<Value>(Value(std::int64_t{0}), [](Value A) {
+    return Value::makePair(Value(std::int64_t{1}), A);
+  });
+}
+
+TEST(RtGroupAggSink, ExtremeKeysAreOrdinaryKeys) {
+  GroupAggSink<std::int64_t> S;
+  const std::int64_t Keys[] = {0, INT64_MIN, INT64_MAX, -1, 1, INT64_MIN};
+  for (std::int64_t K : Keys)
+    ++S.slot(K, 0);
+  ASSERT_EQ(S.size(), 5);
+  EXPECT_EQ(S.keyAt(1), INT64_MIN);
+  EXPECT_EQ(S.accAt(1), 2);
+  EXPECT_EQ(S.keyAt(2), INT64_MAX);
+}
+
+TEST(RtBuf, GrowsKeepingElementsAndMovesValues) {
+  Buf<double> D;
+  for (int I = 0; I != 1000; ++I)
+    D.push_back(static_cast<double>(I));
+  ASSERT_EQ(D.size(), 1000);
+  for (int I = 0; I != 1000; ++I)
+    ASSERT_EQ(D[I], static_cast<double>(I));
+  D.push_back(D[999]); // an element of the buffer, appended as it grows
+  EXPECT_EQ(D[1000], 999.0);
+
+  using steno::expr::Value;
+  Buf<Value> V;
+  for (int I = 0; I != 100; ++I)
+    V.push_back(Value::makePair(Value(std::int64_t{I}), Value(0.5)));
+  Buf<Value> Moved = static_cast<Buf<Value> &&>(V);
+  EXPECT_EQ(V.size(), 0);
+  ASSERT_EQ(Moved.size(), 100);
+  EXPECT_EQ(Moved[42].first().asInt64(), 42);
+  Buf<Value> Filled(3, Value(2.5));
+  EXPECT_EQ(Filled[2].asDouble(), 2.5);
+}
+
 TEST(RtDenseAggSink, SeededAndIndexed) {
   DenseAggSink<double> S(4, 1.5);
   ASSERT_EQ(S.size(), 4);
@@ -119,6 +254,12 @@ TEST(RtDenseAggSink, ZeroAndNegativeBounds) {
   EXPECT_EQ(Neg.size(), 0);
 }
 
+TEST(RtDenseAggSink, KeyCountPastTheAddressSpaceFailsToAllocate) {
+  // Its bytes overflow size_t: the buffer must fail, not wrap to a small
+  // allocation it then fills.
+  EXPECT_THROW(DenseAggSink<double>(INT64_MAX / 4, 0.0), std::bad_alloc);
+}
+
 TEST(RtDenseAggSinkDeath, KeyOutsideTheRangeTrapsWithST2007) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   DenseAggSink<double> S(4, 0.0);
@@ -126,6 +267,159 @@ TEST(RtDenseAggSinkDeath, KeyOutsideTheRangeTrapsWithST2007) {
   EXPECT_DEATH(S.slot(4), "ST2007.*dense group key out of range");
   DenseAggSink<double> Empty(-3, 0.0);
   EXPECT_DEATH(Empty.slot(0), "ST2007.*dense group key out of range");
+}
+
+//===--------------------------------------------------------------------===//
+// Sort: rt::orderKey and the radix sort
+//===--------------------------------------------------------------------===//
+
+namespace {
+
+/// OrderBy's key order as the documentation states it, for doubles:
+/// numeric, -0.0 tying +0.0, NaN after everything, NaNs tying.
+bool ruleLess(double A, double B) {
+  if (std::isnan(A))
+    return false;
+  return std::isnan(B) || A < B;
+}
+
+std::uint64_t bits(double X) { return std::bit_cast<std::uint64_t>(X); }
+
+/// sortByKey over \p In against std::stable_sort under ruleLess,
+/// compared bit for bit (so the order of -0.0 and +0.0 ties is checked).
+void checkDoubleSort(const std::vector<double> &In) {
+  Buf<double> Got;
+  for (double X : In)
+    Got.push_back(X);
+  sortByKey(Got, [](const double &X) { return orderKey(X); });
+  std::vector<double> Want = In;
+  std::stable_sort(Want.begin(), Want.end(), ruleLess);
+  ASSERT_EQ(Got.size(), static_cast<std::int64_t>(Want.size()));
+  for (std::size_t I = 0; I != Want.size(); ++I)
+    ASSERT_EQ(bits(Got[static_cast<std::int64_t>(I)]), bits(Want[I]))
+        << "position " << I << " of " << Want.size();
+}
+
+/// radixSort over \p Keys against std::stable_sort by key.
+void checkRadix(const std::vector<std::uint64_t> &Keys) {
+  Buf<SortItem> Items;
+  std::vector<SortItem> Want;
+  for (std::size_t I = 0; I != Keys.size(); ++I) {
+    Items.push_back(SortItem{Keys[I], static_cast<std::int64_t>(I)});
+    Want.push_back(Items[static_cast<std::int64_t>(I)]);
+  }
+  radixSort(Items);
+  std::stable_sort(Want.begin(), Want.end(),
+                   [](const SortItem &A, const SortItem &B) {
+                     return A.Key < B.Key;
+                   });
+  for (std::size_t I = 0; I != Want.size(); ++I) {
+    ASSERT_EQ(Items[static_cast<std::int64_t>(I)].Key, Want[I].Key) << I;
+    ASSERT_EQ(Items[static_cast<std::int64_t>(I)].Index, Want[I].Index)
+        << I;
+  }
+}
+
+} // namespace
+
+TEST(RtSort, OrderKeyFollowsTheWrittenOrder) {
+  const double Inf = std::numeric_limits<double>::infinity();
+  const double NaN = std::numeric_limits<double>::quiet_NaN();
+  // Ascending under the rule; each group of equal images is one tie.
+  const std::vector<std::vector<double>> Doubles = {
+      {-Inf},
+      {-std::numeric_limits<double>::max()},
+      {-1.5},
+      {-std::numeric_limits<double>::denorm_min()},
+      {-0.0, 0.0},
+      {std::numeric_limits<double>::denorm_min()},
+      {1.5},
+      {std::numeric_limits<double>::max()},
+      {Inf},
+      {NaN, -NaN, std::bit_cast<double>(0x7ff0000000000001ull)}};
+  for (std::size_t G = 0; G != Doubles.size(); ++G)
+    for (double X : Doubles[G]) {
+      EXPECT_EQ(orderKey(X), orderKey(Doubles[G][0])) << X;
+      if (G + 1 != Doubles.size()) {
+        EXPECT_LT(orderKey(X), orderKey(Doubles[G + 1][0])) << X;
+      }
+    }
+  // int64 keys compare exactly, past 2^53 and at the extremes.
+  const std::int64_t Ints[] = {INT64_MIN,       INT64_MIN + 1,
+                               -(1LL << 53) - 1, -(1LL << 53),
+                               -1,              0,
+                               1,               (1LL << 53),
+                               (1LL << 53) + 1, INT64_MAX};
+  for (std::size_t I = 0; I + 1 != std::size(Ints); ++I)
+    EXPECT_LT(orderKey(Ints[I]), orderKey(Ints[I + 1])) << Ints[I];
+}
+
+TEST(RtSort, RandomDoublesMatchStableSortAtEverySize) {
+  std::mt19937_64 Rng(20);
+  const double Specials[] = {0.0, -0.0, std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity(), 1.0,
+                             -1.0};
+  for (std::size_t N : {0u, 1u, 2u, 3u, 17u, 100u, 100000u}) {
+    std::vector<double> In(N);
+    for (double &X : In) {
+      std::uint64_t R = Rng();
+      // A fifth special values, the rest uniform or a few repeats.
+      X = R % 5 == 0   ? Specials[(R >> 8) % std::size(Specials)]
+          : R % 5 == 1 ? static_cast<double>((R >> 8) % 4)
+                       : std::ldexp(static_cast<double>(R >> 11), -40) - 4e3;
+    }
+    checkDoubleSort(In);
+  }
+}
+
+TEST(RtSort, RandomKeysMatchStableSort) {
+  std::mt19937_64 Rng(21);
+  for (std::size_t N : {0u, 1u, 2u, 5u, 300u, 100000u}) {
+    std::vector<std::uint64_t> Keys(N);
+    for (std::uint64_t &K : Keys)
+      K = Rng() >> (Rng() % 64); // every byte count, many duplicates
+    checkRadix(Keys);
+  }
+}
+
+TEST(RtSort, AllEqualKeysKeepInputOrder) {
+  checkRadix(std::vector<std::uint64_t>(1000, 0x0123456789abcdefull));
+  checkDoubleSort(std::vector<double>(1000, 2.5));
+  std::vector<double> Zeros;
+  for (int I = 0; I != 64; ++I)
+    Zeros.push_back(I % 3 ? 0.0 : -0.0);
+  checkDoubleSort(Zeros);
+}
+
+TEST(RtSort, OneVaryingByte) {
+  std::mt19937_64 Rng(22);
+  for (unsigned Byte : {0u, 3u, 7u}) {
+    std::vector<std::uint64_t> Keys(5000);
+    for (std::uint64_t &K : Keys)
+      K = 0xa5a5a5a5a5a5a5a5ull ^ ((Rng() & 0xff) << (8 * Byte));
+    checkRadix(Keys);
+  }
+}
+
+TEST(RtSort, Int64ExtremesAndValueElements) {
+  using steno::expr::Value;
+  const std::int64_t In[] = {(1LL << 53) + 1, INT64_MAX, 1LL << 53, 3,
+                             INT64_MIN,       0,         -1,      INT64_MIN};
+  Buf<Value> Elems;
+  for (std::size_t I = 0; I != std::size(In); ++I)
+    Elems.push_back(Value::makePair(Value(In[I]),
+                                    Value(static_cast<std::int64_t>(I))));
+  sortByKey(Elems, [](const Value &E) { return orderKey(E.first().asInt64()); });
+  const std::int64_t Want[][2] = {{INT64_MIN, 4}, {INT64_MIN, 7},
+                                  {-1, 6},        {0, 5},
+                                  {3, 3},         {1LL << 53, 2},
+                                  {(1LL << 53) + 1, 0}, {INT64_MAX, 1}};
+  ASSERT_EQ(Elems.size(), 8);
+  for (std::int64_t I = 0; I != 8; ++I) {
+    EXPECT_EQ(Elems[I].first().asInt64(), Want[I][0]) << I;
+    EXPECT_EQ(Elems[I].second().asInt64(), Want[I][1]) << I;
+  }
 }
 
 //===--------------------------------------------------------------------===//

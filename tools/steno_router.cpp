@@ -61,6 +61,15 @@ void usage() {
       "                       (bit-equal results, no fan-out for them)\n");
 }
 
+/// SIGKILLs the spawned workers and removes their sockets, which a killed
+/// worker cannot unlink itself.
+void stopWorkers(std::vector<shard::WorkerProcess> &Workers) {
+  for (shard::WorkerProcess &W : Workers) {
+    W.kill9();
+    ::unlink(W.socket().c_str());
+  }
+}
+
 bool parseUnsigned(const char *S, unsigned long long &Out) {
   char *End = nullptr;
   Out = std::strtoull(S, &End, 10);
@@ -138,8 +147,7 @@ int main(int Argc, char **Argv) {
       std::string Err;
       if (!Workers.back().start(&Err)) {
         std::fprintf(stderr, "steno_router: %s\n", Err.c_str());
-        for (shard::WorkerProcess &W : Workers)
-          W.kill9();
+        stopWorkers(Workers);
         return 2;
       }
       Opts.ShardSockets.push_back(Sock);
@@ -156,8 +164,7 @@ int main(int Argc, char **Argv) {
                Router.shards());
   bool Served = serve::listenAndServe(SocketPath, "steno_router",
                                       [&Router] { return Router.frontend(); });
-  for (shard::WorkerProcess &W : Workers)
-    W.kill9();
+  stopWorkers(Workers);
   if (!Served)
     return 2;
   std::fprintf(stderr, "steno_router: shut down; %s\n",
