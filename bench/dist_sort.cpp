@@ -1,0 +1,99 @@
+//===- bench/dist_sort.cpp - Parallel OrderBy against one thread -*- C++ -*-===//
+//
+// §6 turns an OrderBy into a distributed sort: each partition sorts its
+// rows, and the Agg* stage (dryad::combineParallelPartials) sorts the
+// concatenated runs once more with the runtime's stable sort. This binary
+// times DistributedQuery::runParallel of xs.OrderBy(x => x) over 200,000
+// uniform doubles on a 4-worker pool against the same query compiled
+// natively and run on one thread, best of 5 each, and checks that both
+// return the same rows.
+//
+// Gate (CI bench-smoke): exits 1 when parallel / one thread exceeds 5, or
+// when the rows differ. The Agg* stage still evaluates the sort key
+// through the expression interpreter, once per row; the bound tightens
+// toward 1 once that key is native.
+//
+//===----------------------------------------------------------------------===//
+
+#include "BenchUtil.h"
+#include "dryad/Dist.h"
+#include "expr/Dsl.h"
+#include "steno/Steno.h"
+
+#include <cstdio>
+
+using namespace steno;
+using namespace steno::bench;
+
+int main() {
+  const std::int64_t N = scaled(200000);
+  constexpr unsigned Workers = 4;
+  constexpr int Reps = 5;
+  constexpr double MaxRatio = 5.0;
+  std::vector<double> Xs = uniformDoubles(N, 1);
+  header("Distributed OrderBy: " + std::to_string(N) + " doubles, " +
+         std::to_string(Workers) + " workers vs one thread");
+
+  using namespace steno::expr;
+  using namespace steno::expr::dsl;
+  auto X = param("x", Type::doubleTy());
+  query::Query Q = query::Query::doubleArray(0).orderBy(lambda({X}, X));
+  Bindings B;
+  B.bindDoubleArray(0, Xs.data(), N);
+
+  dryad::DistOptions DO;
+  DO.Name = "dist_sort";
+  dryad::DistributedQuery DQ = dryad::DistributedQuery::compile(Q, DO);
+  if (!DQ.parallel()) {
+    std::fprintf(stderr, "dist_sort: FAIL: the sort did not fan out: %s\n",
+                 DQ.whyNotParallel().c_str());
+    return 1;
+  }
+  CompileOptions CO;
+  CO.Name = "dist_sort_seq";
+  CompiledQuery CQ = compileQuery(Q, CO);
+
+  dryad::ThreadPool Pool(Workers);
+  double ParS = bestSeconds(
+      [&] {
+        doNotOptimize(static_cast<std::int64_t>(
+            DQ.runParallel(Pool, B).rows().size()));
+      },
+      Reps);
+  double SeqS = bestSeconds(
+      [&] {
+        doNotOptimize(static_cast<std::int64_t>(CQ.run(B).rows().size()));
+      },
+      Reps);
+
+  QueryResult Par = DQ.runParallel(Pool, B);
+  QueryResult Seq = CQ.run(B);
+  bool Same = Par.rows().size() == Seq.rows().size();
+  for (std::size_t I = 0; Same && I != Seq.rows().size(); ++I)
+    Same = Par.rows()[I] == Seq.rows()[I];
+
+  double Ratio = ParS / SeqS;
+  std::printf("\n%-30s %12s\n", "variant", "time (ms)");
+  std::printf("%-30s %12.1f\n", "runParallel (4 workers)", ParS * 1e3);
+  std::printf("%-30s %12.1f\n", "native, one thread", SeqS * 1e3);
+  std::printf("parallel / one thread: %.2f (gate: <= %.0f)\n", Ratio,
+              MaxRatio);
+
+  JsonReport Json("dist_sort");
+  Json.add("run_parallel_4w", ParS, N, Reps);
+  Json.add("native_1t", SeqS, N, Reps);
+
+  if (!Same) {
+    std::fprintf(stderr, "dist_sort: FAIL: runParallel rows differ from "
+                         "the one-thread rows\n");
+    return 1;
+  }
+  if (Ratio > MaxRatio) {
+    std::fprintf(stderr,
+                 "dist_sort: FAIL: runParallel takes %.2fx the one-thread "
+                 "time, above the %.0f ceiling\n",
+                 Ratio, MaxRatio);
+    return 1;
+  }
+  return 0;
+}

@@ -1,21 +1,19 @@
 //===- dryad/Dist.cpp -----------------------------------------*- C++ -*-===//
 
 #include "dryad/Dist.h"
-#include "analysis/Analysis.h"
 #include "dryad/HomomorphicApply.h"
 #include "dryad/Partition.h"
 #include "expr/Eval.h"
 #include "obs/Metrics.h"
 #include "obs/Profile.h"
 #include "obs/Trace.h"
-#include "steno/Rt.h"
+#include "steno/RtSinks.h"
 #include "support/Error.h"
 
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
 #include <deque>
-#include <unordered_map>
 
 using namespace steno;
 using namespace steno::dryad;
@@ -179,81 +177,30 @@ Combiner2 compileCombiner(const expr::Lambda &L) {
   };
 }
 
-/// True when the analyzer certified every combiner in the chain at least
-/// associative (Trusted counts: the user declared it associative and the
-/// analyzer flagged ST2006 rather than refuting it). Gates the pairwise
-/// combine tree; a left fold is the defensive fallback.
-bool certifiedAssociative(const analysis::SafetyCertificate &Cert) {
-  for (analysis::AggClass C : Cert.AggClasses)
-    if (C != analysis::AggClass::Trusted &&
-        C != analysis::AggClass::Associative &&
-        C != analysis::AggClass::AssociativeCommutative)
+/// The combined rows [Rows, Rows+N) as a result that owns them: each row
+/// is deep-copied, Vec payloads included, so it outlives the partials.
+QueryResult ownedResult(bool Scalar, const Value *Rows, std::size_t N) {
+  auto Arena = std::make_shared<std::deque<std::vector<double>>>();
+  std::vector<Value> Owned;
+  Owned.reserve(N);
+  for (std::size_t I = 0; I != N; ++I)
+    Owned.push_back(deepCopy(Rows[I], *Arena));
+  return QueryResult(Scalar, std::move(Owned), std::move(Arena));
+}
+
+/// True when every partial lists the same keys in the same order, as
+/// dense sinks do: their accumulators then merge position by position.
+bool keysAligned(const std::vector<QueryResult> &Partials) {
+  const std::vector<Value> &First = Partials.front().rows();
+  for (const QueryResult &Part : Partials) {
+    const std::vector<Value> &Rows = Part.rows();
+    if (Rows.size() != First.size())
       return false;
+    for (std::size_t I = 0; I != Rows.size(); ++I)
+      if (Rows[I].first().asInt64() != First[I].first().asInt64())
+        return false;
+  }
   return true;
-}
-
-/// Pairwise combine tree over in-order partials: round k combines
-/// adjacent pairs (2i, 2i+1), so for an associative combiner the result
-/// equals the left fold while the join does log2(N) rounds instead of N-1
-/// serial applications. Rounds with enough pairs fan out on the pool —
-/// each parallel application gets a fresh environment (applyLambda), so
-/// interpreted combiners are safe to run concurrently.
-Value treeCombine(ThreadPool &Pool, std::vector<Value> Vals,
-                  const expr::Lambda &Combiner) {
-  static obs::Counter &Rounds = obs::counter("dryad.combine.tree_rounds");
-  static obs::Counter &ParallelRounds =
-      obs::counter("dryad.combine.tree_rounds_parallel");
-  assert(!Vals.empty());
-  Combiner2 Fast = compileCombiner(Combiner);
-  // Below this many pairs a round runs serially: task submission costs
-  // more than the combines themselves for scalar merges.
-  constexpr std::size_t MinParallelPairs = 8;
-  while (Vals.size() > 1) {
-    Rounds.inc();
-    std::size_t Pairs = Vals.size() / 2;
-    bool Odd = (Vals.size() & 1) != 0;
-    std::vector<Value> Next(Pairs + (Odd ? 1 : 0));
-    if (Pairs >= MinParallelPairs) {
-      ParallelRounds.inc();
-      std::vector<std::size_t> Idx(Pairs);
-      for (std::size_t I = 0; I != Pairs; ++I)
-        Idx[I] = I;
-      std::vector<Value> Combined = homomorphicApply(
-          Pool, Idx, [&Vals, &Combiner](const std::size_t &I) {
-            // apply() builds a fresh Env per call (thread-safe), unlike
-            // the shared-Env closure compileCombiner returns.
-            return apply(Combiner, {Vals[2 * I], Vals[2 * I + 1]});
-          });
-      for (std::size_t I = 0; I != Pairs; ++I)
-        Next[I] = std::move(Combined[I]);
-    } else {
-      for (std::size_t I = 0; I != Pairs; ++I)
-        Next[I] = Fast(Vals[2 * I], Vals[2 * I + 1]);
-    }
-    if (Odd)
-      Next.back() = std::move(Vals.back());
-    Vals = std::move(Next);
-  }
-  return std::move(Vals.front());
-}
-
-/// Re-homes every Vec payload (including inside pairs) into \p Arena so
-/// combined rows outlive the per-partition results.
-Value rehome(const Value &V, std::deque<std::vector<double>> &Arena) {
-  switch (V.kind()) {
-  case expr::TypeKind::Vec: {
-    expr::VecView View = V.asVec();
-    Arena.emplace_back(View.Data, View.Data + View.Len);
-    return Value(expr::VecView{
-        Arena.back().data(),
-        static_cast<std::int64_t>(Arena.back().size())});
-  }
-  case expr::TypeKind::Pair:
-    return Value::makePair(rehome(V.first(), Arena),
-                           rehome(V.second(), Arena));
-  default:
-    return V;
-  }
 }
 
 } // namespace
@@ -279,167 +226,90 @@ DistributedQuery::run(ThreadPool &Pool,
   std::vector<QueryResult> Partials = homomorphicApply(
       Pool, PartitionBindings,
       [this](const Bindings &Part) { return Vertex.run(Part); });
-  return combinePartials(Pool, std::move(Partials));
+  return combineParallelPartials(Plan, Partials);
 }
 
 QueryResult
-DistributedQuery::combinePartials(ThreadPool &Pool,
-                                  std::vector<QueryResult> Partials) const {
-  return combineParallelPartials(Pool, Plan, Cert, std::move(Partials));
-}
-
-QueryResult
-dryad::combineParallelPartials(ThreadPool &Pool, const ParallelPlan &Plan,
-                               const analysis::SafetyCertificate &Cert,
-                               std::vector<QueryResult> Partials) {
+dryad::combineParallelPartials(const ParallelPlan &Plan,
+                               const std::vector<QueryResult> &Partials) {
   // Stage 2: Agg* — merge the partial results (in source order).
+  assert(!Partials.empty() && "no partials to combine");
   switch (Plan.Kind) {
   case CombineKind::Concat: {
-    // Rows may reference the per-partition arenas; re-home them into the
-    // combined result's arena.
     std::vector<Value> Rows;
-    auto Arena = std::make_shared<std::deque<std::vector<double>>>();
-    for (QueryResult &Part : Partials)
-      for (const Value &V : Part.rows())
-        Rows.push_back(rehome(V, *Arena));
-    return QueryResult(false, std::move(Rows), std::move(Arena));
+    for (const QueryResult &Part : Partials)
+      Rows.insert(Rows.end(), Part.rows().begin(), Part.rows().end());
+    return ownedResult(false, Rows.data(), Rows.size());
   }
 
   case CombineKind::Fold: {
-    // Combine the partials, then the final result selector. With an
-    // associativity-certified combiner the partials merge pairwise as a
-    // tree (log-depth join); without certification — defensive, the
-    // parallel gate should already have refused — serialize left-to-
-    // right exactly as before.
-    assert(!Partials.empty());
-    std::vector<Value> Vals;
-    Vals.reserve(Partials.size());
-    for (QueryResult &Part : Partials)
-      Vals.push_back(Part.scalarValue());
-    Value Acc;
-    if (certifiedAssociative(Cert)) {
-      Acc = treeCombine(Pool, std::move(Vals), Plan.Combiner);
-    } else {
-      Acc = std::move(Vals.front());
-      for (std::size_t P = 1; P != Vals.size(); ++P)
-        Acc = apply(Plan.Combiner, {Acc, Vals[P]});
-    }
+    // One left fold of the partials in source order, then the result
+    // selector.
+    Combiner2 Combine = compileCombiner(Plan.Combiner);
+    Value Acc = Partials.front().scalarValue();
+    for (std::size_t P = 1; P != Partials.size(); ++P)
+      Acc = Combine(Acc, Partials[P].scalarValue());
     if (Plan.FinalResult.valid())
       Acc = apply(Plan.FinalResult, {Acc});
-    auto Arena = std::make_shared<std::deque<std::vector<double>>>();
-    std::vector<Value> Rows = {rehome(Acc, *Arena)};
-    return QueryResult(true, std::move(Rows), std::move(Arena));
+    return ownedResult(true, &Acc, 1);
   }
 
   case CombineKind::MergeSorted: {
-    // K-way merge of per-partition sorted runs by the OrderBy key, in
-    // rt::orderKey's order (the order every backend sorts a run in).
-    // Stable across partitions: ties resolve to the earlier partition,
-    // matching the sequential stable sort over concatenated input.
-    struct Run {
-      const std::vector<Value> *Rows;
-      std::size_t Pos;
-      std::size_t PartIdx;
-    };
-    std::vector<Run> Runs;
-    std::size_t Total = 0;
-    for (std::size_t P = 0; P != Partials.size(); ++P) {
-      Runs.push_back(Run{&Partials[P].rows(), 0, P});
-      Total += Partials[P].rows().size();
-    }
+    // The runs in source order, sorted by the OrderBy key: the scalar
+    // interpreter's OrderBy over the concatenated input, one key
+    // evaluation per row. rt::sortByKey is stable, so ties keep source
+    // order and the result is the sequential one.
+    rt::Buf<Value> Rows;
+    for (const QueryResult &Part : Partials)
+      for (const Value &V : Part.rows())
+        Rows.push_back(V);
     expr::Env KeyEnv;
     const std::string &KeyParam = Plan.SortKey.param(0).Name;
-    auto keyOf = [&](const Value &V) {
+    rt::sortByKey(Rows, [&](const Value &V) {
       KeyEnv.bind(KeyParam, V);
       std::uint64_t Key =
           expr::orderKeyOf(expr::evalExpr(*Plan.SortKey.body(), KeyEnv));
       KeyEnv.pop();
       return Key;
-    };
-    std::vector<Value> Rows;
-    Rows.reserve(Total);
-    while (Rows.size() != Total) {
-      Run *Best = nullptr;
-      std::uint64_t BestKey = 0;
-      for (Run &R : Runs) {
-        if (R.Pos >= R.Rows->size())
-          continue;
-        std::uint64_t Key = keyOf((*R.Rows)[R.Pos]);
-        if (!Best || Key < BestKey) {
-          Best = &R;
-          BestKey = Key;
-        }
-      }
-      assert(Best && "merge ran dry early");
-      Rows.push_back((*Best->Rows)[Best->Pos++]);
-    }
-    auto Arena = std::make_shared<std::deque<std::vector<double>>>();
-    for (Value &V : Rows)
-      V = rehome(V, *Arena);
-    return QueryResult(false, std::move(Rows), std::move(Arena));
+    });
+    return ownedResult(false, Rows.data(),
+                       static_cast<std::size_t>(Rows.size()));
   }
 
   case CombineKind::MergeByKey: {
-    // Merge per-key partials in first-appearance order, then apply the
-    // result selector — the distributed GroupBy-Aggregate of §4.3/§6.
+    // Each key's partials left-folded in source order, keys in first-
+    // appearance order, then the result selector — the distributed
+    // GroupBy-Aggregate of §4.3/§6.
     Combiner2 Combine = compileCombiner(Plan.Combiner);
-    std::vector<std::pair<std::int64_t, Value>> Entries;
-    std::unordered_map<std::int64_t, std::size_t> Index;
-    bool UseIndex = false; // built lazily, only if key orders diverge
-    for (const QueryResult &Part : Partials) {
-      const std::vector<Value> &Rows = Part.rows();
-      if (Entries.empty() && !UseIndex) {
-        Entries.reserve(Rows.size());
-        for (const Value &Row : Rows)
-          Entries.emplace_back(Row.first().asInt64(), Row.second());
-        continue;
-      }
-      // Fast path: dense sinks give every partition the same ordered key
-      // sequence, so partials combine positionally.
-      if (!UseIndex && Rows.size() == Entries.size()) {
-        bool Aligned = true;
-        for (std::size_t I = 0; I != Rows.size(); ++I) {
-          if (Rows[I].first().asInt64() != Entries[I].first) {
-            Aligned = false;
-            break;
-          }
-        }
-        if (Aligned) {
-          for (std::size_t I = 0; I != Rows.size(); ++I)
-            Entries[I].second =
-                Combine(Entries[I].second, Rows[I].second());
-          continue;
-        }
-      }
-      if (!UseIndex) {
-        for (std::size_t I = 0; I != Entries.size(); ++I)
-          Index.emplace(Entries[I].first, I);
-        UseIndex = true;
-      }
-      for (const Value &Row : Rows) {
-        std::int64_t Key = Row.first().asInt64();
-        auto It = Index.find(Key);
-        if (It == Index.end()) {
-          Index.emplace(Key, Entries.size());
-          Entries.emplace_back(Key, Row.second());
-          continue;
-        }
-        Entries[It->second].second =
-            Combine(Entries[It->second].second, Row.second());
-      }
-    }
     std::vector<Value> Rows;
-    Rows.reserve(Entries.size());
-    for (const auto &[Key, Acc] : Entries) {
-      if (Plan.FinalResult.valid())
-        Rows.push_back(apply(Plan.FinalResult, {Value(Key), Acc}));
-      else
-        Rows.push_back(Value::makePair(Value(Key), Acc));
+    auto emit = [&](std::int64_t Key, const Value &Acc) {
+      Rows.push_back(Plan.FinalResult.valid()
+                         ? apply(Plan.FinalResult, {Value(Key), Acc})
+                         : Value::makePair(Value(Key), Acc));
+    };
+    if (keysAligned(Partials)) {
+      const std::vector<Value> &First = Partials.front().rows();
+      for (std::size_t I = 0; I != First.size(); ++I) {
+        Value Acc = First[I].second();
+        for (std::size_t P = 1; P != Partials.size(); ++P)
+          Acc = Combine(Acc, Partials[P].rows()[I].second());
+        emit(First[I].first().asInt64(), Acc);
+      }
+    } else {
+      // The interpreter's group table: slot() seeds a key's first
+      // partial, every later partial folds into it.
+      rt::GroupAggSink<Value> Groups;
+      for (const QueryResult &Part : Partials)
+        for (const Value &Row : Part.rows()) {
+          std::int64_t Keys = Groups.size();
+          Value &Acc = Groups.slot(Row.first().asInt64(), Row.second());
+          if (Groups.size() == Keys)
+            Acc = Combine(Acc, Row.second());
+        }
+      for (std::int64_t I = 0; I != Groups.size(); ++I)
+        emit(Groups.keyAt(I), Groups.accAt(I));
     }
-    auto Arena = std::make_shared<std::deque<std::vector<double>>>();
-    for (Value &V : Rows)
-      V = rehome(V, *Arena);
-    return QueryResult(false, std::move(Rows), std::move(Arena));
+    return ownedResult(false, Rows.data(), Rows.size());
   }
   }
   stenoUnreachable("bad CombineKind");
@@ -516,5 +386,5 @@ QueryResult DistributedQuery::runParallel(ThreadPool &Pool,
   if (Partials.empty()) // empty source: one vertex over the original
     Partials.push_back(Vertex.run(B)); // bindings (already an empty view)
 
-  return combinePartials(Pool, std::move(Partials));
+  return combineParallelPartials(Plan, Partials);
 }

@@ -61,18 +61,19 @@ Bindings bindingRange(const Bindings &B, unsigned Slot, std::size_t Begin,
                       std::size_t Len);
 
 /// The Agg* stage (Figure 12) as a standalone: merges in-source-order
-/// per-partition partials according to \p Plan — concatenation, a
-/// pairwise Fold combine tree (gated on \p Cert's associativity
-/// classification, with a serial left fold as the defensive fallback),
-/// a per-key merge for GroupByAggregate, or a stable k-way merge of
-/// sorted runs — and applies the final result selector. Shared by
-/// DistributedQuery (whose partials come from in-process vertices) and
-/// the shard router (steno::shard, whose partials arrive over the
-/// serve wire protocol from other processes).
-QueryResult combineParallelPartials(ThreadPool &Pool,
-                                    const ParallelPlan &Plan,
-                                    const analysis::SafetyCertificate &Cert,
-                                    std::vector<QueryResult> Partials);
+/// per-partition partials according to \p Plan and applies the final
+/// result selector. Concat concatenates; Fold left-folds the partials
+/// with the combiner; MergeByKey left-folds each key's partials (position
+/// by position when every partial lists the same keys, as dense sinks
+/// do, else through rt::GroupAggSink), keys in first-appearance order;
+/// MergeSorted sorts the concatenated runs with rt::sortByKey, the stable
+/// sort every backend's OrderBy uses. Each merge runs in source order,
+/// so the result is the sequential one. Shared by DistributedQuery
+/// (whose partials come from in-process vertices) and the shard router
+/// (steno::shard, whose partials arrive over the serve wire protocol
+/// from other processes).
+QueryResult combineParallelPartials(const ParallelPlan &Plan,
+                                    const std::vector<QueryResult> &Partials);
 
 /// A query compiled for partition-parallel execution. Reusable across
 /// invocations with different partition bindings (so the one-off JIT cost
@@ -135,13 +136,6 @@ public:
 
 private:
   DistributedQuery() = default;
-
-  /// The Agg* stage over in-order partials (shared by run() and
-  /// runParallel()). Fold-kind plans combine pairwise as a tree — keyed
-  /// off the analyzer's associativity certificate — instead of
-  /// serializing every partial through a single left fold at the join.
-  QueryResult combinePartials(ThreadPool &Pool,
-                              std::vector<QueryResult> Partials) const;
 
   ParallelPlan Plan;
   CompiledQuery Vertex;

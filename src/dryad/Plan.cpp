@@ -148,7 +148,7 @@ std::optional<ParallelPlan> dryad::planParallel(const Chain &C,
       I + 2 == C.Ops.size()) {
     // §6: "it transforms a OrderBy Sink operator into a distributed
     // sort". Each partition sorts its rows in parallel; the Agg* stage
-    // k-way-merges the sorted runs.
+    // sorts the concatenated runs once more, stably.
     Vertex.Ops.push_back(Next);
     Vertex.Ops.push_back(C.Ops[I + 1]);
     Vertex.Result = C.Result;

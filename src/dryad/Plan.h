@@ -29,9 +29,10 @@ enum class CombineKind {
   MergeByKey, ///< GroupByAggregate: merge per-key partials with the
               ///< combiner.
   MergeSorted ///< OrderBy: each partition sorts locally; the combine
-              ///< stage k-way-merges the sorted runs (the parallel-sort
-              ///< transformation §6 attributes to DryadLINQ, with a merge
-              ///< in place of its range-partitioning).
+              ///< stage sorts the concatenated runs with the stable
+              ///< rt::sortByKey (the parallel-sort transformation §6
+              ///< attributes to DryadLINQ, with one final sort in place
+              ///< of its range-partitioning).
 };
 
 /// A parallel execution plan for one query.

@@ -4,6 +4,7 @@
 #include "expr/Eval.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
+#include "steno/Result.h"
 #include "steno/RtSinks.h"
 #include "support/Error.h"
 
@@ -70,24 +71,6 @@ private:
       support::fatalError("source slot " + std::to_string(Slot) +
                           " is not bound");
     return (*Sources)[Slot];
-  }
-
-  /// Deep-copies Vec payloads into the arena so emitted rows outlive the
-  /// program's sinks and temporaries.
-  Value deepCopy(const Value &V) {
-    switch (V.kind()) {
-    case expr::TypeKind::Vec: {
-      VecView View = V.asVec();
-      Arena->emplace_back(View.Data, View.Data + View.Len);
-      const std::vector<double> &Stored = Arena->back();
-      return Value(VecView{Stored.data(),
-                           static_cast<std::int64_t>(Stored.size())});
-    }
-    case expr::TypeKind::Pair:
-      return Value::makePair(deepCopy(V.first()), deepCopy(V.second()));
-    default:
-      return V;
-    }
   }
 
   Flow execList(const StmtList &Stmts) {
@@ -172,7 +155,7 @@ private:
       return Flow::Normal;
     }
     case StmtKind::Emit:
-      Rows.push_back(deepCopy(eval(S.E)));
+      Rows.push_back(deepCopy(eval(S.E), *Arena));
       return Flow::Normal;
     case StmtKind::ProfileCount:
       if (Prof)

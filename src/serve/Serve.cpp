@@ -314,7 +314,6 @@ void QueryService::buildPartial(const PreparedHandle &P) {
   // GroupByAggregate specialized so dense sinks split into partials.
   dryad::SplitDecision Split = dryad::decideSplit(
       quil::specializeGroupByAggregate(quil::lower(P->Built.Q)));
-  PS->Cert = Split.Analysis.Cert;
   PS->WhyNot = std::move(Split.WhyNot);
   if (Split.Plan) {
     PS->Splittable = true;
@@ -410,6 +409,9 @@ Response QueryService::admit(const PreparedHandle &P,
                              std::chrono::milliseconds Deadline,
                              bool Partial, std::size_t Begin,
                              std::size_t Len) {
+  // The deadline runs from the call: a caller descheduled anywhere below
+  // must not push it later.
+  const auto Due = std::chrono::steady_clock::now() + Deadline;
   ServeMetrics &M = metrics();
   Response Rsp;
   Rsp.Id = NextRequestId.fetch_add(1, std::memory_order_relaxed);
@@ -458,7 +460,7 @@ Response QueryService::admit(const PreparedHandle &P,
 
   auto R = std::make_shared<RequestState>();
   R->P = P;
-  R->Deadline = std::chrono::steady_clock::now() + Deadline;
+  R->Deadline = Due;
   R->Id = Rsp.Id;
   R->Partial = Partial;
   R->Begin = Begin;

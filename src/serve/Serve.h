@@ -181,7 +181,6 @@ public:
     bool Splittable = false;
     std::string WhyNot;           ///< Why not, when !Splittable.
     dryad::ParallelPlan Plan;     ///< Valid when Splittable.
-    analysis::SafetyCertificate Cert;
     PlanSlot Vertex;              ///< Holds a plan when Splittable.
   };
 

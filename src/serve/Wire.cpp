@@ -36,6 +36,10 @@ bool FdStream::readLine(std::string &Line) {
           Line.pop_back();
         return true;
       }
+      if (Line.size() == MaxLine) {
+        TooLong = true;
+        return false;
+      }
       Line.push_back(C);
     }
     Buf.clear();
@@ -385,7 +389,13 @@ Response execRequest(const Frontend &F, bool Partial,
 } // namespace
 
 void serve::serveConnection(const Frontend &F, int Fd) {
-  FdStream S(Fd);
+  FdStream S(Fd, MaxRequestLine);
+  // A client past a bound gets one error frame; shutting the socket down
+  // both ways then ends its writes and shows it EOF after the frame.
+  auto refuse = [&S](const std::string &Why) {
+    S.writeAll(errorFrame(Why));
+    ::shutdown(S.fd(), SHUT_RDWR);
+  };
   std::size_t Handles = 0; // prepared so far: numbers 0..Handles-1
   std::string Line;
   while (S.readLine(Line)) {
@@ -404,13 +414,19 @@ void serve::serveConnection(const Frontend &F, int Fd) {
       // The spec's own `end` line frames the payload.
       std::string SpecText, SpecLine;
       bool SawEnd = false;
-      while (!SawEnd && S.readLine(SpecLine)) {
+      while (!SawEnd && SpecText.size() <= MaxSpecFrame &&
+             S.readLine(SpecLine)) {
         SpecText += SpecLine;
         SpecText += '\n';
         SawEnd = SpecLine == "end";
       }
+      if (SpecText.size() > MaxSpecFrame) {
+        refuse(support::strFormat("spec frame longer than %zu bytes",
+                                  MaxSpecFrame));
+        return;
+      }
       if (!SawEnd)
-        return; // EOF mid-spec: drop the connection
+        break; // EOF mid-spec drops the connection
       std::string Err;
       if (F.Prepare(SpecText, Err))
         Answer = support::strFormat("prepared %zu\n", Handles++);
@@ -441,6 +457,9 @@ void serve::serveConnection(const Frontend &F, int Fd) {
     if (!S.writeAll(Answer))
       return;
   }
+  if (S.tooLong())
+    refuse(support::strFormat("request line longer than %zu bytes",
+                              MaxRequestLine));
 }
 
 namespace {

@@ -37,7 +37,10 @@
 /// The spec payload is framed by the grammar's own `end` terminator, so
 /// no byte counting is needed. A rejected prepare, an unknown command or
 /// a malformed `profile` answers a single `error <message>` line
-/// (embedded newlines become "; ").
+/// (embedded newlines become "; "). A server reads at most
+/// MaxRequestLine bytes per line and MaxSpecFrame bytes of spec per
+/// prepare; past either it answers one `error <message>` line and closes
+/// the connection. Answers a client reads are not bounded.
 ///
 /// **One answer frame.** Both execution verbs,
 ///
@@ -91,11 +94,17 @@ namespace serve {
 /// own the descriptor.
 class FdStream {
 public:
-  explicit FdStream(int Fd) : Fd(Fd) {}
+  /// \p MaxLine bounds the bytes one line may hold before its '\n'.
+  explicit FdStream(int Fd, std::size_t MaxLine = SIZE_MAX)
+      : Fd(Fd), MaxLine(MaxLine) {}
 
   /// Reads up to the next '\n' (consumed, not returned; a trailing '\r'
-  /// is stripped). Returns false on EOF or error with nothing buffered.
+  /// is stripped). Returns false on EOF or error with nothing buffered,
+  /// and on a line longer than the bound (then tooLong() is true).
   bool readLine(std::string &Line);
+
+  /// True once readLine() met a line longer than the bound.
+  bool tooLong() const { return TooLong; }
 
   /// Writes all of \p Bytes. Returns false on error.
   bool writeAll(const std::string &Bytes);
@@ -104,6 +113,8 @@ public:
 
 private:
   int Fd;
+  std::size_t MaxLine;
+  bool TooLong = false;
   std::string Buf;
   std::size_t Pos = 0;
 };
@@ -156,8 +167,15 @@ struct Frontend {
 /// and profile.
 Frontend sessionFrontend(QueryService &Svc);
 
+/// What one client may send a server: bytes per request line, and bytes
+/// of spec text per prepare frame.
+constexpr std::size_t MaxRequestLine = std::size_t{64} << 10;
+constexpr std::size_t MaxSpecFrame = std::size_t{1} << 20;
+
 /// Serves one connection on \p Fd with \p F until EOF, `quit`, or a
-/// write failure. Blocking; run one thread per connection.
+/// write failure. A client that sends a longer line or spec frame than
+/// the bounds above gets one `error` frame, and the connection is shut
+/// down. Blocking; run one thread per connection.
 void serveConnection(const Frontend &F, int Fd);
 
 /// Listens on the Unix-domain socket \p SocketPath (replacing a stale

@@ -129,8 +129,7 @@ void ShardRouter::discard(unsigned Shard, std::unique_ptr<Conn> C) {
 
 ShardRouter::ShardRouter(const RouterOptions &O)
     : Options(O),
-      NumShards(static_cast<unsigned>(O.ShardSockets.size())),
-      CombinePool(O.CombineWorkers ? O.CombineWorkers : 1) {
+      NumShards(static_cast<unsigned>(O.ShardSockets.size())) {
   assert(NumShards > 0 && "router needs at least one shard");
   if (!Options.Connect) {
     // Default transport: the worker's Unix socket, with a short probe
@@ -190,7 +189,6 @@ RoutedHandle ShardRouter::prepare(const std::string &SpecText,
   if (!Split.Analysis.ok())
     return fail("rejected by analysis: " +
                 Split.Analysis.Diags.render(analysis::Severity::Error));
-  Q->Cert = Split.Analysis.Cert;
 
   // Home shard for the fallback path: consistent hash of the spec text
   // onto the virtual-point ring.
@@ -209,7 +207,7 @@ RoutedHandle ShardRouter::prepare(const std::string &SpecText,
     Q->WhyNot = Split.Plan ? "single-shard fleet" : Split.WhyNot;
     metrics().PrepareFallback.inc();
     NFallbackPrepared.fetch_add(1, std::memory_order_relaxed);
-    if (!Q->Cert.combinersAssociative()) {
+    if (!Split.Analysis.Cert.combinersAssociative()) {
       metrics().NonAssoc.inc();
       NNonAssocFallbacks.fetch_add(1, std::memory_order_relaxed);
     }
@@ -409,9 +407,7 @@ serve::Response ShardRouter::execute(const RoutedHandle &H,
     Rsp.NativePlan = Rsp.NativePlan && P.NativePlan;
     Rsp.Degraded = Rsp.Degraded || P.Degraded;
   }
-  Rsp.Result = dryad::combineParallelPartials(CombinePool, H->Plan,
-                                              H->Cert,
-                                              std::move(Partials));
+  Rsp.Result = dryad::combineParallelPartials(H->Plan, Partials);
   Rsp.St = Status::Ok;
   Rsp.RunMicros = RunTimer.seconds() * 1e6;
   NOk.fetch_add(1, std::memory_order_relaxed);

@@ -20,7 +20,8 @@
 ///    exactly as for a serve worker's vertex): every execute range-
 ///    partitions source slot 0 across all shards (dryad::partitionRange,
 ///    the split dryad::partitionBindings makes in process), issues one
-///    `pexec` per shard, and combines with dryad::combineParallelPartials.
+///    `pexec` per shard, and combines with dryad::combineParallelPartials
+///    on the thread that runs execute().
 ///  * **Fallback** — uncertified or structurally unsplittable plans route
 ///    whole (`exec`) to one *home* shard chosen by consistent-hashing the
 ///    spec text onto a ring of virtual shard points (so re-preparing a
@@ -46,9 +47,9 @@
 #define STENO_SHARD_SHARD_H
 
 #include "dryad/Dist.h"
-#include "dryad/ThreadPool.h"
 #include "serve/Wire.h"
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -88,8 +89,6 @@ struct RouterOptions {
   /// Refuse the split for FP-reassociating plans (decideSplit's
   /// StrictFp): bit-equal results at the cost of fan-out.
   bool StrictFp = false;
-  /// Workers for the router-side Agg* combine pool (treeCombine rounds).
-  unsigned CombineWorkers = 2;
 };
 
 /// One prepared spec's routing decision, immutable after prepare().
@@ -104,7 +103,6 @@ struct RoutedQuery {
   unsigned HomeShard = 0;
   std::string WhyNot; ///< Why the split was refused (when !Split).
   dryad::ParallelPlan Plan;           ///< Valid when Split.
-  analysis::SafetyCertificate Cert;
 };
 
 using RoutedHandle = std::shared_ptr<const RoutedQuery>;
@@ -186,7 +184,6 @@ private:
   std::vector<std::pair<std::uint64_t, unsigned>> Ring;
   std::vector<std::unique_ptr<ShardState>> Shards;
   std::vector<obs::Histogram *> ShardLatency; ///< shard<i>.latency_us.
-  dryad::ThreadPool CombinePool;
 
   std::mutex PrepMutex; ///< Guards Prepared.
   std::unordered_map<std::string, RoutedHandle> Prepared;

@@ -49,7 +49,7 @@ public:
       Rows = evalCollection(Q.node());
     }
     for (Value &V : Rows)
-      V = deepCopy(V);
+      V = deepCopy(V, *Arena);
     return QueryResult(Q.scalarResult(), std::move(Rows), Arena);
   }
 
@@ -72,22 +72,6 @@ private:
     const std::vector<double> &Stored = Arena->back();
     return VecView{Stored.data(),
                    static_cast<std::int64_t>(Stored.size())};
-  }
-
-  Value deepCopy(const Value &V) {
-    switch (V.kind()) {
-    case expr::TypeKind::Vec: {
-      VecView View = V.asVec();
-      Arena->emplace_back(View.Data, View.Data + View.Len);
-      const std::vector<double> &Stored = Arena->back();
-      return Value(VecView{Stored.data(),
-                           static_cast<std::int64_t>(Stored.size())});
-    }
-    case expr::TypeKind::Pair:
-      return Value::makePair(deepCopy(V.first()), deepCopy(V.second()));
-    default:
-      return V;
-    }
   }
 
   const expr::SourceBuffer &sourceAt(unsigned Slot) {

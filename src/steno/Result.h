@@ -47,6 +47,27 @@ private:
   std::shared_ptr<std::deque<std::vector<double>>> Arena;
 };
 
+/// Copies \p V with every Vec payload it holds, inside pairs too, copied
+/// into \p Arena: the copy outlives the buffers \p V points into. How an
+/// executor's result rows come to own their payloads.
+inline expr::Value deepCopy(const expr::Value &V,
+                            std::deque<std::vector<double>> &Arena) {
+  switch (V.kind()) {
+  case expr::TypeKind::Vec: {
+    expr::VecView View = V.asVec();
+    const std::vector<double> &Stored =
+        Arena.emplace_back(View.Data, View.Data + View.Len);
+    return expr::Value(expr::VecView{
+        Stored.data(), static_cast<std::int64_t>(Stored.size())});
+  }
+  case expr::TypeKind::Pair:
+    return expr::Value::makePair(deepCopy(V.first(), Arena),
+                                 deepCopy(V.second(), Arena));
+  default:
+    return V;
+  }
+}
+
 } // namespace steno
 
 #endif // STENO_STENO_RESULT_H

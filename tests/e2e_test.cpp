@@ -548,7 +548,7 @@ namespace {
 /// a ToArray, and checks the rows, bit for bit, on the reference and on
 /// both backends with Vectorize on and off. Then sorts the table repeated
 /// Copies times through DistributedQuery::runParallel over small morsels,
-/// so several sorted runs meet in the k-way merge, against the reference
+/// so several sorted runs meet in the Agg* sort, against the reference
 /// over the same input.
 template <typename T>
 void expectSortedRows(const char *Name, const Query &Q,

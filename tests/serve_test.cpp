@@ -28,6 +28,7 @@
 #include <fstream>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <sys/socket.h>
 #include <thread>
@@ -234,9 +235,13 @@ TEST(ServePrepare, StructurallyEqualSpecsShareOneCachedPlan) {
 
 TEST(ServeAdmission, QueuedRequestTimesOutPastDeadline) {
   Gate G;
+  std::atomic<int> Parked{0};
   ServeOptions O = interpOnly();
   O.Workers = 1; // one worker: the gate serializes the queue behind it
-  O.ExecHook = [&G] { G.wait(); };
+  O.ExecHook = [&G, &Parked] {
+    ++Parked;
+    G.wait();
+  };
   QueryService Svc(O);
   auto Sess = Svc.openSession();
   std::string Err;
@@ -247,9 +252,10 @@ TEST(ServeAdmission, QueuedRequestTimesOutPastDeadline) {
     Response R = Sess->execute(P, std::chrono::milliseconds(10000));
     EXPECT_EQ(R.St, Status::Ok);
   });
-  // Wait until the first request is admitted, then queue one with a
+  // Wait until the first request holds the one worker (an admitted
+  // request may not have reached the pool yet), then queue one with a
   // deadline that will expire while it waits behind the parked worker.
-  while (Svc.stats().QueueDepth < 1)
+  while (Parked.load() < 1)
     std::this_thread::yield();
   std::thread Doomed([&] {
     Response R = Sess->execute(P, std::chrono::milliseconds(30));
@@ -778,11 +784,27 @@ TEST(ServeLifecycle, NativeUpgradeOfAReplannedPlanStaysOutOfTheCache) {
     return R;
   };
 
-  // Ripen the feedback on interp v1, then replace it with interp v2.
+  // Ripen the feedback on interp v1 from its row counts alone, then
+  // replace it with interp v2. The runs' wall-clock predicate timings
+  // cover 256 rows each, so one preemption inside the tight predicate's
+  // timed region can price it past the loose one and keep the static
+  // order. Once the counts are folded, the re-plan's own refresh finds no
+  // new run to fold.
   for (std::uint64_t I = 0;
        I != adapt::FeedbackStore::global().minSamples() + 2; ++I)
     run();
-  const std::uint64_t V1Hash = P->currentPlan().planHash();
+  CompiledQuery V1 = P->currentPlan();
+  const std::uint64_t V1Hash = V1.planHash();
+  const std::uint64_t Anchor =
+      V1.rewrittenFromHash() ? V1.rewrittenFromHash() : V1Hash;
+  std::optional<obs::ProfileSnapshot> Counts =
+      obs::ProfileStore::global().snapshotResolved(Anchor);
+  ASSERT_TRUE(Counts);
+  for (obs::OpProfile &Op : Counts->Ops) {
+    Op.Timed = false;
+    Op.Nanos = 0;
+  }
+  adapt::FeedbackStore::global().observe(*Counts);
   ASSERT_TRUE(Svc.scheduleAdaptiveReplan(P));
   const std::uint64_t V2Hash = P->currentPlan().planHash();
   ASSERT_NE(V2Hash, V1Hash);
@@ -1009,6 +1031,42 @@ TEST(ServeWire, EofMidSpecDropsConnectionCleanly) {
   Server.join();   // must return, not spin or crash
   ::close(Fds[0]);
   EXPECT_EQ(Svc.stats().Prepares, 0u);
+}
+
+namespace {
+
+/// Sends \p Bytes to a served connection from a second thread (the
+/// server stops reading at the bound) and expects one error frame, then
+/// EOF, with nothing prepared.
+void expectRefused(const std::string &Bytes) {
+  int Fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, Fds), 0);
+  QueryService Svc(interpOnly());
+  std::thread Server([&] { serveConnection(sessionFrontend(Svc), Fds[0]); });
+  std::thread Writer([&] { FdStream(Fds[1]).writeAll(Bytes); });
+  std::string Line;
+  EXPECT_TRUE(FdStream(Fds[1]).readLine(Line));
+  EXPECT_EQ(Line.rfind("error ", 0), 0u) << Line;
+  char C;
+  EXPECT_EQ(::read(Fds[1], &C, 1), 0) << "no EOF after the error frame";
+  Server.join();
+  ::close(Fds[0]);
+  Writer.join();
+  ::close(Fds[1]);
+  EXPECT_EQ(Svc.stats().Prepares, 0u);
+}
+
+} // namespace
+
+TEST(ServeWire, OverlongRequestLineGetsAnErrorThenEof) {
+  expectRefused(std::string(2 << 20, 'x')); // 2 MiB, no newline
+}
+
+TEST(ServeWire, OverlongSpecFrameGetsAnErrorThenEof) {
+  std::string Frame = "prepare\nsteno-fuzz v1\n";
+  while (Frame.size() <= 2 * MaxSpecFrame)
+    Frame += "source 0 double 4 uniform 1\n"; // never an `end`
+  expectRefused(Frame);
 }
 
 //===--------------------------------------------------------------------===//

@@ -16,7 +16,6 @@
 
 #include "dryad/Dist.h"
 #include "dryad/Partition.h"
-#include "dryad/ThreadPool.h"
 #include "fuzz/Diff.h"
 #include "serve/Serve.h"
 #include "serve/Wire.h"
@@ -184,9 +183,7 @@ void expectDecomposes(const fuzz::QuerySpec &Spec, unsigned Parts) {
     Partials.push_back(std::move(R.Result));
   }
 
-  dryad::ThreadPool Pool(2);
-  QueryResult Combined = dryad::combineParallelPartials(
-      Pool, PS->Plan, PS->Cert, std::move(Partials));
+  QueryResult Combined = dryad::combineParallelPartials(PS->Plan, Partials);
   EXPECT_TRUE(resultsMatch(Combined, reference(P)));
 
   Response Whole = Svc.execute(P, kDeadline);
@@ -217,9 +214,7 @@ TEST(ShardDecomp, SumPartialsAddUp) {
     HandSum += R.Result.scalarValue().asNumericDouble();
     Partials.push_back(std::move(R.Result));
   }
-  dryad::ThreadPool Pool(2);
-  QueryResult Combined = dryad::combineParallelPartials(
-      Pool, PS->Plan, PS->Cert, std::move(Partials));
+  QueryResult Combined = dryad::combineParallelPartials(PS->Plan, Partials);
   ASSERT_TRUE(Combined.isScalar());
   double C = Combined.scalarValue().asNumericDouble();
   EXPECT_NEAR(C, HandSum, 1e-9 * (std::abs(HandSum) + 1));
@@ -306,9 +301,7 @@ TEST(ShardDecomp, VertexUpgradesToNativeInTheBackground) {
     EXPECT_FALSE(R.Degraded);
     Partials.push_back(std::move(R.Result));
   }
-  dryad::ThreadPool Pool(2);
-  QueryResult Combined = dryad::combineParallelPartials(
-      Pool, PS->Plan, PS->Cert, std::move(Partials));
+  QueryResult Combined = dryad::combineParallelPartials(PS->Plan, Partials);
   EXPECT_TRUE(resultsMatch(Combined, reference(P)));
   EXPECT_EQ(Svc.stats().RecompilesDone, 2u) << "whole query and vertex";
 }
@@ -393,7 +386,7 @@ TEST(ShardWire, PexecPartialsCombineToTheReference) {
   ASSERT_EQ(Err, "");
 
   // The same spec prepared in-process shares the cached handle, so its
-  // PartialState carries the Plan/Cert the router would use.
+  // PartialState carries the Plan the router would use.
   PreparedHandle P = Svc.prepare(specText(groupSpec()), &Err);
   ASSERT_TRUE(P) << Err;
   const PreparedQuery::PartialState *PS = Svc.preparePartial(P);
@@ -408,9 +401,7 @@ TEST(ShardWire, PexecPartialsCombineToTheReference) {
     EXPECT_EQ(R.Id, Rid++);
     Partials.push_back(std::move(R.Result));
   }
-  dryad::ThreadPool Pool(2);
-  QueryResult Combined = dryad::combineParallelPartials(
-      Pool, PS->Plan, PS->Cert, std::move(Partials));
+  QueryResult Combined = dryad::combineParallelPartials(PS->Plan, Partials);
   EXPECT_TRUE(resultsMatch(Combined, reference(P)));
 
   // Out-of-range and unsplittable sub-requests answer errors, echoing

@@ -52,6 +52,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -204,9 +205,14 @@ std::vector<fuzz::QuerySpec> paperMix() {
   return Mix;
 }
 
-struct MixEntry {
+/// One query of the mix: its spec text, the handle clients execute, and
+/// the reference result every Ok answer must match. Built keeps alive the
+/// buffers a locally computed reference may borrow (sharded mode; a
+/// prepared handle owns its own).
+template <typename Handle> struct MixEntry {
   std::string Text;
-  serve::PreparedHandle Handle;
+  Handle H;
+  std::shared_ptr<fuzz::BuiltQuery> Built;
   QueryResult Expected;
 };
 
@@ -237,16 +243,116 @@ double percentile(std::vector<double> &Sorted, double P) {
   return Sorted[static_cast<std::size_t>(Idx + 0.5)];
 }
 
-/// A mix entry for sharded mode: the expected result comes from a local
-/// buildSpec + reference run (the BuiltQuery stays alive because the
-/// result may borrow its buffers), and the handle is a router routing
-/// decision instead of a service prepared statement.
-struct ShardMixEntry {
-  std::string Text;
-  shard::RoutedHandle Handle;
-  std::shared_ptr<fuzz::BuiltQuery> Built;
-  QueryResult Expected;
+/// The mix's specs: paperMix() plus up to \p GenCount generated specs
+/// that \p Prepares accepts.
+std::vector<fuzz::QuerySpec>
+mixSpecs(std::uint64_t Seed, unsigned GenCount,
+         const std::function<bool(const std::string &)> &Prepares) {
+  std::vector<fuzz::QuerySpec> Specs = paperMix();
+  support::SplitMix64 Rng(Seed);
+  fuzz::GenOptions GOpts;
+  unsigned Added = 0, Attempts = 0;
+  while (Added < GenCount && Attempts < GenCount * 50 + 50) {
+    ++Attempts;
+    fuzz::QuerySpec S = fuzz::generateSpec(Rng, GOpts);
+    if (Prepares(fuzz::serializeSpec(S))) {
+      Specs.push_back(S);
+      ++Added;
+    }
+  }
+  return Specs;
+}
+
+/// The closed loop: \p Clients threads cycle \p Mix until \p End, each
+/// from its own offset, waiting for every answer before the next request
+/// and checking Ok answers in place. \p Execute(C, H) sends client C's
+/// request for handle H.
+template <typename Handle, typename ExecuteFn>
+std::vector<ClientOutcome> runClients(unsigned Clients, Clock::time_point End,
+                                      const std::vector<MixEntry<Handle>> &Mix,
+                                      const ExecuteFn &Execute) {
+  std::vector<ClientOutcome> Outcomes(Clients);
+  std::vector<std::thread> Threads;
+  Threads.reserve(Clients);
+  for (unsigned C = 0; C < Clients; ++C) {
+    Threads.emplace_back([&, C] {
+      ClientOutcome &Out = Outcomes[C];
+      std::size_t Cursor = C; // stagger the mix across clients
+      while (Clock::now() < End) {
+        const MixEntry<Handle> &E = Mix[Cursor++ % Mix.size()];
+        ++Out.Sent;
+        Clock::time_point T0 = Clock::now();
+        serve::Response R = Execute(C, E.H);
+        double Micros = std::chrono::duration<double, std::micro>(
+                            Clock::now() - T0)
+                            .count();
+        Out.LatencyMicros.push_back(Micros);
+        Out.Ids.push_back(R.Id);
+        switch (R.St) {
+        case serve::Status::Ok:
+          ++Out.Ok;
+          if (R.Degraded)
+            ++Out.Degraded;
+          if (R.NativePlan)
+            ++Out.Native;
+          if (!resultsMatch(R.Result, E.Expected)) {
+            ++Out.Mismatches;
+            if (Out.FirstMismatch.empty())
+              Out.FirstMismatch = E.Text;
+          }
+          break;
+        case serve::Status::Shed:
+          ++Out.Shed;
+          break;
+        case serve::Status::Timeout:
+          ++Out.Timeouts;
+          break;
+        case serve::Status::Error:
+          ++Out.Errors;
+          break;
+        }
+      }
+    });
+  }
+  for (std::thread &T : Threads)
+    T.join();
+  return Outcomes;
+}
+
+/// Every client's outcome summed, with the audit's derived figures.
+struct Merged {
+  ClientOutcome Total;
+  std::vector<double> Lat; ///< Every latency, sorted ascending.
+  std::uint64_t Lost = 0, DuplicateIds = 0;
 };
+
+Merged mergeOutcomes(const std::vector<ClientOutcome> &Outcomes) {
+  Merged M;
+  ClientOutcome &Total = M.Total;
+  std::unordered_set<std::uint64_t> SeenIds;
+  std::uint64_t Responses = 0;
+  for (const ClientOutcome &O : Outcomes) {
+    Total.Sent += O.Sent;
+    Total.Ok += O.Ok;
+    Total.Shed += O.Shed;
+    Total.Timeouts += O.Timeouts;
+    Total.Errors += O.Errors;
+    Total.Mismatches += O.Mismatches;
+    Total.Degraded += O.Degraded;
+    Total.Native += O.Native;
+    if (Total.FirstMismatch.empty())
+      Total.FirstMismatch = O.FirstMismatch;
+    M.Lat.insert(M.Lat.end(), O.LatencyMicros.begin(),
+                 O.LatencyMicros.end());
+    Responses += O.Ids.size();
+    for (std::uint64_t Id : O.Ids)
+      if (Id != 0 && !SeenIds.insert(Id).second)
+        ++M.DuplicateIds;
+  }
+  M.Lost = Total.Sent - Responses;
+  std::sort(M.Lat.begin(), M.Lat.end());
+  return M;
+}
 
 /// Sharded mode: spawn the worker fleet, front it with an in-process
 /// ShardRouter, drive the closed-loop mix through the router, optionally
@@ -295,28 +401,18 @@ int runSharded(unsigned Clients, unsigned Seconds, std::uint64_t Seed,
 
   // Assemble the mix: the paper queries plus prescreened generated
   // specs, each with a locally computed reference result.
-  std::vector<fuzz::QuerySpec> Specs = paperMix();
-  {
-    support::SplitMix64 Rng(Seed);
-    fuzz::GenOptions GOpts;
-    unsigned Added = 0, Attempts = 0;
-    while (Added < GenCount && Attempts < GenCount * 50 + 50) {
-      ++Attempts;
-      fuzz::QuerySpec S = fuzz::generateSpec(Rng, GOpts);
-      std::string Err;
-      if (Router.prepare(fuzz::serializeSpec(S), &Err)) {
-        Specs.push_back(S);
-        ++Added;
-      }
-    }
-  }
-  std::vector<ShardMixEntry> Mix;
+  std::vector<fuzz::QuerySpec> Specs =
+      mixSpecs(Seed, GenCount, [&Router](const std::string &Text) {
+        std::string Err;
+        return Router.prepare(Text, &Err) != nullptr;
+      });
+  std::vector<MixEntry<shard::RoutedHandle>> Mix;
   for (const fuzz::QuerySpec &S : Specs) {
-    ShardMixEntry E;
+    MixEntry<shard::RoutedHandle> E;
     E.Text = fuzz::serializeSpec(S);
     std::string Err;
-    E.Handle = Router.prepare(E.Text, &Err);
-    if (!E.Handle) {
+    E.H = Router.prepare(E.Text, &Err);
+    if (!E.H) {
       std::fprintf(stderr, "steno_loadgen: router prepare failed: %s\n%s\n",
                    Err.c_str(), E.Text.c_str());
       for (shard::WorkerProcess &W : Workers)
@@ -372,50 +468,10 @@ int runSharded(unsigned Clients, unsigned Seconds, std::uint64_t Seed,
   }
 
   // The closed loop, against the router.
-  std::vector<ClientOutcome> Outcomes(Clients);
-  std::vector<std::thread> Threads;
-  for (unsigned C = 0; C < Clients; ++C) {
-    Threads.emplace_back([&, C] {
-      ClientOutcome &Out = Outcomes[C];
-      std::size_t Cursor = C; // stagger the mix across clients
-      while (Clock::now() < End) {
-        const ShardMixEntry &E = Mix[Cursor++ % Mix.size()];
-        ++Out.Sent;
-        Clock::time_point T0 = Clock::now();
-        serve::Response R = Router.execute(E.Handle, Deadline);
-        double Micros = std::chrono::duration<double, std::micro>(
-                            Clock::now() - T0)
-                            .count();
-        Out.LatencyMicros.push_back(Micros);
-        Out.Ids.push_back(R.Id);
-        switch (R.St) {
-        case serve::Status::Ok:
-          ++Out.Ok;
-          if (R.Degraded)
-            ++Out.Degraded;
-          if (R.NativePlan)
-            ++Out.Native;
-          if (!resultsMatch(R.Result, E.Expected)) {
-            ++Out.Mismatches;
-            if (Out.FirstMismatch.empty())
-              Out.FirstMismatch = E.Text;
-          }
-          break;
-        case serve::Status::Shed:
-          ++Out.Shed;
-          break;
-        case serve::Status::Timeout:
-          ++Out.Timeouts;
-          break;
-        case serve::Status::Error:
-          ++Out.Errors;
-          break;
-        }
-      }
-    });
-  }
-  for (std::thread &T : Threads)
-    T.join();
+  std::vector<ClientOutcome> Outcomes = runClients(
+      Clients, End, Mix, [&](unsigned, const shard::RoutedHandle &H) {
+        return Router.execute(H, Deadline);
+      });
   if (Chaos.joinable())
     Chaos.join();
   for (shard::WorkerProcess &W : Workers) {
@@ -426,31 +482,10 @@ int runSharded(unsigned Clients, unsigned Seconds, std::uint64_t Seed,
   // Merge and audit. Sharded mode is stricter than in-process mode:
   // with the retry budget sized to out-wait every chaos kill, timeouts
   // and unbounded latency are protocol failures too.
-  ClientOutcome Total;
-  std::vector<double> Lat;
-  std::unordered_set<std::uint64_t> SeenIds;
-  std::uint64_t DuplicateIds = 0, Responses = 0;
-  for (const ClientOutcome &O : Outcomes) {
-    Total.Sent += O.Sent;
-    Total.Ok += O.Ok;
-    Total.Shed += O.Shed;
-    Total.Timeouts += O.Timeouts;
-    Total.Errors += O.Errors;
-    Total.Mismatches += O.Mismatches;
-    Total.Degraded += O.Degraded;
-    Total.Native += O.Native;
-    if (Total.FirstMismatch.empty())
-      Total.FirstMismatch = O.FirstMismatch;
-    Lat.insert(Lat.end(), O.LatencyMicros.begin(), O.LatencyMicros.end());
-    Responses += O.Ids.size();
-    for (std::uint64_t Id : O.Ids)
-      if (Id != 0 && !SeenIds.insert(Id).second)
-        ++DuplicateIds;
-  }
-  std::uint64_t Lost = Total.Sent - Responses;
-  std::sort(Lat.begin(), Lat.end());
-  double P50 = percentile(Lat, 0.50), P99 = percentile(Lat, 0.99);
-  double MaxLat = Lat.empty() ? 0 : Lat.back();
+  Merged M = mergeOutcomes(Outcomes);
+  const ClientOutcome &Total = M.Total;
+  double P50 = percentile(M.Lat, 0.50), P99 = percentile(M.Lat, 0.99);
+  double MaxLat = M.Lat.empty() ? 0 : M.Lat.back();
   double Rps = Seconds > 0 ? static_cast<double>(Total.Sent) / Seconds : 0;
   double LatBoundMicros =
       (static_cast<double>(Deadline.count()) +
@@ -472,8 +507,8 @@ int runSharded(unsigned Clients, unsigned Seconds, std::uint64_t Seed,
               static_cast<unsigned long long>(Total.Native));
   std::printf("  lost %llu, duplicate ids %llu, mismatches %llu; "
               "chaos kills %llu\n",
-              static_cast<unsigned long long>(Lost),
-              static_cast<unsigned long long>(DuplicateIds),
+              static_cast<unsigned long long>(M.Lost),
+              static_cast<unsigned long long>(M.DuplicateIds),
               static_cast<unsigned long long>(Total.Mismatches),
               static_cast<unsigned long long>(Kills.load()));
   std::printf("  router: %llu split / %llu fallback execs, %llu retries, "
@@ -493,7 +528,7 @@ int runSharded(unsigned Clients, unsigned Seconds, std::uint64_t Seed,
   if (ChaosFailed.load())
     std::fprintf(stderr, "steno_loadgen: chaos respawn failed\n");
 
-  bool Bad = Lost || DuplicateIds || Total.Mismatches || Total.Errors ||
+  bool Bad = M.Lost || M.DuplicateIds || Total.Mismatches || Total.Errors ||
              Total.Timeouts || LatUnbounded || ChaosFailed.load();
   return Bad ? 1 : 0;
 }
@@ -581,37 +616,27 @@ int main(int Argc, char **Argv) {
   std::shared_ptr<serve::Session> Setup = Svc.openSession();
 
   // Assemble the mix: the paper queries plus prescreened generated specs.
-  std::vector<fuzz::QuerySpec> Specs = paperMix();
-  {
-    support::SplitMix64 Rng(Seed);
-    fuzz::GenOptions GOpts;
-    unsigned Added = 0, Attempts = 0;
-    while (Added < GenCount && Attempts < GenCount * 50 + 50) {
-      ++Attempts;
-      fuzz::QuerySpec S = fuzz::generateSpec(Rng, GOpts);
-      std::string Err;
-      if (Setup->prepare(fuzz::serializeSpec(S), &Err)) {
-        Specs.push_back(S);
-        ++Added;
-      }
-    }
-  }
+  std::vector<fuzz::QuerySpec> Specs =
+      mixSpecs(Seed, GenCount, [&Setup](const std::string &Text) {
+        std::string Err;
+        return Setup->prepare(Text, &Err) != nullptr;
+      });
 
   // Prepare each spec once (handles are shared by every client — exactly
   // the long-lived prepared-statement usage the cache exists for) and
   // compute its expected result with the reference interpreter.
-  std::vector<MixEntry> Mix;
+  std::vector<MixEntry<serve::PreparedHandle>> Mix;
   for (const fuzz::QuerySpec &S : Specs) {
-    MixEntry E;
+    MixEntry<serve::PreparedHandle> E;
     E.Text = fuzz::serializeSpec(S);
     std::string Err;
-    E.Handle = Setup->prepare(E.Text, &Err);
-    if (!E.Handle) {
+    E.H = Setup->prepare(E.Text, &Err);
+    if (!E.H) {
       std::fprintf(stderr, "steno_loadgen: prepare failed: %s\n%s\n",
                    Err.c_str(), E.Text.c_str());
       return 2;
     }
-    E.Expected = runReference(E.Handle->query(), E.Handle->bindings());
+    E.Expected = runReference(E.H->query(), E.H->bindings());
     Mix.push_back(std::move(E));
   }
   std::fprintf(stderr, "steno_loadgen: %zu specs in the mix\n", Mix.size());
@@ -619,88 +644,30 @@ int main(int Argc, char **Argv) {
   // The closed loop: each client owns a session, cycles the mix, and
   // verifies in place.
   Clock::time_point End = Clock::now() + std::chrono::seconds(Seconds);
-  std::vector<ClientOutcome> Outcomes(Clients);
-  std::vector<std::thread> Threads;
-  for (unsigned C = 0; C < Clients; ++C) {
-    Threads.emplace_back([&, C] {
-      ClientOutcome &Out = Outcomes[C];
-      std::shared_ptr<serve::Session> Sess = Svc.openSession();
-      std::size_t Cursor = C; // stagger the mix across clients
-      while (Clock::now() < End) {
-        const MixEntry &E = Mix[Cursor++ % Mix.size()];
-        ++Out.Sent;
-        Clock::time_point T0 = Clock::now();
-        serve::Response R = Sess->execute(E.Handle, Deadline);
-        double Micros = std::chrono::duration<double, std::micro>(
-                            Clock::now() - T0)
-                            .count();
-        Out.LatencyMicros.push_back(Micros);
-        Out.Ids.push_back(R.Id);
-        switch (R.St) {
-        case serve::Status::Ok:
-          ++Out.Ok;
-          if (R.Degraded)
-            ++Out.Degraded;
-          if (R.NativePlan)
-            ++Out.Native;
-          if (!resultsMatch(R.Result, E.Expected)) {
-            ++Out.Mismatches;
-            if (Out.FirstMismatch.empty())
-              Out.FirstMismatch = E.Text;
-          }
-          break;
-        case serve::Status::Shed:
-          ++Out.Shed;
-          break;
-        case serve::Status::Timeout:
-          ++Out.Timeouts;
-          break;
-        case serve::Status::Error:
-          ++Out.Errors;
-          break;
-        }
-      }
-    });
-  }
-  for (std::thread &T : Threads)
-    T.join();
+  std::vector<std::shared_ptr<serve::Session>> Sessions;
+  Sessions.reserve(Clients);
+  for (unsigned C = 0; C < Clients; ++C)
+    Sessions.push_back(Svc.openSession());
+  std::vector<ClientOutcome> Outcomes = runClients(
+      Clients, End, Mix, [&](unsigned C, const serve::PreparedHandle &H) {
+        return Sessions[C]->execute(H, Deadline);
+      });
   Svc.drainRecompiles();
 
   // Merge and audit.
-  ClientOutcome Total;
-  std::vector<double> Lat;
-  std::unordered_set<std::uint64_t> SeenIds;
-  std::uint64_t DuplicateIds = 0, Responses = 0;
-  for (const ClientOutcome &O : Outcomes) {
-    Total.Sent += O.Sent;
-    Total.Ok += O.Ok;
-    Total.Shed += O.Shed;
-    Total.Timeouts += O.Timeouts;
-    Total.Errors += O.Errors;
-    Total.Mismatches += O.Mismatches;
-    Total.Degraded += O.Degraded;
-    Total.Native += O.Native;
-    if (Total.FirstMismatch.empty())
-      Total.FirstMismatch = O.FirstMismatch;
-    Lat.insert(Lat.end(), O.LatencyMicros.begin(), O.LatencyMicros.end());
-    Responses += O.Ids.size();
-    for (std::uint64_t Id : O.Ids)
-      if (Id != 0 && !SeenIds.insert(Id).second)
-        ++DuplicateIds;
-  }
-  std::uint64_t Lost = Total.Sent - Responses;
-  std::sort(Lat.begin(), Lat.end());
-  double P50 = percentile(Lat, 0.50), P90 = percentile(Lat, 0.90),
-         P99 = percentile(Lat, 0.99);
+  Merged M = mergeOutcomes(Outcomes);
+  const ClientOutcome &Total = M.Total;
+  double P50 = percentile(M.Lat, 0.50), P90 = percentile(M.Lat, 0.90),
+         P99 = percentile(M.Lat, 0.99);
   double Rps = Seconds > 0 ? static_cast<double>(Total.Sent) / Seconds : 0;
 
   // The amortization headline: a prepared execution vs the one-off
   // native compile the background upgrade paid (§7.1 break-even).
   double ColdCompileMillis = 0;
   unsigned NativeHandles = 0;
-  for (const MixEntry &E : Mix)
-    if (E.Handle->nativeReady()) {
-      ColdCompileMillis += E.Handle->nativeCompileMillis();
+  for (const MixEntry<serve::PreparedHandle> &E : Mix)
+    if (E.H->nativeReady()) {
+      ColdCompileMillis += E.H->nativeCompileMillis();
       ++NativeHandles;
     }
   if (NativeHandles)
@@ -722,8 +689,8 @@ int main(int Argc, char **Argv) {
               static_cast<unsigned long long>(Total.Degraded),
               static_cast<unsigned long long>(Total.Native));
   std::printf("  lost %llu, duplicate ids %llu, mismatches %llu\n",
-              static_cast<unsigned long long>(Lost),
-              static_cast<unsigned long long>(DuplicateIds),
+              static_cast<unsigned long long>(M.Lost),
+              static_cast<unsigned long long>(M.DuplicateIds),
               static_cast<unsigned long long>(Total.Mismatches));
   std::printf("  replans %llu, replan swaps %llu, replan no change %llu\n",
               static_cast<unsigned long long>(S.Replans),
@@ -766,8 +733,8 @@ int main(int Argc, char **Argv) {
         static_cast<unsigned long long>(Total.Errors),
         static_cast<unsigned long long>(Total.Degraded),
         static_cast<unsigned long long>(Total.Native),
-        static_cast<unsigned long long>(Lost),
-        static_cast<unsigned long long>(DuplicateIds),
+        static_cast<unsigned long long>(M.Lost),
+        static_cast<unsigned long long>(M.DuplicateIds),
         static_cast<unsigned long long>(Total.Mismatches), P50, P90, P99,
         P50, ColdCompileMillis, Speedup,
         static_cast<unsigned long long>(S.RecompilesDone),
@@ -781,6 +748,6 @@ int main(int Argc, char **Argv) {
     std::fprintf(stderr, "steno_loadgen: cannot write %s\n", Path.c_str());
   }
 
-  bool Bad = Lost || DuplicateIds || Total.Mismatches || Total.Errors;
+  bool Bad = M.Lost || M.DuplicateIds || Total.Mismatches || Total.Errors;
   return Bad ? 1 : 0;
 }
