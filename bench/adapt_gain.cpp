@@ -6,10 +6,10 @@
 // the rows, the second ~98% and the third ~1%. The static ranker sees
 // three identical costs and selectivity estimates, so the stable sort
 // keeps the written order and every row walks all three predicate ASTs.
-// After a profiled cold phase ripens the FeedbackStore, the warm
-// recompile ranks by observed (selectivity - 1) / cost and hoists the
-// 1%-pass filter to the front: ~99% of the rows then evaluate one
-// predicate instead of three.
+// After a profiled cold phase records quil::MinObservedRuns runs in the
+// ProfileStore, the warm recompile ranks by (observed selectivity - 1) /
+// static cost and hoists the 1%-pass filter to the front: ~99% of the
+// rows then evaluate one predicate instead of three.
 //
 // Gate: on the Interp backend — where each surviving predicate costs a
 // real per-element AST walk — the warm plan must deliver at least 1.3x
@@ -23,7 +23,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
-#include "adapt/Adapt.h"
 #include "analysis/Rewrite.h"
 #include "expr/Dsl.h"
 #include "obs/Profile.h"
@@ -90,8 +89,6 @@ int main() {
   B.bindInt64Array(0, Data.data(), N);
 
   obs::ProfileStore::global().clear();
-  adapt::FeedbackStore &FS = adapt::FeedbackStore::global();
-  FS.clear();
 
   JsonReport Json("adapt_gain");
   Query Q = skewedPredChain();
@@ -102,10 +99,10 @@ int main() {
       [&] { doNotOptimize(Cold.run(B).scalarValue().asInt64()); },
       /*Reps=*/5);
 
-  // Seed: profiled adaptive runs past the min-sample threshold (not
+  // Seed: profiled adaptive runs past the observed-run threshold (not
   // timed — this is the learning phase the warm compile consumes).
   CompiledQuery Seed = compileQuery(Q, opts(true, true, "adapt_seed"));
-  std::uint64_t SeedRuns = FS.minSamples() + 1;
+  std::uint64_t SeedRuns = quil::MinObservedRuns + 1;
   for (std::uint64_t I = 0; I != SeedRuns; ++I)
     doNotOptimize(Seed.run(B).scalarValue().asInt64());
 

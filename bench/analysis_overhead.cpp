@@ -9,11 +9,15 @@
 //    lower/validate/analyze/rewrite/codegen pipeline from the external
 //    JIT compiler, so the analyze and rewrite shares are visible).
 //
-// Gate: with the plan rewriter ON (the default), the rewrite phase must
+// Gates: with the plan rewriter ON (the default), the rewrite phase must
 // cost at most 10% of the analyze phase on these workloads — they have
 // no Pred operators and no int64 divisions, so rewriteChain's no-target
-// pre-scan must keep the phase near-free. The process exits 1 when the
-// budget is exceeded.
+// pre-scan must keep the phase near-free — and Adaptive=true with
+// nothing profiled (the idle adaptive hook) must add at most 1% to the
+// compile. Each phase cost is the median, over many interleaved rounds,
+// of one round's paired difference between two variants, so a noisy
+// round moves the median little. The process exits 1 when a budget is
+// exceeded.
 //
 // Results land in BENCH_analysis_overhead.json.
 //
@@ -23,6 +27,8 @@
 #include "expr/Dsl.h"
 #include "steno/Steno.h"
 
+#include <algorithm>
+#include <array>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -46,25 +52,15 @@ CompileOptions opts(analysis::Mode Mode, Backend Exec, const char *Name,
   return O;
 }
 
-/// One timed sample of K compiles with the Interp backend (no JIT); K
-/// amortizes clock resolution. Callers interleave samples of the
-/// variants they compare so clock drift between timing blocks cancels
-/// out of the deltas instead of masquerading as phase cost.
-double compileSample(const Query &Q, analysis::Mode Mode, const char *Name,
-                     bool Rewrite, bool Adaptive) {
-  const int K = 20;
-  return bestSeconds(
-             [&] {
-               for (int I = 0; I < K; ++I) {
-                 CompiledQuery CQ = compileQuery(
-                     Q,
-                     opts(Mode, Backend::Interp, Name, Rewrite, Adaptive));
-                 doNotOptimize(
-                     static_cast<std::int64_t>(CQ.generatedSource().size()));
-               }
-             },
-             /*Reps=*/1) /
-         K;
+/// Compiles of each variant per round.
+constexpr int K = 20;
+/// Rounds per workload.
+constexpr int Rounds = 400;
+
+double median(std::vector<double> Xs) {
+  std::sort(Xs.begin(), Xs.end());
+  std::size_t N = Xs.size();
+  return N % 2 ? Xs[N / 2] : 0.5 * (Xs[N / 2 - 1] + Xs[N / 2]);
 }
 
 /// Best-of seconds for one run of the Native-compiled query.
@@ -81,59 +77,81 @@ bool measure(JsonReport &Json, const char *Name, const Query &Q,
   double RunStrict = runSeconds(Q, analysis::Mode::Strict, Name, B);
   double RunOff = runSeconds(Q, analysis::Mode::Off, Name, B);
   // The compile-time variants whose deltas are gated below:
-  //  - CompStrict: strict analysis, rewriter on (the default config),
-  //  - CompOff:    analysis off       -> CompStrict - CompOff = analyze,
-  //  - CompNoRw:   rewriter off       -> CompStrict - CompNoRw = rewrite,
-  //  - CompAdapt:  Adaptive=true with empty stores -> the idle hook.
-  // The four are sampled ROUND-ROBIN inside one loop: the gated deltas
-  // are hundreds of nanoseconds on ~20us compiles, and sequential
-  // best-of blocks drift by more than that between blocks.
-  // Boustrophedon rotation: the order reverses every rep, so a variant
-  // never holds one position in the rotation and first-order slowdown
-  // over the run biases no delta.
-  double Best[4] = {1e9, 1e9, 1e9, 1e9};
-  auto sampleVariant = [&](int V) {
-    double S = V == 0   ? compileSample(Q, analysis::Mode::Strict, Name,
-                                        /*Rewrite=*/true, /*Adaptive=*/false)
-               : V == 1 ? compileSample(Q, analysis::Mode::Off, Name,
-                                        /*Rewrite=*/true, /*Adaptive=*/false)
-               : V == 2 ? compileSample(Q, analysis::Mode::Strict, Name,
-                                        /*Rewrite=*/false, /*Adaptive=*/false)
-                        : compileSample(Q, analysis::Mode::Strict, Name,
-                                        /*Rewrite=*/true, /*Adaptive=*/true);
-    Best[V] = std::min(Best[V], S);
+  //  - Strict:   strict analysis, rewriter on (the default config),
+  //  - Off:      analysis off       -> Strict - Off = analyze,
+  //  - NoRw:     rewriter off       -> Strict - NoRw = rewrite,
+  //  - Adaptive: Adaptive=true with an empty ProfileStore -> Adaptive -
+  //              Strict = the idle hook.
+  // The truths compared here are hundreds of nanoseconds on ~20us
+  // compiles, and the host drifts by more than that within a
+  // millisecond. So the variants interleave compile by compile, each
+  // step in the next of the 24 orders of the four (every variant takes
+  // every position and follows every other equally often), and a
+  // round's delta compares the K compiles of each variant made side by
+  // side. Each delta is the median over rounds: a preempted compile
+  // spoils one round instead of the estimate.
+  const CompileOptions Variants[4] = {
+      opts(analysis::Mode::Strict, Backend::Interp, Name),
+      opts(analysis::Mode::Off, Backend::Interp, Name),
+      opts(analysis::Mode::Strict, Backend::Interp, Name,
+           /*Rewrite=*/false),
+      opts(analysis::Mode::Strict, Backend::Interp, Name, /*Rewrite=*/true,
+           /*Adaptive=*/true)};
+  std::vector<std::array<int, 4>> Orders;
+  std::array<int, 4> Order = {0, 1, 2, 3};
+  do
+    Orders.push_back(Order);
+  while (std::next_permutation(Order.begin(), Order.end()));
+  auto compileOnce = [&](int V) {
+    support::WallTimer T;
+    CompiledQuery CQ = compileQuery(Q, Variants[V]);
+    double S = T.seconds();
+    doNotOptimize(static_cast<std::int64_t>(CQ.generatedSource().size()));
+    return S;
   };
-  for (int Rep = 0; Rep != 16; ++Rep)
-    for (int I = 0; I != 4; ++I)
-      sampleVariant(Rep % 2 ? 3 - I : I);
-  double CompStrict = Best[0], CompOff = Best[1], CompNoRw = Best[2],
-         CompAdapt = Best[3];
-  double AnalyzeCost = CompStrict - CompOff;
-  double RewriteCost = CompStrict - CompNoRw;
-  double AdaptCost = CompAdapt - CompStrict;
+  for (int V = 0; V != 4; ++V)
+    compileOnce(V); // warm-up
+  std::vector<double> Strict, Analyze, Rewrite, Adapt;
+  std::size_t Step = 0;
+  for (int Round = 0; Round != Rounds; ++Round) {
+    double S[4] = {0, 0, 0, 0};
+    for (int I = 0; I != K; ++I, ++Step)
+      for (int V : Orders[Step % Orders.size()])
+        S[V] += compileOnce(V) / K;
+    Strict.push_back(S[0]);
+    Analyze.push_back(S[0] - S[1]);
+    Rewrite.push_back(S[0] - S[2]);
+    Adapt.push_back(S[3] - S[0]);
+  }
+  double CompStrict = median(Strict);
+  double AnalyzeCost = median(Analyze);
+  double RewriteCost = median(Rewrite);
+  double AdaptCost = median(Adapt);
+  double CompOff = CompStrict - AnalyzeCost;
+  double CompNoRw = CompStrict - RewriteCost;
+  double CompAdapt = CompStrict + AdaptCost;
 
   std::printf("%-14s run %8.3f / %8.3f ns/op (strict/off, %+5.2f%%)   "
               "compile %8.1f / %8.1f us (analyze share %.1f%%, rewrite "
-              "%.1f%% of analyze)\n",
+              "%.1f%% of analyze, idle adaptive hook %+.2f%%)\n",
               Name, RunStrict * 1e9 / static_cast<double>(Items),
               RunOff * 1e9 / static_cast<double>(Items),
               100.0 * (RunStrict / RunOff - 1.0), CompStrict * 1e6,
               CompOff * 1e6, 100.0 * (1.0 - CompOff / CompStrict),
-              AnalyzeCost > 0 ? 100.0 * RewriteCost / AnalyzeCost : 0.0);
+              AnalyzeCost > 0 ? 100.0 * RewriteCost / AnalyzeCost : 0.0,
+              100.0 * AdaptCost / CompStrict);
 
   std::string P = Name;
   Json.add(P + "_run_strict", RunStrict, Items);
   Json.add(P + "_run_off", RunOff, Items);
-  Json.add(P + "_compile_strict", CompStrict, 1, 5);
-  Json.add(P + "_compile_off", CompOff, 1, 5);
-  Json.add(P + "_compile_strict_norewrite", CompNoRw, 1, 5);
-  Json.add(P + "_compile_adaptive_idle", CompAdapt, 1, 5);
+  Json.add(P + "_compile_strict", CompStrict, 1, Rounds);
+  Json.add(P + "_compile_off", CompOff, 1, Rounds);
+  Json.add(P + "_compile_strict_norewrite", CompNoRw, 1, Rounds);
+  Json.add(P + "_compile_adaptive_idle", CompAdapt, 1, Rounds);
 
   // Gate only when the analyze phase is measurable at all, and spot each
-  // delta a clock-jitter floor: the truths compared here are hundreds of
-  // nanoseconds, and even interleaved best-of samples of these ~20us
-  // compiles disagree by about a microsecond run to run.
-  const double NoiseFloor = 2e-6;
+  // delta a noise floor of 2us over a round's K compiles of a variant.
+  const double NoiseFloor = 2e-6 / K;
   if (AnalyzeCost > 1e-6 &&
       RewriteCost > 0.10 * AnalyzeCost + NoiseFloor) {
     std::fprintf(stderr,

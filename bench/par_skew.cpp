@@ -19,9 +19,14 @@
 //   static    partitionSpan into W chunks + homomorphicApply (barrier)
 //   steal     plinq::asParallel morsel dispatch (work stealing)
 //
-// BENCH_par_skew.json rows are named <variant>_<input>_w<W>; CI's
-// bench-smoke job feeds the file to bench/check_par_skew.py, which
-// enforces the skew-speedup floor on multi-core runners.
+// BENCH_par_skew.json rows are named <variant>_<input>_w<W>.
+//
+// Gate, at 8 workers: the process exits 1 when stealing beats static
+// partitioning on the skewed input by less than 1.5x, costs more than 5%
+// over static on the uniform input, or scales the skewed input by less
+// than 2.0x from 1 to 8 workers. The bounds need ~4+ hardware threads
+// to manifest: on fewer, the 8 static chunks timeshare (the OS scheduler
+// implicitly rebalances them), so the gate is skipped there.
 //
 //===----------------------------------------------------------------------===//
 
@@ -31,7 +36,9 @@
 #include "plinq/Plinq.h"
 
 #include <cstdio>
+#include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace steno;
@@ -114,6 +121,7 @@ int main() {
          std::to_string(N) + " elements (heavy:light cost " +
          std::to_string(HeavyIters / LightIters) + ":1, 1/8 heavy)");
 
+  std::map<std::string, double> Seconds; // by BENCH row name
   std::printf("\n%-8s %-9s %12s %12s %10s\n", "input", "workers",
               "static (ms)", "steal (ms)", "steal/static");
   for (const char *InputName : {"uniform", "skew"}) {
@@ -125,21 +133,52 @@ int main() {
           bestSeconds([&] { doNotOptimize(staticSum(Pool, Xs, W)); });
       double StealS =
           bestSeconds([&] { doNotOptimize(stealSum(Pool, Xs)); });
-      Report.add("static_" + std::string(InputName) + "_w" +
-                     std::to_string(W),
-                 StaticS, N);
-      Report.add("steal_" + std::string(InputName) + "_w" +
-                     std::to_string(W),
-                 StealS, N);
+      std::string Suffix = std::string(InputName) + "_w" + std::to_string(W);
+      Report.add("static_" + Suffix, StaticS, N);
+      Report.add("steal_" + Suffix, StealS, N);
+      Seconds["static_" + Suffix] = StaticS;
+      Seconds["steal_" + Suffix] = StealS;
       std::printf("%-8s %-9u %12.1f %12.1f %9.2fx\n", InputName, W,
                   StaticS * 1e3, StealS * 1e3, StaticS / StealS);
     }
   }
   std::printf("\n(static speedup on the skewed input caps near "
               "W/(1 + (W-1)/8's share of the heavy chunk); stealing "
-              "should stay near-linear. On a single hardware thread "
-              "both collapse to sequential time and the ratio is "
-              "meaningless — check_par_skew.py skips enforcement "
-              "there.)\n");
-  return 0;
+              "should stay near-linear.)\n");
+
+  unsigned Cpus = std::thread::hardware_concurrency();
+  if (Cpus < 4) {
+    std::printf("par_skew: gate skipped: %u hardware thread(s); the "
+                "8-worker bounds need ~4+ (fewer timeshare the static "
+                "chunks, implicitly rebalancing them)\n",
+                Cpus);
+    return 0;
+  }
+  double SkewSpeedup = Seconds["static_skew_w8"] / Seconds["steal_skew_w8"];
+  double UniformOverhead =
+      Seconds["steal_uniform_w8"] / Seconds["static_uniform_w8"] - 1.0;
+  // Same input and work at both worker counts, so the seconds ratio is
+  // the rows/s ratio.
+  double SkewScaling = Seconds["steal_skew_w1"] / Seconds["steal_skew_w8"];
+  std::printf("par_skew: skew speedup (steal vs static, 8 workers) %.2fx "
+              "(floor 1.5x); uniform overhead %+.1f%% (ceiling +5%%); "
+              "skew scaling (steal, 1 -> 8 workers) %.2fx (floor 2.0x)\n",
+              SkewSpeedup, UniformOverhead * 100.0, SkewScaling);
+  bool Ok = true;
+  if (SkewSpeedup < 1.5) {
+    std::fprintf(stderr, "par_skew: FAIL: work stealing no longer beats "
+                         "static partitioning under skew by 1.5x\n");
+    Ok = false;
+  }
+  if (UniformOverhead > 0.05) {
+    std::fprintf(stderr, "par_skew: FAIL: morsel dispatch costs more than "
+                         "5%% over static partitioning on uniform input\n");
+    Ok = false;
+  }
+  if (SkewScaling < 2.0) {
+    std::fprintf(stderr, "par_skew: FAIL: work stealing scales the skewed "
+                         "input less than 2.0x from 1 to 8 workers\n");
+    Ok = false;
+  }
+  return Ok ? 0 : 1;
 }

@@ -61,11 +61,6 @@ std::optional<Interval> Interval::meet(const Interval &A, const Interval &B) {
   return R;
 }
 
-Interval Interval::widen(const Interval &Prev, const Interval &Next) {
-  return Interval{Next.Lo < Prev.Lo ? INT64_MIN : Prev.Lo,
-                  Next.Hi > Prev.Hi ? INT64_MAX : Prev.Hi};
-}
-
 Interval Interval::add(const Interval &A, const Interval &B) {
   Interval R;
   if (addOv(A.Lo, B.Lo, R.Lo) || addOv(A.Hi, B.Hi, R.Hi))

@@ -12,10 +12,8 @@
 /// nonzero-ness, constant doubles, three-valued booleans, and per-operator
 /// cardinality bounds — through both the operator chain and the expression
 /// trees inside each operator. Chains are straight-line (no loops in the
-/// operator string), so the transfer functions run in one forward pass; a
-/// widening operator is still provided for the interval domain because the
-/// unit tests pin its int64-boundary behavior and future fixpoint clients
-/// (nested-fold accumulators) will need it.
+/// operator string), so the transfer functions run in one forward pass
+/// and the interval domain needs no widening.
 ///
 /// The facts feed three consumers:
 ///   * analysis::runConstRange — the ST3xxx lints, now derived from
@@ -90,9 +88,6 @@ struct Interval {
   static Interval join(const Interval &A, const Interval &B);
   /// Intersection; nullopt when empty (infeasible).
   static std::optional<Interval> meet(const Interval &A, const Interval &B);
-  /// Standard interval widening: a bound that moved since \p Prev is
-  /// dropped to the corresponding int64 extreme.
-  static Interval widen(const Interval &Prev, const Interval &Next);
 
   // Transfer functions. Every one saturates to full() when the exact
   // result could overflow int64 (wrapping would make the bounds lies).

@@ -107,18 +107,6 @@ struct SafetyCertificate {
     return Pure && !OrderSensitive && combinersAssociative();
   }
 
-  /// The cross-process split gate the shard router consults (§6 over
-  /// processes instead of threads). Identical to parallelSafe(), except
-  /// that a router running in strict-FP mode additionally refuses
-  /// splits that would reassociate floating-point accumulation: within
-  /// one process a fixed worker count keeps FP partials deterministic,
-  /// but across a resizable shard fleet the partial count is an
-  /// operational choice, so strict deployments can demand bit-equal
-  /// results instead of §6's accept-the-reassociation default.
-  bool shardSafe(bool StrictFp = false) const {
-    return parallelSafe() && (!StrictFp || !FpReassociation);
-  }
-
   /// Human-readable one-liner, e.g.
   /// "pure, order-insensitive, combiners ok -> parallel-safe".
   std::string str() const;

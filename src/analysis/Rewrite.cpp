@@ -71,13 +71,6 @@ std::optional<std::int64_t> constCount(const ExprRef &Seed) {
   return std::nullopt;
 }
 
-bool isTakeZero(const Op &O) {
-  if (O.S != Sym::Pred || O.P != PredOp::Take)
-    return false;
-  auto N = constCount(O.Seed);
-  return N && *N == 0;
-}
-
 /// The canonical empty marker: Take 0 over the element type.
 Op makeTakeZero(const expr::TypeRef &ElemTy) {
   Op N;
@@ -220,16 +213,10 @@ struct Rewriter {
       if (!applyOne(C, Facts, {}))
         break;
     }
-    if (Opts.ReorderPreds) {
-      ChainFacts Facts = analyzeChainFacts(C);
-      reorderPreds(C, Facts, {});
-    }
-    if (Opts.ElideTraps) {
-      // Reordering narrows downstream element facts, so elision runs on
-      // fresh facts last.
-      ChainFacts Facts = analyzeChainFacts(C);
-      elideTraps(C, Facts, Env(), {});
-    }
+    reorderPreds(C, analyzeChainFacts(C), {});
+    // Reordering narrows downstream element facts, so elision runs on
+    // fresh facts last.
+    elideTraps(C, analyzeChainFacts(C), Env(), {});
   }
 
 private:
@@ -459,11 +446,10 @@ private:
       double Cost;
       double rank() const { return (Sel - 1.0) / Cost; }
     };
-    // Feedback mode: when the adapt layer supplied decayed observed
-    // stats for EVERY predicate in the run, rank by observed
-    // cost×selectivity (cost in nanos-per-row). Any other run ranks
-    // statically — observed nanos and static node counts are not
-    // commensurable units.
+    // Feedback mode: when observed selectivities cover EVERY predicate
+    // in the run, rank with them. Any other run ranks with static
+    // estimates alone — an observed fraction and a static guess do not
+    // rank against each other. Cost is always the static model's.
     bool Observed = !Opts.Observed.empty();
     for (unsigned I = Begin; I != End && Observed; ++I)
       Observed = Opts.Observed.count(expr::hashLambda(C.Ops[I].Fn)) != 0;
@@ -473,15 +459,9 @@ private:
       const Op &O = C.Ops[I];
       Ranked R;
       R.Idx = I;
-      if (Observed) {
-        const ObservedPredStats &S =
-            Opts.Observed.at(expr::hashLambda(O.Fn));
-        R.Sel = S.Sel;
-        R.Cost = std::max(S.CostNanos, 1e-3);
-      } else {
-        R.Cost = static_cast<double>(staticCost(O.Fn.body()));
-        R.Sel = staticSelectivity(O.Fn.body());
-      }
+      R.Cost = static_cast<double>(staticCost(O.Fn.body()));
+      R.Sel = Observed ? Opts.Observed.at(expr::hashLambda(O.Fn)).Sel
+                       : staticSelectivity(O.Fn.body());
       Run.push_back(R);
     }
     // Most negative rank first: cheap, highly selective filters lead.
@@ -502,12 +482,9 @@ private:
                            : "rank = (selectivity - 1) / cost:";
     for (const Ranked &R : Run) {
       NewOps.push_back(C.Ops[R.Idx]);
-      if (Observed)
-        Fact += support::strFormat(" #%u(sel=%.4f*,cost=%.4gns)", R.Idx,
-                                   R.Sel, R.Cost);
-      else
-        Fact += support::strFormat(" #%u(sel=%.4f,cost=%lld)", R.Idx, R.Sel,
-                                   static_cast<long long>(R.Cost));
+      Fact += support::strFormat(" #%u(sel=%.4f%s,cost=%lld)", R.Idx, R.Sel,
+                                 Observed ? "*" : "",
+                                 static_cast<long long>(R.Cost));
     }
     if (Observed)
       Fact += " (* = observed)";

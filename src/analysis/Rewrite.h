@@ -30,11 +30,12 @@
 ///   MergeTakeTake / MergeSkipSkip — adjacent constant counts combined.
 ///   DropSkipZero / DropRedundantTake — provable no-ops removed.
 ///   ReorderPreds      — maximal runs of adjacent trap-free Where ops
-///                       stably sorted by (selectivity - 1) / cost. The
-///                       only observed source is RewriteOptions::Observed
-///                       (the adapt::FeedbackStore's ripe statistics): a
-///                       run is ranked by observation when every Where in
-///                       it has an entry, else statically.
+///                       stably sorted by (selectivity - 1) / cost, cost
+///                       always from the static model. The only observed
+///                       input is RewriteOptions::Observed (selectivities
+///                       the ProfileStore recorded for the plan's
+///                       anchor): a run takes observed selectivities when
+///                       every Where in it has an entry, else static ones.
 ///   ElideDivTrap      — int64 Div/Mod whose divisor interval excludes 0
 ///                       (and cannot hit INT64_MIN / -1) marked divSafe()
 ///                       so codegen emits plain `/` `%` instead of
@@ -85,20 +86,22 @@ struct RewriteCertificate {
   std::string str() const;
 };
 
-/// One predicate's observed statistics, keyed by expr::hashLambda, as
-/// produced by adapt::FeedbackStore::observedStats(). When every Where in
-/// an adjacent run has an entry, ReorderPreds ranks the run by observed
-/// cost×selectivity; otherwise the whole run ranks statically.
+/// One predicate's observed selectivity, keyed by expr::hashLambda (the
+/// OpId the profiler records): rows out / rows in over every profiled
+/// run of the plan's anchor. When every Where in an adjacent run has an
+/// entry, ReorderPreds ranks the run with these selectivities and the
+/// static cost; otherwise the whole run ranks statically.
 struct ObservedPredStats {
-  double Sel = 0.5;       ///< Decayed mean observed selectivity.
-  double CostNanos = 1.0; ///< Decayed mean per-input-row cost (ns).
+  double Sel = 0.5;
 };
 
+/// Profiled runs an anchor needs before its selectivities reach a plan:
+/// one noisy run never reorders one.
+constexpr std::uint64_t MinObservedRuns = 3;
+
 struct RewriteOptions {
-  bool ReorderPreds = true;
-  bool ElideTraps = true;
-  /// Feedback-driven predicate statistics (adapt layer). Carried inside
-  /// the options — rather than read back from mutable store state — so
+  /// Observed predicate selectivities. Carried inside the options —
+  /// rather than read back from the mutable ProfileStore — so
   /// verifyCertificates()'s replay of a feedback-driven reorder is
   /// deterministic.
   std::map<std::uint64_t, ObservedPredStats> Observed;

@@ -148,8 +148,7 @@ private:
   /// constant folding, then §9 CSE with the hoisted locals emitted at
   /// the current μ.
   ExprRef cse(ExprRef E) {
-    if (Options.EnableConstFold)
-      E = expr::foldConstants(E);
+    E = expr::foldConstants(E);
     if (!Options.EnableCse)
       return E;
     obs::Span Span("steno.cse");

@@ -35,9 +35,6 @@ struct GenOptions {
   /// Hoist repeated pure subexpressions into locals (§9's CSE; sound for
   /// this side-effect-free expression language, lazy contexts respected).
   bool EnableCse = true;
-  /// Fold literal subexpressions and boolean/conditional identities
-  /// before emission.
-  bool EnableConstFold = true;
   /// Instrument each operator with profile hooks (ProfileCount /
   /// ProfileTimed statements + Program::ProfOps descriptors). Off by
   /// default: unprofiled plans carry zero instrumentation.

@@ -255,10 +255,10 @@ dryad::combineParallelPartials(const ParallelPlan &Plan,
   }
 
   case CombineKind::MergeSorted: {
-    // The runs in source order, sorted by the OrderBy key: the scalar
-    // interpreter's OrderBy over the concatenated input, one key
-    // evaluation per row. rt::sortByKey is stable, so ties keep source
-    // order and the result is the sequential one.
+    // The partitions' unsorted rows in source order, sorted by the
+    // OrderBy key: the scalar interpreter's OrderBy over the concatenated
+    // input, one key evaluation per row. rt::sortByKey is stable, so ties
+    // keep source order and the result is the sequential one.
     rt::Buf<Value> Rows;
     for (const QueryResult &Part : Partials)
       for (const Value &V : Part.rows())

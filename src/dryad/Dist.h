@@ -66,7 +66,7 @@ Bindings bindingRange(const Bindings &B, unsigned Slot, std::size_t Begin,
 /// with the combiner; MergeByKey left-folds each key's partials (position
 /// by position when every partial lists the same keys, as dense sinks
 /// do, else through rt::GroupAggSink), keys in first-appearance order;
-/// MergeSorted sorts the concatenated runs with rt::sortByKey, the stable
+/// MergeSorted sorts the concatenated rows with rt::sortByKey, the stable
 /// sort every backend's OrderBy uses. Each merge runs in source order,
 /// so the result is the sequential one. Shared by DistributedQuery
 /// (whose partials come from in-process vertices) and the shard router

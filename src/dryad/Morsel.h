@@ -23,9 +23,9 @@
 ///    it lazily — the far half goes back on the deque (stealable), the
 ///    near half is processed in morsel-sized bites;
 ///  - morsel size adapts per worker toward a fixed per-morsel latency
-///    budget (TargetMorselMicros), so cheap fused loop bodies get big
-///    morsels (low dispatch overhead) and expensive per-element work gets
-///    small ones (fine-grained balancing);
+///    budget (TargetMorselMicros, 100us), so cheap fused loop bodies get
+///    big morsels (low dispatch overhead) and expensive per-element work
+///    gets small ones (fine-grained balancing);
 ///  - an idle worker steals from random victims until the global
 ///    remaining-element count reaches zero, backing off exponentially
 ///    (yield, then capped sleeps) when repeated steal rounds find
@@ -141,13 +141,6 @@ public:
                                        std::memory_order_relaxed);
   }
 
-  /// Racy size estimate (monitoring only).
-  std::size_t sizeApprox() const {
-    std::int64_t B = Bottom.load(std::memory_order_relaxed);
-    std::int64_t T = Top.load(std::memory_order_relaxed);
-    return B > T ? static_cast<std::size_t>(B - T) : 0;
-  }
-
 private:
   std::size_t Mask;
   std::vector<std::atomic<std::uint64_t>> Cells;
@@ -162,10 +155,6 @@ struct MorselOptions {
   std::size_t MaxMorsel = std::size_t(1) << 17; // 128k elements
   /// First morsel of every worker (then adaptive).
   std::size_t InitialMorsel = 4096;
-  /// Per-morsel latency budget the adaptive sizing steers toward. 100us
-  /// keeps dispatch overhead under ~1% for bodies as cheap as a fused
-  /// sum loop while still rebalancing ~10^4 times per second.
-  double TargetMorselMicros = 100.0;
   /// Inputs at most this size run inline on the calling thread: a
   /// fan-out that cannot possibly amortize its submission cost is not
   /// performed at all (see plinq.partitionSpan's old empty-partition

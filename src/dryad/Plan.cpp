@@ -147,9 +147,10 @@ std::optional<ParallelPlan> dryad::planParallel(const Chain &C,
   if (Next.S == Sym::Sink && Next.K == SinkOp::OrderBy &&
       I + 2 == C.Ops.size()) {
     // §6: "it transforms a OrderBy Sink operator into a distributed
-    // sort". Each partition sorts its rows in parallel; the Agg* stage
-    // sorts the concatenated runs once more, stably.
-    Vertex.Ops.push_back(Next);
+    // sort". Each partition runs the homomorphic prefix; the Agg* stage
+    // concatenates the partitions' rows in source order and sorts them
+    // once, stably, so ties keep source order. A per-partition sort
+    // would only be sorted again.
     Vertex.Ops.push_back(C.Ops[I + 1]);
     Vertex.Result = C.Result;
     Vertex.Scalar = false;
@@ -169,11 +170,11 @@ std::optional<ParallelPlan> dryad::planParallel(const Chain &C,
                       "does not implement");
 }
 
-SplitDecision dryad::decideSplit(const Chain &Specialized, bool StrictFp) {
+SplitDecision dryad::decideSplit(const Chain &Specialized) {
   SplitDecision D;
   D.Analysis = analysis::analyzeChain(Specialized);
   const analysis::SafetyCertificate &Cert = D.Analysis.Cert;
-  if (!Cert.shardSafe(StrictFp))
+  if (!Cert.parallelSafe())
     D.WhyNot = "analyzer refused certification (" + Cert.str() + ")";
   else
     D.Plan = planParallel(Specialized, &D.WhyNot);

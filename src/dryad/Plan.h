@@ -28,11 +28,11 @@ enum class CombineKind {
   Fold,       ///< Scalar aggregate: fold partials with the combiner.
   MergeByKey, ///< GroupByAggregate: merge per-key partials with the
               ///< combiner.
-  MergeSorted ///< OrderBy: each partition sorts locally; the combine
-              ///< stage sorts the concatenated runs with the stable
-              ///< rt::sortByKey (the parallel-sort transformation §6
-              ///< attributes to DryadLINQ, with one final sort in place
-              ///< of its range-partitioning).
+  MergeSorted ///< OrderBy: each partition runs the homomorphic prefix
+              ///< unsorted; the combine stage sorts the concatenated
+              ///< rows with the stable rt::sortByKey (the parallel-sort
+              ///< transformation §6 attributes to DryadLINQ, with one
+              ///< final sort in place of its range-partitioning).
 };
 
 /// A parallel execution plan for one query.
@@ -72,12 +72,10 @@ struct SplitDecision {
 /// Decides the split of \p Specialized, a validated chain with the §4.3
 /// GroupByAggregate pass already applied. The certificate gates first:
 /// the split must preserve sequential meaning (SafetyCertificate::
-/// shardSafe, which with \p StrictFp also refuses to reassociate
-/// floating-point accumulation). planParallel then gates on shape. The
-/// in-process engine (DistributedQuery), the serve worker's shard vertex
-/// and the shard router all decide through this one function.
-SplitDecision decideSplit(const quil::Chain &Specialized,
-                          bool StrictFp = false);
+/// parallelSafe). planParallel then gates on shape. The in-process
+/// engine (DistributedQuery), the serve worker's shard vertex and the
+/// shard router all decide through this one function.
+SplitDecision decideSplit(const quil::Chain &Specialized);
 
 } // namespace dryad
 } // namespace steno

@@ -294,22 +294,23 @@ DiffResult DiffHarness::check(const QuerySpec &Spec,
       break;
     }
     case BackendId::InterpAdaptive: {
-      // Cold: profiled adaptive compile with an empty feedback store for
-      // this plan — the static order. Running it past the min-sample
-      // threshold seeds the FeedbackStore through the profile
-      // provenance; the warm recompile may then reorder predicates on
-      // the observed cost×selectivity. The warm result is differenced:
-      // adaptivity must never change results.
+      // Cold: profiled adaptive compile with no profile yet for this
+      // query — the static order. Running it past quil::MinObservedRuns
+      // records selectivities under the query's anchor in the
+      // ProfileStore; the warm recompile may then reorder predicates on
+      // them. The warm result is differenced: adaptivity must never
+      // change results.
       CompileOptions CO;
       CO.Exec = Backend::Interp;
       CO.Analyze = analysis::Mode::Off;
       CO.Rewrite = true;
       CO.Vectorize = false;
       CO.Profile = true;
-      CO.Adaptive = true; // pinned: the oracle runs despite STENO_ADAPT
+      CO.Adaptive = true;
       CO.Name = "fuzz_interp_adapt";
       CompiledQuery Cold = compileQuery(Built.Q, CO);
-      for (int Warmup = 0; Warmup != 4; ++Warmup)
+      for (std::uint64_t Warmup = 0; Warmup <= quil::MinObservedRuns;
+           ++Warmup)
         Cold.run(Built.B);
       Got = compileQuery(Built.Q, CO).run(Built.B);
       break;

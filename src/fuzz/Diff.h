@@ -62,10 +62,10 @@ enum class BackendId {
                     ///< rejects silently take the scalar path (still a
                     ///< valid comparison).
   InterpAdaptive, ///< Interp compiled twice with profiling + adaptive
-                  ///< feedback: a cold compile runs past the
-                  ///< min-sample threshold to seed the FeedbackStore,
-                  ///< then a warm recompile — which may reorder
-                  ///< predicates on the observed statistics — produces
+                  ///< feedback: a cold compile runs past
+                  ///< quil::MinObservedRuns to record selectivities in
+                  ///< the ProfileStore, then a warm recompile — which
+                  ///< may reorder predicates on them — produces
                   ///< the result that is differenced. The
                   ///< adaptivity-never-changes-results oracle: any
                   ///< feedback-driven reorder that alters semantics

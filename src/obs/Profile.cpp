@@ -37,7 +37,7 @@ ProfileSnapshot QueryProfile::snapshot(std::uint64_t PlanHash) const {
   S.PlanHash = PlanHash;
   S.Name = Desc.Name;
   S.Symbols = Desc.Symbols;
-  S.RewrittenFrom = Desc.RewrittenFrom;
+  S.Anchor = Desc.Anchor;
   S.Runs = Runs.load(std::memory_order_relaxed);
   S.Ops.reserve(Desc.Ops.size());
   for (std::size_t K = 0; K != Desc.Ops.size(); ++K) {
@@ -163,70 +163,41 @@ void foldRuns(ProfileSnapshot &S, const ProfileSnapshot &Other) {
 
 std::optional<ProfileSnapshot>
 ProfileStore::snapshotResolved(std::uint64_t PlanHash) const {
-  // Collect only the cheap provenance edges (hash, RewrittenFrom) under
-  // the lock — deliberately NOT snapshotAll(), whose per-plan copies
-  // would make every adaptive compile O(total registered plans).
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> Edges;
+  // Collect the versions of PlanHash's anchor under the lock, in plan-
+  // hash order (the map's), so the fold is deterministic. Only the
+  // hashes are copied: an adaptive compile must not pay a snapshot of
+  // every registered plan.
+  std::vector<std::uint64_t> Versions;
+  bool SelfRegistered = false;
   {
     std::lock_guard<std::mutex> Lock(Mutex);
-    Edges.reserve(Plans.size());
-    for (const auto &[Hash, P] : Plans)
-      Edges.emplace_back(Hash, P->desc().RewrittenFrom);
-  }
-
-  // BFS the weakly-connected provenance component containing PlanHash:
-  // edges hash -> RewrittenFrom, followed in BOTH directions, so
-  // multi-hop chains (v1 -> v2 -> v3) and provenance siblings (two
-  // rewrite products of the same original) all fold together.
-  std::vector<std::uint64_t> Component{PlanHash};
-  auto Seen = [&](std::uint64_t H) {
-    return std::find(Component.begin(), Component.end(), H) !=
-           Component.end();
-  };
-  for (std::size_t I = 0; I != Component.size(); ++I) {
-    std::uint64_t Cur = Component[I];
-    for (const auto &[Hash, From] : Edges) {
-      if (Hash == Cur && From && !Seen(From))
-        Component.push_back(From);
-      if (From == Cur && !Seen(Hash))
-        Component.push_back(Hash);
+    std::uint64_t Anchor = PlanHash;
+    if (auto It = Plans.find(PlanHash); It != Plans.end()) {
+      Anchor = It->second->desc().Anchor;
+      SelfRegistered = true;
     }
+    for (const auto &[Hash, P] : Plans)
+      if (P->desc().Anchor == Anchor)
+        Versions.push_back(Hash);
   }
-
-  // Registered members in plan-hash order (Edges inherits the map's
-  // ordering), so the fold — and the primary shape for an unregistered
-  // hash — is deterministic.
-  std::vector<std::uint64_t> Members;
-  for (const auto &[Hash, From] : Edges) {
-    (void)From;
-    if (Seen(Hash))
-      Members.push_back(Hash);
-  }
-  if (Members.empty())
+  if (Versions.empty())
     return std::nullopt;
 
-  bool SelfRegistered = Seen(PlanHash) &&
-                        std::find(Members.begin(), Members.end(),
-                                  PlanHash) != Members.end();
-  ProfileSnapshot Out;
-  std::uint64_t Primary = SelfRegistered ? PlanHash : Members.front();
-  if (auto S = snapshot(Primary))
-    Out = *S;
-  else
+  std::uint64_t Primary = SelfRegistered ? PlanHash : Versions.front();
+  std::optional<ProfileSnapshot> Out = snapshot(Primary);
+  if (!Out)
     return std::nullopt;
   if (!SelfRegistered) {
-    // The caller holds a pre-rewrite hash that was never registered:
-    // serve a rewrite relative's profile under the requested hash.
-    Out.ResolvedFrom = Out.PlanHash;
-    Out.PriorRuns = Out.Runs;
-    Out.PlanHash = PlanHash;
+    // The caller holds an anchor that never ran as a plan: serve its
+    // first version's profile under the requested hash.
+    Out->ResolvedFrom = Out->PlanHash;
+    Out->PriorRuns = Out->Runs;
+    Out->PlanHash = PlanHash;
   }
-  for (std::uint64_t H : Members) {
-    if (H == Primary)
-      continue;
-    if (auto S = snapshot(H))
-      foldRuns(Out, *S);
-  }
+  for (std::uint64_t H : Versions)
+    if (H != Primary)
+      if (auto S = snapshot(H))
+        foldRuns(*Out, *S);
   return Out;
 }
 

@@ -6,9 +6,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Operator-level runtime profiles: the feedback substrate the ROADMAP's
-/// adaptive-optimization item needs before any Pred reordering or plan
-/// re-specialization can happen. A compiled plan registers a PlanDesc
+/// Operator-level runtime profiles, and the one store of observations
+/// the feedback re-rank of adjacent Where predicates reads (DESIGN.md
+/// §5j). A compiled plan registers a PlanDesc
 /// (one ProfOpDesc per instrumented QUIL operator) in the global
 /// ProfileStore under its structural plan hash; every profiled run then
 /// merges a per-run ProfileSink — plain non-atomic arrays the hot loop
@@ -65,12 +65,14 @@ struct PlanDesc {
   std::string Name;    ///< Readable query name (CompileOptions.Name).
   std::string Symbols; ///< QUIL symbol string.
   std::vector<ProfOpDesc> Ops;
-  /// Provenance: the plan hash this plan was rewritten from (0 = not a
-  /// rewrite product). A rewritten chain hashes differently from its
-  /// source, which would orphan the source plan's accumulated profile;
-  /// this link lets snapshotResolved() merge run counts through the
-  /// rewrite so EXPLAIN ANALYZE never shows a spurious "0 runs".
-  std::uint64_t RewrittenFrom = 0;
+  /// The query this plan is a version of: the hash of its un-rewritten,
+  /// specialized chain (the plan's own hash when nothing was rewritten;
+  /// always set, since plans with equal anchors fold). A rewritten chain
+  /// hashes differently from its source; every version of one query
+  /// shares the anchor, and snapshotResolved() folds the versions of one
+  /// anchor, so EXPLAIN ANALYZE never shows a spurious "0 runs" and the
+  /// feedback re-rank sees every run.
+  std::uint64_t Anchor = 0;
 };
 
 /// Per-run accumulation buffer: plain uint64 arrays with two count slots
@@ -116,10 +118,10 @@ struct ProfileSnapshot {
   std::uint64_t PlanHash = 0;
   std::string Name;
   std::string Symbols;
-  std::uint64_t RewrittenFrom = 0; ///< PlanDesc provenance link (0 = none).
-  /// snapshotResolved() only: the related plan whose runs were merged in
-  /// (an ancestor through RewrittenFrom, or a rewrite descendant), and
-  /// how many of Runs came from it. Plain snapshot() leaves both 0.
+  std::uint64_t Anchor = 0; ///< See PlanDesc::Anchor.
+  /// snapshotResolved() only: the first other version of the anchor
+  /// whose runs were merged in, and how many of Runs came from other
+  /// versions. Plain snapshot() leaves both 0.
   std::uint64_t ResolvedFrom = 0;
   std::uint64_t PriorRuns = 0;
   std::uint64_t Runs = 0; ///< Completed merges (morsels count separately).
@@ -179,19 +181,18 @@ public:
 
   std::optional<ProfileSnapshot> snapshot(std::uint64_t PlanHash) const;
 
-  /// snapshot() plus rewrite-provenance resolution: folds the entire
-  /// weakly-connected provenance component — RewrittenFrom edges
-  /// followed in both directions, transitively — so multi-hop chains
-  /// (v1 -> v2 -> v3) and provenance siblings (two rewrite products of
-  /// one original) all contribute their run counts to Runs / PriorRuns,
-  /// recording the first contributing hash in ResolvedFrom. Per-op
-  /// rows/nanos are merged index-wise when the related plan has the
-  /// identical operator shape (same labels/ids); otherwise predicates
-  /// whose (Label, OpId) pair is unique in both snapshots are matched by
-  /// identity, so pred-permuted plan versions still aggregate per-pred
-  /// statistics. Falls back to a relative's own snapshot (re-keyed to
-  /// \p PlanHash) when \p PlanHash itself was never registered but a
-  /// rewrite relative was.
+  /// snapshot() folded over every version of one query: the registered
+  /// plans whose anchor is \p PlanHash's (its PlanDesc::Anchor when it
+  /// is registered, else \p PlanHash itself, so a caller holding an
+  /// anchor that never ran as a plan still finds its versions). The
+  /// other versions' runs add to Runs and PriorRuns, and the first of
+  /// them is recorded in ResolvedFrom. Per-op rows/nanos are merged
+  /// index-wise when a version has the identical operator shape (same
+  /// labels/ids); otherwise predicates whose (Label, OpId) pair is
+  /// unique in both snapshots are matched by identity, so pred-permuted
+  /// versions still aggregate per-pred statistics. When \p PlanHash
+  /// itself is not registered, the first version's snapshot is re-keyed
+  /// to it.
   std::optional<ProfileSnapshot>
   snapshotResolved(std::uint64_t PlanHash) const;
 

@@ -35,8 +35,9 @@ namespace {
 /// Backends are compiled with analysis off: prepare() already screened
 /// the chain, and strict mode inside compileQuery would abort the
 /// process on what should be a per-request error. prepare()'s (v1) plan
-/// is deliberately non-adaptive: it is the stable static anchor the
-/// feedback accumulates against, and the only plan the QueryCache holds.
+/// is deliberately non-adaptive: it is the stable static plan the
+/// observations accumulate against, and the only plan the QueryCache
+/// holds.
 /// Feedback enters only through the re-plan path, which compiles with
 /// \p Adaptive on.
 CompileOptions planOptions(Backend B, bool Profile, bool Adaptive = false) {

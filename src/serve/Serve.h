@@ -101,13 +101,12 @@ struct ServeOptions {
   /// are served by the wire `profile <handle>` command.
   bool Profile = obs::profilingEnvEnabled();
   /// Feedback-driven re-planning (DESIGN.md §5j): every ReplanEvery
-  /// executions of a handle, recompile the plan with the accumulated
-  /// adapt::FeedbackStore statistics and — when the feedback produced a
+  /// executions of a handle, recompile the plan with the selectivities
+  /// the obs::ProfileStore observed and — when they produced a
   /// different plan — replace the handle's plan with it, like the
   /// interp->native swap. Requires Profile (no observations otherwise).
-  /// 0 = only explicit scheduleAdaptiveReplan calls. Defaults to 64 with
-  /// the STENO_ADAPT environment gate on and 0 with it off.
-  unsigned ReplanEvery = adapt::adaptEnvEnabled() ? 64 : 0;
+  /// 0 = only explicit scheduleAdaptiveReplan calls.
+  unsigned ReplanEvery = 64;
   /// Plan cache; defaults to a service-private cache when null. Not
   /// owned.
   QueryCache *Cache = nullptr;

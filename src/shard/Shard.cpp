@@ -184,8 +184,8 @@ RoutedHandle ShardRouter::prepare(const std::string &SpecText,
     return fail("invalid query: " + *VErr);
   // The split decision (§6 over processes). With one shard the fan-out
   // buys nothing, so the query routes whole regardless.
-  dryad::SplitDecision Split = dryad::decideSplit(
-      quil::specializeGroupByAggregate(Chain), Options.StrictFp);
+  dryad::SplitDecision Split =
+      dryad::decideSplit(quil::specializeGroupByAggregate(Chain));
   if (!Split.Analysis.ok())
     return fail("rejected by analysis: " +
                 Split.Analysis.Diags.render(analysis::Severity::Error));

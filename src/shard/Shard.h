@@ -86,9 +86,6 @@ struct RouterOptions {
   std::chrono::milliseconds RetryBudget{15000};
   /// Pause before reconnecting after a wire failure or shed.
   std::chrono::milliseconds RetryBackoff{50};
-  /// Refuse the split for FP-reassociating plans (decideSplit's
-  /// StrictFp): bit-equal results at the cost of fan-out.
-  bool StrictFp = false;
 };
 
 /// One prepared spec's routing decision, immutable after prepare().

@@ -1,7 +1,6 @@
 //===- steno/Steno.cpp ----------------------------------------*- C++ -*-===//
 
 #include "steno/Steno.h"
-#include "adapt/Adapt.h"
 #include "codegen/Generator.h"
 #include "cpptree/Printer.h"
 #include "interp/Interp.h"
@@ -35,10 +34,10 @@ struct CompiledQuery::Impl {
   /// The rewriter's certificates and hashes; engaged only when it ran
   /// AND changed the chain.
   std::optional<quil::RewriteResult> Rewrite;
-  /// The plan hash this chain was rewritten from (0 = not rewritten):
-  /// what PlanHash would be with rewriting off, i.e. the hash the same
-  /// query registered under in profile stores before rewriting existed.
-  std::uint64_t RewrittenFrom = 0;
+  /// The anchor (CompiledQuery::anchorHash): what PlanHash would be with
+  /// rewriting off. Set by the rewrite phase when it hashed the
+  /// un-rewritten chain, else by codegenAndLoad to PlanHash.
+  std::uint64_t AnchorHash = 0;
   /// The vectorized batch plan (DESIGN.md §5i): the Interp backend's
   /// batch executor runs it. Non-null only for the Interp backend with
   /// CompileOptions::Vectorize on and a chain that fits the columnar
@@ -102,11 +101,26 @@ analysis::DiagCode diagForRule(quil::RewriteRule Rule) {
   return analysis::DiagCode::RewritePredDropped;
 }
 
+/// The feedback read (DESIGN.md §5j): the observed selectivity of each
+/// Where that saw rows in the profiled runs of \p Anchor's versions, or
+/// nothing until they number quil::MinObservedRuns.
+std::map<std::uint64_t, quil::ObservedPredStats>
+observedSelectivities(std::uint64_t Anchor) {
+  std::map<std::uint64_t, quil::ObservedPredStats> Out;
+  auto Snap = obs::ProfileStore::global().snapshotResolved(Anchor);
+  if (!Snap || Snap->Runs < quil::MinObservedRuns)
+    return Out;
+  for (const obs::OpProfile &O : Snap->Ops)
+    if (O.Label == "Where" && O.OpId && O.RowsIn)
+      Out[O.OpId].Sel = O.selectivity();
+  return Out;
+}
+
 /// The rewrite phase: analyze -> REWRITE -> specialize. Replaces the
-/// chain with its fact-driven rewrite, records provenance (the plan hash
-/// the original chain would have compiled to, so accumulated profiles
-/// resolve across the rewrite), and surfaces each certificate as an
-/// ST4xxx note when the analysis pipeline is on.
+/// chain with its fact-driven rewrite, records the anchor (the plan hash
+/// the original chain compiles to, so every version of the query folds
+/// into one profile), and surfaces each certificate as an ST4xxx note
+/// when the analysis pipeline is on.
 void rewritePhase(CompiledQuery::Impl &Impl, const CompileOptions &Options,
                   bool WillSpecialize) {
   if (!Options.Rewrite)
@@ -117,31 +131,30 @@ void rewritePhase(CompiledQuery::Impl &Impl, const CompileOptions &Options,
   if (!quil::chainHasRewriteTargets(Impl.Chain))
     return;
   obs::Span S("steno.rewrite");
-  quil::RewriteOptions RO;
 
-  // Adaptive feedback, the only observed input to a plan: hand the
-  // rewriter ripe decayed per-predicate statistics for this plan, keyed
-  // by the hash the un-rewritten chain will register under (the anchor
-  // every plan version resolves to).
-  if (Options.Adaptive && obs::ProfileStore::global().size() != 0) {
-    quil::Chain Anchor = Impl.Chain;
-    if (WillSpecialize) {
-      bool Dummy = false;
-      Anchor = quil::specializeGroupByAggregate(Anchor, &Dummy);
-    }
-    std::uint64_t AnchorHash = quil::hashChain(Anchor);
-    adapt::FeedbackStore &FS = adapt::FeedbackStore::global();
-    FS.refresh(AnchorHash, obs::ProfileStore::global());
-    RO.Observed = FS.observedStats(AnchorHash);
-  }
+  // The anchor hashes the original chain specialized the way this
+  // compile will specialize it: the plan hash the query has with
+  // nothing rewritten. Hashed at most once, and only when the feedback
+  // read or a rewrite needs it.
+  auto anchor = [&] {
+    if (!Impl.AnchorHash)
+      Impl.AnchorHash = quil::hashChain(
+          WillSpecialize ? quil::specializeGroupByAggregate(Impl.Chain)
+                         : Impl.Chain);
+    return Impl.AnchorHash;
+  };
+
+  // Adaptive feedback, the only observed input to a plan.
+  quil::RewriteOptions RO;
+  if (Options.Adaptive && obs::ProfileStore::global().size() != 0)
+    RO.Observed = observedSelectivities(anchor());
 
   quil::RewriteResult R = quil::rewriteChain(Impl.Chain, RO);
   S.arg("rewrites", static_cast<std::int64_t>(R.Certs.size()));
 
   // Every feedback-driven rewrite must carry certificates that survive
   // the replay checker before the chain is adopted; a verification
-  // failure (e.g. racing feedback mutation) falls back to the purely
-  // static rewrite.
+  // failure falls back to the purely static rewrite.
   if (!RO.Observed.empty() && R.Changed) {
     std::string VErr;
     if (quil::verifyCertificates(Impl.Chain, R, RO, &VErr)) {
@@ -161,16 +174,7 @@ void rewritePhase(CompiledQuery::Impl &Impl, const CompileOptions &Options,
   if (!R.Changed)
     return;
 
-  // Provenance target: the plan hash is computed post-specialize, so the
-  // pre-rewrite plan's hash is "the original chain specialized the same
-  // way this compile will". That is the key the query registered under
-  // before rewriting.
-  quil::Chain Original = Impl.Chain;
-  if (WillSpecialize) {
-    bool Dummy = false;
-    Original = quil::specializeGroupByAggregate(Original, &Dummy);
-  }
-  Impl.RewrittenFrom = quil::hashChain(Original);
+  anchor();
   Impl.Chain = R.Rewritten;
 
   if (Options.Analyze != analysis::Mode::Off)
@@ -333,7 +337,7 @@ CompiledQuery CompiledQuery::withNativeModule(
   Impl->PlanHash = I->PlanHash;
   Impl->Profile = I->Profile;
   Impl->Rewrite = I->Rewrite;
-  Impl->RewrittenFrom = I->RewrittenFrom;
+  Impl->AnchorHash = I->AnchorHash;
   CompiledQuery CQ;
   CQ.I = std::move(Impl);
   return CQ;
@@ -359,9 +363,7 @@ const quil::RewriteResult *CompiledQuery::rewriteResult() const {
   return I->Rewrite ? &*I->Rewrite : nullptr;
 }
 
-std::uint64_t CompiledQuery::rewrittenFromHash() const {
-  return I->RewrittenFrom;
-}
+std::uint64_t CompiledQuery::anchorHash() const { return I->AnchorHash; }
 
 bool CompiledQuery::profiled() const { return I->Profile; }
 
@@ -407,17 +409,14 @@ codegenAndLoad(std::shared_ptr<CompiledQuery::Impl> Impl,
   }
 
   Impl->PlanHash = quil::hashChain(Impl->Chain);
-  // A rewrite that round-trips to the same plan hash (theoretically
-  // possible, e.g. a permutation that sorts back) must not create a
-  // provenance self-loop.
-  if (Impl->RewrittenFrom == Impl->PlanHash)
-    Impl->RewrittenFrom = 0;
+  if (!Impl->AnchorHash)
+    Impl->AnchorHash = Impl->PlanHash;
   Impl->Profile = Options.Profile;
   if (Options.Profile) {
     obs::PlanDesc D;
     D.Name = Options.Name;
     D.Symbols = Impl->Chain.symbols();
-    D.RewrittenFrom = Impl->RewrittenFrom;
+    D.Anchor = Impl->AnchorHash;
     for (const cpptree::ProfOp &PO : Impl->Program.ProfOps)
       D.Ops.push_back(obs::ProfOpDesc{PO.Label, PO.Depth, PO.Timed, PO.OpId});
     obs::ProfileStore::global().ensure(Impl->PlanHash, D);
@@ -504,7 +503,7 @@ CompiledQuery steno::compileChain(const quil::Chain &Chain,
                           "\n  QUIL: " + Impl->Chain.symbols());
   }
   analyzePhase(*Impl, Options, "chain");
-  // compileChain never specializes, so provenance hashes the chain as-is.
+  // compileChain never specializes, so the anchor hashes the chain as-is.
   rewritePhase(*Impl, Options, /*WillSpecialize=*/false);
   CompiledQuery CQ;
   CQ.I = codegenAndLoad(std::move(Impl), Options);

@@ -34,7 +34,6 @@
 #ifndef STENO_STENO_STENO_H
 #define STENO_STENO_STENO_H
 
-#include "adapt/Adapt.h"
 #include "analysis/Analysis.h"
 #include "analysis/Rewrite.h"
 #include "cpptree/Printer.h"
@@ -92,17 +91,17 @@ struct CompileOptions {
   /// variable.
   bool Vectorize = vec::vectorizeEnvEnabled();
   /// Feedback-driven adaptive optimization (DESIGN.md §5j), the one
-  /// switch for whether observed statistics shape a plan: when the
-  /// global adapt::FeedbackStore holds ripe statistics for this plan
-  /// (decayed selectivity + per-row cost per predicate, above its
-  /// minimum-sample threshold), the rewrite phase ranks a run of adjacent
-  /// Wheres by observed cost×selectivity when every Where in the run is
-  /// ripe, and statically otherwise. Profile alone never changes a plan.
-  /// Every feedback-driven reorder still emits a RewriteCertificate and
-  /// is replay-verified before the chain is adopted; verification
-  /// failure falls back to the static plan. Only meaningful with Rewrite
-  /// on. Defaults to the STENO_ADAPT environment variable.
-  bool Adaptive = adapt::adaptEnvEnabled();
+  /// switch for whether observed statistics shape a plan: once the
+  /// global obs::ProfileStore holds at least quil::MinObservedRuns
+  /// profiled runs of this query's anchor, the rewrite phase ranks a run
+  /// of adjacent Wheres with their observed selectivities (rows out /
+  /// rows in) when every Where in the run saw rows, and with static
+  /// estimates otherwise; cost is always the static model's. Profile
+  /// alone never changes a plan. Every feedback-driven reorder still
+  /// emits a RewriteCertificate and is replay-verified before the chain
+  /// is adopted; verification failure falls back to the static plan.
+  /// Only meaningful with Rewrite on.
+  bool Adaptive = true;
   /// Entry symbol / readable query name.
   std::string Name = "steno_query";
 
@@ -154,11 +153,11 @@ public:
   /// The rewriter's outcome: certificates and before/after hashes. Null
   /// when rewriting was disabled or left the chain untouched.
   const quil::RewriteResult *rewriteResult() const;
-  /// Provenance: the plan hash this query's chain was rewritten from
-  /// (what planHash() would have been with rewriting off), or 0 when the
-  /// rewriter did not change the chain. The ProfileStore uses this link
-  /// to resolve profiles accumulated under the pre-rewrite plan.
-  std::uint64_t rewrittenFromHash() const;
+  /// The query this plan is a version of: what planHash() would be with
+  /// rewriting off (equal to planHash() when the rewriter did not change
+  /// the chain). Every version of one query registers under the same
+  /// anchor in the ProfileStore, which folds their profiles.
+  std::uint64_t anchorHash() const;
   /// Structural hash of the optimized QUIL chain (quil::hashChain) — the
   /// ProfileStore key. The interp and native plans of one query share a
   /// hash, so serve's backend swap keeps one merged profile.

@@ -229,6 +229,21 @@ TEST(DryadPlan, TrailingOrderByIsMergeSorted) {
   EXPECT_TRUE(Plan->SortKey.valid());
 }
 
+TEST(DryadPlan, OrderByVertexHoldsNoSink) {
+  // The Agg* stage sorts every row once; a per-partition sort in the
+  // vertex would only be sorted again.
+  Query Q = Query::doubleArray(0)
+                .select(lambda({x()}, x() * 2.0))
+                .orderBy(lambda({x()}, x()));
+  auto Plan = planParallel(quil::lower(Q));
+  ASSERT_TRUE(Plan.has_value());
+  EXPECT_EQ(Plan->Kind, CombineKind::MergeSorted);
+  for (const quil::Op &O : Plan->VertexChain.Ops)
+    EXPECT_NE(O.S, quil::Sym::Sink);
+  EXPECT_EQ(Plan->VertexChain.Ops.back().S, quil::Sym::Ret);
+  EXPECT_FALSE(quil::validate(Plan->VertexChain).has_value());
+}
+
 TEST(DryadDist, DistributedSortMatchesSequential) {
   std::vector<double> Flat = testutil::randomDoubles(333, 14);
   Query Q = Query::doubleArray(0)

@@ -298,6 +298,7 @@ TEST(ProfileStore, ConcurrentMergesLoseNothing) {
   D.Name = "concurrent";
   D.Ops = {{"Src", 0, false}, {"Trans", 1, true}};
   const std::uint64_t Hash = 0xfeedu;
+  D.Anchor = Hash;
   Store.ensure(Hash, D);
 
   constexpr unsigned Threads = 4;
@@ -337,20 +338,21 @@ TEST(ProfileStore, UnknownHashMergeIsANoOp) {
 }
 
 //===--------------------------------------------------------------------===//
-// Provenance resolution: multi-hop chains, siblings, permuted preds
+// Anchor resolution: versions of one query, siblings, permuted preds
 //===--------------------------------------------------------------------===//
 
 namespace {
 
-/// Registers a Src -> Where -> Ret plan with the given provenance link
-/// and merges \p Runs runs of 10-rows-in / 4-rows-out through it.
+/// Registers a Src -> Where -> Ret plan with the given anchor (its own
+/// hash when it is the un-rewritten plan) and merges \p Runs runs of 10-rows-in / 4-rows-out through
+/// it.
 void registerAndRun(obs::ProfileStore &Store, std::uint64_t Hash,
-                    std::uint64_t RewrittenFrom, std::uint64_t Runs,
+                    std::uint64_t Anchor, std::uint64_t Runs,
                     std::uint64_t OpId = 0x77) {
   obs::PlanDesc D;
   D.Name = "prov";
   D.Ops = {{"Src", 0, false}, {"Where", 1, true, OpId}, {"Ret", 1, false}};
-  D.RewrittenFrom = RewrittenFrom;
+  D.Anchor = Anchor;
   Store.ensure(Hash, D);
   obs::ProfileSink S(3);
   S.Counts = {0, 10, 10, 4, 4, 4};
@@ -362,39 +364,47 @@ void registerAndRun(obs::ProfileStore &Store, std::uint64_t Hash,
 } // namespace
 
 TEST(ProfileResolve, MultiHopProvenanceChainFoldsEveryVersion) {
-  // v1 <- v2 <- v3: each version was rewritten from the previous one,
-  // and every version accumulated runs. Regression: resolution used to
-  // follow only ONE RewrittenFrom hop, so v3 lost v1's history.
+  // v1 is the un-rewritten plan, the anchor of the query; v2 and v3 are
+  // rewrites of it (say a static and a feedback order), and every
+  // version accumulated runs. Another query's plan shares nothing.
   obs::ProfileStore Store;
-  registerAndRun(Store, /*Hash=*/0x10, /*RewrittenFrom=*/0, /*Runs=*/2);
+  registerAndRun(Store, /*Hash=*/0x10, /*Anchor=*/0x10, /*Runs=*/2);
   registerAndRun(Store, 0x20, 0x10, 1);
-  registerAndRun(Store, 0x30, 0x20, 1);
+  registerAndRun(Store, 0x30, 0x10, 1);
+  registerAndRun(Store, 0x40, 0x40, 5);
 
   auto Snap = Store.snapshotResolved(0x30);
   ASSERT_TRUE(Snap.has_value());
   EXPECT_EQ(Snap->PlanHash, 0x30u);
+  EXPECT_EQ(Snap->Anchor, 0x10u);
   EXPECT_EQ(Snap->Runs, 4u) << "v3's own run plus v1+v2 history";
   EXPECT_EQ(Snap->PriorRuns, 3u);
-  EXPECT_NE(Snap->ResolvedFrom, 0u);
+  EXPECT_EQ(Snap->ResolvedFrom, 0x10u);
   // Same operator shape across versions: per-op counters folded too.
   ASSERT_EQ(Snap->Ops.size(), 3u);
   EXPECT_EQ(Snap->Ops[1].RowsIn, 40u);
   EXPECT_EQ(Snap->Ops[1].RowsOut, 16u);
   EXPECT_EQ(Snap->Ops[1].Nanos, 400u);
 
-  // The component is symmetric: resolving the chain ROOT sees the
-  // descendants' runs as well.
+  // Resolving the anchor itself sees every version's runs as well.
   auto Root = Store.snapshotResolved(0x10);
   ASSERT_TRUE(Root.has_value());
   EXPECT_EQ(Root->Runs, 4u);
   EXPECT_EQ(Root->PriorRuns, 2u);
+
+  // The other query keeps its own runs and lends none.
+  auto Other = Store.snapshotResolved(0x40);
+  ASSERT_TRUE(Other.has_value());
+  EXPECT_EQ(Other->Runs, 5u);
+  EXPECT_EQ(Other->PriorRuns, 0u);
+  EXPECT_EQ(Other->ResolvedFrom, 0u);
 }
 
 TEST(ProfileResolve, ProvenanceSiblingsFoldThroughTheSharedAnchor) {
   // Two rewrite products of the same (never-registered) original: the
-  // static v1 and a feedback v2 both carry RewrittenFrom = anchor. A
-  // consumer holding only the anchor hash — the adaptive planner — must
-  // see the union of both versions' history.
+  // static v1 and a feedback v2 both carry the original's hash as their
+  // anchor. A consumer holding only the anchor hash — the adaptive
+  // planner — must see the union of both versions' history.
   obs::ProfileStore Store;
   const std::uint64_t Anchor = 0xA0;
   registerAndRun(Store, 0x21, Anchor, 3);
@@ -427,6 +437,7 @@ TEST(ProfileResolve, PermutedPredicatesFoldByOpIdNotIndex) {
             {"Where", 1, true, IdA},
             {"Where", 1, true, IdB},
             {"Ret", 1, false}};
+  V1.Anchor = 0x51;
   Store.ensure(0x51, V1);
   obs::PlanDesc V2;
   V2.Name = "v2";
@@ -434,7 +445,7 @@ TEST(ProfileResolve, PermutedPredicatesFoldByOpIdNotIndex) {
             {"Where", 1, true, IdB},
             {"Where", 1, true, IdA},
             {"Ret", 1, false}};
-  V2.RewrittenFrom = 0x51;
+  V2.Anchor = 0x51;
   Store.ensure(0x52, V2);
 
   // v1: A sees 100 -> 90, B sees 90 -> 30.

@@ -5,7 +5,7 @@
 /// the rewritten chain plus the exact certificate list), the mechanical
 /// verifyCertificates check and its tamper detection, and the compile-
 /// pipeline integration: CompileOptions::Rewrite, rewriteResult(),
-/// provenance via rewrittenFromHash(), ST4xxx diagnostics, and
+/// provenance via anchorHash(), ST4xxx diagnostics, and
 /// result-identity between rewrite-on and rewrite-off plans.
 ///
 //===----------------------------------------------------------------------===//
@@ -200,8 +200,9 @@ TEST(RewriteRules, OperatorsBehindTakeZeroAreDead) {
   EXPECT_GE(countRule(R, RewriteRule::RemoveDeadOp), 2u);
   for (const quil::Op &O : R.Rewritten.Ops) {
     EXPECT_NE(O.S, Sym::Trans);
-    if (O.S == Sym::Pred)
+    if (O.S == Sym::Pred) {
       EXPECT_EQ(O.P, PredOp::Take); // only the Take 0 marker survives
+    }
   }
 }
 
@@ -320,9 +321,12 @@ TEST(RewritePipeline, RewriteResultAndProvenanceExposedWhenChanged) {
   const RewriteResult *R = CQ.rewriteResult();
   ASSERT_NE(R, nullptr);
   EXPECT_TRUE(R->Changed);
-  // Provenance: the rewritten plan records the pre-rewrite plan hash.
-  EXPECT_NE(CQ.rewrittenFromHash(), 0u);
-  EXPECT_NE(CQ.rewrittenFromHash(), CQ.planHash());
+  // Provenance: the rewritten plan's anchor is the plan hash the query
+  // compiles to with rewriting off.
+  EXPECT_NE(CQ.anchorHash(), CQ.planHash());
+  CompileOptions Off = On;
+  Off.Rewrite = false;
+  EXPECT_EQ(CQ.anchorHash(), compileQuery(Q, Off).planHash());
   // The applied rewrite surfaces as an ST4001 note.
   EXPECT_TRUE(
       CQ.analysisResult().Diags.has(analysis::DiagCode::RewritePredDropped));
@@ -337,7 +341,7 @@ TEST(RewritePipeline, RewriteOffLeavesPlanAlone) {
   Off.Name = "rw_pipeline_off";
   CompiledQuery CQ = compileQuery(Q, Off);
   EXPECT_EQ(CQ.rewriteResult(), nullptr);
-  EXPECT_EQ(CQ.rewrittenFromHash(), 0u);
+  EXPECT_EQ(CQ.anchorHash(), CQ.planHash());
 }
 
 //===--------------------------------------------------------------------===//

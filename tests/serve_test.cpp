@@ -15,7 +15,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "adapt/Adapt.h"
 #include "fuzz/Diff.h"
 #include "serve/Serve.h"
 #include "serve/Wire.h"
@@ -28,7 +27,6 @@
 #include <fstream>
 #include <functional>
 #include <mutex>
-#include <optional>
 #include <sstream>
 #include <sys/socket.h>
 #include <thread>
@@ -610,7 +608,7 @@ TEST(ServeSoak, AdaptiveReplanSwapsMidStreamKeepsResultsIdentical) {
 
   // Enough profiled v1 runs to ripen the feedback, then re-plan
   // mid-stream.
-  std::uint64_t Need = adapt::FeedbackStore::global().minSamples() + 4;
+  std::uint64_t Need = quil::MinObservedRuns + 4;
   while (Ok.load(std::memory_order_relaxed) < Need)
     std::this_thread::yield();
   for (int Attempt = 0; Attempt != 1000 && !swapped(); ++Attempt) {
@@ -725,7 +723,7 @@ TEST(ServeLifecycle, InterpNativeFeedbackWithExecutorsRunning) {
 
   // v2: feedback re-plan, compiled natively in the background and
   // published as the handle's plan.
-  std::uint64_t Need = adapt::FeedbackStore::global().minSamples() + 4;
+  std::uint64_t Need = quil::MinObservedRuns + 4;
   ASSERT_TRUE(waitFor([&] {
     return NativeRuns.load(std::memory_order_relaxed) >= Need;
   }));
@@ -784,27 +782,11 @@ TEST(ServeLifecycle, NativeUpgradeOfAReplannedPlanStaysOutOfTheCache) {
     return R;
   };
 
-  // Ripen the feedback on interp v1 from its row counts alone, then
-  // replace it with interp v2. The runs' wall-clock predicate timings
-  // cover 256 rows each, so one preemption inside the tight predicate's
-  // timed region can price it past the loose one and keep the static
-  // order. Once the counts are folded, the re-plan's own refresh finds no
-  // new run to fold.
-  for (std::uint64_t I = 0;
-       I != adapt::FeedbackStore::global().minSamples() + 2; ++I)
+  // Ripen the feedback on interp v1 from plain runs, then replace it
+  // with interp v2.
+  for (std::uint64_t I = 0; I != quil::MinObservedRuns + 2; ++I)
     run();
-  CompiledQuery V1 = P->currentPlan();
-  const std::uint64_t V1Hash = V1.planHash();
-  const std::uint64_t Anchor =
-      V1.rewrittenFromHash() ? V1.rewrittenFromHash() : V1Hash;
-  std::optional<obs::ProfileSnapshot> Counts =
-      obs::ProfileStore::global().snapshotResolved(Anchor);
-  ASSERT_TRUE(Counts);
-  for (obs::OpProfile &Op : Counts->Ops) {
-    Op.Timed = false;
-    Op.Nanos = 0;
-  }
-  adapt::FeedbackStore::global().observe(*Counts);
+  const std::uint64_t V1Hash = P->currentPlan().planHash();
   ASSERT_TRUE(Svc.scheduleAdaptiveReplan(P));
   const std::uint64_t V2Hash = P->currentPlan().planHash();
   ASSERT_NE(V2Hash, V1Hash);

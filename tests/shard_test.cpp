@@ -88,7 +88,7 @@ fuzz::QuerySpec groupSpec() {
 
 fuzz::QuerySpec orderSpec() {
   // A *terminal* OrderBy: the §6 planner turns exactly this shape into
-  // the distributed sort (per-shard local sorts + MergeSorted Agg*); an
+  // the distributed sort (per-shard prefixes + one MergeSorted sort); an
   // OrderBy followed by ToArray is a mid-chain sink it refuses.
   fuzz::QuerySpec S;
   S.Sources.push_back(

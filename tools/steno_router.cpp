@@ -56,9 +56,7 @@ void usage() {
       "  --retry-budget-ms N  per-sub-request retry budget across shard\n"
       "                       deaths (default 15000)\n"
       "  --retry-backoff-ms N pause before reconnecting after a failure\n"
-      "                       (default 50)\n"
-      "  --strict-fp          refuse the split for FP-reassociating plans\n"
-      "                       (bit-equal results, no fan-out for them)\n");
+      "                       (default 50)\n");
 }
 
 /// SIGKILLs the spawned workers and removes their sockets, which a killed
@@ -120,8 +118,6 @@ int main(int Argc, char **Argv) {
       Opts.RetryBudget = std::chrono::milliseconds(N);
     } else if (Arg == "--retry-backoff-ms" && parseUnsigned(next(), N)) {
       Opts.RetryBackoff = std::chrono::milliseconds(N);
-    } else if (Arg == "--strict-fp") {
-      Opts.StrictFp = true;
     } else {
       usage();
       return 2;

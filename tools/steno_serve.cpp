@@ -41,11 +41,11 @@ void usage() {
       "  --profile          per-operator query profiling (wire command\n"
       "                     `profile <handle>`; also STENO_PROFILE=1)\n"
       "  --no-adapt         disable feedback-driven re-planning, same as\n"
-      "                     --replan-every 0 (also STENO_ADAPT=off)\n"
+      "                     --replan-every 0\n"
       "  --replan-every N   feedback re-plan cadence in executions per\n"
       "                     handle; a re-plan that finds a new plan\n"
       "                     replaces the handle's plan (needs --profile;\n"
-      "                     default 64, 0 with STENO_ADAPT=off; 0 = never)\n");
+      "                     default 64; 0 = never)\n");
 }
 
 bool parseUnsigned(const char *S, unsigned long long &Out) {
