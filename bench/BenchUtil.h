@@ -17,6 +17,7 @@
 #include "support/Random.h"
 #include "support/Timing.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -58,6 +59,13 @@ inline double bestSeconds(const std::function<void()> &Fn, int Reps = 3) {
       Best = S;
   }
   return Best;
+}
+
+/// Median of \p Xs (the mean of the middle two for an even count).
+inline double median(std::vector<double> Xs) {
+  std::sort(Xs.begin(), Xs.end());
+  std::size_t N = Xs.size();
+  return N % 2 ? Xs[N / 2] : 0.5 * (Xs[N / 2 - 1] + Xs[N / 2]);
 }
 
 /// Defeats dead-code elimination of a computed value.

@@ -57,12 +57,6 @@ constexpr int K = 20;
 /// Rounds per workload.
 constexpr int Rounds = 400;
 
-double median(std::vector<double> Xs) {
-  std::sort(Xs.begin(), Xs.end());
-  std::size_t N = Xs.size();
-  return N % 2 ? Xs[N / 2] : 0.5 * (Xs[N / 2 - 1] + Xs[N / 2]);
-}
-
 /// Best-of seconds for one run of the Native-compiled query.
 double runSeconds(const Query &Q, analysis::Mode Mode, const char *Name,
                   const Bindings &B) {

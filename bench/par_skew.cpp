@@ -1,10 +1,10 @@
-//===- bench/par_skew.cpp - Static partitioning vs work stealing -*- C++ -*-===//
+//===- bench/par_skew.cpp - Static partitioning vs morsels -----*- C++ -*-===//
 //
 // The motivating measurement for the morsel scheduler (dryad/Morsel.h):
 // a static Partitioner (paper §6, plinq::partitionSpan) makes the whole
 // fan-out wait on the slowest chunk at the join barrier, so a skewed
-// per-element cost caps the speedup near #workers / skew-factor. The
-// work-stealing scheduler rebalances at morsel granularity and should
+// per-element cost caps the speedup near #workers / skew-factor. Morsel
+// dispatch hands out small ranges to whichever worker is free and should
 // approach linear speedup on the same input.
 //
 // Workload: sum of spin(x), where spin's iteration count depends on the
@@ -14,19 +14,24 @@
 //   uniform   heavy elements scattered evenly (every 8th)
 //   skewed    all heavy elements contiguous at the front (first N/8)
 //
-// Variants, at 1/2/4/8 workers:
+// Variants, at 1/2/4/8 workers, both running the same linq chain
+// select(spin).sum() over their ranges, so they differ only in dispatch:
 //
 //   static    partitionSpan into W chunks + homomorphicApply (barrier)
-//   steal     plinq::asParallel morsel dispatch (work stealing)
+//   morsel    plinq::asParallel, morsels claimed from dryad::morselFor
 //
-// BENCH_par_skew.json rows are named <variant>_<input>_w<W>.
+// Each round times the two variants back to back at every worker count,
+// alternating which goes first, and each bound below is checked on the
+// median over the rounds of that round's ratio, so a preempted run
+// spoils one round instead of the verdict. BENCH_par_skew.json rows are
+// named <variant>_<input>_w<W> and carry the best run of the rounds.
 //
-// Gate, at 8 workers: the process exits 1 when stealing beats static
-// partitioning on the skewed input by less than 1.5x, costs more than 5%
-// over static on the uniform input, or scales the skewed input by less
-// than 2.0x from 1 to 8 workers. The bounds need ~4+ hardware threads
-// to manifest: on fewer, the 8 static chunks timeshare (the OS scheduler
-// implicitly rebalances them), so the gate is skipped there.
+// Gate, at 8 workers: the process exits 1 when morsel dispatch beats
+// static partitioning on the skewed input by less than 1.5x, costs more
+// than 5% over static on the uniform input, or scales the skewed input
+// by less than 2.0x from 1 to 8 workers. The bounds need ~4+ hardware
+// threads to manifest: on fewer, the 8 static chunks timeshare (the OS
+// scheduler implicitly rebalances them), so the gate is skipped there.
 //
 //===----------------------------------------------------------------------===//
 
@@ -35,8 +40,11 @@
 #include "dryad/ThreadPool.h"
 #include "plinq/Plinq.h"
 
+#include <algorithm>
 #include <cstdio>
+#include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -48,6 +56,7 @@ namespace {
 
 constexpr int LightIters = 24;
 constexpr int HeavyIters = 384; // 16x a light element
+constexpr int Rounds = 15;
 
 /// A value-dependent compute kernel the optimizer cannot collapse.
 /// Elements >= 0.5 are the heavy ones.
@@ -71,29 +80,12 @@ std::vector<double> makeInput(std::int64_t N, bool Skewed) {
   return Out;
 }
 
-struct Span {
-  const double *Data;
-  std::size_t N;
-};
-
 /// Static baseline: one chunk per worker, barrier at the join.
-double staticSum(dryad::ThreadPool &Pool, const std::vector<double> &Xs,
-                 unsigned Parts) {
-  std::vector<Span> Spans;
-  std::size_t Base = Xs.size() / Parts;
-  std::size_t Extra = Xs.size() % Parts;
-  std::size_t Pos = 0;
-  for (unsigned P = 0; P != Parts; ++P) {
-    std::size_t Len = Base + (P < Extra ? 1 : 0);
-    Spans.push_back(Span{Xs.data() + Pos, Len});
-    Pos += Len;
-  }
-  std::vector<double> Partials =
-      dryad::homomorphicApply(Pool, Spans, [](const Span &S) {
-        double T = 0;
-        for (std::size_t I = 0; I != S.N; ++I)
-          T += spin(S.Data[I]);
-        return T;
+double staticSum(dryad::ThreadPool &Pool, const std::vector<double> &Xs) {
+  std::vector<double> Partials = dryad::homomorphicApply(
+      Pool, plinq::partitionSpan(Xs.data(), Xs.size(), Pool.workerCount()),
+      [](const linq::Seq<double> &Chunk) {
+        return Chunk.select([](double X) { return spin(X); }).sum();
       });
   double Total = 0;
   for (double V : Partials)
@@ -101,11 +93,17 @@ double staticSum(dryad::ThreadPool &Pool, const std::vector<double> &Xs,
   return Total;
 }
 
-/// Morsel-driven: dynamic dispatch with stealing.
-double stealSum(dryad::ThreadPool &Pool, const std::vector<double> &Xs) {
+/// Morsel-driven: dynamic dispatch from the shared claim cursor.
+double morselSum(dryad::ThreadPool &Pool, const std::vector<double> &Xs) {
   return plinq::asParallel(Pool, Xs)
       .select([](double X) { return spin(X); })
       .sum();
+}
+
+double timeOnce(const std::function<double()> &Fn) {
+  support::WallTimer T;
+  doNotOptimize(Fn());
+  return T.seconds();
 }
 
 } // namespace
@@ -113,38 +111,70 @@ double stealSum(dryad::ThreadPool &Pool, const std::vector<double> &Xs) {
 int main() {
   const std::int64_t N = scaled(1 << 20);
   const unsigned WorkerCounts[] = {1, 2, 4, 8};
-  std::vector<double> Uniform = makeInput(N, /*Skewed=*/false);
-  std::vector<double> Skewed = makeInput(N, /*Skewed=*/true);
+  const std::map<std::string, std::vector<double>> Inputs = {
+      {"uniform", makeInput(N, /*Skewed=*/false)},
+      {"skew", makeInput(N, /*Skewed=*/true)}};
+  std::map<unsigned, std::unique_ptr<dryad::ThreadPool>> Pools;
+  for (unsigned W : WorkerCounts)
+    Pools[W] = std::make_unique<dryad::ThreadPool>(W);
 
   JsonReport Report("par_skew");
-  header("Static partitioning vs work stealing under skew, " +
+  header("Static partitioning vs morsel dispatch under skew, " +
          std::to_string(N) + " elements (heavy:light cost " +
-         std::to_string(HeavyIters / LightIters) + ":1, 1/8 heavy)");
+         std::to_string(HeavyIters / LightIters) + ":1, 1/8 heavy), " +
+         std::to_string(Rounds) + " alternating rounds");
 
-  std::map<std::string, double> Seconds; // by BENCH row name
-  std::printf("\n%-8s %-9s %12s %12s %10s\n", "input", "workers",
-              "static (ms)", "steal (ms)", "steal/static");
-  for (const char *InputName : {"uniform", "skew"}) {
-    const std::vector<double> &Xs =
-        std::string(InputName) == "uniform" ? Uniform : Skewed;
-    for (unsigned W : WorkerCounts) {
-      dryad::ThreadPool Pool(W);
-      double StaticS =
-          bestSeconds([&] { doNotOptimize(staticSum(Pool, Xs, W)); });
-      double StealS =
-          bestSeconds([&] { doNotOptimize(stealSum(Pool, Xs)); });
-      std::string Suffix = std::string(InputName) + "_w" + std::to_string(W);
-      Report.add("static_" + Suffix, StaticS, N);
-      Report.add("steal_" + Suffix, StealS, N);
-      Seconds["static_" + Suffix] = StaticS;
-      Seconds["steal_" + Suffix] = StealS;
-      std::printf("%-8s %-9u %12.1f %12.1f %9.2fx\n", InputName, W,
-                  StaticS * 1e3, StealS * 1e3, StaticS / StealS);
-    }
+  // Seconds[row][round], by BENCH row name.
+  std::map<std::string, std::vector<double>> Seconds;
+  for (int Round = -1; Round != Rounds; ++Round) { // round -1 warms up
+    for (const auto &[InputName, Xs] : Inputs)
+      for (unsigned W : WorkerCounts) {
+        dryad::ThreadPool &Pool = *Pools[W];
+        auto runStatic = [&] { return staticSum(Pool, Xs); };
+        auto runMorsel = [&] { return morselSum(Pool, Xs); };
+        double StaticS, MorselS;
+        if (Round % 2 == 0) {
+          StaticS = timeOnce(runStatic);
+          MorselS = timeOnce(runMorsel);
+        } else {
+          MorselS = timeOnce(runMorsel);
+          StaticS = timeOnce(runStatic);
+        }
+        if (Round < 0)
+          continue;
+        std::string Suffix = InputName + "_w" + std::to_string(W);
+        Seconds["static_" + Suffix].push_back(StaticS);
+        Seconds["morsel_" + Suffix].push_back(MorselS);
+      }
   }
-  std::printf("\n(static speedup on the skewed input caps near "
-              "W/(1 + (W-1)/8's share of the heavy chunk); stealing "
-              "should stay near-linear.)\n");
+
+  /// Median over rounds of Num[r] / Den[r].
+  auto medianRatio = [&](const std::string &Num, const std::string &Den) {
+    std::vector<double> Ratios;
+    for (int R = 0; R != Rounds; ++R)
+      Ratios.push_back(Seconds[Num][R] / Seconds[Den][R]);
+    return median(Ratios);
+  };
+
+  std::printf("\n%-8s %-9s %12s %12s %14s\n", "input", "workers",
+              "static (ms)", "morsel (ms)", "morsel/static");
+  for (const auto &[InputName, Xs] : Inputs)
+    for (unsigned W : WorkerCounts) {
+      std::string Suffix = InputName + "_w" + std::to_string(W);
+      for (const char *Variant : {"static_", "morsel_"}) {
+        const std::vector<double> &S = Seconds[Variant + Suffix];
+        Report.add(Variant + Suffix, *std::min_element(S.begin(), S.end()),
+                   N, Rounds);
+      }
+      std::printf("%-8s %-9u %12.1f %12.1f %13.3fx\n", InputName.c_str(), W,
+                  median(Seconds["static_" + Suffix]) * 1e3,
+                  median(Seconds["morsel_" + Suffix]) * 1e3,
+                  medianRatio("morsel_" + Suffix, "static_" + Suffix));
+    }
+  std::printf("\n(medians over %d rounds; static speedup on the skewed "
+              "input caps near W/(1 + (W-1)/8's share of the heavy chunk); "
+              "morsel dispatch should stay near-linear.)\n",
+              Rounds);
 
   unsigned Cpus = std::thread::hardware_concurrency();
   if (Cpus < 4) {
@@ -154,19 +184,20 @@ int main() {
                 Cpus);
     return 0;
   }
-  double SkewSpeedup = Seconds["static_skew_w8"] / Seconds["steal_skew_w8"];
+  double SkewSpeedup = medianRatio("static_skew_w8", "morsel_skew_w8");
   double UniformOverhead =
-      Seconds["steal_uniform_w8"] / Seconds["static_uniform_w8"] - 1.0;
+      medianRatio("morsel_uniform_w8", "static_uniform_w8") - 1.0;
   // Same input and work at both worker counts, so the seconds ratio is
   // the rows/s ratio.
-  double SkewScaling = Seconds["steal_skew_w1"] / Seconds["steal_skew_w8"];
-  std::printf("par_skew: skew speedup (steal vs static, 8 workers) %.2fx "
-              "(floor 1.5x); uniform overhead %+.1f%% (ceiling +5%%); "
-              "skew scaling (steal, 1 -> 8 workers) %.2fx (floor 2.0x)\n",
+  double SkewScaling = medianRatio("morsel_skew_w1", "morsel_skew_w8");
+  std::printf("par_skew: medians of per-round ratios: skew speedup (morsel "
+              "vs static, 8 workers) %.2fx (floor 1.5x); uniform overhead "
+              "%+.1f%% (ceiling +5%%); skew scaling (morsel, 1 -> 8 "
+              "workers) %.2fx (floor 2.0x)\n",
               SkewSpeedup, UniformOverhead * 100.0, SkewScaling);
   bool Ok = true;
   if (SkewSpeedup < 1.5) {
-    std::fprintf(stderr, "par_skew: FAIL: work stealing no longer beats "
+    std::fprintf(stderr, "par_skew: FAIL: morsel dispatch no longer beats "
                          "static partitioning under skew by 1.5x\n");
     Ok = false;
   }
@@ -176,7 +207,7 @@ int main() {
     Ok = false;
   }
   if (SkewScaling < 2.0) {
-    std::fprintf(stderr, "par_skew: FAIL: work stealing scales the skewed "
+    std::fprintf(stderr, "par_skew: FAIL: morsel dispatch scales the skewed "
                          "input less than 2.0x from 1 to 8 workers\n");
     Ok = false;
   }

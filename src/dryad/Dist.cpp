@@ -340,7 +340,7 @@ QueryResult DistributedQuery::runParallel(ThreadPool &Pool,
   // run through the shared vertex program; tagging with the morsel's
   // source offset lets the combine stage see partials in source order,
   // which keeps Concat/MergeSorted/MergeByKey semantics identical to
-  // static partitioning no matter how stealing interleaved.
+  // static partitioning however the workers' claims interleaved.
   //
   // Per-call costs are hoisted out of the morsel body: each worker gets
   // one Bindings copy (the body only repoints the partition slot's
@@ -364,11 +364,10 @@ QueryResult DistributedQuery::runParallel(ThreadPool &Pool,
         PerWorker[W].emplace_back(Begin, Runners[W].run(Parts[W]));
       });
   // One ProfileStore merge per worker, tagged with the worker id so
-  // profiles still show how stealing spread the morsels.
+  // profiles still show how the morsels spread over the workers.
   for (unsigned W = 0; W != Workers; ++W)
     Runners[W].flush(W);
   Span.arg("morsels", static_cast<std::int64_t>(Stats.Morsels));
-  Span.arg("steals", static_cast<std::int64_t>(Stats.Steals));
 
   std::vector<Tagged> All;
   All.reserve(Stats.Morsels);

@@ -101,7 +101,7 @@ public:
                   const std::vector<Bindings> &PartitionBindings) const;
 
   /// The multi-core PLINQ path of §6, morsel-driven: dispatches \p B's
-  /// source slot \p PartitionSlot through the work-stealing scheduler
+  /// source slot \p PartitionSlot through the morsel scheduler
   /// (dryad/Morsel.h) as dynamically sized contiguous view-partitions —
   /// one indirect call per *morsel*, like the HomomorphicApply operator,
   /// instead of PLINQ's per-element iterator composition, but load-

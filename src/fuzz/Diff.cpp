@@ -127,14 +127,14 @@ std::string fuzz::fuzzValueStr(const expr::Value &V) {
 
 namespace {
 
-/// Morsel bounds under which even an 8-element input splits, steals and
-/// reassembles — the default InlineBelow would route every fuzz-sized
-/// input through the sequential inline shortcut and test nothing.
+/// Morsel bounds under which even an 8-element input splits into
+/// several claims and reassembles — the default InlineBelow would route
+/// every fuzz-sized input through the sequential inline shortcut and
+/// test nothing.
 dryad::MorselOptions tinyMorsels() {
   dryad::MorselOptions M;
   M.MinMorsel = 1;
   M.MaxMorsel = 8;
-  M.InitialMorsel = 2;
   M.InlineBelow = 0;
   return M;
 }

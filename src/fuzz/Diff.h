@@ -12,7 +12,7 @@
 ///
 ///   Interp       compileQuery, Backend::Interp (generated loop AST)
 ///   Jit          compileQuery, Backend::Native (g++ + dlopen)
-///   Plinq1/2/8   dryad::DistributedQuery::runParallel (work stealing)
+///   Plinq1/2/8   dryad::DistributedQuery::runParallel (morsel dispatch)
 ///                over 1-, 2- and 8-worker pools
 ///   DryadStatic  dryad::DistributedQuery::run over static partitions
 ///
@@ -27,8 +27,8 @@
 /// failure kind (CertViolation).
 ///
 /// Parallel backends 2/8 run with tiny morsel bounds (min 1, max 8,
-/// inline-below 0) so the small fuzz inputs really split, steal and
-/// reassemble instead of taking the InlineBelow shortcut.
+/// inline-below 0) so the small fuzz inputs really split into several
+/// morsels and reassemble instead of taking the InlineBelow shortcut.
 ///
 //===----------------------------------------------------------------------===//
 

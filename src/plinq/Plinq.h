@@ -16,15 +16,15 @@
 /// a *lazy iterator chain* (the linq baseline) — but its Partitioner is no
 /// longer static: work is dispatched as dynamically sized contiguous
 /// morsels through dryad::morselFor, so a skewed predicate or nested
-/// sub-query rebalances via work stealing instead of making the whole
-/// fan-out wait on the slowest static chunk. Aggregates fold per-worker
-/// partials (combined once at the join); toVector reassembles chunks by
-/// source offset, preserving AsOrdered semantics no matter how stealing
-/// interleaved.
+/// sub-query is shared by whichever workers are free instead of making
+/// the whole fan-out wait on the slowest static chunk. Aggregates fold
+/// per-worker partials (combined once at the join); toVector reassembles
+/// chunks by source offset, preserving AsOrdered semantics however the
+/// workers' claims interleaved.
 ///
 /// Combiners are trusted associative and commutative, matching .NET
-/// PLINQ's Aggregate contract (a stolen morsel folds into the thief's
-/// accumulator, so worker partials cover non-adjacent ranges). The
+/// PLINQ's Aggregate contract (a worker folds every morsel it claims into
+/// one accumulator, so worker partials cover non-adjacent ranges). The
 /// certificate-checked path — where the analyzer proves this instead of
 /// trusting it — is dryad::DistributedQuery::runParallel (dryad/Dist.h).
 ///
@@ -105,8 +105,8 @@ public:
   /// Source element count (elements entering the chain, not leaving it).
   std::size_t sourceCount() const { return Count; }
 
-  /// A copy with different scheduler tuning (tests force tiny morsels to
-  /// provoke stealing; benches widen the budget).
+  /// A copy with different scheduler tuning (tests force tiny morsels so
+  /// the workers' claims interleave; benches widen the budget).
   ParSeq withMorselOptions(dryad::MorselOptions NewOpts) const {
     return ParSeq(*Pool, Count, Chain, NewOpts);
   }
@@ -179,7 +179,7 @@ public:
   /// Aggregate with an explicit combiner (the distributed-aggregation
   /// interface of the paper's [33]). \p Combine must be associative and
   /// commutative, and \p Seed its identity — .NET PLINQ's contract —
-  /// because stealing folds non-adjacent morsels into one worker
+  /// because a worker folds the non-adjacent morsels it claims into one
   /// accumulator.
   template <typename U, typename FStep, typename FCombine>
   U aggregate(U Seed, FStep Step, FCombine Combine) const {
@@ -201,7 +201,7 @@ public:
   /// Materializes in source order (PLINQ's AsOrdered semantics): every
   /// morsel's output chunk is tagged with its source offset and the
   /// chunks are reassembled ascending, so the result is identical to the
-  /// sequential chain regardless of stealing.
+  /// sequential chain however the claims interleaved.
   std::vector<T> toVector() const {
     FanoutObs Obs("plinq.toVector", *Pool);
     using Tagged = std::pair<std::size_t, std::vector<T>>;

@@ -10,6 +10,7 @@
 #include "quil/Quil.h"
 #include "support/Timing.h"
 
+#include <bit>
 #include <cstdio>
 #include <future>
 
@@ -526,10 +527,14 @@ void QueryService::runRequest(const std::shared_ptr<RequestState> &R) {
     return;
   }
 
-  // Answer the client before the re-plan cadence compiles anything.
+  // Answer the client before the re-plan cadence compiles anything. The
+  // cadence doubles (ReplanEvery x 1, 2, 4, ... executions): a handle's
+  // bindings are fixed, so its selectivities settle after the first runs
+  // and later re-plans would mostly reproduce the running plan.
   std::uint64_t Execs = P.Execs.fetch_add(1, std::memory_order_relaxed) + 1;
   finish(*R, std::move(Rsp));
-  if (Options.ReplanEvery && Execs % Options.ReplanEvery == 0)
+  if (Options.ReplanEvery && Execs % Options.ReplanEvery == 0 &&
+      std::has_single_bit(Execs / Options.ReplanEvery))
     scheduleAdaptiveReplan(R->P);
 }
 

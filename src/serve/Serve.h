@@ -100,12 +100,12 @@ struct ServeOptions {
   /// the interp plan and its native swap-in merge into one profile) and
   /// are served by the wire `profile <handle>` command.
   bool Profile = obs::profilingEnvEnabled();
-  /// Feedback-driven re-planning (DESIGN.md §5j): every ReplanEvery
-  /// executions of a handle, recompile the plan with the selectivities
-  /// the obs::ProfileStore observed and — when they produced a
-  /// different plan — replace the handle's plan with it, like the
-  /// interp->native swap. Requires Profile (no observations otherwise).
-  /// 0 = only explicit scheduleAdaptiveReplan calls.
+  /// Feedback-driven re-planning (DESIGN.md §5j): after ReplanEvery x
+  /// 2^k executions of a handle (k = 0, 1, 2, ...), recompile the plan
+  /// with the selectivities the obs::ProfileStore observed and — when
+  /// they produced a different plan — replace the handle's plan with it,
+  /// like the interp->native swap. Requires Profile (no observations
+  /// otherwise). 0 = only explicit scheduleAdaptiveReplan calls.
   unsigned ReplanEvery = 64;
   /// Plan cache; defaults to a service-private cache when null. Not
   /// owned.
@@ -302,7 +302,7 @@ public:
 
   /// Recompiles \p P's plan with the accumulated feedback and, when the
   /// feedback produced a new plan hash, makes it the handle's plan
-  /// (normally triggered every ReplanEvery executions; a no-op unless
+  /// (normally triggered at ReplanEvery x 2^k executions; a no-op unless
   /// Profile is on). The interpreter version is compiled synchronously,
   /// outside the QueryCache. With BackgroundRecompile on, the re-plan
   /// waits until the handle runs natively and publishes the new plan's

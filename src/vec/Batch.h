@@ -142,7 +142,7 @@ private:
 /// Per-thread execution workspace: the operator-stage columns, the batch
 /// selection vector, and the expression scratch pool. One per worker
 /// thread (workspace() below), reused across batches, morsels and
-/// queries — the "per-worker buffer pool" that keeps work-stealing free
+/// queries — the "per-worker buffer pool" that keeps morsel dispatch free
 /// of re-allocation.
 struct Workspace {
   std::vector<ColBuf> StageCols; ///< One per Trans stage, grown on demand.

@@ -502,7 +502,6 @@ TEST(DryadPlinq, BatchExecutedVertexSplitsIntoMorsels) {
   O.Vectorize = true;
   O.Morsels.MinMorsel = 1;
   O.Morsels.MaxMorsel = 8;
-  O.Morsels.InitialMorsel = 2;
   O.Morsels.InlineBelow = 0;
   DistributedQuery DQ = DistributedQuery::compile(Q, O);
   ASSERT_TRUE(DQ.parallel()) << DQ.whyNotParallel();

@@ -597,7 +597,6 @@ void expectSortedRows(const char *Name, const Query &Q,
     O.Exec = Exec;
     O.Name = std::string("e2e_psort_") + Name;
     O.Morsels.MinMorsel = 8;
-    O.Morsels.InitialMorsel = 8;
     O.Morsels.MaxMorsel = 16;
     O.Morsels.InlineBelow = 0;
     dryad::DistributedQuery DQ = dryad::DistributedQuery::compile(Q, O);

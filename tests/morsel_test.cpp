@@ -1,10 +1,9 @@
-//===- tests/morsel_test.cpp - Work-stealing scheduler tests ---*- C++ -*-===//
+//===- tests/morsel_test.cpp - Morsel scheduler tests ----------*- C++ -*-===//
 //
-// Covers the morsel scheduler at three layers: the WorkStealDeque
-// primitive, morselFor's exactly-once/ordering contracts (including the
-// forced-stealing stress that the TSan CI job runs), and the morselized
-// DistributedQuery::runParallel path against the sequential reference
-// for every combine kind.
+// Covers the morsel scheduler at two layers: morselFor's exactly-once,
+// ordering and sharing contracts (including the skewed-head stress that
+// the TSan CI job runs), and the morselized DistributedQuery::runParallel
+// path against the sequential reference for every combine kind.
 //
 //===----------------------------------------------------------------------===//
 
@@ -19,6 +18,7 @@
 #include "gtest/gtest.h"
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <map>
 #include <thread>
@@ -35,103 +35,6 @@ E x() { return param("x", Type::doubleTy()); }
 } // namespace
 
 //===--------------------------------------------------------------------===//
-// WorkStealDeque
-//===--------------------------------------------------------------------===//
-
-TEST(MorselDeque, OwnerPopIsLifo) {
-  WorkStealDeque D(8);
-  EXPECT_TRUE(D.push(1));
-  EXPECT_TRUE(D.push(2));
-  EXPECT_TRUE(D.push(3));
-  std::uint64_t V = 0;
-  ASSERT_TRUE(D.pop(V));
-  EXPECT_EQ(V, 3u);
-  ASSERT_TRUE(D.pop(V));
-  EXPECT_EQ(V, 2u);
-  ASSERT_TRUE(D.pop(V));
-  EXPECT_EQ(V, 1u);
-  EXPECT_FALSE(D.pop(V));
-}
-
-TEST(MorselDeque, ThiefStealIsFifo) {
-  WorkStealDeque D(8);
-  D.push(1);
-  D.push(2);
-  D.push(3);
-  std::uint64_t V = 0;
-  ASSERT_TRUE(D.steal(V));
-  EXPECT_EQ(V, 1u) << "thieves take the oldest (largest) range";
-  ASSERT_TRUE(D.steal(V));
-  EXPECT_EQ(V, 2u);
-  // Owner gets the remaining newest.
-  ASSERT_TRUE(D.pop(V));
-  EXPECT_EQ(V, 3u);
-  EXPECT_FALSE(D.steal(V));
-}
-
-TEST(MorselDeque, PushReportsOverflow) {
-  WorkStealDeque D(4);
-  for (std::uint64_t I = 0; I != 4; ++I)
-    EXPECT_TRUE(D.push(I));
-  EXPECT_FALSE(D.push(99)) << "full deque must refuse, not grow";
-  // Draining one slot makes room again.
-  std::uint64_t V = 0;
-  ASSERT_TRUE(D.steal(V));
-  EXPECT_EQ(V, 0u);
-  EXPECT_TRUE(D.push(99));
-}
-
-TEST(MorselDeque, ConcurrentDrainIsExactlyOnce) {
-  // One owner popping, three thieves stealing; every pushed value must
-  // surface exactly once. (This test is in the TSan CI target.)
-  const std::uint64_t N = 20000;
-  WorkStealDeque D(1 << 15);
-  std::vector<std::atomic<int>> Seen(N);
-  std::atomic<std::uint64_t> Drained{0};
-  std::atomic<bool> Done{false};
-
-  std::vector<std::thread> Thieves;
-  for (int T = 0; T != 3; ++T)
-    Thieves.emplace_back([&] {
-      std::uint64_t V;
-      while (!Done.load(std::memory_order_acquire)) {
-        if (D.steal(V)) {
-          Seen[V].fetch_add(1);
-          Drained.fetch_add(1);
-        } else {
-          std::this_thread::yield();
-        }
-      }
-    });
-
-  std::uint64_t V;
-  for (std::uint64_t I = 0; I != N; ++I) {
-    while (!D.push(I)) { // owner chews its own backlog when full
-      if (D.pop(V)) {
-        Seen[V].fetch_add(1);
-        Drained.fetch_add(1);
-      }
-    }
-    if ((I & 7) == 0 && D.pop(V)) {
-      Seen[V].fetch_add(1);
-      Drained.fetch_add(1);
-    }
-  }
-  while (D.pop(V)) {
-    Seen[V].fetch_add(1);
-    Drained.fetch_add(1);
-  }
-  while (Drained.load() != N)
-    std::this_thread::yield();
-  Done.store(true, std::memory_order_release);
-  for (std::thread &T : Thieves)
-    T.join();
-
-  for (std::uint64_t I = 0; I != N; ++I)
-    ASSERT_EQ(Seen[I].load(), 1) << "value " << I;
-}
-
-//===--------------------------------------------------------------------===//
 // morselFor
 //===--------------------------------------------------------------------===//
 
@@ -142,7 +45,6 @@ namespace {
 MorselOptions tinyMorsels() {
   MorselOptions O;
   O.MinMorsel = 8;
-  O.InitialMorsel = 8;
   O.MaxMorsel = 32;
   O.InlineBelow = 0; // never short-circuit; we want the full scheduler
   return O;
@@ -208,38 +110,57 @@ TEST(MorselFor, SmallInputRunsInline) {
                             });
   EXPECT_EQ(Calls.load(), 1);
   EXPECT_TRUE(S.RanInline);
-  EXPECT_EQ(S.Steals, 0u);
 }
 
-TEST(MorselFor, StealingRebalancesSkewedWork) {
-  // Forced stealing: the first shard's elements are pathologically slow,
-  // so the other workers drain their own shards and then MUST steal from
-  // worker 0's deque to finish. (TSan CI target: this is the
-  // owner-pop-vs-steal race, exercised on purpose.)
+TEST(MorselFor, SkewedHeadIsShared) {
+  // The first eighth of the input is pathologically slow. Whichever
+  // workers are free claim the next morsel, so the heavy head must not
+  // be left to one worker. (TSan CI target: the workers race on the
+  // claim cursor on purpose.)
   const std::size_t N = 4096;
   ThreadPool Pool(4);
   std::vector<std::atomic<int>> Hits(N);
-  MorselOptions O = tinyMorsels();
-  MorselStats S = morselFor(
-      Pool, N, O, [&Hits, N](std::size_t B, std::size_t E, unsigned) {
-        for (std::size_t I = B; I != E; ++I) {
-          if (I < N / 8) // heavy head: ~50us per element
-            std::this_thread::sleep_for(std::chrono::microseconds(50));
-          Hits[I].fetch_add(1, std::memory_order_relaxed);
-        }
-      });
+  std::atomic<unsigned> HeadWorkers{0};
+  morselFor(Pool, N, tinyMorsels(),
+            [&](std::size_t B, std::size_t E, unsigned W) {
+              for (std::size_t I = B; I != E; ++I) {
+                if (I < N / 8) { // heavy head: ~50us per element
+                  HeadWorkers.fetch_or(1u << W, std::memory_order_relaxed);
+                  std::this_thread::sleep_for(std::chrono::microseconds(50));
+                }
+                Hits[I].fetch_add(1, std::memory_order_relaxed);
+              }
+            });
   for (std::size_t I = 0; I != N; ++I)
     ASSERT_EQ(Hits[I].load(), 1) << "element " << I;
-  if (Pool.workerCount() > 1) {
-    EXPECT_GT(S.Steals, 0u)
-        << "skewed shard 0 must shed work to idle workers";
-  }
+  EXPECT_GE(std::popcount(HeadWorkers.load()), 2)
+      << "the heavy head must be shared by at least two workers";
+}
+
+TEST(MorselFor, SmallCostlyInputReachesSeveralWorkers) {
+  // 4096 elements is one first claim of 4096; only the even-share cap
+  // (4096 / 4 workers) leaves work for the other workers. Each call
+  // sleeps long enough for them to start.
+  ThreadPool Pool(4);
+  std::atomic<unsigned> Workers{0};
+  std::atomic<std::size_t> Total{0};
+  MorselStats S = morselFor(
+      Pool, 4096, MorselOptions(),
+      [&](std::size_t B, std::size_t E, unsigned W) {
+        Workers.fetch_or(1u << W, std::memory_order_relaxed);
+        Total.fetch_add(E - B, std::memory_order_relaxed);
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      });
+  EXPECT_FALSE(S.RanInline);
+  EXPECT_EQ(Total.load(), 4096u);
+  EXPECT_GE(std::popcount(Workers.load()), 2)
+      << "a small, costly input must reach more than one worker";
 }
 
 TEST(MorselFor, HugeCountWindows) {
-  // Counts beyond the 2^31 packing window run as multiple windows; use a
-  // body cheap enough to make 3 * 2^31 elements feasible (the body sees
-  // ranges, not elements).
+  // Counts past 2^32 are plain size_t claims; use a body cheap enough to
+  // make 3 * 2^31 elements feasible (the body sees ranges, not
+  // elements).
   const std::size_t Window = std::size_t(1) << 31;
   const std::size_t N = 3 * Window + 12345;
   ThreadPool Pool(2);
@@ -262,7 +183,7 @@ TEST(MorselFor, HugeCountWindows) {
 }
 
 //===--------------------------------------------------------------------===//
-// Determinism: AsOrdered reassembly under stealing
+// Determinism: AsOrdered reassembly however the claims interleave
 //===--------------------------------------------------------------------===//
 
 TEST(MorselOrder, ToVectorMatchesSequentialUnderTinyMorsels) {
@@ -302,7 +223,6 @@ DistOptions tinyMorselDist(const char *Name) {
   O.Exec = Backend::Interp; // JIT-free unit tests; e2e covers Native
   O.Name = Name;
   O.Morsels.MinMorsel = 16;
-  O.Morsels.InitialMorsel = 16;
   O.Morsels.MaxMorsel = 64;
   O.Morsels.InlineBelow = 0;
   return O;

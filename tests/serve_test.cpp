@@ -819,6 +819,35 @@ TEST(ServeLifecycle, NativeUpgradeOfAReplannedPlanStaysOutOfTheCache) {
   EXPECT_EQ(Fresh->currentPlan().planHash(), V1Hash);
 }
 
+TEST(ServeLifecycle, ReplanCadenceDoublesFromReplanEvery) {
+  // Re-plans fire after ReplanEvery x 2^k executions: 4, 8, 16, 32, 64
+  // and 128 of 128, not at every multiple of 4 (which made 32).
+  ServeOptions O;
+  O.Workers = 1;
+  O.BackgroundRecompile = false; // re-plans compile on the one worker
+  O.Profile = true;
+  O.ReplanEvery = 4;
+  QueryService Svc(O);
+  auto Sess = Svc.openSession();
+  std::string Err;
+  PreparedHandle P = Sess->prepare(specText(skewedPredsSpec(-95.0, 89.0)),
+                                   &Err);
+  ASSERT_TRUE(P) << Err;
+  QueryResult Want = reference(P);
+  auto run = [&] {
+    Response R = Sess->execute(P);
+    ASSERT_EQ(R.St, Status::Ok);
+    EXPECT_TRUE(resultsMatch(R.Result, Want));
+  };
+  for (int I = 0; I != 128; ++I)
+    run();
+  // The 128th answer leaves before its re-plan runs. One more execution,
+  // which is no cadence point, queues behind that re-plan on the single
+  // worker.
+  run();
+  EXPECT_EQ(Svc.stats().Replans, 6u);
+}
+
 //===--------------------------------------------------------------------===//
 // The fuzz corpus, replayed through the service
 //===--------------------------------------------------------------------===//

@@ -42,10 +42,10 @@ void usage() {
       "                     `profile <handle>`; also STENO_PROFILE=1)\n"
       "  --no-adapt         disable feedback-driven re-planning, same as\n"
       "                     --replan-every 0\n"
-      "  --replan-every N   feedback re-plan cadence in executions per\n"
-      "                     handle; a re-plan that finds a new plan\n"
-      "                     replaces the handle's plan (needs --profile;\n"
-      "                     default 64; 0 = never)\n");
+      "  --replan-every N   re-plan a handle with feedback after N, 2N,\n"
+      "                     4N, ... executions; a re-plan that finds a\n"
+      "                     new plan replaces the handle's plan (needs\n"
+      "                     --profile; default 64; 0 = never)\n");
 }
 
 bool parseUnsigned(const char *S, unsigned long long &Out) {
