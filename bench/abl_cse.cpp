@@ -35,7 +35,7 @@ double timeQuery(const Query &Q, const Bindings &B, bool Cse,
   return bestSeconds(
       [&] {
         doNotOptimize(
-            static_cast<std::int64_t>(CQ.run(B).rows().size()));
+            static_cast<std::int64_t>(CQ.run(B).numRows()));
       },
       3);
 }

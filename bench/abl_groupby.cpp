@@ -59,13 +59,13 @@ int main() {
     double BagsS = bestSeconds(
         [&] {
           doNotOptimize(
-              static_cast<std::int64_t>(Bags.run(B).rows().size()));
+              static_cast<std::int64_t>(Bags.run(B).numRows()));
         },
         2);
     double FusedS = bestSeconds(
         [&] {
           doNotOptimize(
-              static_cast<std::int64_t>(Fused.run(B).rows().size()));
+              static_cast<std::int64_t>(Fused.run(B).numRows()));
         },
         2);
 

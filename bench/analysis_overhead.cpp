@@ -62,7 +62,7 @@ double runSeconds(const Query &Q, analysis::Mode Mode, const char *Name,
                   const Bindings &B) {
   CompiledQuery CQ = compileQuery(Q, opts(Mode, Backend::Native, Name));
   return bestSeconds([&] {
-    doNotOptimize(static_cast<std::int64_t>(CQ.run(B).rows().size()));
+    doNotOptimize(static_cast<std::int64_t>(CQ.run(B).numRows()));
   });
 }
 

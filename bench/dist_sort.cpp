@@ -57,12 +57,12 @@ int main() {
   double ParS = bestSeconds(
       [&] {
         doNotOptimize(static_cast<std::int64_t>(
-            DQ.runParallel(Pool, B).rows().size()));
+            DQ.runParallel(Pool, B).numRows()));
       },
       Reps);
   double SeqS = bestSeconds(
       [&] {
-        doNotOptimize(static_cast<std::int64_t>(CQ.run(B).rows().size()));
+        doNotOptimize(static_cast<std::int64_t>(CQ.run(B).numRows()));
       },
       Reps);
 

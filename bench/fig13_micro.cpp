@@ -79,14 +79,14 @@ void timeSteno(const Query &Q, const Bindings &B, Result &R,
       [&] {
         CompiledQuery CQ = compileQuery(Q, {});
         doNotOptimize(
-            static_cast<double>(CQ.run(B).rows().size()));
+            static_cast<double>(CQ.run(B).numRows()));
       },
       /*Reps=*/2);
   // Excluding compilation: reuse the cached compiled query (§7.1).
   CompiledQuery CQ = compileQuery(Q, {});
   R.StenoExclS = bestSeconds(
       [&] {
-        doNotOptimize(static_cast<double>(CQ.run(B).rows().size()));
+        doNotOptimize(static_cast<double>(CQ.run(B).numRows()));
       },
       Reps);
 }

@@ -13,6 +13,13 @@
 // one-iteration times for LINQ vertices, Steno vertices and hand loops,
 // plus the LINQ/Steno speedup — the Figure 14 series.
 //
+// The 8 partitions run on a pool of min(8, hardware threads) workers, so
+// no two pool threads contend for a CPU the host does not have. Each
+// variant is warmed up once, then the three run in turn for 9 rounds, so
+// a drift in the host's speed hits all three alike; a cell is the median
+// of its 9 times with the quartiles beside it. (Best-of-2 on an 8-thread
+// pool over 4 vCPUs spread the d=1000 Steno cell over 62-118 ms.)
+//
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
@@ -20,29 +27,66 @@
 #include "dryad/HomomorphicApply.h"
 #include "workloads/Kmeans.h"
 
+#include <algorithm>
 #include <cstdio>
+#include <functional>
+#include <thread>
 
 using namespace steno;
 using namespace steno::bench;
 using namespace steno::workloads;
+
+namespace {
+
+/// Rounds of the three variants per dimension.
+constexpr int kRounds = 9;
+
+/// The quartiles of \p Xs (sorted in place), linearly interpolated.
+struct Quartiles {
+  double Q1, Median, Q3;
+};
+
+Quartiles quartiles(std::vector<double> &Xs) {
+  std::sort(Xs.begin(), Xs.end());
+  auto at = [&](double Q) {
+    double Pos = Q * static_cast<double>(Xs.size() - 1);
+    std::size_t Lo = static_cast<std::size_t>(Pos);
+    std::size_t Hi = std::min(Lo + 1, Xs.size() - 1);
+    return Xs[Lo] + (Pos - static_cast<double>(Lo)) * (Xs[Hi] - Xs[Lo]);
+  };
+  return {at(0.25), at(0.5), at(0.75)};
+}
+
+/// "median (q1-q3)" in milliseconds.
+std::string cell(const Quartiles &Q) {
+  char Buf[64];
+  std::snprintf(Buf, sizeof Buf, "%.1f (%.1f-%.1f)", Q.Median * 1e3,
+                Q.Q1 * 1e3, Q.Q3 * 1e3);
+  return Buf;
+}
+
+} // namespace
 
 int main() {
   const std::int64_t TotalDoubles = scaled(20000000);
   const std::int64_t K = 10; // clusters
   const unsigned Parts = 8; // simulated vertices
   const std::int64_t Dims[] = {5, 10, 20, 50, 100, 200, 500, 1000};
+  const unsigned Workers =
+      std::clamp(std::thread::hardware_concurrency(), 1u, Parts);
 
   header("Figure 14: distributed k-means, speedup vs dimension");
   std::printf("total input held constant at %lld doubles "
-              "(points x dim); k = %lld; %u partitions\n\n",
+              "(points x dim); k = %lld; %u partitions on %u workers; "
+              "median (quartiles) of %d interleaved rounds\n\n",
               static_cast<long long>(TotalDoubles),
-              static_cast<long long>(K), Parts);
+              static_cast<long long>(K), Parts, Workers, kRounds);
 
-  dryad::ThreadPool Pool(Parts);
+  dryad::ThreadPool Pool(Workers);
 
-  std::printf("%6s %10s %12s %12s %12s %9s %9s\n", "dim", "points",
-              "linq (ms)", "steno (ms)", "hand (ms)", "spdup",
-              "vs hand");
+  std::printf("%6s %10s %22s %22s %22s %7s %7s\n", "dim", "points",
+              "linq ms (q1-q3)", "steno ms (q1-q3)", "hand ms (q1-q3)",
+              "spdup", "vs hand");
 
   for (std::int64_t Dim : Dims) {
     std::int64_t NumPoints = TotalDoubles / Dim;
@@ -69,8 +113,8 @@ int main() {
       PartBindings.push_back(std::move(B));
     }
 
-    double LinqS = bestSeconds(
-        [&] {
+    const std::function<void()> Variants[3] = {
+        [&] { // LINQ vertices
           std::vector<double> Slots =
               mergePartials(dryad::homomorphicApply(
                   Pool, Partitions,
@@ -79,18 +123,11 @@ int main() {
                   }));
           doNotOptimize(Slots[0]);
         },
-        2);
-
-    double StenoS = bestSeconds(
-        [&] {
+        [&] { // Steno vertices
           QueryResult R = Step.run(Pool, PartBindings);
-          doNotOptimize(
-              static_cast<std::int64_t>(R.rows().size()));
+          doNotOptimize(R.numRows());
         },
-        2);
-
-    double HandS = bestSeconds(
-        [&] {
+        [&] { // hand loops
           std::vector<double> Slots =
               mergePartials(dryad::homomorphicApply(
                   Pool, Partitions,
@@ -98,14 +135,25 @@ int main() {
                     return handVertexPartials(P, Centroids, K, Dim);
                   }));
           doNotOptimize(Slots[0]);
-        },
-        2);
+        }};
+    std::vector<double> Times[3];
+    for (const std::function<void()> &Run : Variants)
+      Run(); // warm-up: page faults, code fill
+    for (int Round = 0; Round != kRounds; ++Round)
+      for (int V = 0; V != 3; ++V) {
+        support::WallTimer T;
+        Variants[V]();
+        Times[V].push_back(T.seconds());
+      }
+    Quartiles Linq = quartiles(Times[0]);
+    Quartiles Steno = quartiles(Times[1]);
+    Quartiles Hand = quartiles(Times[2]);
 
-    std::printf("%6lld %10lld %12.1f %12.1f %12.1f %8.2fx %8.2fx\n",
+    std::printf("%6lld %10lld %22s %22s %22s %6.2fx %6.2fx\n",
                 static_cast<long long>(Dim),
-                static_cast<long long>(NumPoints), LinqS * 1e3,
-                StenoS * 1e3, HandS * 1e3, LinqS / StenoS,
-                StenoS / HandS);
+                static_cast<long long>(NumPoints), cell(Linq).c_str(),
+                cell(Steno).c_str(), cell(Hand).c_str(),
+                Linq.Median / Steno.Median, Steno.Median / Hand.Median);
   }
 
   std::printf("\npaper's Figure 14: 1.9x at d=10, 1.19x at d=100, "

@@ -75,10 +75,10 @@ bool measure(const Workload &W, const Bindings &B, std::int64_t Items,
 
   double BaseS = bestSeconds(
       [&] {
-        jit::ExecOutput Out =
-            jit::run(Module->entry(), B.sources(), B.values(),
-                     Off.program().ResultType);
-        doNotOptimize(static_cast<std::int64_t>(Out.Rows.size()));
+        ResultBuilder Out(true, Off.program().ResultType);
+        rt::Columns Cols = Out.columns();
+        jit::run(Module->entry(), B.sources(), B.values(), Cols);
+        doNotOptimize(Cols.Cols[0].Len);
       },
       Reps);
   double OffS = bestSeconds(

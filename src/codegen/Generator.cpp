@@ -768,7 +768,15 @@ private:
       break;
     }
     case State::Sinking: {
-      if (!Nested) {
+      if (!Nested && PendingSink.Decl.Kind == SinkKind::Vec &&
+          PendingSink.ProfOp == NoProf &&
+          (PendingSink.Decl.ElemType->isInt64() ||
+           PendingSink.Decl.ElemType->isDouble())) {
+        // The rows are the sink's elements, in order: the host adopts
+        // the sink's buffer as its result column and no row is copied.
+        // A profiled plan keeps the loop, where Ret counts its rows.
+        omega().push_back(Stmt::emitSink(PendingSink.Name));
+      } else if (!Nested) {
         openPendingSinkLoop();
         mu().push_back(Stmt::emit(curElemRef()));
         profCountOnly("Ret", mu());
@@ -792,8 +800,8 @@ private:
     case State::Iterating: {
       if (!Nested) {
         // The non-nested ITERATING Ret is the paper's `yield return`
-        // (Figure 8(c)); with the emitter protocol the element row is
-        // pushed to the caller from the loop body.
+        // (Figure 8(c)): the loop body appends the element row to the
+        // host's result columns.
         mu().push_back(Stmt::emit(curElemRef()));
         profCountOnly("Ret", mu());
       } else {

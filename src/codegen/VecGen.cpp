@@ -167,7 +167,7 @@ private:
     blank();
     line("extern \"C\" void %s(const steno::rt::Captures *Caps_,",
          Entry.c_str());
-    line("                     steno::rt::Emitter *Out_) {");
+    line("                     steno::rt::Columns *Out_) {");
     Indent = 1;
     line("(void)Caps_;");
     line("(void)Out_;");
@@ -539,7 +539,7 @@ private:
 
   void printEmitLoop() {
     openLaneLoop();
-    line("steno::rt::emitRow(Out_, %s);", Cur.c_str());
+    line("steno::rt::appendRow(Out_, %s);", Cur.c_str());
     closeLaneLoop();
     profOut(P.RetProfSlot);
   }
@@ -551,10 +551,10 @@ private:
       Names.Param = [AccName](const std::string &Name) {
         return Name == AccName ? std::string("vacc_") : Name;
       };
-      line("steno::rt::emitRow(Out_, %s);",
+      line("steno::rt::appendRow(Out_, %s);",
            expr::printExprCxx(*P.AggResult.body(), Names).c_str());
     } else {
-      line("steno::rt::emitRow(Out_, vacc_);");
+      line("steno::rt::appendRow(Out_, vacc_);");
     }
     if (Prof)
       line("prof_c_[%zu] += 1;", 2 * P.RetProfSlot + 1);

@@ -44,10 +44,12 @@ namespace codegen {
 
 /// Renders \p Plan (which must have Ok == true) as a complete C++ source
 /// file exposing `extern "C" void <EntryName>(const steno::rt::Captures*,
-/// steno::rt::Emitter*)`. \p Slots must be the slot usage of the scalar
-/// program for the same chain (the vec TU touches the same slots). When
-/// \p Profile is set the TU carries per-batch profile accounting against
-/// Plan.NumProfOps operator slots, flushed through Captures at exit.
+/// steno::rt::Columns*)`, which appends its rows to the host's result
+/// columns with steno::rt::appendRow. \p Slots must be the slot usage of
+/// the scalar program for the same chain (the vec TU touches the same
+/// slots). When \p Profile is set the TU carries per-batch profile
+/// accounting against Plan.NumProfOps operator slots, flushed through
+/// Captures at exit.
 std::string printVectorizedProgram(const vec::VecPlan &Plan,
                                    const cpptree::SlotUsage &Slots,
                                    const std::string &EntryName,

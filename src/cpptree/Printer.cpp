@@ -146,7 +146,7 @@ public:
     blank();
     line("extern \"C\" void %s(const steno::rt::Captures *Caps_,",
          P.Name.c_str());
-    line("                     steno::rt::Emitter *Out_) {");
+    line("                     steno::rt::Columns *Out_) {");
     Indent = 1;
     line("(void)Caps_;");
     line("(void)Out_;");
@@ -280,7 +280,10 @@ private:
       printSort(S);
       return;
     case StmtKind::Emit:
-      line("steno::rt::emitRow(Out_, %s);", expr(S.E).c_str());
+      line("steno::rt::appendRow(Out_, %s);", expr(S.E).c_str());
+      return;
+    case StmtKind::EmitSink:
+      line("steno::rt::adoptColumn(Out_, %s);", S.Name.c_str());
       return;
     case StmtKind::ProfileCount:
       line("++prof_c_[%u];", S.ProfSlot);

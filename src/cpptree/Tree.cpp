@@ -138,6 +138,13 @@ StmtRef Stmt::emit(expr::ExprRef Elem) {
   return S;
 }
 
+StmtRef Stmt::emitSink(std::string SinkName) {
+  auto S = std::make_shared<Stmt>();
+  S->K = StmtKind::EmitSink;
+  S->Name = std::move(SinkName);
+  return S;
+}
+
 StmtRef Stmt::profileCount(unsigned Slot) {
   auto S = std::make_shared<Stmt>();
   S->K = StmtKind::ProfileCount;

@@ -81,7 +81,9 @@ enum class StmtKind {
   SinkGroupAggUpdate, ///< auto &s = sink.slot(key, seed); s = update;
   SinkVecPush,        ///< sink.push_back(elem);
   SortSinkVec,        ///< Stable sort of a Vec sink by an inlined key.
-  Emit,               ///< Emit an element/scalar row to the caller.
+  Emit,               ///< Append an element/scalar row to the result.
+  EmitSink,           ///< Hand a Vec sink of int64s or doubles to the
+                      ///< host whole, as the result's one column.
   ProfileCount,       ///< ++prof_c_[slot]; — a profile row counter bump.
   ProfileTimed        ///< RAII-timed statement run: a ProfTimer charging
                       ///< prof_ns_[slot] is live across Body, stopping at
@@ -124,7 +126,8 @@ struct Stmt {
   StmtList Body;
 
   /// DeclareLocal, Assign, SinkGroupAggUpdate slot, DeclareSinkView,
-  /// DeclareSink, SinkGroupPut, SinkVecPush, SortSinkVec: target name.
+  /// DeclareSink, SinkGroupPut, SinkVecPush, SortSinkVec, EmitSink:
+  /// target name.
   std::string Name;
   /// DeclareLocal: declared type.
   expr::TypeRef Ty;
@@ -175,6 +178,7 @@ struct Stmt {
   static StmtRef sortSinkVec(std::string SinkName, expr::TypeRef ElemType,
                              expr::Lambda KeyFn);
   static StmtRef emit(expr::ExprRef Elem);
+  static StmtRef emitSink(std::string SinkName);
   static StmtRef profileCount(unsigned Slot);
   static StmtRef profileTimed(unsigned OpIndex, StmtList Body);
 };

@@ -13,7 +13,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
-#include <deque>
 
 using namespace steno;
 using namespace steno::dryad;
@@ -177,17 +176,6 @@ Combiner2 compileCombiner(const expr::Lambda &L) {
   };
 }
 
-/// The combined rows [Rows, Rows+N) as a result that owns them: each row
-/// is deep-copied, Vec payloads included, so it outlives the partials.
-QueryResult ownedResult(bool Scalar, const Value *Rows, std::size_t N) {
-  auto Arena = std::make_shared<std::deque<std::vector<double>>>();
-  std::vector<Value> Owned;
-  Owned.reserve(N);
-  for (std::size_t I = 0; I != N; ++I)
-    Owned.push_back(deepCopy(Rows[I], *Arena));
-  return QueryResult(Scalar, std::move(Owned), std::move(Arena));
-}
-
 /// True when every partial lists the same keys in the same order, as
 /// dense sinks do: their accumulators then merge position by position.
 bool keysAligned(const std::vector<QueryResult> &Partials) {
@@ -234,13 +222,14 @@ dryad::combineParallelPartials(const ParallelPlan &Plan,
                                const std::vector<QueryResult> &Partials) {
   // Stage 2: Agg* — merge the partial results (in source order).
   assert(!Partials.empty() && "no partials to combine");
+  // The combined rows are copied into the result's own columns, so it
+  // outlives the partials.
+  ResultBuilder Out(Plan.ScalarResult, Plan.ResultType);
   switch (Plan.Kind) {
-  case CombineKind::Concat: {
-    std::vector<Value> Rows;
+  case CombineKind::Concat:
     for (const QueryResult &Part : Partials)
-      Rows.insert(Rows.end(), Part.rows().begin(), Part.rows().end());
-    return ownedResult(false, Rows.data(), Rows.size());
-  }
+      Out.append(Part);
+    return Out.finish();
 
   case CombineKind::Fold: {
     // One left fold of the partials in source order, then the result
@@ -251,7 +240,8 @@ dryad::combineParallelPartials(const ParallelPlan &Plan,
       Acc = Combine(Acc, Partials[P].scalarValue());
     if (Plan.FinalResult.valid())
       Acc = apply(Plan.FinalResult, {Acc});
-    return ownedResult(true, &Acc, 1);
+    Out.add(Acc);
+    return Out.finish();
   }
 
   case CombineKind::MergeSorted: {
@@ -272,8 +262,9 @@ dryad::combineParallelPartials(const ParallelPlan &Plan,
       KeyEnv.pop();
       return Key;
     });
-    return ownedResult(false, Rows.data(),
-                       static_cast<std::size_t>(Rows.size()));
+    for (std::int64_t I = 0; I != Rows.size(); ++I)
+      Out.add(Rows[I]);
+    return Out.finish();
   }
 
   case CombineKind::MergeByKey: {
@@ -281,11 +272,10 @@ dryad::combineParallelPartials(const ParallelPlan &Plan,
     // appearance order, then the result selector — the distributed
     // GroupBy-Aggregate of §4.3/§6.
     Combiner2 Combine = compileCombiner(Plan.Combiner);
-    std::vector<Value> Rows;
     auto emit = [&](std::int64_t Key, const Value &Acc) {
-      Rows.push_back(Plan.FinalResult.valid()
-                         ? apply(Plan.FinalResult, {Value(Key), Acc})
-                         : Value::makePair(Value(Key), Acc));
+      Out.add(Plan.FinalResult.valid()
+                  ? apply(Plan.FinalResult, {Value(Key), Acc})
+                  : Value::makePair(Value(Key), Acc));
     };
     if (keysAligned(Partials)) {
       const std::vector<Value> &First = Partials.front().rows();
@@ -309,7 +299,7 @@ dryad::combineParallelPartials(const ParallelPlan &Plan,
       for (std::int64_t I = 0; I != Groups.size(); ++I)
         emit(Groups.keyAt(I), Groups.accAt(I));
     }
-    return ownedResult(false, Rows.data(), Rows.size());
+    return Out.finish();
   }
   }
   stenoUnreachable("bad CombineKind");

@@ -152,9 +152,9 @@ dryad::DistOptions quietDistOptions(const char *Name, bool TinyMorsels) {
 }
 
 /// Structurally rebuilds \p V with a +1 / flipped perturbation at the
-/// first leaf (fault injection for the mismatch-pipeline test).
-expr::Value perturbValue(const expr::Value &V,
-                         std::deque<std::vector<double>> &Arena) {
+/// first leaf (fault injection for the mismatch-pipeline test). A
+/// perturbed vec's elements live in \p Scratch until the row is added.
+expr::Value perturbValue(const expr::Value &V, std::vector<double> &Scratch) {
   switch (V.kind()) {
   case expr::TypeKind::Bool:
     return expr::Value(!V.asBool());
@@ -164,33 +164,33 @@ expr::Value perturbValue(const expr::Value &V,
     return expr::Value(V.asDouble() + 1.0);
   case expr::TypeKind::Vec: {
     expr::VecView View = V.asVec();
-    Arena.emplace_back(View.Data, View.Data + View.Len);
-    if (!Arena.back().empty())
-      Arena.back()[0] += 1.0;
+    Scratch.assign(View.Data, View.Data + View.Len);
+    if (!Scratch.empty())
+      Scratch[0] += 1.0;
     else
-      Arena.back().push_back(1.0); // perturb an empty vec by growing it
-    return expr::Value(
-        expr::VecView{Arena.back().data(),
-                      static_cast<std::int64_t>(Arena.back().size())});
+      Scratch.push_back(1.0); // perturb an empty vec by growing it
+    return expr::Value(expr::VecView{
+        Scratch.data(), static_cast<std::int64_t>(Scratch.size())});
   }
   case expr::TypeKind::Pair:
-    return expr::Value::makePair(perturbValue(V.first(), Arena),
+    return expr::Value::makePair(perturbValue(V.first(), Scratch),
                                  V.second());
   }
   return V;
 }
 
 QueryResult perturbResult(const QueryResult &R) {
-  auto Arena = std::make_shared<std::deque<std::vector<double>>>();
-  std::vector<expr::Value> Rows;
-  Rows.reserve(R.rows().size());
-  for (const expr::Value &V : R.rows())
-    Rows.push_back(perturbValue(V, *Arena));
-  if (Rows.empty() && !R.isScalar()) {
+  if (R.numRows() == 0 && !R.isScalar()) {
     // Perturb an empty collection result by inventing a row.
-    Rows.push_back(expr::Value(1.0));
+    ResultBuilder Out(false);
+    Out.add(expr::Value(1.0));
+    return Out.finish();
   }
-  return QueryResult(R.isScalar(), std::move(Rows), std::move(Arena));
+  ResultBuilder Out(R.isScalar(), R.rowType());
+  std::vector<double> Scratch;
+  for (const expr::Value &V : R.rows())
+    Out.add(perturbValue(V, Scratch));
+  return Out.finish();
 }
 
 /// Row-by-row comparison; fills \p Detail with the first divergence.

@@ -4,7 +4,6 @@
 #include "expr/Eval.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
-#include "steno/Result.h"
 #include "steno/RtSinks.h"
 #include "support/Error.h"
 
@@ -35,9 +34,8 @@ enum class Flow { Normal, Continue, Break };
 
 class Executor {
 public:
-  Executor(const cpptree::Program &P, const RunInput &In)
-      : P(P), Prof(In.Profile) {
-    Arena = std::make_shared<std::deque<std::vector<double>>>();
+  Executor(const cpptree::Program &P, const RunInput &In, ResultBuilder &Out)
+      : P(P), Prof(In.Profile), Out(Out) {
     if (In.Values)
       Environment.setCaptures(In.Values);
     if (In.Sources) {
@@ -50,14 +48,12 @@ public:
     });
   }
 
-  RunOutput run() {
+  /// Runs the program; returns the number of rows it added.
+  std::int64_t run() {
     Flow F = execList(P.Body);
     assert(F == Flow::Normal && "control escaped the program");
     (void)F;
-    RunOutput Out;
-    Out.Rows = std::move(Rows);
-    Out.Arena = Arena;
-    return Out;
+    return Rows;
   }
 
 private:
@@ -155,8 +151,16 @@ private:
       return Flow::Normal;
     }
     case StmtKind::Emit:
-      Rows.push_back(deepCopy(eval(S.E), *Arena));
+      Out.add(eval(S.E));
+      ++Rows;
       return Flow::Normal;
+    case StmtKind::EmitSink: {
+      const rt::Buf<Value> &Elems = sink<rt::Buf<Value>>(S.Name);
+      for (std::int64_t I = 0; I != Elems.size(); ++I)
+        Out.add(Elems[I]);
+      Rows += Elems.size();
+      return Flow::Normal;
+    }
     case StmtKind::ProfileCount:
       if (Prof)
         ++Prof->Counts[S.ProfSlot];
@@ -319,17 +323,17 @@ private:
   std::unordered_map<std::string, SinkObj> Sinks;
   /// Backing stores of DeclareSinkView, by sink name.
   std::unordered_map<std::string, std::vector<double>> SinkViews;
-  std::vector<Value> Rows;
-  std::shared_ptr<std::deque<std::vector<double>>> Arena;
+  ResultBuilder &Out;
+  std::int64_t Rows = 0;
 };
 
 } // namespace
 
-RunOutput interp::execute(const cpptree::Program &P, const RunInput &In) {
+void interp::execute(const cpptree::Program &P, const RunInput &In,
+                     ResultBuilder &Out) {
   static obs::Counter &Execs = obs::counter("interp.exec.count");
   obs::Span Span("interp.execute");
-  RunOutput Out = Executor(P, In).run();
+  std::int64_t Rows = Executor(P, In, Out).run();
   Execs.inc();
-  Span.arg("rows_out", static_cast<std::int64_t>(Out.Rows.size()));
-  return Out;
+  Span.arg("rows_out", Rows);
 }

@@ -22,9 +22,8 @@
 #include "cpptree/Tree.h"
 #include "expr/Value.h"
 #include "obs/Profile.h"
+#include "steno/Result.h"
 
-#include <deque>
-#include <memory>
 #include <vector>
 
 namespace steno {
@@ -40,17 +39,11 @@ struct RunInput {
   obs::ProfileSink *Profile = nullptr;
 };
 
-/// Execution result. Emitted rows are deep copies: Vec payloads are
-/// duplicated into Arena so they outlive the program's internal sinks.
-struct RunOutput {
-  std::vector<expr::Value> Rows;
-  /// Owns the double buffers behind any Vec views in Rows (deque for
-  /// pointer stability).
-  std::shared_ptr<std::deque<std::vector<double>>> Arena;
-};
-
-/// Executes \p P against \p In and collects the emitted rows.
-RunOutput execute(const cpptree::Program &P, const RunInput &In);
+/// Executes \p P against \p In, adding its rows to \p Out (a builder for
+/// P.ResultType), which copies their vec payloads out of the program's
+/// sinks.
+void execute(const cpptree::Program &P, const RunInput &In,
+             ResultBuilder &Out);
 
 } // namespace interp
 } // namespace steno

@@ -17,8 +17,6 @@
 
 using namespace steno;
 using namespace steno::jit;
-using expr::Type;
-using expr::TypeRef;
 using expr::Value;
 using expr::VecView;
 
@@ -154,51 +152,10 @@ CompiledModule::load(const std::string &SharedObjectPath,
 }
 
 //===----------------------------------------------------------------===//
-// Execution: binding and row decoding
+// Execution: binding
 //===----------------------------------------------------------------===//
 
 namespace {
-
-/// Decodes one value from the flattened cell stream (pre-order over
-/// pairs), copying vec payloads into the arena.
-Value decodeCells(const Type &Ty, const rt::Cell *&Cell,
-                  std::deque<std::vector<double>> &Arena) {
-  switch (Ty.kind()) {
-  case expr::TypeKind::Bool:
-    return Value((Cell++)->I != 0);
-  case expr::TypeKind::Int64:
-    return Value((Cell++)->I);
-  case expr::TypeKind::Double:
-    return Value((Cell++)->D);
-  case expr::TypeKind::Vec: {
-    const rt::Cell &C = *Cell++;
-    Arena.emplace_back(C.VData, C.VData + C.VLen);
-    const std::vector<double> &Stored = Arena.back();
-    return Value(VecView{Stored.data(),
-                         static_cast<std::int64_t>(Stored.size())});
-  }
-  case expr::TypeKind::Pair: {
-    Value First = decodeCells(*Ty.first(), Cell, Arena);
-    Value Second = decodeCells(*Ty.second(), Cell, Arena);
-    return Value::makePair(std::move(First), std::move(Second));
-  }
-  }
-  stenoUnreachable("bad TypeKind");
-}
-
-struct CollectCtx {
-  const Type *RowType;
-  std::vector<Value> *Rows;
-  std::deque<std::vector<double>> *Arena;
-};
-
-void collectRow(void *CtxRaw, const rt::Cell *Cells, std::int64_t N) {
-  auto *Ctx = static_cast<CollectCtx *>(CtxRaw);
-  const rt::Cell *Cursor = Cells;
-  Ctx->Rows->push_back(decodeCells(*Ctx->RowType, Cursor, *Ctx->Arena));
-  assert(Cursor == Cells + N && "row cell count mismatch");
-  (void)N;
-}
 
 rt::CaptureValue bindCapture(const Value &V) {
   rt::CaptureValue Out;
@@ -226,11 +183,9 @@ rt::CaptureValue bindCapture(const Value &V) {
 
 } // namespace
 
-ExecOutput jit::run(EntryFn Fn,
-                    const std::vector<expr::SourceBuffer> &Sources,
-                    const std::vector<Value> &Values,
-                    const TypeRef &RowType, std::uint64_t *ProfCounts,
-                    std::uint64_t *ProfNanos) {
+void jit::run(EntryFn Fn, const std::vector<expr::SourceBuffer> &Sources,
+             const std::vector<Value> &Values, rt::Columns &Out,
+             std::uint64_t *ProfCounts, std::uint64_t *ProfNanos) {
   assert(Fn && "running a null entry point");
   std::vector<rt::SourceBinding> BoundSources;
   BoundSources.reserve(Sources.size());
@@ -255,10 +210,5 @@ ExecOutput jit::run(EntryFn Fn,
   Caps.ProfCounts = ProfCounts;
   Caps.ProfNanos = ProfNanos;
 
-  ExecOutput Out;
-  Out.Arena = std::make_shared<std::deque<std::vector<double>>>();
-  CollectCtx Ctx{RowType.get(), &Out.Rows, Out.Arena.get()};
-  rt::Emitter Emit{&Ctx, &collectRow};
-  Fn(&Caps, &Emit);
-  return Out;
+  Fn(&Caps, &Out);
 }

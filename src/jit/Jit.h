@@ -14,16 +14,19 @@
 /// it. Compiled modules are cached by the facade between invocations, as
 /// the paper prescribes.
 ///
+/// A run passes the entry the host's result columns (steno/Rt.h's result
+/// ABI): the generated loop appends each row's cells to them inline, or
+/// hands over its sink's buffer, and the caller keeps the blocks as its
+/// QueryResult. No row costs a call into the host.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef STENO_JIT_JIT_H
 #define STENO_JIT_JIT_H
 
-#include "expr/Type.h"
 #include "expr/Value.h"
 #include "steno/Rt.h"
 
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -31,8 +34,9 @@
 namespace steno {
 namespace jit {
 
-/// Signature of every generated entry point.
-using EntryFn = void (*)(const rt::Captures *, rt::Emitter *);
+/// Signature of every generated entry point: it reads the bound sources
+/// and captures, and appends its rows to the host's columns.
+using EntryFn = void (*)(const rt::Captures *, rt::Columns *);
 
 /// A compiled and loaded query module. Closing the module unloads the
 /// shared object, invalidating the entry pointer. A module built by
@@ -80,23 +84,16 @@ private:
   std::string LogPath;
 };
 
-/// Rows collected from one native execution. Vec payloads are copied into
-/// Arena during emission (the emitter callback), so rows outlive the
-/// query's internal sinks.
-struct ExecOutput {
-  std::vector<expr::Value> Rows;
-  std::shared_ptr<std::deque<std::vector<double>>> Arena;
-};
-
-/// Binds sources/captures into the rt ABI, invokes \p Fn and decodes the
-/// emitted rows according to \p RowType. ProfCounts/ProfNanos, when
-/// non-null, receive the profile flush of a TU generated with profiling
-/// hooks (sized 2*NumOps and NumOps respectively); leave null otherwise.
-ExecOutput run(EntryFn Fn, const std::vector<expr::SourceBuffer> &Sources,
-               const std::vector<expr::Value> &Values,
-               const expr::TypeRef &RowType,
-               std::uint64_t *ProfCounts = nullptr,
-               std::uint64_t *ProfNanos = nullptr);
+/// Binds sources/captures into the rt ABI and invokes \p Fn, which
+/// appends its rows to \p Out: columns laid out for the query's row type
+/// (steno::ResultBuilder::columns()) whose blocks the caller owns.
+/// ProfCounts/ProfNanos, when non-null, receive the profile flush of a TU
+/// generated with profiling hooks (sized 2*NumOps and NumOps
+/// respectively); leave null otherwise.
+void run(EntryFn Fn, const std::vector<expr::SourceBuffer> &Sources,
+         const std::vector<expr::Value> &Values, rt::Columns &Out,
+         std::uint64_t *ProfCounts = nullptr,
+         std::uint64_t *ProfNanos = nullptr);
 
 } // namespace jit
 } // namespace steno

@@ -142,129 +142,132 @@ std::string statsJson(const QueryService::Stats &S) {
 
 namespace {
 
-void encodeValue(const expr::Value &V, std::string &Out) {
+/// Appends the wireValue text of row \p Row's cells of type \p Ty, from
+/// column \p C of \p R on, read from the columns; advances \p C past
+/// them. Doubles print as %a hexfloats, which strtod reads back bit for
+/// bit, ±inf included (a NaN keeps its sign, not its payload).
+void encodeCells(const QueryResult &R, std::int64_t Row, const expr::Type &Ty,
+                 std::size_t &C, std::string &Out) {
   char Buf[64];
-  switch (V.kind()) {
+  switch (Ty.kind()) {
   case expr::TypeKind::Bool:
-    Out += V.asBool() ? "b 1" : "b 0";
+    Out += R.int64Column(C++)[Row] ? "b 1" : "b 0";
     return;
   case expr::TypeKind::Int64:
     Out += "i ";
-    Out += std::to_string(V.asInt64());
+    Out += std::to_string(R.int64Column(C++)[Row]);
     return;
   case expr::TypeKind::Double:
-    // %a round-trips every double (including nan/±inf) through strtod.
-    std::snprintf(Buf, sizeof Buf, "d %a", V.asDouble());
+    std::snprintf(Buf, sizeof Buf, "d %a", R.doubleColumn(C++)[Row]);
     Out += Buf;
     return;
   case expr::TypeKind::Vec: {
-    expr::VecView View = V.asVec();
+    std::span<const std::int64_t> Ends = R.int64Column(C);
+    std::span<const double> Data = R.doubleColumn(C + 1);
+    C += 2;
+    std::int64_t Begin = Row ? Ends[Row - 1] : 0;
     Out += "v ";
-    Out += std::to_string(View.Len);
-    for (std::int64_t I = 0; I != View.Len; ++I) {
-      std::snprintf(Buf, sizeof Buf, " %a", View.Data[I]);
+    Out += std::to_string(Ends[Row] - Begin);
+    for (std::int64_t I = Begin; I != Ends[Row]; ++I) {
+      std::snprintf(Buf, sizeof Buf, " %a", Data[I]);
       Out += Buf;
     }
     return;
   }
   case expr::TypeKind::Pair:
     Out += "p ";
-    encodeValue(V.first(), Out);
+    encodeCells(R, Row, *Ty.first(), C, Out);
     Out += ' ';
-    encodeValue(V.second(), Out);
+    encodeCells(R, Row, *Ty.second(), C, Out);
     return;
   }
 }
 
-/// Token-stream decoder for encodeValue output. istream's operator>>
-/// does not reliably accept hexfloats, so doubles go through strtod.
+/// Token-stream decoder for wireValue output. istream's operator>> does
+/// not reliably accept hexfloats, so numbers go through strtod/strtoll. A
+/// decoded vec views its elements in Vecs: growing Vecs moves each vector
+/// without moving its elements.
 struct ValueDecoder {
   std::istringstream In;
-  std::deque<std::vector<double>> &Arena;
+  std::vector<std::vector<double>> Vecs;
 
-  ValueDecoder(const std::string &S, std::deque<std::vector<double>> &A)
-      : In(S), Arena(A) {}
+  explicit ValueDecoder(const std::string &S) : In(S) {}
 
-  bool decodeDouble(double &D) {
+  /// Reads the next token into \p Out; false unless \p Parse takes it
+  /// whole.
+  template <typename T, typename ParseFn> bool number(T &Out, ParseFn Parse) {
     std::string Tok;
     if (!(In >> Tok))
       return false;
-    const char *C = Tok.c_str();
     char *End = nullptr;
-    D = std::strtod(C, &End);
-    return End != C && *End == '\0';
+    Out = static_cast<T>(Parse(Tok.c_str(), &End));
+    return End != Tok.c_str() && *End == '\0';
   }
+  bool int64(std::int64_t &Out) {
+    return number(Out, [](const char *C, char **E) {
+      return std::strtoll(C, E, 10);
+    });
+  }
+  bool dbl(double &Out) { return number(Out, std::strtod); }
 
   bool decode(expr::Value &Out) {
     std::string Tag;
     if (!(In >> Tag))
       return false;
-    if (Tag == "b") {
-      int B = 0;
-      if (!(In >> B) || (B != 0 && B != 1))
+    std::int64_t I = 0;
+    double D = 0;
+    if (Tag == "b" || Tag == "i") {
+      if (!int64(I) || (Tag == "b" && I != 0 && I != 1))
         return false;
-      Out = expr::Value(B == 1);
-      return true;
-    }
-    if (Tag == "i") {
-      std::string Tok;
-      if (!(In >> Tok))
-        return false;
-      const char *C = Tok.c_str();
-      char *End = nullptr;
-      long long I = std::strtoll(C, &End, 10);
-      if (End == C || *End != '\0')
-        return false;
-      Out = expr::Value(static_cast<std::int64_t>(I));
+      Out = Tag == "b" ? expr::Value(I == 1) : expr::Value(I);
       return true;
     }
     if (Tag == "d") {
-      double D = 0;
-      if (!decodeDouble(D))
+      if (!dbl(D))
         return false;
       Out = expr::Value(D);
       return true;
     }
     if (Tag == "v") {
-      std::int64_t Len = 0;
-      if (!(In >> Len) || Len < 0)
+      if (!int64(I) || I < 0)
         return false;
-      Arena.emplace_back();
-      std::vector<double> &Vec = Arena.back();
-      Vec.reserve(static_cast<std::size_t>(Len));
-      for (std::int64_t I = 0; I != Len; ++I) {
-        double D = 0;
-        if (!decodeDouble(D))
+      // No reserve: the count is outside input, and a value whose count
+      // outruns its elements fails when they run out.
+      std::vector<double> &Vec = Vecs.emplace_back();
+      for (; I != 0; --I) {
+        if (!dbl(D))
           return false;
         Vec.push_back(D);
       }
-      Out = expr::Value(expr::VecView{Vec.data(), Len});
+      Out = expr::Value(expr::VecView{
+          Vec.data(), static_cast<std::int64_t>(Vec.size())});
       return true;
     }
-    if (Tag == "p") {
-      expr::Value First, Second;
-      if (!decode(First) || !decode(Second))
-        return false;
-      Out = expr::Value::makePair(First, Second);
-      return true;
-    }
-    return false;
+    expr::Value First, Second;
+    if (Tag != "p" || !decode(First) || !decode(Second))
+      return false;
+    Out = expr::Value::makePair(First, Second);
+    return true;
   }
 };
 
 } // namespace
 
 std::string serve::wireValue(const expr::Value &V) {
+  ResultBuilder Row(false);
+  Row.add(V);
+  QueryResult R = Row.finish();
   std::string Out;
-  encodeValue(V, Out);
+  std::size_t C = 0;
+  encodeCells(R, 0, *R.rowType(), C, Out);
   return Out;
 }
 
-bool serve::parseWireValue(const std::string &Enc, expr::Value &Out,
-                           std::deque<std::vector<double>> &Arena,
+bool serve::parseWireValue(const std::string &Enc, ResultBuilder &Out,
                            std::string *Err) {
-  ValueDecoder D(Enc, Arena);
-  if (!D.decode(Out)) {
+  ValueDecoder D(Enc);
+  expr::Value V;
+  if (!D.decode(V)) {
     if (Err)
       *Err = "malformed wire value: " + Enc;
     return false;
@@ -275,6 +278,12 @@ bool serve::parseWireValue(const std::string &Enc, expr::Value &Out,
       *Err = "trailing garbage in wire value: " + Enc;
     return false;
   }
+  if (!Out.fits(V)) {
+    if (Err)
+      *Err = "wire value of another row type: " + Enc;
+    return false;
+  }
+  Out.add(V);
   return true;
 }
 
@@ -292,14 +301,17 @@ std::string serve::renderResponse(const Response &R) {
   case Status::Ok:
     break;
   }
+  const QueryResult &Res = R.Result;
   std::string Out = support::strFormat(
-      "result %llu %s %zu degraded=%d native=%d queue_us=%.1f "
+      "result %llu %s %lld degraded=%d native=%d queue_us=%.1f "
       "run_us=%.1f\n",
-      Id, R.Result.isScalar() ? "scalar" : "rows", R.Result.rows().size(),
-      R.Degraded ? 1 : 0, R.NativePlan ? 1 : 0, R.QueueMicros, R.RunMicros);
-  for (const expr::Value &V : R.Result.rows()) {
+      Id, Res.isScalar() ? "scalar" : "rows",
+      static_cast<long long>(Res.numRows()), R.Degraded ? 1 : 0,
+      R.NativePlan ? 1 : 0, R.QueueMicros, R.RunMicros);
+  for (std::int64_t Row = 0; Row != Res.numRows(); ++Row) {
     Out += "row ";
-    Out += wireValue(V);
+    std::size_t C = 0;
+    encodeCells(Res, Row, *Res.rowType(), C, Out);
     Out += '\n';
   }
   Out += "done\n";
@@ -607,20 +619,17 @@ bool WireClient::answer(std::uint64_t Rid, Response &Out) {
   Out.QueueMicros = std::atof(Queue.c_str() + 9);
   Out.RunMicros = std::atof(Run.c_str() + 7);
 
-  auto Arena = std::make_shared<std::deque<std::vector<double>>>();
-  std::vector<expr::Value> Rows;
-  for (std::size_t I = 0; I != NRows; ++I) {
-    expr::Value V;
+  // The frame does not spell the row type: the builder takes it from the
+  // first row.
+  ResultBuilder Rows(Shape == "scalar");
+  for (std::size_t I = 0; I != NRows; ++I)
     if (!S.readLine(Line) || Line.rfind("row ", 0) != 0 ||
-        !parseWireValue(Line.substr(4), V, *Arena))
+        !parseWireValue(Line.substr(4), Rows))
       return false;
-    Rows.push_back(V);
-  }
   if (!S.readLine(Line) || Line != "done")
     return false;
   Out.St = Status::Ok;
-  Out.Result = QueryResult(Shape == "scalar", std::move(Rows),
-                           std::move(Arena));
+  Out.Result = Rows.finish();
   return true;
 }
 

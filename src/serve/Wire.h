@@ -58,10 +58,14 @@
 /// when the client sent none (0: the request never reached the service).
 /// The admission-control statuses map onto the wire one-to-one. Rows use
 /// the exact wireValue codec (hexfloat doubles), so a client decodes the
-/// bit-exact QueryResult the service computed: the shard router combines
-/// partials arithmetically and re-renders whole results for its own
-/// client. The router keys its exactly-once retry protocol on the echoed
-/// rid (DESIGN.md §5k).
+/// bit-exact QueryResult the service computed (a NaN keeps its sign, not
+/// its payload): the shard router combines partials arithmetically and
+/// re-renders whole results for its own client. The server writes each
+/// row straight from the result's typed columns; the client decodes the
+/// rows into columns through a ResultBuilder, which takes the row type
+/// from the first row, so an answer with no rows has no row type. The
+/// router keys its exactly-once retry protocol on the echoed rid
+/// (DESIGN.md §5k).
 ///
 /// `profile` answers with the accumulated obs::ProfileStore entry for the
 /// handle's plan (an error when the service runs unprofiled or the plan
@@ -82,7 +86,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string>
 #include <vector>
@@ -130,11 +133,11 @@ std::string renderResponse(const Response &R);
 /// the combine arithmetic downstream.
 std::string wireValue(const expr::Value &V);
 
-/// Decodes wireValue output. Vec payloads are materialized into \p Arena
-/// (which must outlive \p Out). False with \p Err filled on malformed
-/// input or trailing garbage.
-bool parseWireValue(const std::string &Enc, expr::Value &Out,
-                    std::deque<std::vector<double>> &Arena,
+/// Decodes wireValue output and adds it to \p Out as a row, its vec
+/// payloads copied into the builder's columns. False with \p Err filled
+/// (and nothing added) on malformed input, trailing garbage, or a value
+/// of another type than the rows already added.
+bool parseWireValue(const std::string &Enc, ResultBuilder &Out,
                     std::string *Err = nullptr);
 
 /// The verbs one client connection runs: a QueryService session's in

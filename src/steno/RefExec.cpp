@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <deque>
 #include <limits>
 #include <unordered_map>
 
@@ -36,21 +35,18 @@ bool keyLess(const Value &A, const Value &B) {
 class RefExecutor {
 public:
   explicit RefExecutor(const Bindings &B) : B(B) {
-    Arena = std::make_shared<std::deque<std::vector<double>>>();
     Env.setSources(&B.sources());
     Env.setCaptures(&B.values());
   }
 
   QueryResult run(const query::Query &Q) {
-    std::vector<Value> Rows;
-    if (Q.scalarResult()) {
-      Rows.push_back(evalScalar(Q.node()));
-    } else {
-      Rows = evalCollection(Q.node());
-    }
-    for (Value &V : Rows)
-      V = deepCopy(V, *Arena);
-    return QueryResult(Q.scalarResult(), std::move(Rows), Arena);
+    ResultBuilder Out(Q.scalarResult(), Q.resultType());
+    if (Q.scalarResult())
+      Out.add(evalScalar(Q.node()));
+    else
+      for (const Value &V : evalCollection(Q.node()))
+        Out.add(V);
+    return Out.finish();
   }
 
 private:
@@ -66,12 +62,10 @@ private:
 
   Value eval(const expr::ExprRef &E) { return expr::evalExpr(*E, Env); }
 
-  /// Copies a bag of doubles into the arena and returns a stable view.
-  VecView internBag(const std::vector<double> &Bag) {
-    Arena->emplace_back(Bag);
-    const std::vector<double> &Stored = Arena->back();
-    return VecView{Stored.data(),
-                   static_cast<std::int64_t>(Stored.size())};
+  /// Keeps \p Bag for the rest of the run and returns a view of it.
+  VecView keepBag(std::vector<double> Bag) {
+    const std::vector<double> &Kept = Bags.emplace_back(std::move(Bag));
+    return VecView{Kept.data(), static_cast<std::int64_t>(Kept.size())};
   }
 
   const expr::SourceBuffer &sourceAt(unsigned Slot) {
@@ -231,9 +225,9 @@ private:
         Buckets[Slot].second.push_back(V.asDouble());
       }
       std::vector<Value> Out;
-      for (const auto &[Key, Bag] : Buckets)
+      for (auto &[Key, Bag] : Buckets)
         Out.push_back(
-            Value::makePair(Value(Key), Value(internBag(Bag))));
+            Value::makePair(Value(Key), Value(keepBag(std::move(Bag)))));
       return Out;
     }
     case OpKind::GroupByAggregate: {
@@ -377,7 +371,10 @@ private:
 
   const Bindings &B;
   expr::Env Env;
-  std::shared_ptr<std::deque<std::vector<double>>> Arena;
+  /// The GroupBy bags that values under evaluation view. Growing this
+  /// vector moves each bag without moving its elements, so the views stay
+  /// valid.
+  std::vector<std::vector<double>> Bags;
 };
 
 } // namespace

@@ -8,9 +8,10 @@
 /// \file
 /// Self-contained runtime included by every generated translation unit
 /// (paper §3.3): the capture-block ABI through which the host binds source
-/// buffers and captured variables, and the emitter ABI through which the
-/// generated query returns rows. This header must not include any other
-/// steno header — generated code compiles against it alone.
+/// buffers and captured variables, and the result ABI through which the
+/// generated query appends its rows to the host's typed columns. This
+/// header must not include any other steno header — generated code
+/// compiles against it alone.
 ///
 /// It is also the one runtime of every backend. The scalar operators whose
 /// C++ meaning is not already the definition (wrapping int64 `+`, `-`, `*`
@@ -252,71 +253,69 @@ private:
 };
 
 //===------------------------------------------------------------------===//
-// Emitter ABI (query -> host)
+// Result ABI (query -> host)
 //===------------------------------------------------------------------===//
 
-/// One flattened component of a result row. Kind: 0 = bool (in I),
-/// 1 = int64 (in I), 2 = double (in D), 3 = vec (VData/VLen).
-struct Cell {
-  std::int32_t Kind;
-  double D;
-  std::int64_t I;
-  const double *VData;
-  std::int64_t VLen;
+/// One result column: Len 8-byte cells, int64 or double, in a block of
+/// Cap cells. The host owns the block: it grows it with realloc (Grow
+/// below) and frees it with std::free, as it does a sink's block handed
+/// over whole (adoptColumn, steno/RtSinks.h).
+struct Column {
+  void *Data = nullptr;
+  std::int64_t Len = 0;
+  std::int64_t Cap = 0;
 };
 
-/// Host-supplied row callback. Scalar queries emit exactly one row;
-/// collection queries emit one row per element. Vec cells point into
-/// query-local storage and must be copied during the callback.
-struct Emitter {
-  void *Ctx;
-  void (*EmitRow)(void *Ctx, const Cell *Cells, std::int64_t NumCells);
+/// The host's columns one run appends its rows to, one per flattened
+/// cell of the row type, in pre-order over pairs: a bool (as 0 or 1) or
+/// int64 cell appends to an int64 column, a double to a double column,
+/// and a vec appends its elements to a double payload column, then the
+/// payload's length to the int64 end-offsets column before it.
+struct Columns {
+  Column *Cols = nullptr;
+  /// Gives \p C room for \p MinCells cells, or throws std::bad_alloc:
+  /// the one call from a query into the host, once per doubling.
+  void (*Grow)(Column *C, std::int64_t MinCells) = nullptr;
 };
 
-/// Number of cells a statically-typed element flattens into.
-template <typename T> struct CellCount;
-template <> struct CellCount<bool> {
-  static constexpr std::int64_t value = 1;
-};
-template <> struct CellCount<std::int64_t> {
-  static constexpr std::int64_t value = 1;
-};
-template <> struct CellCount<double> {
-  static constexpr std::int64_t value = 1;
-};
-template <> struct CellCount<VecView> {
-  static constexpr std::int64_t value = 1;
-};
-template <typename A, typename B> struct CellCount<Pair<A, B>> {
-  static constexpr std::int64_t value =
-      CellCount<A>::value + CellCount<B>::value;
-};
+template <typename T> inline void appendCell(Columns *Out, Column &C, T V) {
+  if (C.Len == C.Cap)
+    Out->Grow(&C, C.Len + 1);
+  static_cast<T *>(C.Data)[C.Len++] = V;
+}
 
-inline void fillCells(Cell *&P, bool V) {
-  *P++ = Cell{0, 0.0, V ? 1 : 0, nullptr, 0};
+/// Appends \p V's cells to the columns from \p C on, advancing \p C past
+/// them.
+inline void appendCells(Columns *Out, Column *&C, bool V) {
+  appendCell<std::int64_t>(Out, *C++, V ? 1 : 0);
 }
-inline void fillCells(Cell *&P, std::int64_t V) {
-  *P++ = Cell{1, 0.0, V, nullptr, 0};
+inline void appendCells(Columns *Out, Column *&C, std::int64_t V) {
+  appendCell<std::int64_t>(Out, *C++, V);
 }
-inline void fillCells(Cell *&P, double V) {
-  *P++ = Cell{2, V, 0, nullptr, 0};
+inline void appendCells(Columns *Out, Column *&C, double V) {
+  appendCell<double>(Out, *C++, V);
 }
-inline void fillCells(Cell *&P, const VecView &V) {
-  *P++ = Cell{3, 0.0, 0, V.Data, V.Len};
+inline void appendCells(Columns *Out, Column *&C, const VecView &V) {
+  Column &Payload = C[1];
+  if (Payload.Len + V.Len > Payload.Cap)
+    Out->Grow(&Payload, Payload.Len + V.Len);
+  double *To = static_cast<double *>(Payload.Data) + Payload.Len;
+  for (std::int64_t I = 0; I != V.Len; ++I)
+    To[I] = V.Data[I];
+  Payload.Len += V.Len;
+  appendCell<std::int64_t>(Out, C[0], Payload.Len);
+  C += 2;
 }
 template <typename A, typename B>
-inline void fillCells(Cell *&P, const Pair<A, B> &V) {
-  fillCells(P, V.First);
-  fillCells(P, V.Second);
+inline void appendCells(Columns *Out, Column *&C, const Pair<A, B> &V) {
+  appendCells(Out, C, V.First);
+  appendCells(Out, C, V.Second);
 }
 
-/// Flattens \p V into cells (pre-order over pairs) and hands the row to
-/// the emitter.
-template <typename T> inline void emitRow(Emitter *Out, const T &V) {
-  Cell Cells[CellCount<T>::value];
-  Cell *P = Cells;
-  fillCells(P, V);
-  Out->EmitRow(Out->Ctx, Cells, CellCount<T>::value);
+/// Appends the row \p V.
+template <typename T> inline void appendRow(Columns *Out, const T &V) {
+  Column *C = Out->Cols;
+  appendCells(Out, C, V);
 }
 
 } // namespace rt

@@ -7,7 +7,8 @@
 ///
 /// \file
 /// The collections generated loops build and the sort they call: a
-/// growable buffer (the ToArray/OrderBy Vec sink), the Lookup of Figure
+/// growable buffer (the ToArray/OrderBy Vec sink, which a query may hand
+/// to the host as its result column), the Lookup of Figure
 /// 7(b), the partial-aggregate sinks of §4.3, and a stable radix sort over
 /// rt::orderKey. Like steno/Rt.h, whose lean core they extend, they are
 /// defined once for every backend: the scalar interpreter builds these
@@ -113,6 +114,8 @@ public:
     Cap = N;
   }
 
+  template <typename U> friend void adoptColumn(Columns *Out, Buf<U> &B);
+
   void swap(Buf &O) noexcept {
     T *D = Data;
     Data = O.Data;
@@ -130,6 +133,19 @@ private:
   std::int64_t Len = 0;
   std::int64_t Cap = 0;
 };
+
+/// Hands \p B to the host whole, as the result's one column, and leaves
+/// it empty: the rows of a query whose Ret iterates a Vec sink of int64s
+/// or doubles are its elements, so no row is copied. The block is
+/// realloc'd, as the host's are (rt::Columns).
+template <typename T> inline void adoptColumn(Columns *Out, Buf<T> &B) {
+  static_assert(sizeof(T) == 8 && std::is_trivially_copyable_v<T>);
+  Column &C = Out->Cols[0];
+  std::free(C.Data);
+  C = Column{B.Data, B.Len, B.Cap};
+  B.Data = nullptr;
+  B.Len = B.Cap = 0;
+}
 
 //===------------------------------------------------------------------===//
 // Group sinks

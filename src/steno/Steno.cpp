@@ -211,29 +211,27 @@ void checkBindingsImpl(const cpptree::SlotUsage &Slots,
 /// when it is non-null.
 static QueryResult execute(const CompiledQuery::Impl &I, const Bindings &B,
                            obs::ProfileSink *Prof) {
-  std::vector<expr::Value> Rows;
-  std::shared_ptr<std::deque<std::vector<double>>> Arena;
+  const cpptree::Program &P = I.Program;
+  ResultBuilder Out(P.ScalarResult, P.ResultType);
   if (I.ExecBackend == Backend::Native) {
-    jit::ExecOutput Out = jit::run(
-        I.Module->entry(), B.sources(), B.values(), I.Program.ResultType,
-        Prof ? Prof->Counts.data() : nullptr,
-        Prof ? Prof->Nanos.data() : nullptr);
-    Rows = std::move(Out.Rows);
-    Arena = std::move(Out.Arena);
+    // The generated loop appends to the columns, and the result keeps
+    // them as they are.
+    rt::Columns Cols = Out.columns();
+    jit::run(I.Module->entry(), B.sources(), B.values(), Cols,
+             Prof ? Prof->Counts.data() : nullptr,
+             Prof ? Prof->Nanos.data() : nullptr);
   } else if (I.VecPlan) {
-    Rows = vec::executeBatched(*I.VecPlan,
-                               vec::BatchInput{&B.sources(), &B.values(), Prof});
+    vec::executeBatched(*I.VecPlan,
+                        vec::BatchInput{&B.sources(), &B.values(), Prof}, Out);
   } else {
-    interp::RunOutput Out = interp::execute(
-        I.Program, interp::RunInput{&B.sources(), &B.values(), Prof});
-    Rows = std::move(Out.Rows);
-    Arena = std::move(Out.Arena);
+    interp::execute(P, interp::RunInput{&B.sources(), &B.values(), Prof},
+                    Out);
   }
-  if (I.Program.ScalarResult && Rows.size() != 1)
+  QueryResult R = Out.finish();
+  if (P.ScalarResult && R.numRows() != 1)
     support::fatalError("scalar query emitted " +
-                        std::to_string(Rows.size()) + " rows");
-  return QueryResult(I.Program.ScalarResult, std::move(Rows),
-                     std::move(Arena));
+                        std::to_string(R.numRows()) + " rows");
+  return R;
 }
 
 QueryResult CompiledQuery::run(const Bindings &B) const {
@@ -270,10 +268,10 @@ QueryResult CompiledQuery::run(const Bindings &B) const {
 
   Runs.inc();
   RowsIn.inc(static_cast<std::uint64_t>(Consumed));
-  RowsOut.inc(R.rows().size());
+  RowsOut.inc(static_cast<std::uint64_t>(R.numRows()));
   RunMicros.observe(Timer.seconds() * 1e6);
   Span.arg("rows_in", Consumed);
-  Span.arg("rows_out", static_cast<std::int64_t>(R.rows().size()));
+  Span.arg("rows_out", R.numRows());
   return R;
 }
 

@@ -284,8 +284,8 @@ T foldLanes(const VecPlan &P, T Acc, const T *G, const Lanes &L) {
 
 } // namespace
 
-std::vector<Value> vec::executeBatched(const VecPlan &P,
-                                       const BatchInput &In) {
+void vec::executeBatched(const VecPlan &P, const BatchInput &In,
+                         ResultBuilder &Result) {
   assert(P.Ok && "executing a rejected plan");
   expr::Env Env;
   if (In.Values)
@@ -361,7 +361,6 @@ std::vector<Value> vec::executeBatched(const VecPlan &P,
   }
 
   Workspace &WS = workspace();
-  std::vector<Value> Rows;
   EvalCtx Ctx;
   Ctx.Env = &Env;
   Ctx.Scr = &WS.Scr;
@@ -486,8 +485,7 @@ std::vector<Value> vec::executeBatched(const VecPlan &P,
       if (Prof)
         Prof->Counts[2 * P.RetProfSlot + 1] +=
             static_cast<std::uint64_t>(Out);
-      L.forEach(
-          [&](std::int64_t I) { Rows.push_back(laneValue(Elem, I)); });
+      L.forEach([&](std::int64_t I) { Result.add(laneValue(Elem, I)); });
     }
   }
 
@@ -500,7 +498,6 @@ std::vector<Value> vec::executeBatched(const VecPlan &P,
                   : A;
     if (Prof)
       Prof->Counts[2 * P.RetProfSlot + 1] += 1;
-    Rows.push_back(std::move(R));
+    Result.add(R);
   }
-  return Rows;
 }

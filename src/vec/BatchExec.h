@@ -35,6 +35,7 @@
 #include "expr/Eval.h"
 #include "obs/Profile.h"
 #include "quil/Quil.h"
+#include "steno/Result.h"
 #include "vec/VecEval.h"
 
 #include <cstdint>
@@ -114,11 +115,11 @@ struct BatchInput {
   obs::ProfileSink *Profile = nullptr;
 };
 
-/// Executes \p P against \p In. Returns the emitted rows (exactly one for
-/// scalar chains). Rows are always scalar Values (the plan guarantees
-/// scalar element types), so no arena is needed.
-std::vector<expr::Value> executeBatched(const VecPlan &P,
-                                        const BatchInput &In);
+/// Executes \p P against \p In, adding its rows to \p Result (exactly
+/// one for scalar chains). Rows are always scalar Values: the plan
+/// guarantees scalar element types.
+void executeBatched(const VecPlan &P, const BatchInput &In,
+                    ResultBuilder &Result);
 
 } // namespace vec
 } // namespace steno

@@ -196,20 +196,43 @@ TEST(Codegen, ToArrayAfterOrderByReusesTheSortBuffer) {
 
 TEST(Codegen, ScalarEmitsOneRowAtOmega) {
   std::string Src = sourceFor(Query::doubleArray(0).sum());
-  EXPECT_EQ(countOccurrences(Src, "emitRow"), 1u);
-  EXPECT_GT(Src.find("emitRow"), Src.rfind("}") == std::string::npos
-                ? 0
-                : Src.find("for ("))
-      << "scalar emitted after the loop";
+  EXPECT_EQ(countOccurrences(Src, "steno::rt::appendRow(Out_"), 1u) << Src;
+  EXPECT_GT(Src.find("appendRow"), Src.find("for ("))
+      << "scalar appended after the loop";
 }
 
 TEST(Codegen, CollectionEmitsFromLoopBody) {
   std::string Src = sourceFor(
       Query::doubleArray(0).select(lambda({x()}, x() + 1.0)));
   size_t Loop = Src.find("for (");
-  size_t Emit = Src.find("emitRow");
-  ASSERT_NE(Emit, std::string::npos);
+  size_t Emit = Src.find("steno::rt::appendRow(Out_");
+  ASSERT_NE(Emit, std::string::npos) << Src;
   EXPECT_GT(Emit, Loop) << "Figure 8(c): yield from the loop body";
+  EXPECT_EQ(Src.find("adoptColumn"), std::string::npos) << Src;
+}
+
+TEST(Codegen, RetOverAScalarVecSinkHandsTheSinkOver) {
+  // orderBy(..).toArray() copies no row after its sort: the host adopts
+  // the sort buffer as the result column, with no loop over the sink.
+  Query Q = Query::doubleArray(0).orderBy(lambda({x()}, x())).toArray();
+  std::string Src = sourceFor(Q);
+  EXPECT_EQ(countOccurrences(Src, "steno::rt::adoptColumn(Out_, "), 1u)
+      << Src;
+  EXPECT_EQ(countOccurrences(Src, "appendRow"), 0u) << Src;
+  EXPECT_EQ(countOccurrences(Src, "for ("), 1u) << "only the fill loop";
+  EXPECT_GT(Src.find("adoptColumn"), Src.find("sortByKey")) << Src;
+  // A profiled program keeps the loop, where Ret counts its rows.
+  codegen::GenOptions Profiled;
+  Profiled.Profile = true;
+  std::string ProfSrc = cpptree::printProgram(
+      codegen::generate(quil::lower(Q), "test_query", Profiled));
+  EXPECT_EQ(countOccurrences(ProfSrc, "adoptColumn"), 0u) << ProfSrc;
+  EXPECT_EQ(countOccurrences(ProfSrc, "appendRow"), 1u) << ProfSrc;
+  // A sink of pairs has no one column to hand over.
+  std::string Groups = sourceFor(
+      Query::doubleArray(0).groupBy(lambda({x()}, toInt64(x()))));
+  EXPECT_EQ(countOccurrences(Groups, "adoptColumn"), 0u) << Groups;
+  EXPECT_EQ(countOccurrences(Groups, "appendRow"), 1u) << Groups;
 }
 
 TEST(Codegen, TypeSpecializedSourceIteration) {

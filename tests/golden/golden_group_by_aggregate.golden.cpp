@@ -6,7 +6,7 @@
 #include <cstdint>
 
 extern "C" void golden_group_by_aggregate(const steno::rt::Captures *Caps_,
-                     steno::rt::Emitter *Out_) {
+                     steno::rt::Columns *Out_) {
   (void)Caps_;
   (void)Out_;
   const double *src0_d = Caps_->Sources[0].D;
@@ -30,6 +30,6 @@ extern "C" void golden_group_by_aggregate(const steno::rt::Captures *Caps_,
     (void)key8; (void)acc9;
     steno::rt::Pair<std::int64_t, std::int64_t> elem10 = steno::rt::Pair<std::int64_t, std::int64_t>{key8, acc9};
     (void)elem10;
-    steno::rt::emitRow(Out_, elem10);
+    steno::rt::appendRow(Out_, elem10);
   }
 }

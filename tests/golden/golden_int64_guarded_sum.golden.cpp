@@ -5,7 +5,7 @@
 #include <cstdint>
 
 extern "C" void golden_int64_guarded_sum(const steno::rt::Captures *Caps_,
-                     steno::rt::Emitter *Out_) {
+                     steno::rt::Columns *Out_) {
   (void)Caps_;
   (void)Out_;
   const double *src0_d = Caps_->Sources[0].D;
@@ -22,5 +22,5 @@ extern "C" void golden_int64_guarded_sum(const steno::rt::Captures *Caps_,
     (void)elem5;
     agg6 = steno::rt::addIf(agg6, guard4, elem5);
   }
-  steno::rt::emitRow(Out_, agg6);
+  steno::rt::appendRow(Out_, agg6);
 }

@@ -5,7 +5,7 @@
 #include <cstdint>
 
 extern "C" void golden_nested_ret_pop(const steno::rt::Captures *Caps_,
-                     steno::rt::Emitter *Out_) {
+                     steno::rt::Columns *Out_) {
   (void)Caps_;
   (void)Out_;
   const double *src0_d = Caps_->Sources[0].D;
@@ -31,5 +31,5 @@ extern "C" void golden_nested_ret_pop(const steno::rt::Captures *Caps_,
       agg10 = steno::rt::addIf(agg10, guard9, elem8);
     }
   }
-  steno::rt::emitRow(Out_, agg10);
+  steno::rt::appendRow(Out_, agg10);
 }

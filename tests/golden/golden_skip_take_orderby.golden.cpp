@@ -6,7 +6,7 @@
 #include <cstdint>
 
 extern "C" void golden_skip_take_orderby(const steno::rt::Captures *Caps_,
-                     steno::rt::Emitter *Out_) {
+                     steno::rt::Columns *Out_) {
   (void)Caps_;
   (void)Out_;
   const double *src0_d = Caps_->Sources[0].D;
@@ -34,10 +34,5 @@ extern "C" void golden_skip_take_orderby(const steno::rt::Captures *Caps_,
     (void)A_;
     return steno::rt::orderKey(-(A_));
   });
-  const std::int64_t n8 = sink6.size();
-  for (std::int64_t i7 = 0; i7 < n8; ++i7) {
-    double elem9 = sink6[i7];
-    (void)elem9;
-    steno::rt::emitRow(Out_, elem9);
-  }
+  steno::rt::adoptColumn(Out_, sink6);
 }

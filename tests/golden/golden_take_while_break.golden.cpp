@@ -5,7 +5,7 @@
 #include <cstdint>
 
 extern "C" void golden_take_while_break(const steno::rt::Captures *Caps_,
-                     steno::rt::Emitter *Out_) {
+                     steno::rt::Columns *Out_) {
   (void)Caps_;
   (void)Out_;
   const double *src0_d = Caps_->Sources[0].D;
@@ -22,5 +22,5 @@ extern "C" void golden_take_while_break(const steno::rt::Captures *Caps_,
     }
     agg4 = (agg4 + elem3);
   }
-  steno::rt::emitRow(Out_, agg4);
+  steno::rt::appendRow(Out_, agg4);
 }

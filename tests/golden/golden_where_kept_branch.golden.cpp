@@ -5,7 +5,7 @@
 #include <cstdint>
 
 extern "C" void golden_where_kept_branch(const steno::rt::Captures *Caps_,
-                     steno::rt::Emitter *Out_) {
+                     steno::rt::Columns *Out_) {
   (void)Caps_;
   (void)Out_;
   const double *src0_d = Caps_->Sources[0].D;
@@ -24,5 +24,5 @@ extern "C" void golden_where_kept_branch(const steno::rt::Captures *Caps_,
     (void)elem4;
     agg5 = steno::rt::add(agg5, elem4);
   }
-  steno::rt::emitRow(Out_, agg5);
+  steno::rt::appendRow(Out_, agg5);
 }

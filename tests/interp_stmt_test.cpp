@@ -20,7 +20,7 @@ using namespace steno::expr::dsl;
 namespace {
 
 /// Runs a program over an optional double buffer in slot 0.
-interp::RunOutput run(Program &P, const std::vector<double> *Xs = nullptr) {
+QueryResult run(Program &P, const std::vector<double> *Xs = nullptr) {
   static std::vector<expr::SourceBuffer> Sources;
   Sources.clear();
   if (Xs) {
@@ -31,7 +31,9 @@ interp::RunOutput run(Program &P, const std::vector<double> *Xs = nullptr) {
   }
   interp::RunInput In;
   In.Sources = &Sources;
-  return interp::execute(P, In);
+  ResultBuilder Out(P.ScalarResult, P.ResultType);
+  interp::execute(P, In, Out);
+  return Out.finish();
 }
 
 /// A Source loop over double slot 0 with the given body.
@@ -61,9 +63,9 @@ TEST(InterpStmt, DeclareAssignEmit) {
   P.Body.push_back(Stmt::assign(
       "a", (param("a", Type::doubleTy()) * 2.0).node()));
   P.Body.push_back(Stmt::emit(param("a", Type::doubleTy()).node()));
-  interp::RunOutput Out = run(P);
-  ASSERT_EQ(Out.Rows.size(), 1u);
-  EXPECT_DOUBLE_EQ(Out.Rows[0].asDouble(), 3.0);
+  QueryResult Out = run(P);
+  ASSERT_EQ(Out.rows().size(), 1u);
+  EXPECT_DOUBLE_EQ(Out.rows()[0].asDouble(), 3.0);
 }
 
 TEST(InterpStmt, RegionIsTransparent) {
@@ -73,9 +75,9 @@ TEST(InterpStmt, RegionIsTransparent) {
       Stmt::declareLocal("a", Type::int64Ty(), E(7).node()));
   P.Body.push_back(R);
   P.Body.push_back(Stmt::emit(param("a", Type::int64Ty()).node()));
-  interp::RunOutput Out = run(P);
-  ASSERT_EQ(Out.Rows.size(), 1u);
-  EXPECT_EQ(Out.Rows[0].asInt64(), 7);
+  QueryResult Out = run(P);
+  ASSERT_EQ(Out.rows().size(), 1u);
+  EXPECT_EQ(Out.rows()[0].asInt64(), 7);
 }
 
 TEST(InterpStmt, IfBranches) {
@@ -84,18 +86,18 @@ TEST(InterpStmt, IfBranches) {
   P.Body.push_back(Stmt::ifThen(E(true).node(), {Then}));
   P.Body.push_back(
       Stmt::ifThen(E(false).node(), {Stmt::emit(E(2).node())}));
-  interp::RunOutput Out = run(P);
-  ASSERT_EQ(Out.Rows.size(), 1u);
-  EXPECT_EQ(Out.Rows[0].asInt64(), 1);
+  QueryResult Out = run(P);
+  ASSERT_EQ(Out.rows().size(), 1u);
+  EXPECT_EQ(Out.rows()[0].asInt64(), 1);
 }
 
 TEST(InterpStmt, SourceLoopEmitsEachElement) {
   std::vector<double> Xs = {1, 2, 3};
   Program P;
   P.Body.push_back(doubleLoop("e", {Stmt::emit(elemRef("e").node())}));
-  interp::RunOutput Out = run(P, &Xs);
-  ASSERT_EQ(Out.Rows.size(), 3u);
-  EXPECT_DOUBLE_EQ(Out.Rows[2].asDouble(), 3.0);
+  QueryResult Out = run(P, &Xs);
+  ASSERT_EQ(Out.rows().size(), 3u);
+  EXPECT_DOUBLE_EQ(Out.rows()[2].asDouble(), 3.0);
 }
 
 TEST(InterpStmt, ContinueSkipsRestOfBody) {
@@ -105,9 +107,9 @@ TEST(InterpStmt, ContinueSkipsRestOfBody) {
       "e", {Stmt::ifThen((elemRef("e") < 2.5).node(),
                          {Stmt::continueStmt()}),
             Stmt::emit(elemRef("e").node())}));
-  interp::RunOutput Out = run(P, &Xs);
-  ASSERT_EQ(Out.Rows.size(), 2u);
-  EXPECT_DOUBLE_EQ(Out.Rows[0].asDouble(), 3.0);
+  QueryResult Out = run(P, &Xs);
+  ASSERT_EQ(Out.rows().size(), 2u);
+  EXPECT_DOUBLE_EQ(Out.rows()[0].asDouble(), 3.0);
 }
 
 TEST(InterpStmt, BreakStopsLoop) {
@@ -117,8 +119,8 @@ TEST(InterpStmt, BreakStopsLoop) {
       "e", {Stmt::ifThen((elemRef("e") > 2.5).node(),
                          {Stmt::breakStmt()}),
             Stmt::emit(elemRef("e").node())}));
-  interp::RunOutput Out = run(P, &Xs);
-  EXPECT_EQ(Out.Rows.size(), 2u);
+  QueryResult Out = run(P, &Xs);
+  EXPECT_EQ(Out.rows().size(), 2u);
 }
 
 TEST(InterpStmt, RangeLoop) {
@@ -134,10 +136,10 @@ TEST(InterpStmt, RangeLoop) {
   StmtRef Loop = Stmt::loop(std::move(L));
   Loop->Body.push_back(Stmt::emit(param("r", Type::int64Ty()).node()));
   P.Body.push_back(Loop);
-  interp::RunOutput Out = run(P);
-  ASSERT_EQ(Out.Rows.size(), 3u);
-  EXPECT_EQ(Out.Rows[0].asInt64(), 5);
-  EXPECT_EQ(Out.Rows[2].asInt64(), 7);
+  QueryResult Out = run(P);
+  ASSERT_EQ(Out.rows().size(), 3u);
+  EXPECT_EQ(Out.rows()[0].asInt64(), 5);
+  EXPECT_EQ(Out.rows()[2].asInt64(), 7);
 }
 
 TEST(InterpStmt, GroupSinkRoundTrip) {
@@ -161,11 +163,11 @@ TEST(InterpStmt, GroupSinkRoundTrip) {
   Loop->Body.push_back(
       Stmt::emit(pair(Grp.first(), toDouble(len(Grp.second()))).node()));
   P.Body.push_back(Loop);
-  interp::RunOutput Out = run(P, &Xs);
-  ASSERT_EQ(Out.Rows.size(), 2u);
-  EXPECT_EQ(Out.Rows[0].first().asInt64(), 0);
-  EXPECT_DOUBLE_EQ(Out.Rows[0].second().asDouble(), 2.0);
-  EXPECT_EQ(Out.Rows[1].first().asInt64(), 1);
+  QueryResult Out = run(P, &Xs);
+  ASSERT_EQ(Out.rows().size(), 2u);
+  EXPECT_EQ(Out.rows()[0].first().asInt64(), 0);
+  EXPECT_DOUBLE_EQ(Out.rows()[0].second().asDouble(), 2.0);
+  EXPECT_EQ(Out.rows()[1].first().asInt64(), 1);
 }
 
 TEST(InterpStmt, VecSinkPushSortView) {
@@ -184,10 +186,10 @@ TEST(InterpStmt, VecSinkPushSortView) {
   E View = param("view", Type::vecTy());
   P.Body.push_back(Stmt::emit(View[E(0)].node()));
   P.Body.push_back(Stmt::emit(View[E(2)].node()));
-  interp::RunOutput Out = run(P, &Xs);
-  ASSERT_EQ(Out.Rows.size(), 2u);
-  EXPECT_DOUBLE_EQ(Out.Rows[0].asDouble(), 1.0);
-  EXPECT_DOUBLE_EQ(Out.Rows[1].asDouble(), 3.0);
+  QueryResult Out = run(P, &Xs);
+  ASSERT_EQ(Out.rows().size(), 2u);
+  EXPECT_DOUBLE_EQ(Out.rows()[0].asDouble(), 1.0);
+  EXPECT_DOUBLE_EQ(Out.rows()[1].asDouble(), 3.0);
 }
 
 TEST(InterpStmt, GroupAggSinkHashAndDense) {
@@ -222,18 +224,18 @@ TEST(InterpStmt, GroupAggSinkHashAndDense) {
              param("acc", Type::doubleTy()))
             .node()));
     P.Body.push_back(Loop);
-    interp::RunOutput Out = run(P, &Xs);
+    QueryResult Out = run(P, &Xs);
     if (Dense) {
       // All three dense keys reported in order, key 2 seeded only.
-      ASSERT_EQ(Out.Rows.size(), 3u);
-      EXPECT_EQ(Out.Rows[0].first().asInt64(), 0);
-      EXPECT_DOUBLE_EQ(Out.Rows[0].second().asDouble(), 3.0);
-      EXPECT_DOUBLE_EQ(Out.Rows[1].second().asDouble(), 11.0);
-      EXPECT_DOUBLE_EQ(Out.Rows[2].second().asDouble(), 0.0);
+      ASSERT_EQ(Out.rows().size(), 3u);
+      EXPECT_EQ(Out.rows()[0].first().asInt64(), 0);
+      EXPECT_DOUBLE_EQ(Out.rows()[0].second().asDouble(), 3.0);
+      EXPECT_DOUBLE_EQ(Out.rows()[1].second().asDouble(), 11.0);
+      EXPECT_DOUBLE_EQ(Out.rows()[2].second().asDouble(), 0.0);
     } else {
-      ASSERT_EQ(Out.Rows.size(), 2u);
-      EXPECT_DOUBLE_EQ(Out.Rows[0].second().asDouble(), 3.0);
-      EXPECT_DOUBLE_EQ(Out.Rows[1].second().asDouble(), 11.0);
+      ASSERT_EQ(Out.rows().size(), 2u);
+      EXPECT_DOUBLE_EQ(Out.rows()[0].second().asDouble(), 3.0);
+      EXPECT_DOUBLE_EQ(Out.rows()[1].second().asDouble(), 11.0);
     }
   }
 }
@@ -253,11 +255,11 @@ TEST(InterpStmt, EmittedVecRowsAreDeepCopies) {
   Loop->Body.push_back(
       Stmt::emit(slice(0, E(0), E(2)).node()));
   P.Body.push_back(Loop);
-  interp::RunOutput Out = run(P, &Xs);
-  ASSERT_EQ(Out.Rows.size(), 2u);
-  EXPECT_NE(Out.Rows[0].asVec().Data, Xs.data())
+  QueryResult Out = run(P, &Xs);
+  ASSERT_EQ(Out.rows().size(), 2u);
+  EXPECT_NE(Out.rows()[0].asVec().Data, Xs.data())
       << "emitted views must be re-homed into the arena";
-  EXPECT_DOUBLE_EQ(Out.Rows[0].asVec()[1], 2.0);
+  EXPECT_DOUBLE_EQ(Out.rows()[0].asVec()[1], 2.0);
 }
 
 TEST(InterpStmt, VecExprLoop) {
@@ -274,8 +276,8 @@ TEST(InterpStmt, VecExprLoop) {
   StmtRef Loop = Stmt::loop(std::move(L));
   Loop->Body.push_back(Stmt::emit(elemRef("e").node()));
   P.Body.push_back(Loop);
-  interp::RunOutput Out = run(P, &Xs);
-  ASSERT_EQ(Out.Rows.size(), 2u);
-  EXPECT_DOUBLE_EQ(Out.Rows[0].asDouble(), 5.0);
-  EXPECT_DOUBLE_EQ(Out.Rows[1].asDouble(), 6.0);
+  QueryResult Out = run(P, &Xs);
+  ASSERT_EQ(Out.rows().size(), 2u);
+  EXPECT_DOUBLE_EQ(Out.rows()[0].asDouble(), 5.0);
+  EXPECT_DOUBLE_EQ(Out.rows()[1].asDouble(), 6.0);
 }

@@ -38,7 +38,7 @@ TEST(Printer, ProgramSkeleton) {
   EXPECT_NE(Src.find("extern \"C\" void t(const steno::rt::Captures "
                      "*Caps_,"),
             std::string::npos);
-  EXPECT_NE(Src.find("steno::rt::Emitter *Out_"), std::string::npos);
+  EXPECT_NE(Src.find("steno::rt::Columns *Out_"), std::string::npos);
 }
 
 TEST(Printer, DeclareAndAssign) {
@@ -150,9 +150,16 @@ TEST(Printer, SortCallsRadixSortWithKeyInlinedOnce) {
 }
 
 TEST(Printer, EmitUsesRuntimeHelper) {
+  // A row is appended to the host's columns inline; a sink handed over
+  // whole becomes the result's column.
   std::string Src = printOf({Stmt::emit(E(1.0).node())});
-  EXPECT_NE(Src.find("steno::rt::emitRow(Out_, 1.0);"),
-            std::string::npos);
+  EXPECT_NE(Src.find("steno::rt::appendRow(Out_, 1.0);"),
+            std::string::npos)
+      << Src;
+  std::string Adopt = printOf({Stmt::emitSink("sink3")});
+  EXPECT_NE(Adopt.find("steno::rt::adoptColumn(Out_, sink3);"),
+            std::string::npos)
+      << Adopt;
 }
 
 TEST(Printer, CaptureAccessByType) {

@@ -483,66 +483,143 @@ TEST(RtProfTimer, DestructorChargesAnUnstoppedTimer) {
 }
 
 //===--------------------------------------------------------------------===//
-// Emitter / cell flattening
+// Result columns: the generated loop's appends
 //===--------------------------------------------------------------------===//
 
 namespace {
 
-struct CapturedRows {
-  std::vector<std::vector<Cell>> Rows;
+/// A host's column set, as the ABI sees it: Grow reallocs like the host's
+/// and counts its calls.
+struct TestColumns {
+  static inline int Grows = 0;
 
-  static void callback(void *Ctx, const Cell *Cells, std::int64_t N) {
-    auto *Self = static_cast<CapturedRows *>(Ctx);
-    Self->Rows.emplace_back(Cells, Cells + N);
+  static void grow(Column *C, std::int64_t MinCells) {
+    ++Grows;
+    std::int64_t Cap = C->Cap ? 2 * C->Cap : 1;
+    if (Cap < MinCells)
+      Cap = MinCells;
+    C->Data = std::realloc(C->Data, static_cast<std::size_t>(Cap) * 8);
+    C->Cap = Cap;
   }
 
-  Emitter emitter() { return Emitter{this, &callback}; }
+  explicit TestColumns(std::size_t N) : Cols(N) {}
+  ~TestColumns() {
+    for (Column &C : Cols)
+      std::free(C.Data);
+  }
+
+  Columns abi() {
+    return Columns{Cols.data(), &grow};
+  }
+  const std::int64_t *ints(std::size_t C) const {
+    return static_cast<const std::int64_t *>(Cols[C].Data);
+  }
+  const double *doubles(std::size_t C) const {
+    return static_cast<const double *>(Cols[C].Data);
+  }
+
+  std::vector<Column> Cols;
 };
 
 } // namespace
 
 TEST(RtEmit, ScalarCellKinds) {
-  CapturedRows Out;
-  Emitter E = Out.emitter();
-  emitRow(&E, 2.5);
-  emitRow(&E, std::int64_t{42});
-  emitRow(&E, true);
-  ASSERT_EQ(Out.Rows.size(), 3u);
-  EXPECT_EQ(Out.Rows[0][0].Kind, 2);
-  EXPECT_DOUBLE_EQ(Out.Rows[0][0].D, 2.5);
-  EXPECT_EQ(Out.Rows[1][0].Kind, 1);
-  EXPECT_EQ(Out.Rows[1][0].I, 42);
-  EXPECT_EQ(Out.Rows[2][0].Kind, 0);
-  EXPECT_EQ(Out.Rows[2][0].I, 1);
+  // A double cell lands in a double column; int64 and bool cells in
+  // int64 columns, a bool as 0 or 1.
+  TestColumns D(1), I(1), B(1);
+  Columns DA = D.abi(), IA = I.abi(), BA = B.abi();
+  appendRow(&DA, 2.5);
+  appendRow(&IA, std::int64_t{42});
+  appendRow(&BA, true);
+  appendRow(&BA, false);
+  ASSERT_EQ(D.Cols[0].Len, 1);
+  EXPECT_DOUBLE_EQ(D.doubles(0)[0], 2.5);
+  ASSERT_EQ(I.Cols[0].Len, 1);
+  EXPECT_EQ(I.ints(0)[0], 42);
+  ASSERT_EQ(B.Cols[0].Len, 2);
+  EXPECT_EQ(B.ints(0)[0], 1);
+  EXPECT_EQ(B.ints(0)[1], 0);
 }
 
-TEST(RtEmit, VecCellBorrows) {
+TEST(RtEmit, VecCellCopiesIntoPayload) {
+  // A vec cell appends its elements to the payload column and the
+  // payload's new length to the end-offsets column; the query's buffer is
+  // not referenced afterwards.
   double Buf[] = {1, 2, 3};
-  CapturedRows Out;
-  Emitter E = Out.emitter();
-  emitRow(&E, VecView{Buf, 3});
-  ASSERT_EQ(Out.Rows.size(), 1u);
-  EXPECT_EQ(Out.Rows[0][0].Kind, 3);
-  EXPECT_EQ(Out.Rows[0][0].VData, Buf);
-  EXPECT_EQ(Out.Rows[0][0].VLen, 3);
+  TestColumns Out(2);
+  Columns A = Out.abi();
+  appendRow(&A, VecView{Buf, 3});
+  appendRow(&A, VecView{Buf, 0});
+  appendRow(&A, VecView{Buf + 1, 2});
+  Buf[0] = Buf[1] = Buf[2] = -1;
+  ASSERT_EQ(Out.Cols[0].Len, 3);
+  EXPECT_EQ(Out.ints(0)[0], 3);
+  EXPECT_EQ(Out.ints(0)[1], 3);
+  EXPECT_EQ(Out.ints(0)[2], 5);
+  ASSERT_EQ(Out.Cols[1].Len, 5);
+  const double Want[] = {1, 2, 3, 2, 3};
+  for (int K = 0; K != 5; ++K)
+    EXPECT_EQ(Out.doubles(1)[K], Want[K]) << K;
 }
 
 TEST(RtEmit, PairFlattensPreOrder) {
-  CapturedRows Out;
-  Emitter E = Out.emitter();
+  TestColumns Out(3);
+  Columns A = Out.abi();
   Pair<std::int64_t, Pair<double, bool>> Row{7, {1.5, true}};
-  emitRow(&E, Row);
-  ASSERT_EQ(Out.Rows.size(), 1u);
-  ASSERT_EQ(Out.Rows[0].size(), 3u);
-  EXPECT_EQ(Out.Rows[0][0].I, 7);
-  EXPECT_DOUBLE_EQ(Out.Rows[0][1].D, 1.5);
-  EXPECT_EQ(Out.Rows[0][2].I, 1);
+  appendRow(&A, Row);
+  for (const Column &C : Out.Cols)
+    ASSERT_EQ(C.Len, 1);
+  EXPECT_EQ(Out.ints(0)[0], 7);
+  EXPECT_DOUBLE_EQ(Out.doubles(1)[0], 1.5);
+  EXPECT_EQ(Out.ints(2)[0], 1);
 }
 
-TEST(RtEmit, CellCounts) {
-  EXPECT_EQ(CellCount<double>::value, 1);
-  EXPECT_EQ((CellCount<Pair<double, std::int64_t>>::value), 2);
-  EXPECT_EQ((CellCount<Pair<Pair<bool, double>, VecView>>::value), 3);
+TEST(RtEmit, ColumnsPerCell) {
+  // A row takes one column per scalar cell and two per vec cell: this
+  // one four, and a fifth column past them stays untouched.
+  double Buf[] = {4, 5};
+  TestColumns Out(5);
+  Columns A = Out.abi();
+  Pair<Pair<bool, double>, VecView> Row{{false, 0.5}, VecView{Buf, 2}};
+  appendRow(&A, Row);
+  EXPECT_EQ(Out.Cols[0].Len, 1);
+  EXPECT_EQ(Out.Cols[1].Len, 1);
+  EXPECT_EQ(Out.Cols[2].Len, 1);
+  EXPECT_EQ(Out.Cols[3].Len, 2);
+  EXPECT_EQ(Out.Cols[4].Len, 0);
+  EXPECT_EQ(Out.Cols[4].Data, nullptr);
+}
+
+TEST(RtEmit, GrowsOnlyWhenFull) {
+  // The query calls into the host only to grow a full column, and the
+  // host's doubling keeps that to a logarithmic number of calls.
+  TestColumns Out(1);
+  Columns A = Out.abi();
+  TestColumns::Grows = 0;
+  for (std::int64_t I = 0; I != 1000; ++I)
+    appendRow(&A, I);
+  ASSERT_EQ(Out.Cols[0].Len, 1000);
+  EXPECT_EQ(TestColumns::Grows, 11); // 1, 2, 4, ..., 1024
+  for (std::int64_t I = 0; I != 1000; ++I)
+    ASSERT_EQ(Out.ints(0)[I], I);
+}
+
+TEST(RtEmit, AdoptColumnTakesTheSinkBlock) {
+  // A Ret over a Vec sink hands the sink's block to the host: the column
+  // is the block, and the sink is left empty.
+  Buf<double> Sink;
+  for (int I = 0; I != 100; ++I)
+    Sink.push_back(I * 0.5);
+  const double *Block = Sink.data();
+  TestColumns Out(1);
+  Columns A = Out.abi();
+  adoptColumn(&A, Sink);
+  EXPECT_EQ(Out.Cols[0].Data, Block);
+  EXPECT_EQ(Out.Cols[0].Len, 100);
+  EXPECT_GE(Out.Cols[0].Cap, 100);
+  EXPECT_EQ(Out.doubles(0)[99], 49.5);
+  EXPECT_EQ(Sink.size(), 0);
+  EXPECT_EQ(Sink.data(), nullptr);
 }
 
 TEST(RtBindings, CaptureValueDefaults) {

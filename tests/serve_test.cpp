@@ -925,19 +925,23 @@ TEST(ServeWire, RenderStatusFrames) {
   EXPECT_EQ(Out.Message, "internal error");
 
   // A result decodes to the exact values, flags and timings: -0.0, NaN
-  // and a pair survive the round trip.
+  // and nested pairs survive the round trip. (Every row of a result has
+  // the one row type.)
   Response Ok;
   Ok.St = Status::Ok;
   Ok.Id = 13;
   Ok.Degraded = true;
   Ok.QueueMicros = 2.5;
   Ok.RunMicros = 40.5;
-  Ok.Result = QueryResult(
-      /*Scalar=*/false,
-      {expr::Value(-0.0), expr::Value(std::nan("")),
-       expr::Value::makePair(expr::Value(std::int64_t(-3)),
-                             expr::Value(0.1))},
-      nullptr);
+  auto row = [](double D, std::int64_t I, double E) {
+    return expr::Value::makePair(
+        expr::Value(D),
+        expr::Value::makePair(expr::Value(I), expr::Value(E)));
+  };
+  ResultBuilder Rows(/*Scalar=*/false);
+  Rows.add(row(-0.0, -3, 0.1));
+  Rows.add(row(std::nan(""), 0, -0.0));
+  Ok.Result = Rows.finish();
   ASSERT_TRUE(roundTrip(Ok, 13, Out));
   EXPECT_EQ(Out.St, Status::Ok);
   EXPECT_EQ(Out.Id, 13u);

@@ -310,13 +310,23 @@ TEST(ShardDecomp, VertexUpgradesToNativeInTheBackground) {
 // Exact-value wire codec
 //===--------------------------------------------------------------------===//
 
+/// Decodes \p Enc as a one-row result; false when it is malformed.
+bool decodeOne(const std::string &Enc, QueryResult &Out,
+               std::string *Err = nullptr) {
+  ResultBuilder Rows(false);
+  if (!parseWireValue(Enc, Rows, Err))
+    return false;
+  Out = Rows.finish();
+  return true;
+}
+
 void expectRoundTrip(const expr::Value &V) {
   std::string Enc = wireValue(V);
-  expr::Value Out;
-  std::deque<std::vector<double>> Arena;
+  QueryResult Out;
   std::string Err;
-  ASSERT_TRUE(parseWireValue(Enc, Out, Arena, &Err)) << Enc << ": " << Err;
-  EXPECT_TRUE(Out == V) << Enc;
+  ASSERT_TRUE(decodeOne(Enc, Out, &Err)) << Enc << ": " << Err;
+  ASSERT_EQ(Out.numRows(), 1);
+  EXPECT_TRUE(Out.rows()[0] == V) << Enc;
 }
 
 TEST(ShardWire, ValueCodecRoundTripsExactly) {
@@ -337,21 +347,18 @@ TEST(ShardWire, ValueCodecRoundTripsExactly) {
 }
 
 TEST(ShardWire, ValueCodecPreservesNegativeZeroSign) {
-  expr::Value Out;
-  std::deque<std::vector<double>> Arena;
-  ASSERT_TRUE(parseWireValue(wireValue(expr::Value(-0.0)), Out, Arena));
-  ASSERT_TRUE(Out.isDouble());
-  EXPECT_TRUE(std::signbit(Out.asDouble()));
+  QueryResult Out;
+  ASSERT_TRUE(decodeOne(wireValue(expr::Value(-0.0)), Out));
+  ASSERT_TRUE(Out.rows()[0].isDouble());
+  EXPECT_TRUE(std::signbit(Out.rows()[0].asDouble()));
 }
 
 TEST(ShardWire, ValueCodecRoundTripsNan) {
-  expr::Value Out;
-  std::deque<std::vector<double>> Arena;
-  ASSERT_TRUE(parseWireValue(
-      wireValue(expr::Value(std::numeric_limits<double>::quiet_NaN())), Out,
-      Arena));
-  ASSERT_TRUE(Out.isDouble());
-  EXPECT_TRUE(std::isnan(Out.asDouble()));
+  QueryResult Out;
+  ASSERT_TRUE(decodeOne(
+      wireValue(expr::Value(std::numeric_limits<double>::quiet_NaN())), Out));
+  ASSERT_TRUE(Out.rows()[0].isDouble());
+  EXPECT_TRUE(std::isnan(Out.rows()[0].asDouble()));
 }
 
 TEST(ShardWire, ValueCodecRoundTripsVecs) {
@@ -361,12 +368,19 @@ TEST(ShardWire, ValueCodecRoundTripsVecs) {
 }
 
 TEST(ShardWire, ValueCodecRejectsGarbage) {
-  expr::Value Out;
-  std::deque<std::vector<double>> Arena;
-  EXPECT_FALSE(parseWireValue("q 1", Out, Arena));
-  EXPECT_FALSE(parseWireValue("i ", Out, Arena));
-  EXPECT_FALSE(parseWireValue("d 1.0 trailing", Out, Arena));
-  EXPECT_FALSE(parseWireValue("v 3 0x1p+0", Out, Arena));
+  QueryResult Out;
+  EXPECT_FALSE(decodeOne("q 1", Out));
+  EXPECT_FALSE(decodeOne("i ", Out));
+  EXPECT_FALSE(decodeOne("d 1.0 trailing", Out));
+  EXPECT_FALSE(decodeOne("v 3 0x1p+0", Out));
+  EXPECT_FALSE(decodeOne("v 4611686018427387904 0x1p+0", Out));
+  // The rows of one answer share one type.
+  ResultBuilder Rows(false);
+  ASSERT_TRUE(parseWireValue("p i 1 d 0x1p+0", Rows));
+  EXPECT_FALSE(parseWireValue("p i 1 i 2", Rows));
+  EXPECT_FALSE(parseWireValue("d 0x1p+0", Rows));
+  EXPECT_TRUE(parseWireValue("p i -4 d -0x0p+0", Rows));
+  EXPECT_EQ(Rows.finish().numRows(), 2);
 }
 
 //===--------------------------------------------------------------------===//
