@@ -10,6 +10,14 @@
 //           CSE)
 //   poly:   sqrt(x*x+1) / (sqrt(x*x+1) + 2) per element
 //
+// each on the native and the interpreter backend.
+//
+// Gate (CI bench-smoke): exits 1 when interpreted dist2, CSE on / CSE
+// off, exceeds 0.90. The pass pays
+// in the interpreter, which re-evaluates every duplicated subtree; the
+// native rows are within noise of 1, because g++ -O3 CSEs the pure
+// arithmetic itself.
+//
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
@@ -17,6 +25,8 @@
 #include "steno/Steno.h"
 
 #include <cstdio>
+#include <string>
+#include <vector>
 
 using namespace steno;
 using namespace steno::bench;
@@ -26,36 +36,59 @@ using query::Query;
 
 namespace {
 
-double timeQuery(const Query &Q, const Bindings &B, bool Cse,
-                 const char *Name) {
-  CompileOptions Options;
-  Options.EnableCse = Cse;
-  Options.Name = Name;
-  CompiledQuery CQ = compileQuery(Q, Options);
-  return bestSeconds(
-      [&] {
-        doNotOptimize(
-            static_cast<std::int64_t>(CQ.run(B).numRows()));
-      },
-      3);
-}
+/// Rounds of a query's four variants.
+constexpr int kRounds = 15;
+/// The gate's ceiling on interpreted dist2, CSE on / CSE off.
+constexpr double MaxInterpDist2OnOverOff = 0.90;
 
-void report(const char *Name, double OffS, double OnS) {
-  std::printf("%-8s %14.1f %14.1f %9.2fx\n", Name, OffS * 1e3, OnS * 1e3,
-              OffS / OnS);
+/// Times \p Q over \p B with CSE off and on, on the native and the
+/// interpreter backend, prints a row per backend, and returns the
+/// interpreter's CSE-on / CSE-off time, the median of per-round ratios.
+double measure(const char *Name, const Query &Q, const Bindings &B,
+               std::int64_t Items, JsonReport &Json) {
+  Rounds R(kRounds);
+  std::vector<CompiledQuery> Compiled;
+  Compiled.reserve(4);
+  for (Backend Exec : {Backend::Native, Backend::Interp})
+    for (bool Cse : {false, true}) {
+      std::string Variant = std::string(Exec == Backend::Native ? "native"
+                                                                : "interp") +
+                            (Cse ? "_cse_on" : "_cse_off");
+      CompileOptions Options;
+      Options.EnableCse = Cse;
+      Options.Exec = Exec;
+      Options.Name = std::string(Name) + "_" + Variant;
+      Compiled.push_back(compileQuery(Q, Options));
+      const CompiledQuery &CQ = Compiled.back();
+      R.add(Variant, Items, [&CQ, &B] {
+        doNotOptimize(static_cast<std::int64_t>(CQ.run(B).numRows()));
+      });
+    }
+  R.run();
+  Json.add(R, std::string(Name) + "_");
+  for (int Off : {0, 2})
+    std::printf("%-8s %-7s %22s %22s %9.2fx\n", Name,
+                Off == 0 ? "native" : "interp",
+                msCell(R.summary(Off)).c_str(),
+                msCell(R.summary(Off + 1)).c_str(), R.ratio(Off, Off + 1));
+  return R.ratio(3, 2);
 }
 
 } // namespace
 
 int main() {
   header("Ablation E: common-subexpression elimination (§9)");
-  std::printf("\n%-8s %14s %14s %9s\n", "query", "CSE off (ms)",
-              "CSE on (ms)", "gain");
+  std::printf("\n%-8s %-7s %22s %22s %9s\n", "query", "backend",
+              "CSE off ms (q1-q3)", "CSE on ms (q1-q3)", "gain");
+  JsonReport Json("abl_cse");
 
   // dist2 kernel: points x centroid-row, repeated subtraction.
+  double InterpDist2 = 0;
   {
     const std::int64_t Dim = 16;
-    const std::int64_t NumPoints = scaled(500000);
+    // 5*10^4 points keep an interpreted run near 0.3 s, so 15 rounds fit
+    // in seconds; the interpreter's per-round ratios spread over +-10%.
+    const std::int64_t NumPoints = scaled(50000);
     std::vector<double> Points =
         uniformDoubles(NumPoints * Dim, 61, -1, 1);
     std::vector<double> Centroid = uniformDoubles(Dim, 62, -1, 1);
@@ -72,8 +105,7 @@ int main() {
                                     (P[D] - slice(1, E(0), DimE)[D])))
             .sum();
     Query Q = Query::pointArray(0).selectNested(P, Dist2).sum();
-    report("dist2", timeQuery(Q, B, false, "dist2_off"),
-           timeQuery(Q, B, true, "dist2_on"));
+    InterpDist2 = measure("dist2", Q, B, NumPoints * Dim, Json);
   }
 
   // poly: per-element repeated sqrt.
@@ -87,13 +119,24 @@ int main() {
     Query Q = Query::doubleArray(0)
                   .select(lambda({X}, Root / (Root + 2.0)))
                   .sum();
-    report("poly", timeQuery(Q, B, false, "poly_off"),
-           timeQuery(Q, B, true, "poly_on"));
+    measure("poly", Q, B, N, Json);
   }
 
-  std::printf("\n(the host compiler can CSE pure arithmetic itself, so "
-              "gains appear where it cannot prove it profitable or the "
+  std::printf("\n(median and quartiles of %d interleaved rounds; the host "
+              "compiler can CSE pure arithmetic itself, so native gains "
+              "appear only where it cannot prove it profitable or the "
               "expression defeats its heuristics — e.g. repeated libm "
-              "calls)\n");
+              "calls; the interpreter evaluates every duplicated subtree)\n",
+              kRounds);
+  std::printf("interpreted dist2, CSE on / CSE off (median of per-round "
+              "ratios): %.2f (gate: <= %.2f)\n",
+              InterpDist2, MaxInterpDist2OnOverOff);
+  if (InterpDist2 > MaxInterpDist2OnOverOff) {
+    std::fprintf(stderr,
+                 "abl_cse: FAIL: CSE saves the interpreted dist2 kernel "
+                 "too little: on / off %.2f, above the %.2f ceiling\n",
+                 InterpDist2, MaxInterpDist2OnOverOff);
+    return 1;
+  }
   return 0;
 }

@@ -7,6 +7,10 @@
 // paper's closing §4.3 remark sketches (O(1) keys when the key range is
 // known), measured via the static fused library.
 //
+// Gate (CI bench-smoke): exits 1 when fused GroupByAggregate / bags
+// exceeds 0.5 at any key count. Losing §4.3's specialization puts it
+// near 1.
+//
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
@@ -22,15 +26,23 @@ using namespace steno::expr;
 using namespace steno::expr::dsl;
 using query::Query;
 
+/// Rounds of the three variants per key count.
+constexpr int kRounds = 5;
+/// The gate's ceiling on fused GroupByAggregate / bags.
+constexpr double MaxFusedOverBags = 0.5;
+
 int main() {
   const std::int64_t N = scaled(5000000);
   std::vector<double> Xs = uniformDoubles(N, 31, 0, 1.0);
   header("Ablation B: GroupBy vs fused GroupByAggregate (§4.3), " +
-         std::to_string(N) + " elements");
+         std::to_string(N) + " elements, median (quartiles) of " +
+         std::to_string(kRounds) + " interleaved rounds");
 
-  std::printf("\n%8s %16s %16s %14s %10s\n", "keys", "bags (ms)",
-              "fused GBA (ms)", "dense (ms)", "GBA gain");
+  std::printf("\n%8s %22s %22s %22s %10s\n", "keys", "bags ms",
+              "fused GBA ms", "dense ms", "GBA gain");
 
+  JsonReport Json("abl_groupby");
+  bool Ok = true;
   for (std::int64_t Keys : {10, 100, 1000, 10000, 100000}) {
     double Scale = static_cast<double>(Keys);
     auto X = param("x", Type::doubleTy());
@@ -50,48 +62,53 @@ int main() {
     CompileOptions NoSpec;
     NoSpec.SpecializeGroupByAggregate = false;
     NoSpec.Name = "grp_bags";
-    CompiledQuery Bags = compileQuery(Q, NoSpec);
+    CompiledQuery BagsCQ = compileQuery(Q, NoSpec);
 
     CompileOptions Spec;
     Spec.Name = "grp_fused";
-    CompiledQuery Fused = compileQuery(Q, Spec);
+    CompiledQuery FusedCQ = compileQuery(Q, Spec);
 
-    double BagsS = bestSeconds(
-        [&] {
-          doNotOptimize(
-              static_cast<std::int64_t>(Bags.run(B).numRows()));
-        },
-        2);
-    double FusedS = bestSeconds(
-        [&] {
-          doNotOptimize(
-              static_cast<std::int64_t>(Fused.run(B).numRows()));
-        },
-        2);
-
+    Rounds R(kRounds);
+    int Bags = R.add("bags", N, [&] {
+      doNotOptimize(static_cast<std::int64_t>(BagsCQ.run(B).numRows()));
+    });
+    int Fused = R.add("fused_gba", N, [&] {
+      doNotOptimize(static_cast<std::int64_t>(FusedCQ.run(B).numRows()));
+    });
     // Dense-key static sink (key range known a priori).
-    double DenseS = bestSeconds(
-        [&] {
-          auto Slots =
-              fused::from(Xs) |
-              fused::denseGroupByAggregate(
-                  Keys,
-                  [Scale](double Xv) {
-                    return static_cast<std::int64_t>(Xv * Scale);
-                  },
-                  0.0, [](double Acc, double Xv) { return Acc + Xv; });
-          doNotOptimize(Slots[0]);
-        },
-        2);
+    int Dense = R.add("dense", N, [&] {
+      auto Slots = fused::from(Xs) |
+                   fused::denseGroupByAggregate(
+                       Keys,
+                       [Scale](double Xv) {
+                         return static_cast<std::int64_t>(Xv * Scale);
+                       },
+                       0.0, [](double Acc, double Xv) { return Acc + Xv; });
+      doNotOptimize(Slots[0]);
+    });
+    R.run();
+    Json.add(R, "k" + std::to_string(Keys) + "_");
 
-    std::printf("%8lld %16.1f %16.1f %14.1f %9.2fx\n",
-                static_cast<long long>(Keys), BagsS * 1e3, FusedS * 1e3,
-                DenseS * 1e3, BagsS / FusedS);
+    double Ratio = R.ratio(Fused, Bags);
+    std::printf("%8lld %22s %22s %22s %9.2fx\n", static_cast<long long>(Keys),
+                msCell(R.summary(Bags)).c_str(),
+                msCell(R.summary(Fused)).c_str(),
+                msCell(R.summary(Dense)).c_str(), 1.0 / Ratio);
+    if (Ratio > MaxFusedOverBags) {
+      std::fprintf(stderr,
+                   "abl_groupby: FAIL: at %lld keys fused GroupByAggregate "
+                   "takes %.2fx the bags' time, above the %.1f ceiling\n",
+                   static_cast<long long>(Keys), Ratio, MaxFusedOverBags);
+      Ok = false;
+    }
   }
 
   std::printf("\n'bags' materializes every group's members (Figure 7(b) "
               "Lookup); 'fused GBA' keeps one accumulator per key (§4.3); "
               "'dense' replaces the hash sink with an array when the key "
               "range is known\n");
-  return 0;
+  std::printf("gate: fused GBA / bags, the median of per-round ratios, <= "
+              "%.1f at every key count\n",
+              MaxFusedOverBags);
+  return Ok ? 0 : 1;
 }

@@ -12,6 +12,9 @@
 //   steno (jit)       full fusion including nested loops
 //   hand              plain nested for loops
 //
+// Gate (CI bench-smoke): exits 1 when Steno / fused-outer-only exceeds
+// 0.5. Losing §5's nested-loop generation puts it near 1.
+//
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
@@ -27,9 +30,13 @@ using namespace steno::expr;
 using namespace steno::expr::dsl;
 using query::Query;
 
+/// The gate's ceiling on Steno / fused-outer-only.
+constexpr double MaxStenoOverOuterOnly = 0.5;
+
 int main() {
   const std::int64_t Outer = scaled(100000);
   const std::int64_t Inner = 1000;
+  const std::int64_t Items = Outer * Inner;
   std::vector<double> Xs = uniformDoubles(Outer, 21, 0, 1);
   std::vector<double> Ys = uniformDoubles(Inner, 22, 0, 1);
 
@@ -37,38 +44,6 @@ int main() {
          "generation (Cart, " +
          std::to_string(Outer) + " x " + std::to_string(Inner) + ")");
 
-  // Full iterator chains.
-  double LinqS = bestSeconds(
-      [&] {
-        double V = linq::fromSpan(Xs.data(), Xs.size())
-                       .selectMany([&Ys](double X) {
-                         return linq::fromSpan(Ys.data(), Ys.size())
-                             .select([X](double Y) { return X * Y; });
-                       })
-                       .sum();
-        doNotOptimize(V);
-      },
-      2);
-
-  // Outer loop fused; the nested query still crosses an opaque iterator
-  // boundary per inner element (what a naive "optimize each query
-  // separately" scheme yields, §5's strawman).
-  double OuterOnlyS = bestSeconds(
-      [&] {
-        double Acc = 0;
-        for (double X : Xs) {
-          linq::Seq<double> InnerSeq =
-              linq::fromSpan(Ys.data(), Ys.size())
-                  .select([X](double Y) { return X * Y; });
-          auto E = InnerSeq.getEnumerator();
-          while (E->moveNext())
-            Acc += E->current();
-        }
-        doNotOptimize(Acc);
-      },
-      2);
-
-  // Full Steno.
   Bindings B;
   B.bindDoubleArray(0, Xs.data(), Outer);
   B.bindDoubleArray(1, Ys.data(), Inner);
@@ -79,31 +54,65 @@ int main() {
                                    .select(lambda({Y}, X * Y)))
                 .sum();
   CompiledQuery CQ = compileQuery(Q, {});
-  double StenoS = bestSeconds(
-      [&] { doNotOptimize(CQ.run(B).scalarValue().asDouble()); }, 2);
 
+  Rounds R(/*Count=*/5);
+  // Full iterator chains.
+  int Linq = R.add("linq", Items, [&] {
+    doNotOptimize(linq::fromSpan(Xs.data(), Xs.size())
+                      .selectMany([&Ys](double Xv) {
+                        return linq::fromSpan(Ys.data(), Ys.size())
+                            .select([Xv](double Yv) { return Xv * Yv; });
+                      })
+                      .sum());
+  });
+  // Outer loop fused; the nested query still crosses an opaque iterator
+  // boundary per inner element (what a naive "optimize each query
+  // separately" scheme yields, §5's strawman).
+  int OuterOnly = R.add("fused_outer_only", Items, [&] {
+    double Acc = 0;
+    for (double Xv : Xs) {
+      linq::Seq<double> InnerSeq =
+          linq::fromSpan(Ys.data(), Ys.size())
+              .select([Xv](double Yv) { return Xv * Yv; });
+      auto E = InnerSeq.getEnumerator();
+      while (E->moveNext())
+        Acc += E->current();
+    }
+    doNotOptimize(Acc);
+  });
+  // Full Steno.
+  int Steno = R.add("steno_jit", Items, [&] {
+    doNotOptimize(CQ.run(B).scalarValue().asDouble());
+  });
   // Hand loops.
-  double HandS = bestSeconds(
-      [&] {
-        double Acc = 0;
-        for (double Xv : Xs)
-          for (double Yv : Ys)
-            Acc += Xv * Yv;
-        doNotOptimize(Acc);
-      },
-      2);
+  R.add("hand", Items, [&] {
+    double Acc = 0;
+    for (double Xv : Xs)
+      for (double Yv : Ys)
+        Acc += Xv * Yv;
+    doNotOptimize(Acc);
+  });
+  R.run();
 
-  std::printf("\n%-20s %12s %14s %9s\n", "variant", "time (ms)",
-              "rel. to LINQ", "speedup");
-  auto Row = [&](const char *Name, double S) {
-    std::printf("%-20s %12.1f %13.1f%% %8.2fx\n", Name, S * 1e3,
-                100.0 * S / LinqS, LinqS / S);
-  };
-  Row("linq (no fusion)", LinqS);
-  Row("fused-outer-only", OuterOnlyS);
-  Row("steno (jit)", StenoS);
-  Row("hand loops", HandS);
+  std::printf("\n");
+  printRelative(R, Linq);
   std::printf("\nthe gap between fused-outer-only and steno is the "
               "contribution of nested-loop generation (§5)\n");
+
+  JsonReport Json("abl_nested");
+  Json.add(R);
+
+  double Ratio = R.ratio(Steno, OuterOnly);
+  std::printf("Steno / fused-outer-only (median of per-round ratios): "
+              "%.2f (gate: <= %.1f)\n",
+              Ratio, MaxStenoOverOuterOnly);
+  if (Ratio > MaxStenoOverOuterOnly) {
+    std::fprintf(stderr,
+                 "abl_nested: FAIL: Steno takes %.2fx the fused-outer-only "
+                 "time, above the %.1f ceiling: nested-loop generation "
+                 "(§5) no longer pays\n",
+                 Ratio, MaxStenoOverOuterOnly);
+    return 1;
+  }
   return 0;
 }

@@ -7,8 +7,9 @@
 //      inlined lambda),
 //   3. the state-machine logic of stateful operators.
 //
-// Built on google-benchmark so per-element nanosecond costs come out of
-// its calibrated timing loop.
+// Each variant makes kPasses passes over 2^16 in-cache doubles per call,
+// and the variants run in interleaved rounds (bench::Rounds); a row is
+// the median ns per element with its quartiles.
 //
 //===----------------------------------------------------------------------===//
 
@@ -16,36 +17,21 @@
 #include "fused/Fused.h"
 #include "linq/Linq.h"
 
-#include "benchmark/benchmark.h"
-
+#include <cstdio>
 #include <functional>
 #include <vector>
 
 using namespace steno;
+using namespace steno::bench;
 
 namespace {
 
-const std::int64_t N = 1 << 16; // items per iteration
+const std::int64_t N = 1 << 16; // elements per pass
+constexpr int kPasses = 16;
+constexpr int kRounds = 15;
 
-const std::vector<double> &data() {
-  static const std::vector<double> Xs = bench::uniformDoubles(N, 41, 0, 1);
-  return Xs;
-}
-
-/// Iterator chain of the requested depth: Depth stacked Selects, then Sum.
-void linqChain(benchmark::State &State) {
-  const std::vector<double> &Xs = data();
-  int Depth = static_cast<int>(State.range(0));
-  linq::Seq<double> S = linq::fromSpan(Xs.data(), Xs.size());
-  for (int I = 0; I < Depth; ++I)
-    S = S.select([](double X) { return X + 1.0; });
-  for (auto _ : State) {
-    benchmark::DoNotOptimize(S.sum());
-  }
-  State.SetItemsProcessed(State.iterations() * N);
-}
-
-/// The fused equivalent: the compiler collapses the whole chain.
+/// The fused equivalent of Depth stacked Selects: the compiler collapses
+/// the whole chain.
 template <int Depth> double fusedChainOnce(const std::vector<double> &Xs) {
   double Acc = 0;
   for (double X : Xs) {
@@ -57,70 +43,76 @@ template <int Depth> double fusedChainOnce(const std::vector<double> &Xs) {
   return Acc;
 }
 
-template <int Depth> void fusedChain(benchmark::State &State) {
-  const std::vector<double> &Xs = data();
-  for (auto _ : State)
-    benchmark::DoNotOptimize(fusedChainOnce<Depth>(Xs));
-  State.SetItemsProcessed(State.iterations() * N);
-}
+} // namespace
 
-/// Indirect user-function call per element (the delegate cost).
-void stdFunctionCall(benchmark::State &State) {
-  const std::vector<double> &Xs = data();
+int main() {
+  const std::vector<double> Xs = uniformDoubles(N, 41, 0, 1);
+  const std::int64_t Items = N * kPasses;
+  header("Ablation C: per-element overhead anatomy, " + std::to_string(N) +
+         " doubles x " + std::to_string(kPasses) + " passes per call");
+
+  Rounds R(kRounds);
+  auto add = [&](const std::string &Name, std::function<double()> Pass) {
+    R.add(Name, Items, [Pass = std::move(Pass)] {
+      for (int P = 0; P != kPasses; ++P)
+        doNotOptimize(Pass());
+    });
+  };
+
+  // Iterator chains of increasing depth: Depth stacked Selects, then Sum.
+  std::vector<linq::Seq<double>> Chains;
+  for (int Depth : {1, 2, 4, 8}) {
+    linq::Seq<double> S = linq::fromSpan(Xs.data(), Xs.size());
+    for (int I = 0; I < Depth; ++I)
+      S = S.select([](double X) { return X + 1.0; });
+    Chains.push_back(S);
+  }
+  for (std::size_t I = 0; I != Chains.size(); ++I)
+    add("linq_chain_" + std::to_string(1 << I),
+        [&Chains, I] { return Chains[I].sum(); });
+  add("fused_chain_1", [&] { return fusedChainOnce<1>(Xs); });
+  add("fused_chain_2", [&] { return fusedChainOnce<2>(Xs); });
+  add("fused_chain_4", [&] { return fusedChainOnce<4>(Xs); });
+  add("fused_chain_8", [&] { return fusedChainOnce<8>(Xs); });
+
+  // Indirect user-function call per element (the delegate cost), and the
+  // same body inlined.
   std::function<double(double)> Fn = [](double X) { return X * X; };
-  benchmark::DoNotOptimize(Fn);
-  for (auto _ : State) {
+  add("std_function_call", [&] {
     double Acc = 0;
     for (double X : Xs)
       Acc += Fn(X);
-    benchmark::DoNotOptimize(Acc);
-  }
-  State.SetItemsProcessed(State.iterations() * N);
-}
-
-/// The same body inlined.
-void inlinedCall(benchmark::State &State) {
-  const std::vector<double> &Xs = data();
-  for (auto _ : State) {
+    return Acc;
+  });
+  add("inlined_call", [&] {
     double Acc = 0;
     for (double X : Xs)
       Acc += X * X;
-    benchmark::DoNotOptimize(Acc);
+    return Acc;
+  });
+
+  // State-machine cost: a Where that passes everything, LINQ vs fused.
+  linq::Seq<double> PassAll = linq::fromSpan(Xs.data(), Xs.size())
+                                  .where([](double X) { return X >= 0.0; });
+  add("linq_where_pass_all", [&] { return PassAll.sum(); });
+  add("fused_where_pass_all", [&] {
+    return fused::from(Xs) | fused::where([](double X) { return X >= 0.0; }) |
+           fused::sum();
+  });
+  R.run();
+
+  std::printf("\n%-22s %26s %12s\n", "variant", "ns/element (q1-q3)",
+              "Melem/s");
+  for (int V = 0; V != R.variants(); ++V) {
+    Summary S = R.summary(V);
+    double PerNs = 1e9 / static_cast<double>(Items);
+    std::printf("%-22s %10.3f (%.3f-%.3f) %12.0f\n", R.name(V).c_str(),
+                S.Median * PerNs, S.Q1 * PerNs, S.Q3 * PerNs,
+                static_cast<double>(Items) / S.Median / 1e6);
   }
-  State.SetItemsProcessed(State.iterations() * N);
+  std::printf("(median and quartiles of %d interleaved rounds)\n", kRounds);
+
+  JsonReport Json("abl_overhead");
+  Json.add(R);
+  return 0;
 }
-
-/// State-machine cost: a Where that passes everything, LINQ vs fused.
-void linqWherePassAll(benchmark::State &State) {
-  const std::vector<double> &Xs = data();
-  auto S = linq::fromSpan(Xs.data(), Xs.size())
-               .where([](double X) { return X >= 0.0; });
-  for (auto _ : State)
-    benchmark::DoNotOptimize(S.sum());
-  State.SetItemsProcessed(State.iterations() * N);
-}
-
-void fusedWherePassAll(benchmark::State &State) {
-  const std::vector<double> &Xs = data();
-  for (auto _ : State) {
-    double V = fused::from(Xs) |
-               fused::where([](double X) { return X >= 0.0; }) |
-               fused::sum();
-    benchmark::DoNotOptimize(V);
-  }
-  State.SetItemsProcessed(State.iterations() * N);
-}
-
-} // namespace
-
-BENCHMARK(linqChain)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-BENCHMARK(fusedChain<1>);
-BENCHMARK(fusedChain<2>);
-BENCHMARK(fusedChain<4>);
-BENCHMARK(fusedChain<8>);
-BENCHMARK(stdFunctionCall);
-BENCHMARK(inlinedCall);
-BENCHMARK(linqWherePassAll);
-BENCHMARK(fusedWherePassAll);
-
-BENCHMARK_MAIN();

@@ -22,59 +22,63 @@ using namespace steno;
 using namespace steno::bench;
 using namespace steno::dryad;
 
+/// Rounds of the two variants per partition count.
+constexpr int kRounds = 5;
+
 int main() {
   const std::int64_t N = scaled(20000000);
   std::vector<double> Flat = uniformDoubles(N, 51, 0, 1);
   header("Ablation D: partial aggregation (Agg_i + Agg*, Figure 12) vs "
          "central aggregation, " +
-         std::to_string(N) + " doubles");
+         std::to_string(N) + " doubles, median (quartiles) of " +
+         std::to_string(kRounds) + " interleaved rounds");
 
-  std::printf("\n%6s %18s %18s %9s\n", "parts", "partial agg (ms)",
-              "central agg (ms)", "benefit");
+  std::printf("\n%6s %24s %24s %9s\n", "parts", "partial agg ms",
+              "central agg ms", "benefit");
 
+  JsonReport Json("abl_partial_agg");
   for (unsigned Parts : {1u, 2u, 4u, 8u, 16u}) {
     std::vector<DoublePartition> Partitions =
         partitionDoubles(Flat, Parts);
     ThreadPool Pool(Parts);
 
+    Rounds R(kRounds);
     // Figure 12: per-partition Agg_i (a fused sum-of-squares), then the
     // Agg* combine over P partials.
-    double PartialS = bestSeconds(
-        [&] {
-          std::vector<double> Partials = homomorphicApply(
-              Pool, Partitions, [](const DoublePartition &P) {
-                return fused::from(P.Data) |
-                       fused::select([](double X) { return X * X; }) |
-                       fused::sum();
-              });
-          double Total = 0;
-          for (double V : Partials)
-            Total += V;
-          doNotOptimize(Total);
-        },
-        2);
-
+    int Partial = R.add("partial", N, [&] {
+      std::vector<double> Partials = homomorphicApply(
+          Pool, Partitions, [](const DoublePartition &P) {
+            return fused::from(P.Data) |
+                   fused::select([](double X) { return X * X; }) |
+                   fused::sum();
+          });
+      double Total = 0;
+      for (double V : Partials)
+        Total += V;
+      doNotOptimize(Total);
+    });
     // Central aggregation: each vertex only transforms (homomorphic
     // prefix), materializing its output partition; a single downstream
     // vertex consumes everything.
-    double CentralS = bestSeconds(
-        [&] {
-          std::vector<std::vector<double>> Shipped = homomorphicApply(
-              Pool, Partitions, [](const DoublePartition &P) {
-                return fused::from(P.Data) |
-                       fused::select([](double X) { return X * X; }) |
-                       fused::toVector<double>();
-              });
-          double Total = 0;
-          for (const std::vector<double> &Part : Shipped)
-            for (double V : Part)
-              Total += V;
-          doNotOptimize(Total);
-        },
-        2);
+    int Central = R.add("central", N, [&] {
+      std::vector<std::vector<double>> Shipped = homomorphicApply(
+          Pool, Partitions, [](const DoublePartition &P) {
+            return fused::from(P.Data) |
+                   fused::select([](double X) { return X * X; }) |
+                   fused::toVector<double>();
+          });
+      double Total = 0;
+      for (const std::vector<double> &Part : Shipped)
+        for (double V : Part)
+          Total += V;
+      doNotOptimize(Total);
+    });
+    R.run();
+    Json.add(R, "p" + std::to_string(Parts) + "_");
 
-    std::printf("%6u %18.1f %18.1f %8.2fx\n", Parts, PartialS * 1e3,
-                CentralS * 1e3, CentralS / PartialS);
+    std::printf("%6u %24s %24s %8.2fx\n", Parts,
+                msCell(R.summary(Partial)).c_str(),
+                msCell(R.summary(Central)).c_str(), R.ratio(Central, Partial));
   }
 
   std::printf("\npartial aggregation sends P accumulators to Agg* "

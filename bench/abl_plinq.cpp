@@ -27,6 +27,9 @@
 using namespace steno;
 using namespace steno::bench;
 
+/// Rounds of the four variants.
+constexpr int kRounds = 9;
+
 int main() {
   const std::int64_t N = scaled(10000000);
   const unsigned Parts = 8;
@@ -37,22 +40,6 @@ int main() {
          std::to_string(N) + " doubles, " + std::to_string(Parts) +
          " partitions");
 
-  double LinqS = bestSeconds([&] {
-    doNotOptimize(linq::fromSpan(Xs.data(), Xs.size())
-                      .select([](double X) { return X * X; })
-                      .sum());
-  });
-
-  double PlinqS = bestSeconds([&] {
-    doNotOptimize(plinq::asParallel(Pool, Xs)
-                      .select([](double X) { return X * X; })
-                      .sum());
-  });
-
-  // HomomorphicApply over a statically fused body.
-  std::vector<plinq::ParSeq<double>> Dummy; // (just for symmetry docs)
-  std::vector<linq::Seq<double>> Chunks =
-      plinq::partitionSpan(Xs.data(), Xs.size(), Parts);
   // Raw spans for the fused body (no iterator interface).
   struct Span {
     const double *Data;
@@ -69,18 +56,6 @@ int main() {
       Pos += Len;
     }
   }
-  double HomS = bestSeconds([&] {
-    std::vector<double> Partials = dryad::homomorphicApply(
-        Pool, Spans, [](const Span &S) {
-          return fused::from(S.Data, S.N) |
-                 fused::select([](double X) { return X * X; }) |
-                 fused::sum();
-        });
-    double Total = 0;
-    for (double V : Partials)
-      Total += V;
-    doNotOptimize(Total);
-  });
 
   // The dynamic pipeline end-to-end: compiled once, view-partitioned.
   using namespace steno::expr;
@@ -92,25 +67,45 @@ int main() {
   dryad::DistributedQuery DQ = dryad::DistributedQuery::compile(Q);
   Bindings B;
   B.bindDoubleArray(0, Xs.data(), N);
-  double StenoS = bestSeconds([&] {
-    doNotOptimize(
-        DQ.runParallel(Pool, B).scalarValue().asDouble());
-  });
 
-  std::printf("\n%-26s %12s %14s %9s\n", "variant", "time (ms)",
-              "rel. to LINQ", "speedup");
-  auto Row = [&](const char *Name, double S) {
-    std::printf("%-26s %12.1f %13.1f%% %8.2fx\n", Name, S * 1e3,
-                100.0 * S / LinqS, LinqS / S);
-  };
-  Row("linq (sequential)", LinqS);
-  Row("plinq (iterators)", PlinqS);
-  Row("HomomorphicApply(fused)", HomS);
-  Row("steno runParallel", StenoS);
-  std::printf("\n(on a single hardware thread the parallel variants gain "
-              "nothing from concurrency, isolating the per-element cost "
-              "difference §6 describes)\n");
-  (void)Chunks;
-  (void)Dummy;
+  Rounds R(kRounds);
+  int Linq = R.add("linq", N, [&] {
+    doNotOptimize(linq::fromSpan(Xs.data(), Xs.size())
+                      .select([](double V) { return V * V; })
+                      .sum());
+  });
+  R.add("plinq", N, [&] {
+    doNotOptimize(plinq::asParallel(Pool, Xs)
+                      .select([](double V) { return V * V; })
+                      .sum());
+  });
+  // HomomorphicApply over a statically fused body.
+  R.add("homomorphic_apply_fused", N, [&] {
+    std::vector<double> Partials = dryad::homomorphicApply(
+        Pool, Spans, [](const Span &S) {
+          return fused::from(S.Data, S.N) |
+                 fused::select([](double V) { return V * V; }) |
+                 fused::sum();
+        });
+    double Total = 0;
+    for (double V : Partials)
+      Total += V;
+    doNotOptimize(Total);
+  });
+  R.add("steno_run_parallel", N, [&] {
+    doNotOptimize(DQ.runParallel(Pool, B).scalarValue().asDouble());
+  });
+  R.run();
+
+  std::printf("\n");
+  printRelative(R, Linq);
+  std::printf("\n(median and quartiles of %d interleaved rounds; on a "
+              "single hardware thread the parallel variants gain nothing "
+              "from concurrency, isolating the per-element cost difference "
+              "§6 describes)\n",
+              kRounds);
+
+  JsonReport Json("abl_plinq");
+  Json.add(R);
   return 0;
 }

@@ -14,10 +14,10 @@
 // no Pred operators and no int64 divisions, so rewriteChain's no-target
 // pre-scan must keep the phase near-free — and Adaptive=true with
 // nothing profiled (the idle adaptive hook) must add at most 1% to the
-// compile. Each phase cost is the median, over many interleaved rounds,
-// of one round's paired difference between two variants, so a noisy
-// round moves the median little. The process exits 1 when a budget is
-// exceeded.
+// compile. Each phase cost is the median, over 400 groups of 20
+// interleaved rounds, of a group's paired difference between two
+// variants, so a noisy group moves the median little. The process exits
+// 1 when a budget is exceeded.
 //
 // Results land in BENCH_analysis_overhead.json.
 //
@@ -27,8 +27,6 @@
 #include "expr/Dsl.h"
 #include "steno/Steno.h"
 
-#include <algorithm>
-#include <array>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -52,24 +50,34 @@ CompileOptions opts(analysis::Mode Mode, Backend Exec, const char *Name,
   return O;
 }
 
-/// Compiles of each variant per round.
+/// The compile-time estimator: Groups groups of K rounds, one compile of
+/// each variant per round.
 constexpr int K = 20;
-/// Rounds per workload.
-constexpr int Rounds = 400;
+constexpr int Groups = 400;
 
-/// Best-of seconds for one run of the Native-compiled query.
-double runSeconds(const Query &Q, analysis::Mode Mode, const char *Name,
-                  const Bindings &B) {
-  CompiledQuery CQ = compileQuery(Q, opts(Mode, Backend::Native, Name));
-  return bestSeconds([&] {
-    doNotOptimize(static_cast<std::int64_t>(CQ.run(B).numRows()));
-  });
+/// The mean of each group of K consecutive rounds of \p Seconds.
+std::vector<double> groupMeans(const std::vector<double> &Seconds) {
+  std::vector<double> Means(Groups, 0.0);
+  for (std::size_t I = 0; I != Seconds.size(); ++I)
+    Means[I / K] += Seconds[I] / K;
+  return Means;
 }
 
 bool measure(JsonReport &Json, const char *Name, const Query &Q,
              const Bindings &B, std::int64_t Items) {
-  double RunStrict = runSeconds(Q, analysis::Mode::Strict, Name, B);
-  double RunOff = runSeconds(Q, analysis::Mode::Off, Name, B);
+  CompiledQuery NativeStrict =
+      compileQuery(Q, opts(analysis::Mode::Strict, Backend::Native, Name));
+  CompiledQuery NativeOff =
+      compileQuery(Q, opts(analysis::Mode::Off, Backend::Native, Name));
+  Rounds Run(/*Count=*/5);
+  int RunStrict = Run.add("run_strict", Items, [&] {
+    doNotOptimize(static_cast<std::int64_t>(NativeStrict.run(B).numRows()));
+  });
+  int RunOff = Run.add("run_off", Items, [&] {
+    doNotOptimize(static_cast<std::int64_t>(NativeOff.run(B).numRows()));
+  });
+  Run.run();
+
   // The compile-time variants whose deltas are gated below:
   //  - Strict:   strict analysis, rewriter on (the default config),
   //  - Off:      analysis off       -> Strict - Off = analyze,
@@ -78,12 +86,12 @@ bool measure(JsonReport &Json, const char *Name, const Query &Q,
   //              Strict = the idle hook.
   // The truths compared here are hundreds of nanoseconds on ~20us
   // compiles, and the host drifts by more than that within a
-  // millisecond. So the variants interleave compile by compile, each
-  // step in the next of the 24 orders of the four (every variant takes
-  // every position and follows every other equally often), and a
-  // round's delta compares the K compiles of each variant made side by
-  // side. Each delta is the median over rounds: a preempted compile
-  // spoils one round instead of the estimate.
+  // millisecond. So the variants interleave compile by compile, the
+  // rounds cycling through all 24 orders of the four (every variant
+  // takes every position and follows every other equally often), and a
+  // group's delta compares the K compiles of each variant made side by
+  // side. Each delta is the median over groups: a preempted compile
+  // spoils one group instead of the estimate.
   const CompileOptions Variants[4] = {
       opts(analysis::Mode::Strict, Backend::Interp, Name),
       opts(analysis::Mode::Off, Backend::Interp, Name),
@@ -91,60 +99,43 @@ bool measure(JsonReport &Json, const char *Name, const Query &Q,
            /*Rewrite=*/false),
       opts(analysis::Mode::Strict, Backend::Interp, Name, /*Rewrite=*/true,
            /*Adaptive=*/true)};
-  std::vector<std::array<int, 4>> Orders;
-  std::array<int, 4> Order = {0, 1, 2, 3};
-  do
-    Orders.push_back(Order);
-  while (std::next_permutation(Order.begin(), Order.end()));
-  auto compileOnce = [&](int V) {
-    support::WallTimer T;
-    CompiledQuery CQ = compileQuery(Q, Variants[V]);
-    double S = T.seconds();
-    doNotOptimize(static_cast<std::int64_t>(CQ.generatedSource().size()));
-    return S;
-  };
+  const char *VariantNames[4] = {"compile_strict", "compile_off",
+                                 "compile_strict_norewrite",
+                                 "compile_adaptive_idle"};
+  Rounds Compile(K * Groups);
   for (int V = 0; V != 4; ++V)
-    compileOnce(V); // warm-up
-  std::vector<double> Strict, Analyze, Rewrite, Adapt;
-  std::size_t Step = 0;
-  for (int Round = 0; Round != Rounds; ++Round) {
-    double S[4] = {0, 0, 0, 0};
-    for (int I = 0; I != K; ++I, ++Step)
-      for (int V : Orders[Step % Orders.size()])
-        S[V] += compileOnce(V) / K;
-    Strict.push_back(S[0]);
-    Analyze.push_back(S[0] - S[1]);
-    Rewrite.push_back(S[0] - S[2]);
-    Adapt.push_back(S[3] - S[0]);
-  }
-  double CompStrict = median(Strict);
-  double AnalyzeCost = median(Analyze);
-  double RewriteCost = median(Rewrite);
-  double AdaptCost = median(Adapt);
+    Compile.add(VariantNames[V], 1, [&Q, &O = Variants[V]] {
+      CompiledQuery CQ = compileQuery(Q, O);
+      doNotOptimize(static_cast<std::int64_t>(CQ.generatedSource().size()));
+    });
+  Compile.run();
+  std::vector<double> Means[4];
+  for (int V = 0; V != 4; ++V)
+    Means[V] = groupMeans(Compile.seconds(V));
+  double CompStrict = median(Means[0]);
+  double AnalyzeCost = medianDifference(Means[0], Means[1]);
+  double RewriteCost = medianDifference(Means[0], Means[2]);
+  double AdaptCost = medianDifference(Means[3], Means[0]);
   double CompOff = CompStrict - AnalyzeCost;
-  double CompNoRw = CompStrict - RewriteCost;
-  double CompAdapt = CompStrict + AdaptCost;
 
+  double RunStrictS = Run.summary(RunStrict).Median;
+  double RunOffS = Run.summary(RunOff).Median;
   std::printf("%-14s run %8.3f / %8.3f ns/op (strict/off, %+5.2f%%)   "
               "compile %8.1f / %8.1f us (analyze share %.1f%%, rewrite "
               "%.1f%% of analyze, idle adaptive hook %+.2f%%)\n",
-              Name, RunStrict * 1e9 / static_cast<double>(Items),
-              RunOff * 1e9 / static_cast<double>(Items),
-              100.0 * (RunStrict / RunOff - 1.0), CompStrict * 1e6,
-              CompOff * 1e6, 100.0 * (1.0 - CompOff / CompStrict),
+              Name, RunStrictS * 1e9 / static_cast<double>(Items),
+              RunOffS * 1e9 / static_cast<double>(Items),
+              100.0 * (Run.ratio(RunStrict, RunOff) - 1.0), CompStrict * 1e6,
+              CompOff * 1e6, 100.0 * AnalyzeCost / CompStrict,
               AnalyzeCost > 0 ? 100.0 * RewriteCost / AnalyzeCost : 0.0,
               100.0 * AdaptCost / CompStrict);
 
-  std::string P = Name;
-  Json.add(P + "_run_strict", RunStrict, Items);
-  Json.add(P + "_run_off", RunOff, Items);
-  Json.add(P + "_compile_strict", CompStrict, 1, Rounds);
-  Json.add(P + "_compile_off", CompOff, 1, Rounds);
-  Json.add(P + "_compile_strict_norewrite", CompNoRw, 1, Rounds);
-  Json.add(P + "_compile_adaptive_idle", CompAdapt, 1, Rounds);
+  std::string P = std::string(Name) + "_";
+  Json.add(Run, P);
+  Json.add(Compile, P);
 
   // Gate only when the analyze phase is measurable at all, and spot each
-  // delta a noise floor of 2us over a round's K compiles of a variant.
+  // delta a noise floor of 2us over a group's K compiles of a variant.
   const double NoiseFloor = 2e-6 / K;
   if (AnalyzeCost > 1e-6 &&
       RewriteCost > 0.10 * AnalyzeCost + NoiseFloor) {

@@ -5,13 +5,13 @@
 // concatenated runs once more with the runtime's stable sort. This binary
 // times DistributedQuery::runParallel of xs.OrderBy(x => x) over 200,000
 // uniform doubles on a 4-worker pool against the same query compiled
-// natively and run on one thread, best of 5 each, and checks that both
-// return the same rows.
+// natively and run on one thread, and checks that both return the same
+// rows.
 //
 // Gate (CI bench-smoke): exits 1 when parallel / one thread exceeds 5, or
-// when the rows differ. The Agg* stage still evaluates the sort key
-// through the expression interpreter, once per row; the bound tightens
-// toward 1 once that key is native.
+// when the rows differ. The Agg* stage
+// still evaluates the sort key through the expression interpreter, once
+// per row; the bound tightens toward 1 once that key is native.
 //
 //===----------------------------------------------------------------------===//
 
@@ -28,7 +28,7 @@ using namespace steno::bench;
 int main() {
   const std::int64_t N = scaled(200000);
   constexpr unsigned Workers = 4;
-  constexpr int Reps = 5;
+  constexpr int kRounds = 9;
   constexpr double MaxRatio = 5.0;
   std::vector<double> Xs = uniformDoubles(N, 1);
   header("Distributed OrderBy: " + std::to_string(N) + " doubles, " +
@@ -54,34 +54,34 @@ int main() {
   CompiledQuery CQ = compileQuery(Q, CO);
 
   dryad::ThreadPool Pool(Workers);
-  double ParS = bestSeconds(
-      [&] {
-        doNotOptimize(static_cast<std::int64_t>(
-            DQ.runParallel(Pool, B).numRows()));
-      },
-      Reps);
-  double SeqS = bestSeconds(
-      [&] {
-        doNotOptimize(static_cast<std::int64_t>(CQ.run(B).numRows()));
-      },
-      Reps);
+  Rounds R(kRounds);
+  int Par = R.add("run_parallel_4w", N, [&] {
+    doNotOptimize(
+        static_cast<std::int64_t>(DQ.runParallel(Pool, B).numRows()));
+  });
+  int Seq = R.add("native_1t", N, [&] {
+    doNotOptimize(static_cast<std::int64_t>(CQ.run(B).numRows()));
+  });
+  R.run();
 
-  QueryResult Par = DQ.runParallel(Pool, B);
-  QueryResult Seq = CQ.run(B);
-  bool Same = Par.rows().size() == Seq.rows().size();
-  for (std::size_t I = 0; Same && I != Seq.rows().size(); ++I)
-    Same = Par.rows()[I] == Seq.rows()[I];
+  QueryResult ParRows = DQ.runParallel(Pool, B);
+  QueryResult SeqRows = CQ.run(B);
+  bool Same = ParRows.rows().size() == SeqRows.rows().size();
+  for (std::size_t I = 0; Same && I != SeqRows.rows().size(); ++I)
+    Same = ParRows.rows()[I] == SeqRows.rows()[I];
 
-  double Ratio = ParS / SeqS;
-  std::printf("\n%-30s %12s\n", "variant", "time (ms)");
-  std::printf("%-30s %12.1f\n", "runParallel (4 workers)", ParS * 1e3);
-  std::printf("%-30s %12.1f\n", "native, one thread", SeqS * 1e3);
-  std::printf("parallel / one thread: %.2f (gate: <= %.0f)\n", Ratio,
-              MaxRatio);
+  double Ratio = R.ratio(Par, Seq);
+  std::printf("\n%-30s %22s\n", "variant", "ms (q1-q3)");
+  std::printf("%-30s %22s\n", "runParallel (4 workers)",
+              msCell(R.summary(Par)).c_str());
+  std::printf("%-30s %22s\n", "native, one thread",
+              msCell(R.summary(Seq)).c_str());
+  std::printf("parallel / one thread, median of %d per-round ratios: %.2f "
+              "(gate: <= %.0f)\n",
+              kRounds, Ratio, MaxRatio);
 
   JsonReport Json("dist_sort");
-  Json.add("run_parallel_4w", ParS, N, Reps);
-  Json.add("native_1t", SeqS, N, Reps);
+  Json.add(R);
 
   if (!Same) {
     std::fprintf(stderr, "dist_sort: FAIL: runParallel rows differ from "

@@ -16,10 +16,10 @@
 // hand-written loop, for a query that folds and for one whose every row
 // leaves the loop. Exits 1 when Steno jit / for loop exceeds 1.15, or
 // Steno ToArray / vector loop exceeds 2.0. At scale 0.5 on 4 vCPUs of an
-// Intel Xeon (g++ 12.2.0) the ToArray ratio reads 0.93-1.08: the rows
-// are appended to the result's typed columns and the query's buffer is
-// handed over whole. It read 8-12 while each row left the loop through a
-// host callback and a Value.
+// Intel Xeon (g++ 12.2.0), ten runs read 0.98-1.03 and 0.98-1.01: the
+// rows are appended to the result's typed columns and the query's buffer
+// is handed over whole. The ToArray ratio read 8-12 while each row left
+// the loop through a host callback and a Value.
 //
 //===----------------------------------------------------------------------===//
 
@@ -35,27 +35,14 @@
 using namespace steno;
 using namespace steno::bench;
 
+/// Rounds of the six variants.
+constexpr int kRounds = 15;
+
 int main() {
   const std::int64_t N = scaled(10000000); // the paper's 10^7 doubles
   std::vector<double> Xs = uniformDoubles(N, 1);
   header("Figure 1: sum of squares of " + std::to_string(N) +
          " doubles");
-
-  // LINQ: xs.Select(x => x * x).Sum() through lazy iterators.
-  double LinqS = bestSeconds([&] {
-    double V = linq::fromSpan(Xs.data(), Xs.size())
-                   .select([](double X) { return X * X; })
-                   .sum();
-    doNotOptimize(V);
-  });
-
-  // Imperative for loop.
-  double LoopS = bestSeconds([&] {
-    double Acc = 0;
-    for (double X : Xs)
-      Acc += X * X;
-    doNotOptimize(Acc);
-  });
 
   // Steno: the declarative query, optimized and JIT-compiled once (the
   // figure's Steno bar excludes the one-off compilation, which §7.1
@@ -69,48 +56,53 @@ int main() {
   CompiledQuery CQ = compileQuery(Q, {});
   Bindings B;
   B.bindDoubleArray(0, Xs.data(), N);
-  double StenoS = bestSeconds([&] {
-    doNotOptimize(CQ.run(B).scalarValue().asDouble());
-  });
-
-  // The same query ending in .toArray(): every row leaves the loop. Both
-  // sides free their output inside the timed region.
+  // The same query ending in .toArray(): every row leaves the loop.
   query::Query ToArrayQ = query::Query::doubleArray(0)
                               .select(lambda({X}, X * X))
                               .toArray();
   CompiledQuery ToArrayCQ = compileQuery(ToArrayQ, {});
-  double VecLoopS = bestSeconds([&] {
+
+  Rounds R(kRounds);
+  // LINQ: xs.Select(x => x * x).Sum() through lazy iterators.
+  int Linq = R.add("linq_sum", N, [&] {
+    doNotOptimize(linq::fromSpan(Xs.data(), Xs.size())
+                      .select([](double X) { return X * X; })
+                      .sum());
+  });
+  int Loop = R.add("for_loop", N, [&] {
+    double Acc = 0;
+    for (double X : Xs)
+      Acc += X * X;
+    doNotOptimize(Acc);
+  });
+  int Steno = R.add("steno_jit", N, [&] {
+    doNotOptimize(CQ.run(B).scalarValue().asDouble());
+  });
+  // Static fused (the §9 compile-time endpoint).
+  R.add("static_fused", N, [&] {
+    doNotOptimize(fused::from(Xs) |
+                  fused::select([](double V) { return V * V; }) |
+                  fused::sum());
+  });
+  // Both ToArray sides free their output inside the timed region.
+  int VecLoop = R.add("vector_loop", N, [&] {
     std::vector<double> Out;
     Out.reserve(Xs.size());
     for (double X : Xs)
       Out.push_back(X * X);
     doNotOptimize(Out.back());
   });
-  double ToArrayS = bestSeconds([&] {
-    QueryResult R = ToArrayCQ.run(B);
-    doNotOptimize(R.doubleColumn(0)[R.numRows() - 1]);
+  int ToArray = R.add("steno_toarray", N, [&] {
+    QueryResult Res = ToArrayCQ.run(B);
+    doNotOptimize(Res.doubleColumn(0)[Res.numRows() - 1]);
   });
+  R.run();
 
-  // Static fused (the §9 compile-time endpoint).
-  double FusedS = bestSeconds([&] {
-    double V = fused::from(Xs) |
-               fused::select([](double V2) { return V2 * V2; }) |
-               fused::sum();
-    doNotOptimize(V);
-  });
-
-  std::printf("\n%-22s %12s %14s %10s\n", "variant", "time (ms)",
-              "rel. to LINQ", "speedup");
-  auto Row = [&](const char *Name, double S) {
-    std::printf("%-22s %12.1f %13.1f%% %9.2fx\n", Name, S * 1e3,
-                100.0 * S / LinqS, LinqS / S);
-  };
-  Row("LINQ .Sum()", LinqS);
-  Row("for loop", LoopS);
-  Row("Steno .Sum() (jit)", StenoS);
-  Row("Steno (static fused)", FusedS);
-  Row("vector loop", VecLoopS);
-  Row("Steno .ToArray() (jit)", ToArrayS);
+  std::printf("\n");
+  printRelative(R, Linq);
+  std::printf("(median and quartiles of %d interleaved rounds; ratios are "
+              "medians of per-round ratios)\n",
+              kRounds);
   std::printf("\none-off Steno compile+load: %.0f ms (paper: ~69 ms with "
               "csc; §7.1)\n",
               CQ.compileMillis());
@@ -118,15 +110,10 @@ int main() {
               "7.4x speedup over LINQ\n");
 
   JsonReport Json("fig01_sumsq");
-  Json.add("linq_sum", LinqS, N);
-  Json.add("for_loop", LoopS, N);
-  Json.add("steno_jit", StenoS, N);
-  Json.add("static_fused", FusedS, N);
-  Json.add("vector_loop", VecLoopS, N);
-  Json.add("steno_toarray", ToArrayS, N);
+  Json.add(R);
 
   int Rc = 0;
-  double Ratio = StenoS / LoopS;
+  double Ratio = R.ratio(Steno, Loop);
   std::printf("Steno jit / for loop: %.2f (gate: <= 1.15)\n", Ratio);
   if (Ratio > 1.15) {
     std::fprintf(stderr,
@@ -135,7 +122,7 @@ int main() {
                  Ratio);
     Rc = 1;
   }
-  double ToArrayRatio = ToArrayS / VecLoopS;
+  double ToArrayRatio = R.ratio(ToArray, VecLoop);
   std::printf("Steno ToArray / vector loop: %.2f (gate: <= 2.0)\n",
               ToArrayRatio);
   if (ToArrayRatio > 2.0) {

@@ -24,12 +24,10 @@
 
 #include "BenchUtil.h"
 #include "support/StringUtil.h"
-#include "support/Timing.h"
 #include "expr/Dsl.h"
 #include "linq/Linq.h"
 #include "steno/Steno.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <unordered_map>
 
@@ -41,220 +39,40 @@ using query::Query;
 
 namespace {
 
-struct Result {
-  double LinqS = 0;
-  double StenoInclS = 0;
-  double StenoExclS = 0;
-  double HandS = 0;
-};
+/// Rounds of a row's four variants.
+constexpr int kRounds = 9;
 
 /// The gate's ceiling on Steno (excl. compilation) / hand-optimized.
 constexpr double MaxStenoOverHand = 1.25;
 
-void report(const char *Name, const Result &R, JsonReport &Json,
-            std::int64_t Items) {
-  std::printf("\n%s (normalized to LINQ = 100%%)\n", Name);
-  auto Row = [&](const char *Variant, double S) {
-    std::printf("  %-26s %10.1f ms %9.1f%% %8.2fx\n", Variant, S * 1e3,
-                100.0 * S / R.LinqS, R.LinqS / S);
-  };
-  Row("LINQ", R.LinqS);
-  Row("Steno (incl. compilation)", R.StenoInclS);
-  Row("Steno (excl. compilation)", R.StenoExclS);
-  Row("hand-optimized", R.HandS);
-  std::printf("  Steno-vs-hand overhead: %+.1f%%\n",
-              100.0 * (R.StenoExclS / R.HandS - 1.0));
-  std::string Prefix = std::string(Name) + "_";
-  Json.add(Prefix + "linq", R.LinqS, Items);
-  Json.add(Prefix + "steno_incl_compile", R.StenoInclS, Items);
-  Json.add(Prefix + "steno_excl_compile", R.StenoExclS, Items);
-  Json.add(Prefix + "hand", R.HandS, Items);
-}
-
-/// Times the Steno path both with and without the one-off compilation.
-void timeSteno(const Query &Q, const Bindings &B, Result &R,
-               int Reps = 3) {
-  // Including compilation: compile + one run, fresh each repetition.
-  R.StenoInclS = bestSeconds(
-      [&] {
-        CompiledQuery CQ = compileQuery(Q, {});
-        doNotOptimize(
-            static_cast<double>(CQ.run(B).numRows()));
-      },
-      /*Reps=*/2);
+/// One row of the figure: its LINQ and hand-optimized variants, and the
+/// Steno query over \p B timed with and without its one-off compilation.
+/// Returns Steno (excl. compilation) / hand-optimized, the median of the
+/// per-round ratios.
+double row(const char *Name, std::int64_t Items, JsonReport &Json,
+           const std::function<void()> &LinqFn, const Query &Q,
+           const Bindings &B, const std::function<void()> &HandFn) {
+  CompiledQuery CQ = compileQuery(Q, {});
+  Rounds R(kRounds);
+  int Linq = R.add("linq", Items, LinqFn);
+  // Including compilation: a fresh compile and one run per call.
+  R.add("steno_incl_compile", Items, [&] {
+    CompiledQuery Fresh = compileQuery(Q, {});
+    doNotOptimize(static_cast<std::int64_t>(Fresh.run(B).numRows()));
+  });
   // Excluding compilation: reuse the cached compiled query (§7.1).
-  CompiledQuery CQ = compileQuery(Q, {});
-  R.StenoExclS = bestSeconds(
-      [&] {
-        doNotOptimize(static_cast<double>(CQ.run(B).numRows()));
-      },
-      Reps);
-}
-
-//===--------------------------------------------------------------------===//
-// Sum
-//===--------------------------------------------------------------------===//
-
-Result runSum(const std::vector<double> &Xs) {
-  // Sub-15ms measurements drift with CPU frequency on this box, so the
-  // three cheap variants are timed INTERLEAVED per repetition (drift
-  // affects them equally) and best-of is taken per variant.
-  Result R;
-  Bindings B;
-  B.bindDoubleArray(0, Xs.data(), static_cast<std::int64_t>(Xs.size()));
-  Query Q = Query::doubleArray(0).sum();
-  CompiledQuery CQ = compileQuery(Q, {});
-  R.LinqS = R.HandS = R.StenoExclS = 1e300;
-  for (int Rep = 0; Rep < 9; ++Rep) {
-    support::WallTimer T;
-    doNotOptimize(linq::fromSpan(Xs.data(), Xs.size()).sum());
-    R.LinqS = std::min(R.LinqS, T.seconds());
-    T.reset();
-    double Acc = 0;
-    for (double X : Xs)
-      Acc += X;
-    doNotOptimize(Acc);
-    R.HandS = std::min(R.HandS, T.seconds());
-    T.reset();
-    doNotOptimize(CQ.run(B).scalarValue().asDouble());
-    R.StenoExclS = std::min(R.StenoExclS, T.seconds());
-  }
-  R.StenoInclS = bestSeconds(
-      [&] {
-        CompiledQuery Fresh = compileQuery(Q, {});
-        doNotOptimize(Fresh.run(B).scalarValue().asDouble());
-      },
-      2);
-  return R;
-}
-
-//===--------------------------------------------------------------------===//
-// SumSq
-//===--------------------------------------------------------------------===//
-
-Result runSumSq(const std::vector<double> &Xs) {
-  Result R;
-  Bindings B;
-  B.bindDoubleArray(0, Xs.data(), static_cast<std::int64_t>(Xs.size()));
-  auto X = param("x", Type::doubleTy());
-  Query Q = Query::doubleArray(0).select(lambda({X}, X * X)).sum();
-  CompiledQuery CQ = compileQuery(Q, {});
-  R.LinqS = R.HandS = R.StenoExclS = 1e300;
-  for (int Rep = 0; Rep < 9; ++Rep) {
-    support::WallTimer T;
-    doNotOptimize(linq::fromSpan(Xs.data(), Xs.size())
-                      .select([](double V) { return V * V; })
-                      .sum());
-    R.LinqS = std::min(R.LinqS, T.seconds());
-    T.reset();
-    double Acc = 0;
-    for (double V : Xs)
-      Acc += V * V;
-    doNotOptimize(Acc);
-    R.HandS = std::min(R.HandS, T.seconds());
-    T.reset();
-    doNotOptimize(CQ.run(B).scalarValue().asDouble());
-    R.StenoExclS = std::min(R.StenoExclS, T.seconds());
-  }
-  R.StenoInclS = bestSeconds(
-      [&] {
-        CompiledQuery Fresh = compileQuery(Q, {});
-        doNotOptimize(Fresh.run(B).scalarValue().asDouble());
-      },
-      2);
-  return R;
-}
-
-//===--------------------------------------------------------------------===//
-// Cart
-//===--------------------------------------------------------------------===//
-
-Result runCart(const std::vector<double> &Xs,
-               const std::vector<double> &Ys) {
-  Result R;
-  R.LinqS = bestSeconds(
-      [&] {
-        double V = linq::fromSpan(Xs.data(), Xs.size())
-                       .selectMany([&Ys](double X) {
-                         return linq::fromSpan(Ys.data(), Ys.size())
-                             .select([X](double Y) { return X * Y; });
-                       })
-                       .sum();
-        doNotOptimize(V);
-      },
-      /*Reps=*/2);
-  R.HandS = bestSeconds([&] {
-    double Acc = 0;
-    for (double X : Xs)
-      for (double Y : Ys)
-        Acc += X * Y;
-    doNotOptimize(Acc);
+  int Excl = R.add("steno_excl_compile", Items, [&] {
+    doNotOptimize(static_cast<std::int64_t>(CQ.run(B).numRows()));
   });
-  Bindings B;
-  B.bindDoubleArray(0, Xs.data(), static_cast<std::int64_t>(Xs.size()));
-  B.bindDoubleArray(1, Ys.data(), static_cast<std::int64_t>(Ys.size()));
-  auto X = param("x", Type::doubleTy());
-  auto Y = param("y", Type::doubleTy());
-  Query Q = Query::doubleArray(0)
-                .selectMany(X, Query::doubleArray(1)
-                                   .select(lambda({Y}, X * Y)))
-                .sum();
-  timeSteno(Q, B, R, /*Reps=*/2);
-  return R;
-}
+  int Hand = R.add("hand", Items, HandFn);
+  R.run();
 
-//===--------------------------------------------------------------------===//
-// Group
-//===--------------------------------------------------------------------===//
-
-Result runGroup(const std::vector<double> &Xs) {
-  const std::int64_t Bins = 1000;
-  Result R;
-  // LINQ: GroupBy with a counting result selector (bags materialized, as
-  // unoptimized LINQ does).
-  R.LinqS = bestSeconds(
-      [&] {
-        auto Rows =
-            linq::fromSpan(Xs.data(), Xs.size())
-                .groupBy(
-                    [](double X) {
-                      return static_cast<std::int64_t>(X);
-                    },
-                    [](std::int64_t Key,
-                       const std::vector<double> &Bag) {
-                      return std::make_pair(
-                          Key,
-                          static_cast<std::int64_t>(Bag.size()));
-                    })
-                .toVector();
-        doNotOptimize(static_cast<std::int64_t>(Rows.size()));
-      },
-      /*Reps=*/2);
-  // Hand-optimized: one pass with a hash map from bin to count — what a
-  // programmer writes when the key range is not statically known (the
-  // generated GroupByAggregate sink is also hash-based; the dense-array
-  // variant for known key ranges is measured in abl_groupby).
-  (void)Bins;
-  R.HandS = bestSeconds([&] {
-    std::unordered_map<std::int64_t, std::int64_t> Counts;
-    for (double X : Xs)
-      ++Counts[static_cast<std::int64_t>(X)];
-    doNotOptimize(static_cast<std::int64_t>(Counts.size()));
-  });
-  Bindings B;
-  B.bindDoubleArray(0, Xs.data(), static_cast<std::int64_t>(Xs.size()));
-  auto X = param("x", Type::doubleTy());
-  auto G = param("g", Type::pairTy(Type::int64Ty(), Type::vecTy()));
-  auto C = param("c", Type::int64Ty());
-  auto V = param("v", Type::doubleTy());
-  Query BagCount = Query::overVec(G.second())
-                       .aggregate(E(0), lambda({C, V}, C + 1),
-                                  lambda({C}, pair(G.first(), C)));
-  Query Q = Query::doubleArray(0)
-                .groupBy(lambda({X}, toInt64(X)))
-                .selectNested(G, BagCount);
-  timeSteno(Q, B, R, /*Reps=*/2);
-  return R;
+  std::printf("\n%s (normalized to LINQ = 100%%)\n", Name);
+  printRelative(R, Linq);
+  double Ratio = R.ratio(Excl, Hand);
+  std::printf("  Steno-vs-hand overhead: %+.1f%%\n", 100.0 * (Ratio - 1.0));
+  Json.add(R, std::string(Name) + "_");
+  return Ratio;
 }
 
 } // namespace
@@ -265,37 +83,128 @@ int main() {
   const std::int64_t CartInner = 1000;
 
   header("Figure 13: sequential microbenchmarks");
-  std::printf("Sum/SumSq/Group over %lld doubles; Cart over %lld x %lld\n",
+  std::printf("Sum/SumSq/Group over %lld doubles; Cart over %lld x %lld; "
+              "median (quartiles) of %d interleaved rounds\n",
               static_cast<long long>(N),
               static_cast<long long>(CartOuter),
-              static_cast<long long>(CartInner));
+              static_cast<long long>(CartInner), kRounds);
 
   JsonReport Json("fig13_micro");
   std::string Gate;
   bool Failed = false;
-  auto row = [&](const char *Name, const Result &R, std::int64_t Items) {
-    report(Name, R, Json, Items);
-    double Ratio = R.StenoExclS / R.HandS;
+  auto gate = [&](const char *Name, double Ratio) {
     Gate += support::strFormat(" %s %.2f", Name, Ratio);
     Failed = Failed || Ratio > MaxStenoOverHand;
   };
+  auto X = param("x", Type::doubleTy());
 
-  std::vector<double> Uniform = uniformDoubles(N, 2);
-  row("Sum", runSum(Uniform), N);
-  row("SumSq", runSumSq(Uniform), N);
+  std::vector<double> Xs = uniformDoubles(N, 2);
+  Bindings B;
+  B.bindDoubleArray(0, Xs.data(), N);
+  gate("Sum", row(
+                  "Sum", N, Json,
+                  [&] {
+                    doNotOptimize(
+                        linq::fromSpan(Xs.data(), Xs.size()).sum());
+                  },
+                  Query::doubleArray(0).sum(), B, [&] {
+                    double Acc = 0;
+                    for (double V : Xs)
+                      Acc += V;
+                    doNotOptimize(Acc);
+                  }));
+  gate("SumSq",
+       row(
+           "SumSq", N, Json,
+           [&] {
+             doNotOptimize(linq::fromSpan(Xs.data(), Xs.size())
+                               .select([](double V) { return V * V; })
+                               .sum());
+           },
+           Query::doubleArray(0).select(lambda({X}, X * X)).sum(), B, [&] {
+             double Acc = 0;
+             for (double V : Xs)
+               Acc += V * V;
+             doNotOptimize(Acc);
+           }));
 
   std::vector<double> CartXs = uniformDoubles(CartOuter, 3, 0, 1);
   std::vector<double> CartYs = uniformDoubles(CartInner, 4, 0, 1);
-  row("Cart", runCart(CartXs, CartYs), CartOuter * CartInner);
+  Bindings CartB;
+  CartB.bindDoubleArray(0, CartXs.data(), CartOuter);
+  CartB.bindDoubleArray(1, CartYs.data(), CartInner);
+  auto Y = param("y", Type::doubleTy());
+  gate("Cart",
+       row(
+           "Cart", CartOuter * CartInner, Json,
+           [&] {
+             doNotOptimize(
+                 linq::fromSpan(CartXs.data(), CartXs.size())
+                     .selectMany([&CartYs](double Xv) {
+                       return linq::fromSpan(CartYs.data(), CartYs.size())
+                           .select([Xv](double Yv) { return Xv * Yv; });
+                     })
+                     .sum());
+           },
+           Query::doubleArray(0)
+               .selectMany(X,
+                           Query::doubleArray(1).select(lambda({Y}, X * Y)))
+               .sum(),
+           CartB, [&] {
+             double Acc = 0;
+             for (double Xv : CartXs)
+               for (double Yv : CartYs)
+                 Acc += Xv * Yv;
+             doNotOptimize(Acc);
+           }));
 
+  // Group: LINQ's GroupBy with a counting result selector materializes the
+  // bags, as unoptimized LINQ does. The hand-optimized loop counts with a
+  // hash map from bin to count, what a programmer writes when the key
+  // range is not statically known (the dense-array variant for known key
+  // ranges is measured in abl_groupby).
   std::vector<double> Mog = mixtureOfGaussians(N, 5);
-  row("Group", runGroup(Mog), N);
+  Bindings GroupB;
+  GroupB.bindDoubleArray(0, Mog.data(), N);
+  auto G = param("g", Type::pairTy(Type::int64Ty(), Type::vecTy()));
+  auto C = param("c", Type::int64Ty());
+  auto V = param("v", Type::doubleTy());
+  Query BagCount = Query::overVec(G.second())
+                       .aggregate(E(0), lambda({C, V}, C + 1),
+                                  lambda({C}, pair(G.first(), C)));
+  gate("Group",
+       row(
+           "Group", N, Json,
+           [&] {
+             auto Rows =
+                 linq::fromSpan(Mog.data(), Mog.size())
+                     .groupBy(
+                         [](double Xv) {
+                           return static_cast<std::int64_t>(Xv);
+                         },
+                         [](std::int64_t Key,
+                            const std::vector<double> &Bag) {
+                           return std::make_pair(
+                               Key, static_cast<std::int64_t>(Bag.size()));
+                         })
+                     .toVector();
+             doNotOptimize(static_cast<std::int64_t>(Rows.size()));
+           },
+           Query::doubleArray(0)
+               .groupBy(lambda({X}, toInt64(X)))
+               .selectNested(G, BagCount),
+           GroupB, [&] {
+             std::unordered_map<std::int64_t, std::int64_t> Counts;
+             for (double Xv : Mog)
+               ++Counts[static_cast<std::int64_t>(Xv)];
+             doNotOptimize(static_cast<std::int64_t>(Counts.size()));
+           }));
 
   std::printf("\npaper's Figure 13: speedups 3.32x (Sum) .. 14.1x "
               "(Group); Steno-vs-hand overhead 53%% (Sum), <3%% "
               "(others)\n");
-  std::printf("Steno (excl. compilation) / hand-optimized:%s (gate: <= "
-              "%.2f)\n",
+  std::printf("Steno (excl. compilation) / hand-optimized, medians of "
+              "per-round ratios:%s (gate: <= %.2f)\n",
               Gate.c_str(), MaxStenoOverHand);
   if (Failed) {
     std::fprintf(stderr,

@@ -14,11 +14,12 @@
 // plus the LINQ/Steno speedup — the Figure 14 series.
 //
 // The 8 partitions run on a pool of min(8, hardware threads) workers, so
-// no two pool threads contend for a CPU the host does not have. Each
-// variant is warmed up once, then the three run in turn for 9 rounds, so
-// a drift in the host's speed hits all three alike; a cell is the median
-// of its 9 times with the quartiles beside it. (Best-of-2 on an 8-thread
-// pool over 4 vCPUs spread the d=1000 Steno cell over 62-118 ms.)
+// no two pool threads contend for a CPU the host does not have. The three
+// variants run in 9 interleaved rounds (bench::Rounds); a cell is the
+// median of its 9 times with the quartiles beside it.
+//
+// Gate (CI bench-smoke): exits 1 when LINQ / Steno at d = 10 is below the
+// paper's 1.9x, or when Steno / hand exceeds 2.0 at any dimension.
 //
 //===----------------------------------------------------------------------===//
 
@@ -29,7 +30,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <functional>
 #include <thread>
 
 using namespace steno;
@@ -40,30 +40,11 @@ namespace {
 
 /// Rounds of the three variants per dimension.
 constexpr int kRounds = 9;
-
-/// The quartiles of \p Xs (sorted in place), linearly interpolated.
-struct Quartiles {
-  double Q1, Median, Q3;
-};
-
-Quartiles quartiles(std::vector<double> &Xs) {
-  std::sort(Xs.begin(), Xs.end());
-  auto at = [&](double Q) {
-    double Pos = Q * static_cast<double>(Xs.size() - 1);
-    std::size_t Lo = static_cast<std::size_t>(Pos);
-    std::size_t Hi = std::min(Lo + 1, Xs.size() - 1);
-    return Xs[Lo] + (Pos - static_cast<double>(Lo)) * (Xs[Hi] - Xs[Lo]);
-  };
-  return {at(0.25), at(0.5), at(0.75)};
-}
-
-/// "median (q1-q3)" in milliseconds.
-std::string cell(const Quartiles &Q) {
-  char Buf[64];
-  std::snprintf(Buf, sizeof Buf, "%.1f (%.1f-%.1f)", Q.Median * 1e3,
-                Q.Q1 * 1e3, Q.Q3 * 1e3);
-  return Buf;
-}
+/// The gate: the paper's LINQ / Steno speedup at d = 10 is the floor, and
+/// Steno may take at most twice the hand loops' time at any dimension.
+constexpr std::int64_t GateDim = 10;
+constexpr double MinSpeedupAtGateDim = 1.9;
+constexpr double MaxStenoOverHand = 2.0;
 
 } // namespace
 
@@ -78,11 +59,14 @@ int main() {
   header("Figure 14: distributed k-means, speedup vs dimension");
   std::printf("total input held constant at %lld doubles "
               "(points x dim); k = %lld; %u partitions on %u workers; "
-              "median (quartiles) of %d interleaved rounds\n\n",
+              "median (quartiles) of %d interleaved rounds; ratios are "
+              "medians of per-round ratios\n\n",
               static_cast<long long>(TotalDoubles),
               static_cast<long long>(K), Parts, Workers, kRounds);
 
   dryad::ThreadPool Pool(Workers);
+  JsonReport Json("fig14_kmeans");
+  bool Ok = true;
 
   std::printf("%6s %10s %22s %22s %22s %7s %7s\n", "dim", "points",
               "linq ms (q1-q3)", "steno ms (q1-q3)", "hand ms (q1-q3)",
@@ -113,51 +97,60 @@ int main() {
       PartBindings.push_back(std::move(B));
     }
 
-    const std::function<void()> Variants[3] = {
-        [&] { // LINQ vertices
-          std::vector<double> Slots =
-              mergePartials(dryad::homomorphicApply(
-                  Pool, Partitions,
-                  [&](const dryad::DoublePartition &P) {
-                    return linqVertexPartials(P, Centroids, K, Dim);
-                  }));
-          doNotOptimize(Slots[0]);
-        },
-        [&] { // Steno vertices
-          QueryResult R = Step.run(Pool, PartBindings);
-          doNotOptimize(R.numRows());
-        },
-        [&] { // hand loops
-          std::vector<double> Slots =
-              mergePartials(dryad::homomorphicApply(
-                  Pool, Partitions,
-                  [&](const dryad::DoublePartition &P) {
-                    return handVertexPartials(P, Centroids, K, Dim);
-                  }));
-          doNotOptimize(Slots[0]);
-        }};
-    std::vector<double> Times[3];
-    for (const std::function<void()> &Run : Variants)
-      Run(); // warm-up: page faults, code fill
-    for (int Round = 0; Round != kRounds; ++Round)
-      for (int V = 0; V != 3; ++V) {
-        support::WallTimer T;
-        Variants[V]();
-        Times[V].push_back(T.seconds());
-      }
-    Quartiles Linq = quartiles(Times[0]);
-    Quartiles Steno = quartiles(Times[1]);
-    Quartiles Hand = quartiles(Times[2]);
+    std::int64_t Items = NumPoints * Dim;
+    Rounds R(kRounds);
+    int Linq = R.add("linq", Items, [&] { // LINQ vertices
+      std::vector<double> Slots = mergePartials(dryad::homomorphicApply(
+          Pool, Partitions, [&](const dryad::DoublePartition &P) {
+            return linqVertexPartials(P, Centroids, K, Dim);
+          }));
+      doNotOptimize(Slots[0]);
+    });
+    int Steno = R.add("steno", Items, [&] { // Steno vertices
+      QueryResult Res = Step.run(Pool, PartBindings);
+      doNotOptimize(static_cast<std::int64_t>(Res.numRows()));
+    });
+    int Hand = R.add("hand", Items, [&] { // hand loops
+      std::vector<double> Slots = mergePartials(dryad::homomorphicApply(
+          Pool, Partitions, [&](const dryad::DoublePartition &P) {
+            return handVertexPartials(P, Centroids, K, Dim);
+          }));
+      doNotOptimize(Slots[0]);
+    });
+    R.run();
+    Json.add(R, "d" + std::to_string(Dim) + "_");
 
+    double Speedup = R.ratio(Linq, Steno);
+    double VsHand = R.ratio(Steno, Hand);
     std::printf("%6lld %10lld %22s %22s %22s %6.2fx %6.2fx\n",
                 static_cast<long long>(Dim),
-                static_cast<long long>(NumPoints), cell(Linq).c_str(),
-                cell(Steno).c_str(), cell(Hand).c_str(),
-                Linq.Median / Steno.Median, Steno.Median / Hand.Median);
+                static_cast<long long>(NumPoints),
+                msCell(R.summary(Linq)).c_str(),
+                msCell(R.summary(Steno)).c_str(),
+                msCell(R.summary(Hand)).c_str(), Speedup, VsHand);
+    if (Dim == GateDim && Speedup < MinSpeedupAtGateDim) {
+      std::fprintf(stderr,
+                   "fig14_kmeans: FAIL: LINQ / Steno at d=%lld is %.2fx, "
+                   "below the paper's %.1fx\n",
+                   static_cast<long long>(Dim), Speedup,
+                   MinSpeedupAtGateDim);
+      Ok = false;
+    }
+    if (VsHand > MaxStenoOverHand) {
+      std::fprintf(stderr,
+                   "fig14_kmeans: FAIL: Steno takes %.2fx the hand loops' "
+                   "time at d=%lld, above the %.1f ceiling\n",
+                   VsHand, static_cast<long long>(Dim), MaxStenoOverHand);
+      Ok = false;
+    }
   }
 
   std::printf("\npaper's Figure 14: 1.9x at d=10, 1.19x at d=100, "
               "converging for d >= 1000 as per-element compute "
               "dominates the iterator overhead\n");
-  return 0;
+  std::printf("gates: LINQ / Steno at d=%lld >= %.1f; Steno / hand <= %.1f "
+              "at every dimension\n",
+              static_cast<long long>(GateDim), MinSpeedupAtGateDim,
+              MaxStenoOverHand);
+  return Ok ? 0 : 1;
 }

@@ -20,11 +20,11 @@
 //   static    partitionSpan into W chunks + homomorphicApply (barrier)
 //   morsel    plinq::asParallel, morsels claimed from dryad::morselFor
 //
-// Each round times the two variants back to back at every worker count,
-// alternating which goes first, and each bound below is checked on the
-// median over the rounds of that round's ratio, so a preempted run
-// spoils one round instead of the verdict. BENCH_par_skew.json rows are
-// named <variant>_<input>_w<W> and carry the best run of the rounds.
+// All sixteen cells run in 15 interleaved rounds (bench::Rounds), a
+// cell's two variants registered side by side, and each bound below is
+// checked on the median over the rounds of that round's ratio, so a
+// preempted run spoils one round instead of the verdict.
+// BENCH_par_skew.json rows are named <variant>_<input>_w<W>.
 //
 // Gate, at 8 workers: the process exits 1 when morsel dispatch beats
 // static partitioning on the skewed input by less than 1.5x, costs more
@@ -42,7 +42,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -56,7 +55,7 @@ namespace {
 
 constexpr int LightIters = 24;
 constexpr int HeavyIters = 384; // 16x a light element
-constexpr int Rounds = 15;
+constexpr int kRounds = 15;
 
 /// A value-dependent compute kernel the optimizer cannot collapse.
 /// Elements >= 0.5 are the heavy ones.
@@ -100,12 +99,6 @@ double morselSum(dryad::ThreadPool &Pool, const std::vector<double> &Xs) {
       .sum();
 }
 
-double timeOnce(const std::function<double()> &Fn) {
-  support::WallTimer T;
-  doNotOptimize(Fn());
-  return T.seconds();
-}
-
 } // namespace
 
 int main() {
@@ -118,63 +111,48 @@ int main() {
   for (unsigned W : WorkerCounts)
     Pools[W] = std::make_unique<dryad::ThreadPool>(W);
 
-  JsonReport Report("par_skew");
   header("Static partitioning vs morsel dispatch under skew, " +
          std::to_string(N) + " elements (heavy:light cost " +
          std::to_string(HeavyIters / LightIters) + ":1, 1/8 heavy), " +
-         std::to_string(Rounds) + " alternating rounds");
+         std::to_string(kRounds) + " interleaved rounds");
 
-  // Seconds[row][round], by BENCH row name.
-  std::map<std::string, std::vector<double>> Seconds;
-  for (int Round = -1; Round != Rounds; ++Round) { // round -1 warms up
-    for (const auto &[InputName, Xs] : Inputs)
-      for (unsigned W : WorkerCounts) {
-        dryad::ThreadPool &Pool = *Pools[W];
-        auto runStatic = [&] { return staticSum(Pool, Xs); };
-        auto runMorsel = [&] { return morselSum(Pool, Xs); };
-        double StaticS, MorselS;
-        if (Round % 2 == 0) {
-          StaticS = timeOnce(runStatic);
-          MorselS = timeOnce(runMorsel);
-        } else {
-          MorselS = timeOnce(runMorsel);
-          StaticS = timeOnce(runStatic);
-        }
-        if (Round < 0)
-          continue;
-        std::string Suffix = InputName + "_w" + std::to_string(W);
-        Seconds["static_" + Suffix].push_back(StaticS);
-        Seconds["morsel_" + Suffix].push_back(MorselS);
-      }
-  }
+  // Variant indices by BENCH row name.
+  std::map<std::string, int> Cell;
+  Rounds R(kRounds);
+  for (const auto &[InputName, Xs] : Inputs)
+    for (unsigned W : WorkerCounts) {
+      dryad::ThreadPool *Pool = Pools[W].get();
+      const std::vector<double> *In = &Xs;
+      std::string Suffix = InputName + "_w" + std::to_string(W);
+      Cell["static_" + Suffix] = R.add("static_" + Suffix, N, [Pool, In] {
+        doNotOptimize(staticSum(*Pool, *In));
+      });
+      Cell["morsel_" + Suffix] = R.add("morsel_" + Suffix, N, [Pool, In] {
+        doNotOptimize(morselSum(*Pool, *In));
+      });
+    }
+  R.run();
+  JsonReport Report("par_skew");
+  Report.add(R);
 
-  /// Median over rounds of Num[r] / Den[r].
-  auto medianRatio = [&](const std::string &Num, const std::string &Den) {
-    std::vector<double> Ratios;
-    for (int R = 0; R != Rounds; ++R)
-      Ratios.push_back(Seconds[Num][R] / Seconds[Den][R]);
-    return median(Ratios);
+  // Median over rounds of the per-round ratio of two cells.
+  auto ratio = [&](const std::string &Num, const std::string &Den) {
+    return R.ratio(Cell.at(Num), Cell.at(Den));
   };
-
   std::printf("\n%-8s %-9s %12s %12s %14s\n", "input", "workers",
               "static (ms)", "morsel (ms)", "morsel/static");
   for (const auto &[InputName, Xs] : Inputs)
     for (unsigned W : WorkerCounts) {
       std::string Suffix = InputName + "_w" + std::to_string(W);
-      for (const char *Variant : {"static_", "morsel_"}) {
-        const std::vector<double> &S = Seconds[Variant + Suffix];
-        Report.add(Variant + Suffix, *std::min_element(S.begin(), S.end()),
-                   N, Rounds);
-      }
       std::printf("%-8s %-9u %12.1f %12.1f %13.3fx\n", InputName.c_str(), W,
-                  median(Seconds["static_" + Suffix]) * 1e3,
-                  median(Seconds["morsel_" + Suffix]) * 1e3,
-                  medianRatio("morsel_" + Suffix, "static_" + Suffix));
+                  R.summary(Cell.at("static_" + Suffix)).Median * 1e3,
+                  R.summary(Cell.at("morsel_" + Suffix)).Median * 1e3,
+                  ratio("morsel_" + Suffix, "static_" + Suffix));
     }
   std::printf("\n(medians over %d rounds; static speedup on the skewed "
               "input caps near W/(1 + (W-1)/8's share of the heavy chunk); "
               "morsel dispatch should stay near-linear.)\n",
-              Rounds);
+              kRounds);
 
   unsigned Cpus = std::thread::hardware_concurrency();
   if (Cpus < 4) {
@@ -184,12 +162,12 @@ int main() {
                 Cpus);
     return 0;
   }
-  double SkewSpeedup = medianRatio("static_skew_w8", "morsel_skew_w8");
+  double SkewSpeedup = ratio("static_skew_w8", "morsel_skew_w8");
   double UniformOverhead =
-      medianRatio("morsel_uniform_w8", "static_uniform_w8") - 1.0;
+      ratio("morsel_uniform_w8", "static_uniform_w8") - 1.0;
   // Same input and work at both worker counts, so the seconds ratio is
   // the rows/s ratio.
-  double SkewScaling = medianRatio("morsel_skew_w1", "morsel_skew_w8");
+  double SkewScaling = ratio("morsel_skew_w1", "morsel_skew_w8");
   std::printf("par_skew: medians of per-round ratios: skew speedup (morsel "
               "vs static, 8 workers) %.2fx (floor 1.5x); uniform overhead "
               "%+.1f%% (ceiling +5%%); skew scaling (morsel, 1 -> 8 "

@@ -10,8 +10,8 @@
 // Gate: on the Interp backend — where each surviving operator costs a
 // real per-element AST walk, so the plan-level win is isolated from the
 // C++ optimizer — rewrite-on must be at least 20% faster than
-// rewrite-off (the ISSUE budget). The process exits 1 otherwise, so the
-// bench-smoke CI job fails loudly. The Native-backend ratio is reported
+// rewrite-off. The process exits 1 otherwise, so the bench-smoke CI job
+// fails loudly. The Native-backend ratio is reported
 // for information: g++ -O2 folds constant-true predicates on its own, so
 // the native win is smaller by design.
 //
@@ -63,13 +63,8 @@ CompileOptions opts(Backend Exec, bool Rewrite, const char *Name) {
   return O;
 }
 
-double runSeconds(const Query &Q, Backend Exec, bool Rewrite,
-                  const char *Name, const Bindings &B) {
-  CompiledQuery CQ = compileQuery(Q, opts(Exec, Rewrite, Name));
-  return bestSeconds(
-      [&] { doNotOptimize(CQ.run(B).scalarValue().asInt64()); },
-      /*Reps=*/5);
-}
+/// Rounds of the four variants.
+constexpr int kRounds = 5;
 
 } // namespace
 
@@ -87,24 +82,32 @@ int main() {
   JsonReport Json("rewrite_gain");
   Query Q = deadPredHeavy();
 
-  double InterpOn = runSeconds(Q, Backend::Interp, true, "rw_gain_i_on", B);
-  double InterpOff =
-      runSeconds(Q, Backend::Interp, false, "rw_gain_i_off", B);
-  double NativeOn = runSeconds(Q, Backend::Native, true, "rw_gain_n_on", B);
-  double NativeOff =
-      runSeconds(Q, Backend::Native, false, "rw_gain_n_off", B);
+  CompiledQuery Compiled[4] = {
+      compileQuery(Q, opts(Backend::Interp, true, "rw_gain_i_on")),
+      compileQuery(Q, opts(Backend::Interp, false, "rw_gain_i_off")),
+      compileQuery(Q, opts(Backend::Native, true, "rw_gain_n_on")),
+      compileQuery(Q, opts(Backend::Native, false, "rw_gain_n_off"))};
+  const char *Names[4] = {"interp_rewrite_on", "interp_rewrite_off",
+                          "native_rewrite_on", "native_rewrite_off"};
+  Rounds R(kRounds);
+  for (int V = 0; V != 4; ++V)
+    R.add(Names[V], N, [&CQ = Compiled[V], &B] {
+      doNotOptimize(CQ.run(B).scalarValue().asInt64());
+    });
+  R.run();
+  Json.add(R);
 
-  double InterpGain = 1.0 - InterpOn / InterpOff;
-  double NativeGain = 1.0 - NativeOn / NativeOff;
+  double InterpGain = 1.0 - R.ratio(0, 1);
+  double NativeGain = 1.0 - R.ratio(2, 3);
   std::printf("  interp  on %8.2f ms   off %8.2f ms   gain %5.1f%%\n",
-              InterpOn * 1e3, InterpOff * 1e3, 100.0 * InterpGain);
+              R.summary(0).Median * 1e3, R.summary(1).Median * 1e3,
+              100.0 * InterpGain);
   std::printf("  native  on %8.2f ms   off %8.2f ms   gain %5.1f%%\n",
-              NativeOn * 1e3, NativeOff * 1e3, 100.0 * NativeGain);
-
-  Json.add("interp_rewrite_on", InterpOn, N, 5);
-  Json.add("interp_rewrite_off", InterpOff, N, 5);
-  Json.add("native_rewrite_on", NativeOn, N, 5);
-  Json.add("native_rewrite_off", NativeOff, N, 5);
+              R.summary(2).Median * 1e3, R.summary(3).Median * 1e3,
+              100.0 * NativeGain);
+  std::printf("  (medians of %d interleaved rounds; gains from the median "
+              "of per-round ratios)\n",
+              kRounds);
 
   if (InterpGain < 0.20) {
     std::fprintf(stderr,

@@ -24,7 +24,6 @@
 #include "steno/Steno.h"
 
 #include <cstdio>
-#include <limits>
 
 using namespace steno;
 using namespace steno::bench;
@@ -32,33 +31,36 @@ using namespace steno::expr;
 using namespace steno::expr::dsl;
 using query::Query;
 
+/// Rounds of the three measured quantities.
+constexpr int kRounds = 5;
+
 int main() {
   const std::int64_t N = scaled(10000000);
   std::vector<double> Xs = uniformDoubles(N, 11);
   header("Section 7.1: one-off compilation cost and break-even point");
 
   // The three measured quantities, on the paper's Sum query.
-  double LinqS = bestSeconds([&] {
-    doNotOptimize(linq::fromSpan(Xs.data(), Xs.size()).sum());
-  });
-
   Query Q = Query::doubleArray(0).sum();
-
-  // Compile cost: repeat a few fresh compilations and take the median-ish
-  // best (the paper's 69 ms is an average).
-  double CompileMs = 1e300;
-  for (int I = 0; I < 3; ++I) {
-    CompiledQuery Fresh = compileQuery(Q, {});
-    if (Fresh.compileMillis() < CompileMs)
-      CompileMs = Fresh.compileMillis();
-  }
-
   CompiledQuery CQ = compileQuery(Q, {});
   Bindings B;
   B.bindDoubleArray(0, Xs.data(), N);
-  double StenoS = bestSeconds(
-      [&] { doNotOptimize(CQ.run(B).scalarValue().asDouble()); });
+  Rounds R(kRounds);
+  int Linq = R.add("linq_sum", N, [&] {
+    doNotOptimize(linq::fromSpan(Xs.data(), Xs.size()).sum());
+  });
+  int Steno = R.add("steno_sum", N, [&] {
+    doNotOptimize(CQ.run(B).scalarValue().asDouble());
+  });
+  // A fresh compile and load of the query (the paper's 69 ms).
+  int Compile = R.add("compile_load", 1, [&] {
+    CompiledQuery Fresh = compileQuery(Q, {});
+    doNotOptimize(static_cast<std::int64_t>(Fresh.generatedSource().size()));
+  });
+  R.run();
 
+  double LinqS = R.summary(Linq).Median;
+  double StenoS = R.summary(Steno).Median;
+  double CompileMs = R.summary(Compile).Median * 1e3;
   double LinqPerElemNs = 1e9 * LinqS / static_cast<double>(N);
   double StenoPerElemNs = 1e9 * StenoS / static_cast<double>(N);
   std::printf("\nLINQ Sum(%lld):  %8.1f ms  (%.2f ns/element)\n",
@@ -66,25 +68,22 @@ int main() {
   std::printf("Steno Sum(%lld): %8.1f ms  (%.2f ns/element)\n",
               static_cast<long long>(N), StenoS * 1e3, StenoPerElemNs);
   std::printf("Steno one-off compile+load: %.0f ms\n", CompileMs);
+  std::printf("(medians of %d interleaved rounds)\n", kRounds);
 
-  // Model: LINQ(n) = a_linq * n; Steno(n) = compile + a_steno * n. When
-  // Steno is not faster per element, it never breaks even.
-  double SavedNs = LinqPerElemNs - StenoPerElemNs;
-  double BreakEven = SavedNs > 0 ? CompileMs * 1e6 / SavedNs
-                                 : std::numeric_limits<double>::infinity();
+  // Model: LINQ(n) = a_linq * n; Steno(n) = compile + a_steno * n. The
+  // break-even is the median over rounds of a round's compile time over
+  // its per-element saving; below 0, Steno never breaks even.
+  std::vector<double> Saved;
+  for (int I = 0; I != kRounds; ++I)
+    Saved.push_back((R.seconds(Linq)[I] - R.seconds(Steno)[I]) /
+                    static_cast<double>(N));
+  double BreakEven = medianRatio(R.seconds(Compile), Saved);
   std::printf("\nmodelled break-even: %.2g elements "
               "(paper: ~1.2e7 with csc's 69 ms compile)\n",
               BreakEven);
 
   JsonReport Json("sec71_breakeven");
-  Json.add("linq_sum", LinqS, N);
-  Json.add("steno_sum", StenoS, N);
-  Json.add("compile_load", CompileMs / 1e3, 1);
-  // The compile cost spread over the break-even input: its items are the
-  // break-even, its ns_per_op the per-element saving that repays it.
-  Json.add("breakeven", CompileMs / 1e3,
-           BreakEven < 9e18 ? static_cast<std::int64_t>(BreakEven)
-                            : std::numeric_limits<std::int64_t>::max());
+  Json.add(R);
 
   // Empirical sweep: total time (compile amortized over ONE run) for
   // LINQ vs Steno across input sizes.
@@ -97,20 +96,20 @@ int main() {
     if (M < 1 || static_cast<size_t>(M) > Xs.size() * 4)
       continue;
     std::vector<double> Sub = uniformDoubles(M, 12);
-    double L = bestSeconds(
-        [&] {
-          doNotOptimize(linq::fromSpan(Sub.data(), Sub.size()).sum());
-        },
-        2);
     Bindings SubB;
     SubB.bindDoubleArray(0, Sub.data(), M);
-    double S = bestSeconds(
-        [&] { doNotOptimize(CQ.run(SubB).scalarValue().asDouble()); },
-        2);
-    double StenoTotalMs = CompileMs + S * 1e3;
-    std::printf("%14lld %14.1f %20.1f %12s\n",
-                static_cast<long long>(M), L * 1e3, StenoTotalMs,
-                L * 1e3 < StenoTotalMs ? "LINQ" : "Steno");
+    Rounds Sweep(/*Count=*/3);
+    int L = Sweep.add("linq", M, [&] {
+      doNotOptimize(linq::fromSpan(Sub.data(), Sub.size()).sum());
+    });
+    int S = Sweep.add("steno", M, [&] {
+      doNotOptimize(CQ.run(SubB).scalarValue().asDouble());
+    });
+    Sweep.run();
+    double LinqMs = Sweep.summary(L).Median * 1e3;
+    double StenoTotalMs = CompileMs + Sweep.summary(S).Median * 1e3;
+    std::printf("%14lld %14.1f %20.1f %12s\n", static_cast<long long>(M),
+                LinqMs, StenoTotalMs, LinqMs < StenoTotalMs ? "LINQ" : "Steno");
   }
   std::printf("\n(cached compiled queries pay the compile cost zero "
               "times after the first use — the amortized column is the "
@@ -120,7 +119,7 @@ int main() {
   constexpr double MaxBreakEven = 1e8;
   std::printf("modelled break-even: %.2g elements (gate: <= %.0e)\n",
               BreakEven, MaxBreakEven);
-  if (!(BreakEven <= MaxBreakEven)) {
+  if (!(BreakEven > 0 && BreakEven <= MaxBreakEven)) {
     std::fprintf(stderr,
                  "sec71_breakeven: FAIL: Steno breaks even with LINQ only "
                  "at %.2g elements (compile+load %.0f ms), above the %.0e "

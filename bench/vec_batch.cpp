@@ -20,6 +20,8 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <string>
+#include <vector>
 
 using namespace steno;
 using namespace steno::bench;
@@ -38,10 +40,8 @@ CompiledQuery compileVariant(const Query &Q, bool Vectorize,
   return compileQuery(Q, O);
 }
 
-double runSeconds(const CompiledQuery &CQ, const Bindings &B) {
-  return bestSeconds(
-      [&] { doNotOptimize(CQ.run(B).scalarValue().asDouble()); });
-}
+/// Rounds of a shape's five variants.
+constexpr int kRounds = 5;
 
 } // namespace
 
@@ -69,54 +69,57 @@ int main() {
   const char *BatchSizes[] = {"64", "256", "1024", "4096"};
 
   header("Vectorized batch execution: interpreter, " + std::to_string(N) +
-         " doubles");
+         " doubles, median of " + std::to_string(kRounds) +
+         " interleaved rounds");
   std::printf("%-28s %12s %12s %10s\n", "variant", "time (ms)",
               "Melem/s", "speedup");
 
   JsonReport Json("vec_batch");
-  double Fig01Scalar = 0, Fig01Vec1024 = 0;
+  double Fig01Speedup = 0;
 
   for (const Shape &S : Shapes) {
-    CompiledQuery Scalar =
-        compileVariant(*S.Q, false, std::string(S.Name) + "_scalar");
-    double ScalarS = runSeconds(Scalar, B);
-    Json.add(std::string(S.Name) + "_interp_scalar", ScalarS, N);
-    std::printf("%-28s %12.1f %12.1f %9s\n",
-                (std::string(S.Name) + " interp scalar").c_str(),
-                ScalarS * 1e3, static_cast<double>(N) / ScalarS / 1e6,
-                "1.00x");
-    if (S.Q == &Fig01)
-      Fig01Scalar = ScalarS;
-
+    std::vector<CompiledQuery> Compiled;
+    Compiled.push_back(
+        compileVariant(*S.Q, false, std::string(S.Name) + "_scalar"));
     for (const char *BS : BatchSizes) {
       ::setenv("STENO_BATCH_SIZE", BS, 1); // read at plan time
-      CompiledQuery Vec =
-          compileVariant(*S.Q, true, std::string(S.Name) + "_vec_b" + BS);
+      Compiled.push_back(
+          compileVariant(*S.Q, true, std::string(S.Name) + "_vec_b" + BS));
       ::unsetenv("STENO_BATCH_SIZE");
-      if (!Vec.vectorized()) {
+      if (!Compiled.back().vectorized()) {
         std::fprintf(stderr, "vec_batch: %s did not vectorize\n", S.Name);
         return 1;
       }
-      double VecS = runSeconds(Vec, B);
-      Json.add(std::string(S.Name) + "_interp_vec_b" + BS, VecS, N);
-      std::printf("%-28s %12.1f %12.1f %9.2fx\n",
-                  (std::string(S.Name) + " interp batch=" + BS).c_str(),
-                  VecS * 1e3, static_cast<double>(N) / VecS / 1e6,
-                  ScalarS / VecS);
-      if (S.Q == &Fig01 && std::string(BS) == "1024")
-        Fig01Vec1024 = VecS;
     }
+    Rounds R(kRounds);
+    for (std::size_t V = 0; V != Compiled.size(); ++V)
+      R.add(V == 0 ? "interp_scalar"
+                   : std::string("interp_vec_b") + BatchSizes[V - 1],
+            N, [&CQ = Compiled[V], &B] {
+              doNotOptimize(CQ.run(B).scalarValue().asDouble());
+            });
+    R.run();
+    Json.add(R, std::string(S.Name) + "_");
+
+    for (int V = 0; V != R.variants(); ++V) {
+      double Median = R.summary(V).Median;
+      std::printf("%-28s %12.1f %12.1f %9.2fx\n",
+                  (std::string(S.Name) + " " + R.name(V)).c_str(),
+                  Median * 1e3, static_cast<double>(N) / Median / 1e6,
+                  R.ratio(0, V));
+    }
+    if (S.Q == &Fig01)
+      Fig01Speedup = R.ratio(0, 3); // scalar / batch size 1024
   }
 
-  double Speedup = Fig01Vec1024 > 0 ? Fig01Scalar / Fig01Vec1024 : 0;
-  std::printf("\nfig01 batched(1024) vs scalar interp: %.2fx "
-              "(gate: >= 1.50x)\n",
-              Speedup);
-  if (Speedup < 1.5) {
+  std::printf("\nfig01 batched(1024) vs scalar interp, median of per-round "
+              "ratios: %.2fx (gate: >= 1.50x)\n",
+              Fig01Speedup);
+  if (Fig01Speedup < 1.5) {
     std::fprintf(stderr,
                  "vec_batch: FAIL: batched interpreter speedup %.2fx "
                  "below the 1.5x floor\n",
-                 Speedup);
+                 Fig01Speedup);
     return 1;
   }
   return 0;

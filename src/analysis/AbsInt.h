@@ -72,7 +72,6 @@ struct Interval {
   /// The cardinality top: [0, unbounded].
   static Interval card() { return Interval{0, INT64_MAX}; }
 
-  bool isFull() const { return Lo == INT64_MIN && Hi == INT64_MAX; }
   bool isConst() const { return Lo == Hi; }
   bool contains(std::int64_t V) const { return Lo <= V && V <= Hi; }
   bool excludesZero() const { return Lo > 0 || Hi < 0; }

@@ -71,70 +71,6 @@ const char *analysis::diagCodeName(DiagCode Code) {
   stenoUnreachable("bad DiagCode");
 }
 
-const char *analysis::diagCodeSummary(DiagCode Code) {
-  switch (Code) {
-  case DiagCode::BadArity:
-    return "lambda has the wrong parameter count";
-  case DiagCode::ParamTypeMismatch:
-    return "lambda parameter type does not match the incoming element";
-  case DiagCode::ResultTypeMismatch:
-    return "lambda result type does not match the operator output";
-  case DiagCode::PredicateNotBool:
-    return "predicate lambda does not return bool";
-  case DiagCode::CountNotInt64:
-    return "Take/Skip count expression is not int64";
-  case DiagCode::SeedTypeMismatch:
-    return "aggregation seed type does not match the accumulator";
-  case DiagCode::CaptureSlotOutOfBounds:
-    return "capture slot index exceeds MaxCaptureSlots";
-  case DiagCode::SourceSlotOutOfBounds:
-    return "source slot index exceeds MaxSourceSlots";
-  case DiagCode::UnboundParam:
-    return "expression references a parameter no enclosing lambda binds";
-  case DiagCode::BadCombiner:
-    return "combiner is not (acc, acc) -> acc";
-  case DiagCode::ElemTypeMismatch:
-    return "operator input type does not match the upstream output";
-  case DiagCode::KeyNotInt64:
-    return "group key selector does not return int64";
-  case DiagCode::DivByZero:
-    return "integer division or modulo may trap on a zero divisor";
-  case DiagCode::OrderSensitive:
-    return "operator depends on global element order";
-  case DiagCode::NoCombiner:
-    return "aggregate has no associative combiner";
-  case DiagCode::FpFoldReassociation:
-    return "parallel execution reassociates floating-point accumulation";
-  case DiagCode::NonAssociativeCombiner:
-    return "combiner is provably non-associative";
-  case DiagCode::UnverifiedCombiner:
-    return "user combiner associativity is trusted, not verified";
-  case DiagCode::NegativeCount:
-    return "Take/Skip count is a negative constant";
-  case DiagCode::AlwaysFalsePred:
-    return "predicate is constant false; the chain is guaranteed empty";
-  case DiagCode::AlwaysTruePred:
-    return "predicate is constant true; the operator is a no-op";
-  case DiagCode::TakeZero:
-    return "Take 0 makes the chain guaranteed empty";
-  case DiagCode::DeadOperator:
-    return "operator only ever sees an empty input";
-  case DiagCode::RewritePredDropped:
-    return "rewriter removed an always-true predicate";
-  case DiagCode::RewriteEmptyCollapse:
-    return "rewriter collapsed an always-false predicate to an empty chain";
-  case DiagCode::RewriteDeadOpRemoved:
-    return "rewriter eliminated a provably dead operator";
-  case DiagCode::RewriteTakeSkipFolded:
-    return "rewriter folded or merged Take/Skip counts";
-  case DiagCode::RewritePredReordered:
-    return "rewriter reordered adjacent predicates by cost and selectivity";
-  case DiagCode::RewriteTrapElided:
-    return "rewriter elided a division trap check proven unnecessary";
-  }
-  stenoUnreachable("bad DiagCode");
-}
-
 const char *analysis::exprRoleName(ExprRole Role) {
   switch (Role) {
   case ExprRole::None:
@@ -216,8 +152,6 @@ void DiagnosticBag::report(DiagCode Code, Severity Sev, DiagLoc Loc,
   obs::counter(std::string("analysis.diag.") + diagCodeName(Code)).inc();
   if (Sev == Severity::Error)
     ++Errors;
-  else if (Sev == Severity::Warning)
-    ++Warnings;
   Diags.push_back(
       Diagnostic{Code, Sev, std::move(Loc), std::move(Message)});
 }

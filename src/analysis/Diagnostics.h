@@ -72,8 +72,6 @@ enum class DiagCode {
 
 /// The stable spelling, e.g. "ST1001".
 const char *diagCodeName(DiagCode Code);
-/// One-line summary of the code (used in rendered headers and docs).
-const char *diagCodeSummary(DiagCode Code);
 
 /// Which expression of a quil::Op a diagnostic points into.
 enum class ExprRole {
@@ -103,8 +101,6 @@ struct DiagLoc {
 
   /// Nesting depth of the operator (0 = top-level chain).
   std::size_t depth() const { return OpPath.empty() ? 0 : OpPath.size() - 1; }
-  /// Index of the operator within its own chain.
-  unsigned opIndex() const { return OpPath.empty() ? 0 : OpPath.back(); }
 
   /// Renders as "op #2" / "op #1.0 Fn@[1,0]" (nested path dot-joined).
   std::string str() const;
@@ -139,7 +135,6 @@ public:
 
   bool hasErrors() const { return Errors != 0; }
   std::size_t errorCount() const { return Errors; }
-  std::size_t warningCount() const { return Warnings; }
 
   /// True if any recorded diagnostic carries \p Code.
   bool has(DiagCode Code) const;
@@ -153,7 +148,6 @@ public:
 private:
   std::vector<Diagnostic> Diags;
   std::size_t Errors = 0;
-  std::size_t Warnings = 0;
 };
 
 } // namespace analysis

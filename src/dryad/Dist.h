@@ -120,10 +120,6 @@ public:
   /// chain into a per-partition vertex, so this differs from the hash of
   /// the whole-query plan compiled standalone.
   std::uint64_t vertexPlanHash() const { return Vertex.planHash(); }
-  /// The generated vertex source.
-  const std::string &vertexSource() const {
-    return Vertex.generatedSource();
-  }
   const ParallelPlan &plan() const { return Plan; }
 
   /// False when the query compiled into the sequential fallback.

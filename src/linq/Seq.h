@@ -356,12 +356,6 @@ template <typename T> Seq<T> from(std::vector<T> Data) {
       std::make_shared<const std::vector<T>>(std::move(Data))));
 }
 
-/// Wraps an already-shared vector without copying.
-template <typename T>
-Seq<T> fromShared(std::shared_ptr<const std::vector<T>> Data) {
-  return Seq<T>(std::make_shared<VectorEnumerable<T>>(std::move(Data)));
-}
-
 /// Wraps a borrowed buffer; the caller keeps it alive.
 template <typename T> Seq<T> fromSpan(const T *Begin, size_t Count) {
   return Seq<T>(std::make_shared<SpanEnumerable<T>>(Begin, Count));

@@ -278,13 +278,3 @@ std::string obs::dumpMetricsPrometheus() {
   return Out;
 }
 
-void obs::resetMetrics() {
-  Registry &R = Registry::get();
-  std::lock_guard<std::mutex> Lock(R.Mutex);
-  for (const auto &[Name, C] : R.Counters)
-    C->reset();
-  for (const auto &[Name, G] : R.Gauges)
-    G->reset();
-  for (const auto &[Name, H] : R.Histograms)
-    H->reset();
-}

@@ -143,8 +143,6 @@ std::string dumpMetricsJson();
 /// emit a "<name>_max" high-water series; histogram buckets are
 /// cumulative le-counts per the exposition format.
 std::string dumpMetricsPrometheus();
-/// Zeroes every registered instrument (tests and benchmark harnesses).
-void resetMetrics();
 
 /// Installs a std::atexit hook that writes exportPrometheus() to the
 /// path in $STENO_METRICS_OUT (no-op when unset). Idempotent; invoked

@@ -67,9 +67,6 @@ public:
   /// literal). At most MaxArgs pairs; extras are ignored.
   void arg(const char *Key, std::int64_t Value);
 
-  /// Whether this span is recording (tracing was enabled at construction).
-  bool active() const { return Active; }
-
   /// Current nesting depth of the calling thread (0 = no open span).
   static int depth();
 

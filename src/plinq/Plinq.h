@@ -102,9 +102,6 @@ public:
     });
   }
 
-  /// Source element count (elements entering the chain, not leaving it).
-  std::size_t sourceCount() const { return Count; }
-
   /// A copy with different scheduler tuning (tests force tiny morsels so
   /// the workers' claims interleave; benches widen the budget).
   ParSeq withMorselOptions(dryad::MorselOptions NewOpts) const {

@@ -44,18 +44,6 @@ bool QueryNode::isAggregate() const {
   }
 }
 
-bool QueryNode::isSink() const {
-  switch (Kind) {
-  case OpKind::GroupBy:
-  case OpKind::GroupByAggregate:
-  case OpKind::OrderBy:
-  case OpKind::ToArray:
-    return true;
-  default:
-    return false;
-  }
-}
-
 const TypeRef &Query::resultType() const {
   assert(Last && "resultType() of invalid query");
   return Last->resultType();

@@ -120,9 +120,6 @@ public:
   /// True if this operator ends the query with a scalar (Agg class).
   bool isAggregate() const;
 
-  /// True if this operator is a sink (Sink class of Table 1).
-  bool isSink() const;
-
   friend class QueryNodeFactory;
 
 private:
