@@ -5,6 +5,9 @@
 //   SumSq  sum of squares of 10^7 doubles
 //   Cart   Cartesian product of 10^7 x 10^3 doubles, multiplied & summed
 //   Group  binned histogram of 10^7 mixture-of-Gaussians doubles
+// plus one row from Clash of the Lambdas (PAPERS.md), the filtered fold
+// the paper's figure lacks —
+//   SumSqEven  sum of the squares of the even ones of 10^7 int64s
 // each measured as: LINQ, Steno including compilation, Steno excluding
 // compilation, and hand-optimized — normalized to the LINQ time.
 //
@@ -83,8 +86,9 @@ int main() {
   const std::int64_t CartInner = 1000;
 
   header("Figure 13: sequential microbenchmarks");
-  std::printf("Sum/SumSq/Group over %lld doubles; Cart over %lld x %lld; "
-              "median (quartiles) of %d interleaved rounds\n",
+  std::printf("Sum/SumSq/Group over %lld doubles, SumSqEven over as many "
+              "int64s; Cart over %lld x %lld; median (quartiles) of %d "
+              "interleaved rounds\n",
               static_cast<long long>(N),
               static_cast<long long>(CartOuter),
               static_cast<long long>(CartInner), kRounds);
@@ -125,6 +129,37 @@ int main() {
              double Acc = 0;
              for (double V : Xs)
                Acc += V * V;
+             doNotOptimize(Acc);
+           }));
+
+  // SumSqEven: int64s below 1000, each even with probability 1/2, so the
+  // hand loop's branch on parity mispredicts where Steno's guarded sum
+  // masks the addend instead (DESIGN.md §5).
+  std::vector<std::int64_t> Is(static_cast<std::size_t>(N));
+  support::SplitMix64 IntRng(6);
+  for (std::int64_t &V : Is)
+    V = static_cast<std::int64_t>(IntRng.nextBelow(1000));
+  Bindings IntB;
+  IntB.bindInt64Array(0, Is.data(), N);
+  auto I = param("i", Type::int64Ty());
+  gate("SumSqEven",
+       row(
+           "SumSqEven", N, Json,
+           [&] {
+             doNotOptimize(linq::fromSpan(Is.data(), Is.size())
+                               .where([](std::int64_t V) { return V % 2 == 0; })
+                               .select([](std::int64_t V) { return V * V; })
+                               .sum());
+           },
+           Query::int64Array(0)
+               .where(lambda({I}, I % E(std::int64_t{2}) == E(std::int64_t{0})))
+               .select(lambda({I}, I * I))
+               .sum(),
+           IntB, [&] {
+             std::int64_t Acc = 0;
+             for (std::int64_t V : Is)
+               if (V % 2 == 0)
+                 Acc += V * V;
              doNotOptimize(Acc);
            }));
 

@@ -83,8 +83,9 @@ private:
     Lambda GbaResult; ///< GroupByAggregate result selector (key, acc) -> R.
     TypeRef OutElem;  ///< Element type produced when the sink is iterated.
     /// Profiled-op index of the sink (NoProf when unprofiled): its
-    /// rows-out counter is deferred to the head of the sink-iteration
-    /// loop.
+    /// rows-out counter is deferred to whatever consumes the sink, the
+    /// head of the loop that iterates it or, for a Vec sink handed over
+    /// or reused whole, its length.
     unsigned ProfOp = ~0u;
   };
 
@@ -165,52 +166,71 @@ private:
   // Profiling instrumentation
   //===--------------------------------------------------------------===//
 
+  // A profiled program is the unprofiled one plus counter statements:
+  // every generation rule emits the same statements with profiling on or
+  // off, and the counters only count (no clock, no fresh name, no
+  // branch). The one exception is mayBreakWhenExhausted().
+
   static constexpr unsigned NoProf = ~0u;
 
-  /// Registers profiled op K, emits its rows-in counter at the current μ
-  /// and marks the μ tail; everything appended to μ until the matching
-  /// profEnd() (including CSE-hoisted locals) becomes the op's timed
-  /// body. No-op (returns NoProf) when profiling is off, so unprofiled
-  /// plans carry zero instrumentation.
-  unsigned profBegin(const char *Label, bool Timed,
-                     std::uint64_t OpId = 0) {
+  /// Registers profiled op K and emits its rows-in counter at the current
+  /// μ. No-op (returns NoProf) when profiling is off, so unprofiled plans
+  /// carry zero instrumentation. Between a guarding Where and its
+  /// aggregate every element flows on, so the counters there add the
+  /// guard rather than 1.
+  unsigned profBegin(const char *Label, std::uint64_t OpId = 0) {
     if (!Options.Profile)
       return NoProf;
     unsigned K = static_cast<unsigned>(Program.ProfOps.size());
-    Program.ProfOps.push_back({Label, Stack.back().LoopDepth, Timed, OpId});
-    mu().push_back(Stmt::profileCount(2 * K));
-    ProfMark = mu().size();
+    Program.ProfOps.push_back({Label, Stack.back().LoopDepth, OpId});
+    mu().push_back(Stmt::profileCount(2 * K, Guard));
     return K;
   }
 
-  /// Wraps the μ statements appended since profBegin() in a ProfileTimed
-  /// node, then emits the rows-out counter — placed after the timed body
-  /// so an op that rejects its element (continue) never counts it as
-  /// output; observed selectivity is exactly rows_out / rows_in. Sinks
-  /// pass CountOut=false: their rows-out is the number of sink-loop
-  /// iterations, counted at the head of the loop openPendingSinkLoop()
-  /// later creates.
-  void profEnd(unsigned K, bool CountOut = true) {
-    if (K == NoProf)
-      return;
-    StmtList &M = mu();
-    assert(ProfMark <= M.size() && "profile mark out of range");
-    StmtList Body(M.begin() + static_cast<std::ptrdiff_t>(ProfMark),
-                  M.end());
-    M.erase(M.begin() + static_cast<std::ptrdiff_t>(ProfMark), M.end());
-    M.push_back(Stmt::profileTimed(K, std::move(Body)));
-    if (CountOut)
-      M.push_back(Stmt::profileCount(2 * K + 1));
+  /// Emits op K's rows-out counter after its statements, so an op that
+  /// rejects its element (continue) never counts it as output; observed
+  /// selectivity is exactly rows_out / rows_in. A sink's rows-out is
+  /// counted by whatever consumes it instead (SinkInfo::ProfOp).
+  void profEnd(unsigned K) {
+    if (K != NoProf)
+      mu().push_back(Stmt::profileCount(2 * K + 1, Guard));
   }
 
-  /// Untimed rows-out-only op (Src at its loop head, Ret at its emit
-  /// site): registers the op and appends the counter to \p Where.
-  void profCountOnly(const char *Label, StmtList &Where) {
+  /// Counts the pending Vec sink's length as its op's rows out, at ω,
+  /// where the sink is complete: for a sink consumed whole (handed over
+  /// or reused) rather than iterated.
+  void profSinkLengthOut() {
+    if (PendingSink.ProfOp != NoProf)
+      omega().push_back(Stmt::profileCountSink(2 * PendingSink.ProfOp + 1,
+                                               PendingSink.Name));
+  }
+
+  /// The pending Vec sink, reused whole by op \p Label (a ToArray): its
+  /// length is the pending op's rows out and the new op's rows in. The new
+  /// op becomes the sink's op, whose rows out are counted where the sink
+  /// is consumed.
+  void profReuseSink(const char *Label) {
+    if (!Options.Profile)
+      return;
+    profSinkLengthOut();
+    unsigned K = static_cast<unsigned>(Program.ProfOps.size());
+    Program.ProfOps.push_back({Label, Stack.back().LoopDepth});
+    omega().push_back(Stmt::profileCountSink(2 * K, PendingSink.Name));
+    PendingSink.ProfOp = K;
+  }
+
+  /// Registers an op that counts only its rows out (Src at its loop head,
+  /// Ret at its emit site) and appends that counter to \p Where: one per
+  /// execution, or the length of the Vec sink \p SinkName when given.
+  void profCountOnly(const char *Label, StmtList &Where,
+                     const std::string &SinkName = {}) {
     if (!Options.Profile)
       return;
     unsigned K = static_cast<unsigned>(Program.ProfOps.size());
-    Program.ProfOps.push_back({Label, Stack.back().LoopDepth, false});
-    Where.push_back(Stmt::profileCount(2 * K + 1));
+    Program.ProfOps.push_back({Label, Stack.back().LoopDepth});
+    Where.push_back(SinkName.empty()
+                        ? Stmt::profileCount(2 * K + 1)
+                        : Stmt::profileCountSink(2 * K + 1, SinkName));
   }
 
   //===--------------------------------------------------------------===//
@@ -385,7 +405,7 @@ private:
 
   void genTrans(const Op &O) {
     ensureIterating();
-    unsigned PK = profBegin("Trans", /*Timed=*/true);
+    unsigned PK = profBegin("Trans");
     std::string Name = fresh("elem");
     mu().push_back(Stmt::declareLocal(Name, O.OutElem,
                                       cse(inline1(O.Fn, curElemRef()))));
@@ -477,8 +497,9 @@ private:
   /// the outermost loop (in a flattened nested loop a break ends only the
   /// inner one), and nothing before it in the loop body may trap, or the
   /// elements past the boundary would have raised it. Profiled plans keep
-  /// `continue`, so every element is counted in, as the batch interpreter
-  /// counts it.
+  /// `continue`, so every element is counted in, as the batch executor
+  /// counts it: it runs whole batches and cannot stop its counts at the
+  /// breaking element. This is the one rule that differs with profiling.
   bool mayBreakWhenExhausted() {
     return !Options.Profile && Stack.back().LoopDepth == 1 &&
            cannotTrap(mu());
@@ -486,15 +507,14 @@ private:
 
   void genPred(const Op &O, std::span<const Op> Rest) {
     ensureIterating();
-    unsigned PK = profBegin(predLabel(O.P), /*Timed=*/true,
-                            O.P == PredOp::Where && O.Fn.valid()
-                                ? expr::hashLambda(O.Fn)
-                                : 0);
+    std::uint64_t OpId =
+        O.P == PredOp::Where && O.Fn.valid() ? expr::hashLambda(O.Fn) : 0;
+    unsigned PK = profBegin(predLabel(O.P), OpId);
     TypeRef I64 = Type::int64Ty();
     switch (O.P) {
     case PredOp::Where: {
       ExprRef Cond = cse(inline1(O.Fn, curElemRef()));
-      if (!Options.Profile && guardsAdditiveAgg(Rest)) {
+      if (guardsAdditiveAgg(Rest)) {
         // Branchless: every element flows on, and the aggregate adds a
         // rejected one's addend masked to zero (genAgg). A branch taken
         // at random mispredicts half the time; the mask costs an AND.
@@ -565,8 +585,9 @@ private:
       break;
     }
     }
-    // The rows-out counter lands after the timed body, so elements the
-    // predicate rejects (continue) are counted in but not out.
+    // The rows-out counter lands after the predicate, so elements it
+    // rejects (continue) are counted in but not out; a guard's rows-out
+    // is the guard.
     profEnd(PK);
   }
 
@@ -585,16 +606,16 @@ private:
   }
 
   void genSink(const Op &O) {
-    if (O.K == SinkOp::ToArray && !Options.Profile &&
-        St == State::Sinking && PendingSink.Decl.Kind == SinkKind::Vec) {
+    if (O.K == SinkOp::ToArray && St == State::Sinking &&
+        PendingSink.Decl.Kind == SinkKind::Vec) {
       // The elements are already materialized, in order, in the pending
       // Vec sink (an OrderBy's buffer, or another ToArray): iterating it
-      // again is the ToArray. Profiled plans keep the copy so the op
-      // still counts its rows, as the guarded sum does.
+      // again is the ToArray.
+      profReuseSink(sinkLabel(O.K));
       return;
     }
     ensureIterating();
-    unsigned PK = profBegin(sinkLabel(O.K), /*Timed=*/true);
+    unsigned PK = profBegin(sinkLabel(O.K));
     std::string Name = fresh("sink");
     SinkDecl Decl;
     switch (O.K) {
@@ -646,16 +667,15 @@ private:
       break;
     }
     }
-    // Rows-out of a sink is the number of collected entries, counted at
-    // the head of the sink-iteration loop once it exists.
-    profEnd(PK, /*CountOut=*/false);
+    // Rows-out of a sink is the number of collected entries, counted
+    // where the sink is consumed (SinkInfo::ProfOp).
     PendingSink.ProfOp = PK;
     St = State::Sinking;
   }
 
   void genAgg(const Op &O) {
     ensureIterating();
-    unsigned PK = profBegin("Agg", /*Timed=*/true);
+    unsigned PK = profBegin("Agg");
     std::string Var = fresh("agg");
     TypeRef AccTy = O.Seed->type();
     alpha().push_back(Stmt::declareLocal(Var, AccTy, substOuter(O.Seed)));
@@ -664,14 +684,11 @@ private:
       // A guarding Where precedes (genPred): the step is acc + g, and g
       // is added only where the guard holds.
       mu().push_back(Stmt::addIf(Var, Guard, cse(Update->operand(1))));
-      Guard = nullptr;
     } else {
       mu().push_back(Stmt::assign(Var, cse(Update)));
     }
-    // Close the profiled region before the early exit so the stop-flag
-    // check genEarlyExit may prepend to μ lands outside it (elements
-    // skipped after the stop never reach the op, so they count nowhere).
     profEnd(PK);
+    Guard = nullptr;
     if (O.StopWhen.valid())
       genEarlyExit(O, Var, AccTy);
     CurAgg = {Var, AccTy, O.Fn3};
@@ -769,12 +786,14 @@ private:
     }
     case State::Sinking: {
       if (!Nested && PendingSink.Decl.Kind == SinkKind::Vec &&
-          PendingSink.ProfOp == NoProf &&
           (PendingSink.Decl.ElemType->isInt64() ||
            PendingSink.Decl.ElemType->isDouble())) {
         // The rows are the sink's elements, in order: the host adopts
         // the sink's buffer as its result column and no row is copied.
-        // A profiled plan keeps the loop, where Ret counts its rows.
+        // The sink's op and Ret count its length as their rows out,
+        // before the hand-over empties it.
+        profSinkLengthOut();
+        profCountOnly("Ret", omega(), PendingSink.Name);
         omega().push_back(Stmt::emitSink(PendingSink.Name));
       } else if (!Nested) {
         openPendingSinkLoop();
@@ -832,8 +851,6 @@ private:
   ExprRef Guard;
   std::map<std::string, ExprRef> OuterSubst;
   unsigned Counter = 0;
-  /// μ length at the last profBegin(); profEnd() wraps [ProfMark, end).
-  std::size_t ProfMark = 0;
 };
 
 } // namespace

@@ -35,9 +35,11 @@ struct GenOptions {
   /// Hoist repeated pure subexpressions into locals (§9's CSE; sound for
   /// this side-effect-free expression language, lazy contexts respected).
   bool EnableCse = true;
-  /// Instrument each operator with profile hooks (ProfileCount /
-  /// ProfileTimed statements + Program::ProfOps descriptors). Off by
-  /// default: unprofiled plans carry zero instrumentation.
+  /// Count each operator's rows in and out (ProfileCount statements +
+  /// Program::ProfOps descriptors). A profiled program is the unprofiled
+  /// one plus its counters, except that an exhausted Take/TakeWhile keeps
+  /// `continue` rather than `break`. Off by default: unprofiled plans
+  /// carry zero instrumentation.
   bool Profile = false;
 };
 

@@ -185,7 +185,6 @@ private:
     }
     if (Prof) {
       line("std::uint64_t prof_c_[%zu] = {};", P.NumProfOps * 2);
-      line("std::uint64_t prof_ns_[%zu] = {};", P.NumProfOps);
     }
   }
 
@@ -302,16 +301,6 @@ private:
            2 * Slot + 1, liveCount().c_str());
   }
 
-  void timerOpen(std::size_t I, std::size_t Slot) {
-    if (Prof)
-      line("steno::rt::ProfTimer vt%zu_(&prof_ns_[%zu]);", I, Slot);
-  }
-
-  void timerClose(std::size_t I) {
-    if (Prof)
-      line("vt%zu_.stop();", I);
-  }
-
   /// Opens the per-lane loop for the current selection mode; the loop
   /// body sees the lane index as vj_.
   void openLaneLoop() {
@@ -333,7 +322,6 @@ private:
   void printStep(std::size_t I) {
     const VStep &S = P.Steps[I];
     profIn(S.ProfSlot);
-    timerOpen(I, S.ProfSlot);
     switch (S.K) {
     case VStepKind::Trans:
       printTrans(I, S);
@@ -354,7 +342,6 @@ private:
       printSkipWhile(I, S);
       break;
     }
-    timerClose(I);
     profOut(S.ProfSlot);
   }
 
@@ -506,9 +493,7 @@ private:
   }
 
   void printAggFold() {
-    const std::size_t TI = P.Steps.size(); // unique timer suffix
     profIn(P.AggProfSlot);
-    timerOpen(TI, P.AggProfSlot);
     openLaneLoop();
     const expr::Expr &Step = *P.AggStep.body();
     if (P.Agg == VAggMode::Reduce && P.AccFirst &&
@@ -520,7 +505,6 @@ private:
       // the lane accessor (a min/max step prints as its rt call).
       line("vacc_ = %s;", aggStepExpr().c_str());
     closeLaneLoop();
-    timerClose(TI);
     profOut(P.AggProfSlot);
   }
 
@@ -567,9 +551,6 @@ private:
     line("  for (std::size_t pi_ = 0; pi_ != %zu; ++pi_)",
          P.NumProfOps * 2);
     line("    Caps_->ProfCounts[pi_] += prof_c_[pi_];");
-    line("if (Caps_->ProfNanos)");
-    line("  for (std::size_t pi_ = 0; pi_ != %zu; ++pi_)", P.NumProfOps);
-    line("    Caps_->ProfNanos[pi_] += prof_ns_[pi_];");
   }
 
   const VecPlan &P;

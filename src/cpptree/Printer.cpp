@@ -166,7 +166,6 @@ public:
       // Per-run profile accumulators: stack-local, non-atomic, flushed
       // once through Captures at exit so the hot loop never shares.
       line("std::uint64_t prof_c_[%zu] = {};", P.ProfOps.size() * 2);
-      line("std::uint64_t prof_ns_[%zu] = {};", P.ProfOps.size());
     }
     printStmts(P.Body);
     if (!P.ProfOps.empty()) {
@@ -174,10 +173,6 @@ public:
       line("  for (std::size_t pi_ = 0; pi_ != %zu; ++pi_)",
            P.ProfOps.size() * 2);
       line("    Caps_->ProfCounts[pi_] += prof_c_[pi_];");
-      line("if (Caps_->ProfNanos)");
-      line("  for (std::size_t pi_ = 0; pi_ != %zu; ++pi_)",
-           P.ProfOps.size());
-      line("    Caps_->ProfNanos[pi_] += prof_ns_[pi_];");
     }
     Indent = 0;
     line("}");
@@ -286,16 +281,12 @@ private:
       line("steno::rt::adoptColumn(Out_, %s);", S.Name.c_str());
       return;
     case StmtKind::ProfileCount:
-      line("++prof_c_[%u];", S.ProfSlot);
-      return;
-    case StmtKind::ProfileTimed:
-      // Not a brace scope: locals declared by the body must stay visible
-      // downstream. The timer's destructor charges the op if a
-      // continue/break exits the iteration before the explicit stop().
-      line("steno::rt::ProfTimer prof_t%u_(&prof_ns_[%u]);", S.ProfSlot,
-           S.ProfSlot);
-      printStmts(S.Body);
-      line("prof_t%u_.stop();", S.ProfSlot);
+      if (S.E)
+        line("prof_c_[%u] += %s;", S.ProfSlot, expr(S.E).c_str());
+      else if (!S.Name.empty())
+        line("prof_c_[%u] += %s.size();", S.ProfSlot, S.Name.c_str());
+      else
+        line("++prof_c_[%u];", S.ProfSlot);
       return;
     }
     stenoUnreachable("bad StmtKind");

@@ -145,17 +145,16 @@ StmtRef Stmt::emitSink(std::string SinkName) {
   return S;
 }
 
-StmtRef Stmt::profileCount(unsigned Slot) {
+StmtRef Stmt::profileCount(unsigned Slot, expr::ExprRef Guard) {
   auto S = std::make_shared<Stmt>();
   S->K = StmtKind::ProfileCount;
   S->ProfSlot = Slot;
+  S->E = std::move(Guard);
   return S;
 }
 
-StmtRef Stmt::profileTimed(unsigned OpIndex, StmtList Body) {
-  auto S = std::make_shared<Stmt>();
-  S->K = StmtKind::ProfileTimed;
-  S->ProfSlot = OpIndex;
-  S->Body = std::move(Body);
+StmtRef Stmt::profileCountSink(unsigned Slot, std::string SinkName) {
+  auto S = profileCount(Slot);
+  S->Name = std::move(SinkName);
   return S;
 }

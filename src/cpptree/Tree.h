@@ -84,12 +84,9 @@ enum class StmtKind {
   Emit,               ///< Append an element/scalar row to the result.
   EmitSink,           ///< Hand a Vec sink of int64s or doubles to the
                       ///< host whole, as the result's one column.
-  ProfileCount,       ///< ++prof_c_[slot]; — a profile row counter bump.
-  ProfileTimed        ///< RAII-timed statement run: a ProfTimer charging
-                      ///< prof_ns_[slot] is live across Body, stopping at
-                      ///< the end of Body or on any continue/break out of
-                      ///< it. Body is NOT a C++ scope: declarations inside
-                      ///< stay visible to following statements.
+  ProfileCount        ///< A profile row counter bump: ++prof_c_[slot];,
+                      ///< prof_c_[slot] += guard; (E, a bool) or
+                      ///< prof_c_[slot] += sink.size(); (Name, a Vec sink).
 };
 
 /// What a Loop statement iterates.
@@ -126,13 +123,13 @@ struct Stmt {
   StmtList Body;
 
   /// DeclareLocal, Assign, SinkGroupAggUpdate slot, DeclareSinkView,
-  /// DeclareSink, SinkGroupPut, SinkVecPush, SortSinkVec, EmitSink:
-  /// target name.
+  /// DeclareSink, SinkGroupPut, SinkVecPush, SortSinkVec, EmitSink,
+  /// ProfileCount of a sink's length: target name.
   std::string Name;
   /// DeclareLocal: declared type.
   expr::TypeRef Ty;
   /// Primary expression: init / value / condition / group key / emitted
-  /// element / AddIf guard.
+  /// element / AddIf guard / ProfileCount guard.
   expr::ExprRef E;
   /// Secondary expression: SinkGroupPut value, SinkGroupAggUpdate seed,
   /// AddIf addend.
@@ -150,7 +147,7 @@ struct Stmt {
   expr::Lambda KeyFn;
 
   /// ProfileCount: counter slot index (2k = op k rows in, 2k+1 = rows
-  /// out). ProfileTimed: op index k charged to prof_ns_[k].
+  /// out).
   unsigned ProfSlot = 0;
 
   //===--------------------------------------------------------------===//
@@ -179,18 +176,19 @@ struct Stmt {
                              expr::Lambda KeyFn);
   static StmtRef emit(expr::ExprRef Elem);
   static StmtRef emitSink(std::string SinkName);
-  static StmtRef profileCount(unsigned Slot);
-  static StmtRef profileTimed(unsigned OpIndex, StmtList Body);
+  /// Adds 1 to counter \p Slot, or \p Guard's value (0 or 1) when set.
+  static StmtRef profileCount(unsigned Slot, expr::ExprRef Guard = nullptr);
+  /// Adds the length of the Vec sink \p SinkName to counter \p Slot.
+  static StmtRef profileCountSink(unsigned Slot, std::string SinkName);
 };
 
-/// Static descriptor of one profiled operator: display label, loop
-/// nesting depth (tree indentation) and whether a nanosecond timer is
-/// attached. Plain data so cpptree stays independent of the obs layer;
-/// the steno facade converts these into an obs::PlanDesc.
+/// Static descriptor of one profiled operator: display label and loop
+/// nesting depth (tree indentation). Plain data so cpptree stays
+/// independent of the obs layer; the steno facade converts these into an
+/// obs::PlanDesc.
 struct ProfOp {
   std::string Label;
   unsigned Depth = 0;
-  bool Timed = false;
   /// Stable identity of the operator's defining lambda (expr::hashLambda
   /// of a Where predicate, 0 otherwise). Lets profile consumers match an
   /// observed selectivity back to a specific predicate even after the
@@ -207,7 +205,7 @@ struct Program {
   expr::TypeRef ResultType;
   bool ScalarResult = false;
   /// Profiled operators, in instrumentation order; op k owns counter
-  /// slots 2k/2k+1 and nanos slot k. Empty unless the generator ran with
+  /// slots 2k/2k+1. Empty unless the generator ran with
   /// GenOptions::Profile.
   std::vector<ProfOp> ProfOps;
 };

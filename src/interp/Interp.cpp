@@ -8,7 +8,6 @@
 #include "support/Error.h"
 
 #include <cassert>
-#include <chrono>
 #include <unordered_map>
 #include <variant>
 
@@ -163,23 +162,19 @@ private:
     }
     case StmtKind::ProfileCount:
       if (Prof)
-        ++Prof->Counts[S.ProfSlot];
+        Prof->Counts[S.ProfSlot] += countOf(S);
       return Flow::Normal;
-    case StmtKind::ProfileTimed: {
-      if (!Prof)
-        return execList(S.Body);
-      // Time the body and charge the op even when control escapes via
-      // continue/break (mirrors the generated ProfTimer destructor).
-      auto T0 = std::chrono::steady_clock::now();
-      Flow F = execList(S.Body);
-      Prof->Nanos[S.ProfSlot] += static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - T0)
-              .count());
-      return F;
-    }
     }
     stenoUnreachable("bad StmtKind");
+  }
+
+  /// What a ProfileCount adds: its guard's value, its sink's length, or 1.
+  std::uint64_t countOf(const Stmt &S) {
+    if (S.E)
+      return eval(S.E).asBool();
+    if (!S.Name.empty())
+      return static_cast<std::uint64_t>(sink<rt::Buf<Value>>(S.Name).size());
+    return 1;
   }
 
   Flow execLoop(const Stmt &S) {

@@ -33,9 +33,9 @@ namespace interp {
 struct RunInput {
   const std::vector<expr::SourceBuffer> *Sources = nullptr;
   const std::vector<expr::Value> *Values = nullptr;
-  /// When non-null, ProfileCount/ProfileTimed statements accumulate into
-  /// this per-run sink (sized for the program's ProfOps); null runs the
-  /// instrumentation as cheap no-ops.
+  /// When non-null, ProfileCount statements accumulate into this per-run
+  /// sink (sized for the program's ProfOps); null runs them as cheap
+  /// no-ops.
   obs::ProfileSink *Profile = nullptr;
 };
 

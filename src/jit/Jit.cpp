@@ -185,7 +185,7 @@ rt::CaptureValue bindCapture(const Value &V) {
 
 void jit::run(EntryFn Fn, const std::vector<expr::SourceBuffer> &Sources,
              const std::vector<Value> &Values, rt::Columns &Out,
-             std::uint64_t *ProfCounts, std::uint64_t *ProfNanos) {
+             std::uint64_t *ProfCounts) {
   assert(Fn && "running a null entry point");
   std::vector<rt::SourceBinding> BoundSources;
   BoundSources.reserve(Sources.size());
@@ -208,7 +208,6 @@ void jit::run(EntryFn Fn, const std::vector<expr::SourceBuffer> &Sources,
   Caps.Values = BoundValues.data();
   Caps.NumValues = static_cast<std::int64_t>(BoundValues.size());
   Caps.ProfCounts = ProfCounts;
-  Caps.ProfNanos = ProfNanos;
 
   Fn(&Caps, &Out);
 }

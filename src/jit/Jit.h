@@ -87,13 +87,12 @@ private:
 /// Binds sources/captures into the rt ABI and invokes \p Fn, which
 /// appends its rows to \p Out: columns laid out for the query's row type
 /// (steno::ResultBuilder::columns()) whose blocks the caller owns.
-/// ProfCounts/ProfNanos, when non-null, receive the profile flush of a TU
-/// generated with profiling hooks (sized 2*NumOps and NumOps
-/// respectively); leave null otherwise.
+/// ProfCounts, when non-null, receives the profile flush of a TU
+/// generated with profiling hooks (2*NumOps row counters); leave null
+/// otherwise.
 void run(EntryFn Fn, const std::vector<expr::SourceBuffer> &Sources,
          const std::vector<expr::Value> &Values, rt::Columns &Out,
-         std::uint64_t *ProfCounts = nullptr,
-         std::uint64_t *ProfNanos = nullptr);
+         std::uint64_t *ProfCounts = nullptr);
 
 } // namespace jit
 } // namespace steno

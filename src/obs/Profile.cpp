@@ -22,10 +22,6 @@ void QueryProfile::merge(const ProfileSink &S, unsigned Worker) {
   for (std::size_t I = 0; I != NC; ++I)
     if (S.Counts[I])
       Counts[I].fetch_add(S.Counts[I], std::memory_order_relaxed);
-  std::size_t NN = std::min(S.Nanos.size(), Nanos.size());
-  for (std::size_t I = 0; I != NN; ++I)
-    if (S.Nanos[I])
-      Nanos[I].fetch_add(S.Nanos[I], std::memory_order_relaxed);
   if (Worker >= ProfileMaxWorkers)
     Worker = ProfileMaxWorkers - 1;
   Workers[Worker].fetch_add(1, std::memory_order_relaxed);
@@ -44,11 +40,9 @@ ProfileSnapshot QueryProfile::snapshot(std::uint64_t PlanHash) const {
     OpProfile O;
     O.Label = Desc.Ops[K].Label;
     O.Depth = Desc.Ops[K].Depth;
-    O.Timed = Desc.Ops[K].Timed;
     O.OpId = Desc.Ops[K].OpId;
     O.RowsIn = Counts[2 * K].load(std::memory_order_relaxed);
     O.RowsOut = Counts[2 * K + 1].load(std::memory_order_relaxed);
-    O.Nanos = Nanos[K].load(std::memory_order_relaxed);
     S.Ops.push_back(std::move(O));
   }
   for (unsigned W = 0; W != ProfileMaxWorkers; ++W) {
@@ -135,7 +129,6 @@ void foldByOpId(ProfileSnapshot &S, const ProfileSnapshot &Other) {
       if (T.OpId == O.OpId && T.Label == O.Label) {
         O.RowsIn += T.RowsIn;
         O.RowsOut += T.RowsOut;
-        O.Nanos += T.Nanos;
         break;
       }
   }
@@ -152,7 +145,6 @@ void foldRuns(ProfileSnapshot &S, const ProfileSnapshot &Other) {
     for (std::size_t K = 0; K != S.Ops.size(); ++K) {
       S.Ops[K].RowsIn += Other.Ops[K].RowsIn;
       S.Ops[K].RowsOut += Other.Ops[K].RowsOut;
-      S.Ops[K].Nanos += Other.Ops[K].Nanos;
     }
   } else {
     foldByOpId(S, Other);
@@ -281,30 +273,11 @@ void appendEscaped(std::string &Out, const std::string &S) {
   }
 }
 
-std::string fmtPct(double X) {
-  char Buf[32];
-  std::snprintf(Buf, sizeof Buf, "%.1f", X);
-  return Buf;
-}
-
 std::string fmtSel(double Sel) {
   if (Sel < 0)
     return "-";
   char Buf[32];
   std::snprintf(Buf, sizeof Buf, "%.4f", Sel);
-  return Buf;
-}
-
-std::string fmtNanos(std::uint64_t Ns) {
-  char Buf[48];
-  if (Ns >= 1000000000ULL)
-    std::snprintf(Buf, sizeof Buf, "%.3fs", static_cast<double>(Ns) / 1e9);
-  else if (Ns >= 1000000ULL)
-    std::snprintf(Buf, sizeof Buf, "%.3fms", static_cast<double>(Ns) / 1e6);
-  else if (Ns >= 1000ULL)
-    std::snprintf(Buf, sizeof Buf, "%.3fus", static_cast<double>(Ns) / 1e3);
-  else
-    std::snprintf(Buf, sizeof Buf, "%" PRIu64 "ns", Ns);
   return Buf;
 }
 
@@ -327,7 +300,6 @@ std::string obs::renderExplainAnalyze(const ProfileSnapshot &S) {
   }
   if (!S.Symbols.empty())
     Out += "  quil: " + S.Symbols + "\n";
-  std::uint64_t Total = S.totalNanos();
   for (const OpProfile &O : S.Ops) {
     Out += "  ";
     Out.append(2 * O.Depth, ' ');
@@ -335,15 +307,7 @@ std::string obs::renderExplainAnalyze(const ProfileSnapshot &S) {
     std::snprintf(Buf, sizeof Buf, "  rows_in=%" PRIu64 " rows_out=%" PRIu64,
                   O.RowsIn, O.RowsOut);
     Out += Buf;
-    Out += " sel=" + fmtSel(O.selectivity());
-    if (O.Timed) {
-      Out += " time=" + fmtNanos(O.Nanos);
-      double Pct = Total ? 100.0 * static_cast<double>(O.Nanos) /
-                               static_cast<double>(Total)
-                         : 0.0;
-      Out += " (" + fmtPct(Pct) + "%)";
-    }
-    Out += "\n";
+    Out += " sel=" + fmtSel(O.selectivity()) + "\n";
   }
   if (!S.WorkerMerges.empty()) {
     Out += "  workers:";
@@ -382,10 +346,7 @@ std::string obs::profileJson(const ProfileSnapshot &S) {
     Out += Buf;
     First = false;
   }
-  Out += "},\"total_nanos\":";
-  std::uint64_t Total = S.totalNanos();
-  std::snprintf(Buf, sizeof Buf, "%" PRIu64 ",\"ops\":[", Total);
-  Out += Buf;
+  Out += "},\"ops\":[";
   First = true;
   for (const OpProfile &O : S.Ops) {
     if (!First)
@@ -393,15 +354,11 @@ std::string obs::profileJson(const ProfileSnapshot &S) {
     First = false;
     Out += "{\"op\":\"";
     appendEscaped(Out, O.Label);
-    double Pct = Total && O.Timed ? 100.0 * static_cast<double>(O.Nanos) /
-                                        static_cast<double>(Total)
-                                  : 0.0;
     std::snprintf(Buf, sizeof Buf,
                   "\",\"depth\":%u,\"rows_in\":%" PRIu64
-                  ",\"rows_out\":%" PRIu64 ",\"selectivity\":%.6f"
-                  ",\"nanos\":%" PRIu64 ",\"time_pct\":%.1f}",
+                  ",\"rows_out\":%" PRIu64 ",\"selectivity\":%.6f}",
                   O.Depth, O.RowsIn, O.RowsOut,
-                  O.selectivity() < 0 ? -1.0 : O.selectivity(), O.Nanos, Pct);
+                  O.selectivity() < 0 ? -1.0 : O.selectivity());
     Out += Buf;
   }
   Out += "]}";
@@ -443,7 +400,6 @@ std::string obs::profilesPrometheus() {
     Out += Buf;
   }
   Out += "# TYPE steno_profile_op_rows_total counter\n";
-  Out += "# TYPE steno_profile_op_nanos_total counter\n";
   for (const ProfileSnapshot &S : All) {
     for (std::size_t K = 0; K != S.Ops.size(); ++K) {
       const OpProfile &O = S.Ops[K];
@@ -458,16 +414,6 @@ std::string obs::profilesPrometheus() {
                       Dir ? "out" : "in", Dir ? O.RowsOut : O.RowsIn);
         Out += Buf;
       }
-      if (!O.Timed)
-        continue;
-      std::snprintf(Buf, sizeof Buf,
-                    "steno_profile_op_nanos_total{plan=\"0x%016" PRIx64
-                    "\",op=\"%zu\",label=\"",
-                    S.PlanHash, K);
-      Out += Buf;
-      appendLabelEscaped(Out, O.Label);
-      std::snprintf(Buf, sizeof Buf, "\"} %" PRIu64 "\n", O.Nanos);
-      Out += Buf;
     }
   }
   return Out;

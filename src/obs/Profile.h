@@ -11,23 +11,28 @@
 /// §5j). A compiled plan registers a PlanDesc
 /// (one ProfOpDesc per instrumented QUIL operator) in the global
 /// ProfileStore under its structural plan hash; every profiled run then
-/// merges a per-run ProfileSink — plain non-atomic arrays the hot loop
+/// merges a per-run ProfileSink — a plain non-atomic array the hot loop
 /// bumps — into the plan's QueryProfile exactly once, on completion.
 ///
-/// Collection discipline (DESIGN.md §5g):
-///   * The interpreter counts in its statement dispatch (ProfileCount /
-///     ProfileTimed nodes), writing into the run's ProfileSink.
-///   * The jit backend's generated TU accumulates into stack-local
-///     arrays and flushes them through rt::Captures::ProfCounts /
-///     ProfNanos once at entry exit — zero atomics, zero sharing.
+/// Collection discipline (DESIGN.md §5g): a profile is row counts only,
+/// two per operator (rows in, rows out), and no backend reads a clock
+/// for it. A run's wall time is the steno.run span and the
+/// steno.run.micros histogram.
+///   * The interpreter counts in its statement dispatch (ProfileCount
+///     nodes), writing into the run's ProfileSink; the batch executor
+///     moves the same counters by lane counts once per batch.
+///   * The jit backend's generated TU is the unprofiled loop plus
+///     counter bumps into a stack-local array, flushed through
+///     rt::Captures::ProfCounts once at entry exit — zero atomics, zero
+///     sharing.
 ///   * The morsel runtime attributes merges to workers through a
 ///     thread-local worker id (ProfileWorkerScope), so per-worker deltas
 ///     land in the store without any shared counter on the morsel path.
 ///
 /// Exposition: renderExplainAnalyze() (per-operator tree with observed
-/// selectivities and time percentages), profileJson() (the `profile`
-/// wire command), and profilesPrometheus() / exportPrometheus() (the
-/// `metrics` wire command and the STENO_METRICS_OUT atexit dump).
+/// selectivities), profileJson() (the `profile` wire command), and
+/// profilesPrometheus() / exportPrometheus() (the `metrics` wire command
+/// and the STENO_METRICS_OUT atexit dump).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -48,12 +53,10 @@ namespace steno {
 namespace obs {
 
 /// Static description of one instrumented operator. Depth is the loop
-/// nesting depth at instrumentation time (tree indentation); Timed ops
-/// additionally accumulate cumulative nanoseconds.
+/// nesting depth at instrumentation time (tree indentation).
 struct ProfOpDesc {
   std::string Label; ///< "Src", "Where", "Trans", "GroupBy", "Ret", ...
   unsigned Depth = 0;
-  bool Timed = false;
   /// Stable lambda identity (expr::hashLambda of a Where predicate; 0
   /// otherwise) so consumers can match observed selectivities back to a
   /// specific predicate across plan-rewriter permutations.
@@ -75,17 +78,14 @@ struct PlanDesc {
   std::uint64_t Anchor = 0;
 };
 
-/// Per-run accumulation buffer: plain uint64 arrays with two count slots
-/// per op (rows in at 2k, rows out at 2k+1) and one nanosecond slot per
-/// op. Single-threaded by construction (one per execution), so the hot
-/// loop pays no atomics; the run merges it into the store once at the
-/// end.
+/// Per-run accumulation buffer: a plain uint64 array with two count
+/// slots per op (rows in at 2k, rows out at 2k+1). Single-threaded by
+/// construction (one per execution), so the hot loop pays no atomics;
+/// the run merges it into the store once at the end.
 struct ProfileSink {
   std::vector<std::uint64_t> Counts; ///< 2 * NumOps.
-  std::vector<std::uint64_t> Nanos;  ///< NumOps.
 
-  explicit ProfileSink(std::size_t NumOps)
-      : Counts(2 * NumOps, 0), Nanos(NumOps, 0) {}
+  explicit ProfileSink(std::size_t NumOps) : Counts(2 * NumOps, 0) {}
 };
 
 /// Upper bound on attributable worker ids; higher ids clamp to the last
@@ -96,11 +96,9 @@ constexpr unsigned ProfileMaxWorkers = 64;
 struct OpProfile {
   std::string Label;
   unsigned Depth = 0;
-  bool Timed = false;
   std::uint64_t OpId = 0; ///< See ProfOpDesc::OpId.
   std::uint64_t RowsIn = 0;
   std::uint64_t RowsOut = 0;
-  std::uint64_t Nanos = 0;
 
   /// Observed selectivity rows-out / rows-in; -1 when rows-in is 0
   /// (sources and never-reached operators have no meaningful ratio).
@@ -129,13 +127,6 @@ struct ProfileSnapshot {
   /// (worker id, merge count) pairs for workers that merged at least one
   /// run — the morsel attribution. Sorted by worker id.
   std::vector<std::pair<unsigned, std::uint64_t>> WorkerMerges;
-
-  std::uint64_t totalNanos() const {
-    std::uint64_t T = 0;
-    for (const OpProfile &O : Ops)
-      T += O.Nanos;
-    return T;
-  }
 };
 
 /// Merged statistics for one plan. merge() is lock-free (relaxed
@@ -146,7 +137,7 @@ class QueryProfile {
 public:
   explicit QueryProfile(PlanDesc D)
       : Desc(std::move(D)), Counts(2 * Desc.Ops.size()),
-        Nanos(Desc.Ops.size()), Workers(ProfileMaxWorkers) {}
+        Workers(ProfileMaxWorkers) {}
 
   const PlanDesc &desc() const { return Desc; }
 
@@ -159,7 +150,6 @@ public:
 private:
   PlanDesc Desc;
   std::vector<std::atomic<std::uint64_t>> Counts;
-  std::vector<std::atomic<std::uint64_t>> Nanos;
   std::vector<std::atomic<std::uint64_t>> Workers;
   std::atomic<std::uint64_t> Runs{0};
 };
@@ -186,7 +176,7 @@ public:
   /// is registered, else \p PlanHash itself, so a caller holding an
   /// anchor that never ran as a plan still finds its versions). The
   /// other versions' runs add to Runs and PriorRuns, and the first of
-  /// them is recorded in ResolvedFrom. Per-op rows/nanos are merged
+  /// them is recorded in ResolvedFrom. Per-op rows are merged
   /// index-wise when a version has the identical operator shape (same
   /// labels/ids); otherwise predicates whose (Label, OpId) pair is
   /// unique in both snapshots are matched by identity, so pred-permuted
@@ -236,19 +226,18 @@ private:
   unsigned Prev;
 };
 
-/// EXPLAIN ANALYZE-style per-operator tree: rows in/out, observed
-/// selectivity, cumulative time and time percentage per operator.
+/// EXPLAIN ANALYZE-style per-operator tree: rows in/out and observed
+/// selectivity per operator.
 std::string renderExplainAnalyze(const ProfileSnapshot &S);
 
 /// One JSON object for the `profile` wire command:
 /// {"plan":"0x..","name":..,"symbols":..,"runs":N,"workers":{..},
 ///  "ops":[{"op":..,"depth":..,"rows_in":..,"rows_out":..,
-///          "selectivity":..,"nanos":..,"time_pct":..},..]}.
+///          "selectivity":..},..]}.
 std::string profileJson(const ProfileSnapshot &S);
 
 /// Prometheus text-format summaries of every registered profile
-/// (steno_profile_runs_total, steno_profile_op_rows_total{dir=..},
-/// steno_profile_op_nanos_total).
+/// (steno_profile_runs_total, steno_profile_op_rows_total{dir=..}).
 std::string profilesPrometheus();
 
 /// Whole-registry Prometheus exposition: dumpMetricsPrometheus() (all

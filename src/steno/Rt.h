@@ -23,6 +23,10 @@
 /// backend computes the same value and fails the same way. The sinks and
 /// the sort, defined once for every backend too, are in steno/RtSinks.h.
 ///
+/// Profiling needs nothing here beyond Captures::ProfCounts: a profiled TU
+/// is the unprofiled loop plus row counters in a local array, flushed
+/// once at exit (DESIGN.md §5g). No runtime call reads a clock.
+///
 /// This is the lean core every generated TU parses, so it includes only
 /// C headers, <bit> and <limits>: about 0.07 s of g++'s time together.
 /// Parsing <chrono>, <unordered_map>, <algorithm>, <cmath> or <vector>
@@ -40,7 +44,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <ctime>
 // Generated code spells the double literals inf and NaN with
 // std::numeric_limits (support::doubleLiteral).
 #include <limits>
@@ -206,50 +209,17 @@ struct CaptureValue {
 
 /// The capture block passed to every generated entry point.
 ///
-/// ProfCounts/ProfNanos are the profile flush targets for TUs generated
-/// under STENO_PROFILE: null means "discard" (a profiled entry run by an
-/// unprofiled caller is safe). Tail-appended so the offsets of the
-/// original four fields — and therefore the ABI seen by previously
-/// generated modules — are unchanged.
+/// ProfCounts is the profile flush target of a TU generated with
+/// profiling on: two row counters per profiled operator (rows in at 2k,
+/// rows out at 2k+1). Null means "discard", so a profiled entry run by an
+/// unprofiled caller is safe. Profiling counts rows and never reads a
+/// clock.
 struct Captures {
   const SourceBinding *Sources = nullptr;
   std::int64_t NumSources = 0;
   const CaptureValue *Values = nullptr;
   std::int64_t NumValues = 0;
-  std::uint64_t *ProfCounts = nullptr; ///< 2 slots per profiled op.
-  std::uint64_t *ProfNanos = nullptr;  ///< 1 slot per profiled op.
-};
-
-/// Scoped nanosecond accumulator for one profiled operator. Declared
-/// inline in the loop body (not in its own scope); stop() charges the
-/// slot and disarms, and the destructor charges it instead when a
-/// continue/break leaves the iteration before the stop() is reached.
-class ProfTimer {
-public:
-  explicit ProfTimer(std::uint64_t *Slot) : Slot(Slot), Start(nowNs()) {}
-  ~ProfTimer() { stop(); }
-  ProfTimer(const ProfTimer &) = delete;
-  ProfTimer &operator=(const ProfTimer &) = delete;
-
-  void stop() {
-    if (!Slot)
-      return;
-    *Slot += nowNs() - Start;
-    Slot = nullptr;
-  }
-
-private:
-  /// CLOCK_MONOTONIC in nanoseconds: the clock std::chrono::steady_clock
-  /// reads on Linux, without the cost of parsing <chrono>.
-  static std::uint64_t nowNs() {
-    ::timespec T{};
-    ::clock_gettime(CLOCK_MONOTONIC, &T);
-    return static_cast<std::uint64_t>(T.tv_sec) * 1000000000u +
-           static_cast<std::uint64_t>(T.tv_nsec);
-  }
-
-  std::uint64_t *Slot;
-  std::uint64_t Start;
+  std::uint64_t *ProfCounts = nullptr;
 };
 
 //===------------------------------------------------------------------===//

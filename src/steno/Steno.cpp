@@ -218,8 +218,7 @@ static QueryResult execute(const CompiledQuery::Impl &I, const Bindings &B,
     // them as they are.
     rt::Columns Cols = Out.columns();
     jit::run(I.Module->entry(), B.sources(), B.values(), Cols,
-             Prof ? Prof->Counts.data() : nullptr,
-             Prof ? Prof->Nanos.data() : nullptr);
+             Prof ? Prof->Counts.data() : nullptr);
   } else if (I.VecPlan) {
     vec::executeBatched(*I.VecPlan,
                         vec::BatchInput{&B.sources(), &B.values(), Prof}, Out);
@@ -309,7 +308,6 @@ void QueryRunner::flush(unsigned Worker) {
   obs::ProfileWorkerScope Scope(Worker);
   obs::ProfileStore::global().merge(I->PlanHash, *Sink);
   std::fill(Sink->Counts.begin(), Sink->Counts.end(), 0);
-  std::fill(Sink->Nanos.begin(), Sink->Nanos.end(), 0);
   Dirty = false;
 }
 
@@ -416,7 +414,7 @@ codegenAndLoad(std::shared_ptr<CompiledQuery::Impl> Impl,
     D.Symbols = Impl->Chain.symbols();
     D.Anchor = Impl->AnchorHash;
     for (const cpptree::ProfOp &PO : Impl->Program.ProfOps)
-      D.Ops.push_back(obs::ProfOpDesc{PO.Label, PO.Depth, PO.Timed, PO.OpId});
+      D.Ops.push_back(obs::ProfOpDesc{PO.Label, PO.Depth, PO.OpId});
     obs::ProfileStore::global().ensure(Impl->PlanHash, D);
   }
 

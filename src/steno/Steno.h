@@ -77,8 +77,8 @@ struct CompileOptions {
   /// machine-checkable RewriteCertificate (see analysis/Rewrite.h).
   /// Defaults to the STENO_REWRITE environment variable.
   bool Rewrite = quil::rewriteEnvEnabled();
-  /// Collect per-operator runtime statistics (rows in/out, selectivity,
-  /// nanoseconds) into the global obs::ProfileStore on every run().
+  /// Collect per-operator row counts (rows in/out, hence selectivity)
+  /// into the global obs::ProfileStore on every run().
   /// Defaults to the STENO_PROFILE environment variable.
   bool Profile = obs::profilingEnvEnabled();
   /// Vectorized batch execution for the Interp backend (DESIGN.md §5i):

@@ -12,7 +12,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
 #include <cstdint>
 #include <type_traits>
 
@@ -213,13 +212,6 @@ VecPlan vec::planChain(const Chain &C) {
 
 namespace {
 
-std::uint64_t nowNs() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
 Lanes fromSel(const std::vector<std::int32_t> &S) {
   return Lanes{false, 0, 0, S.data(), 0,
                static_cast<std::int64_t>(S.size())};
@@ -398,7 +390,6 @@ void vec::executeBatched(const VecPlan &P, const BatchInput &In,
         Prof->Counts[2 * St.ProfSlot] += static_cast<std::uint64_t>(InCnt);
       if (InCnt == 0)
         continue; // rows-out += 0; nothing reaches the kernel
-      std::uint64_t T0 = Prof ? nowNs() : 0;
       Ctx.Elem = Elem;
       switch (St.K) {
       case VStepKind::Trans:
@@ -449,11 +440,9 @@ void vec::executeBatched(const VecPlan &P, const BatchInput &In,
         break;
       }
       }
-      if (Prof) {
-        Prof->Nanos[St.ProfSlot] += nowNs() - T0;
+      if (Prof)
         Prof->Counts[2 * St.ProfSlot + 1] +=
             static_cast<std::uint64_t>(L.size());
-      }
     }
 
     std::int64_t Out = L.size();
@@ -462,7 +451,6 @@ void vec::executeBatched(const VecPlan &P, const BatchInput &In,
         Prof->Counts[2 * P.AggProfSlot] += static_cast<std::uint64_t>(Out);
       if (Out == 0)
         continue;
-      std::uint64_t T0 = Prof ? nowNs() : 0;
       if (IsReduce) {
         Ctx.Elem = Elem;
         Col G = evalVec(P.AggArg.Tree, Ctx, L);
@@ -476,11 +464,9 @@ void vec::executeBatched(const VecPlan &P, const BatchInput &In,
                                    Env);
         });
       }
-      if (Prof) {
-        Prof->Nanos[P.AggProfSlot] += nowNs() - T0;
+      if (Prof)
         Prof->Counts[2 * P.AggProfSlot + 1] +=
             static_cast<std::uint64_t>(Out);
-      }
     } else {
       if (Prof)
         Prof->Counts[2 * P.RetProfSlot + 1] +=

@@ -24,8 +24,8 @@
 /// exhausted Take/TakeWhile only when nothing before it can trap and
 /// profiling is off (DESIGN.md §5) — so trap behavior and per-operator
 /// profile counts are identical to scalar execution. Profile accounting
-/// is per batch: rows-in/rows-out move by lane counts and each timed
-/// operator charges one clock read per batch instead of two per element.
+/// is per batch: rows-in/rows-out move by lane counts, and no clock is
+/// read.
 ///
 //===----------------------------------------------------------------------===//
 

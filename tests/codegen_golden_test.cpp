@@ -5,7 +5,8 @@
 // translation unit is compared byte-for-byte against a checked-in file
 // under tests/golden/. Catches unintended codegen drift — a fusion
 // regression, a CSE ordering change, a printer tweak — that behavioral
-// tests would miss as long as the answers stay right.
+// tests would miss as long as the answers stay right. The same shapes
+// check that profiling adds counters and changes nothing else.
 //
 // Updating intentionally:   STENO_UPDATE_GOLDEN=1 ctest -R CodegenGolden
 // then review and commit the tests/golden/ diff like any other change.
@@ -23,6 +24,8 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <sstream>
+#include <utility>
 
 using namespace steno;
 using namespace steno::expr;
@@ -51,11 +54,14 @@ std::string readAll(const std::string &Path) {
 /// through the same automaton as compileQuery but skips its process-wide
 /// symbol counter, so the output is byte-stable across runs and test
 /// orderings.
-std::string emit(const Query &Q, const std::string &Entry) {
+std::string emit(const Query &Q, const std::string &Entry,
+                 bool Profile = false) {
   quil::Chain Chain = quil::lower(Q);
   auto Err = quil::validate(Chain);
   EXPECT_FALSE(Err.has_value()) << *Err;
-  return cpptree::printProgram(codegen::generate(Chain, Entry));
+  codegen::GenOptions G;
+  G.Profile = Profile;
+  return cpptree::printProgram(codegen::generate(Chain, Entry, G));
 }
 
 void checkGolden(const Query &Q, const std::string &Name) {
@@ -76,94 +82,158 @@ void checkGolden(const Query &Q, const std::string &Name) {
       << "; if intentional, re-run with STENO_UPDATE_GOLDEN=1 and commit";
 }
 
-} // namespace
 
 // The paper's running example (§2): sum of squares over a filtered
 // stream; Select/Where fuse into one loop, the Where as a guard on the
 // sum rather than a branch.
-TEST(CodegenGoldenTest, FusedFilterMapSum) {
+Query filterMapSum() {
   E X = param("x", Type::doubleTy());
-  Query Q = Query::doubleArray(0)
-                .where(lambda({X}, X > E(0.0)))
-                .select(lambda({X}, X * X))
-                .sum();
-  checkGolden(Q, "golden_filter_map_sum");
+  return Query::doubleArray(0)
+      .where(lambda({X}, X > E(0.0)))
+      .select(lambda({X}, X * X))
+      .sum();
 }
 
 // The int64 filtered sum of squares ("Clash of the Lambdas"
 // sumOfSquaresEven): the guard masks the wrapping x * x.
-TEST(CodegenGoldenTest, Int64GuardedFilterMapSum) {
+Query int64GuardedSum() {
   E X = param("x", Type::int64Ty());
-  Query Q = Query::int64Array(0)
-                .where(lambda({X}, X % E(std::int64_t{2}) ==
-                                       E(std::int64_t{0})))
-                .select(lambda({X}, X * X))
-                .sum();
-  checkGolden(Q, "golden_int64_guarded_sum");
+  return Query::int64Array(0)
+      .where(lambda({X}, X % E(std::int64_t{2}) == E(std::int64_t{0})))
+      .select(lambda({X}, X * X))
+      .sum();
 }
 
 // A Where whose downstream division can trap keeps its branch: 100 / x
 // must not run on the elements the filter rejects.
-TEST(CodegenGoldenTest, WhereKeepsBranchBeforeATrappingSelect) {
+Query whereKeptBranch() {
   E X = param("x", Type::int64Ty());
-  Query Q = Query::int64Array(0)
-                .where(lambda({X}, X != E(std::int64_t{0})))
-                .select(lambda({X}, E(std::int64_t{100}) / X))
-                .sum();
-  checkGolden(Q, "golden_where_kept_branch");
+  return Query::int64Array(0)
+      .where(lambda({X}, X != E(std::int64_t{0})))
+      .select(lambda({X}, E(std::int64_t{100}) / X))
+      .sum();
 }
 
 // A TakeWhile in the outermost loop with nothing trapping before it
 // leaves the loop at its boundary.
-TEST(CodegenGoldenTest, TakeWhileBreaks) {
+Query takeWhileBreak() {
   E X = param("x", Type::doubleTy());
-  Query Q =
-      Query::doubleArray(0).takeWhile(lambda({X}, X < E(100.0))).sum();
-  checkGolden(Q, "golden_take_while_break");
+  return Query::doubleArray(0).takeWhile(lambda({X}, X < E(100.0))).sum();
 }
 
 // Figure 11 "Ret-pop": a nested query consumed in place by a downstream
 // operator of the outer query — the pop-two/push-triple transition.
-TEST(CodegenGoldenTest, NestedSelectManyRetPop) {
+Query nestedRetPop() {
   E X = param("x", Type::doubleTy());
   E Y = param("y", Type::doubleTy());
   Query Nested = Query::doubleArray(1).select(lambda({Y}, X + Y));
-  Query Q = Query::doubleArray(0)
-                .selectMany(X, Nested)
-                .where(lambda({X}, X > E(1.0)))
-                .sum();
-  checkGolden(Q, "golden_nested_ret_pop");
+  return Query::doubleArray(0)
+      .selectMany(X, Nested)
+      .where(lambda({X}, X > E(1.0)))
+      .sum();
 }
 
 // Hash GroupByAggregate with an associative combiner: the specialized
 // group sink, not a generic fold.
-TEST(CodegenGoldenTest, GroupByAggregateSum) {
+Query groupByAggregate() {
   E K = param("k", Type::int64Ty());
   E A = param("a", Type::int64Ty());
   E B = param("b", Type::int64Ty());
-  Query Q = Query::int64Array(0).groupByAggregate(
+  return Query::int64Array(0).groupByAggregate(
       lambda({K}, K % E(std::int64_t{10})), E(std::int64_t{0}),
       lambda({A, K}, A + K), Lambda(), lambda({A, B}, A + B));
-  checkGolden(Q, "golden_group_by_aggregate");
 }
 
 // Positional operators (skip/take) ahead of an ordered sink: exercises
 // the counter plumbing and the OrderBy buffer-then-sort emission.
-TEST(CodegenGoldenTest, SkipTakeOrderBy) {
+Query skipTakeOrderBy() {
   E X = param("x", Type::doubleTy());
-  Query Q = Query::doubleArray(0)
-                .skip(E(std::int64_t{2}))
-                .take(E(std::int64_t{8}))
-                .orderBy(lambda({X}, -X))
-                .toArray();
-  checkGolden(Q, "golden_skip_take_orderby");
+  return Query::doubleArray(0)
+      .skip(E(std::int64_t{2}))
+      .take(E(std::int64_t{8}))
+      .orderBy(lambda({X}, -X))
+      .toArray();
 }
 
 // CSE on a repeated pure subexpression: (x*x) must be hoisted once.
-TEST(CodegenGoldenTest, CseHoistsRepeatedSubexpression) {
+Query cseHoist() {
   E X = param("x", Type::doubleTy());
-  Query Q = Query::doubleArray(0)
-                .select(lambda({X}, (X * X) + (X * X) * E(0.5)))
-                .sum();
-  checkGolden(Q, "golden_cse_hoist");
+  return Query::doubleArray(0)
+      .select(lambda({X}, (X * X) + (X * X) * E(0.5)))
+      .sum();
+}
+
+/// Drops the profile counters from a profiled TU: the prof_c_
+/// declaration, every bump and the flush through Captures.
+std::string withoutCounters(const std::string &Src) {
+  std::istringstream In(Src);
+  std::string Out;
+  for (std::string Line; std::getline(In, Line);)
+    if (Line.find("prof_c_") == std::string::npos &&
+        Line.find("Caps_->ProfCounts") == std::string::npos &&
+        Line.find("std::size_t pi_") == std::string::npos)
+      Out += Line + "\n";
+  return Out;
+}
+
+} // namespace
+
+TEST(CodegenGoldenTest, FusedFilterMapSum) {
+  checkGolden(filterMapSum(), "golden_filter_map_sum");
+}
+
+TEST(CodegenGoldenTest, Int64GuardedFilterMapSum) {
+  checkGolden(int64GuardedSum(), "golden_int64_guarded_sum");
+}
+
+TEST(CodegenGoldenTest, WhereKeepsBranchBeforeATrappingSelect) {
+  checkGolden(whereKeptBranch(), "golden_where_kept_branch");
+}
+
+TEST(CodegenGoldenTest, TakeWhileBreaks) {
+  checkGolden(takeWhileBreak(), "golden_take_while_break");
+}
+
+TEST(CodegenGoldenTest, NestedSelectManyRetPop) {
+  checkGolden(nestedRetPop(), "golden_nested_ret_pop");
+}
+
+TEST(CodegenGoldenTest, GroupByAggregateSum) {
+  checkGolden(groupByAggregate(), "golden_group_by_aggregate");
+}
+
+TEST(CodegenGoldenTest, SkipTakeOrderBy) {
+  checkGolden(skipTakeOrderBy(), "golden_skip_take_orderby");
+}
+
+TEST(CodegenGoldenTest, CseHoistsRepeatedSubexpression) {
+  checkGolden(cseHoist(), "golden_cse_hoist");
+}
+
+// Profiling compiles the same program: the profiled TU of every golden
+// shape, stripped of its counters, is the unprofiled TU. The shapes left
+// out exit early past an exhausted TakeWhile/Take, which a profiled plan
+// keeps as `continue` so that it counts every element in, as the batch
+// executor does. orderBy(x => x).toArray() adds the sink rules: the
+// ToArray reuses the sort buffer and the host adopts it.
+TEST(CodegenGoldenTest, ProfiledTuIsTheUnprofiledTuPlusCounters) {
+  E X = param("x", Type::doubleTy());
+  const std::pair<const char *, Query> Shapes[] = {
+      {"golden_filter_map_sum", filterMapSum()},
+      {"golden_int64_guarded_sum", int64GuardedSum()},
+      {"golden_where_kept_branch", whereKeptBranch()},
+      {"golden_nested_ret_pop", nestedRetPop()},
+      {"golden_group_by_aggregate", groupByAggregate()},
+      {"golden_cse_hoist", cseHoist()},
+      {"orderby_toarray",
+       Query::doubleArray(0).orderBy(lambda({X}, X)).toArray()},
+  };
+  for (const auto &[Name, Q] : Shapes) {
+    std::string Off = emit(Q, Name, /*Profile=*/false);
+    std::string On = emit(Q, Name, /*Profile=*/true);
+    EXPECT_NE(On, Off) << Name << ": the profiled TU counts nothing";
+    EXPECT_EQ(withoutCounters(On), Off)
+        << Name << ": the profiled TU is another program:\n"
+        << On;
+  }
 }

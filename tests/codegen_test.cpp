@@ -185,12 +185,20 @@ TEST(Codegen, ToArrayAfterOrderByReusesTheSortBuffer) {
   std::string Src = sourceFor(Q);
   EXPECT_EQ(countOccurrences(Src, "steno::rt::Buf<double>"), 1u) << Src;
   EXPECT_EQ(countOccurrences(Src, "push_back"), 1u) << Src;
-  // A profiled program keeps the copy, so ToArray counts its rows.
+  // A profiled program reuses the buffer too: the sort buffer's length
+  // is OrderBy's rows out and ToArray's rows in and out.
   codegen::GenOptions Profiled;
   Profiled.Profile = true;
   std::string ProfSrc = cpptree::printProgram(
       codegen::generate(quil::lower(Q), "test_query", Profiled));
-  EXPECT_EQ(countOccurrences(ProfSrc, "steno::rt::Buf<double>"), 2u)
+  EXPECT_EQ(countOccurrences(ProfSrc, "steno::rt::Buf<double>"), 1u)
+      << ProfSrc;
+  EXPECT_EQ(countOccurrences(ProfSrc, "push_back"), 1u) << ProfSrc;
+  EXPECT_EQ(countOccurrences(ProfSrc, "prof_c_[3] += sink"), 1u)
+      << ProfSrc;
+  EXPECT_EQ(countOccurrences(ProfSrc, "prof_c_[4] += sink"), 1u)
+      << ProfSrc;
+  EXPECT_EQ(countOccurrences(ProfSrc, "prof_c_[5] += sink"), 1u)
       << ProfSrc;
 }
 
@@ -221,13 +229,20 @@ TEST(Codegen, RetOverAScalarVecSinkHandsTheSinkOver) {
   EXPECT_EQ(countOccurrences(Src, "appendRow"), 0u) << Src;
   EXPECT_EQ(countOccurrences(Src, "for ("), 1u) << "only the fill loop";
   EXPECT_GT(Src.find("adoptColumn"), Src.find("sortByKey")) << Src;
-  // A profiled program keeps the loop, where Ret counts its rows.
+  // A profiled program hands the sink over as well: Ret counts the
+  // sink's length as its rows out, before the hand-over empties it.
   codegen::GenOptions Profiled;
   Profiled.Profile = true;
   std::string ProfSrc = cpptree::printProgram(
       codegen::generate(quil::lower(Q), "test_query", Profiled));
-  EXPECT_EQ(countOccurrences(ProfSrc, "adoptColumn"), 0u) << ProfSrc;
-  EXPECT_EQ(countOccurrences(ProfSrc, "appendRow"), 1u) << ProfSrc;
+  EXPECT_EQ(countOccurrences(ProfSrc, "steno::rt::adoptColumn(Out_, "), 1u)
+      << ProfSrc;
+  EXPECT_EQ(countOccurrences(ProfSrc, "appendRow"), 0u) << ProfSrc;
+  EXPECT_EQ(countOccurrences(ProfSrc, "for ("), 2u)
+      << "the fill loop and the profile flush" << ProfSrc;
+  std::size_t RetCount = ProfSrc.find("prof_c_[7] += sink");
+  ASSERT_NE(RetCount, std::string::npos) << ProfSrc;
+  EXPECT_LT(RetCount, ProfSrc.find("adoptColumn")) << ProfSrc;
   // A sink of pairs has no one column to hand over.
   std::string Groups = sourceFor(
       Query::doubleArray(0).groupBy(lambda({x()}, toInt64(x()))));

@@ -221,7 +221,8 @@ TEST(PrinterIncludes, ScalarQueryIncludesOnlyTheLeanCore) {
                        .sum();
   const Includes Lean = {"\"steno/Rt.h\"", "<cstdint>"};
   EXPECT_EQ(includesOf(Q), Lean);
-  EXPECT_EQ(includesOf(Q, /*Profile=*/true), Lean) << "ProfTimer is in Rt.h";
+  EXPECT_EQ(includesOf(Q, /*Profile=*/true), Lean)
+      << "profile counters are a local array";
   // rt::abs/min/max and int64 `%` are Rt.h's, not <cmath>'s.
   E I = param("i", Type::int64Ty());
   EXPECT_EQ(includesOf(query::Query::int64Array(0)

@@ -60,10 +60,8 @@ constexpr const char *RtSinksHeavyIncludes = ""
 #include "gtest/gtest.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <random>
-#include <thread>
 #include <vector>
 
 using namespace steno::rt;
@@ -448,38 +446,6 @@ TEST(RtOps, DoubleAbsClearsOnlyTheSignBit) {
   }
   EXPECT_FALSE(std::signbit(steno::rt::abs(-0.0)));
   static_assert(steno::rt::abs(-1.5) == 1.5);
-}
-
-//===--------------------------------------------------------------------===//
-// Profile timer
-//===--------------------------------------------------------------------===//
-
-TEST(RtProfTimer, ChargesSteadyClockNanosOnceAndAccumulates) {
-  using Clock = std::chrono::steady_clock;
-  std::uint64_t Slot = 5;
-  Clock::time_point Before = Clock::now();
-  ProfTimer T(&Slot);
-  std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  T.stop();
-  auto Outer = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                   Clock::now() - Before)
-                   .count();
-  EXPECT_GE(Slot, 5u + 2000000u);
-  EXPECT_LE(Slot, 5u + static_cast<std::uint64_t>(Outer));
-  std::uint64_t Charged = Slot;
-  T.stop(); // disarmed: a second stop, and the destructor, charge nothing
-  EXPECT_EQ(Slot, Charged);
-}
-
-TEST(RtProfTimer, DestructorChargesAnUnstoppedTimer) {
-  std::uint64_t Slot = 0;
-  {
-    ProfTimer T(&Slot);
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_GE(Slot, 1000000u);
-  ProfTimer Discard(nullptr); // a null slot discards
-  Discard.stop();
 }
 
 //===--------------------------------------------------------------------===//
