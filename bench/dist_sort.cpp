@@ -1,17 +1,19 @@
 //===- bench/dist_sort.cpp - Parallel OrderBy against one thread -*- C++ -*-===//
 //
-// §6 turns an OrderBy into a distributed sort: each partition sorts its
-// rows, and the Agg* stage (dryad::combineParallelPartials) sorts the
-// concatenated runs once more with the runtime's stable sort. This binary
-// times DistributedQuery::runParallel of xs.OrderBy(x => x) over 200,000
-// uniform doubles on a 4-worker pool against the same query compiled
-// natively and run on one thread, and checks that both return the same
-// rows.
+// §6 turns an OrderBy into a distributed sort: each partition runs the
+// homomorphic prefix and emits every row beside its OrderBy key, computed
+// natively in the vertex, and the Agg* stage (dryad::combineParallelPartials)
+// sorts the concatenated rows' numbers once by that key column and gathers
+// their typed columns, interpreting no key and building no Value. This
+// binary times DistributedQuery::runParallel of xs.OrderBy(x => x) over
+// 200,000 uniform doubles on a 4-worker pool against the same query
+// compiled natively and run on one thread, whose sort moves the doubles
+// themselves, and checks that both return the same rows.
 //
-// Gate (CI bench-smoke): exits 1 when parallel / one thread exceeds 5, or
-// when the rows differ. The Agg* stage
-// still evaluates the sort key through the expression interpreter, once
-// per row; the bound tightens toward 1 once that key is native.
+// Gate (CI bench-smoke): exits 1 when parallel / one thread exceeds 3, or
+// when the rows differ. At scale 0.5 on a 4-vCPU Xeon ten runs read
+// 1.99-2.36: the Agg* sort runs on one thread, over row numbers whose key
+// it reads from the key column in every radix pass.
 //
 //===----------------------------------------------------------------------===//
 
@@ -29,7 +31,7 @@ int main() {
   const std::int64_t N = scaled(200000);
   constexpr unsigned Workers = 4;
   constexpr int kRounds = 9;
-  constexpr double MaxRatio = 5.0;
+  constexpr double MaxRatio = 3.0;
   std::vector<double> Xs = uniformDoubles(N, 1);
   header("Distributed OrderBy: " + std::to_string(N) + " doubles, " +
          std::to_string(Workers) + " workers vs one thread");

@@ -2,6 +2,7 @@
 
 #include "analysis/AbsInt.h"
 #include "analysis/ChainWalk.h"
+#include "steno/Rt.h"
 #include "support/StringUtil.h"
 
 #include <algorithm>
@@ -357,14 +358,8 @@ struct Evaluator {
       AbsVal V = evalChild(N.operand(0), 0, Environment);
       if (N.type()->isDouble() && V.K == AbsVal::Kind::Int && V.I.isConst())
         return AbsVal::fromDouble(static_cast<double>(V.I.Lo));
-      if (N.type()->isInt64() && V.K == AbsVal::Kind::Dbl && V.HasD) {
-        // Only fold conversions that are in-range (out-of-range
-        // double->int64 is UB at run time; leave those unknown).
-        if (V.D >= -9.2233720368547758e18 && V.D < 9.2233720368547758e18 &&
-            !std::isnan(V.D))
-          return AbsVal::fromInt(static_cast<std::int64_t>(V.D));
-        return AbsVal::topFor(N.type());
-      }
+      if (N.type()->isInt64() && V.K == AbsVal::Kind::Dbl && V.HasD)
+        return AbsVal::fromInt(rt::toInt64(V.D));
       return AbsVal::topFor(N.type());
     }
     case ExprKind::Unary: {

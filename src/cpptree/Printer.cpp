@@ -412,7 +412,8 @@ private:
 
   void printSort(const Stmt &S) {
     // The key selector is inlined once, over the element A_; sortByKey
-    // evaluates it once per element.
+    // computes it in every radix pass over the elements it moves in place
+    // (RtSinks.h).
     const std::string &Param = S.KeyFn.param(0).Name;
     expr::CxxNames KeyNames = Names;
     KeyNames.Param = [&Param](const std::string &Name) {

@@ -219,9 +219,24 @@ DistributedQuery::run(ThreadPool &Pool,
 
 QueryResult
 dryad::combineParallelPartials(const ParallelPlan &Plan,
-                               const std::vector<QueryResult> &Partials) {
+                               const std::vector<QueryResult> &Partials,
+                               std::string *Error) {
   // Stage 2: Agg* — merge the partial results (in source order).
   assert(!Partials.empty() && "no partials to combine");
+  // Every merge below reads the partials' cells by the vertex's row type.
+  const expr::TypeRef &VertexRow = Plan.VertexChain.Result;
+  for (std::size_t P = 0; P != Partials.size(); ++P) {
+    const QueryResult &Part = Partials[P];
+    if (Part.numRows() == 0 || expr::sameType(Part.rowType(), VertexRow))
+      continue;
+    std::string Why = "partial " + std::to_string(P) + " has rows of type " +
+                      Part.rowType()->str() + ", not the vertex's " +
+                      VertexRow->str();
+    if (!Error)
+      support::fatalError(Why);
+    *Error = std::move(Why);
+    return QueryResult();
+  }
   // The combined rows are copied into the result's own columns, so it
   // outlives the partials.
   ResultBuilder Out(Plan.ScalarResult, Plan.ResultType);
@@ -245,25 +260,29 @@ dryad::combineParallelPartials(const ParallelPlan &Plan,
   }
 
   case CombineKind::MergeSorted: {
-    // The partitions' unsorted rows in source order, sorted by the
-    // OrderBy key: the scalar interpreter's OrderBy over the concatenated
-    // input, one key evaluation per row. rt::sortByKey is stable, so ties
-    // keep source order and the result is the sequential one.
-    rt::Buf<Value> Rows;
+    // Every vertex emitted pair(key, row), in source order. The rows'
+    // numbers are sorted, stably, by the key column's rt::orderKey images,
+    // so ties keep source order and the result is the sequential one, and
+    // the rows' cells are gathered column by column in that order: no key
+    // is interpreted and no Value is built.
+    ResultBuilder All(false, VertexRow);
     for (const QueryResult &Part : Partials)
-      for (const Value &V : Part.rows())
-        Rows.push_back(V);
-    expr::Env KeyEnv;
-    const std::string &KeyParam = Plan.SortKey.param(0).Name;
-    rt::sortByKey(Rows, [&](const Value &V) {
-      KeyEnv.bind(KeyParam, V);
-      std::uint64_t Key =
-          expr::orderKeyOf(expr::evalExpr(*Plan.SortKey.body(), KeyEnv));
-      KeyEnv.pop();
-      return Key;
-    });
-    for (std::int64_t I = 0; I != Rows.size(); ++I)
-      Out.add(Rows[I]);
+      All.append(Part);
+    QueryResult Keyed = All.finish();
+    rt::Buf<std::int64_t> Rows(Keyed.numRows());
+    for (std::int64_t R = 0; R != Rows.size(); ++R)
+      Rows[R] = R;
+    auto sortRows = [&Rows](auto Keys) {
+      rt::sortByKey(Rows, [Keys](const std::int64_t &R) {
+        return rt::orderKey(Keys[static_cast<std::size_t>(R)]);
+      });
+    };
+    if (VertexRow->first()->isInt64())
+      sortRows(Keyed.int64Column(0));
+    else
+      sortRows(Keyed.doubleColumn(0));
+    Out.appendRows(Keyed, 1,
+                   {Rows.data(), static_cast<std::size_t>(Rows.size())});
     return Out.finish();
   }
 

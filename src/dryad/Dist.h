@@ -66,14 +66,19 @@ Bindings bindingRange(const Bindings &B, unsigned Slot, std::size_t Begin,
 /// with the combiner; MergeByKey left-folds each key's partials (position
 /// by position when every partial lists the same keys, as dense sinks
 /// do, else through rt::GroupAggSink), keys in first-appearance order;
-/// MergeSorted sorts the concatenated rows with rt::sortByKey, the stable
-/// sort every backend's OrderBy uses. Each merge runs in source order,
-/// so the result is the sequential one. Shared by DistributedQuery
-/// (whose partials come from in-process vertices) and the shard router
-/// (steno::shard, whose partials arrive over the serve wire protocol
-/// from other processes).
+/// MergeSorted radix-sorts the concatenated rows by the key column the
+/// vertices emitted beside them, stably, and gathers them column by
+/// column. Each merge runs in source order, so the result is the
+/// sequential one. Shared by DistributedQuery (whose partials come from
+/// in-process vertices) and the shard router (steno::shard, whose
+/// partials arrive over the serve wire protocol from other processes).
+/// A non-empty partial whose rows are not of the vertex's result type (a
+/// worker that planned the vertex otherwise sent it) is not combined: its
+/// description goes to \p Error and the result is empty, or, with no
+/// \p Error, it is a fatal error.
 QueryResult combineParallelPartials(const ParallelPlan &Plan,
-                                    const std::vector<QueryResult> &Partials);
+                                    const std::vector<QueryResult> &Partials,
+                                    std::string *Error = nullptr);
 
 /// A query compiled for partition-parallel execution. Reusable across
 /// invocations with different partition bindings (so the one-off JIT cost

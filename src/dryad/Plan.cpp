@@ -33,6 +33,14 @@ bool isHomomorphic(const Op &O) {
   }
 }
 
+/// True when \p C's operators from \p I on are ToArrays and then Ret.
+bool onlyToArraysBeforeRet(const Chain &C, size_t I) {
+  for (; I + 1 < C.Ops.size(); ++I)
+    if (C.Ops[I].S != Sym::Sink || C.Ops[I].K != SinkOp::ToArray)
+      return false;
+  return I + 1 == C.Ops.size() && C.Ops[I].S == Sym::Ret;
+}
+
 std::optional<ParallelPlan> fail(std::string *WhyNot, const char *Reason) {
   if (WhyNot)
     *WhyNot = Reason;
@@ -145,19 +153,33 @@ std::optional<ParallelPlan> dryad::planParallel(const Chain &C,
   }
 
   if (Next.S == Sym::Sink && Next.K == SinkOp::OrderBy &&
-      I + 2 == C.Ops.size()) {
+      onlyToArraysBeforeRet(C, I + 1)) {
     // §6: "it transforms a OrderBy Sink operator into a distributed
-    // sort". Each partition runs the homomorphic prefix; the Agg* stage
-    // concatenates the partitions' rows in source order and sorts them
-    // once, stably, so ties keep source order. A per-partition sort
-    // would only be sorted again.
-    Vertex.Ops.push_back(C.Ops[I + 1]);
-    Vertex.Result = C.Result;
+    // sort". Each partition runs the homomorphic prefix and emits every
+    // row beside its key, computed there, natively and in parallel; the
+    // Agg* stage concatenates the partitions' rows in source order and
+    // sorts them once, stably, by the key column, so ties keep source
+    // order. A per-partition sort would only be sorted again, and a
+    // ToArray of the sorted rows changes nothing.
+    const expr::LambdaParam &Elem = Next.Fn.param(0);
+    Op Keyed;
+    Keyed.S = Sym::Trans;
+    Keyed.InElem = Next.InElem;
+    Keyed.OutElem = Type::pairTy(Next.Fn.resultType(), Next.InElem);
+    Keyed.Fn = expr::Lambda(
+        {Elem}, expr::Expr::pairNew(Next.Fn.body(),
+                                    expr::Expr::param(Elem.Name, Elem.Ty)));
+    Vertex.Ops.push_back(Keyed);
+    Op Ret;
+    Ret.S = Sym::Ret;
+    Ret.InElem = Keyed.OutElem;
+    Ret.OutElem = Keyed.OutElem;
+    Vertex.Ops.push_back(Ret);
+    Vertex.Result = Keyed.OutElem;
     Vertex.Scalar = false;
     ParallelPlan Plan;
     Plan.VertexChain = std::move(Vertex);
     Plan.Kind = CombineKind::MergeSorted;
-    Plan.SortKey = Next.Fn;
     Plan.ResultType = C.Result;
     Plan.ScalarResult = false;
     return Plan;

@@ -29,10 +29,11 @@ enum class CombineKind {
   MergeByKey, ///< GroupByAggregate: merge per-key partials with the
               ///< combiner.
   MergeSorted ///< OrderBy: each partition runs the homomorphic prefix
-              ///< unsorted; the combine stage sorts the concatenated
-              ///< rows with the stable rt::sortByKey (the parallel-sort
-              ///< transformation §6 attributes to DryadLINQ, with one
-              ///< final sort in place of its range-partitioning).
+              ///< unsorted and emits pair(key, row); the combine stage
+              ///< radix-sorts the concatenated rows by the key column,
+              ///< stably (the parallel-sort transformation §6 attributes
+              ///< to DryadLINQ, with one final sort in place of its
+              ///< range-partitioning).
 };
 
 /// A parallel execution plan for one query.
@@ -45,8 +46,6 @@ struct ParallelPlan {
   /// Result selector applied after combining: (acc) -> R for Fold,
   /// (key, acc) -> R for MergeByKey. Invalid when the identity.
   expr::Lambda FinalResult;
-  /// MergeSorted: the OrderBy key selector (elem) -> numeric.
-  expr::Lambda SortKey;
   /// Result type of the whole (combined) query.
   expr::TypeRef ResultType;
   bool ScalarResult = false;
@@ -54,8 +53,9 @@ struct ParallelPlan {
 
 /// Builds a plan for \p Chain, or returns std::nullopt with \p WhyNot set
 /// when the chain contains a non-homomorphic operator this planner cannot
-/// split (stateful predicates, ordering sinks, aggregates without a
-/// combiner). Such queries still run sequentially.
+/// split (stateful predicates, GroupBy, operators after a sink other than
+/// an OrderBy's ToArrays, aggregates without a combiner). Such queries
+/// still run sequentially.
 std::optional<ParallelPlan> planParallel(const quil::Chain &Chain,
                                          std::string *WhyNot = nullptr);
 

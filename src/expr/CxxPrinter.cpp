@@ -90,6 +90,8 @@ std::string print(const Expr &E, const CxxNames &Names) {
     assert(Names.Capture && "no capture name resolver installed");
     return Names.Capture(E.captureSlot(), *E.type());
   case ExprKind::Convert:
+    if (E.type()->isInt64()) // of a double: the factory drops a no-op
+      return "steno::rt::toInt64(" + print(*E.operand(0), Names) + ")";
     return "static_cast<" + E.type()->cxxName() + ">(" +
            print(*E.operand(0), Names) + ")";
   case ExprKind::Unary:

@@ -41,7 +41,7 @@ Value evalConvert(const Expr &E, const Value &In) {
   assert(E.type()->isInt64() && "convert target must be numeric");
   if (In.isInt64())
     return In;
-  return Value(static_cast<std::int64_t>(In.asDouble()));
+  return Value(rt::toInt64(In.asDouble()));
 }
 
 /// Applies \p Fn to numeric operands at their common kind: int64 when

@@ -407,7 +407,14 @@ serve::Response ShardRouter::execute(const RoutedHandle &H,
     Rsp.NativePlan = Rsp.NativePlan && P.NativePlan;
     Rsp.Degraded = Rsp.Degraded || P.Degraded;
   }
-  Rsp.Result = dryad::combineParallelPartials(H->Plan, Partials);
+  std::string Mismatch;
+  Rsp.Result = dryad::combineParallelPartials(H->Plan, Partials, &Mismatch);
+  if (!Mismatch.empty()) {
+    Rsp.St = Status::Error;
+    Rsp.Message = Mismatch;
+    NErrors.fetch_add(1, std::memory_order_relaxed);
+    return Rsp;
+  }
   Rsp.St = Status::Ok;
   Rsp.RunMicros = RunTimer.seconds() * 1e6;
   NOk.fetch_add(1, std::memory_order_relaxed);

@@ -163,6 +163,53 @@ void appendColumns(const Type &Ty, std::vector<rt::Column> &To,
   }
 }
 
+/// Appends cells \p Order of the columns of cells of type \p Ty from
+/// column \p C + \p Shift of \p From on to \p To's columns from \p C
+/// on, advancing \p C past them: a vec's payload is copied row by row,
+/// and its end offsets count the payload \p To already holds.
+void gatherColumns(const Type &Ty, std::vector<rt::Column> &To,
+                   const std::vector<rt::Column> &From, std::size_t Shift,
+                   std::span<const std::int64_t> Order, std::size_t &C) {
+  const std::int64_t N = static_cast<std::int64_t>(Order.size());
+  switch (Ty.kind()) {
+  case TypeKind::Pair:
+    gatherColumns(*Ty.first(), To, From, Shift, Order, C);
+    return gatherColumns(*Ty.second(), To, From, Shift, Order, C);
+  case TypeKind::Vec: {
+    rt::Column &Ends = To[C];
+    rt::Column &Payload = To[C + 1];
+    const std::int64_t *FromEnds = int64s(From[C + Shift]);
+    const double *FromPayload = doubles(From[C + Shift + 1]);
+    if (Ends.Len + N > Ends.Cap)
+      growColumn(&Ends, Ends.Len + N);
+    for (std::int64_t Row : Order) {
+      std::int64_t Begin = Row ? FromEnds[Row - 1] : 0;
+      std::int64_t Len = FromEnds[Row] - Begin;
+      if (Payload.Len + Len > Payload.Cap)
+        growColumn(&Payload, Payload.Len + Len);
+      if (Len)
+        std::memcpy(static_cast<double *>(Payload.Data) + Payload.Len,
+                    FromPayload + Begin, static_cast<std::size_t>(Len) * 8);
+      Payload.Len += Len;
+      static_cast<std::int64_t *>(Ends.Data)[Ends.Len++] = Payload.Len;
+    }
+    C += 2;
+    return;
+  }
+  default: {
+    rt::Column &Col = To[C];
+    const std::int64_t *Cells = int64s(From[C + Shift]);
+    if (Col.Len + N > Col.Cap)
+      growColumn(&Col, Col.Len + N);
+    std::int64_t *Dst = static_cast<std::int64_t *>(Col.Data) + Col.Len;
+    for (std::int64_t I = 0; I != N; ++I)
+      Dst[I] = Cells[Order[I]];
+    Col.Len += N;
+    ++C;
+  }
+  }
+}
+
 } // namespace
 
 //===----------------------------------------------------------------===//
@@ -252,6 +299,16 @@ void ResultBuilder::append(const QueryResult &Part) {
   assert(expr::sameType(S->RowType, Part.rowType()) && "another row type");
   std::size_t C = 0;
   appendColumns(*S->RowType, S->Cols, Part.S->Cols, C);
+}
+
+void ResultBuilder::appendRows(const QueryResult &From,
+                               std::size_t FirstColumn,
+                               std::span<const std::int64_t> Order) {
+  assert(S->RowType && "gathering rows of an unknown type");
+  if (Order.empty())
+    return;
+  std::size_t C = 0;
+  gatherColumns(*S->RowType, S->Cols, From.S->Cols, FirstColumn, Order, C);
 }
 
 QueryResult ResultBuilder::finish() { return QueryResult(std::move(S)); }

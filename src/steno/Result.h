@@ -93,6 +93,13 @@ public:
   /// this builder's, or \p Part empty.
   void append(const QueryResult &Part);
 
+  /// Appends rows \p Order of \p From, in that order, column by column.
+  /// A row's cells are \p From's from column \p FirstColumn on, which
+  /// must be cells of this builder's row type (the second half of a pair
+  /// whose first half's cells fill the columns before, say).
+  void appendRows(const QueryResult &From, std::size_t FirstColumn,
+                  std::span<const std::int64_t> Order);
+
   /// The result of the rows added so far; the builder is spent.
   QueryResult finish();
 

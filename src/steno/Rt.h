@@ -16,12 +16,13 @@
 /// It is also the one runtime of every backend. The scalar operators whose
 /// C++ meaning is not already the definition (wrapping int64 `+`, `-`, `*`
 /// and negation, checked int64 `/` and `%`, `min`, `max`, `abs`, the
-/// guarded sum's `addIf`), OrderBy's key order (`orderKey`) and the trap
-/// that reports every run-time error are defined here once; the
-/// interpreters, the batch kernels and the reference executor call these
-/// same definitions (through expr/Ops.h for the operators), so every
-/// backend computes the same value and fails the same way. The sinks and
-/// the sort, defined once for every backend too, are in steno/RtSinks.h.
+/// double-to-int64 `toInt64`, the guarded sum's `addIf`), OrderBy's key
+/// order (`orderKey`) and the trap that reports every run-time error are
+/// defined here once; the interpreters, the batch kernels and the
+/// reference executor call these same definitions (through expr/Ops.h for
+/// the operators), so every backend computes the same value and fails the
+/// same way. The sinks and the sort, defined once for every backend too,
+/// are in steno/RtSinks.h.
 ///
 /// Profiling needs nothing here beyond Captures::ProfCounts: a profiled TU
 /// is the unprofiled loop plus row counters in a local array, flushed
@@ -134,6 +135,26 @@ constexpr std::int64_t abs(std::int64_t X) { return X < 0 ? neg(X) : X; }
 constexpr double abs(double X) {
   return std::bit_cast<double>(std::bit_cast<std::uint64_t>(X) &
                                ~std::bit_cast<std::uint64_t>(-0.0));
+}
+
+/// `toInt64` of a double truncates toward zero. Where C++'s conversion is
+/// undefined (NaN, +-inf, and values outside [-2^63, 2^63)) the result is
+/// INT64_MIN, the value x86-64's cvttsd2si returns. On x86-64 a value known
+/// only at run time takes that one instruction, as the static_cast does; a
+/// branch that saturated instead would cost a tight loop ~45%. g++ folds
+/// the instruction on a constant operand by C's rule (NaN to 0, 1e300 to
+/// INT64_MAX), so a value the optimizer knows, a literal or a constant it
+/// propagated into the call, takes the range-checked form, which folds to
+/// the same value the instruction computes at run time.
+inline std::int64_t toInt64(double X) {
+#if defined(__x86_64__) && defined(__GNUC__)
+  if (!__builtin_constant_p(X)) {
+    typedef double V2D __attribute__((vector_size(16)));
+    return __builtin_ia32_cvttsd2si64(V2D{X, 0.0});
+  }
+#endif
+  return X >= -0x1p63 && X < 0x1p63 ? static_cast<std::int64_t>(X)
+                                    : INT64_MIN;
 }
 
 /// `Acc + G` when \p Keep holds, else `Acc`, without a branch: the update

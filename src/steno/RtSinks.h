@@ -361,32 +361,33 @@ private:
 // Sort
 //===------------------------------------------------------------------===//
 
-/// One element of a sort: its order key (rt::orderKey) and its position in
-/// the input.
-struct SortItem {
-  std::uint64_t Key;
-  std::int64_t Index;
-};
-
-/// Sorts \p Items by Key, stably: items with equal keys keep their order.
-/// An LSD radix sort over the key's eight bytes, least significant first;
-/// a byte that is the same in every key is skipped, so keys that differ
-/// only in their low bytes (small integers) take only that many passes.
-inline void radixSort(Buf<SortItem> &Items) {
-  const std::int64_t N = Items.size();
+/// Sorts \p Elems stably by \p KeyOf, which maps an element to a uint64,
+/// moving the elements themselves: an LSD radix sort over the key's eight
+/// bytes, least significant first. One pass counts every byte of every
+/// key; then each byte that varies takes one stable scatter pass between
+/// \p Elems and one scratch buffer of N elements, and a byte that is the
+/// same in every key is skipped, so keys that differ only in their low
+/// bytes (small integers) take only that many passes. The sorted elements
+/// stay in the buffer the last pass wrote, so none is copied back. KeyOf
+/// runs once per element in every pass.
+template <typename T, typename KeyFn>
+void radixSortInPlace(Buf<T> &Elems, KeyFn KeyOf) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  const std::int64_t N = Elems.size();
   if (N < 2)
     return;
   std::int64_t Counts[8][256] = {};
   for (std::int64_t I = 0; I != N; ++I) {
-    std::uint64_t K = Items[I].Key;
+    std::uint64_t K = KeyOf(static_cast<const T &>(Elems[I]));
     for (int D = 0; D != 8; ++D)
       ++Counts[D][(K >> (8 * D)) & 0xff];
   }
-  Buf<SortItem> Tmp(N);
+  const std::uint64_t First = KeyOf(static_cast<const T &>(Elems[0]));
+  Buf<T> Tmp(N);
   for (int D = 0; D != 8; ++D) {
     const unsigned Shift = 8 * static_cast<unsigned>(D);
     std::int64_t *Next = Counts[D];
-    if (Next[(Items[0].Key >> Shift) & 0xff] == N)
+    if (Next[(First >> Shift) & 0xff] == N)
       continue;
     std::int64_t Sum = 0;
     for (int B = 0; B != 256; ++B) {
@@ -394,30 +395,52 @@ inline void radixSort(Buf<SortItem> &Items) {
       Next[B] = Sum;
       Sum += Count;
     }
-    const SortItem *Src = Items.data();
-    SortItem *Dst = Tmp.data();
+    const T *Src = Elems.data();
+    T *Dst = Tmp.data();
     for (std::int64_t I = 0; I != N; ++I)
-      Dst[Next[(Src[I].Key >> Shift) & 0xff]++] = Src[I];
-    Items.swap(Tmp);
+      Dst[Next[(KeyOf(Src[I]) >> Shift) & 0xff]++] = Src[I];
+    Elems.swap(Tmp);
   }
 }
 
+/// One element of a decorated sort: its order key (rt::orderKey) and its
+/// position in the input.
+struct SortItem {
+  std::uint64_t Key;
+  std::int64_t Index;
+};
+
+/// Whether sortByKey moves elements of type \p T themselves: trivially
+/// copyable ones of at most 16 bytes, which covers every element generated
+/// code sorts (a scalar, a vec view, a pair of scalars).
+template <typename T>
+inline constexpr bool SortsInPlace =
+    std::is_trivially_copyable_v<T> && sizeof(T) <= 16;
+
 /// Sorts \p Elems stably by \p KeyOf, which maps an element to its order
-/// key (rt::orderKey of the OrderBy key): each element is decorated with
-/// its key and position, the decorations are radix-sorted, and the
-/// elements are gathered in sorted order. KeyOf runs once per element.
+/// key (rt::orderKey of the OrderBy key). An element that SortsInPlace is
+/// moved by radixSortInPlace, its key computed once per pass, with no
+/// decoration and no final copy. Any other element (the interpreter's
+/// Values, a wider pair) is decorated with its key and position (a
+/// SortItem), the decorations are radix-sorted, and the elements are
+/// gathered in sorted order, so KeyOf runs once per element. Both give
+/// the same order.
 template <typename T, typename KeyFn>
 void sortByKey(Buf<T> &Elems, KeyFn KeyOf) {
-  const std::int64_t N = Elems.size();
-  Buf<SortItem> Items(N);
-  for (std::int64_t I = 0; I != N; ++I)
-    Items[I] = SortItem{KeyOf(static_cast<const T &>(Elems[I])), I};
-  radixSort(Items);
-  Buf<T> Sorted;
-  Sorted.reserve(N);
-  for (std::int64_t I = 0; I != N; ++I)
-    Sorted.push_back(static_cast<T &&>(Elems[Items[I].Index]));
-  Elems.swap(Sorted);
+  if constexpr (SortsInPlace<T>) {
+    radixSortInPlace(Elems, KeyOf);
+  } else {
+    const std::int64_t N = Elems.size();
+    Buf<SortItem> Items(N);
+    for (std::int64_t I = 0; I != N; ++I)
+      Items[I] = SortItem{KeyOf(static_cast<const T &>(Elems[I])), I};
+    radixSortInPlace(Items, [](const SortItem &S) { return S.Key; });
+    Buf<T> Sorted;
+    Sorted.reserve(N);
+    for (std::int64_t I = 0; I != N; ++I)
+      Sorted.push_back(static_cast<T &&>(Elems[Items[I].Index]));
+    Elems.swap(Sorted);
+  }
 }
 
 } // namespace rt

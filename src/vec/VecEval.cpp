@@ -264,8 +264,7 @@ Col evalConvertVec(const VecExpr &N, const EvalCtx &Ctx, const Lanes &L) {
   assert(N.E->type()->isInt64() && "convert target must be numeric");
   std::int64_t *O = Ctx.Scr->col().i64(Bn);
   if (In.K == TypeKind::Double)
-    L.forEach(
-        [&](std::int64_t I) { O[I] = static_cast<std::int64_t>(In.D[I]); });
+    L.forEach([&](std::int64_t I) { O[I] = rt::toInt64(In.D[I]); });
   else
     L.forEach([&](std::int64_t I) { O[I] = In.I[I]; });
   return Col::i64(O);

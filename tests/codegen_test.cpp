@@ -297,7 +297,8 @@ TEST(Codegen, DenseSinkUsesArrayAndNoSeedArgument) {
   EXPECT_EQ(Src.find("GroupAggSink<"), std::string::npos)
       << "dense query must not declare the hash sink";
   // The per-element update takes only the key (slots pre-seeded at α).
-  EXPECT_NE(Src.find(".slot(static_cast"), std::string::npos) << Src;
+  EXPECT_NE(Src.find(".slot(steno::rt::toInt64("), std::string::npos)
+      << Src;
 }
 
 TEST(Codegen, EarlyExitAggregateBreaksInSingleLoop) {

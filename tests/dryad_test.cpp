@@ -226,7 +226,26 @@ TEST(DryadPlan, TrailingOrderByIsMergeSorted) {
   auto Plan = planParallel(quil::lower(Q));
   ASSERT_TRUE(Plan.has_value());
   EXPECT_EQ(Plan->Kind, CombineKind::MergeSorted);
-  EXPECT_TRUE(Plan->SortKey.valid());
+  // The vertex emits each row beside its key, for Agg* to sort by.
+  EXPECT_TRUE(sameType(Plan->VertexChain.Result,
+                       Type::pairTy(Type::doubleTy(), Type::doubleTy())));
+}
+
+TEST(DryadPlan, OrderByThenToArrayIsMergeSorted) {
+  // A ToArray of sorted rows changes nothing, so the shape splits like a
+  // trailing OrderBy, its key (an int64 here) beside every row.
+  Query Q = Query::doubleArray(0)
+                .orderBy(lambda({x()}, toInt64(x())))
+                .toArray()
+                .toArray();
+  auto Plan = planParallel(quil::lower(Q));
+  ASSERT_TRUE(Plan.has_value());
+  EXPECT_EQ(Plan->Kind, CombineKind::MergeSorted);
+  EXPECT_EQ(Plan->VertexChain.symbols(), "Src Trans Ret");
+  EXPECT_TRUE(sameType(Plan->VertexChain.Result,
+                       Type::pairTy(Type::int64Ty(), Type::doubleTy())));
+  EXPECT_TRUE(sameType(Plan->ResultType, Type::doubleTy()));
+  EXPECT_FALSE(quil::validate(Plan->VertexChain).has_value());
 }
 
 TEST(DryadPlan, OrderByVertexHoldsNoSink) {
@@ -265,10 +284,85 @@ TEST(DryadDist, DistributedSortMatchesSequential) {
         << "row " << I;
 }
 
+TEST(DryadDist, MistypedPartialIsAnErrorNotCombined) {
+  // A MergeSorted vertex emits pair(key, row); a partial of bare rows (a
+  // worker that planned the vertex otherwise sent it) is reported, not
+  // read by the keyed row type. An empty partial has no type to check.
+  Query Q = Query::doubleArray(0).orderBy(lambda({x()}, -x()));
+  auto Plan = planParallel(quil::lower(Q));
+  ASSERT_TRUE(Plan.has_value());
+  ResultBuilder Keyed(false, Plan->VertexChain.Result);
+  Keyed.add(Value::makePair(Value(-1.0), Value(1.0)));
+  Keyed.add(Value::makePair(Value(-3.0), Value(3.0)));
+  ResultBuilder Bare(false, Type::doubleTy());
+  Bare.add(Value(2.0));
+  const std::vector<QueryResult> Partials = {Keyed.finish(), QueryResult(),
+                                             Bare.finish()};
+  std::string Error;
+  QueryResult Got = combineParallelPartials(*Plan, Partials, &Error);
+  EXPECT_NE(Error.find("partial 2 has rows of type double"),
+            std::string::npos)
+      << Error;
+  EXPECT_EQ(Got.numRows(), 0);
+  // The well-typed partials alone combine, sorted by the key column.
+  Error.clear();
+  QueryResult Ok = combineParallelPartials(
+      *Plan, {Partials[0], Partials[1]}, &Error);
+  EXPECT_EQ(Error, "");
+  ASSERT_EQ(Ok.numRows(), 2);
+  EXPECT_EQ(Ok.rows()[0].asDouble(), 3.0);
+  EXPECT_EQ(Ok.rows()[1].asDouble(), 1.0);
+}
+
+TEST(DryadDist, DistributedSortGathersVecAndPairRows) {
+  // Agg* gathers whole rows column by column in the key column's order: a
+  // vec row's payload, and a pair holding a vec. The bucketed keys tie
+  // often, so the order of ties is checked too.
+  const std::int64_t Dim = 3, Count = 150;
+  std::vector<double> Flat = testutil::randomDoubles(Count * Dim, 15);
+  Bindings B;
+  B.bindPointArray(0, Flat.data(), Count, Dim);
+  auto P = param("p", Type::vecTy());
+  auto KP = param("q", Type::pairTy(Type::int64Ty(), Type::vecTy()));
+  const std::vector<std::pair<const char *, Query>> Queries = {
+      {"vec", Query::pointArray(0).orderBy(
+                  lambda({P}, toInt64(P[E(std::int64_t{0})] / E(20.0))))},
+      {"pair", Query::pointArray(0)
+                   .select(lambda(
+                       {P}, pair(toInt64(P[E(std::int64_t{1})] / E(30.0)), P)))
+                   .orderBy(lambda({KP}, -KP.first()))
+                   .toArray()},
+  };
+  ThreadPool Pool(4);
+  for (const auto &[Name, Q] : Queries) {
+    QueryResult Ref = runReference(Q, B);
+    for (Backend Exec : {Backend::Interp, Backend::Native}) {
+      DistOptions Options;
+      Options.Exec = Exec;
+      Options.Name = std::string("psort_") + Name;
+      Options.Morsels.MinMorsel = 1;
+      Options.Morsels.MaxMorsel = 8;
+      Options.Morsels.InlineBelow = 0;
+      DistributedQuery DQ = DistributedQuery::compile(Q, Options);
+      ASSERT_TRUE(DQ.parallel()) << Name << ": " << DQ.whyNotParallel();
+      QueryResult Got = DQ.runParallel(Pool, B);
+      ASSERT_EQ(Got.rows().size(), Ref.rows().size()) << Name;
+      for (size_t I = 0; I != Ref.rows().size(); ++I)
+        EXPECT_TRUE(testutil::valueNear(Got.rows()[I], Ref.rows()[I]))
+            << Name << (Exec == Backend::Native ? " native" : " interp")
+            << " row " << I << ": got " << testutil::valueStr(Got.rows()[I])
+            << ", want " << testutil::valueStr(Ref.rows()[I]);
+    }
+  }
+}
+
 TEST(DryadPlan, RejectsOperatorsAfterSort) {
-  // OrderBy is only parallelizable as the final operator (the merge is
-  // the last stage); anything downstream of it needs repartitioning.
-  Query Q = Query::doubleArray(0).orderBy(lambda({x()}, x())).toArray();
+  // OrderBy is only parallelizable as the final operator, ToArrays aside
+  // (the merge is the last stage); any other operator downstream of it
+  // needs repartitioning.
+  Query Q = Query::doubleArray(0)
+                .orderBy(lambda({x()}, x()))
+                .select(lambda({x()}, x() * 2.0));
   std::string Why;
   auto Plan = planParallel(quil::lower(Q), &Why);
   EXPECT_FALSE(Plan.has_value());

@@ -547,9 +547,10 @@ namespace {
 /// Sorts an edge table with the OrderBy query \p Q, and with Q followed by
 /// a ToArray, and checks the rows, bit for bit, on the reference and on
 /// both backends with Vectorize on and off. Then sorts the table repeated
-/// Copies times through DistributedQuery::runParallel over small morsels,
-/// so several sorted runs meet in the Agg* sort, against the reference
-/// over the same input.
+/// Copies times, Q and Q.toArray() alike, through DistributedQuery::
+/// runParallel over morsels of one or two elements, so many runs meet in
+/// the Agg* sort, against the reference and one native thread over the
+/// same input.
 template <typename T>
 void expectSortedRows(const char *Name, const Query &Q,
                       const std::vector<T> &In, const std::vector<T> &Want) {
@@ -591,20 +592,31 @@ void expectSortedRows(const char *Name, const Query &Q,
     Many.insert(Many.end(), In.begin(), In.end());
   Bindings ManyB = bind(Many);
   std::vector<Value> RefRows = runReference(Q, ManyB).rows();
+  CompileOptions OneThread;
+  OneThread.Name = std::string("e2e_sort1_") + Name;
+  QueryResult Native = compileQuery(Q, OneThread).run(ManyB);
+  Check(Native, RefRows, "one native thread");
   dryad::ThreadPool Pool(4);
-  for (Backend Exec : {Backend::Interp, Backend::Native}) {
-    dryad::DistOptions O;
-    O.Exec = Exec;
-    O.Name = std::string("e2e_psort_") + Name;
-    O.Morsels.MinMorsel = 8;
-    O.Morsels.MaxMorsel = 16;
-    O.Morsels.InlineBelow = 0;
-    dryad::DistributedQuery DQ = dryad::DistributedQuery::compile(Q, O);
-    ASSERT_TRUE(DQ.parallel()) << DQ.whyNotParallel();
-    Check(DQ.runParallel(Pool, ManyB), RefRows,
+  for (bool ToArray : {false, true})
+    for (Backend Exec : {Backend::Interp, Backend::Native}) {
+      const Query Sorted = ToArray ? Q.toArray() : Q;
+      dryad::DistOptions O;
+      O.Exec = Exec;
+      O.Name = std::string("e2e_psort_") + Name;
+      O.Morsels.MinMorsel = 1;
+      O.Morsels.MaxMorsel = 2;
+      O.Morsels.InlineBelow = 0;
+      dryad::DistributedQuery DQ =
+          dryad::DistributedQuery::compile(Sorted, O);
+      ASSERT_TRUE(DQ.parallel()) << DQ.whyNotParallel();
+      std::string Where =
           std::string("runParallel ") +
-              (Exec == Backend::Native ? "native" : "interp"));
-  }
+          (Exec == Backend::Native ? "native" : "interp") +
+          (ToArray ? " toArray" : "");
+      QueryResult Got = DQ.runParallel(Pool, ManyB);
+      Check(Got, RefRows, Where);
+      Check(Got, Native.rows(), Where + " against one native thread");
+    }
 }
 
 } // namespace
@@ -642,6 +654,96 @@ TEST(E2ESortKeyOrder, DoubleKeysTieZerosAndSortNaNLast) {
       "f64_negated", Query::doubleArray(0).orderBy(lambda({X}, -X)),
       {2.0, NaN, -0.0, 1.0, 0.0},
       {2.0, 1.0, -0.0, 0.0, NaN});
+}
+
+//===--------------------------------------------------------------------===//
+// double -> int64 (rt::toInt64), on every backend
+//===--------------------------------------------------------------------===//
+
+TEST(E2EToInt64, TruncatesAndGivesInt64MinWhereCxxIsUndefined) {
+  // Truncation toward zero, and INT64_MIN for NaN, +-inf and values
+  // outside [-2^63, 2^63): on the reference, both backends with Vectorize
+  // on and off, and runParallel over morsels of one or two elements.
+  auto X = param("x", Type::doubleTy());
+  const std::int64_t Min64 = std::numeric_limits<std::int64_t>::min();
+  const std::int64_t Max64 = std::numeric_limits<std::int64_t>::max();
+  const std::vector<double> In = {NaN,    Inf,   -Inf,         0x1p63,
+                                  -0x1p63, 0x1p63 - 1024, 1e300, -1e300,
+                                  -0.0,   2.9,   -2.9};
+  const std::vector<std::int64_t> Want = {
+      Min64, Min64, Min64, Min64, Min64, Max64 - 1023,
+      Min64, Min64, 0,     2,     -2};
+  Query Q = Query::doubleArray(0).select(lambda({X}, toInt64(X)));
+  Bindings B;
+  B.bindDoubleArray(0, In.data(), static_cast<std::int64_t>(In.size()));
+  auto Check = [&](const QueryResult &Got, const std::string &Where) {
+    ASSERT_EQ(Got.rows().size(), Want.size()) << Where;
+    for (std::size_t I = 0; I != Want.size(); ++I)
+      EXPECT_EQ(Got.rows()[I], Value(Want[I]))
+          << Where << ": toInt64(" << In[I] << ") is "
+          << valueStr(Got.rows()[I]);
+  };
+  Check(runReference(Q, B), "reference");
+  for (Backend Exec : {Backend::Interp, Backend::Native}) {
+    const char *Name = Exec == Backend::Native ? "native" : "interp";
+    for (bool Vectorize : {false, true}) {
+      CompileOptions O;
+      O.Exec = Exec;
+      O.Vectorize = Vectorize;
+      O.Name = "e2e_toint64";
+      Check(compileQuery(Q, O).run(B),
+            std::string(Name) + (Vectorize ? " vectorized" : " scalar"));
+    }
+    dryad::DistOptions O;
+    O.Exec = Exec;
+    O.Name = "e2e_ptoint64";
+    O.Morsels.MinMorsel = 1;
+    O.Morsels.MaxMorsel = 2;
+    O.Morsels.InlineBelow = 0;
+    dryad::DistributedQuery DQ = dryad::DistributedQuery::compile(Q, O);
+    ASSERT_TRUE(DQ.parallel()) << DQ.whyNotParallel();
+    dryad::ThreadPool Pool(4);
+    Check(DQ.runParallel(Pool, B), std::string("runParallel ") + Name);
+  }
+  // Constants: a literal's conversion, folded through expr::evalExpr on
+  // the host; and a constant the C++ compiler propagates into the
+  // conversion from an earlier select's local, which it would fold by C's
+  // rule (NaN to 0, 1e300 to INT64_MAX) were rt::toInt64 not guarded.
+  auto Plus = [&](double C) {
+    return Query::doubleArray(0)
+        .select(lambda({X}, toInt64(E(C)) + toInt64(X)))
+        .sum();
+  };
+  auto Y = param("y", Type::doubleTy());
+  auto Through = [&](double C) {
+    return Query::doubleArray(0)
+        .select(lambda({X}, E(C)))
+        .select(lambda({Y}, toInt64(Y)))
+        .sum();
+  };
+  expectEdgeRows({
+      {"toint64_const_nan", Plus(NaN), {0.0}, {}, Value(Min64)},
+      {"toint64_const_huge", Plus(1e300), {0.0}, {}, Value(Min64)},
+      {"toint64_const_trunc", Plus(-2.9), {0.0}, {}, Value(std::int64_t{-2})},
+      {"toint64_local_nan", Through(NaN), {0.0}, {}, Value(Min64)},
+      {"toint64_local_huge", Through(1e300), {0.0}, {}, Value(Min64)},
+      {"toint64_local_trunc", Through(2.9), {0.0}, {}, Value(std::int64_t{2})},
+  });
+}
+
+TEST(E2EToInt64, ConstantInASortKeyIsInt64Min) {
+  // The sort key is printed unfolded, so its constant reaches
+  // rt::toInt64 in the generated TU. INT64_MIN + toInt64(x) wraps for a
+  // negative x and puts it last; a constant folded by C's rule (NaN to 0,
+  // 1e300 to INT64_MAX) would order the rows otherwise.
+  auto X = param("x", Type::doubleTy());
+  for (double C : {NaN, -1e300})
+    expectSortedRows<double>(
+        std::isnan(C) ? "toint64_key_nan" : "toint64_key_huge",
+        Query::doubleArray(0).orderBy(
+            lambda({X}, toInt64(-E(C)) + toInt64(X))),
+        {3.5, -1.5, 0.5, -4.0, 2.0, -1.0},
+        {0.5, 2.0, 3.5, -4.0, -1.5, -1.0});
 }
 
 //===--------------------------------------------------------------------===//

@@ -9,6 +9,7 @@
 
 #include "codegen/Generator.h"
 #include "cpptree/Printer.h"
+#include "expr/CxxPrinter.h"
 #include "expr/Dsl.h"
 #include "quil/Quil.h"
 
@@ -147,6 +148,23 @@ TEST(Printer, SortCallsRadixSortWithKeyInlinedOnce) {
             std::string::npos)
       << Src;
   EXPECT_EQ(Src.find("std::stable_sort"), std::string::npos) << Src;
+}
+
+TEST(Printer, ToInt64CallsTheRuntimeConversion) {
+  // Every double-to-int64 conversion, a literal's too, is rt::toInt64,
+  // which defines NaN, +-inf and out-of-range values (steno/Rt.h).
+  auto X = param("x", Type::doubleTy());
+  auto spell = [](const E &V) {
+    CxxNames Names;
+    Names.Param = [](const std::string &N) { return N; };
+    return printExprCxx(*V.node(), Names);
+  };
+  EXPECT_EQ(spell(toInt64(X)), "steno::rt::toInt64(x)");
+  const double NaN = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(spell(toInt64(E(NaN))),
+            "steno::rt::toInt64(" + spell(E(NaN)) + ")");
+  EXPECT_EQ(spell(toInt64(E(-2.9))),
+            "steno::rt::toInt64(" + spell(E(-2.9)) + ")");
 }
 
 TEST(Printer, EmitUsesRuntimeHelper) {

@@ -283,22 +283,72 @@ bool ruleLess(double A, double B) {
 
 std::uint64_t bits(double X) { return std::bit_cast<std::uint64_t>(X); }
 
-/// sortByKey over \p In against std::stable_sort under ruleLess,
-/// compared bit for bit (so the order of -0.0 and +0.0 ties is checked).
-void checkDoubleSort(const std::vector<double> &In) {
-  Buf<double> Got;
-  for (double X : In)
-    Got.push_back(X);
-  sortByKey(Got, [](const double &X) { return orderKey(X); });
-  std::vector<double> Want = In;
-  std::stable_sort(Want.begin(), Want.end(), ruleLess);
-  ASSERT_EQ(Got.size(), static_cast<std::int64_t>(Want.size()));
-  for (std::size_t I = 0; I != Want.size(); ++I)
-    ASSERT_EQ(bits(Got[static_cast<std::int64_t>(I)]), bits(Want[I]))
-        << "position " << I << " of " << Want.size();
+/// The special values the sort tests mix into their inputs.
+const double Specials[] = {0.0,
+                           -0.0,
+                           std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity(),
+                           1.0,
+                           -1.0};
+
+/// \p T padded past 16 bytes, so that sortByKey decorates it where it
+/// sorts a bare \p T in place.
+template <typename T> struct Wide {
+  T V;
+  char Pad[16];
+};
+
+/// sortByKey over \p In both ways, in place (the bare elements) and
+/// decorated (Wide ones), against std::stable_sort under \p Less, with
+/// \p Same comparing two elements bit for bit.
+template <typename T, typename KeyFn, typename LessFn, typename SameFn>
+void checkBothSorts(const std::vector<T> &In, KeyFn Key, LessFn Less,
+                    SameFn Same) {
+  static_assert(SortsInPlace<T> && !SortsInPlace<Wide<T>>);
+  std::vector<T> Want = In;
+  std::stable_sort(Want.begin(), Want.end(), Less);
+  Buf<T> InPlace;
+  Buf<Wide<T>> Decorated;
+  for (const T &X : In) {
+    InPlace.push_back(X);
+    Decorated.push_back(Wide<T>{X, {}});
+  }
+  sortByKey(InPlace, Key);
+  sortByKey(Decorated, [&Key](const Wide<T> &W) { return Key(W.V); });
+  ASSERT_EQ(InPlace.size(), static_cast<std::int64_t>(Want.size()));
+  ASSERT_EQ(Decorated.size(), static_cast<std::int64_t>(Want.size()));
+  for (std::size_t I = 0; I != Want.size(); ++I) {
+    const auto P = static_cast<std::int64_t>(I);
+    ASSERT_TRUE(Same(InPlace[P], Want[I]))
+        << "in place, position " << I << " of " << Want.size();
+    ASSERT_TRUE(Same(Decorated[P].V, Want[I]))
+        << "decorated, position " << I << " of " << Want.size();
+  }
 }
 
-/// radixSort over \p Keys against std::stable_sort by key.
+/// Both sorts over \p In against std::stable_sort under ruleLess,
+/// compared bit for bit (so the order of -0.0 and +0.0 ties is checked).
+void checkDoubleSort(const std::vector<double> &In) {
+  checkBothSorts(
+      In, [](const double &X) { return orderKey(X); }, ruleLess,
+      [](double A, double B) { return bits(A) == bits(B); });
+}
+
+using I64D = Pair<std::int64_t, double>;
+
+/// Both sorts over the 16-byte pairs \p In, keyed by \p Key, against
+/// std::stable_sort under \p Less, both halves compared bit for bit.
+template <typename KeyFn, typename LessFn>
+void checkPairSort(const std::vector<I64D> &In, KeyFn Key, LessFn Less) {
+  static_assert(sizeof(I64D) == 16);
+  checkBothSorts(In, Key, Less, [](const I64D &A, const I64D &B) {
+    return A.First == B.First && bits(A.Second) == bits(B.Second);
+  });
+}
+
+/// sortByKey over SortItems keyed by \p Keys, in place, against
+/// std::stable_sort by key.
 void checkRadix(const std::vector<std::uint64_t> &Keys) {
   Buf<SortItem> Items;
   std::vector<SortItem> Want;
@@ -306,7 +356,8 @@ void checkRadix(const std::vector<std::uint64_t> &Keys) {
     Items.push_back(SortItem{Keys[I], static_cast<std::int64_t>(I)});
     Want.push_back(Items[static_cast<std::int64_t>(I)]);
   }
-  radixSort(Items);
+  static_assert(SortsInPlace<SortItem>);
+  sortByKey(Items, [](const SortItem &S) { return S.Key; });
   std::stable_sort(Want.begin(), Want.end(),
                    [](const SortItem &A, const SortItem &B) {
                      return A.Key < B.Key;
@@ -354,10 +405,6 @@ TEST(RtSort, OrderKeyFollowsTheWrittenOrder) {
 
 TEST(RtSort, RandomDoublesMatchStableSortAtEverySize) {
   std::mt19937_64 Rng(20);
-  const double Specials[] = {0.0, -0.0, std::numeric_limits<double>::quiet_NaN(),
-                             std::numeric_limits<double>::infinity(),
-                             -std::numeric_limits<double>::infinity(), 1.0,
-                             -1.0};
   for (std::size_t N : {0u, 1u, 2u, 3u, 17u, 100u, 100000u}) {
     std::vector<double> In(N);
     for (double &X : In) {
@@ -400,6 +447,35 @@ TEST(RtSort, OneVaryingByte) {
   }
 }
 
+TEST(RtSort, PairElementsSortInPlaceByEitherHalf) {
+  // 16-byte elements, the largest the in-place path takes: int64 keys
+  // near 2^53, where neighbours share a double, and at the extremes;
+  // double keys from the special-values table.
+  std::mt19937_64 Rng(23);
+  const std::int64_t P53 = std::int64_t{1} << 53;
+  const std::int64_t Ints[] = {P53,  P53 + 1, P53 + 2, -P53 - 1, INT64_MIN,
+                               INT64_MAX, 0,   -1};
+  for (std::size_t N : {0u, 1u, 2u, 3u, 17u, 100u, 100000u}) {
+    std::vector<I64D> In(N);
+    for (I64D &P : In) {
+      std::uint64_t R = Rng();
+      P.First = R % 3 == 0 ? Ints[(R >> 8) % std::size(Ints)]
+                           : P53 + static_cast<std::int64_t>((R >> 8) % 64) -
+                                 32;
+      P.Second = R % 5 < 2 ? Specials[(R >> 16) % std::size(Specials)]
+                           : std::ldexp(static_cast<double>(R >> 11), -40);
+    }
+    checkPairSort(
+        In, [](const I64D &P) { return orderKey(P.First); },
+        [](const I64D &A, const I64D &B) { return A.First < B.First; });
+    checkPairSort(
+        In, [](const I64D &P) { return orderKey(P.Second); },
+        [](const I64D &A, const I64D &B) {
+          return ruleLess(A.Second, B.Second);
+        });
+  }
+}
+
 TEST(RtSort, Int64ExtremesAndValueElements) {
   using steno::expr::Value;
   const std::int64_t In[] = {(1LL << 53) + 1, INT64_MAX, 1LL << 53, 3,
@@ -433,6 +509,29 @@ TEST(RtOps, DivTrapsOnZeroAndOnInt64MinOverMinusOne) {
   EXPECT_FALSE(divTraps(INT64_MIN, -2));
   EXPECT_EQ(ckdiv(-7, 2), -3);
   EXPECT_EQ(ckmod(-7, 2), -1);
+}
+
+namespace {
+/// A double the compiler cannot see: toInt64's operand is known only at
+/// run time, as on every backend.
+double opaque(double X) {
+  volatile double V = X;
+  return V;
+}
+} // namespace
+
+TEST(RtOps, ToInt64TruncatesAndGivesInt64MinWhereCxxIsUndefined) {
+  const double Inf = std::numeric_limits<double>::infinity();
+  const double NaN = std::numeric_limits<double>::quiet_NaN();
+  const std::pair<double, std::int64_t> Table[] = {
+      {NaN, INT64_MIN},       {Inf, INT64_MIN},
+      {-Inf, INT64_MIN},      {0x1p63, INT64_MIN},
+      {-0x1p63, INT64_MIN},   {0x1p63 - 1024, INT64_MAX - 1023},
+      {1e300, INT64_MIN},     {-1e300, INT64_MIN},
+      {-0.0, 0},              {2.9, 2},
+      {-2.9, -2}};
+  for (auto [X, Want] : Table)
+    EXPECT_EQ(toInt64(opaque(X)), Want) << X;
 }
 
 TEST(RtOps, DoubleAbsClearsOnlyTheSignBit) {

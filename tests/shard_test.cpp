@@ -87,9 +87,9 @@ fuzz::QuerySpec groupSpec() {
 }
 
 fuzz::QuerySpec orderSpec() {
-  // A *terminal* OrderBy: the §6 planner turns exactly this shape into
-  // the distributed sort (per-shard prefixes + one MergeSorted sort); an
-  // OrderBy followed by ToArray is a mid-chain sink it refuses.
+  // A terminal OrderBy: the §6 planner turns it, like an OrderBy followed
+  // by ToArrays, into the distributed sort (per-shard prefixes emitting
+  // each row beside its key + one MergeSorted sort).
   fuzz::QuerySpec S;
   S.Sources.push_back(
       {0, fuzz::ElemTy::Double, fuzz::DataClass::Uniform, 64, 23});
@@ -98,6 +98,34 @@ fuzz::QuerySpec orderSpec() {
   Ord.Key = fuzz::KeyTmpl::Abs;
   S.Ops = {Ord};
   return S;
+}
+
+/// orderBy(x => x).toArray() over x * 0.0: every key ties, -0.0 and +0.0
+/// alike, so only a stable sort that keeps source order across shards
+/// returns the rows bit for bit.
+fuzz::QuerySpec orderToArraySpec() {
+  fuzz::QuerySpec S;
+  S.Sources.push_back(
+      {0, fuzz::ElemTy::Double, fuzz::DataClass::Uniform, 96, 37});
+  fuzz::OpSpec Zero;
+  Zero.K = fuzz::OpK::Select;
+  Zero.T = fuzz::TransTmpl::MulC;
+  Zero.DArg = 0.0;
+  fuzz::OpSpec Ord;
+  Ord.K = fuzz::OpK::OrderBy;
+  Ord.Key = fuzz::KeyTmpl::Id;
+  fuzz::OpSpec Arr;
+  Arr.K = fuzz::OpK::ToArray;
+  S.Ops = {Zero, Ord, Arr};
+  return S;
+}
+
+/// Rows of \p Got and \p Want equal bit for bit, in the wire's exact
+/// spelling.
+void expectSameBits(const QueryResult &Got, const QueryResult &Want) {
+  ASSERT_EQ(Got.rows().size(), Want.rows().size());
+  for (std::size_t I = 0; I != Want.rows().size(); ++I)
+    EXPECT_EQ(wireValue(Got.rows()[I]), wireValue(Want.rows()[I])) << I;
 }
 
 fuzz::QuerySpec selectArraySpec(std::uint32_t Count = 64) {
@@ -235,6 +263,10 @@ TEST(ShardDecomp, GroupMergeByKeyAcrossThreeShards) {
 
 TEST(ShardDecomp, OrderByMergeSortedAcrossThreeShards) {
   expectDecomposes(orderSpec(), 3);
+}
+
+TEST(ShardDecomp, OrderByToArrayMergeSortedAcrossFourShards) {
+  expectDecomposes(orderToArraySpec(), 4);
 }
 
 TEST(ShardDecomp, ToArrayConcatAcrossThreeShards) {
@@ -563,6 +595,36 @@ TEST(ShardRouter, SplitAndFallbackEndToEnd) {
 
   std::string Json = Router->statsJson();
   EXPECT_NE(Json.find("\"split_execs\":1"), std::string::npos) << Json;
+
+  Router.reset();
+  Fleet.shutdown();
+}
+
+TEST(ShardRouter, OrderByToArraySplitsAndKeepsTiesBitForBit) {
+  // The router's pexec partials carry each row's key over the wire; Agg*
+  // sorts them into the rows one process returns, signed zeros in source
+  // order.
+  InProcessFleet Fleet(3);
+  auto Router = std::make_unique<shard::ShardRouter>(Fleet.options());
+  std::string Err;
+  shard::RoutedHandle H =
+      Router->prepare(specText(orderToArraySpec()), &Err);
+  ASSERT_TRUE(H) << Err;
+  EXPECT_TRUE(H->Split) << H->WhyNot;
+  serve::Response R = Router->execute(H);
+  ASSERT_EQ(R.St, Status::Ok) << R.Message;
+
+  QueryService Svc(interpOnly());
+  PreparedHandle P = Svc.prepare(H->SpecText, &Err);
+  ASSERT_TRUE(P) << Err;
+  serve::Response Whole = Svc.execute(P, kDeadline);
+  ASSERT_EQ(Whole.St, Status::Ok) << Whole.Message;
+  expectSameBits(R.Result, Whole.Result);
+  expectSameBits(R.Result, reference(P));
+  bool SawNegativeZero = false;
+  for (const expr::Value &V : R.Result.rows())
+    SawNegativeZero = SawNegativeZero || std::signbit(V.asDouble());
+  EXPECT_TRUE(SawNegativeZero);
 
   Router.reset();
   Fleet.shutdown();
