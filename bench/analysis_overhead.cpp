@@ -1,6 +1,6 @@
 //===- bench/analysis_overhead.cpp - Cost of the analyze phase -*- C++ -*-===//
 //
-// Measures what STENO_ANALYZE=strict costs relative to off, on the
+// Measures what Analyze = Strict costs relative to Off, on the
 // Figure 1 and Figure 13 workloads:
 //
 //  - run-time ns/op of the compiled query (must be identical: analysis
@@ -165,7 +165,7 @@ int main() {
   std::vector<double> Xs = uniformDoubles(N, 1);
   std::vector<double> Gs = mixtureOfGaussians(scaled(1000000), 2);
 
-  header("Analysis overhead: STENO_ANALYZE=strict vs off");
+  header("Analysis overhead: Analyze = Strict vs Off");
   bool Ok = true;
 
   auto X = param("x", Type::doubleTy());

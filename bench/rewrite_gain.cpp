@@ -1,6 +1,6 @@
 //===- bench/rewrite_gain.cpp - Run-time win from the plan rewriter ------===//
 //
-// Measures what STENO_REWRITE=on buys on a dead-predicate-heavy query:
+// Measures what Rewrite = true buys on a dead-predicate-heavy query:
 // three filters that are provably always-true by interval reasoning
 // (x % 8 < 8, abs(x % 3) >= 0, x % 5 <= 4), a Skip 0, and a division
 // whose divisor interval [1, 7] lets the rewriter elide the ckdiv trap.

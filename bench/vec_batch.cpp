@@ -3,14 +3,12 @@
 // Measures the vectorized columnar batch path (DESIGN.md §5i) against
 // the element-at-a-time scalar path on the paper's single-thread
 // workloads: the Figure 1 sum-of-squares chain and a Figure 13-style
-// filtered chain that exercises selection vectors. Sweeps the batch
-// size (64 / 256 / 1024 / 4096) to show the amortization curve — per-
-// element interpreter dispatch is replaced by one dispatch per batch,
-// so the win should saturate once the batch covers the dispatch cost.
+// filtered chain that exercises selection vectors. Per-element
+// interpreter dispatch is replaced by one dispatch per 1024-lane batch.
 //
-// Gate (CI bench-smoke): the batched interpreter at the default batch
-// size must hold at least a 1.5x throughput advantage over the scalar
-// interpreter on the Figure 1 chain; exits 1 otherwise.
+// Gate (CI bench-smoke): the batched interpreter must hold at least a
+// 1.5x throughput advantage over the scalar interpreter on the Figure 1
+// chain; exits 1 otherwise.
 //
 //===----------------------------------------------------------------------===//
 
@@ -19,7 +17,6 @@
 #include "steno/Steno.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -40,7 +37,7 @@ CompiledQuery compileVariant(const Query &Q, bool Vectorize,
   return compileQuery(Q, O);
 }
 
-/// Rounds of a shape's five variants.
+/// Rounds of a shape's two variants.
 constexpr int kRounds = 5;
 
 } // namespace
@@ -66,8 +63,6 @@ int main() {
     const Query *Q;
   } Shapes[] = {{"fig01", &Fig01}, {"fig13_filtered", &Fig13F}};
 
-  const char *BatchSizes[] = {"64", "256", "1024", "4096"};
-
   header("Vectorized batch execution: interpreter, " + std::to_string(N) +
          " doubles, median of " + std::to_string(kRounds) +
          " interleaved rounds");
@@ -78,26 +73,19 @@ int main() {
   double Fig01Speedup = 0;
 
   for (const Shape &S : Shapes) {
-    std::vector<CompiledQuery> Compiled;
-    Compiled.push_back(
-        compileVariant(*S.Q, false, std::string(S.Name) + "_scalar"));
-    for (const char *BS : BatchSizes) {
-      ::setenv("STENO_BATCH_SIZE", BS, 1); // read at plan time
-      Compiled.push_back(
-          compileVariant(*S.Q, true, std::string(S.Name) + "_vec_b" + BS));
-      ::unsetenv("STENO_BATCH_SIZE");
-      if (!Compiled.back().vectorized()) {
-        std::fprintf(stderr, "vec_batch: %s did not vectorize\n", S.Name);
-        return 1;
-      }
+    CompiledQuery Compiled[] = {
+        compileVariant(*S.Q, false, std::string(S.Name) + "_scalar"),
+        compileVariant(*S.Q, true, std::string(S.Name) + "_vec")};
+    if (!Compiled[1].vectorized()) {
+      std::fprintf(stderr, "vec_batch: %s did not vectorize\n", S.Name);
+      return 1;
     }
     Rounds R(kRounds);
-    for (std::size_t V = 0; V != Compiled.size(); ++V)
-      R.add(V == 0 ? "interp_scalar"
-                   : std::string("interp_vec_b") + BatchSizes[V - 1],
-            N, [&CQ = Compiled[V], &B] {
-              doNotOptimize(CQ.run(B).scalarValue().asDouble());
-            });
+    const char *Names[] = {"interp_scalar", "interp_vec"};
+    for (int V = 0; V != 2; ++V)
+      R.add(Names[V], N, [&CQ = Compiled[V], &B] {
+        doNotOptimize(CQ.run(B).scalarValue().asDouble());
+      });
     R.run();
     Json.add(R, std::string(S.Name) + "_");
 
@@ -109,10 +97,10 @@ int main() {
                   R.ratio(0, V));
     }
     if (S.Q == &Fig01)
-      Fig01Speedup = R.ratio(0, 3); // scalar / batch size 1024
+      Fig01Speedup = R.ratio(0, 1); // scalar / batched
   }
 
-  std::printf("\nfig01 batched(1024) vs scalar interp, median of per-round "
+  std::printf("\nfig01 batched vs scalar interp, median of per-round "
               "ratios: %.2fx (gate: >= 1.50x)\n",
               Fig01Speedup);
   if (Fig01Speedup < 1.5) {

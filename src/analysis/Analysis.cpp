@@ -2,22 +2,11 @@
 
 #include "analysis/Analysis.h"
 #include "obs/Metrics.h"
-#include "support/Env.h"
 #include "support/Error.h"
 #include "support/StringUtil.h"
 
-#include <cstdlib>
-#include <cstring>
-
 using namespace steno;
 using namespace steno::analysis;
-
-Mode analysis::modeFromEnv() {
-  const char *Env = std::getenv("STENO_ANALYZE");
-  if (!support::parseFlag(Env, true))
-    return Mode::Off;
-  return Env && std::strcmp(Env, "warn") == 0 ? Mode::Warn : Mode::Strict;
-}
 
 const char *analysis::modeName(Mode M) {
   switch (M) {

@@ -24,8 +24,8 @@
 ///      constant-false predicates (guaranteed-empty chains), dead
 ///      operators (ST3xxx).
 ///
-/// The STENO_ANALYZE environment variable (off | warn | strict, default
-/// strict) selects the enforcement mode for compileQuery/compileChain.
+/// CompileOptions::Analyze (off | warn | strict, default strict) selects
+/// the enforcement mode for compileQuery/compileChain.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,13 +47,6 @@ enum class Mode {
   Warn,  ///< Run and report; never reject.
   Strict ///< Run and reject queries with error-severity findings.
 };
-
-/// Reads STENO_ANALYZE: "0" or "off" (support::parseFlag) yield Off,
-/// "warn" yields Warn, and unset or any other value yields Strict, the
-/// safe default: a query this phase rejects
-/// would have failed later inside the JIT'd C++ anyway, with a worse
-/// message and after paying compiler latency.
-Mode modeFromEnv();
 
 /// Spelling for logs ("off" | "warn" | "strict").
 const char *modeName(Mode M);

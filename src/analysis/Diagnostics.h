@@ -11,7 +11,7 @@
 /// (by chain index at each nesting depth) and the failing expression (by
 /// operand path inside one of the operator's lambdas). Analyses report
 /// into a DiagnosticBag; the compile pipeline renders the bag and decides
-/// (per STENO_ANALYZE mode) whether to reject the query.
+/// (per CompileOptions::Analyze) whether to reject the query.
 ///
 /// Every emission also increments an `analysis.diag.<CODE>` obs counter,
 /// so fleets of queries can be monitored for which lints actually fire.

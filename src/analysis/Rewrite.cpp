@@ -4,11 +4,9 @@
 #include "analysis/AbsInt.h"
 #include "analysis/ChainWalk.h"
 #include "expr/Analysis.h"
-#include "support/Env.h"
 #include "support/StringUtil.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <numeric>
 #include <variant>
 
@@ -56,10 +54,6 @@ std::string RewriteCertificate::str() const {
   if (!Detail.empty())
     Out += ": " + Detail;
   return Out;
-}
-
-bool quil::rewriteEnvEnabled() {
-  return support::parseFlag(std::getenv("STENO_REWRITE"), true);
 }
 
 namespace {

@@ -9,7 +9,7 @@
 /// quil::Rewrite — the fact-driven, semantics-preserving plan rewriter
 /// that sits between analyze and specialize in the compile pipeline
 /// (lower -> validate -> analyze -> rewrite -> specialize -> codegen),
-/// gated by STENO_REWRITE=off|on (default on).
+/// gated by CompileOptions::Rewrite (default on).
 ///
 /// Every rule consumes facts from analysis::absint (interval, predicate
 /// tri-value, cardinality, trap-freedom) and each application emits a
@@ -135,10 +135,6 @@ bool verifyCertificates(const Chain &Original, const RewriteResult &R,
 /// rewrite phase — including the chain copy and re-hash — when this is
 /// false, keeping the phase near-free for plain select/aggregate plans.
 bool chainHasRewriteTargets(const Chain &C);
-
-/// STENO_REWRITE (support::parseFlag, default on) — the default for
-/// CompileOptions::Rewrite.
-bool rewriteEnvEnabled();
 
 } // namespace quil
 } // namespace steno

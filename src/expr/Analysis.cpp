@@ -310,32 +310,3 @@ bool expr::equalLambdas(const Lambda &A, const Lambda &B) {
   return equalExprs(*A.body(), *B.body());
 }
 
-ExprRef
-expr::renameParams(const ExprRef &E,
-                   const std::map<std::string, std::string> &Renames) {
-  if (Renames.empty())
-    return E;
-  std::map<std::string, ExprRef> Repl;
-  std::set<std::string> Free = freeParams(*E);
-  for (const auto &[From, To] : Renames) {
-    if (!Free.count(From))
-      continue;
-    // Find the type by locating one occurrence: all occurrences of a name
-    // share a type by construction of lambdas.
-    // A small walk to discover the param type:
-    struct Finder {
-      static const Expr *find(const Expr &Node, const std::string &Name) {
-        if (Node.kind() == ExprKind::Param && Node.paramName() == Name)
-          return &Node;
-        for (const ExprRef &Op : Node.operands())
-          if (const Expr *Hit = find(*Op, Name))
-            return Hit;
-        return nullptr;
-      }
-    };
-    const Expr *Occurrence = Finder::find(*E, From);
-    assert(Occurrence && "free param vanished");
-    Repl.emplace(From, Expr::param(To, Occurrence->type()));
-  }
-  return substituteParams(E, Repl);
-}

@@ -58,10 +58,6 @@ bool isSafeConstDivisor(const Expr &E);
 /// whose cost per element outweighs a branch.
 bool speculatable(const Expr &E);
 
-/// Renames parameters: substituteParams with fresh Param nodes.
-ExprRef renameParams(const ExprRef &E,
-                     const std::map<std::string, std::string> &Renames);
-
 /// Structural hash of a type (structurally equal types hash equally).
 std::uint64_t hashType(const Type &Ty);
 

@@ -139,14 +139,18 @@ dryad::MorselOptions tinyMorsels() {
   return M;
 }
 
-dryad::DistOptions quietDistOptions(const char *Name, bool TinyMorsels) {
+/// The dryad backends' options. Each pins Vectorize by its identity, so
+/// every run covers both interpreter tiers under fan-out: Plinq1 and
+/// Plinq8 run batched vertices, Plinq2 and DryadStatic scalar ones.
+dryad::DistOptions quietDistOptions(BackendId Id) {
   dryad::DistOptions DO;
   DO.Exec = Backend::Interp; // Native is sampled via BackendId::Jit only
   DO.Analyze = analysis::Mode::Off; // screened once in check()
   DO.Rewrite = true; // pinned: rewrite-off is covered by InterpNoRewrite
+  DO.Vectorize = Id == BackendId::Plinq1 || Id == BackendId::Plinq8;
   DO.WarnSequentialFallback = false;
-  DO.Name = Name;
-  if (TinyMorsels)
+  DO.Name = Id == BackendId::DryadStatic ? "dryad_static" : backendName(Id);
+  if (Id == BackendId::Plinq2 || Id == BackendId::Plinq8)
     DO.Morsels = tinyMorsels();
   return DO;
 }
@@ -275,12 +279,11 @@ DiffResult DiffHarness::check(const QuerySpec &Spec,
       CompileOptions CO;
       CO.Exec = Id == BackendId::Jit ? Backend::Native : Backend::Interp;
       CO.Analyze = analysis::Mode::Off; // screened above; stay quiet
-      // Pinned (not env-derived) so the harness always runs the
-      // rewrite-on/off oracle pair regardless of STENO_REWRITE.
+      // The rewrite-on/off oracle pair.
       CO.Rewrite = Id != BackendId::InterpNoRewrite;
-      // Pinned likewise for the vectorize-on/off pair: the scalar interp
-      // backends never take the batch path regardless of STENO_VECTORIZE,
-      // InterpVectorized always requests it. Jit ignores it.
+      // The vectorize-on/off pair: the scalar interp backends never take
+      // the batch path, InterpVectorized always requests it. Jit ignores
+      // it.
       CO.Vectorize = Id == BackendId::InterpVectorized;
       // Pinned off so these backends stay deterministic even after
       // InterpAdaptive seeded feedback for this very spec; adaptivity
@@ -318,9 +321,8 @@ DiffResult DiffHarness::check(const QuerySpec &Spec,
     case BackendId::Plinq1:
     case BackendId::Plinq2:
     case BackendId::Plinq8: {
-      bool Tiny = Id != BackendId::Plinq1;
-      dryad::DistributedQuery DQ = dryad::DistributedQuery::compile(
-          Built.Q, quietDistOptions(backendName(Id), Tiny));
+      dryad::DistributedQuery DQ =
+          dryad::DistributedQuery::compile(Built.Q, quietDistOptions(Id));
       Certified = DQ.parallel();
       if (Certified && !DQ.certificate().parallelSafe())
         O.CertViolation = true;
@@ -331,8 +333,8 @@ DiffResult DiffHarness::check(const QuerySpec &Spec,
       break;
     }
     case BackendId::DryadStatic: {
-      dryad::DistributedQuery DQ = dryad::DistributedQuery::compile(
-          Built.Q, quietDistOptions("dryad_static", false));
+      dryad::DistributedQuery DQ =
+          dryad::DistributedQuery::compile(Built.Q, quietDistOptions(Id));
       Certified = DQ.parallel();
       if (Certified && !DQ.certificate().parallelSafe())
         O.CertViolation = true;

@@ -29,6 +29,8 @@
 /// Parallel backends 2/8 run with tiny morsel bounds (min 1, max 8,
 /// inline-below 0) so the small fuzz inputs really split into several
 /// morsels and reassemble instead of taking the InlineBelow shortcut.
+/// Plinq1 and Plinq8 run batched (Vectorize) vertices, Plinq2 and
+/// DryadStatic scalar ones, so every run fans out both interpreter tiers.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -100,32 +99,6 @@ struct Registry {
   }
 };
 
-void appendJsonString(std::string &Out, const std::string &S) {
-  Out += '"';
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof Buf, "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-  Out += '"';
-}
-
 std::string fmtDouble(double V) {
   std::ostringstream Out;
   Out << V;
@@ -195,54 +168,6 @@ std::string obs::dumpMetrics() {
     Out += "  le +inf: " +
            std::to_string(H->bucketCount(H->bounds().size())) + "\n";
   }
-  return Out;
-}
-
-std::string obs::dumpMetricsJson() {
-  Registry &R = Registry::get();
-  std::lock_guard<std::mutex> Lock(R.Mutex);
-  std::string Out = "{\"counters\":{";
-  bool First = true;
-  for (const auto &[Name, C] : R.Counters) {
-    if (!First)
-      Out += ',';
-    First = false;
-    appendJsonString(Out, Name);
-    Out += ':' + std::to_string(C->value());
-  }
-  Out += "},\"gauges\":{";
-  First = true;
-  for (const auto &[Name, G] : R.Gauges) {
-    if (!First)
-      Out += ',';
-    First = false;
-    appendJsonString(Out, Name);
-    Out += ":{\"value\":" + std::to_string(G->value()) +
-           ",\"max\":" + std::to_string(G->maxValue()) + "}";
-  }
-  Out += "},\"histograms\":{";
-  First = true;
-  for (const auto &[Name, H] : R.Histograms) {
-    if (!First)
-      Out += ',';
-    First = false;
-    appendJsonString(Out, Name);
-    Out += ":{\"count\":" + std::to_string(H->count()) +
-           ",\"sum\":" + fmtDouble(H->sum()) + ",\"bounds\":[";
-    for (std::size_t I = 0; I != H->bounds().size(); ++I) {
-      if (I)
-        Out += ',';
-      Out += fmtDouble(H->bounds()[I]);
-    }
-    Out += "],\"buckets\":[";
-    for (std::size_t I = 0; I != H->bounds().size() + 1; ++I) {
-      if (I)
-        Out += ',';
-      Out += std::to_string(H->bucketCount(I));
-    }
-    Out += "]}";
-  }
-  Out += "}}";
   return Out;
 }
 

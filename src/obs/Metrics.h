@@ -23,7 +23,7 @@
 /// \endcode
 ///
 /// Exposition: `dumpMetrics()` renders a sorted human-readable text block;
-/// `dumpMetricsJson()` renders the same data as one JSON object.
+/// `dumpMetricsPrometheus()` the same data in Prometheus text format.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -134,9 +134,6 @@ Histogram &histogram(const std::string &Name, std::vector<double> Bounds);
 /// Iteration order is deterministic (the registry is a name-sorted map),
 /// so repeated dumps diff cleanly.
 std::string dumpMetrics();
-/// The same data as one JSON object:
-/// {"counters":{..},"gauges":{..},"histograms":{..}}.
-std::string dumpMetricsJson();
 /// Prometheus text-format exposition of every registered instrument,
 /// name-sorted within each instrument class. Names are sanitized to
 /// [A-Za-z0-9_] ("steno.run.count" -> "steno_run_count"); gauges also

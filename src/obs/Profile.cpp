@@ -2,7 +2,6 @@
 
 #include "obs/Profile.h"
 #include "obs/Metrics.h"
-#include "support/Env.h"
 
 #include <algorithm>
 #include <cinttypes>
@@ -226,12 +225,8 @@ ProfileStore &ProfileStore::global() {
 }
 
 //===----------------------------------------------------------------------===//
-// Environment + worker attribution
+// Worker attribution
 //===----------------------------------------------------------------------===//
-
-bool obs::profilingEnvEnabled() {
-  return support::parseFlag(std::getenv("STENO_PROFILE"), false);
-}
 
 namespace {
 thread_local unsigned ProfileWorkerId = 0;

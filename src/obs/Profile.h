@@ -201,10 +201,6 @@ private:
   std::map<std::uint64_t, std::unique_ptr<QueryProfile>> Plans;
 };
 
-/// STENO_PROFILE (support::parseFlag, default off) — the default for
-/// CompileOptions::Profile and ServeOptions::Profile.
-bool profilingEnvEnabled();
-
 /// Thread-local worker id used to attribute profile merges (0 when never
 /// set — the caller thread). The morsel scheduler scopes each drive()
 /// call with the worker's index.

@@ -1,12 +1,10 @@
 //===- obs/Trace.cpp ------------------------------------------*- C++ -*-===//
 
 #include "obs/Trace.h"
-#include "support/Env.h"
 
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <limits>
 #include <mutex>
 #include <vector>
 
@@ -48,17 +46,14 @@ TraceState &state() {
   return *S;                               // detached threads may outlive exit
 }
 
-std::size_t bufferCapacity() {
-  return static_cast<std::size_t>(
-      support::parseCount(std::getenv("STENO_TRACE_BUF"), 1 << 16, 1,
-                          std::numeric_limits<std::int64_t>::max()));
-}
+/// Events the buffer holds; later events are dropped and counted.
+constexpr std::size_t BufferCapacity = 1 << 16;
 
 void ensureBuffer() {
   TraceState &S = state();
   std::lock_guard<std::mutex> Lock(S.Mutex);
   if (S.Slots.empty())
-    S.Slots.resize(bufferCapacity());
+    S.Slots.resize(BufferCapacity);
 }
 
 double nowMicros() {

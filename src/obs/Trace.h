@@ -22,8 +22,8 @@
 /// and a branch per span when disabled. Enable it with the STENO_TRACE
 /// environment variable (value = output path, written at process exit) or
 /// programmatically with setTracingEnabled(true) + writeTrace()/traceJson().
-/// The event buffer holds STENO_TRACE_BUF events (default 65536); events
-/// past capacity are dropped and counted, never reallocated mid-run.
+/// The event buffer holds 65536 events; events past capacity are dropped
+/// and counted, never reallocated mid-run.
 ///
 //===----------------------------------------------------------------------===//
 

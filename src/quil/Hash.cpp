@@ -5,23 +5,27 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// hashChain: the structural identity of a lowered plan, used as the
-// ProfileStore key. It deliberately hashes the QUIL chain — not the
-// generated source, whose entry symbol embeds a per-process counter, and
-// not the pre-lowering query, whose sugar may lower to the same chain —
-// so that all backends executing the same plan share one profile entry.
+// hashChain and equalChains: the structural identity of a lowered plan,
+// used as the ProfileStore key and the QueryCache key. They deliberately
+// read the QUIL chain — not the generated source, whose entry symbol
+// embeds a per-process counter, and not the pre-lowering query, whose
+// sugar may lower to the same chain — so that all backends executing the
+// same plan share one profile entry and one cached compile.
 //
 //===----------------------------------------------------------------------===//
 
 #include "quil/Quil.h"
 #include "expr/Analysis.h"
 
+#include <algorithm>
 #include <cstdint>
 
 using namespace steno;
 using namespace steno::quil;
+using expr::equalLambdas;
 using expr::hashExpr;
 using expr::hashLambda;
+using expr::sameType;
 
 namespace {
 
@@ -89,6 +93,36 @@ std::uint64_t hashOp(const Op &O) {
   return H;
 }
 
+bool equalMaybeExprs(const expr::ExprRef &A, const expr::ExprRef &B) {
+  if (!A || !B)
+    return !A && !B;
+  return expr::equalExprs(*A, *B);
+}
+
+bool equalSources(const query::SourceDesc &A, const query::SourceDesc &B) {
+  return A.Kind == B.Kind && A.Slot == B.Slot &&
+         equalMaybeExprs(A.Start, B.Start) &&
+         equalMaybeExprs(A.CountE, B.CountE) && equalMaybeExprs(A.Vec, B.Vec);
+}
+
+/// Compares what hashOp reads, plus the element types.
+bool equalOps(const Op &A, const Op &B) {
+  if (A.S != B.S || (A.S == Sym::Src && !equalSources(A.Src, B.Src)) ||
+      (A.S == Sym::Pred && A.P != B.P) || (A.S == Sym::Sink && A.K != B.K))
+    return false;
+  if (!equalLambdas(A.Fn, B.Fn) || !equalLambdas(A.Fn2, B.Fn2) ||
+      !equalLambdas(A.Fn3, B.Fn3) || !equalLambdas(A.Combine, B.Combine) ||
+      !equalLambdas(A.StopWhen, B.StopWhen) ||
+      !equalMaybeExprs(A.Seed, B.Seed) ||
+      !equalMaybeExprs(A.DenseKeys, B.DenseKeys) ||
+      !sameType(A.InElem, B.InElem) || !sameType(A.OutElem, B.OutElem))
+    return false;
+  if (!A.NestedChain || !B.NestedChain)
+    return !A.NestedChain && !B.NestedChain;
+  return A.Role == B.Role && A.OuterParam == B.OuterParam &&
+         equalChains(*A.NestedChain, *B.NestedChain);
+}
+
 } // namespace
 
 std::uint64_t quil::hashChain(const Chain &C) {
@@ -97,4 +131,10 @@ std::uint64_t quil::hashChain(const Chain &C) {
     H = combine(H, hashOp(O));
   H = combine(H, C.Scalar ? 2 : 1);
   return H;
+}
+
+bool quil::equalChains(const Chain &A, const Chain &B) {
+  return A.Scalar == B.Scalar && sameType(A.Result, B.Result) &&
+         std::equal(A.Ops.begin(), A.Ops.end(), B.Ops.begin(), B.Ops.end(),
+                    equalOps);
 }

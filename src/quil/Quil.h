@@ -141,6 +141,12 @@ Chain specializeGroupByAggregate(const Chain &C, bool *Applied = nullptr);
 /// plans of one query — hash equal; this is the ProfileStore key.
 std::uint64_t hashChain(const Chain &C);
 
+/// Structural equality of chains: every field hashChain reads, plus each
+/// operator's InElem and OutElem and the chain's Result and Scalar.
+/// Equal chains compile to the same plan under the same options, so
+/// (hashChain, equalChains) is the QueryCache's key.
+bool equalChains(const Chain &A, const Chain &B);
+
 /// Names used by tests: one-token spelling of a symbol.
 const char *symName(Sym S);
 

@@ -137,19 +137,6 @@ Response Session::execute(const PreparedHandle &P) {
   return Svc.execute(P, Svc.options().DefaultDeadline);
 }
 
-Response Session::executeSpec(const std::string &SpecText,
-                              std::chrono::milliseconds Deadline) {
-  std::string Err;
-  PreparedHandle P = prepare(SpecText, &Err);
-  if (!P) {
-    Response R;
-    R.St = Status::Error;
-    R.Message = Err;
-    return R;
-  }
-  return execute(P, Deadline);
-}
-
 //===--------------------------------------------------------------------===//
 // QueryService
 //===--------------------------------------------------------------------===//
@@ -169,7 +156,7 @@ struct QueryService::RequestState {
 QueryService::QueryService(const ServeOptions &O)
     : Options(O), OwnedCache(O.Cache ? nullptr : new QueryCache()),
       Cache(O.Cache ? O.Cache : OwnedCache.get()),
-      CompilePool(O.CompileWorkers), Exec(O.Workers) {}
+      CompilePool(1), Exec(O.Workers) {}
 
 QueryService::~QueryService() {
   Closed.store(true, std::memory_order_relaxed);
@@ -203,7 +190,6 @@ PreparedHandle QueryService::prepare(const std::string &SpecText,
     return fail("spec parse error: " + E);
 
   auto P = std::make_shared<PreparedQuery>();
-  P->SpecText = SpecText;
   if (!fuzz::buildSpec(Spec, P->Built, &E))
     return fail("spec build error: " + E);
 

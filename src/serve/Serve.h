@@ -34,7 +34,7 @@
 ///
 /// * **Graceful degradation.** prepare() never blocks on the external
 ///   compiler: it produces an interpreter-backend plan synchronously
-///   (milliseconds) and queues a native compile on a second
+///   (milliseconds) and queues a native compile on a second, one-thread
 ///   dryad::ThreadPool, the compile pool, in the background. Requests run
 ///   on whatever plan the handle's PlanSlot holds — interpreter first (a
 ///   *degraded* run), then the native plan the compile publishes into the
@@ -87,7 +87,6 @@ const char *statusName(Status S);
 struct ServeOptions {
   unsigned Workers = 4;   ///< Execution pool (dryad::ThreadPool) size.
   unsigned MaxQueue = 64; ///< Admission bound: queued + executing requests.
-  unsigned CompileWorkers = 1;  ///< Compile pool (background JIT) size.
   unsigned MaxCompileQueue = 8; ///< Queued plus running compiles; 0 = never
                                 ///< recompile natively (always "saturated").
   /// Deadline applied when execute() is called without one.
@@ -99,7 +98,7 @@ struct ServeOptions {
   /// accumulate in the global obs::ProfileStore (keyed by plan hash, so
   /// the interp plan and its native swap-in merge into one profile) and
   /// are served by the wire `profile <handle>` command.
-  bool Profile = obs::profilingEnvEnabled();
+  bool Profile = false;
   /// Feedback-driven re-planning (DESIGN.md §5j): after ReplanEvery x
   /// 2^k executions of a handle (k = 0, 1, 2, ...), recompile the plan
   /// with the selectivities the obs::ProfileStore observed and — when
@@ -164,8 +163,8 @@ private:
   bool Compiling = false;
 };
 
-/// A prepared query: its spec text, built query, input buffers and plan
-/// slot. Immutable to callers; thread-safe to execute from any number of
+/// A prepared query: its built query, input buffers and plan slot.
+/// Immutable to callers; thread-safe to execute from any number of
 /// threads concurrently, including across a plan swap.
 class PreparedQuery {
 public:
@@ -185,7 +184,6 @@ public:
 
   const query::Query &query() const { return Built.Q; }
   const Bindings &bindings() const { return Built.B; }
-  const std::string &specText() const { return SpecText; }
 
   /// True once a native plan has been swapped in.
   bool nativeReady() const {
@@ -203,7 +201,6 @@ private:
   friend class QueryService;
 
   fuzz::BuiltQuery Built;
-  std::string SpecText;
   PlanSlot Slot;
   std::atomic<std::uint64_t> Execs{0}; ///< Whole-query runs (replan cadence).
 
@@ -236,10 +233,6 @@ public:
                    std::chrono::milliseconds Deadline);
   /// execute() with the service's DefaultDeadline.
   Response execute(const PreparedHandle &P);
-
-  /// One-shot convenience: prepare (memoized) then execute.
-  Response executeSpec(const std::string &SpecText,
-                       std::chrono::milliseconds Deadline);
 
 private:
   friend class QueryService;
@@ -385,7 +378,7 @@ private:
 
   // Declared last: destroyed first, so worker threads and compile
   // callbacks never outlive the state above.
-  dryad::ThreadPool CompilePool;
+  dryad::ThreadPool CompilePool; ///< One thread: compiles run one at a time.
   dryad::ThreadPool Exec;
 };
 

@@ -348,7 +348,7 @@ Frontend serve::sessionFrontend(QueryService &Svc) {
     if (!Plan.profiled()) {
       Err = support::strFormat(
           "handle %zu was prepared without profiling (start the service "
-          "with --profile or STENO_PROFILE=1)",
+          "with --profile)",
           H);
       return false;
     }

@@ -10,10 +10,11 @@
 /// amortize the cost of compilation. In the current implementation, the
 /// user must explicitly instruct Steno to compile a given expression, but
 /// a query caching approach (based on Nectar) could be added." This is
-/// that addition: a cache keyed by the *structure* of the query — two
-/// queries built independently but with identical operator chains,
-/// lambdas, literals and slots share one compiled module, so the one-off
-/// compile cost is paid once per query shape per process.
+/// that addition: a cache keyed by the *structure* of the lowered query
+/// (quil::hashChain / quil::equalChains) — two queries built
+/// independently that lower to the same QUIL chain share one compiled
+/// module, so the one-off compile cost is paid once per query shape per
+/// process.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,6 +22,7 @@
 #define STENO_STENO_QUERYCACHE_H
 
 #include "query/Query.h"
+#include "quil/Quil.h"
 #include "steno/Steno.h"
 
 #include <atomic>
@@ -31,16 +33,8 @@
 
 namespace steno {
 
-/// Structural fingerprint of a query (chains with equal structure hash
-/// equally; see equalQueries for the equality it approximates).
-std::uint64_t hashQuery(const query::Query &Q);
-
-/// Deep structural equality over query chains: operator kinds, sources,
-/// lambdas, argument expressions and nested queries.
-bool equalQueries(const query::Query &A, const query::Query &B);
-
 /// Thread-safe structural cache of compiled queries. The key is the
-/// query's structure plus every CompileOptions field except Name.
+/// query's lowered chain plus every CompileOptions field except Name.
 class QueryCache {
 public:
   /// Returns the cached compiled query for a structurally equal prior
@@ -65,11 +59,6 @@ public:
   /// key shares one compiled module.
   CompiledQuery insert(const query::Query &Q, const CompileOptions &Options,
                        CompiledQuery Compiled);
-
-  /// Removes the entry for (Q, Options). Returns false when absent.
-  /// Outstanding CompiledQuery handles stay valid (shared state).
-  bool evict(const query::Query &Q,
-             const CompileOptions &Options = CompileOptions());
 
   /// Number of distinct compiled entries.
   std::size_t size() const;
@@ -97,14 +86,14 @@ public:
 
 private:
   struct Entry {
-    query::Query Query;
+    quil::Chain Chain;      ///< quil::lower of the query.
     CompileOptions Options; ///< With Name cleared (see keyOptions).
     CompiledQuery Compiled;
   };
 
-  /// The entry in \p Bucket keyed by (Q, Options), or Bucket.end().
+  /// The entry in \p Bucket keyed by (Chain, Options), or Bucket.end().
   static std::vector<Entry>::const_iterator
-  find(const std::vector<Entry> &Bucket, const query::Query &Q,
+  find(const std::vector<Entry> &Bucket, const quil::Chain &Chain,
        const CompileOptions &Options);
 
   mutable std::mutex Mutex;

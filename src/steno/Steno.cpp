@@ -46,8 +46,8 @@ struct CompiledQuery::Impl {
 };
 
 namespace {
-/// The analyze phase: runs the static-analysis pipeline per the
-/// STENO_ANALYZE mode, prints warnings, and (strict mode) rejects a chain
+/// The analyze phase: runs the static-analysis pipeline per
+/// CompileOptions::Analyze, prints warnings, and (strict mode) rejects a chain
 /// with error-severity findings before codegen spends anything on it.
 void analyzePhase(CompiledQuery::Impl &Impl, const CompileOptions &Options,
                   const std::string &Context) {
@@ -368,7 +368,7 @@ bool CompiledQuery::vectorized() const { return I->VecPlan != nullptr; }
 std::string CompiledQuery::explainAnalyze() const {
   if (!I->Profile)
     return "query '" + I->Program.Name +
-           "' was compiled without profiling (set STENO_PROFILE=1 or "
+           "' was compiled without profiling (set "
            "CompileOptions::Profile)\n";
   if (auto Snap = obs::ProfileStore::global().snapshotResolved(I->PlanHash))
     return obs::renderExplainAnalyze(*Snap);

@@ -44,7 +44,6 @@
 #include "quil/Quil.h"
 #include "steno/Bindings.h"
 #include "steno/Result.h"
-#include "vec/Batch.h"
 
 #include <memory>
 #include <string>
@@ -57,9 +56,8 @@ enum class Backend {
   Native  ///< Compile to a shared object and dlopen it (paper §3.3).
 };
 
-/// Knobs for compileQuery. Fields that default from a STENO_* variable
-/// read it when the options are constructed (README "Environment
-/// variables").
+/// Knobs for compileQuery. Every field's default is a literal: no
+/// environment variable sets a compile option.
 struct CompileOptions {
   Backend Exec = Backend::Native;
   /// Apply the §4.3 GroupBy-Aggregate specialization pass.
@@ -67,29 +65,27 @@ struct CompileOptions {
   /// Hoist repeated pure subexpressions into locals (§9 CSE).
   bool EnableCse = true;
   /// Static-analysis enforcement (lower -> validate -> analyze ->
-  /// specialize -> cse -> codegen). Defaults to the STENO_ANALYZE
-  /// environment variable.
-  analysis::Mode Analyze = analysis::modeFromEnv();
+  /// specialize -> cse -> codegen). Strict rejects a query with an
+  /// error-severity finding: it would fail later inside the JIT'd C++
+  /// anyway, with a worse message and after paying compiler latency.
+  analysis::Mode Analyze = analysis::Mode::Strict;
   /// Fact-driven plan rewriting (lower -> validate -> analyze ->
   /// REWRITE -> specialize -> codegen): dead-operator elimination,
   /// constant-predicate dropping, Take/Skip folding, cost×selectivity
   /// predicate reordering and division-trap elision, each justified by a
   /// machine-checkable RewriteCertificate (see analysis/Rewrite.h).
-  /// Defaults to the STENO_REWRITE environment variable.
-  bool Rewrite = quil::rewriteEnvEnabled();
+  bool Rewrite = true;
   /// Collect per-operator row counts (rows in/out, hence selectivity)
   /// into the global obs::ProfileStore on every run().
-  /// Defaults to the STENO_PROFILE environment variable.
-  bool Profile = obs::profilingEnvEnabled();
+  bool Profile = false;
   /// Vectorized batch execution for the Interp backend (DESIGN.md §5i):
   /// vectorizable chains run batch-at-a-time over contiguous columns with
   /// selection vectors through the steno::vec batch kernels. Chains whose
   /// shape does not fit the columnar model (nested queries, sinks,
   /// early-exit aggregates, vec-typed elements) keep the scalar
   /// interpreter. The Native backend always runs the automaton's fused
-  /// loop and ignores it. Defaults to the STENO_VECTORIZE environment
-  /// variable.
-  bool Vectorize = vec::vectorizeEnvEnabled();
+  /// loop and ignores it.
+  bool Vectorize = true;
   /// Feedback-driven adaptive optimization (DESIGN.md §5j), the one
   /// switch for whether observed statistics shape a plan: once the
   /// global obs::ProfileStore holds at least quil::MinObservedRuns

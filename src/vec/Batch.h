@@ -11,10 +11,11 @@
 /// morsel scheduler push batch after batch through an operator chain
 /// without touching the allocator.
 ///
-/// A batch is up to batchSize() consecutive source elements. Each operator
-/// kernel reads one column (a contiguous double / int64 / bool buffer, or
-/// a borrowed window of the bound source) and either writes another column
-/// (Trans) or narrows the set of live lanes (Pred). Lanes are addressed by
+/// A batch is up to VecPlan::BatchSize (1024) consecutive source
+/// elements. Each operator kernel reads one column (a contiguous double /
+/// int64 / bool buffer, or a borrowed window of the bound source) and
+/// either writes another column (Trans) or narrows the set of live lanes
+/// (Pred). Lanes are addressed by
 /// their position within the batch, so a column written by an early stage
 /// stays valid for any later stage regardless of how the selection has
 /// shrunk in between.
@@ -32,15 +33,6 @@
 
 namespace steno {
 namespace vec {
-
-/// STENO_VECTORIZE (support::parseFlag, default on) — the default for
-/// CompileOptions::Vectorize.
-bool vectorizeEnvEnabled();
-
-/// Target batch width in elements: STENO_BATCH_SIZE (support::parseCount,
-/// default 1024, clamped to [16, 65536]). Read on every call so a bench
-/// sweep can re-point it between compiles.
-std::size_t batchSizeFromEnv();
 
 /// Owned backing storage for one column. Only the vector matching the
 /// column's type is ever grown; the others stay empty.

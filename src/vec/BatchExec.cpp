@@ -127,7 +127,6 @@ VecPlan vec::planChain(const Chain &C) {
   P.NumProfOps = C.Ops.size();
   P.RetProfSlot = C.Ops.size() - 1;
   P.ScalarResult = C.Scalar;
-  P.BatchSize = batchSizeFromEnv();
 
   for (std::size_t I = 1; I + 1 < C.Ops.size(); ++I) {
     const Op &O = C.Ops[I];

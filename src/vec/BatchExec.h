@@ -99,7 +99,7 @@ struct VecPlan {
   /// Chain.Ops.size(): the ProfileSink this plan accounts into must have
   /// exactly this many op slots.
   std::size_t NumProfOps = 0;
-  /// Elements per batch, captured from STENO_BATCH_SIZE at plan time.
+  /// Elements per batch; planChain always plans 1024.
   std::size_t BatchSize = 1024;
 };
 

@@ -3,9 +3,9 @@
 /// \file
 /// Exercises the steno::analysis passes end to end: exact diagnostic codes
 /// and locations for malformed/unsafe queries, the parallel-safety
-/// certificate, STENO_ANALYZE enforcement modes, the uniform ST2001
-/// runtime trap on both backends, and the differential property that an
-/// analyzer-certified query computes identical results through the
+/// certificate, CompileOptions::Analyze enforcement modes, the uniform
+/// ST2001 runtime trap on both backends, and the differential property
+/// that an analyzer-certified query computes identical results through the
 /// reference executor, the compiled pipeline, and the multi-core parallel
 /// path (DistributedQuery::runParallel).
 ///
@@ -395,7 +395,7 @@ TEST(AnalysisConstRange, TakeZeroIsST3004) {
 }
 
 //===--------------------------------------------------------------------===//
-// Enforcement modes (STENO_ANALYZE) in compileQuery
+// Enforcement modes (CompileOptions::Analyze) in compileQuery
 //===--------------------------------------------------------------------===//
 
 TEST(AnalysisMode, StrictRejectsErrorFindings) {
@@ -439,7 +439,7 @@ TEST(AnalysisMode, OffModeSkipsAnalysis) {
   EXPECT_TRUE(CQ.analysisResult().Diags.empty());
 }
 
-TEST(AnalysisMode, EnvParsing) {
+TEST(AnalysisMode, ModeNames) {
   EXPECT_EQ(analysis::modeName(analysis::Mode::Off), std::string("off"));
   EXPECT_EQ(analysis::modeName(analysis::Mode::Warn), std::string("warn"));
   EXPECT_EQ(analysis::modeName(analysis::Mode::Strict),

@@ -276,9 +276,8 @@ TEST(E2E, Figure1QueryShape) {
 }
 
 //===--------------------------------------------------------------------===//
-// Analysis-mode matrix: the same workloads under STENO_ANALYZE=strict and
-// =off (set here explicitly via CompileOptions so the test is independent
-// of the environment). Strict must accept every well-formed paper query
+// Analysis-mode matrix: the same workloads under Analyze = Strict and
+// Off. Strict must accept every well-formed paper query
 // with identical results to Off — the analyzer may only reject, never
 // change semantics — and must reject a query with an error finding that
 // Off happily runs.

@@ -333,12 +333,6 @@ TEST(ExprAnalysis, SubstituteSharesUnchangedSubtrees) {
       << "no-op substitution returns the same node";
 }
 
-TEST(ExprAnalysis, RenameParams) {
-  E X = param("x", Type::int64Ty());
-  ExprRef Renamed = renameParams((X * 2).node(), {{"x", "z"}});
-  EXPECT_EQ(freeParams(*Renamed), (std::set<std::string>{"z"}));
-}
-
 //===--------------------------------------------------------------------===//
 // C++ printing
 //===--------------------------------------------------------------------===//

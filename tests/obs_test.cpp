@@ -103,10 +103,6 @@ TEST(Metrics, DumpContainsRegisteredInstruments) {
   EXPECT_NE(Text.find("counter test.dump.counter"), std::string::npos);
   EXPECT_NE(Text.find("gauge test.dump.gauge"), std::string::npos);
   EXPECT_NE(Text.find("histogram test.dump.histo"), std::string::npos);
-  std::string Json = obs::dumpMetricsJson();
-  EXPECT_NE(Json.find("\"test.dump.counter\""), std::string::npos);
-  EXPECT_NE(Json.find("\"test.dump.gauge\""), std::string::npos);
-  EXPECT_NE(Json.find("\"test.dump.histo\""), std::string::npos);
 }
 
 TEST(Trace, DisabledRecordsNothing) {

@@ -40,7 +40,7 @@ using query::Query;
 
 namespace {
 
-/// Compiles with profiling on, independent of STENO_PROFILE.
+/// Compiles with profiling on.
 CompileOptions profiled(Backend Exec, const std::string &Name) {
   CompileOptions O;
   O.Exec = Exec;

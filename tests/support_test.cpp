@@ -206,20 +206,3 @@ TEST(ParseFlag, CaseTable) {
         << (R.Raw ? R.Raw : "<unset>") << " default " << R.Default;
 }
 
-TEST(ParseCount, ClampsAndFallsBack) {
-  // STENO_BATCH_SIZE's bounds: default 1024, clamped to [16, 65536].
-  struct Row {
-    const char *Raw; // null = unset
-    std::int64_t Want;
-  };
-  const Row Rows[] = {
-      {nullptr, 1024}, {"", 1024},      {"abc", 1024},
-      {"12abc", 1024}, {"0", 1024},     {"-5", 1024},
-      {"1", 16},       {"16", 16},      {"4096", 4096},
-      {"65536", 65536}, {"1000000", 65536},
-      {"99999999999999999999", 65536},
-  };
-  for (const Row &R : Rows)
-    EXPECT_EQ(parseCount(R.Raw, 1024, 16, 65536), R.Want)
-        << (R.Raw ? R.Raw : "<unset>");
-}

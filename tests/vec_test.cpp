@@ -2,11 +2,11 @@
 //
 // Differential suite for the columnar batch path: every vectorizable
 // chain must produce exactly the rows the scalar path produces — same
-// values, same order, same traps, same profile counts — at every batch
-// size and at every awkward source length (empty, one element, one less
-// / one more than a batch, boundaries that land mid-batch). The scalar
-// interpreter (CompileOptions::Vectorize = false) is the oracle; the
-// reference executor double-checks both.
+// values, same order, same traps, same profile counts — at every awkward
+// source length (empty, one element, one less / one more than the
+// 1024-lane batch, several batches, boundaries that land mid-batch). The
+// scalar interpreter (CompileOptions::Vectorize = false) is the oracle;
+// the reference executor double-checks both.
 //
 // Trap fidelity gets its own section: the ST2001 division trap must
 // fire from inside a batch exactly when the scalar loop would have
@@ -20,13 +20,12 @@
 #include "cpptree/Printer.h"
 #include "jit/Jit.h"
 #include "obs/Profile.h"
-#include "vec/Batch.h"
 
 #include "gtest/gtest.h"
 
 #include <cmath>
-#include <cstdlib>
 #include <numeric>
+#include <utility>
 
 using namespace steno;
 using namespace steno::expr;
@@ -38,16 +37,6 @@ namespace {
 
 E xd() { return param("x", Type::doubleTy()); }
 E xi() { return param("xi", Type::int64Ty()); }
-
-/// Scoped STENO_BATCH_SIZE override. The knob is read at plan time
-/// (vec::batchSizeFromEnv), so setting it between compileQuery calls
-/// changes the captured batch size of subsequent plans only.
-struct BatchSizeGuard {
-  explicit BatchSizeGuard(const char *V) {
-    ::setenv("STENO_BATCH_SIZE", V, 1);
-  }
-  ~BatchSizeGuard() { ::unsetenv("STENO_BATCH_SIZE"); }
-};
 
 CompileOptions vecOpts(bool Vectorize, const std::string &Name,
                        Backend Exec = Backend::Interp) {
@@ -96,36 +85,33 @@ TEST(VecDifferential, CatalogBatchedMatchesScalar) {
     expectBatchedMatchesScalar(Q, C.B, std::string("vec_cat_") + Name);
 }
 
-// Same catalog with a tiny batch size, so a 500-element source spans
-// ~32 batches and every stateful predicate crosses batch boundaries.
+// Same catalog over 2600 elements, so each source spans two full
+// 1024-lane batches and a partial third.
 TEST(VecDifferential, CatalogBatchedMatchesScalarSmallBatches) {
-  BatchSizeGuard G("16");
-  Catalog C(/*Seed=*/12, /*N=*/500);
+  Catalog C(/*Seed=*/12, /*N=*/2600);
   for (const auto &[Name, Q] : C.Queries)
-    expectBatchedMatchesScalar(Q, C.B, std::string("vec_cat16_") + Name);
+    expectBatchedMatchesScalar(Q, C.B, std::string("vec_cat_multi_") + Name);
 }
 
 //===--------------------------------------------------------------------===//
 // Batch-edge boundaries: lengths and counters around the batch size
 //===--------------------------------------------------------------------===//
 
-// Source lengths straddling batch multiples (empty, one, 16±1, 32±1)
-// crossed with Take/Skip counts that land mid-batch, exactly on an
-// edge, past the end, and negative. Batch size pinned to 16.
+// Source lengths straddling batch multiples (empty, one, 1024±1,
+// 2048±1, several batches) crossed with Take/Skip counts that land
+// mid-batch, exactly on an edge and past the end.
 TEST(VecBoundary, TakeSkipCountersAcrossBatchEdges) {
-  BatchSizeGuard G("16");
-  for (size_t N : {size_t{0}, size_t{1}, size_t{15}, size_t{16},
-                   size_t{17}, size_t{31}, size_t{32}, size_t{33},
-                   size_t{100}}) {
+  for (size_t N : {size_t{0}, size_t{1}, size_t{1023}, size_t{1024},
+                   size_t{1025}, size_t{2047}, size_t{2048}, size_t{2049},
+                   size_t{5000}}) {
     std::vector<double> Xs(N);
     std::iota(Xs.begin(), Xs.end(), 1.0);
     Bindings B;
     B.bindDoubleArray(0, Xs.data(), static_cast<std::int64_t>(N));
     std::string Tag = "n" + std::to_string(N);
     for (std::int64_t K : {std::int64_t{0}, std::int64_t{5},
-                           std::int64_t{15},
-                           std::int64_t{16}, std::int64_t{17},
-                           static_cast<std::int64_t>(N),
+                           std::int64_t{1023}, std::int64_t{1024},
+                           std::int64_t{1025}, static_cast<std::int64_t>(N),
                            static_cast<std::int64_t>(N) + 9}) {
       std::string KTag = Tag + "_k" + std::to_string(K);
       expectBatchedMatchesScalar(
@@ -146,8 +132,7 @@ TEST(VecBoundary, TakeSkipCountersAcrossBatchEdges) {
 // CONSTANT is rejected by static analysis before either path runs, so
 // the count arrives through a capture the analyzer cannot evaluate.
 TEST(VecBoundary, NegativeCountersClampLikeScalar) {
-  BatchSizeGuard G("16");
-  std::vector<double> Xs(40);
+  std::vector<double> Xs(2500);
   std::iota(Xs.begin(), Xs.end(), 1.0);
   Bindings B;
   B.bindDoubleArray(0, Xs.data(), static_cast<std::int64_t>(Xs.size()));
@@ -162,12 +147,12 @@ TEST(VecBoundary, NegativeCountersClampLikeScalar) {
 // TakeWhile/SkipWhile flips that land mid-batch, at a batch edge,
 // never, and immediately. The flag must persist across batches.
 TEST(VecBoundary, WhilePredicatesFlipMidBatch) {
-  BatchSizeGuard G("16");
-  std::vector<double> Xs(64);
-  std::iota(Xs.begin(), Xs.end(), 0.0); // 0, 1, ..., 63
+  std::vector<double> Xs(4096);
+  std::iota(Xs.begin(), Xs.end(), 0.0); // 0, 1, ..., 4095
   Bindings B;
   B.bindDoubleArray(0, Xs.data(), static_cast<std::int64_t>(Xs.size()));
-  for (double Cut : {-1.0, 0.5, 15.5, 16.5, 20.5, 31.5, 63.5, 99.0}) {
+  for (double Cut :
+       {-1.0, 0.5, 1023.5, 1024.5, 1500.5, 2047.5, 4095.5, 9999.0}) {
     std::string Tag = std::to_string(static_cast<int>(Cut * 2));
     expectBatchedMatchesScalar(
         Query::doubleArray(0).takeWhile(lambda({xd()}, xd() < E(Cut))).sum(),
@@ -188,20 +173,22 @@ TEST(VecBoundary, WhilePredicatesFlipMidBatch) {
 
 // A Where that leaves a sparse selection, then stateful predicates over
 // the survivors: selection-vector trimming must agree with the scalar
-// element order at every batch size.
+// element order inside the first batch and across the 1024 and 2048
+// edges.
 TEST(VecBoundary, SparseSelectionThenCounters) {
-  for (const char *BS : {"16", "64", "1024"}) {
-    BatchSizeGuard G(BS);
-    std::vector<double> Xs(200);
-    std::iota(Xs.begin(), Xs.end(), 0.0);
-    Bindings B;
-    B.bindDoubleArray(0, Xs.data(), static_cast<std::int64_t>(Xs.size()));
+  std::vector<double> Xs(3000);
+  std::iota(Xs.begin(), Xs.end(), 0.0);
+  Bindings B;
+  B.bindDoubleArray(0, Xs.data(), static_cast<std::int64_t>(Xs.size()));
+  for (auto [Skip, Take] : {std::pair<std::int64_t, std::int64_t>{4, 21},
+                            {330, 40},
+                            {680, 30}}) {
     Query Q = Query::doubleArray(0)
                   .where(lambda({xd()}, toInt64(xd()) % 3 == 0))
-                  .skip(E(std::int64_t{4}))
-                  .take(E(std::int64_t{21}))
+                  .skip(E(Skip))
+                  .take(E(Take))
                   .select(lambda({xd()}, xd() + 0.5));
-    expectBatchedMatchesScalar(Q, B, std::string("sparse_bs") + BS);
+    expectBatchedMatchesScalar(Q, B, "sparse_skip" + std::to_string(Skip));
   }
 }
 
@@ -210,8 +197,7 @@ TEST(VecBoundary, SparseSelectionThenCounters) {
 //===--------------------------------------------------------------------===//
 
 TEST(VecSources, RangeInt64AndVecExpr) {
-  BatchSizeGuard G("16");
-  std::vector<double> Xs(100);
+  std::vector<double> Xs(3000);
   std::iota(Xs.begin(), Xs.end(), 0.25);
   std::vector<std::int64_t> Is{7, -3, 0, 41, 8, 8, -20, 5};
   Bindings B;
@@ -219,7 +205,7 @@ TEST(VecSources, RangeInt64AndVecExpr) {
   B.bindInt64Array(1, Is.data(), static_cast<std::int64_t>(Is.size()));
 
   expectBatchedMatchesScalar(
-      Query::range(E(std::int64_t{5}), E(std::int64_t{77}))
+      Query::range(E(std::int64_t{5}), E(std::int64_t{2600}))
           .select(lambda({xi()}, xi() * xi()))
           .sum(),
       B, "range_sumsq");
@@ -233,7 +219,7 @@ TEST(VecSources, RangeInt64AndVecExpr) {
   expectBatchedMatchesScalar(Query::int64Array(1).max(), B, "int64_max");
   // Vec-expression source: a view sliced out of slot 0.
   expectBatchedMatchesScalar(
-      Query::overVec(slice(0, E(std::int64_t{3}), E(std::int64_t{50})))
+      Query::overVec(slice(0, E(std::int64_t{3}), E(std::int64_t{2100})))
           .select(lambda({xd()}, xd() * 2.0))
           .sum(),
       B, "vecexpr_slice");
@@ -386,8 +372,10 @@ TEST(VecTrapDeath, NativeDivByMinusOneTrapsWithST2001) {
 // path either — the batch kernels may not eagerly evaluate a division
 // the element-at-a-time semantics would have skipped.
 TEST(VecTrapFidelity, GuardedLanesDoNotTrap) {
-  BatchSizeGuard G("16");
-  std::vector<std::int64_t> Is{4, 0, 6, 0, 12};
+  // A zero every fifth element, so every batch holds guarded lanes.
+  std::vector<std::int64_t> Is(2100);
+  for (std::size_t I = 0; I != Is.size(); ++I)
+    Is[I] = static_cast<std::int64_t>(I % 5);
   Bindings B;
   B.bindInt64Array(0, Is.data(), static_cast<std::int64_t>(Is.size()));
   const E Hundred = E(std::int64_t{100});
@@ -414,25 +402,31 @@ TEST(VecTrapFidelity, GuardedLanesDoNotTrap) {
 }
 
 TEST(VecTrapFidelity, LanesPastTakeBoundaryDoNotTrap) {
-  BatchSizeGuard G("16");
-  // The trapping element sits INSIDE the first batch but past the Take
-  // window / TakeWhile flip, so the scalar loop never divides by it.
-  std::vector<std::int64_t> Is{1, 2, 0, 0};
-  Bindings B;
-  B.bindInt64Array(0, Is.data(), static_cast<std::int64_t>(Is.size()));
+  // The trapping elements sit past the Take window / TakeWhile flip, so
+  // the scalar loop never divides by them: inside the first batch, and
+  // in the second batch behind a window that crosses the 1024 edge.
+  std::vector<std::int64_t> Short{1, 2, 0, 0};
+  std::vector<std::int64_t> Long(1100, 1);
+  Long[1030] = Long[1031] = 0;
   const E Hundred = E(std::int64_t{100});
-  expectBatchedMatchesScalar(Query::int64Array(0)
-                                 .take(E(std::int64_t{2}))
-                                 .select(lambda({xi()}, Hundred / xi()))
-                                 .sum(),
-                             B, "boundary_take");
-  expectBatchedMatchesScalar(
-      Query::int64Array(0)
-          .takeWhile(lambda({xi()}, xi() < E(std::int64_t{10}) &&
-                                        xi() > E(std::int64_t{0})))
-          .select(lambda({xi()}, Hundred / xi()))
-          .sum(),
-      B, "boundary_takewhile");
+  for (const std::vector<std::int64_t> *Is : {&Short, &Long}) {
+    Bindings B;
+    B.bindInt64Array(0, Is->data(), static_cast<std::int64_t>(Is->size()));
+    std::int64_t Window = Is == &Short ? 2 : 1030;
+    std::string Tag = std::to_string(Is->size());
+    expectBatchedMatchesScalar(Query::int64Array(0)
+                                   .take(E(Window))
+                                   .select(lambda({xi()}, Hundred / xi()))
+                                   .sum(),
+                               B, "boundary_take" + Tag);
+    expectBatchedMatchesScalar(
+        Query::int64Array(0)
+            .takeWhile(lambda({xi()}, xi() < E(std::int64_t{10}) &&
+                                          xi() > E(std::int64_t{0})))
+            .select(lambda({xi()}, Hundred / xi()))
+            .sum(),
+        B, "boundary_takewhile" + Tag);
+  }
 }
 
 //===--------------------------------------------------------------------===//
@@ -508,8 +502,7 @@ TEST(VecNative, NativeRunsTheAutomatonLoop) {
 //===--------------------------------------------------------------------===//
 
 TEST(VecAggregates, AllFoldShapesMatchScalar) {
-  BatchSizeGuard G("16");
-  std::vector<double> Xs = randomDoubles(100, 41, -100, 100);
+  std::vector<double> Xs = randomDoubles(2500, 41, -100, 100);
   Bindings B;
   B.bindDoubleArray(0, Xs.data(), static_cast<std::int64_t>(Xs.size()));
 

@@ -15,7 +15,7 @@
 //
 //   steno_loadgen --clients 8 --seconds 30 --seed 1     # CI configuration
 //
-// With STENO_PROFILE=1 every plan is profiled, so the service's feedback
+// With --profile every plan is profiled, so the service's feedback
 // re-plans run under load too; the replans / replan_swaps /
 // replan_no_change counters in the report show whether any swapped.
 //
@@ -77,8 +77,9 @@ void usage() {
       "  --deadline-ms N    per-request deadline (default 5000)\n"
       "  --workers N        service execution pool (default 4)\n"
       "  --max-queue N      admission bound (default 64)\n"
-      "  --compile-workers N  background JIT threads (default 1)\n"
       "  --no-recompile     stay on the interpreter backend\n"
+      "  --profile          profile every plan, so feedback re-plans run\n"
+      "                     (sharded: passed on to the workers)\n"
       "sharded mode (spawns worker processes + an in-process router):\n"
       "  --shards N         drive N steno_serve workers via ShardRouter\n"
       "  --serve-bin PATH   steno_serve binary (required with --shards)\n"
@@ -362,8 +363,8 @@ int runSharded(unsigned Clients, unsigned Seconds, std::uint64_t Seed,
                unsigned GenCount, std::chrono::milliseconds Deadline,
                unsigned ShardCount, const std::string &ServeBin,
                unsigned ShardWorkers, bool ShardNoRecompile,
-               const std::string &SocketDir, unsigned ChaosKillMs,
-               unsigned ChaosDownMs) {
+               bool ShardProfile, const std::string &SocketDir,
+               unsigned ChaosKillMs, unsigned ChaosDownMs) {
   // Writes race against chaos kills; a dead worker's socket must error,
   // not signal.
   std::signal(SIGPIPE, SIG_IGN);
@@ -373,6 +374,8 @@ int runSharded(unsigned Clients, unsigned Seconds, std::uint64_t Seed,
                                         std::to_string(ShardWorkers)};
   if (ShardNoRecompile)
     ExtraArgs.push_back("--no-recompile");
+  if (ShardProfile)
+    ExtraArgs.push_back("--profile");
   std::vector<shard::WorkerProcess> Workers;
   for (unsigned I = 0; I != ShardCount; ++I) {
     std::string Sock = SocketDir + "/steno-shard-" +
@@ -575,10 +578,10 @@ int main(int Argc, char **Argv) {
       Opts.Workers = static_cast<unsigned>(N);
     } else if (Arg == "--max-queue" && parseUnsigned(next(), N)) {
       Opts.MaxQueue = static_cast<unsigned>(N);
-    } else if (Arg == "--compile-workers" && parseUnsigned(next(), N)) {
-      Opts.CompileWorkers = static_cast<unsigned>(N);
     } else if (Arg == "--no-recompile") {
       Opts.BackgroundRecompile = false;
+    } else if (Arg == "--profile") {
+      Opts.Profile = true;
     } else if (Arg == "--shards" && parseUnsigned(next(), N)) {
       ShardCount = static_cast<unsigned>(N);
     } else if (Arg == "--serve-bin") {
@@ -609,7 +612,7 @@ int main(int Argc, char **Argv) {
     }
     return runSharded(Clients, Seconds, Seed, GenCount, Deadline,
                       ShardCount, ServeBin, ShardWorkers, ShardNoRecompile,
-                      SocketDir, ChaosKillMs, ChaosDownMs);
+                      Opts.Profile, SocketDir, ChaosKillMs, ChaosDownMs);
   }
 
   serve::QueryService Svc(Opts);

@@ -35,13 +35,10 @@ void usage() {
       "  --socket PATH      Unix socket path (default /tmp/steno-serve.sock)\n"
       "  --workers N        execution pool size (default 4)\n"
       "  --max-queue N      admission bound, queued+running (default 64)\n"
-      "  --compile-workers N  background JIT threads (default 1)\n"
       "  --deadline-ms N    default request deadline (default 5000)\n"
       "  --no-recompile     stay on the interpreter backend forever\n"
       "  --profile          per-operator query profiling (wire command\n"
-      "                     `profile <handle>`; also STENO_PROFILE=1)\n"
-      "  --no-adapt         disable feedback-driven re-planning, same as\n"
-      "                     --replan-every 0\n"
+      "                     `profile <handle>`)\n"
       "  --replan-every N   re-plan a handle with feedback after N, 2N,\n"
       "                     4N, ... executions; a re-plan that finds a\n"
       "                     new plan replaces the handle's plan (needs\n"
@@ -76,16 +73,12 @@ int main(int Argc, char **Argv) {
       Opts.Workers = static_cast<unsigned>(N);
     } else if (Arg == "--max-queue" && parseUnsigned(next(), N)) {
       Opts.MaxQueue = static_cast<unsigned>(N);
-    } else if (Arg == "--compile-workers" && parseUnsigned(next(), N)) {
-      Opts.CompileWorkers = static_cast<unsigned>(N);
     } else if (Arg == "--deadline-ms" && parseUnsigned(next(), N)) {
       Opts.DefaultDeadline = std::chrono::milliseconds(N);
     } else if (Arg == "--no-recompile") {
       Opts.BackgroundRecompile = false;
     } else if (Arg == "--profile") {
       Opts.Profile = true;
-    } else if (Arg == "--no-adapt") {
-      Opts.ReplanEvery = 0;
     } else if (Arg == "--replan-every" && parseUnsigned(next(), N)) {
       Opts.ReplanEvery = static_cast<unsigned>(N);
     } else {
