@@ -1,7 +1,10 @@
 //===- bench/profile_overhead.cpp - Cost of the profiling subsystem ------===//
 //
 // Measures what operator-level profiling (obs::ProfileStore) costs on the
-// native backend, per workload:
+// native backend, per workload: sumsq (Figure 1's sum of squares), filter
+// (a guarded sum) and takewhile (an ascending input whose TakeWhile ends
+// the loop halfway, then a sum; a profiled plan must stop where the
+// unprofiled one does):
 //
 //   baseline  the unprofiled plan's entry function invoked straight
 //             through jit::run — the exact machine code of `off`, minus
@@ -18,7 +21,7 @@
 // All three run in the same interleaved rounds. Gates, on the median of
 // the per-round ratios: off must stay within 5% of baseline ("profiling
 // off is free") and on within 10% of off ("profiling on is cheap"). The
-// process exits 1 when either bound is exceeded on either workload, so
+// process exits 1 when either bound is exceeded on any workload, so
 // the bench-smoke CI job fails loudly instead of recording a regression.
 //
 // Writes BENCH_profile_overhead.json (see BenchUtil.h JsonReport).
@@ -35,6 +38,7 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <vector>
 
 using namespace steno;
 using namespace steno::bench;
@@ -55,6 +59,8 @@ CompileOptions nativeOptions(bool Profile, const std::string &Name) {
 struct Workload {
   const char *Name;
   Query Q;
+  const Bindings *B;
+  std::int64_t Items; ///< Elements one run reads.
 };
 
 /// Rounds of the three variants. A call takes a few ms, and on a shared
@@ -67,8 +73,9 @@ constexpr int kRounds = 201;
 constexpr double MaxOffOverBaseline = 1.05;
 constexpr double MaxOnOverOff = 1.10;
 
-bool measure(const Workload &W, const Bindings &B, std::int64_t Items,
-             JsonReport &Json) {
+bool measure(const Workload &W, JsonReport &Json) {
+  const Bindings &B = *W.B;
+  std::int64_t Items = W.Items;
   CompiledQuery Off = compileQuery(W.Q, nativeOptions(false, W.Name));
   CompiledQuery On = compileQuery(W.Q, nativeOptions(true, W.Name));
 
@@ -133,15 +140,26 @@ int main() {
   std::vector<double> Data = uniformDoubles(N, /*Seed=*/42);
   Bindings B;
   B.bindDoubleArray(0, Data.data(), N);
+  std::vector<double> Asc(static_cast<std::size_t>(N));
+  for (std::int64_t I = 0; I != N; ++I)
+    Asc[static_cast<std::size_t>(I)] = static_cast<double>(I);
+  Bindings BAsc;
+  BAsc.bindDoubleArray(0, Asc.data(), N);
 
   auto X = param("x", Type::doubleTy());
+  const double Half = static_cast<double>(N / 2);
   Workload Workloads[] = {
-      {"sumsq", Query::doubleArray(0).select(lambda({X}, X * X)).sum()},
+      {"sumsq", Query::doubleArray(0).select(lambda({X}, X * X)).sum(), &B,
+       N},
       {"filter",
        Query::doubleArray(0)
            .where(lambda({X}, X > 500.0))
            .select(lambda({X}, X * 2.0))
-           .sum()},
+           .sum(),
+       &B, N},
+      {"takewhile",
+       Query::doubleArray(0).takeWhile(lambda({X}, X < Half)).sum(), &BAsc,
+       N / 2 + 1},
   };
 
   JsonReport Json("profile_overhead");
@@ -152,7 +170,7 @@ int main() {
               MaxOnOverOff);
   bool Ok = true;
   for (const Workload &W : Workloads)
-    Ok = measure(W, B, N, Json) && Ok;
+    Ok = measure(W, Json) && Ok;
 
   // Show the artifact the instrumentation buys at this price.
   if (auto Snap = obs::ProfileStore::global().snapshot(

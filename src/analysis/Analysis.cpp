@@ -8,18 +8,6 @@
 using namespace steno;
 using namespace steno::analysis;
 
-const char *analysis::modeName(Mode M) {
-  switch (M) {
-  case Mode::Off:
-    return "off";
-  case Mode::Warn:
-    return "warn";
-  case Mode::Strict:
-    return "strict";
-  }
-  stenoUnreachable("bad Mode");
-}
-
 const char *analysis::aggClassName(AggClass C) {
   switch (C) {
   case AggClass::NoCombiner:

@@ -24,8 +24,8 @@
 ///      constant-false predicates (guaranteed-empty chains), dead
 ///      operators (ST3xxx).
 ///
-/// CompileOptions::Analyze (off | warn | strict, default strict) selects
-/// the enforcement mode for compileQuery/compileChain.
+/// CompileOptions::Analyze (off | strict, default strict) selects the
+/// enforcement mode for compileQuery/compileChain.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,12 +44,8 @@ namespace analysis {
 /// Enforcement mode for the analyze phase.
 enum class Mode {
   Off,   ///< Skip analysis entirely.
-  Warn,  ///< Run and report; never reject.
-  Strict ///< Run and reject queries with error-severity findings.
+  Strict ///< Run, report, and reject queries with error-severity findings.
 };
-
-/// Spelling for logs ("off" | "warn" | "strict").
-const char *modeName(Mode M);
 
 /// Associativity classification of one aggregation's combiner, used to
 /// gate HomomorphicApply / partial aggregation (§6).

@@ -169,7 +169,7 @@ private:
   // A profiled program is the unprofiled one plus counter statements:
   // every generation rule emits the same statements with profiling on or
   // off, and the counters only count (no clock, no fresh name, no
-  // branch). The one exception is mayBreakWhenExhausted().
+  // branch). Only the helpers below read Options.Profile.
 
   static constexpr unsigned NoProf = ~0u;
 
@@ -385,7 +385,7 @@ private:
         genTrans(O);
         break;
       case Sym::Pred:
-        genPred(O, std::span(C.Ops).subspan(I + 1));
+        genPred(O, I, std::span(C.Ops).subspan(I + 1));
         break;
       case Sym::Sink:
         genSink(O);
@@ -472,8 +472,8 @@ private:
     return false;
   }
 
-  /// True when no statement of \p Body can trap: only locals, assignments
-  /// and branches over speculatable expressions.
+  /// True when no statement of \p Body can trap: only locals, assignments,
+  /// branches over speculatable expressions and profile counters.
   static bool cannotTrap(const StmtList &Body) {
     for (const StmtRef &S : Body) {
       switch (S->K) {
@@ -482,6 +482,7 @@ private:
       case StmtKind::Assign:
       case StmtKind::If:
       case StmtKind::Continue:
+      case StmtKind::ProfileCount:
         break;
       default:
         return false;
@@ -492,20 +493,24 @@ private:
     return true;
   }
 
-  /// Whether an exhausted Take/TakeWhile may leave the loop with `break`
-  /// rather than `continue` through the rest of the input. It must sit in
-  /// the outermost loop (in a flattened nested loop a break ends only the
-  /// inner one), and nothing before it in the loop body may trap, or the
-  /// elements past the boundary would have raised it. Profiled plans keep
-  /// `continue`, so every element is counted in, as the batch executor
-  /// counts it: it runs whole batches and cannot stop its counts at the
-  /// breaking element. This is the one rule that differs with profiling.
-  bool mayBreakWhenExhausted() {
-    return !Options.Profile && Stack.back().LoopDepth == 1 &&
-           cannotTrap(mu());
+  /// Whether an exhausted Take/TakeWhile, op \p I of the query's chain,
+  /// leaves the loop with `break` rather than `continue` through the rest
+  /// of the input. It must sit in the outermost loop (in a flattened
+  /// nested loop a break ends only the inner one), and nothing before it
+  /// in the loop body may trap, or the elements past the boundary would
+  /// have raised it. cannotTrap() refuses an earlier `break` as well, so
+  /// only a loop's first Take/TakeWhile breaks. Counters cannot trap, so
+  /// profiling changes no answer. The first op that breaks becomes the
+  /// program's ExitOp, where the batch executor stops as well.
+  bool breaksWhenExhausted(std::size_t I) {
+    if (Stack.back().LoopDepth != 1 || !cannotTrap(mu()))
+      return false;
+    if (Program.ExitOp == cpptree::NoExitOp)
+      Program.ExitOp = static_cast<unsigned>(I);
+    return true;
   }
 
-  void genPred(const Op &O, std::span<const Op> Rest) {
+  void genPred(const Op &O, std::size_t I, std::span<const Op> Rest) {
     ensureIterating();
     std::uint64_t OpId =
         O.P == PredOp::Where && O.Fn.valid() ? expr::hashLambda(O.Fn) : 0;
@@ -534,8 +539,8 @@ private:
       ExprRef CntRef = Expr::param(Cnt, I64);
       mu().push_back(Stmt::ifThen(
           Expr::binary(expr::BinaryOp::Ge, CntRef, substOuter(O.Seed)),
-          {mayBreakWhenExhausted() ? Stmt::breakStmt()
-                                   : Stmt::continueStmt()}));
+          {breaksWhenExhausted(I) ? Stmt::breakStmt()
+                                  : Stmt::continueStmt()}));
       mu().push_back(Stmt::assign(
           Cnt, Expr::binary(expr::BinaryOp::Add, CntRef,
                             Expr::constInt64(1))));
@@ -554,7 +559,7 @@ private:
       break;
     }
     case PredOp::TakeWhile: {
-      if (mayBreakWhenExhausted()) {
+      if (breaksWhenExhausted(I)) {
         mu().push_back(
             Stmt::ifThen(Expr::unary(expr::UnaryOp::Not,
                                      inline1(O.Fn, curElemRef())),

@@ -37,9 +37,8 @@ struct GenOptions {
   bool EnableCse = true;
   /// Count each operator's rows in and out (ProfileCount statements +
   /// Program::ProfOps descriptors). A profiled program is the unprofiled
-  /// one plus its counters, except that an exhausted Take/TakeWhile keeps
-  /// `continue` rather than `break`. Off by default: unprofiled plans
-  /// carry zero instrumentation.
+  /// one plus its counters. Off by default: unprofiled plans carry zero
+  /// instrumentation.
   bool Profile = false;
 };
 

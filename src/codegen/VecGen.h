@@ -23,11 +23,13 @@
 /// or selection-vector input — no per-lane mode test survives into the
 /// generated code.
 ///
-/// Trap and profile fidelity match the scalar TU: lambda bodies are
-/// printed per lane with native short-circuit (&&, ||, ?:), lanes are
-/// visited in source order within each stage, and the batch loop always
-/// consumes the whole source. Per-operator profile slots move by lane
-/// counts once per batch.
+/// Trap fidelity matches the scalar TU: lambda bodies are printed per
+/// lane with native short-circuit (&&, ||, ?:), and lanes are visited in
+/// source order within each stage. Per-operator profile slots move by
+/// lane counts once per batch. The batch loop always consumes the whole
+/// source (it ignores VStep::Exit), so where the scalar TU `break`s past
+/// an exhausted Take/TakeWhile it returns the same rows but counts past
+/// the breaking element.
 ///
 //===----------------------------------------------------------------------===//
 

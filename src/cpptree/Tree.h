@@ -196,6 +196,9 @@ struct ProfOp {
   std::uint64_t OpId = 0;
 };
 
+/// Program::ExitOp of a program whose loops all run to the end.
+constexpr unsigned NoExitOp = ~0u;
+
 /// A whole generated query body.
 struct Program {
   /// Entry symbol name (C identifier).
@@ -204,6 +207,11 @@ struct Program {
   /// Scalar result type, or element type for collection results.
   expr::TypeRef ResultType;
   bool ScalarResult = false;
+  /// The first Take/TakeWhile, as an index into the chain's Ops, whose
+  /// exhaustion leaves its loop with `break` (DESIGN.md §5, "Early
+  /// exit"); NoExitOp when none does. The batch executor stops at the
+  /// same element (vec::planChain).
+  unsigned ExitOp = NoExitOp;
   /// Profiled operators, in instrumentation order; op k owns counter
   /// slots 2k/2k+1. Empty unless the generator ran with
   /// GenOptions::Profile.

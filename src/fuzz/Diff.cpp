@@ -4,12 +4,16 @@
 
 #include "analysis/Analysis.h"
 #include "dryad/Dist.h"
+#include "obs/Profile.h"
 #include "quil/Quil.h"
 #include "steno/RefExec.h"
 #include "steno/Steno.h"
 #include "support/StringUtil.h"
 
+#include <algorithm>
 #include <cmath>
+#include <future>
+#include <optional>
 
 using namespace steno;
 using namespace steno::fuzz;
@@ -155,6 +159,86 @@ dryad::DistOptions quietDistOptions(BackendId Id) {
   return DO;
 }
 
+/// The compile options of the compileQuery backends (Interp,
+/// InterpNoRewrite, InterpVectorized, Jit).
+CompileOptions compileOptions(BackendId Id) {
+  CompileOptions CO;
+  CO.Exec = Id == BackendId::Jit ? Backend::Native : Backend::Interp;
+  CO.Analyze = analysis::Mode::Off; // screened in check(); stay quiet
+  // The rewrite-on/off oracle pair.
+  CO.Rewrite = Id != BackendId::InterpNoRewrite;
+  // The vectorize-on/off pair: the scalar interp backends never take the
+  // batch path, InterpVectorized always requests it. Jit ignores it.
+  CO.Vectorize = Id == BackendId::InterpVectorized;
+  // Pinned off so these backends stay deterministic even after
+  // InterpAdaptive seeded feedback for this very spec; adaptivity is
+  // exercised only through its dedicated backend.
+  CO.Adaptive = false;
+  CO.Name = Id == BackendId::Jit               ? "fuzz_jit"
+            : Id == BackendId::InterpNoRewrite ? "fuzz_interp_norw"
+            : Id == BackendId::InterpVectorized ? "fuzz_interp_vec"
+                                                : "fuzz_interp";
+  return CO;
+}
+
+/// One run of a profiled plan: its result and each op's rows in and out.
+struct ProfiledRun {
+  QueryResult Result;
+  std::vector<obs::OpProfile> Ops;
+};
+
+/// The spec compiled once more with profiling on for backend \p Id.
+CompiledQuery compileProfiled(const BuiltQuery &Built, BackendId Id) {
+  CompileOptions CO = compileOptions(Id);
+  CO.Profile = true;
+  return compileQuery(Built.Q, CO);
+}
+
+/// Runs the profiled plan \p CQ once. The counts are the ProfileStore
+/// snapshot delta around the run: the plan's entry also holds every
+/// earlier run of the same plan hash (other backends, InterpAdaptive's
+/// warm-up, a repeated spec).
+ProfiledRun runProfiled(const CompiledQuery &CQ, const Bindings &B) {
+  const obs::ProfileStore &Store = obs::ProfileStore::global();
+  std::optional<obs::ProfileSnapshot> Before = Store.snapshot(CQ.planHash());
+  ProfiledRun Out;
+  Out.Result = CQ.run(B);
+  if (std::optional<obs::ProfileSnapshot> After =
+          Store.snapshot(CQ.planHash()))
+    Out.Ops = std::move(After->Ops);
+  if (Before && Before->Ops.size() == Out.Ops.size())
+    for (std::size_t K = 0; K != Out.Ops.size(); ++K) {
+      Out.Ops[K].RowsIn -= Before->Ops[K].RowsIn;
+      Out.Ops[K].RowsOut -= Before->Ops[K].RowsOut;
+    }
+  return Out;
+}
+
+/// Op-by-op comparison of rows in and out with the scalar interpreter's
+/// \p Want; fills \p Detail with the first divergence.
+bool countsMatch(const std::vector<obs::OpProfile> &Want,
+                 const std::vector<obs::OpProfile> &Got,
+                 std::string &Detail) {
+  if (Want.size() != Got.size()) {
+    Detail = support::strFormat("profile: %zu ops vs %zu", Want.size(),
+                                Got.size());
+    return false;
+  }
+  for (std::size_t K = 0; K != Want.size(); ++K)
+    if (Want[K].RowsIn != Got[K].RowsIn ||
+        Want[K].RowsOut != Got[K].RowsOut) {
+      Detail = support::strFormat(
+          "profile: op %zu %s rows in/out interp=%llu/%llu got=%llu/%llu",
+          K, Want[K].Label.c_str(),
+          static_cast<unsigned long long>(Want[K].RowsIn),
+          static_cast<unsigned long long>(Want[K].RowsOut),
+          static_cast<unsigned long long>(Got[K].RowsIn),
+          static_cast<unsigned long long>(Got[K].RowsOut));
+      return false;
+    }
+  return true;
+}
+
 /// Structurally rebuilds \p V with a +1 / flipped perturbation at the
 /// first leaf (fault injection for the mismatch-pipeline test). A
 /// perturbed vec's elements live in \p Scratch until the row is added.
@@ -265,6 +349,15 @@ DiffResult DiffHarness::check(const QuerySpec &Spec,
 
   QueryResult Ref = runReference(Built.Q, Built.B);
 
+  // The profiled native plan compiles while the other backends run: one
+  // JIT compile costs more than all of them together.
+  std::future<CompiledQuery> ProfiledJit;
+  if (std::find(Opts.Backends.begin(), Opts.Backends.end(),
+                BackendId::Jit) != Opts.Backends.end())
+    ProfiledJit = std::async(std::launch::async, [&Built] {
+      return compileProfiled(Built, BackendId::Jit);
+    });
+
   for (BackendId Id : Opts.Backends) {
     BackendOutcome O;
     O.Id = Id;
@@ -275,27 +368,9 @@ DiffResult DiffHarness::check(const QuerySpec &Spec,
     case BackendId::Interp:
     case BackendId::InterpNoRewrite:
     case BackendId::InterpVectorized:
-    case BackendId::Jit: {
-      CompileOptions CO;
-      CO.Exec = Id == BackendId::Jit ? Backend::Native : Backend::Interp;
-      CO.Analyze = analysis::Mode::Off; // screened above; stay quiet
-      // The rewrite-on/off oracle pair.
-      CO.Rewrite = Id != BackendId::InterpNoRewrite;
-      // The vectorize-on/off pair: the scalar interp backends never take
-      // the batch path, InterpVectorized always requests it. Jit ignores
-      // it.
-      CO.Vectorize = Id == BackendId::InterpVectorized;
-      // Pinned off so these backends stay deterministic even after
-      // InterpAdaptive seeded feedback for this very spec; adaptivity
-      // is exercised only through its dedicated backend below.
-      CO.Adaptive = false;
-      CO.Name = Id == BackendId::Jit               ? "fuzz_jit"
-                : Id == BackendId::InterpNoRewrite ? "fuzz_interp_norw"
-                : Id == BackendId::InterpVectorized ? "fuzz_interp_vec"
-                                                    : "fuzz_interp";
-      Got = compileQuery(Built.Q, CO).run(Built.B);
+    case BackendId::Jit:
+      Got = compileQuery(Built.Q, compileOptions(Id)).run(Built.B);
       break;
-    }
     case BackendId::InterpAdaptive: {
       // Cold: profiled adaptive compile with no profile yet for this
       // query — the static order. Running it past quil::MinObservedRuns
@@ -361,6 +436,41 @@ DiffResult DiffHarness::check(const QuerySpec &Spec,
                   O.Detail;
     }
     R.Outcomes.push_back(std::move(O));
+  }
+
+  // The profile-count oracle: the profiled plans of the scalar
+  // interpreter, the batch executor and native count the same rows in
+  // and out per op, the scalar interpreter's being the reference, and
+  // still compute the reference's result.
+  std::optional<ProfiledRun> Scalar;
+  for (BackendOutcome &O : R.Outcomes) {
+    if (O.Id != BackendId::Interp && O.Id != BackendId::InterpVectorized &&
+        O.Id != BackendId::Jit)
+      continue;
+    if (!Scalar)
+      Scalar = runProfiled(compileProfiled(Built, BackendId::Interp),
+                           Built.B);
+    ProfiledRun Run =
+        O.Id == BackendId::Interp ? *Scalar
+        : O.Id == BackendId::Jit
+            ? runProfiled(ProfiledJit.get(), Built.B)
+            : runProfiled(compileProfiled(Built, O.Id), Built.B);
+    std::string Detail;
+    if (!resultsMatch(Ref, Run.Result, Detail)) {
+      O.Match = false;
+      Detail.insert(0, "profiled plan: ");
+    } else if (!countsMatch(Scalar->Ops, Run.Ops, Detail)) {
+      O.CountMismatch = true;
+      R.CountMismatch = true;
+    } else {
+      continue;
+    }
+    if (O.Detail.empty())
+      O.Detail = Detail;
+    R.Mismatch = true;
+    if (!R.Report.empty())
+      R.Report += "\n";
+    R.Report += std::string(backendName(O.Id)) + ": " + Detail;
   }
   return R;
 }

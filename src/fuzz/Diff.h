@@ -26,6 +26,13 @@
 /// The invariant "parallel implies certified" is checked as its own
 /// failure kind (CertViolation).
 ///
+/// Profile counts: Interp, InterpVectorized and Jit (when requested) each
+/// compile the spec once more with CompileOptions::Profile and run it
+/// once. Every op's rows in and out, the ProfileStore snapshot delta
+/// around that run, must equal the profiled scalar interpreter's, and the
+/// result must still match the reference; a count disagreement is its
+/// own failure kind (CountMismatch).
+///
 /// Parallel backends 2/8 run with tiny morsel bounds (min 1, max 8,
 /// inline-below 0) so the small fuzz inputs really split into several
 /// morsels and reassemble instead of taking the InlineBelow shortcut.
@@ -104,13 +111,16 @@ struct BackendOutcome {
   BackendId Id = BackendId::Interp;
   bool Match = true;
   bool CertViolation = false; ///< fanned out without a certificate
-  std::string Detail;         ///< first differing row, rendered
+  /// The profiled plan counted other rows than the scalar interpreter's.
+  bool CountMismatch = false;
+  std::string Detail; ///< first differing row or count, rendered
 };
 
 /// The differential verdict for one spec.
 struct DiffResult {
   bool BuildError = false; ///< spec did not build; Report has the error
   bool Mismatch = false;   ///< some backend disagreed with the reference
+  bool CountMismatch = false; ///< some profiled plan's counts disagreed
   bool Certified = false;  ///< the dryad/plinq paths fanned out
   std::vector<BackendOutcome> Outcomes;
   std::string Report;
@@ -119,7 +129,7 @@ struct DiffResult {
   std::vector<BackendId> failing() const {
     std::vector<BackendId> Out;
     for (const BackendOutcome &O : Outcomes)
-      if (!O.Match || O.CertViolation)
+      if (!O.Match || O.CertViolation || O.CountMismatch)
         Out.push_back(O.Id);
     return Out;
   }

@@ -67,6 +67,7 @@ FuzzOutcome fuzz::runFuzz(DiffHarness &Harness, const FuzzOptions &Opts) {
 
     Mismatches.inc();
     ++Out.Mismatches;
+    Out.CountMismatches += R.CountMismatch ? 1 : 0;
     std::fprintf(stderr, "steno-fuzz: mismatch at iter %u (seed %llu):\n%s\n",
                  Iter, static_cast<unsigned long long>(Opts.Seed),
                  R.Report.c_str());

@@ -56,6 +56,8 @@ struct FuzzOutcome {
   unsigned Queries = 0;    ///< Specs differentially checked.
   unsigned Rejected = 0;   ///< Generator candidates the pre-screen refused.
   unsigned Mismatches = 0; ///< Checks with at least one disagreeing backend.
+  /// Of Mismatches, the checks where profile counts disagreed.
+  unsigned CountMismatches = 0;
   unsigned Certified = 0;  ///< Checks where a parallel path fanned out.
   unsigned ShrinkSteps = 0;
   /// Shrunken failing specs, paired with the corpus path they were

@@ -398,8 +398,14 @@ Response QueryService::admit(const PreparedHandle &P,
                              bool Partial, std::size_t Begin,
                              std::size_t Len) {
   // The deadline runs from the call: a caller descheduled anywhere below
-  // must not push it later.
-  const auto Due = std::chrono::steady_clock::now() + Deadline;
+  // must not push it later. One past the clock's range never expires.
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point Now = Clock::now();
+  const Clock::time_point Due =
+      Deadline < std::chrono::duration_cast<std::chrono::milliseconds>(
+                     Clock::time_point::max() - Now)
+          ? Now + Deadline
+          : Clock::time_point::max();
   ServeMetrics &M = metrics();
   Response Rsp;
   Rsp.Id = NextRequestId.fetch_add(1, std::memory_order_relaxed);

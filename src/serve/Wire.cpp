@@ -4,6 +4,7 @@
 
 #include "obs/Metrics.h"
 #include "obs/Profile.h"
+#include "obs/Trace.h"
 #include "support/StringUtil.h"
 
 #include <algorithm>
@@ -372,8 +373,11 @@ namespace {
 
 /// Parses and runs one exec or pexec request. The answer carries the
 /// client's rid, or the frontend's request id when the client sent none.
+/// The serve.exec span records both: a router's rid then leads to the
+/// serve.request span of the worker's request id.
 Response execRequest(const Frontend &F, bool Partial,
                      std::istringstream &Fields, std::size_t Handles) {
+  obs::Span Sp("serve.exec");
   std::size_t H = 0, Begin = 0, Len = 0;
   long long DeadlineMs = -1;
   unsigned long long Rid = 0;
@@ -392,9 +396,12 @@ Response execRequest(const Frontend &F, bool Partial,
                         : F.DefaultDeadline;
     R = Partial ? F.ExecutePartial(H, Begin, Len, Deadline)
                 : F.Execute(H, Deadline);
+    Sp.arg("request_id", static_cast<std::int64_t>(R.Id));
   }
-  if (Rid)
+  if (Rid) {
+    Sp.arg("rid", static_cast<std::int64_t>(Rid));
     R.Id = Rid;
+  }
   return R;
 }
 

@@ -5,6 +5,7 @@
 #include "analysis/Analysis.h"
 #include "dryad/Partition.h"
 #include "obs/Metrics.h"
+#include "obs/Trace.h"
 #include "quil/Quil.h"
 #include "shard/Spawn.h"
 #include "support/Timing.h"
@@ -220,8 +221,14 @@ RoutedHandle ShardRouter::prepare(const std::string &SpecText,
 
 Response ShardRouter::subRequest(unsigned Shard, const RoutedQuery &Q,
                                  bool Partial, std::size_t Begin,
-                                 std::size_t Len, std::uint64_t Rid,
+                                 std::size_t Len, std::uint64_t RequestId,
+                                 std::uint64_t Rid,
                                  std::chrono::milliseconds Deadline) {
+  // The worker's serve.exec span records the same rid.
+  obs::Span Sp("shard.sub_request");
+  Sp.arg("request_id", static_cast<std::int64_t>(RequestId));
+  Sp.arg("rid", static_cast<std::int64_t>(Rid));
+  Sp.arg("shard", Shard);
   support::WallTimer Timer;
   auto Start = std::chrono::steady_clock::now();
   auto GiveUp = Start + std::min(Deadline, Options.RetryBudget);
@@ -314,6 +321,8 @@ serve::Response ShardRouter::execute(const RoutedHandle &H,
                                      std::chrono::milliseconds Deadline) {
   Response Rsp;
   Rsp.Id = NextRid.fetch_add(1, std::memory_order_relaxed);
+  obs::Span Sp("shard.request");
+  Sp.arg("request_id", static_cast<std::int64_t>(Rsp.Id));
   if (!H) {
     Rsp.St = Status::Error;
     Rsp.Message = "null routed handle";
@@ -330,7 +339,7 @@ serve::Response ShardRouter::execute(const RoutedHandle &H,
     // router's own id and run time.
     std::uint64_t Rid = NextRid.fetch_add(1, std::memory_order_relaxed);
     std::uint64_t Id = Rsp.Id;
-    Rsp = subRequest(H->HomeShard, *H, /*Partial=*/false, 0, 0, Rid,
+    Rsp = subRequest(H->HomeShard, *H, /*Partial=*/false, 0, 0, Id, Rid,
                      Deadline);
     Rsp.Id = Id;
     Rsp.RunMicros = RunTimer.seconds() * 1e6;
@@ -358,9 +367,10 @@ serve::Response ShardRouter::execute(const RoutedHandle &H,
   unsigned N = NumShards;
   std::uint64_t RidBase = NextRid.fetch_add(N, std::memory_order_relaxed);
   std::vector<Response> Parts(N);
-  auto runPart = [this, &Parts, &H, RidBase, Deadline, N](unsigned I) {
+  auto runPart = [this, &Parts, &H, Id = Rsp.Id, RidBase, Deadline,
+                  N](unsigned I) {
     dryad::PartRange R = dryad::partitionRange(H->SourceCount, N, I);
-    Parts[I] = subRequest(I, *H, /*Partial=*/true, R.Begin, R.Len,
+    Parts[I] = subRequest(I, *H, /*Partial=*/true, R.Begin, R.Len, Id,
                           RidBase + I, Deadline);
   };
   std::vector<std::thread> Threads;

@@ -162,11 +162,13 @@ private:
   struct Conn;
   struct ShardState;
 
-  /// Issues one sub-request (pexec when \p Partial, else exec) to
-  /// \p Shard with exactly-once retry inside RetryBudget.
+  /// Issues one sub-request of router request \p RequestId (pexec when
+  /// \p Partial, else exec) to \p Shard with exactly-once retry inside
+  /// RetryBudget. Its shard.sub_request span records both ids.
   serve::Response subRequest(unsigned Shard, const RoutedQuery &Q,
                              bool Partial, std::size_t Begin,
-                             std::size_t Len, std::uint64_t Rid,
+                             std::size_t Len, std::uint64_t RequestId,
+                             std::uint64_t Rid,
                              std::chrono::milliseconds Deadline);
 
   std::unique_ptr<Conn> acquire(unsigned Shard,

@@ -46,9 +46,9 @@ struct CompiledQuery::Impl {
 };
 
 namespace {
-/// The analyze phase: runs the static-analysis pipeline per
-/// CompileOptions::Analyze, prints warnings, and (strict mode) rejects a chain
-/// with error-severity findings before codegen spends anything on it.
+/// The analyze phase: unless CompileOptions::Analyze is Off, runs the
+/// static-analysis pipeline, prints warnings, and rejects a chain with
+/// error-severity findings before codegen spends anything on it.
 void analyzePhase(CompiledQuery::Impl &Impl, const CompileOptions &Options,
                   const std::string &Context) {
   if (Options.Analyze == analysis::Mode::Off)
@@ -66,8 +66,7 @@ void analyzePhase(CompiledQuery::Impl &Impl, const CompileOptions &Options,
     std::fprintf(stderr, "steno: analysis of %s '%s':\n%s",
                  Context.c_str(), Options.Name.c_str(), Printable.c_str());
 
-  if (Options.Analyze == analysis::Mode::Strict &&
-      Impl.Analysis.Diags.hasErrors())
+  if (Impl.Analysis.Diags.hasErrors())
     support::fatalError(
         support::strFormat("%s '%s' rejected by static analysis (%zu "
                            "error(s)):\n",
@@ -399,7 +398,8 @@ codegenAndLoad(std::shared_ptr<CompiledQuery::Impl> Impl,
   // loop (DESIGN.md §5i); serve's background recompiles compile the same
   // generatedSource().
   if (Options.Exec == Backend::Interp && Options.Vectorize) {
-    auto VP = std::make_shared<vec::VecPlan>(vec::planChain(Impl->Chain));
+    auto VP = std::make_shared<vec::VecPlan>(
+        vec::planChain(Impl->Chain, Impl->Program.ExitOp));
     if (VP->Ok)
       Impl->VecPlan = std::move(VP);
   }

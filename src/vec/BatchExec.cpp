@@ -95,7 +95,7 @@ bool recognizeReduce(const expr::Lambda &Fn2, VecPlan &P) {
 
 } // namespace
 
-VecPlan vec::planChain(const Chain &C) {
+VecPlan vec::planChain(const Chain &C, unsigned ExitOp) {
   if (C.Ops.size() < 2)
     return reject("degenerate chain");
   const Op &SrcOp = C.Ops.front();
@@ -163,6 +163,7 @@ VecPlan vec::planChain(const Chain &C) {
         if (!S.Body.Ok)
           return reject("unvectorizable Pred body");
       }
+      S.Exit = I == ExitOp;
       if (!O.OutElem || !O.OutElem->isScalar())
         return reject("non-scalar Pred element");
       S.OutK = O.OutElem->kind();
@@ -228,6 +229,14 @@ void dropFirst(Lanes &L, std::int64_t K) {
     L.Lo += K;
   else
     L.Off += K;
+}
+
+/// Live lanes of \p L at or before lane \p Last.
+std::int64_t lanesThrough(const Lanes &L, std::int64_t Last) {
+  if (L.Dense)
+    return std::clamp(Last + 1, L.Lo, L.Hi) - L.Lo;
+  return std::upper_bound(L.Idx + L.Off, L.Idx + L.Cnt, Last) -
+         (L.Idx + L.Off);
 }
 
 /// Position (in selection order) of the first lane whose predicate is
@@ -357,11 +366,15 @@ void vec::executeBatched(const VecPlan &P, const BatchInput &In,
   Ctx.Scr = &WS.Scr;
 
   const std::int64_t BS = static_cast<std::int64_t>(P.BatchSize);
-  for (std::int64_t Base = 0; Base < N; Base += BS) {
+  // The lanes each step received in the current batch, counted once the
+  // batch knows where the loop stops.
+  std::vector<Lanes> Reached(Prof ? P.Steps.size() + 1 : 0);
+  // The lane of the element that finds the Exit step exhausted, where the
+  // generated loop `break`s; -1 while the loop runs on.
+  std::int64_t Stop = -1;
+  for (std::int64_t Base = 0; Stop < 0 && Base < N; Base += BS) {
     std::int64_t M = std::min(BS, N - Base);
     WS.Scr.reset();
-    if (Prof)
-      Prof->Counts[2 * P.SrcProfSlot + 1] += static_cast<std::uint64_t>(M);
 
     Col Elem;
     switch (P.Src.Kind) {
@@ -386,9 +399,9 @@ void vec::executeBatched(const VecPlan &P, const BatchInput &In,
       const VStep &St = P.Steps[SI];
       std::int64_t InCnt = L.size();
       if (Prof)
-        Prof->Counts[2 * St.ProfSlot] += static_cast<std::uint64_t>(InCnt);
+        Reached[SI] = L;
       if (InCnt == 0)
-        continue; // rows-out += 0; nothing reaches the kernel
+        continue; // nothing reaches the kernel
       Ctx.Elem = Elem;
       switch (St.K) {
       case VStepKind::Trans:
@@ -408,6 +421,8 @@ void vec::executeBatched(const VecPlan &P, const BatchInput &In,
       case VStepKind::Take: {
         std::int64_t K = std::clamp<std::int64_t>(Counters[SI], 0, InCnt);
         Counters[SI] -= K;
+        if (St.Exit && K < InCnt)
+          Stop = L.at(K);
         trimToFirst(L, K);
         break;
       }
@@ -425,6 +440,8 @@ void vec::executeBatched(const VecPlan &P, const BatchInput &In,
         std::int64_t B = whileBoundary(St, Ctx, L);
         if (B < InCnt) {
           Flags[SI] = 1;
+          if (St.Exit)
+            Stop = L.at(B);
           trimToFirst(L, B);
         }
         break;
@@ -439,9 +456,23 @@ void vec::executeBatched(const VecPlan &P, const BatchInput &In,
         break;
       }
       }
-      if (Prof)
-        Prof->Counts[2 * St.ProfSlot + 1] +=
-            static_cast<std::uint64_t>(L.size());
+    }
+    if (Prof) {
+      // The steps before the Exit step ran over the whole batch, but the
+      // generated loop reaches no lane past Stop: each step counts the
+      // lanes it received in and passed on out up to there. The Exit step
+      // counts Stop in, not out.
+      Reached.back() = L;
+      std::int64_t Last = Stop < 0 ? M - 1 : Stop;
+      Prof->Counts[2 * P.SrcProfSlot + 1] +=
+          static_cast<std::uint64_t>(Last + 1);
+      for (std::size_t SI = 0; SI != P.Steps.size(); ++SI) {
+        std::size_t Slot = P.Steps[SI].ProfSlot;
+        Prof->Counts[2 * Slot] +=
+            static_cast<std::uint64_t>(lanesThrough(Reached[SI], Last));
+        Prof->Counts[2 * Slot + 1] +=
+            static_cast<std::uint64_t>(lanesThrough(Reached[SI + 1], Last));
+      }
     }
 
     std::int64_t Out = L.size();

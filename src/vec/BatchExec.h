@@ -18,14 +18,11 @@
 /// source into batches of Plan.BatchSize elements and pushes each batch
 /// through the operator chain — Trans maps a column, Pred narrows the
 /// lane selection, Agg folds the surviving lanes into the accumulator.
-/// The whole source is always consumed (a Take that is exhausted shrinks
-/// the selection to empty but never breaks the batch loop). The scalar
-/// loops consume it too wherever that is observable: they break past an
-/// exhausted Take/TakeWhile only when nothing before it can trap and
-/// profiling is off (DESIGN.md §5) — so trap behavior and per-operator
-/// profile counts are identical to scalar execution. Profile accounting
-/// is per batch: rows-in/rows-out move by lane counts, and no clock is
-/// read.
+/// The batch loop ends where the generated loop `break`s (DESIGN.md §5):
+/// at the element that finds the plan's Exit step exhausted, which the
+/// steps before it reach and nothing after it sees. Profile accounting
+/// is per batch: rows-in/rows-out move by the lane counts up to that
+/// element, so they equal the scalar loop's, and no clock is read.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -66,6 +63,9 @@ struct VStep {
   expr::ExprRef Count;
   /// Element kind after this step (Trans changes it; Preds keep it).
   expr::TypeKind OutK = expr::TypeKind::Double;
+  /// A Take/TakeWhile whose exhaustion ends the batch loop: the
+  /// generated loop's `break` (cpptree::Program::ExitOp).
+  bool Exit = false;
   /// This op's index in the chain's profile slots.
   std::size_t ProfSlot = 0;
 };
@@ -104,8 +104,11 @@ struct VecPlan {
 };
 
 /// Plans \p C for batched execution; Ok=false (with WhyNot) means the
-/// chain keeps the scalar path.
-VecPlan planChain(const quil::Chain &C);
+/// chain keeps the scalar path. Op \p ExitOp of \p C, the generated
+/// program's cpptree::Program::ExitOp, becomes the Exit step. Without one
+/// (~0u, cpptree::NoExitOp) the batch loop reads the whole source: the
+/// same rows, but not the generated loop's profile counts.
+VecPlan planChain(const quil::Chain &C, unsigned ExitOp = ~0u);
 
 /// Bound inputs for one batched execution (mirrors interp::RunInput).
 struct BatchInput {

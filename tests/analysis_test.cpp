@@ -418,15 +418,17 @@ TEST(AnalysisMode, StrictRejectsNegativeTake) {
   EXPECT_DEATH(compileQuery(Q, O), "rejected by static analysis.*ST3001");
 }
 
-TEST(AnalysisMode, WarnModeCompilesDespiteErrors) {
-  Query Q = Query::doubleArray(0).take(E(-1)).count();
+TEST(AnalysisMode, StrictCompilesDespiteWarnings) {
+  // Take(0) is a warning (ST3004), not an error: the query compiles and
+  // keeps its finding.
+  Query Q = Query::doubleArray(0).take(E(0)).count();
   CompileOptions O;
   O.Exec = Backend::Interp;
-  O.Analyze = analysis::Mode::Warn;
-  O.Name = "warn_negtake";
+  O.Analyze = analysis::Mode::Strict;
+  O.Name = "strict_take0";
   CompiledQuery CQ = compileQuery(Q, O);
-  EXPECT_TRUE(CQ.analysisResult().Diags.hasErrors());
-  EXPECT_TRUE(CQ.analysisResult().Diags.has(DiagCode::NegativeCount));
+  EXPECT_FALSE(CQ.analysisResult().Diags.hasErrors());
+  EXPECT_TRUE(CQ.analysisResult().Diags.has(DiagCode::TakeZero));
 }
 
 TEST(AnalysisMode, OffModeSkipsAnalysis) {
@@ -437,13 +439,6 @@ TEST(AnalysisMode, OffModeSkipsAnalysis) {
   O.Name = "off_negtake";
   CompiledQuery CQ = compileQuery(Q, O);
   EXPECT_TRUE(CQ.analysisResult().Diags.empty());
-}
-
-TEST(AnalysisMode, ModeNames) {
-  EXPECT_EQ(analysis::modeName(analysis::Mode::Off), std::string("off"));
-  EXPECT_EQ(analysis::modeName(analysis::Mode::Warn), std::string("warn"));
-  EXPECT_EQ(analysis::modeName(analysis::Mode::Strict),
-            std::string("strict"));
 }
 
 //===--------------------------------------------------------------------===//
@@ -492,14 +487,14 @@ TEST(AnalysisRuntimeTrap, Int64MinOverMinusOneCompilesOverEmptyInput) {
   Query Q = Query::int64Array(0)
                 .select(lambda({xi()}, xi() + E(INT64_MIN) / E(-1)))
                 .sum();
-  for (analysis::Mode M : {analysis::Mode::Warn, analysis::Mode::Off})
+  for (analysis::Mode M : {analysis::Mode::Strict, analysis::Mode::Off})
     for (Backend Exec : {Backend::Interp, Backend::Native}) {
       CompileOptions O;
       O.Exec = Exec;
       O.Analyze = M;
       O.Name = "int64min_div_neg1";
       EXPECT_EQ(compileQuery(Q, O).run(Empty).scalarValue().asInt64(), 0)
-          << analysis::modeName(M)
+          << (M == analysis::Mode::Strict ? "strict" : "off")
           << (Exec == Backend::Native ? " native" : " interp");
     }
 }

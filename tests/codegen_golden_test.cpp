@@ -211,19 +211,19 @@ TEST(CodegenGoldenTest, CseHoistsRepeatedSubexpression) {
 }
 
 // Profiling compiles the same program: the profiled TU of every golden
-// shape, stripped of its counters, is the unprofiled TU. The shapes left
-// out exit early past an exhausted TakeWhile/Take, which a profiled plan
-// keeps as `continue` so that it counts every element in, as the batch
-// executor does. orderBy(x => x).toArray() adds the sink rules: the
-// ToArray reuses the sort buffer and the host adopts it.
+// shape, stripped of its counters, is the unprofiled TU, early exits
+// included. orderBy(x => x).toArray() adds the sink rules: the ToArray
+// reuses the sort buffer and the host adopts it.
 TEST(CodegenGoldenTest, ProfiledTuIsTheUnprofiledTuPlusCounters) {
   E X = param("x", Type::doubleTy());
   const std::pair<const char *, Query> Shapes[] = {
       {"golden_filter_map_sum", filterMapSum()},
       {"golden_int64_guarded_sum", int64GuardedSum()},
       {"golden_where_kept_branch", whereKeptBranch()},
+      {"golden_take_while_break", takeWhileBreak()},
       {"golden_nested_ret_pop", nestedRetPop()},
       {"golden_group_by_aggregate", groupByAggregate()},
+      {"golden_skip_take_orderby", skipTakeOrderBy()},
       {"golden_cse_hoist", cseHoist()},
       {"orderby_toarray",
        Query::doubleArray(0).orderBy(lambda({X}, X)).toArray()},

@@ -181,63 +181,28 @@ TEST(ProfileInterp, EarlyExitAggregateStopsCounting) {
 // Differential: the interp, native and morsel paths agree on rows
 //===--------------------------------------------------------------------===//
 
-TEST(ProfileDifferential, BackendsAgreeOnRowCounts) {
-  const std::uint64_t N = 1000, Half = N / 2;
-  std::vector<double> Xs = ramp(N); // exactly N/2 positive
-  Bindings B;
-  B.bindDoubleArray(0, Xs.data(), static_cast<std::int64_t>(N));
-  std::vector<std::int64_t> Is(N);
-  std::iota(Is.begin(), Is.end(), std::int64_t{0}); // exactly N/2 even
-  Bindings BI;
-  BI.bindInt64Array(0, Is.data(), static_cast<std::int64_t>(N));
+namespace {
 
-  auto I = param("i", Type::int64Ty());
-  auto X = param("x", Type::doubleTy());
-  struct OpRows {
-    const char *Label;
-    std::uint64_t In, Out;
-  };
-  struct Case {
-    const char *Name;
-    Query Q;
-    const Bindings *B;
-    bool Batched; ///< Whether vec::planChain accepts the shape.
-    std::vector<OpRows> Want; ///< Hand-computed, in instrumentation order.
-  };
-  const Case Cases[] = {
-      // A guarded double sum: the Where guards the sum, and the Trans
-      // and Agg after it count the guard.
-      {"where_select_sum",
-       whereSelectSumQuery(),
-       &B,
-       true,
-       {{"Src", 0, N},
-        {"Where", N, Half},
-        {"Trans", Half, Half},
-        {"Agg", Half, Half},
-        {"Ret", 0, 1}}},
-      // Clash of the Lambdas' sumOfSquaresEven: an int64 guarded sum with
-      // a Trans between the guard and the Sum.
-      {"int64_guarded_sum",
-       Query::int64Array(0)
-           .where(lambda({I}, I % E(std::int64_t{2}) == E(std::int64_t{0})))
-           .select(lambda({I}, I * I))
-           .sum(),
-       &BI,
-       true,
-       {{"Src", 0, N},
-        {"Where", N, Half},
-        {"Trans", Half, Half},
-        {"Agg", Half, Half},
-        {"Ret", 0, 1}}},
-      // The ToArray reuses the sort buffer and the host adopts it: both
-      // count the sink's length.
-      {"orderby_toarray",
-       Query::doubleArray(0).orderBy(lambda({X}, X)).toArray(),
-       &B,
-       false,
-       {{"Src", 0, N}, {"OrderBy", N, N}, {"ToArray", N, N}, {"Ret", 0, N}}},
-  };
+/// One operator's hand-computed rows in and out.
+struct OpRows {
+  const char *Label;
+  std::uint64_t In, Out;
+};
+
+/// A profiled query, its input and the rows every backend must count.
+struct CountCase {
+  const char *Name;
+  Query Q;
+  const Bindings *B;
+  bool Batched;             ///< Whether vec::planChain accepts the shape.
+  std::vector<OpRows> Want; ///< In instrumentation order.
+};
+
+/// Runs each case once on the scalar interpreter, the batch executor
+/// (where vec::planChain accepts the shape) and native, and checks every
+/// op's rows in and out against the hand-computed values, and that the
+/// results and plan hashes agree across backends.
+void expectBackendsCount(const std::vector<CountCase> &Cases) {
   struct Exec {
     const char *Name;
     Backend Exec;
@@ -247,7 +212,7 @@ TEST(ProfileDifferential, BackendsAgreeOnRowCounts) {
                            {"the batch executor", Backend::Interp, true},
                            {"native", Backend::Native, false}};
 
-  for (const Case &C : Cases) {
+  for (const CountCase &C : Cases) {
     std::optional<QueryResult> First;
     std::uint64_t Hash = 0;
     for (const Exec &E : Backends) {
@@ -283,6 +248,163 @@ TEST(ProfileDifferential, BackendsAgreeOnRowCounts) {
     }
   }
   obs::ProfileStore::global().clear();
+}
+
+} // namespace
+
+TEST(ProfileDifferential, BackendsAgreeOnRowCounts) {
+  const std::uint64_t N = 1000, Half = N / 2;
+  std::vector<double> Xs = ramp(N); // exactly N/2 positive
+  Bindings B;
+  B.bindDoubleArray(0, Xs.data(), static_cast<std::int64_t>(N));
+  std::vector<std::int64_t> Is(N);
+  std::iota(Is.begin(), Is.end(), std::int64_t{0}); // exactly N/2 even
+  Bindings BI;
+  BI.bindInt64Array(0, Is.data(), static_cast<std::int64_t>(N));
+
+  auto I = param("i", Type::int64Ty());
+  auto X = param("x", Type::doubleTy());
+  expectBackendsCount({
+      // A guarded double sum: the Where guards the sum, and the Trans
+      // and Agg after it count the guard.
+      {"where_select_sum",
+       whereSelectSumQuery(),
+       &B,
+       true,
+       {{"Src", 0, N},
+        {"Where", N, Half},
+        {"Trans", Half, Half},
+        {"Agg", Half, Half},
+        {"Ret", 0, 1}}},
+      // Clash of the Lambdas' sumOfSquaresEven: an int64 guarded sum with
+      // a Trans between the guard and the Sum.
+      {"int64_guarded_sum",
+       Query::int64Array(0)
+           .where(lambda({I}, I % E(std::int64_t{2}) == E(std::int64_t{0})))
+           .select(lambda({I}, I * I))
+           .sum(),
+       &BI,
+       true,
+       {{"Src", 0, N},
+        {"Where", N, Half},
+        {"Trans", Half, Half},
+        {"Agg", Half, Half},
+        {"Ret", 0, 1}}},
+      // The ToArray reuses the sort buffer and the host adopts it: both
+      // count the sink's length.
+      {"orderby_toarray",
+       Query::doubleArray(0).orderBy(lambda({X}, X)).toArray(),
+       &B,
+       false,
+       {{"Src", 0, N}, {"OrderBy", N, N}, {"ToArray", N, N}, {"Ret", 0, N}}},
+  });
+}
+
+// An exhausted Take/TakeWhile that ends the loop (DESIGN.md §5) stops
+// every count at the breaking element: Src and the ops before the break
+// count it, the breaking op counts it in but not out, and nothing after
+// sees it. The batch executor stops there too, wherever the element
+// falls against its 1024-lane batches.
+TEST(ProfileDifferential, EarlyExitCountsStopAtTheBreakingElement) {
+  const std::uint64_t N = 3000;
+  std::vector<double> Asc(N);
+  std::iota(Asc.begin(), Asc.end(), 0.0);
+  Bindings BA;
+  BA.bindDoubleArray(0, Asc.data(), static_cast<std::int64_t>(N));
+  std::vector<double> Xs = ramp(N); // the even indices are positive
+  Bindings BR;
+  BR.bindDoubleArray(0, Xs.data(), static_cast<std::int64_t>(N));
+  std::vector<std::int64_t> Is(N);
+  std::iota(Is.begin(), Is.end(), std::int64_t{1});
+  Bindings BI;
+  BI.bindInt64Array(0, Is.data(), static_cast<std::int64_t>(N));
+
+  auto I = param("i", Type::int64Ty());
+  auto X = param("x", Type::doubleTy());
+  auto takeSum = [](std::int64_t K) {
+    return Query::doubleArray(0).take(E(K)).sum();
+  };
+  auto takeRows = [](std::uint64_t K) -> std::vector<OpRows> {
+    return {{"Src", 0, K + 1}, {"Take", K + 1, K}, {"Agg", K, K}, {"Ret", 0, 1}};
+  };
+  expectBackendsCount({
+      // The breaking element is the last lane of the first batch, the
+      // first lane of the second, or either side of them.
+      {"take_1022", takeSum(1022), &BA, true, takeRows(1022)},
+      {"take_1023", takeSum(1023), &BA, true, takeRows(1023)},
+      {"take_1024", takeSum(1024), &BA, true, takeRows(1024)},
+      {"take_1025", takeSum(1025), &BA, true, takeRows(1025)},
+      // Past the end: no element finds the Take exhausted.
+      {"take_past_end",
+       takeSum(N + 7),
+       &BA,
+       true,
+       {{"Src", 0, N}, {"Take", N, N}, {"Agg", N, N}, {"Ret", 0, 1}}},
+      {"take_0", takeSum(0), &BA, true, takeRows(0)},
+      // Breaks mid-batch at x = 1500, in the second batch.
+      {"take_while_breaks",
+       Query::doubleArray(0).takeWhile(lambda({X}, X < 1500.0)).sum(),
+       &BA,
+       true,
+       {{"Src", 0, 1501},
+        {"TakeWhile", 1501, 1500},
+        {"Agg", 1500, 1500},
+        {"Ret", 0, 1}}},
+      {"take_while_never_breaks",
+       Query::doubleArray(0).takeWhile(lambda({X}, X < 1e9)).sum(),
+       &BA,
+       true,
+       {{"Src", 0, N}, {"TakeWhile", N, N}, {"Agg", N, N}, {"Ret", 0, 1}}},
+      {"skip_take",
+       Query::doubleArray(0).skip(E(std::int64_t{1000})).take(
+           E(std::int64_t{100})).sum(),
+       &BA,
+       true,
+       {{"Src", 0, 1101},
+        {"Skip", 1101, 101},
+        {"Take", 101, 100},
+        {"Agg", 100, 100},
+        {"Ret", 0, 1}}},
+      // A sparse selection: the 601st positive element, index 1200,
+      // breaks the Take in the second batch.
+      {"where_take",
+       Query::doubleArray(0).where(lambda({X}, X > 0.0)).take(
+           E(std::int64_t{600})).sum(),
+       &BR,
+       true,
+       {{"Src", 0, 1201},
+        {"Where", 1201, 601},
+        {"Take", 601, 600},
+        {"Agg", 600, 600},
+        {"Ret", 0, 1}}},
+      // The division can trap, so the Take keeps `continue` and every
+      // element is counted.
+      {"trapping_select_take",
+       Query::int64Array(0)
+           .select(lambda({I}, E(std::int64_t{1000000}) / I))
+           .take(E(std::int64_t{10}))
+           .sum(),
+       &BI,
+       true,
+       {{"Src", 0, N},
+        {"Trans", N, N},
+        {"Take", N, 10},
+        {"Agg", 10, 10},
+        {"Ret", 0, 1}}},
+      // The break ends the source loop; the sort runs on what it kept.
+      {"take_orderby",
+       Query::doubleArray(0)
+           .take(E(std::int64_t{100}))
+           .orderBy(lambda({X}, -X))
+           .toArray(),
+       &BA,
+       false,
+       {{"Src", 0, 101},
+        {"Take", 101, 100},
+        {"OrderBy", 100, 100},
+        {"ToArray", 100, 100},
+        {"Ret", 0, 100}}},
+  });
 }
 
 TEST(ProfileDifferential, InterpAndNativeMergeIntoOneEntry) {

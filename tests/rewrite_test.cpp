@@ -315,7 +315,7 @@ TEST(RewritePipeline, RewriteResultAndProvenanceExposedWhenChanged) {
   CompileOptions On;
   On.Exec = Backend::Interp;
   On.Rewrite = true;
-  On.Analyze = analysis::Mode::Warn;
+  On.Analyze = analysis::Mode::Strict;
   On.Name = "rw_pipeline_on";
   CompiledQuery CQ = compileQuery(Q, On);
   const RewriteResult *R = CQ.rewriteResult();

@@ -26,6 +26,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <mutex>
 #include <sstream>
 #include <sys/socket.h>
@@ -1025,6 +1026,36 @@ TEST(ServeWire, SocketpairEndToEnd) {
   ASSERT_TRUE(Client.stats(Json));
   EXPECT_NE(Json.find("\"ok\":2"), std::string::npos) << Json;
   EXPECT_NE(Json.find("\"prepares\":2"), std::string::npos) << Json;
+
+  Client.quit();
+  Server.join();
+  ::close(Fds[0]);
+  ::close(Fds[1]);
+}
+
+// A deadline too far out for the clock never expires: the due time
+// saturates instead of overflowing into the past, so the request runs.
+TEST(ServeWire, DeadlinePastTheClockRangeStillRuns) {
+  int Fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, Fds), 0);
+  QueryService Svc(interpOnly());
+  std::thread Server([&] { serveConnection(sessionFrontend(Svc), Fds[0]); });
+  WireClient Client(Fds[1]);
+  std::uint64_t H = 99;
+  std::string Err;
+  ASSERT_TRUE(Client.prepare(specText(sumSqSpec()), H, Err));
+  ASSERT_EQ(Err, "");
+
+  // INT64_MAX ms overflows its conversion to nanoseconds; 9223372036854
+  // ms converts, and overflows only when added to the clock's now.
+  for (std::int64_t Ms : {std::numeric_limits<std::int64_t>::max(),
+                          std::int64_t{9223372036854}}) {
+    Response R;
+    ASSERT_TRUE(Client.exec(H, Ms, 0, R)) << Ms;
+    EXPECT_EQ(R.St, Status::Ok) << Ms << ": " << R.Message;
+    EXPECT_TRUE(R.Result.isScalar()) << Ms;
+  }
+  EXPECT_EQ(Svc.stats().Timeouts, 0u);
 
   Client.quit();
   Server.join();

@@ -17,6 +17,7 @@
 #include "dryad/Dist.h"
 #include "dryad/Partition.h"
 #include "fuzz/Diff.h"
+#include "obs/Trace.h"
 #include "serve/Serve.h"
 #include "serve/Wire.h"
 #include "shard/Shard.h"
@@ -25,6 +26,7 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <sstream>
@@ -692,6 +694,117 @@ TEST(ShardRouter, ClientConnectionRunsTheSharedLoop) {
   ::close(Fds[1]);
   Router.reset();
   Fleet.shutdown();
+}
+
+/// One span of obs::traceJson(): its name and integer args.
+struct SpanRecord {
+  std::string Name;
+  std::map<std::string, std::int64_t> Args;
+};
+
+/// The recorded spans (span names carry no quotes or braces).
+std::vector<SpanRecord> recordedSpans() {
+  std::string Json = obs::traceJson();
+  std::vector<SpanRecord> Out;
+  const std::string NameAt = "{\"name\":\"", ArgsAt = "\"args\":{";
+  for (std::size_t At = Json.find(NameAt); At != std::string::npos;
+       At = Json.find(NameAt, At)) {
+    At += NameAt.size();
+    SpanRecord S;
+    S.Name = Json.substr(At, Json.find('"', At) - At);
+    std::size_t Begin = Json.find(ArgsAt, At) + ArgsAt.size();
+    At = Json.find('}', Begin);
+    std::istringstream Args(Json.substr(Begin, At - Begin));
+    std::string Key;
+    std::int64_t Value = 0;
+    char Sep = 0;
+    while (std::getline(Args, Key, ':') && Args >> Value) {
+      S.Args[Key.substr(1, Key.size() - 2)] = Value; // strip the quotes
+      Args >> Sep;                                   // the comma
+    }
+    Out.push_back(std::move(S));
+  }
+  return Out;
+}
+
+/// The spans named \p Name whose arg \p Key is \p Value.
+std::vector<SpanRecord> spansWith(const std::vector<SpanRecord> &Spans,
+                                  const std::string &Name,
+                                  const std::string &Key,
+                                  std::int64_t Value) {
+  std::vector<SpanRecord> Out;
+  for (const SpanRecord &S : Spans) {
+    auto It = S.Args.find(Key);
+    if (S.Name == Name && It != S.Args.end() && It->second == Value)
+      Out.push_back(S);
+  }
+  return Out;
+}
+
+TEST(ShardRouter, OneRidFollowsARoutedRequestIntoTheWorkersSpans) {
+  // Router request A opens shard.request; each sub-request records A and
+  // its rid r; the worker's serve.exec records r and its own request id
+  // B, which its serve.request span names too.
+  InProcessFleet Fleet(3);
+  auto Router = std::make_unique<shard::ShardRouter>(Fleet.options());
+  int Fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, Fds), 0);
+  std::thread Server([&] { serveConnection(Router->frontend(), Fds[0]); });
+  WireClient Client(Fds[1]);
+  std::uint64_t HSplit = 99, HWhole = 99;
+  std::string Err;
+  ASSERT_TRUE(Client.prepare(specText(sumSqSpec()), HSplit, Err));
+  ASSERT_TRUE(Client.prepare(specText(nonAssocSpec()), HWhole, Err));
+  ASSERT_EQ(Err, "");
+  // Each worker numbers its requests from 1. Offset them, so that one
+  // trace of the in-process fleet names each worker request once.
+  for (unsigned I = 0; I != 3; ++I) {
+    PreparedHandle P = Fleet.Services[I]->prepare(specText(sumSqSpec()), &Err);
+    ASSERT_TRUE(P) << Err;
+    for (unsigned K = 0; K != 100 * I; ++K)
+      Fleet.Services[I]->execute(P, kDeadline);
+  }
+
+  obs::setTracingEnabled(true);
+  obs::resetTrace();
+  Response Split, Whole;
+  ASSERT_TRUE(Client.exec(HSplit, 5000, 0, Split));
+  ASSERT_TRUE(Client.exec(HWhole, 5000, 0, Whole));
+  Client.quit();
+  Server.join();
+  ::close(Fds[0]);
+  ::close(Fds[1]);
+  Router.reset();
+  Fleet.shutdown();
+  // A worker answers before its serve.request span closes: destroying
+  // the services joins their pools, so every span is recorded.
+  Fleet.Services.clear();
+  obs::setTracingEnabled(false);
+  ASSERT_EQ(Split.St, Status::Ok) << Split.Message;
+  ASSERT_EQ(Whole.St, Status::Ok) << Whole.Message;
+  std::vector<SpanRecord> Spans = recordedSpans();
+
+  const std::pair<const Response *, std::size_t> Requests[] = {
+      {&Split, 3}, {&Whole, 1}};
+  for (const auto &[Rsp, Subs] : Requests) {
+    auto A = static_cast<std::int64_t>(Rsp->Id);
+    EXPECT_EQ(spansWith(Spans, "shard.request", "request_id", A).size(), 1u)
+        << "router request " << A;
+    std::vector<SpanRecord> Sub =
+        spansWith(Spans, "shard.sub_request", "request_id", A);
+    ASSERT_EQ(Sub.size(), Subs) << "router request " << A;
+    for (const SpanRecord &S : Sub) {
+      std::vector<SpanRecord> Exec =
+          spansWith(Spans, "serve.exec", "rid", S.Args.at("rid"));
+      ASSERT_EQ(Exec.size(), 1u) << "rid " << S.Args.at("rid");
+      ASSERT_EQ(Exec[0].Args.count("request_id"), 1u);
+      EXPECT_EQ(spansWith(Spans, "serve.request", "request_id",
+                          Exec[0].Args.at("request_id"))
+                    .size(),
+                1u)
+          << "rid " << S.Args.at("rid");
+    }
+  }
 }
 
 TEST(ShardRouter, SingleShardFleetRoutesWhole) {

@@ -13,8 +13,9 @@
 //   steno_fuzz --replay tests/fuzz_corpus           # replay a corpus
 //
 // Exit status: 0 when every query matched the reference oracle on every
-// backend; 1 on any mismatch (shrunken reproducers are written to --out);
-// 2 on usage errors.
+// backend and every profiled plan counted the scalar interpreter's rows;
+// 1 on any mismatch (shrunken reproducers are written to --out); 2 on
+// usage errors.
 //
 //===----------------------------------------------------------------------===//
 
@@ -150,9 +151,10 @@ int main(int Argc, char **Argv) {
   if (DumpMetrics)
     std::fputs(obs::dumpMetrics().c_str(), stderr);
   std::printf("steno_fuzz: seed=%llu queries=%u rejected=%u certified=%u "
-              "mismatches=%u shrink_steps=%u\n",
+              "mismatches=%u count_mismatches=%u shrink_steps=%u\n",
               static_cast<unsigned long long>(Opts.Seed), Out.Queries,
-              Out.Rejected, Out.Certified, Out.Mismatches, Out.ShrinkSteps);
+              Out.Rejected, Out.Certified, Out.Mismatches,
+              Out.CountMismatches, Out.ShrinkSteps);
   if (!Out.clean()) {
     for (const auto &[Spec, Path] : Out.Failures)
       std::fprintf(stderr, "steno_fuzz: reproducer: %s  (%s)\n",
